@@ -5,6 +5,23 @@ normal-form/linearization machinery in graded truncations, and numerical
 symplectic realizations via Poisson sprays.
 """
 
+import os as _os
+
+
+def _apply_thread_cap():
+    """Cap the BLAS/OpenMP thread pools at POISSON_FORGE_THREADS.
+
+    The pools read these variables once, when NumPy is first imported, so
+    this runs before any submodule imports NumPy.
+    """
+    cap = _os.environ.get("POISSON_FORGE_THREADS")
+    if cap:
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            _os.environ.setdefault(var, cap)
+
+
+_apply_thread_cap()
+
 from .polyalg import Poly, Rational, SolveOutcome, exact_rank, format_poly, \
     parse_poly, solve_linear_exact
 from .multivector import GradedPiece, PolyMVF, dilate, grade_component, \

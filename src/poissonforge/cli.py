@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 from . import formal, liealg, poisson, realize
@@ -21,13 +20,6 @@ from .polyalg import PolyParseError
 
 class InputError(Exception):
     """Usage or input-file problem; maps to exit code 2."""
-
-
-def _apply_thread_cap():
-    cap = os.environ.get("POISSON_FORGE_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
 
 
 def parse_input(path: str):
@@ -259,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

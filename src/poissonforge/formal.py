@@ -10,7 +10,6 @@ prolongation, and the formal linearization pipeline built from the above.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -18,7 +17,7 @@ from fractions import Fraction
 
 from .polyalg import Poly, solve_linear_exact
 from .multivector import GradedPiece, PolyMVF, grade_component, schouten, truncate_jet
-from .poisson import check_poisson
+from .poisson import bracket_rows, check_poisson, graded_basis
 
 __all__ = [
     "FilteredJet",
@@ -152,25 +151,6 @@ class HomotopyResult:
     certificate: list | None    # infeasibility witness of the exact solve
 
 
-def _graded_monomial_basis(n: int, mvf_grade: int, l: int, weights,
-                           base_degree_cap: int):
-    """All monomial mvf's of degree `mvf_grade` and dilation grade l."""
-    fiber_vars = [i for i in range(n) if weights[i] == 1]
-    base_vars = [i for i in range(n) if weights[i] == 0]
-    out = []
-    for legs in itertools.combinations(range(1, n + 1), mvf_grade):
-        base_legs = sum(1 for i in legs if weights[i - 1] == 0)
-        fiber_deg = l - base_legs
-        if fiber_deg < 0:
-            continue
-        caps = [fiber_deg if i in fiber_vars else base_degree_cap for i in range(n)]
-        for exps in itertools.product(*(range(c + 1) for c in caps)):
-            if sum(exps[i] for i in fiber_vars) != fiber_deg:
-                continue
-            out.append((legs, exps))
-    return out
-
-
 def _solve_bracket_equation(pi: PolyMVF, rhs: PolyMVF, unknown_basis,
                             restrict_grade: int | None = None):
     """Solve [pi, sum c_b b] = rhs exactly over the given monomial basis.
@@ -178,25 +158,10 @@ def _solve_bracket_equation(pi: PolyMVF, rhs: PolyMVF, unknown_basis,
     With restrict_grade set, only the components of the bracket with grade
     <= restrict_grade are constrained (higher grades are left free).
     """
-    n = pi.nvars
-
-    def keep(legs, exps):
-        if restrict_grade is None:
-            return True
-        fiber = sum(e for e, w in zip(exps, pi.weights) if w == 1)
-        base_legs = sum(1 for i in legs if pi.weights[i - 1] == 0)
-        return fiber + base_legs <= restrict_grade
-
-    rows: dict[tuple, dict[int, Fraction]] = {}
-    for col, (legs, exps) in enumerate(unknown_basis):
-        b = PolyMVF(n, len(legs), {legs: Poly(n, {exps: Fraction(1)})}, pi.weights)
-        db = schouten(pi, b)
-        for lg, poly in db.terms.items():
-            for e, c in poly.terms.items():
-                if not keep(lg, e):
-                    continue
-                row = rows.setdefault((lg, e), {})
-                row[col] = row.get(col, Fraction(0)) + c
+    rows = bracket_rows(pi, unknown_basis)
+    if restrict_grade is not None:
+        rows = {key: row for key, row in rows.items()
+                if pi._monomial_grade(*key) <= restrict_grade}
     keys = set(rows)
     for lg, poly in rhs.terms.items():
         keys.update((lg, e) for e in poly.terms)
@@ -231,7 +196,7 @@ def homotopy_solve(pi_lin: PolyMVF, Z: GradedPiece, base_degree_cap: int = 8) ->
     if not dZ.is_zero():
         raise ValueError("right-hand side is not a cocycle: [pi_lin, Z] != 0")
     n = pi_lin.nvars
-    basis = _graded_monomial_basis(n, 1, Z.l, pi_lin.weights, base_degree_cap)
+    basis = graded_basis(n, 1, Z.l, pi_lin.weights, base_degree_cap)
     sol, witness = _solve_bracket_equation(pi_lin, Z.value, basis)
     if sol is None:
         return HomotopyResult("obstructed", None, Z, witness)
@@ -355,8 +320,7 @@ def prolong_step(pi_partial: FilteredJet, m: int, base_degree_cap: int = 8) -> P
         for poly in pi.terms.values() for exps in poly.terms)
     basis = []
     for g in eta_grades:
-        for legs, exps in _graded_monomial_basis(pi.nvars, 2, g, pi.weights,
-                                                 base_degree_cap):
+        for legs, exps in graded_basis(pi.nvars, 2, g, pi.weights, base_degree_cap):
             fiber = sum(e for e, w in zip(exps, pi.weights) if w == 1)
             if fiber >= fiber_floor:
                 basis.append((legs, exps))

@@ -386,8 +386,7 @@ def preset(name: str) -> LieAlgebraSpec:
             M((1, 1, I), (2, 2, -I)),            # i(E11 - E22)
         )
         C = _constants_from_matrices(mats)
-        onb = np.stack([1j * lam / math.sqrt(2) for lam in _GELL_MANN])
-        spec = LieAlgebraSpec(8, C, matrices=mats, orthonormal_basis=onb, name="su3")
+        spec = LieAlgebraSpec(8, C, matrices=mats, orthonormal_basis=_su3_onb(), name="su3")
     else:
         raise ValueError(f"unknown preset {name!r}")
     return validate(spec)

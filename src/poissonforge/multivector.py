@@ -158,10 +158,7 @@ class PolyMVF:
         return self + (-other)
 
     def __mul__(self, scalar):
-        if isinstance(scalar, Poly):
-            terms = {i: p * scalar for i, p in self.terms.items()}
-        else:
-            terms = {i: p * scalar for i, p in self.terms.items()}
+        terms = {i: p * scalar for i, p in self.terms.items()}
         return PolyMVF(self.nvars, self.grade, terms, self.weights)
 
     __rmul__ = __mul__

@@ -4,6 +4,10 @@ Jacobi verification, the sharp (anchor) map, brackets, exact Casimir bases,
 cohomology ranks of the homogeneous complexes attached to a linear structure,
 pointwise gauge transformations, and the rescaling path connecting a
 vanishing-at-zero structure to its linear part.
+
+``graded_basis`` and ``bracket_rows`` are the one assembly of the operator
+``[pi, .]`` on a graded monomial basis; Casimir bases, cohomology ranks and
+the homotopy solves of ``formal`` all build their matrices through them.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .polyalg import Poly, exact_rank, format_poly, solve_linear_exact
+from .polyalg import Poly, exact_rank, solve_linear_exact
 from .multivector import PolyMVF, dilate, grade_component, schouten
 
 __all__ = [
@@ -24,6 +28,8 @@ __all__ = [
     "check_poisson",
     "sharp",
     "poisson_bracket",
+    "graded_basis",
+    "bracket_rows",
     "casimir_basis",
     "cohomology_dims",
     "gauge_pointwise",
@@ -94,18 +100,55 @@ def poisson_bracket(pi: PolyMVF, f: Poly, g: Poly) -> Poly:
 
 
 # ---------------------------------------------------------------------------
-# Casimirs
+# The operator [pi, .] on graded monomial bases
 # ---------------------------------------------------------------------------
 
-def _monomials(n: int, degree: int):
-    """All exponent tuples of total degree `degree` in n variables."""
-    if n == 1:
-        yield (degree,)
-        return
-    for first in range(degree, -1, -1):
-        for rest in _monomials(n - 1, degree - first):
-            yield (first,) + rest
+def graded_basis(n: int, k: int, l: int, weights, base_degree_cap: int = 0) -> list:
+    """Monomial k-vectors x^exps d_legs of dilation grade l, as (legs, exps) pairs.
 
+    A monomial's grade is its degree in the fiber (weight-1) variables plus
+    its number of base (weight-0) legs; base variables carry degree at most
+    ``base_degree_cap``.  Leg sets come in ascending lexicographic order and,
+    within each, exponent vectors too: solutions are RREF-canonical for a
+    fixed column order, so gauge fields depend on this order.
+    """
+    def exponents(i: int, left: int):
+        if i == n:
+            if left == 0:
+                yield ()
+            return
+        fiber = weights[i] == 1
+        for e in range((left if fiber else base_degree_cap) + 1):
+            for rest in exponents(i + 1, left - e if fiber else left):
+                yield (e,) + rest
+
+    out = []
+    for legs in itertools.combinations(range(1, n + 1), k):
+        fiber_deg = l - sum(1 for i in legs if weights[i - 1] == 0)
+        if fiber_deg >= 0:
+            out.extend((legs, exps) for exps in exponents(0, fiber_deg))
+    return out
+
+
+def bracket_rows(pi: PolyMVF, basis) -> dict:
+    """The matrix of [pi, .] on a monomial basis, as sparse rows.
+
+    Column c is the basis element ``basis[c] = (legs, exps)``; rows are keyed
+    by the (legs, exps) monomials of the brackets and hold only nonzeros.
+    """
+    n = pi.nvars
+    rows: dict[tuple, dict[int, Fraction]] = {}
+    for col, (legs, exps) in enumerate(basis):
+        b = PolyMVF(n, len(legs), {legs: Poly(n, {exps: Fraction(1)})}, pi.weights)
+        for lg, poly in schouten(pi, b).terms.items():
+            for e, c in poly.terms.items():
+                rows.setdefault((lg, e), {})[col] = c
+    return rows
+
+
+# ---------------------------------------------------------------------------
+# Casimirs
+# ---------------------------------------------------------------------------
 
 def casimir_basis(pi: PolyMVF, D: int) -> list[Poly]:
     """Rational basis of {f : deg f <= D, pi#(df) = 0}, found per degree."""
@@ -115,20 +158,13 @@ def casimir_basis(pi: PolyMVF, D: int) -> list[Poly]:
     n = pi.nvars
     basis: list[Poly] = []
     for d in range(D + 1):
-        monos = list(_monomials(n, d))
-        col_of = {m: c for c, m in enumerate(monos)}
-        # equations: coefficients of sharp(pi, d(sum c_m x^m)) must vanish
-        rows: dict[tuple, dict[int, Fraction]] = {}
-        for c, m in enumerate(monos):
-            H = hamiltonian_vf(pi, Poly(n, {m: Fraction(1)}))
-            for idx, poly in H.terms.items():
-                for exps, coeff in poly.terms.items():
-                    row = rows.setdefault((idx, exps), {})
-                    row[c] = row.get(c, Fraction(0)) + coeff
-        A = [r for r in rows.values() if r]
+        # [pi, f] = -pi#(df); descending-lex columns fix the published
+        # normalisation of each RREF kernel vector
+        monos = graded_basis(n, 0, d, [1] * n)[::-1]
+        A = list(bracket_rows(pi, monos).values())
         out = solve_linear_exact(A, [Fraction(0)] * len(A), ncols=len(monos))
         for vec in out.kernel_basis:
-            terms = {m: v for m, v in zip(monos, vec) if v != 0}
+            terms = {m: v for (_, m), v in zip(monos, vec) if v != 0}
             if terms:
                 basis.append(Poly(n, terms))
     return basis
@@ -155,25 +191,6 @@ class CohomologyTable:
         return json.dumps(self.to_json_obj(), sort_keys=True)
 
 
-def _cochain_basis(n: int, k: int, l: int, weights):
-    """Basis of grade-l homogeneous k-vectors (all-ones weights: degree-l coeffs)."""
-    out = []
-    for legs in itertools.combinations(range(1, n + 1), k):
-        base_legs = sum(1 for i in legs if weights[i - 1] == 0)
-        fiber_deg = l - base_legs
-        if fiber_deg < 0:
-            continue
-        fiber_vars = [i for i in range(n) if weights[i] == 1]
-        base_vars = [i for i in range(n) if weights[i] == 0]
-        if base_vars:
-            # base-variable degree unbounded in principle; homogeneous complexes
-            # are only assembled for all-fiber weights
-            raise ValueError("cohomology_dims requires all-ones weights")
-        for m in _monomials(n, fiber_deg):
-            out.append(PolyMVF(n, k, {legs: Poly(n, {m: Fraction(1)})}, weights))
-    return out
-
-
 def cohomology_dims(pi_lin: PolyMVF, l: int, kmax: int) -> CohomologyTable:
     """Dims/ranks/betti of d = [pi_lin, .] on grade-l homogeneous k-vectors."""
     if pi_lin.grade != 2:
@@ -183,28 +200,17 @@ def cohomology_dims(pi_lin: PolyMVF, l: int, kmax: int) -> CohomologyTable:
         raise ValueError("cohomology_dims needs a linear (grade-1 homogeneous) bivector")
     if not check_poisson(pi_lin).is_poisson:
         raise ValueError("bivector is not Poisson")
+    if any(w != 1 for w in pi_lin.weights):
+        # base-variable degree is unbounded in principle
+        raise ValueError("cohomology_dims requires all-ones weights")
     n = pi_lin.nvars
-    weights = pi_lin.weights
     degrees = list(range(kmax + 1))
-    bases = {k: _cochain_basis(n, k, l, weights) for k in range(kmax + 2)}
-    dim_cochains = {k: len(bases[k]) for k in degrees}
-    rank_d = {}
+    dim_cochains, rank_d = {}, {}
     for k in degrees:
-        target = bases[k + 1]
-        index = {}
-        for c, b in enumerate(target):
-            (legs, poly), = b.terms.items()
-            (exps,), = (list(poly.terms),)
-            index[(legs, exps)] = c
-        rows: dict[int, dict[int, Fraction]] = {}
-        for c, b in enumerate(bases[k]):
-            db = schouten(pi_lin, b)
-            for legs, poly in db.terms.items():
-                for exps, coeff in poly.terms.items():
-                    r = index[(legs, exps)]
-                    row = rows.setdefault(r, {})
-                    row[c] = row.get(c, Fraction(0)) + coeff
-        rank_d[k] = exact_rank(list(rows.values()), ncols=len(bases[k]))
+        basis = graded_basis(n, k, l, pi_lin.weights)
+        dim_cochains[k] = len(basis)
+        rows = list(bracket_rows(pi_lin, basis).values())
+        rank_d[k] = exact_rank(rows, ncols=len(basis))
     betti = {}
     for k in degrees:
         dim_ker = dim_cochains[k] - rank_d[k]

@@ -23,8 +23,6 @@ __all__ = [
     "Rational",
     "Poly",
     "SolveOutcome",
-    "poly_mul",
-    "substitute_scale",
     "solve_linear_exact",
     "exact_rank",
     "parse_poly",
@@ -264,16 +262,6 @@ class Poly:
         return format_poly(self)
 
 
-def poly_mul(p: Poly, q: Poly) -> Poly:
-    """Exact product of two polynomials over the same variables."""
-    return p * q
-
-
-def substitute_scale(p: Poly, t, mask: Iterable[int]) -> Poly:
-    """Replace ``x_i -> t*x_i`` for the 1-based indices in ``mask``."""
-    return p.substitute_scale(t, mask)
-
-
 # ---------------------------------------------------------------------------
 # Text grammar:  poly := term (('+'|'-') term)*
 #                term := coeff ('*' varpow)* | varpow ('*' varpow)*
@@ -392,6 +380,8 @@ def parse_poly(text: str, nvars: int) -> Poly:
             raise PolyParseError(f"unexpected token {tokens[i][1]!r}")
 
         result = result + Poly.monomial(nvars, exps, sign * coeff)
+        if i < len(tokens) and tokens[i] not in (("op", "+"), ("op", "-")):
+            raise PolyParseError(f"expected '+' or '-' after a term, got {tokens[i][1]!r}")
     return result
 
 
@@ -406,7 +396,10 @@ class SolveOutcome:
     When feasible, ``particular`` is the RREF particular solution (free
     variables set to zero) and ``kernel_basis`` spans ker A.  When
     infeasible, ``witness`` is a row combination w with ``w A = 0`` and
-    ``w . b != 0``.
+    ``w . b = 1``: the RREF particular solution of
+    ``[A^T; b^T] w = (0, ..., 0, 1)``, which by the Fredholm alternative is
+    solvable exactly when ``A x = b`` is not.  It is computed only for
+    infeasible systems.
     """
 
     status: str  # "feasible" | "infeasible"
@@ -423,21 +416,66 @@ def _to_sparse_rows(A, ncols=None):
     rows = []
     width = 0
     for row in A:
-        if isinstance(row, dict):
-            sr = {int(j): _as_fraction(v) for j, v in row.items() if _as_fraction(v) != 0}
-            if sr:
-                width = max(width, max(sr) + 1)
-        else:
-            sr = {}
-            for j, v in enumerate(row):
-                fv = _as_fraction(v)
-                if fv != 0:
-                    sr[j] = fv
-            width = max(width, len(row))
+        dense = not isinstance(row, dict)
+        items = enumerate(row) if dense else row.items()
+        sr = {int(j): fv for j, v in items if (fv := _as_fraction(v)) != 0}
+        width = max(width, len(row) if dense else max(sr, default=-1) + 1)
         rows.append(sr)
     if ncols is None:
         ncols = width
     return rows, ncols
+
+
+def _eliminate(rows: list, rhs: list, ncols: int) -> list:
+    """Reduce sparse ``rows`` to RREF in place, carrying ``rhs`` along.
+
+    The pivot of each column is the first unused row with a nonzero entry in
+    it, so the result is deterministic.  Returns the (column, row) pivots;
+    every other row ends up empty.
+    """
+    nrows = len(rows)
+    used = [False] * nrows
+    pivots = []
+    for col in range(ncols):
+        pivot = next((i for i in range(nrows) if not used[i] and col in rows[i]), None)
+        if pivot is None:
+            continue
+        used[pivot] = True
+        pivots.append((col, pivot))
+        pv = rows[pivot][col]
+        if pv != 1:
+            rows[pivot] = {j: v / pv for j, v in rows[pivot].items()}
+            rhs[pivot] = rhs[pivot] / pv
+        prow, prhs = rows[pivot], rhs[pivot]
+        for i in range(nrows):
+            f = rows[i].get(col)
+            if i == pivot or not f:
+                continue
+            ri = rows[i]
+            for j, v in prow.items():
+                s = ri.get(j, 0) - f * v
+                if s:
+                    ri[j] = s
+                else:
+                    ri.pop(j, None)
+            if prhs:
+                rhs[i] -= f * prhs
+    return pivots
+
+
+def _witness(A, b: list, ncols: int) -> list:
+    """RREF particular solution w of ``[A^T; b^T] w = (0, ..., 0, 1)``."""
+    rows, _ = _to_sparse_rows(A, ncols)
+    cols = [{} for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            cols[j][i] = v
+    cols.append({i: v for i, v in enumerate(b) if v != 0})
+    rhs = [Fraction(0)] * ncols + [Fraction(1)]
+    w = [Fraction(0)] * len(rows)
+    for col, row in _eliminate(cols, rhs, len(rows)):
+        w[col] = rhs[row]
+    return w
 
 
 def solve_linear_exact(A, b, ncols: int | None = None) -> SolveOutcome:
@@ -447,83 +485,32 @@ def solve_linear_exact(A, b, ncols: int | None = None) -> SolveOutcome:
     sparse ``{column: value}`` dict (pass ``ncols`` with sparse rows).
     Elimination uses a fixed pivot rule -- the first remaining row with a
     nonzero entry in the leftmost unresolved column -- so the output is
-    deterministic.  Infeasibility is a status, never an exception.
+    deterministic.  Infeasibility is a status, never an exception; only then
+    is the witness of ``SolveOutcome`` computed, by a second elimination.
     """
     rows, ncols = _to_sparse_rows(A, ncols)
-    nrows = len(rows)
     b = [_as_fraction(v) for v in b]
-    if len(b) != nrows:
-        raise ValueError(f"dimension mismatch: {nrows} rows vs {len(b)} rhs entries")
-
-    # combos[i] tracks row i as a combination of the original rows, to
-    # certify infeasibility.
-    rows = [dict(r) for r in rows]
+    if len(b) != len(rows):
+        raise ValueError(f"dimension mismatch: {len(rows)} rows vs {len(b)} rhs entries")
     rhs = list(b)
-    combos = [{i: Fraction(1)} for i in range(nrows)]
-
-    pivot_cols: list[int] = []
-    pivot_rows: list[int] = []
-    used = [False] * nrows
-
-    for col in range(ncols):
-        pivot = None
-        for i in range(nrows):
-            if not used[i] and rows[i].get(col, 0) != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        used[pivot] = True
-        pivot_cols.append(col)
-        pivot_rows.append(pivot)
-        pv = rows[pivot][col]
-        if pv != 1:
-            rows[pivot] = {j: v / pv for j, v in rows[pivot].items()}
-            rhs[pivot] = rhs[pivot] / pv
-            combos[pivot] = {j: v / pv for j, v in combos[pivot].items()}
-        prow, prhs, pcombo = rows[pivot], rhs[pivot], combos[pivot]
-        for i in range(nrows):
-            if i == pivot:
-                continue
-            f = rows[i].get(col)
-            if not f:
-                continue
-            ri = rows[i]
-            for j, v in prow.items():
-                s = ri.get(j, Fraction(0)) - f * v
-                if s == 0:
-                    ri.pop(j, None)
-                else:
-                    ri[j] = s
-            rhs[i] -= f * prhs
-            ci = combos[i]
-            for j, v in pcombo.items():
-                s = ci.get(j, Fraction(0)) - f * v
-                if s == 0:
-                    ci.pop(j, None)
-                else:
-                    ci[j] = s
+    pivots = _eliminate(rows, rhs, ncols)
 
     # Infeasibility: an eliminated row with zero coefficients but nonzero rhs.
-    for i in range(nrows):
-        if not used[i] and not rows[i] and rhs[i] != 0:
-            witness = [Fraction(0)] * nrows
-            for j, v in combos[i].items():
-                witness[j] = v
-            return SolveOutcome(status="infeasible", witness=witness)
+    if any(c != 0 and not row for row, c in zip(rows, rhs)):
+        return SolveOutcome(status="infeasible", witness=_witness(A, b, ncols))
 
     particular = [Fraction(0)] * ncols
-    for col, row in zip(pivot_cols, pivot_rows):
+    for col, row in pivots:
         particular[col] = rhs[row]
 
-    pivot_set = set(pivot_cols)
+    pivot_cols = {col for col, _ in pivots}
     kernel = []
     for free in range(ncols):
-        if free in pivot_set:
+        if free in pivot_cols:
             continue
         vec = [Fraction(0)] * ncols
         vec[free] = Fraction(1)
-        for col, row in zip(pivot_cols, pivot_rows):
+        for col, row in pivots:
             coeff = rows[row].get(free)
             if coeff:
                 vec[col] = -coeff
@@ -533,7 +520,6 @@ def solve_linear_exact(A, b, ncols: int | None = None) -> SolveOutcome:
 
 
 def exact_rank(A, ncols: int | None = None) -> int:
-    """Rank of a rational matrix, computed by the same exact elimination."""
+    """Rank of a rational matrix: the pivot count of the same exact elimination."""
     rows, ncols = _to_sparse_rows(A, ncols)
-    outcome = solve_linear_exact(rows, [Fraction(0)] * len(rows), ncols=ncols)
-    return ncols - len(outcome.kernel_basis)
+    return len(_eliminate(rows, [Fraction(0)] * len(rows), ncols))

@@ -1,6 +1,9 @@
 """End-to-end exercise of every CLI verb, exit codes, and JSON output."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -147,9 +150,34 @@ def test_unknown_verb():
         cli.main(["frobnicate"])
 
 
-def test_thread_cap_env(monkeypatch):
-    monkeypatch.setenv("POISSON_FORGE_THREADS", "1")
-    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-    cli._apply_thread_cap()
-    import os
-    assert os.environ["OMP_NUM_THREADS"] == "1"
+# Records the thread variables at the moment NumPy is first imported, then
+# imports the CLI and prints the variables as they are then.
+_THREAD_PROBE = """
+import json, os, sys
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+seen = {}
+class Probe:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.update({v: os.environ.get(v) for v in THREAD_VARS})
+        return None
+sys.meta_path.insert(0, Probe())
+import poissonforge.cli
+print(json.dumps({"at_numpy_import": seen,
+                  "after": {v: os.environ.get(v) for v in THREAD_VARS}}))
+"""
+
+
+def test_thread_cap_env():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["POISSON_FORGE_THREADS"] = "1"
+    env["PYTHONPATH"] = src
+    out = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env,
+                         capture_output=True, text=True, timeout=120, check=True)
+    obj = json.loads(out.stdout)
+    want = {v: "1" for v in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    assert obj["after"] == want
+    # the cap was in place before NumPy was first imported
+    assert obj["at_numpy_import"] == want

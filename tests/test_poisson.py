@@ -1,15 +1,16 @@
 """Poisson-specific operations: checks, Casimirs, cohomology, gauge, rescale."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from poissonforge import (PolyMVF, casimir_basis, check_poisson,
-                          cohomology_dims, conn_rescale, gauge_pointwise,
-                          hamiltonian_vf, linear_poisson, poisson_bracket,
-                          preset, schouten, sharp)
+from poissonforge import (PolyMVF, ad_exp, casimir_basis, check_poisson,
+                          cohomology_dims, conn_rescale, formal_linearize,
+                          gauge_pointwise, hamiltonian_vf, linear_poisson,
+                          poisson_bracket, preset, schouten, sharp)
 from poissonforge.poisson import GaugeSingularError
 from poissonforge.liealg import LieAlgebraSpec
 from poissonforge.polyalg import Poly, parse_poly
@@ -109,12 +110,50 @@ class TestCasimirs:
         assert len(basis) == 3  # 1, x1, x2
 
 
+    def test_pinned_normalisation(self):
+        # RREF kernels over descending-lex columns, as published
+        sl2 = casimir_basis(linear_poisson(preset("sl2")), 4)
+        assert [str(p) for p in sl2] == [
+            "1",
+            "4*x1*x2 + x3^2",
+            "16*x1^2*x2^2 + 8*x1*x2*x3^2 + x3^4",
+        ]
+        su3 = casimir_basis(linear_poisson(preset("su3")), 3)
+        assert [str(p) for p in su3] == [
+            "1",
+            "3/4*x1^2 + 3/4*x2^2 + 3/4*x3^2 + 3/4*x4^2 + 3/4*x5^2 + 3/4*x6^2 + x7^2 + "
+            "x7*x8 + x8^2",
+            "-9/8*x1^2*x7 - 9/4*x1^2*x8 - 27/8*x1*x3*x6 + 27/8*x1*x4*x5 - 9/8*x2^2*x7 "
+            "- 9/4*x2^2*x8 - 27/8*x2*x3*x5 - 27/8*x2*x4*x6 - 9/8*x3^2*x7 + "
+            "9/8*x3^2*x8 - 9/8*x4^2*x7 + 9/8*x4^2*x8 + 9/4*x5^2*x7 + 9/8*x5^2*x8 + "
+            "9/4*x6^2*x7 + 9/8*x6^2*x8 - x7^3 - 3/2*x7^2*x8 + 3/2*x7*x8^2 + x8^3",
+        ]
+
+
 class TestCohomology:
     def test_so3_quadratic_table(self, pi_so3):
         table = cohomology_dims(pi_so3, 2, 3)
         assert table.betti == {0: 1, 1: 0, 2: 0, 3: 1}
         assert table.dim_cochains == {0: 6, 1: 18, 2: 18, 3: 6}
         assert table.rank_d == {0: 5, 1: 13, 2: 5, 3: 0}
+
+    @pytest.mark.parametrize("name, grades, kmax, poincare, gens", [
+        ("so3", range(6), 3, {0: 1, 3: 1}, (2,)),
+        ("sl2", range(6), 3, {0: 1, 3: 1}, (2,)),
+        ("su2", range(6), 3, {0: 1, 3: 1}, (2,)),
+        ("su3", [2], 1, {0: 1, 3: 1, 5: 1, 8: 1}, (2, 3)),
+    ], ids=["so3", "sl2", "su2", "su3"])
+    def test_hochschild_serre(self, name, grades, kmax, poincare, gens):
+        # The complex is Chevalley-Eilenberg with coefficients in S(g), so
+        # betti_k(l) = dim H^k(g) * dim Cas_l (Hochschild-Serre), where H(g)
+        # has Poincare polynomial `poincare` and the Casimirs are freely
+        # generated in the degrees `gens`.
+        pi = linear_poisson(preset(name))
+        for l in grades:
+            cas = sum(1 for e in itertools.product(range(l + 1), repeat=len(gens))
+                      if sum(a * g for a, g in zip(e, gens)) == l)
+            table = cohomology_dims(pi, l, kmax)
+            assert table.betti == {k: poincare.get(k, 0) * cas for k in range(kmax + 1)}
 
     def test_rejects_weighted_vars(self, pi_so3):
         with pytest.raises(ValueError):
@@ -195,3 +234,12 @@ class TestConnRescale:
         assert check_poisson(pi).is_poisson
         for t in (Fraction(1, 3), Fraction(1, 2), 1):
             assert check_poisson(conn_rescale(pi, t)).is_poisson
+
+
+def test_readme_quick_start_pinned():
+    pi = linear_poisson(preset("so3"))
+    X = PolyMVF(3, 1, {(1,): parse_poly("x2*x3", 3)})
+    sol = formal_linearize(ad_exp(X, pi, 4).value, 4)
+    assert sol.to_json() == (
+        '{"X": {"grade": 1, "nvars": 3, "terms": [{"indices": [1], "poly": "x2*x3"}], '
+        '"weights": [1, 1, 1]}, "rounds": 1, "status": "equivalent"}')

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 
 from poissonforge.polyalg import (Poly, PolyParseError, exact_rank,
                                   format_poly, parse_poly, solve_linear_exact)
@@ -70,7 +71,9 @@ class TestParsing:
         assert parse_poly("-x1", 1) == Poly(1, {(1,): Fraction(-1)})
 
     def test_rejects_bad_input(self):
-        for bad in ("x0", "x4", "x1 +", "1//2*x1", "x1^", "y1"):
+        for bad in ("x0", "x4", "x1 +", "1//2*x1", "x1^", "y1",
+                    # juxtaposed terms are not a sum
+                    "x1x2", "x1 x2", "2 3", "x1^2 3"):
             with pytest.raises(PolyParseError):
                 parse_poly(bad, 3)
 
@@ -112,7 +115,19 @@ class TestExactSolver:
             for k in out.kernel_basis:
                 for r in range(m):
                     assert sum(A[r][c] * k[c] for c in range(n)) == 0
-            assert len(out.kernel_basis) == n - exact_rank(A, n)
+            rank = exact_rank(A, n)
+            assert rank == sympy.Matrix(A).rank()
+            assert len(out.kernel_basis) == n - rank
+            if rank < m:
+                # push b out of the column space along a left-kernel vector y
+                y = [Fraction(int(v.p), int(v.q)) for v in sympy.Matrix(A).T.nullspace()[0]]
+                b_out = [b[r] + y[r] for r in range(m)]
+                out = solve_linear_exact(A, b_out)
+                assert not out.feasible
+                w = out.witness
+                for c in range(n):
+                    assert sum(w[r] * A[r][c] for r in range(m)) == 0
+                assert sum(w[r] * b_out[r] for r in range(m)) != 0
 
     def test_exact_rank(self):
         assert exact_rank([[1, 2], [2, 4]], 2) == 1
