@@ -80,23 +80,25 @@ def ad_exp(X, u, D: int) -> FilteredJet:
     n = 0
     while not term.is_zero():
         n += 1
-        term = truncate_jet(schouten(X.value, term), D) * Fraction(1, n)
+        term = schouten(X.value, term, max_grade=D) * Fraction(1, n)
         acc = acc + term
         if n > 4 * D + 8:  # nilpotency guarantees termination well before this
             raise RuntimeError("ad_exp series failed to terminate")
     return FilteredJet(acc, D)
 
 
-def _compositions(budget: int, k: int):
-    """Sequences ((l1,m1),...,(lk,mk)) with l_i+m_i >= 1 and total <= budget."""
+def _dynkin_words(budget: int, ox: int, oy: int, k: int):
+    """Words ((l1,m1),...,(lk,mk)) with l_i+m_i >= 1, m_k >= 1 and
+    ox*(l1+...+lk) + oy*(m1+...+mk) <= budget."""
     if k == 0:
         yield ()
         return
-    for l in range(budget + 1):
-        for m in range(budget - l + 1):
+    m_min = 1 if k == 1 else 0      # the innermost block needs an ad_Y
+    for l in range(budget // ox + 1):
+        for m in range(m_min, (budget - ox * l) // oy + 1):
             if l + m == 0:
                 continue
-            for rest in _compositions(budget - l - m, k - 1):
+            for rest in _dynkin_words(budget - ox * l - oy * m, ox, oy, k - 1):
                 yield ((l, m),) + rest
 
 
@@ -108,34 +110,43 @@ def bch(X, Y, D: int) -> FilteredJet:
               sum 1/((sum l_i)+1) * prod 1/(l_i! m_i!) *
               ad_X^{l1} ad_Y^{m1} ... ad_X^{lk} ad_Y^{mk} (X),
     finite here because every ad raises the order past D eventually.
+
+    Words that vanish in the grade-D truncation are skipped before any
+    bracket is formed, so the sum is exact:
+    - orders add under the bracket, so a word has order at least
+      o(X)*(1 + sum l_i) + o(Y)*sum m_i and vanishes once that exceeds D-1;
+    - a word whose innermost block is ad_X^l X with l >= 1 (m_k = 0) is 0.
+    Zero arguments are returned as they are: X*0 = X and 0*Y = Y.
     """
     X = _as_jet(X, D)
     Y = _as_jet(Y, D)
     for Z in (X, Y):
         if order_of(Z) < 1:
             raise ValueError("bch needs arguments of order >= 1")
+    if X.value.is_zero():
+        return Y
+    if Y.value.is_zero():
+        return X
+    ox, oy = order_of(X), order_of(Y)
+    budget = D - 1 - ox      # order left for the ad operators around X
     total = X.value + Y.value
-    # a term with T operators has order >= T+1; it dies once T+1 > D - 1 + 1
-    max_T = max(0, D - 1)
-    for k in range(1, max_T + 1):
+    # each block costs at least min(ox, oy) of the budget
+    for k in range(1, max(0, budget) // min(ox, oy) + 1):
         coeff_k = Fraction((-1) ** k, k + 1)
-        for blocks in _compositions(max_T, k):
+        for blocks in _dynkin_words(budget, ox, oy, k):
             suml = sum(l for l, _ in blocks)
             denom = (suml + 1) * math.prod(
                 math.factorial(l) * math.factorial(m) for l, m in blocks)
             term = X.value
-            dead = False
             for l, m in reversed(blocks):
                 for _ in range(m):
-                    term = truncate_jet(schouten(Y.value, term), D)
+                    term = schouten(Y.value, term, max_grade=D)
                 for _ in range(l):
-                    term = truncate_jet(schouten(X.value, term), D)
+                    term = schouten(X.value, term, max_grade=D)
                 if term.is_zero():
-                    dead = True
                     break
-            if dead:
-                continue
-            total = total + term * (coeff_k * Fraction(1, denom))
+            else:
+                total = total + term * (coeff_k * Fraction(1, denom))
     return FilteredJet(total, D)
 
 
@@ -230,7 +241,7 @@ class GaugeSolution:
 
 
 def _check_mc(gamma: FilteredJet, name: str):
-    br = truncate_jet(schouten(gamma.value, gamma.value), gamma.D)
+    br = schouten(gamma.value, gamma.value, max_grade=gamma.D)
     if not br.is_zero():
         raise ValueError(f"{name} is not Maurer-Cartan mod grade {gamma.D}: "
                          f"[{name},{name}] has grade-{br.min_grade()} defect")
@@ -242,6 +253,13 @@ def mc_equivalence(gamma: FilteredJet, gamma_p: FilteredJet, D: int,
 
     Runs the recursion X_k = h(gamma_{k-1} - gamma), gamma_k = Ad(e^{X_k})
     gamma_{k-1}, composing the X_k with the Campbell-Hausdorff product.
+
+    Composition stays although X_k has strictly higher order than the gauge
+    so far.  Adding X_k instead drops the bracket terms of the product, such
+    as [X_k, X_total]/2, which shifts the right-hand side of a later round
+    (grade 4 at D = 4) and with it the RREF gauge field solved there, so the
+    returned X (and the CLI output) would change.  With the pruned Dynkin
+    sum, bch(X_k, X_total) costs at most one bracket once o(X_k) >= 2.
     """
     gamma = _as_jet(gamma.value if isinstance(gamma, FilteredJet) else gamma, D)
     gamma_p = _as_jet(gamma_p.value if isinstance(gamma_p, FilteredJet) else gamma_p, D)
@@ -302,7 +320,7 @@ def prolong_step(pi_partial: FilteredJet, m: int, base_degree_cap: int = 8) -> P
     pi = pi_partial.value if isinstance(pi_partial, FilteredJet) else pi_partial
     if pi.grade != 2:
         raise ValueError("expected a bivector")
-    jac = schouten(pi, pi)
+    jac = schouten(pi, pi, max_grade=m)
     if not jac.is_zero() and jac.min_grade() < m:
         raise ValueError(f"Jacobiator already fails below grade {m} "
                          f"(at grade {jac.min_grade()})")
@@ -328,7 +346,7 @@ def prolong_step(pi_partial: FilteredJet, m: int, base_degree_cap: int = 8) -> P
     if sol is None:
         return ProlongResult("obstructed", None, rhs_piece, witness)
     corrected = pi + sol
-    jac2 = schouten(corrected, corrected)
+    jac2 = schouten(corrected, corrected, max_grade=m)
     if not jac2.is_zero() and jac2.min_grade() <= m:
         return ProlongResult("obstructed", None, rhs_piece, None)
     return ProlongResult("solved", sol, None, None)

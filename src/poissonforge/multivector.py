@@ -176,10 +176,10 @@ class PolyMVF:
         for indices, poly in self.terms.items():
             for exps, coeff in poly.terms.items():
                 l = self._monomial_grade(indices, exps)
-                bucket = pieces.setdefault(l, {})
-                mono = Poly(self.nvars, {exps: coeff})
-                bucket[indices] = bucket.get(indices, Poly.zero(self.nvars)) + mono
-        return {l: PolyMVF(self.nvars, self.grade, t, self.weights)
+                pieces.setdefault(l, {}).setdefault(indices, {})[exps] = coeff
+        return {l: PolyMVF(self.nvars, self.grade,
+                           {idx: Poly(self.nvars, mono) for idx, mono in t.items()},
+                           self.weights)
                 for l, t in sorted(pieces.items())}
 
     def min_grade(self):
@@ -361,15 +361,37 @@ def _accumulate(terms: dict, coeff: Poly, legs: Sequence[int], extra_sign: int):
         terms[key] = s
 
 
-def schouten(W: PolyMVF, V: PolyMVF) -> PolyMVF:
+def schouten(W: PolyMVF, V: PolyMVF, max_grade: int | None = None) -> PolyMVF:
     """Schouten bracket [W, V].
 
     On decomposables it expands as
     sum_{i,j} (-1)^(i+j) [X_i, Y_j] ^ X_1 ^ ... ^ X_i-hat ^ ... ^ Y_j-hat ...,
     and on functions it is fixed by [W, f] = (-1)^(deg W - 1) i_df W, so that
     H_f = -[pi, f] for every bivector pi.
+
+    With ``max_grade`` set the result is exactly
+    ``truncate_jet(schouten(W, V), max_grade)``, but the pieces above the
+    bound are never formed: the bracket of dilation-homogeneous pieces of
+    grades g and h is homogeneous of grade g + h - 1 (dilation is a bracket
+    automorphism), so only the graded-piece pairs with g + h - 1 <= max_grade
+    are bracketed.
     """
     W._check(V)
+    if max_grade is None:
+        return _schouten(W, V)
+    if max_grade < 0:
+        raise ValueError("jet order must be nonnegative")
+    out = PolyMVF.zero(W.nvars, max(W.grade + V.grade - 1, 0), W.weights)
+    V_pieces = V.graded_pieces()
+    for g, Wg in W.graded_pieces().items():
+        for h, Vh in V_pieces.items():
+            if g + h - 1 <= max_grade:
+                out = out + _schouten(Wg, Vh)
+    return out
+
+
+def _schouten(W: PolyMVF, V: PolyMVF) -> PolyMVF:
+    """The full bracket of ``schouten``, without the argument check."""
     p, q = W.grade, V.grade
     n = W.nvars
     if p == 0 and q == 0:

@@ -1,14 +1,18 @@
 """Formal calculus: jets, exp-adjoint series, BCH, gauge recursion, prolongation."""
 
+import hashlib
+import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from poissonforge import (PolyMVF, ad_exp, bch, formal_linearize,
-                          grade_component, homotopy_solve, mc_equivalence,
-                          order_of, prolong_step, schouten, truncate_jet)
+                          grade_component, homotopy_solve, linear_poisson,
+                          mc_equivalence, order_of, preset, prolong_step,
+                          schouten, truncate_jet)
 from poissonforge.formal import FilteredJet
 from poissonforge.polyalg import parse_poly
 
@@ -98,6 +102,72 @@ def test_bch_group_law_small_batch():
         lhs = ad_exp(bch(X, Y, D), u, D).value
         rhs = ad_exp(X, ad_exp(Y, u, D), D).value
         assert lhs == rhs
+
+
+def _dynkin_reference(X, Y, D):
+    """Unpruned Dynkin sum: every word with at most D-1 ad operators, each
+    bracket formed in full and truncated afterwards.  Words are memoised by
+    their operator string, applied innermost first."""
+    memo = {"": X}
+
+    def word(ops):
+        if ops not in memo:
+            Z = X if ops[-1] == "X" else Y
+            memo[ops] = truncate_jet(schouten(Z, word(ops[:-1])), D)
+        return memo[ops]
+
+    total = X + Y
+    budget = D - 1
+    for k in range(1, budget + 1):
+        for blocks in itertools.product(
+                [(l, m) for l in range(budget + 1) for m in range(budget + 1)
+                 if 1 <= l + m <= budget], repeat=k):
+            if sum(l + m for l, m in blocks) > budget:
+                continue
+            ops = "".join("Y" * m + "X" * l for l, m in reversed(blocks))
+            denom = (sum(l for l, _ in blocks) + 1) * math.prod(
+                math.factorial(l) * math.factorial(m) for l, m in blocks)
+            total = total + word(ops) * Fraction((-1) ** k, (k + 1) * denom)
+    return total
+
+
+@pytest.mark.parametrize("D", [4, 5])
+def test_bch_pruning_matches_unpruned_sum(D):
+    # unequal orders: the bound o(X)(1+sum l) + o(Y) sum m weighs ad_X and
+    # ad_Y differently only when o(X) != o(Y)
+    rng = random.Random(35 + D)
+    for _ in range(8):
+        n = rng.randint(2, 3)
+        high, low = rng.randint(3, 4), 2
+        if rng.random() < 0.5:
+            high, low = low, high
+        X = truncate_jet(rand_homogeneous_vf(rng, n, high)
+                         + rand_homogeneous_vf(rng, n, high + 1), D)
+        Y = truncate_jet(rand_homogeneous_vf(rng, n, low)
+                         + rand_homogeneous_vf(rng, n, low + 1), D)
+        Z = bch(X, Y, D)
+        assert Z.value == _dynkin_reference(X, Y, D)
+        u = _strip_constant_part(rand_mvf(rng, n, rng.randint(1, 2), max_deg=2))
+        assert ad_exp(Z, u, D).value == ad_exp(X, ad_exp(Y, u, D), D).value
+        zero = PolyMVF.zero(n, 1)
+        assert bch(X, zero, D).value == X
+        assert bch(zero, Y, D).value == Y
+
+
+def test_gauge_fields_pinned():
+    # sha256 of the gauge fields of criterion 2 (same draw), captured before
+    # the grade-bounded bracket and the pruned Dynkin sum were introduced
+    pi_so3 = linear_poisson(preset("so3"))
+    rng = random.Random(42)
+    out = []
+    for _ in range(20):
+        X0 = rand_homogeneous_vf(rng, 3, rng.choice([2, 2, 3]))
+        if X0.is_zero():
+            X0 = rand_homogeneous_vf(rng, 3, 2)
+        pi = ad_exp(X0, pi_so3, 4).value
+        out.append(formal_linearize(pi, 4).to_json())
+    digest = hashlib.sha256("\n".join(out).encode()).hexdigest()
+    assert digest == "efa324468258d553e11d936d1b430eb1ccfc6bfc194a5c549a9d115458d9753b"
 
 
 def test_homotopy_solve_recovers_coboundary(pi_so3):

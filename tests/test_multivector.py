@@ -167,3 +167,143 @@ def test_multiderivation_application():
     g = parse_poly("x2", 2)
     assert pi.apply_to_functions([f, g]) == parse_poly("2*x1", 2)
     assert pi.apply_to_functions([g, f]) == parse_poly("-2*x1", 2)
+
+
+@pytest.mark.parametrize("weights", [(1, 1, 1), (0, 0, 1), (0, 1, 1)])
+def test_schouten_max_grade_is_truncation(weights):
+    # brackets only the graded-piece pairs below the bound, so it must
+    # agree exactly with truncating the full bracket
+    rng = random.Random(17)
+    for _ in range(70):
+        n = 3
+        u = rand_mvf(rng, n, rng.randint(0, 3), max_deg=3).with_weights(weights)
+        v = rand_mvf(rng, n, rng.randint(0, 3), max_deg=3).with_weights(weights)
+        full = schouten(u, v)
+        for k in range(6):
+            assert schouten(u, v, max_grade=k) == truncate_jet(full, k)
+    with pytest.raises(ValueError):
+        schouten(u, v, max_grade=-1)
+
+
+# ---------------------------------------------------------------------------
+# sympy oracle: the bracket in odd-variable (superfunction) form
+# ---------------------------------------------------------------------------
+#
+# A q-vector a d_{i1}^...^d_{iq} is the superfunction a th_{i1}...th_{iq} in
+# odd coordinates th_i, stored as {sorted odd indices: sympy expression}.
+# The bracket is
+#     [P, Q] = sum_i (P d<_{th_i}) (d_{x_i} Q) - (d_{x_i} P) (d>_{th_i} Q),
+# with d< / d> the right / left odd derivatives and products in the
+# Grassmann algebra.  Its signs are calibrated by
+# test_sympy_oracle_conventions on the two conventions the module documents.
+
+sympy = pytest.importorskip("sympy")
+
+
+def _odd_mul(P, Q):
+    out = {}
+    for I, a in P.items():
+        for J, b in Q.items():
+            if set(I) & set(J):
+                continue
+            legs = list(I + J)
+            sign = 1
+            for i in range(len(legs)):          # bubble sort, counting swaps
+                for j in range(len(legs) - 1 - i):
+                    if legs[j] > legs[j + 1]:
+                        legs[j], legs[j + 1] = legs[j + 1], legs[j]
+                        sign = -sign
+            key = tuple(legs)
+            out[key] = out.get(key, 0) + sign * a * b
+    return out
+
+
+def _odd_diff(P, i, right):
+    out = {}
+    for I, a in P.items():
+        if i in I:
+            k = I.index(i)
+            sign = sgn(len(I) - 1 - k) if right else sgn(k)
+            out[I[:k] + I[k + 1:]] = sign * a
+    return out
+
+
+def _odd_schouten(P, Q, xs):
+    out = {}
+    for i, x in enumerate(xs, start=1):
+        dxP = {I: sympy.diff(a, x) for I, a in P.items()}
+        dxQ = {I: sympy.diff(a, x) for I, a in Q.items()}
+        for sign, prod in ((1, _odd_mul(_odd_diff(P, i, True), dxQ)),
+                           (-1, _odd_mul(dxP, _odd_diff(Q, i, False)))):
+            for I, a in prod.items():
+                out[I] = out.get(I, 0) + sign * a
+    return out
+
+
+def _to_odd(u, xs):
+    return {I: sum(sympy.Rational(c.numerator, c.denominator)
+                   * sympy.Mul(*(x ** e for x, e in zip(xs, exps)))
+                   for exps, c in poly.terms.items())
+            for I, poly in u.terms.items()}
+
+
+def _odd_truncate(P, xs, weights, k):
+    """Keep the monomials of dilation grade <= k: fiber degree + base legs."""
+    out = {}
+    for I, a in P.items():
+        base_legs = sum(1 for i in I if weights[i - 1] == 0)
+        expr = sympy.expand(a)
+        if expr == 0:
+            continue
+        for exps, c in sympy.Poly(expr, *xs).terms():
+            fiber = sum(e for e, w in zip(exps, weights) if w == 1)
+            if fiber + base_legs <= k:
+                out[I] = out.get(I, 0) + c * sympy.Mul(*(x ** e for x, e in zip(xs, exps)))
+    return out
+
+
+def _odd_equal(P, Q):
+    return all(sympy.expand(P.get(I, 0) - Q.get(I, 0)) == 0 for I in set(P) | set(Q))
+
+
+def _odd_apply(P, g, xs):
+    """A vector field in odd form acting on a function g."""
+    return sympy.expand(sum(a * sympy.diff(g, xs[i - 1]) for (i,), a in P.items()))
+
+
+def test_sympy_oracle_conventions():
+    # calibration: Lie bracket on vector fields and [W, f] = (-1)^(p-1) i_df W
+    rng = random.Random(18)
+    n = 3
+    xs = sympy.symbols(f"x1:{n + 1}")
+    for _ in range(20):
+        X, Y = _to_odd(rand_mvf(rng, n, 1), xs), _to_odd(rand_mvf(rng, n, 1), xs)
+        g = _to_odd(PolyMVF.from_function(rand_poly(rng, n)), xs).get((), sympy.S(0))
+        commutator = (_odd_apply(X, _odd_apply(Y, g, xs), xs)
+                      - _odd_apply(Y, _odd_apply(X, g, xs), xs))
+        assert _odd_apply(_odd_schouten(X, Y, xs), g, xs) == commutator
+        p = rng.randint(1, n)
+        W = _to_odd(rand_mvf(rng, n, p), xs)
+        # i_df W = sum_k (-1)^k (d_{i_k} f) a d_{i_1}^..^d_{i_k}-hat^..^d_{i_p}
+        contraction = {}
+        for I, a in W.items():
+            for k, leg in enumerate(I):
+                J = I[:k] + I[k + 1:]
+                contraction[J] = contraction.get(J, 0) + sgn(k) * sympy.diff(g, xs[leg - 1]) * a
+        assert _odd_equal(_odd_schouten(W, {(): g}, xs),
+                          {I: sgn(p - 1) * a for I, a in contraction.items()})
+
+
+@pytest.mark.parametrize("weights", [(1, 1, 1), (0, 0, 1)])
+def test_schouten_against_sympy_oracle(weights):
+    rng = random.Random(19)
+    n = 3
+    xs = sympy.symbols(f"x1:{n + 1}")
+    for _ in range(15):
+        u = rand_mvf(rng, n, rng.randint(0, 3)).with_weights(weights)
+        v = rand_mvf(rng, n, rng.randint(0, 3)).with_weights(weights)
+        oracle = _odd_schouten(_to_odd(u, xs), _to_odd(v, xs), xs)
+        assert _odd_equal(_to_odd(schouten(u, v), xs), oracle)
+        for k in range(5):
+            assert _odd_equal(_to_odd(schouten(u, v, max_grade=k), xs),
+                              _odd_truncate(oracle, xs, weights, k))
