@@ -322,6 +322,8 @@ def parse_poly(text: str, nvars: int) -> Poly:
     i = 0
 
     def parse_varpow(i):
+        if i >= len(tokens):
+            raise PolyParseError("expected variable, got end of input")
         kind, tok = tokens[i]
         if kind != "var":
             raise PolyParseError(f"expected variable, got {tok!r}")

@@ -6,13 +6,25 @@ canonical symplectic form into omega = int_0^1 phi_t^* omega_can dt, which is
 symplectic near the zero section and makes the bundle projection a Poisson
 map onto (R^n, pi).  This module integrates the flow together with its
 variational equations and the quadrature in one RK4 pass, and verifies the
-realization properties at seeded random samples.  It also contains the
-midpoint quadrature used to reproduce sphere-leaf symplectic areas and their
-radial variations.
+realization properties at seeded random samples.
+
+Only what moves is integrated.  The spray has ydot = 0, so y is carried
+along unchanged, and the lower rows of the Jacobian J stay [0 I]; only the
+top block J_top = [Jxx Jxy] evolves, by Jdot_top = M J_top + [0 | P^T] with
+M = d(xdot)/dx and P = pi(x).  The integrand
+J^T omega_can J = [[0, Jxx^T], [-Jxx, Jxy^T - Jxy]] is linear in J_top, so the
+quadrature keeps K = int J_top dt (the RK4 weights applied to the stage
+values of J_top) and the form is assembled from K once at the end.
+`SprayField` compiles pi and its partial derivatives into one monomial
+table, and every evaluation reads that table.
+
+It also contains the midpoint quadrature used to reproduce sphere-leaf
+symplectic areas and their radial variations.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -41,27 +53,74 @@ class FlowBlowupError(RuntimeError):
 
 
 class SprayField:
-    """The simplest contravariant spray of a polynomial bivector."""
+    """The simplest contravariant spray of a polynomial bivector.
+
+    `pi` and its n partial derivatives are compiled once into the m
+    monomials they use and a float coefficient table `_coef` of shape
+    (m, n+1, n, n): slot 0 holds pi_ij, slot k holds d(pi_ij)/dx_k.  Every
+    evaluation reads that table.  Inside the integrator the batch axis comes
+    last, so that each elementwise operation runs over a contiguous batch.
+    """
 
     def __init__(self, pi: PolyMVF):
         if pi.grade != 2:
             raise ValueError("expected a bivector")
         self.pi = pi
-        self.n = pi.nvars
-        # derivative coefficient tables: dpi[k] is the matrix d(pi_ij)/dx_k
-        self._dpi = []
-        for k in range(1, self.n + 1):
-            terms = {idx: p.diff(k) for idx, p in pi.terms.items()}
-            terms = {i: p for i, p in terms.items() if not p.is_zero()}
-            self._dpi.append(PolyMVF(self.n, 2, terms, pi.weights))
+        n = self.n = pi.nvars
+        table: dict[tuple, np.ndarray] = {}
+
+        def add(e, slot, i, j, c):
+            if e not in table:
+                table[e] = np.zeros((n + 1, n, n))
+            table[e][slot, i - 1, j - 1] += float(c)
+            table[e][slot, j - 1, i - 1] -= float(c)
+
+        for (i, j), poly in pi.terms.items():
+            for e, c in poly.terms.items():
+                add(e, 0, i, j, c)
+                for k in range(n):
+                    if e[k]:
+                        add(e[:k] + (e[k] - 1,) + e[k + 1:], k + 1, i, j, e[k] * c)
+        exps = np.array(sorted(table), dtype=int).reshape(-1, n)
+        m = len(exps)
+        self._coef = np.array([table[tuple(e)] for e in exps]).reshape(m, n + 1, n, n)
+        # x_v^p is row v*(deg+1) + p of the power table built by _monomials
+        self._deg = int(exps.max(initial=0))
+        self._rows = exps.T + (self._deg + 1) * np.arange(n)[:, None]
+        # _rhs tables; their columns run over (i, monomial) pairs
+        pt = self._coef[:, 0].transpose(2, 1, 0)      # [j, i, m] = pi_ij coefficient
+        self._pt = pt.reshape(n * n, m)               # P^T
+        # rows j: xdot_j = sum_i y_i pi_ij;  rows n + j*n + k: M[j, k] = d(xdot_j)/dx_k
+        self._xm = np.concatenate([
+            pt.reshape(n, n * m),
+            self._coef[:, 1:].transpose(3, 1, 2, 0).reshape(n * n, n * m)])
+
+    def _monomials(self, xt: np.ndarray) -> np.ndarray:
+        """Monomial values, shape (m, ...), at points xt of shape (n, ...)."""
+        powers = np.empty((self.n, self._deg + 1) + xt.shape[1:])
+        powers[:, 0] = 1.0
+        if self._deg:
+            powers[:, 1] = xt
+        for p in range(2, self._deg + 1):
+            np.multiply(powers[:, p - 1], xt, out=powers[:, p])
+        powers = powers.reshape((-1,) + xt.shape[1:])
+        out = powers[self._rows[0]]
+        for rows in self._rows[1:]:
+            out *= powers[rows]
+        return out
+
+    def _entries(self, x, slots) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        V = self._monomials(np.moveaxis(x, -1, 0))
+        return np.tensordot(V, self._coef[:, slots], axes=(0, 0))
 
     def pi_matrix(self, x: np.ndarray) -> np.ndarray:
-        return self.pi.bivector_matrix(x)
+        """Shape (..., n, n): the matrix pi_ij(x)."""
+        return self._entries(x, 0)
 
     def dpi_matrices(self, x: np.ndarray) -> np.ndarray:
         """Shape (..., n, n, n): entry [k,i,j] = d(pi_ij)/dx_k at x."""
-        x = np.asarray(x, dtype=float)
-        return np.stack([d.bivector_matrix(x) for d in self._dpi], axis=-3)
+        return self._entries(x, slice(1, None))
 
     def __call__(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Horizontal part of V: (dx/dt)_j = sum_i pi_ij(x) y_i."""
@@ -69,62 +128,80 @@ class SprayField:
         return np.einsum("...ij,...i->...j", P, y)
 
 
-def _rhs(spray: SprayField, x, y, J, Om, Omega_can):
+def _rhs(spray: SprayField, x, yt, Jt):
+    """One RK4 stage: xdot (B, n) and Jdot_top (n, 2n, B).
+
+    `x` is (B, n); `yt` is y transposed, (n, B); `Jt` is J_top with the batch
+    last, (n, 2n, B).
+    """
     n = spray.n
-    B = x.shape[0]
-    P = spray.pi_matrix(x)                       # (B, n, n)
-    dP = spray.dpi_matrices(x)                   # (B, n, n, n)
-    xdot = np.einsum("bij,bi->bj", P, y)
-    ydot = np.zeros_like(y)
-    A = np.zeros((B, 2 * n, 2 * n))
-    A[:, :n, :n] = np.einsum("bkij,bi->bjk", dP, y)
-    A[:, :n, n:] = P.transpose(0, 2, 1)
-    Jdot = A @ J
-    Omdot = J.transpose(0, 2, 1) @ (Omega_can @ J)
-    return xdot, ydot, Jdot, Omdot
+    V = spray._monomials(x.T)                                  # (m, B)
+    VY = (yt[:, None, :] * V[None, :, :]).reshape(-1, V.shape[1])
+    XM = spray._xm @ VY                                        # (n + n*n, B)
+    M = XM[n:].reshape(n, n, -1)                               # [j, k, b]
+    # Jdot_top = M J_top + [0 | P^T]
+    Jdot = M[:, 0, None, :] * Jt[None, 0]
+    for k in range(1, n):
+        Jdot += M[:, k, None, :] * Jt[None, k]
+    Jdot[:, n:] += (spray._pt @ V).reshape(n, n, -1)
+    return XM[:n].T, Jdot
 
 
 def _flow_batch(pi: PolyMVF, xi: np.ndarray, t_final: float, steps: int):
-    """Batched RK4 for (state, jacobian, folded quadrature of phi_t^* omega_can).
+    """Batched RK4 for the spray flow, its Jacobian and the realization form.
 
-    Returns (x, y, J, Om, blowup_time); Om is int_0^{t_final} J^T Omega_can J dt.
+    Integrates x and J_top = [Jxx Jxy] (the rows of J that move); y stays
+    as given and the lower rows of J are [0 I].  K accumulates the RK4
+    quadrature of the stage values of J_top, and the form is assembled once
+    at the end as Om = [[0, Kxx^T], [-Kxx, Kxy^T - Kxy]], which is
+    int_0^{t_final} J^T Omega_can J dt.
+
+    Returns (x, y, J, Om, blowup_time) with J the full (B, 2n, 2n) Jacobian.
     """
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
     spray = SprayField(pi)
     n = spray.n
     xi = np.atleast_2d(np.asarray(xi, dtype=float))
     B = xi.shape[0]
     x = xi[:, :n].copy()
     y = xi[:, n:].copy()
-    J = np.broadcast_to(np.eye(2 * n), (B, 2 * n, 2 * n)).copy()
-    Om = np.zeros((B, 2 * n, 2 * n))
-    Omega_can = np.block([[np.zeros((n, n)), np.eye(n)],
-                          [-np.eye(n), np.zeros((n, n))]])
+    yt = np.ascontiguousarray(y.T)
+    Jt = np.zeros((n, 2 * n, B))
+    Jt[:, :n] = np.eye(n)[:, :, None]
+    K = np.zeros_like(Jt)
     h = t_final / steps
     check_every = max(1, steps // 32)
     blowup = None
     for s in range(steps):
-        k1 = _rhs(spray, x, y, J, Om, Omega_can)
-        k2 = _rhs(spray, x + 0.5 * h * k1[0], y + 0.5 * h * k1[1],
-                  J + 0.5 * h * k1[2], Om, Omega_can)
-        k3 = _rhs(spray, x + 0.5 * h * k2[0], y + 0.5 * h * k2[1],
-                  J + 0.5 * h * k2[2], Om, Omega_can)
-        k4 = _rhs(spray, x + h * k3[0], y + h * k3[1], J + h * k3[2],
-                  Om, Omega_can)
+        k1 = _rhs(spray, x, yt, Jt)
+        J2 = Jt + 0.5 * h * k1[1]
+        k2 = _rhs(spray, x + 0.5 * h * k1[0], yt, J2)
+        J3 = Jt + 0.5 * h * k2[1]
+        k3 = _rhs(spray, x + 0.5 * h * k2[0], yt, J3)
+        J4 = Jt + h * k3[1]
+        k4 = _rhs(spray, x + h * k3[0], yt, J4)
         x += (h / 6) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        y += (h / 6) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        J += (h / 6) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-        Om += (h / 6) * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3])
+        K += (h / 6) * (Jt + 2 * J2 + 2 * J3 + J4)
+        Jt += (h / 6) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
         if (s + 1) % check_every == 0 or s == steps - 1:
-            if not np.isfinite(x).all() or not np.isfinite(J).all():
+            if not np.isfinite(x).all() or not np.isfinite(Jt).all():
                 blowup = (s + 1) * h
                 break
+    J = np.zeros((B, 2 * n, 2 * n))
+    J[:, :n] = Jt.transpose(2, 0, 1)
+    J[:, n:, n:] = np.eye(n)
+    Kxx = K[:, :n].transpose(2, 0, 1)
+    Kxy = K[:, n:].transpose(2, 0, 1)
+    Om = np.zeros((B, 2 * n, 2 * n))
+    Om[:, :n, n:] = Kxx.transpose(0, 2, 1)
+    Om[:, n:, :n] = -Kxx
+    Om[:, n:, n:] = Kxy.transpose(0, 2, 1) - Kxy
     return x, y, J, Om, blowup
 
 
 def flow_with_jacobian(V: SprayField, xi, t_final: float, steps: int):
     """RK4 flow of the spray from xi, with the variational equations."""
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
     x, y, J, _, blowup = _flow_batch(V.pi, np.asarray(xi, dtype=float)[None, :],
                                      t_final, steps)
     if blowup is not None:
@@ -173,6 +250,10 @@ class RealizationReport:
 def verify_realization(pi: PolyMVF, n_samples: int, radius: float, seed: int,
                        steps: int) -> RealizationReport:
     """Check Theorem-0 properties of omega at seeded random points |xi| <= radius."""
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+    if not (math.isfinite(radius) and radius > 0):
+        raise ValueError("radius must be finite and > 0")
     n = pi.nvars
     rng = np.random.default_rng(seed)
     dirs = rng.normal(size=(n_samples, 2 * n))
@@ -213,12 +294,9 @@ def verify_realization(pi: PolyMVF, n_samples: int, radius: float, seed: int,
     grad = np.empty((2 * n, kept, 2 * n, 2 * n))
     for a in range(2 * n):
         grad[a] = (Om[1 + 2 * a] - Om[2 + 2 * a]) / (2 * h)
-    domega_max = 0.0
-    for a in range(2 * n):
-        for b in range(a + 1, 2 * n):
-            for c in range(b + 1, 2 * n):
-                d3 = grad[a, :, b, c] + grad[b, :, c, a] + grad[c, :, a, b]
-                domega_max = max(domega_max, float(np.abs(d3).max()))
+    d3 = [grad[a, :, b, c] + grad[b, :, c, a] + grad[c, :, a, b]
+          for a, b, c in itertools.combinations(range(2 * n), 3)]
+    domega_max = float(np.abs(d3).max()) if d3 else 0.0  # NaN propagates
 
     omega0 = Om[-1]
     closed = np.zeros_like(omega0)

@@ -131,6 +131,21 @@ def test_realize(mvf_file, capsys):
     assert obj["skipped"] == 0
 
 
+@pytest.mark.parametrize("bad, named", [
+    pytest.param(["--steps", "0"], "steps", id="steps=0"),
+    pytest.param(["--steps", "-3"], "steps", id="steps=-3"),
+    pytest.param(["--samples", "0"], "n_samples", id="samples=0"),
+    pytest.param(["--radius", "nan"], "radius", id="radius=nan"),
+    pytest.param(["--radius", "-1"], "radius", id="radius=-1"),
+    pytest.param(["--radius", "0"], "radius", id="radius=0"),
+])
+def test_realize_rejects_bad_input(mvf_file, capsys, bad, named):
+    argv = ["realize", mvf_file, "--samples", "2", "--steps", "20", "--format", "json"]
+    assert cli.main(argv + bad) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err
+
+
 def test_su3(capsys):
     assert cli.main(["su3", "--samples", "50", "--format", "json"]) == 0
     obj = json.loads(capsys.readouterr().out)

@@ -1,7 +1,7 @@
 """Smoke test: every demo script runs to completion.
 
-``spray_realization.py`` is left out: it integrates the spray for about
-12 s and criterion 5 already covers the realization pipeline.
+The slowest is ``spray_realization.py``, about 3.5 s on a 2-core host
+(2000 RK4 steps at a batch of 1400 trajectories).
 """
 
 import os
@@ -12,8 +12,7 @@ import sys
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-SLOW = {"spray_realization.py"}
-DEMOS = sorted(p.name for p in (ROOT / "demos").glob("*.py") if p.name not in SLOW)
+DEMOS = sorted(p.name for p in (ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("demo", DEMOS)

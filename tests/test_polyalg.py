@@ -6,6 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poissonforge.polyalg import (Poly, PolyParseError, exact_rank,
                                   format_poly, parse_poly, solve_linear_exact)
@@ -73,9 +75,41 @@ class TestParsing:
     def test_rejects_bad_input(self):
         for bad in ("x0", "x4", "x1 +", "1//2*x1", "x1^", "y1",
                     # juxtaposed terms are not a sum
-                    "x1x2", "x1 x2", "2 3", "x1^2 3"):
+                    "x1x2", "x1 x2", "2 3", "x1^2 3",
+                    # a trailing '*' (found by the grammar fuzz below)
+                    "0*", "x1*", "1/2*x1*"):
             with pytest.raises(PolyParseError):
                 parse_poly(bad, 3)
+
+
+@st.composite
+def sparse_polys(draw):
+    """(n, Poly) with n in 1..4 and up to six Fraction-coefficient terms."""
+    n = draw(st.integers(1, 4))
+    exps = st.tuples(*[st.integers(0, 5)] * n)
+    coeffs = st.builds(Fraction, st.integers(-50, 50).filter(bool), st.integers(1, 12))
+    return n, Poly(n, draw(st.dictionaries(exps, coeffs, max_size=6)))
+
+
+_HYPOTHESIS = settings(max_examples=300, derandomize=True, database=None, deadline=None)
+
+
+class TestParsingProperties:
+    @_HYPOTHESIS
+    @given(sparse_polys())
+    def test_format_parse_round_trip(self, case):
+        n, p = case
+        assert parse_poly(format_poly(p), n) == p
+
+    @_HYPOTHESIS
+    @given(st.text(alphabet="x0123456789^*/+- ", max_size=30), st.integers(1, 4))
+    def test_grammar_fuzz_parses_or_raises_parse_error(self, text, n):
+        try:
+            p = parse_poly(text, n)
+        except PolyParseError:
+            return
+        assert p.nvars == n
+        assert parse_poly(format_poly(p), n) == p
 
 
 class TestExactSolver:

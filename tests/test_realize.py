@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from poissonforge import (FlowBlowupError, PolyMVF, SprayField, dh_variation,
                           flow_with_jacobian, realization_form,
                           sphere_leaf_form, symplectic_area,
                           verify_realization)
 from poissonforge.polyalg import Poly, parse_poly
+from poissonforge.realize import _flow_batch
 
 
 def _pi_canonical():
@@ -17,28 +19,39 @@ def _pi_canonical():
     return PolyMVF(2, 2, {(1, 2): Poly.constant(2, 1)})
 
 
+def _pi_quad():
+    """The quadratic Poisson bivector (2 x3^2, -x2^2, -x1^2) of the benchmark."""
+    return PolyMVF(3, 2, {(1, 2): parse_poly("2*x3^2", 3),
+                          (1, 3): parse_poly("-x2^2", 3),
+                          (2, 3): parse_poly("-x1^2", 3)})
+
+
 def test_spray_matches_bivector_matrix(pi_so3):
-    spray = SprayField(pi_so3)
     rng = np.random.default_rng(35)
-    x = rng.normal(size=(5, 3))
-    np.testing.assert_allclose(spray.pi_matrix(x), pi_so3.bivector_matrix(x))
-    y = rng.normal(size=(5, 3))
-    # xdot_j = sum_i pi_ij(x) y_i
-    expect = np.einsum("bij,bi->bj", spray.pi_matrix(x), y)
-    np.testing.assert_allclose(spray(x, y), expect)
+    for pi in (pi_so3, _pi_quad()):
+        spray = SprayField(pi)
+        x = rng.normal(size=(5, 3))
+        np.testing.assert_allclose(spray.pi_matrix(x), pi.bivector_matrix(x), rtol=1e-14)
+        y = rng.normal(size=(5, 3))
+        # xdot_j = sum_i pi_ij(x) y_i
+        expect = np.einsum("bij,bi->bj", pi.bivector_matrix(x), y)
+        np.testing.assert_allclose(spray(x, y), expect, rtol=1e-14)
 
 
 def test_spray_derivative_tables(pi_so3):
-    spray = SprayField(pi_so3)
     rng = np.random.default_rng(36)
-    x = rng.normal(size=(4, 3))
     h = 1e-6
-    dP = spray.dpi_matrices(x)
-    for k in range(3):
-        e = np.zeros(3)
-        e[k] = h
-        fd = (spray.pi_matrix(x + e) - spray.pi_matrix(x - e)) / (2 * h)
-        np.testing.assert_allclose(dP[:, :, :, k], fd, atol=1e-8)
+    for pi in (pi_so3, _pi_quad()):
+        spray = SprayField(pi)
+        x = rng.normal(size=(2, 4, 3))
+        dP = spray.dpi_matrices(x)
+        assert dP.shape == (2, 4, 3, 3, 3)
+        for k in range(3):
+            e = np.zeros(3)
+            e[k] = h
+            fd = (pi.bivector_matrix(x + e) - pi.bivector_matrix(x - e)) / (2 * h)
+            # entry [k, i, j] is d(pi_ij)/dx_k
+            np.testing.assert_allclose(dP[..., k, :, :], fd, atol=1e-8)
 
 
 def test_flow_of_zero_structure_is_identity():
@@ -64,6 +77,69 @@ def test_rk4_convergence_order(pi_so3):
         errs.append(np.linalg.norm(out - ref))
     slope = np.polyfit(np.log([16, 32, 64]), np.log(errs), 1)[0]
     assert abs(-slope - 4.0) < 0.2
+
+
+def test_realization_form_convergence_order(pi_so3):
+    xi = np.array([0.3, -0.2, 0.25, 0.4, 0.1, -0.3])
+    ref = realization_form(pi_so3, xi, 4096)
+    errs = [np.linalg.norm(realization_form(pi_so3, xi, steps) - ref)
+            for steps in (16, 32, 64)]
+    slope = np.polyfit(np.log([16, 32, 64]), np.log(errs), 1)[0]
+    assert abs(-slope - 4.0) < 0.2
+
+
+def _oracle(pi, xi, h=1e-4):
+    """The full, unreduced flow of (x, y, J, Om') with Om' = int J^T Omega J dt,
+    by DOP853, with d(pi)/dx from central differences of bivector_matrix."""
+    n = pi.nvars
+    Omega = np.block([[np.zeros((n, n)), np.eye(n)], [-np.eye(n), np.zeros((n, n))]])
+
+    def f(t, u):
+        x, y = u[:n], u[n:2 * n]
+        J = u[2 * n:2 * n + 4 * n * n].reshape(2 * n, 2 * n)
+        P = pi.bivector_matrix(x)
+        A = np.zeros((2 * n, 2 * n))
+        for k in range(n):
+            e = np.zeros(n)
+            e[k] = h
+            dP = (pi.bivector_matrix(x + e) - pi.bivector_matrix(x - e)) / (2 * h)
+            A[:n, k] = dP.T @ y
+        A[:n, n:] = P.T
+        return np.concatenate([P.T @ y, np.zeros(n), (A @ J).ravel(),
+                               (J.T @ Omega @ J).ravel()])
+
+    u0 = np.concatenate([xi, np.eye(2 * n).ravel(), np.zeros(4 * n * n)])
+    sol = solve_ivp(f, (0.0, 1.0), u0, method="DOP853", rtol=1e-12, atol=1e-14)
+    assert sol.success
+    u = sol.y[:, -1]
+    return (u[:2 * n], u[2 * n:2 * n + 4 * n * n].reshape(2 * n, 2 * n),
+            u[2 * n + 4 * n * n:].reshape(2 * n, 2 * n))
+
+
+@pytest.mark.parametrize("name", ["so3", "quad"])
+def test_flow_and_form_match_unreduced_oracle(name, pi_so3):
+    pi = pi_so3 if name == "so3" else _pi_quad()
+    rng = np.random.default_rng(41)
+    for _ in range(3):
+        xi = 0.3 * rng.normal(size=6)
+        state, J, Om = _oracle(pi, xi)
+        out, J_rk4 = flow_with_jacobian(SprayField(pi), xi, 1.0, 400)
+        np.testing.assert_allclose(out, state, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(J_rk4, J, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(realization_form(pi, xi, 400), Om, rtol=0, atol=1e-9)
+
+
+def test_reduced_state_structure():
+    """y is carried unchanged, the lower rows of J are exactly [0 I] and the
+    integrated form is exactly skew, for every point of a batch."""
+    rng = np.random.default_rng(42)
+    xi = 0.4 * rng.normal(size=(64, 6))
+    x, y, J, Om, blowup = _flow_batch(_pi_quad(), xi, 1.0, 50)
+    assert blowup is None
+    assert np.array_equal(y, xi[:, 3:])
+    assert np.array_equal(J[:, 3:, :3], np.zeros((64, 3, 3)))
+    assert np.array_equal(J[:, 3:, 3:], np.broadcast_to(np.eye(3), (64, 3, 3)))
+    assert np.array_equal(Om, -Om.transpose(0, 2, 1))
 
 
 def test_zero_section_form_closed_form(pi_so3):
@@ -94,6 +170,28 @@ def test_report_json_fields(pi_so3):
                 "poisson_residual_max", "zero_section_residual", "skipped"):
         assert key in obj
     assert obj["n_samples"] == 5 and obj["skipped"] == 0
+
+
+def test_bad_arguments_rejected(pi_so3):
+    xi = np.zeros(6)
+    for steps in (0, -3):
+        with pytest.raises(ValueError, match="steps"):
+            realization_form(pi_so3, xi, steps)
+        with pytest.raises(ValueError, match="steps"):
+            verify_realization(pi_so3, 2, 0.1, 1, steps)
+    with pytest.raises(ValueError, match="n_samples"):
+        verify_realization(pi_so3, 0, 0.1, 1, 20)
+    for radius in (math.nan, math.inf, -1.0, 0.0):
+        with pytest.raises(ValueError, match="radius"):
+            verify_realization(pi_so3, 2, radius, 1, 20)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_domega_nan_is_reported(pi_so3):
+    # a subnormal radius makes the finite-difference step 0, so d(omega) is 0/0
+    rep = verify_realization(pi_so3, 2, 1e-320, 1, 20)
+    assert rep.fd_step == 0.0
+    assert math.isnan(rep.domega_max)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
