@@ -14,7 +14,7 @@ import math
 import sys
 
 from . import formal, liealg, poisson, realize
-from .multivector import PolyMVF
+from .multivector import PolyMVF, schouten
 from .polyalg import PolyParseError
 
 
@@ -113,14 +113,11 @@ def cmd_linearize(args) -> int:
 def cmd_prolong(args) -> int:
     weights = [int(w) for w in args.weights.split(",")] if args.weights else None
     pi = _as_bivector(parse_input(args.input), args.input, weights)
-    from .multivector import schouten
-    jac = schouten(pi, pi)
     if args.grade is not None:
         m = args.grade
-    elif jac.is_zero():
-        m = 2
     else:
-        m = jac.min_grade()
+        jac = schouten(pi, pi)
+        m = 2 if jac.is_zero() else jac.min_grade()
     res = formal.prolong_step(formal.FilteredJet(pi, max(m, 1)), m,
                               args.base_degree_cap)
     if res.status == "solved":

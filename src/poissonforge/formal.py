@@ -185,15 +185,13 @@ def _solve_bracket_equation(pi: PolyMVF, rhs: PolyMVF, unknown_basis,
     out = solve_linear_exact(A, b_vec, ncols=len(unknown_basis))
     if not out.feasible:
         return None, out.witness
-    terms: dict[tuple, Poly] = {}
+    monos: dict[tuple, dict] = {}
     for (legs, exps), c in zip(unknown_basis, out.particular):
-        if c == 0:
-            continue
-        mono = Poly(pi.nvars, {exps: c})
-        terms[legs] = terms.get(legs, Poly.zero(pi.nvars)) + mono
+        if c:
+            monos.setdefault(legs, {})[exps] = c
+    terms = {legs: Poly._raw(pi.nvars, m) for legs, m in monos.items()}
     grade = len(unknown_basis[0][0]) if unknown_basis else 0
-    sol = PolyMVF(pi.nvars, grade, terms, pi.weights)
-    return sol, None
+    return PolyMVF._raw(pi.nvars, grade, terms, pi.weights), None
 
 
 def homotopy_solve(pi_lin: PolyMVF, Z: GradedPiece, base_degree_cap: int = 8) -> HomotopyResult:
@@ -261,8 +259,8 @@ def mc_equivalence(gamma: FilteredJet, gamma_p: FilteredJet, D: int,
     returned X (and the CLI output) would change.  With the pruned Dynkin
     sum, bch(X_k, X_total) costs at most one bracket once o(X_k) >= 2.
     """
-    gamma = _as_jet(gamma.value if isinstance(gamma, FilteredJet) else gamma, D)
-    gamma_p = _as_jet(gamma_p.value if isinstance(gamma_p, FilteredJet) else gamma_p, D)
+    gamma = _as_jet(gamma, D)
+    gamma_p = _as_jet(gamma_p, D)
     _check_mc(gamma, "gamma")
     _check_mc(gamma_p, "gamma'")
     if order_of(FilteredJet(gamma.value - gamma_p.value, D)) < 1:

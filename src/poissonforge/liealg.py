@@ -109,14 +109,6 @@ def _commutator(A, B):
     return _mat_sub(_mat_mul(A, B), _mat_mul(B, A))
 
 
-def _mat_trace(A):
-    return sum((A[i][i] for i in range(len(A))), GaussianRational())
-
-
-def _mat_to_numpy(A):
-    return np.array([[complex(v) for v in row] for row in A])
-
-
 # ---------------------------------------------------------------------------
 # Specs
 # ---------------------------------------------------------------------------

@@ -9,17 +9,25 @@ induce the grading used by the jet/truncation machinery.
 Sign conventions are pinned by two requirements: on vector fields the
 bracket is the Lie bracket with L_X L_Y - L_Y L_X = L_[X,Y], and for a
 bivector pi and function f the Hamiltonian vector field is H_f = -[pi, f].
+
+As in ``polyalg``, data is validated where it enters: the public
+``PolyMVF(...)`` constructor and ``PolyMVF.from_json_obj`` check leg tuples,
+weights and coefficient variable counts.  Fields that the operations here
+build from valid fields are wrapped by ``PolyMVF._raw`` without re-checking;
+it trusts that every key is a strictly increasing tuple of ``grade`` legs in
+1..nvars, every value a nonzero ``Poly`` in ``nvars`` variables, and
+``weights`` a tuple in {0,1}^nvars.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .polyalg import Poly, format_poly, parse_poly
+from .polyalg import Poly, _add_term, format_poly, parse_poly
 
 __all__ = [
     "PolyMVF",
@@ -77,14 +85,18 @@ class PolyMVF:
                     raise ValueError(f"index tuple {indices} is not strictly increasing")
                 if poly.nvars != self.nvars:
                     raise ValueError("coefficient variable count mismatch")
-                if not poly.is_zero():
-                    if indices in clean:
-                        clean[indices] = clean[indices] + poly
-                        if clean[indices].is_zero():
-                            del clean[indices]
-                    else:
-                        clean[indices] = poly
+                _add_term(clean, indices, poly)
         self.terms = clean
+
+    @staticmethod
+    def _raw(nvars: int, grade: int, terms: dict, weights: tuple) -> "PolyMVF":
+        """Wrap ``terms`` without checks (see the module docstring for what is trusted)."""
+        out = PolyMVF.__new__(PolyMVF)
+        out.nvars = nvars
+        out.grade = grade
+        out.weights = weights
+        out.terms = terms
+        return out
 
     # -- constructors -------------------------------------------------
 
@@ -95,14 +107,6 @@ class PolyMVF:
     @classmethod
     def from_function(cls, poly: Poly, weights=None) -> "PolyMVF":
         return cls(poly.nvars, 0, {(): poly}, weights)
-
-    @classmethod
-    def basis(cls, nvars: int, indices: Sequence[int], coeff: Poly | None = None,
-              weights=None) -> "PolyMVF":
-        """Multivector ``coeff * d_{i1} ^ ... ^ d_{iq}`` for increasing indices."""
-        if coeff is None:
-            coeff = Poly.constant(nvars, 1)
-        return cls(nvars, len(indices), {tuple(indices): coeff}, weights)
 
     def with_weights(self, weights) -> "PolyMVF":
         return PolyMVF(self.nvars, self.grade, dict(self.terms), weights)
@@ -143,23 +147,19 @@ class PolyMVF:
             raise ValueError("cannot add multivectors of different degree")
         terms = dict(self.terms)
         for idx, p in other.terms.items():
-            s = terms.get(idx)
-            s = p if s is None else s + p
-            if s.is_zero():
-                terms.pop(idx, None)
-            else:
-                terms[idx] = s
-        return PolyMVF(self.nvars, self.grade, terms, self.weights)
+            _add_term(terms, idx, p)
+        return PolyMVF._raw(self.nvars, self.grade, terms, self.weights)
 
     def __neg__(self):
-        return PolyMVF(self.nvars, self.grade, {i: -p for i, p in self.terms.items()}, self.weights)
+        return PolyMVF._raw(self.nvars, self.grade, {i: -p for i, p in self.terms.items()},
+                            self.weights)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, scalar):
-        terms = {i: p * scalar for i, p in self.terms.items()}
-        return PolyMVF(self.nvars, self.grade, terms, self.weights)
+        terms = {i: q for i, p in self.terms.items() if (q := p * scalar)}
+        return PolyMVF._raw(self.nvars, self.grade, terms, self.weights)
 
     __rmul__ = __mul__
 
@@ -177,9 +177,9 @@ class PolyMVF:
             for exps, coeff in poly.terms.items():
                 l = self._monomial_grade(indices, exps)
                 pieces.setdefault(l, {}).setdefault(indices, {})[exps] = coeff
-        return {l: PolyMVF(self.nvars, self.grade,
-                           {idx: Poly(self.nvars, mono) for idx, mono in t.items()},
-                           self.weights)
+        return {l: PolyMVF._raw(self.nvars, self.grade,
+                                {idx: Poly._raw(self.nvars, mono) for idx, mono in t.items()},
+                                self.weights)
                 for l, t in sorted(pieces.items())}
 
     def min_grade(self):
@@ -312,20 +312,10 @@ def wedge(W: PolyMVF, V: PolyMVF) -> PolyMVF:
     """Exterior product; graded-commutative with sign (-1)^(|W||V|)."""
     W._check(V)
     terms: dict[tuple, Poly] = {}
-    grade = W.grade + V.grade
     for iw, pw in W.terms.items():
         for iv, pv in V.terms.items():
-            combined, sign = _sort_indices(iw + iv)
-            if sign == 0:
-                continue
-            contrib = pw * pv * sign
-            s = terms.get(combined)
-            s = contrib if s is None else s + contrib
-            if s.is_zero():
-                terms.pop(combined, None)
-            else:
-                terms[combined] = s
-    return PolyMVF(W.nvars, grade, terms, W.weights)
+            _accumulate(terms, pw, pv, iw + iv, 1)
+    return PolyMVF._raw(W.nvars, W.grade + V.grade, terms, W.weights)
 
 
 def _interior_df(f: Poly, W: PolyMVF) -> PolyMVF:
@@ -335,30 +325,19 @@ def _interior_df(f: Poly, W: PolyMVF) -> PolyMVF:
     for indices, poly in W.terms.items():
         for k, leg in enumerate(indices):
             d = f.diff(leg)
-            if d.is_zero():
-                continue
-            rest = indices[:k] + indices[k + 1:]
-            contrib = poly * d * ((-1) ** k)
-            s = terms.get(rest)
-            s = contrib if s is None else s + contrib
-            if s.is_zero():
-                terms.pop(rest, None)
-            else:
-                terms[rest] = s
-    return PolyMVF(n, W.grade - 1, terms, W.weights)
+            if d:
+                _add_term(terms, indices[:k] + indices[k + 1:], poly * d * ((-1) ** k))
+    return PolyMVF._raw(n, W.grade - 1, terms, W.weights)
 
 
-def _accumulate(terms: dict, coeff: Poly, legs: Sequence[int], extra_sign: int):
+def _accumulate(terms: dict, a: Poly, b: Poly, legs: Sequence[int], extra_sign: int):
+    """Add ``a * b`` on the sorted ``legs``, signed by the sort and ``extra_sign``.
+
+    Repeated legs wedge to zero; their product is never formed.
+    """
     key, sign = _sort_indices(legs)
-    if sign == 0 or coeff.is_zero():
-        return
-    contrib = coeff * (sign * extra_sign)
-    s = terms.get(key)
-    s = contrib if s is None else s + contrib
-    if s.is_zero():
-        terms.pop(key, None)
-    else:
-        terms[key] = s
+    if sign:
+        _add_term(terms, key, a * b * (sign * extra_sign))
 
 
 def schouten(W: PolyMVF, V: PolyMVF, max_grade: int | None = None) -> PolyMVF:
@@ -419,9 +398,9 @@ def _schouten(W: PolyMVF, V: PolyMVF) -> PolyMVF:
             db = b.diff(i1)
             legs_tail = rest_w + rest_v
             if not db.is_zero():
-                _accumulate(terms, a * db, (j1,) + legs_tail, 1)
+                _accumulate(terms, a, db, (j1,) + legs_tail, 1)
             if not da.is_zero():
-                _accumulate(terms, b * da, (i1,) + legs_tail, -1)
+                _accumulate(terms, b, da, (i1,) + legs_tail, -1)
 
             # slot 1 of W with constant legs of V: [a d_i1, d_jl] = -(da/dx_jl) d_i1
             for l, jl in enumerate(rest_v, start=2):
@@ -429,7 +408,7 @@ def _schouten(W: PolyMVF, V: PolyMVF) -> PolyMVF:
                 if da_l.is_zero():
                     continue
                 legs = (i1,) + rest_w + (j1,) + rest_v[:l - 2] + rest_v[l - 1:]
-                _accumulate(terms, b * da_l, legs, -((-1) ** (1 + l)))
+                _accumulate(terms, b, da_l, legs, -((-1) ** (1 + l)))
 
             # constant legs of W with slot 1 of V: [d_ik, b d_j1] = (db/dx_ik) d_j1
             for k, ik in enumerate(rest_w, start=2):
@@ -437,8 +416,8 @@ def _schouten(W: PolyMVF, V: PolyMVF) -> PolyMVF:
                 if db_k.is_zero():
                     continue
                 legs = (j1, i1) + rest_w[:k - 2] + rest_w[k - 1:] + rest_v
-                _accumulate(terms, a * db_k, legs, (-1) ** (k + 1))
-    return PolyMVF(n, p + q - 1, terms, W.weights)
+                _accumulate(terms, a, db_k, legs, (-1) ** (k + 1))
+    return PolyMVF._raw(n, p + q - 1, terms, W.weights)
 
 
 def grade_component(W: PolyMVF, l: int) -> GradedPiece:
@@ -455,13 +434,10 @@ def dilate(W: PolyMVF, t) -> PolyMVF:
         raise ValueError("dilation parameter must be nonzero")
     terms: dict[tuple, Poly] = {}
     for indices, poly in W.terms.items():
-        acc = Poly.zero(W.nvars)
-        for exps, coeff in poly.terms.items():
-            l = W._monomial_grade(indices, exps)
-            acc = acc + Poly(W.nvars, {exps: coeff * t ** (l - 1)})
-        if not acc.is_zero():
-            terms[indices] = acc
-    return PolyMVF(W.nvars, W.grade, terms, W.weights)
+        terms[indices] = Poly._raw(W.nvars, {
+            exps: coeff * t ** (W._monomial_grade(indices, exps) - 1)
+            for exps, coeff in poly.terms.items()})
+    return PolyMVF._raw(W.nvars, W.grade, terms, W.weights)
 
 
 def truncate_jet(W: PolyMVF, k: int) -> PolyMVF:
@@ -473,5 +449,5 @@ def truncate_jet(W: PolyMVF, k: int) -> PolyMVF:
         kept = {exps: c for exps, c in poly.terms.items()
                 if W._monomial_grade(indices, exps) <= k}
         if kept:
-            terms[indices] = Poly(W.nvars, kept)
-    return PolyMVF(W.nvars, W.grade, terms, W.weights)
+            terms[indices] = Poly._raw(W.nvars, kept)
+    return PolyMVF._raw(W.nvars, W.grade, terms, W.weights)

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .polyalg import Poly, exact_rank, solve_linear_exact
+from .polyalg import Poly, _add_term, exact_rank, solve_linear_exact
 from .multivector import PolyMVF, dilate, grade_component, schouten
 
 __all__ = [
@@ -71,16 +71,9 @@ def sharp(pi: PolyMVF, alpha) -> PolyMVF:
     terms: dict[tuple, Poly] = {}
     for (i, j), p in pi.terms.items():
         # pi(dx_i, .) picks up +p d_j; pi(dx_j, .) picks up -p d_i
-        for leg, contrib in ((j, p * coeffs[i - 1]), (i, -(p * coeffs[j - 1]))):
-            if contrib.is_zero():
-                continue
-            s = terms.get((leg,))
-            s = contrib if s is None else s + contrib
-            if s.is_zero():
-                terms.pop((leg,), None)
-            else:
-                terms[(leg,)] = s
-    return PolyMVF(n, 1, terms, pi.weights)
+        _add_term(terms, (j,), p * coeffs[i - 1])
+        _add_term(terms, (i,), -(p * coeffs[j - 1]))
+    return PolyMVF._raw(n, 1, terms, pi.weights)
 
 
 def hamiltonian_vf(pi: PolyMVF, f: Poly) -> PolyMVF:
@@ -135,11 +128,13 @@ def bracket_rows(pi: PolyMVF, basis) -> dict:
 
     Column c is the basis element ``basis[c] = (legs, exps)``; rows are keyed
     by the (legs, exps) monomials of the brackets and hold only nonzeros.
+    The basis is trusted to be one ``graded_basis`` builds: increasing legs
+    in 1..n and exponent vectors of length n.
     """
     n = pi.nvars
     rows: dict[tuple, dict[int, Fraction]] = {}
     for col, (legs, exps) in enumerate(basis):
-        b = PolyMVF(n, len(legs), {legs: Poly(n, {exps: Fraction(1)})}, pi.weights)
+        b = PolyMVF._raw(n, len(legs), {legs: Poly._raw(n, {exps: Fraction(1)})}, pi.weights)
         for lg, poly in schouten(pi, b).terms.items():
             for e, c in poly.terms.items():
                 rows.setdefault((lg, e), {})[col] = c

@@ -6,6 +6,14 @@ coefficients, with graded-lexicographic term order used for all canonical
 output.  The linear solver performs exact elimination with a fixed pivot
 rule, so every result (particular solution, kernel basis, infeasibility
 witness) is deterministic and certified.
+
+Data is validated where it enters and trusted inside.  The public
+``Poly(nvars, terms)``, the ``zero``/``constant``/``variable``/``monomial``
+constructors and ``parse_poly`` check every exponent vector and coerce every
+coefficient.  Results the kernel builds from polynomials that already passed
+those checks (sums, products, derivatives, graded pieces) are wrapped by
+``Poly._raw`` without re-checking; ``_add_term`` is the one accumulator that
+keeps stored coefficients nonzero.
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -45,6 +53,20 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"cannot use {value!r} as an exact rational coefficient")
 
 
+def _add_term(terms: dict, key, value):
+    """``terms[key] += value``, dropping ``key`` when the sum is zero.
+
+    Serves any value type whose zero is falsy: ``Fraction`` coefficients of a
+    ``Poly`` and ``Poly`` coefficients of a multivector field.
+    """
+    s = terms.get(key)
+    s = value if s is None else s + value
+    if s:
+        terms[key] = s
+    else:
+        terms.pop(key, None)
+
+
 class Poly:
     """Sparse polynomial in ``nvars`` variables with exact rational coefficients.
 
@@ -62,12 +84,21 @@ class Poly:
                 exps = tuple(int(e) for e in exps)
                 if len(exps) != self.nvars or any(e < 0 for e in exps):
                     raise ValueError(f"bad exponent vector {exps} for nvars={self.nvars}")
-                c = _as_fraction(coeff)
-                if c != 0:
-                    clean[exps] = clean.get(exps, Fraction(0)) + c
-                    if clean[exps] == 0:
-                        del clean[exps]
+                _add_term(clean, exps, _as_fraction(coeff))
         self.terms = clean
+
+    @staticmethod
+    def _raw(nvars: int, terms: dict) -> "Poly":
+        """Wrap ``terms`` without checks.
+
+        Trusted: ``nvars`` is an int, every key is a tuple of ``nvars``
+        nonnegative ints and every value a nonzero ``Fraction``.  The dict is
+        taken over, not copied.
+        """
+        out = Poly.__new__(Poly)
+        out.nvars = nvars
+        out.terms = terms
+        return out
 
     # -- constructors -------------------------------------------------
 
@@ -106,11 +137,6 @@ class Poly:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def weighted_degrees(self, mask: Iterable[int]) -> set:
-        """Set of degrees counted over the masked variable positions (0-based)."""
-        mask = tuple(mask)
-        return {sum(e[i] for i in mask) for e in self.terms}
-
     def constant_term(self) -> Fraction:
         return self.terms.get((0,) * self.nvars, Fraction(0))
 
@@ -130,23 +156,13 @@ class Poly:
         self._check(other)
         terms = dict(self.terms)
         for exps, c in other.terms.items():
-            s = terms.get(exps, Fraction(0)) + c
-            if s == 0:
-                terms.pop(exps, None)
-            else:
-                terms[exps] = s
-        out = Poly.__new__(Poly)
-        out.nvars = self.nvars
-        out.terms = terms
-        return out
+            _add_term(terms, exps, c)
+        return Poly._raw(self.nvars, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = Poly.__new__(Poly)
-        out.nvars = self.nvars
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        return Poly._raw(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -159,26 +175,13 @@ class Poly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = _as_fraction(other)
-            if c == 0:
-                return Poly.zero(self.nvars)
-            out = Poly.__new__(Poly)
-            out.nvars = self.nvars
-            out.terms = {e: c * v for e, v in self.terms.items()}
-            return out
+            return Poly._raw(self.nvars, {e: c * v for e, v in self.terms.items()} if c else {})
         self._check(other)
         terms: dict[tuple, Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(e, Fraction(0)) + c1 * c2
-                if s == 0:
-                    terms.pop(e, None)
-                else:
-                    terms[e] = s
-        out = Poly.__new__(Poly)
-        out.nvars = self.nvars
-        out.terms = terms
-        return out
+                _add_term(terms, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+        return Poly._raw(self.nvars, terms)
 
     __rmul__ = __mul__
 
@@ -193,6 +196,9 @@ class Poly:
             base = base * base
             n >>= 1
         return result
+
+    def __bool__(self):
+        return bool(self.terms)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -213,22 +219,7 @@ class Poly:
                 ne = list(e)
                 ne[i] -= 1
                 terms[tuple(ne)] = c * e[i]
-        return Poly(self.nvars, terms)
-
-    def substitute_scale(self, t, mask: Iterable[int]) -> "Poly":
-        """Replace ``x_i -> t*x_i`` for each 1-based index i in ``mask``."""
-        t = _as_fraction(t)
-        positions = {i - 1 for i in mask}
-        terms = {}
-        for e, c in self.terms.items():
-            d = sum(e[i] for i in positions)
-            nc = c * t**d
-            if nc != 0:
-                terms[e] = nc
-        return Poly(self.nvars, terms)
-
-    def homogeneous_part(self, degree: int) -> "Poly":
-        return Poly(self.nvars, {e: c for e, c in self.terms.items() if sum(e) == degree})
+        return Poly._raw(self.nvars, terms)
 
     # -- evaluation ---------------------------------------------------
 

@@ -302,7 +302,7 @@ def verify_realization(pi: PolyMVF, n_samples: int, radius: float, seed: int,
     closed = np.zeros_like(omega0)
     closed[:, :n, n:] = np.eye(n)
     closed[:, n:, :n] = -np.eye(n)
-    closed[:, n:, n:] = pi.bivector_matrix(base[ok, :n])
+    closed[:, n:, n:] = Pi_base
     zero_res = float(np.abs(omega0 - closed).max())
 
     return RealizationReport(

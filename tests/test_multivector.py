@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from poissonforge import (PolyMVF, dilate, grade_component, schouten,
+from poissonforge import (PolyMVF, dilate, grade_component, schouten, sharp,
                           truncate_jet, wedge)
 from poissonforge.polyalg import Poly, parse_poly
 
@@ -183,6 +183,76 @@ def test_schouten_max_grade_is_truncation(weights):
             assert schouten(u, v, max_grade=k) == truncate_jet(full, k)
     with pytest.raises(ValueError):
         schouten(u, v, max_grade=-1)
+
+
+# ---------------------------------------------------------------------------
+# The trusted path: fields the kernel builds are wrapped without re-checking
+# ---------------------------------------------------------------------------
+
+def _assert_canonical_poly(p, nvars):
+    assert isinstance(p, Poly) and p.nvars == nvars
+    for exps, c in p.terms.items():
+        assert type(exps) is tuple and len(exps) == nvars
+        assert all(type(e) is int and e >= 0 for e in exps)
+        assert type(c) is Fraction and c != 0
+    assert Poly(nvars, p.terms).terms == p.terms
+
+
+def _assert_canonical(r):
+    """What ``PolyMVF._raw`` trusts, checked against the field's re-validation."""
+    assert isinstance(r, PolyMVF) and type(r.weights) is tuple
+    v = PolyMVF(r.nvars, r.grade, r.terms, r.weights)
+    assert (v.nvars, v.grade, v.weights, v.terms) == (r.nvars, r.grade, r.weights, r.terms)
+    for legs, p in r.terms.items():
+        assert type(legs) is tuple and len(legs) == r.grade
+        assert all(1 <= i <= r.nvars for i in legs)
+        assert all(a < b for a, b in zip(legs, legs[1:]))
+        assert p, f"zero coefficient stored at {legs}"
+        _assert_canonical_poly(p, r.nvars)
+
+
+@pytest.mark.parametrize("weights", [(1, 1, 1), (0, 0, 1)])
+def test_trusted_results_equal_their_revalidation(weights):
+    rng = random.Random(18)
+    n = 3
+    for _ in range(30):
+        p, q = rng.randint(0, 3), rng.randint(0, 3)
+        W, U = (rand_mvf(rng, n, p, nterms=3).with_weights(weights) for _ in range(2))
+        V = rand_mvf(rng, n, q, nterms=3).with_weights(weights)
+        results = [W + U, W - U, (W + U) - U, W - W, -W, W * Fraction(-2, 3), W * 0,
+                   wedge(W, V), wedge(V, W), schouten(W, V), schouten(V, W),
+                   dilate(W, Fraction(2, 3)), dilate(W, -1)]
+        results += [schouten(W, V, max_grade=k) for k in range(5)]
+        results += [truncate_jet(W, k) for k in range(4)]
+        results += list(W.graded_pieces().values())
+        if p == 2:
+            results += [sharp(W, i) for i in range(1, n + 1)]
+            results.append(sharp(W, [rand_poly(rng, n) for _ in range(n)]))
+        for r in results:
+            assert r.weights == weights
+            _assert_canonical(r)
+        assert (W * 0).is_zero()
+        for a in W.terms.values():
+            for b in V.terms.values():
+                _assert_canonical_poly(a * b, n)
+            for i in range(1, n + 1):
+                _assert_canonical_poly(a.diff(i), n)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: PolyMVF(3, 1, {(1,): Poly.constant(2, 1)}),
+    lambda: PolyMVF(3, -1),
+    lambda: PolyMVF(3, 1, {}, weights=(0, 2, 1)),
+    lambda: PolyMVF(3, 1, {}, weights=(-1, 1, 1)),
+    lambda: PolyMVF(3, 1, {}, weights=(0, 1)),
+    lambda: PolyMVF.from_json_obj({"nvars": 2, "grade": -1, "terms": []}),
+    lambda: PolyMVF.from_json_obj({"nvars": 2, "grade": 1, "weights": [1, 2],
+                                   "terms": [{"indices": [1], "poly": "x1"}]}),
+], ids=["nvars", "grade", "weight-2", "weight-neg", "weight-len", "json-grade",
+        "json-weights"])
+def test_public_constructors_reject(build):
+    with pytest.raises(ValueError):
+        build()
 
 
 # ---------------------------------------------------------------------------

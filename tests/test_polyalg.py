@@ -55,6 +55,54 @@ class TestPolyArithmetic:
         np.testing.assert_allclose(p.eval_numeric(pts), [5.0, -1.0])
 
 
+def _assert_canonical(p: Poly):
+    """What ``Poly._raw`` trusts, checked against the polynomial's re-validation."""
+    for exps, c in p.terms.items():
+        assert type(exps) is tuple and len(exps) == p.nvars
+        assert all(type(e) is int and e >= 0 for e in exps)
+        assert type(c) is Fraction and c != 0
+    assert Poly(p.nvars, p.terms).terms == p.terms
+
+
+class TestTrustedPath:
+    """Kernel results hold the constructor's invariants; outside input is still checked."""
+
+    def test_results_equal_their_revalidation(self):
+        rng = random.Random(9)
+        for _ in range(80):
+            n = rng.randint(1, 3)
+            a, b = (Poly(n, {tuple(rng.randint(0, 2) for _ in range(n)):
+                             Fraction(rng.randint(-3, 3), rng.choice([1, 2]))
+                             for _ in range(3)}) for _ in range(2))
+            results = [a + b, a - b, (a + b) - b, a - a, -a, a * b, a * (b - a),
+                       a * Fraction(-2, 3), a * 0, 0 * a, a + 1, 1 - a, a ** 3]
+            results += [r.diff(i) for r in (a, a * b) for i in range(1, n + 1)]
+            for r in results:
+                assert r.nvars == n
+                _assert_canonical(r)
+            assert not (a - a) and not a * 0
+            assert bool(a) == (not a.is_zero())
+
+    @pytest.mark.parametrize("terms, error", [
+        ({(1, 0, 0): 1}, ValueError),
+        ({(1,): 1}, ValueError),
+        ({(1, -1): 1}, ValueError),
+        ({(1, 0): 0.5}, TypeError),
+        ({(1, 0): 1.0}, TypeError),
+    ], ids=["long", "short", "negative", "float", "integral-float"])
+    def test_constructor_rejects(self, terms, error):
+        with pytest.raises(error):
+            Poly(2, terms)
+
+    def test_named_constructors_reject(self):
+        with pytest.raises(TypeError):
+            Poly.constant(2, 1.5)
+        with pytest.raises(TypeError):
+            Poly.monomial(2, (1, 0), 0.5)
+        with pytest.raises(ValueError):
+            Poly.monomial(2, (1, 0, 0))
+
+
 class TestParsing:
     def test_round_trip(self):
         rng = random.Random(9)
