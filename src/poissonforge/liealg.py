@@ -1,11 +1,12 @@
 """Lie algebra data: structure constants, linear Poisson builders, Killing
-classification, matrix presets, and the su(3) invariant geometry.
+classification, the built-in presets, and the su(3) invariant geometry.
 
-Structure constants are exact rationals.  Matrix presets carry two bases:
-an exact one with Gaussian-rational entries (a+bi, a and b rational) whose
-commutators reproduce the structure constants exactly, and — where the exact
-basis cannot be orthonormal — a numeric basis orthonormal for the inner
-product -tr(AB), used for the invariant-theory sampling.
+Structure constants are exact rationals.  The presets are literal bracket
+tables of small integers.  Each comes from a matrix basis, named at
+``_PRESETS``; the tests solve every commutator of that basis in the basis
+and require the literal table back.  The numeric Gell-Mann basis,
+orthonormal for the inner product -tr(AB), serves the su(3)
+invariant-theory sampling.
 """
 
 from __future__ import annotations
@@ -18,11 +19,10 @@ from fractions import Fraction
 import numpy as np
 import scipy.linalg
 
-from .polyalg import Poly, solve_linear_exact
-from .multivector import PolyMVF
+from .polyalg import Poly, exact_rank
+from .multivector import PolyMVF, schouten
 
 __all__ = [
-    "GaussianRational",
     "LieAlgebraSpec",
     "WeylCircleSample",
     "validate",
@@ -35,83 +35,28 @@ __all__ = [
 ]
 
 
-class GaussianRational:
-    """Exact complex number a + b*i with rational a, b."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
-
-    def __add__(self, other):
-        other = _as_gq(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _as_gq(other)
-        return GaussianRational(self.re - other.re, self.im - other.im)
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
-    def __mul__(self, other):
-        other = _as_gq(other)
-        return GaussianRational(self.re * other.re - self.im * other.im,
-                                self.re * other.im + self.im * other.re)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        other = _as_gq(other)
-        return self.re == other.re and self.im == other.im
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
-    def __complex__(self):
-        return complex(self.re, self.im)
-
-    def __repr__(self):
-        return f"({self.re}+{self.im}i)"
-
-    def is_zero(self):
-        return self.re == 0 and self.im == 0
-
-
-def _as_gq(v) -> GaussianRational:
-    if isinstance(v, GaussianRational):
-        return v
-    return GaussianRational(v)
-
-
-I = GaussianRational(0, 1)
-
-
-def _mat(rows):
-    return tuple(tuple(_as_gq(v) for v in row) for row in rows)
-
-
-def _mat_mul(A, B):
-    n, m, p = len(A), len(B), len(B[0])
-    return tuple(tuple(sum((A[i][k] * B[k][j] for k in range(m)),
-                           GaussianRational()) for j in range(p))
-                 for i in range(n))
-
-
-def _mat_sub(A, B):
-    return tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
-
-
-def _commutator(A, B):
-    return _mat_sub(_mat_mul(A, B), _mat_mul(B, A))
-
-
 # ---------------------------------------------------------------------------
 # Specs
 # ---------------------------------------------------------------------------
+
+def _json_int(obj: dict, key: str) -> int:
+    v = obj[key]
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise ValueError(f"{key!r} must be a JSON integer, got {v!r}")
+    return v
+
+
+def _json_rational(obj: dict, key: str) -> Fraction:
+    v = obj[key]
+    if isinstance(v, str):
+        try:
+            return Fraction(v)
+        except ValueError:
+            pass
+    elif isinstance(v, int) and not isinstance(v, bool):
+        return Fraction(v)
+    raise ValueError(f"{key!r} must be an integer or a rational string, got {v!r}")
+
 
 @dataclass
 class LieAlgebraSpec:
@@ -119,8 +64,6 @@ class LieAlgebraSpec:
 
     dim: int
     C: dict = field(default_factory=dict)  # (i,j,k) -> Fraction, stored for i<j
-    matrices: tuple | None = None          # exact Gaussian-rational basis
-    orthonormal_basis: np.ndarray | None = None  # numeric, -tr(ab) = delta
     name: str | None = None
 
     def c(self, i: int, j: int, k: int) -> Fraction:
@@ -129,21 +72,6 @@ class LieAlgebraSpec:
         if i < j:
             return self.C.get((i, j, k), Fraction(0))
         return -self.C.get((j, i, k), Fraction(0))
-
-    def bracket_coords(self, u, v):
-        """[u, v] in coordinates, for exact rational coordinate vectors."""
-        out = [Fraction(0)] * self.dim
-        for i in range(1, self.dim + 1):
-            if u[i - 1] == 0:
-                continue
-            for j in range(1, self.dim + 1):
-                if v[j - 1] == 0:
-                    continue
-                for k in range(1, self.dim + 1):
-                    ck = self.c(i, j, k)
-                    if ck:
-                        out[k - 1] += u[i - 1] * v[j - 1] * ck
-        return out
 
     def ad_matrix(self, i: int):
         """Matrix of ad_{e_i} in the basis: column j is [e_i, e_j]."""
@@ -160,10 +88,15 @@ class LieAlgebraSpec:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "LieAlgebraSpec":
-        dim = int(obj["dim"])
+        """Read a table: ``dim`` and each ``i``/``j``/``k`` are JSON integers
+        (``dim >= 1``), each ``value`` an integer or a rational string."""
+        dim = _json_int(obj, "dim")
+        if dim < 1:
+            raise ValueError(f"'dim' must be at least 1, got {dim}")
         C: dict = {}
         for e in obj.get("C", []):
-            i, j, k, v = int(e["i"]), int(e["j"]), int(e["k"]), Fraction(e["value"])
+            i, j, k = (_json_int(e, key) for key in "ijk")
+            v = _json_rational(e, "value")
             if not (1 <= i <= dim and 1 <= j <= dim and 1 <= k <= dim):
                 raise ValueError(f"structure-constant index out of range: {e}")
             if i == j:
@@ -195,7 +128,12 @@ class WeylCircleSample:
 # ---------------------------------------------------------------------------
 
 def validate(spec: LieAlgebraSpec, check_jacobi: bool = True) -> LieAlgebraSpec:
-    """Check antisymmetry and the Jacobi identity exactly; cross-check matrices.
+    """Check the table's keys and, exactly, the Jacobi identity.
+
+    The table is a Lie bracket iff its linear bivector pi has [pi, pi] = 0.
+    The coefficient of x_l at d_i ^ d_j ^ d_k in [pi, pi] is -2 times the
+    Jacobi sum of the triple (i, j, k) in component l, so the first nonzero
+    triple and its lowest variable name the first failure.
 
     With ``check_jacobi=False`` only the structural sanity of the table is
     verified, so a non-Jacobi table can still be loaded and inspected (for
@@ -207,35 +145,15 @@ def validate(spec: LieAlgebraSpec, check_jacobi: bool = True) -> LieAlgebraSpec:
             raise ValueError(f"bad structure-constant key {(i, j, k)}")
     if not check_jacobi:
         return spec
-    basis1 = range(1, n + 1)
-    for i in basis1:
-        for j in range(i + 1, n + 1):
-            for k in range(j + 1, n + 1):
-                for l in basis1:
-                    s = Fraction(0)
-                    for m in basis1:
-                        s += (spec.c(i, j, m) * spec.c(m, k, l)
-                              + spec.c(j, k, m) * spec.c(m, i, l)
-                              + spec.c(k, i, m) * spec.c(m, j, l))
-                    if s != 0:
-                        raise ValueError(
-                            f"Jacobi identity fails on basis triple {(i, j, k)}"
-                            f" in component {l} (defect {s})")
-    if spec.matrices is not None:
-        if len(spec.matrices) != n:
-            raise ValueError("matrix basis size mismatch")
-        for i in basis1:
-            for j in range(i + 1, n + 1):
-                lhs = _commutator(spec.matrices[i - 1], spec.matrices[j - 1])
-                acc = lhs
-                for k in basis1:
-                    ck = spec.c(i, j, k)
-                    if ck:
-                        acc = _mat_sub(acc, tuple(
-                            tuple(ck * v for v in row) for row in spec.matrices[k - 1]))
-                if any(not v.is_zero() for row in acc for v in row):
-                    raise ValueError(
-                        f"matrix commutator [e{i},e{j}] does not match structure constants")
+    pi = linear_poisson(spec)
+    jacobiator = schouten(pi, pi)
+    if jacobiator.terms:
+        triple = min(jacobiator.terms)
+        l, coeff = min((e.index(1) + 1, c)
+                       for e, c in jacobiator.terms[triple].terms.items())
+        raise ValueError(
+            f"Jacobi identity fails on basis triple {triple}"
+            f" in component {l} (defect {-coeff / 2})")
     return spec
 
 
@@ -251,42 +169,30 @@ def linear_poisson(spec: LieAlgebraSpec) -> PolyMVF:
     return PolyMVF(n, 2, terms)
 
 
-def _exact_det(rows):
-    """Determinant of a square matrix of Fractions (Gaussian elimination)."""
-    a = [list(r) for r in rows]
-    n = len(a)
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                f = a[r][col] * inv
-                for c in range(col, n):
-                    a[r][c] -= f * a[col][c]
-    return det
-
-
 def killing_classify(spec: LieAlgebraSpec) -> dict:
-    """Killing form K(a,b) = tr(ad_a ad_b), exact; Cartan's criteria."""
+    """Killing form K(a,b) = tr(ad_a ad_b), exact; Cartan's criteria.
+
+    Semisimple iff K is nondegenerate.  Compact type iff K is negative
+    definite, which by Sylvester's criterion holds iff every pivot of an
+    elimination without row swaps is negative.
+    """
     n = spec.dim
     ads = [spec.ad_matrix(i) for i in range(1, n + 1)]
     K = [[sum(ads[a][k][m] * ads[b][m][k]
               for k in range(n) for m in range(n))
           for b in range(n)] for a in range(n)]
-    semisimple = _exact_det(K) != 0
+    semisimple = exact_rank(K, n) == n
     compact = True
-    for size in range(1, n + 1):
-        minor = _exact_det([row[:size] for row in K[:size]])
-        if (minor > 0) != (size % 2 == 0) or minor == 0:
+    for col in range(n):
+        pivot = K[col][col]
+        if pivot >= 0:
             compact = False
             break
+        for r in range(col + 1, n):
+            f = K[r][col] / pivot
+            if f:
+                for c in range(col + 1, n):
+                    K[r][c] -= f * K[col][c]
     return {"semisimple": semisimple, "compact_type": compact}
 
 
@@ -294,32 +200,39 @@ def killing_classify(spec: LieAlgebraSpec) -> dict:
 # Presets
 # ---------------------------------------------------------------------------
 
-def _constants_from_matrices(mats):
-    """Derive the exact bracket table of a matrix basis by solving in the basis."""
-    n = len(mats)
-    size = len(mats[0])
-    # coordinates: real and imaginary parts of all entries
-    def coords(M):
-        out = []
-        for row in M:
-            for v in row:
-                out.extend((v.re, v.im))
-        return out
-    cols = [coords(M) for M in mats]
-    C: dict = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            target = coords(_commutator(mats[i], mats[j]))
-            rows = [{c: cols[c][r] for c in range(n) if cols[c][r] != 0}
-                    for r in range(2 * size * size)]
-            out = solve_linear_exact(rows, target, ncols=n)
-            if not out.feasible:
-                raise ValueError("commutator leaves the span of the basis")
-            for k, v in enumerate(out.particular):
-                if v != 0:
-                    C[(i + 1, j + 1, k + 1)] = v
-    return C
+# name -> (dim, {(i, j, k): C^k_ij for i < j}).  Bases: so3 the rotation
+# generators, [e_a, e_b] = eps_abc e_c; su2 e_a = i*sigma_a/2, so
+# [e_a, e_b] = -eps_abc e_c; sl2 (e, f, h), [e,f]=h, [h,e]=2e, [h,f]=-2f;
+# su3 the anti-Hermitian E01-E10, i(E01+E10), E02-E20, i(E02+E20),
+# E12-E21, i(E12+E21), i(E00-E11), i(E11-E22) (Eab the matrix units).
+_PRESETS = {
+    "so3": (3, {(1, 2, 3): 1, (2, 3, 1): 1, (1, 3, 2): -1}),
+    "su2": (3, {(1, 2, 3): -1, (1, 3, 2): 1, (2, 3, 1): -1}),
+    "sl2": (3, {(1, 2, 3): 1, (1, 3, 1): -2, (2, 3, 2): 2}),
+    "su3": (8, {
+        (1, 2, 7): 2, (1, 3, 5): -1, (1, 4, 6): -1, (1, 5, 3): 1,
+        (1, 6, 4): 1, (1, 7, 2): -2, (1, 8, 2): 1, (2, 3, 6): 1,
+        (2, 4, 5): -1, (2, 5, 4): 1, (2, 6, 3): -1, (2, 7, 1): 2,
+        (2, 8, 1): -1, (3, 4, 7): 2, (3, 4, 8): 2, (3, 5, 1): -1,
+        (3, 6, 2): 1, (3, 7, 4): -1, (3, 8, 4): -1, (4, 5, 2): -1,
+        (4, 6, 1): -1, (4, 7, 3): 1, (4, 8, 3): 1, (5, 6, 8): 2,
+        (5, 7, 6): 1, (5, 8, 6): -2, (6, 7, 5): -1, (6, 8, 5): 2,
+    }),
+}
 
+
+def preset(name: str) -> LieAlgebraSpec:
+    """Built-in algebras: so3, su2, sl2, su3 (all validated)."""
+    if name not in _PRESETS:
+        raise ValueError(f"unknown preset {name!r}")
+    dim, table = _PRESETS[name]
+    C = {key: Fraction(v) for key, v in table.items()}
+    return validate(LieAlgebraSpec(dim, C, name=name))
+
+
+# ---------------------------------------------------------------------------
+# su(3) invariants
+# ---------------------------------------------------------------------------
 
 _GELL_MANN = [
     np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=complex),
@@ -332,61 +245,6 @@ _GELL_MANN = [
     np.array([[1, 0, 0], [0, 1, 0], [0, 0, -2]], dtype=complex) / math.sqrt(3),
 ]
 
-
-def preset(name: str) -> LieAlgebraSpec:
-    """Built-in algebras: so3, su2, sl2, su3 (all validated)."""
-    if name == "so3":
-        C = {(1, 2, 3): Fraction(1), (2, 3, 1): Fraction(1), (1, 3, 2): Fraction(-1)}
-        spec = LieAlgebraSpec(3, C, name="so3")
-    elif name == "su2":
-        # e_a = i*sigma_a/2: [e_a, e_b] = -eps_abc e_c
-        h = Fraction(1, 2)
-        mats = (
-            _mat([[0, I * h], [I * h, 0]]),
-            _mat([[0, h], [-h, 0]]),
-            _mat([[I * h, 0], [0, -(I * h)]]),
-        )
-        C = _constants_from_matrices(mats)
-        spec = LieAlgebraSpec(3, C, matrices=mats, name="su2")
-    elif name == "sl2":
-        # basis (e, f, h): [e,f]=h, [h,e]=2e, [h,f]=-2f
-        mats = (
-            _mat([[0, 1], [0, 0]]),
-            _mat([[0, 0], [1, 0]]),
-            _mat([[1, 0], [0, -1]]),
-        )
-        C = _constants_from_matrices(mats)
-        spec = LieAlgebraSpec(3, C, matrices=mats, name="sl2")
-    elif name == "su3":
-        def E(a, b, v):
-            rows = [[GaussianRational() for _ in range(3)] for _ in range(3)]
-            rows[a][b] = _as_gq(v)
-            return rows
-        def M(*parts):
-            rows = [[GaussianRational() for _ in range(3)] for _ in range(3)]
-            for a, b, v in parts:
-                rows[a][b] = rows[a][b] + _as_gq(v)
-            return tuple(tuple(row) for row in rows)
-        mats = (
-            M((0, 1, 1), (1, 0, -1)),            # E01 - E10
-            M((0, 1, I), (1, 0, I)),             # i(E01 + E10)
-            M((0, 2, 1), (2, 0, -1)),
-            M((0, 2, I), (2, 0, I)),
-            M((1, 2, 1), (2, 1, -1)),
-            M((1, 2, I), (2, 1, I)),
-            M((0, 0, I), (1, 1, -I)),            # i(E00 - E11)
-            M((1, 1, I), (2, 2, -I)),            # i(E11 - E22)
-        )
-        C = _constants_from_matrices(mats)
-        spec = LieAlgebraSpec(8, C, matrices=mats, orthonormal_basis=_su3_onb(), name="su3")
-    else:
-        raise ValueError(f"unknown preset {name!r}")
-    return validate(spec)
-
-
-# ---------------------------------------------------------------------------
-# su(3) invariants
-# ---------------------------------------------------------------------------
 
 def _su3_onb() -> np.ndarray:
     return np.stack([1j * lam / math.sqrt(2) for lam in _GELL_MANN])

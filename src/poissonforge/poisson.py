@@ -62,6 +62,8 @@ def sharp(pi: PolyMVF, alpha) -> PolyMVF:
         raise ValueError(f"expected a bivector, got degree {pi.grade}")
     n = pi.nvars
     if isinstance(alpha, int):
+        if isinstance(alpha, bool) or not 1 <= alpha <= n:
+            raise ValueError(f"dx_i needs an integer i in 1..{n}, got {alpha!r}")
         coeffs = [Poly.zero(n)] * (alpha - 1) + [Poly.constant(n, 1)]
         coeffs += [Poly.zero(n)] * (n - alpha)
     else:

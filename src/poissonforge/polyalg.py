@@ -212,6 +212,8 @@ class Poly:
 
     def diff(self, index: int) -> "Poly":
         """Partial derivative with respect to ``x_index`` (1-based)."""
+        if not 1 <= index <= self.nvars:
+            raise ValueError(f"variable index {index} outside 1..{self.nvars}")
         i = index - 1
         terms = {}
         for e, c in self.terms.items():

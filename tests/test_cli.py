@@ -146,6 +146,46 @@ def test_realize_rejects_bad_input(mvf_file, capsys, bad, named):
     assert err.startswith("error:") and named in err
 
 
+_SO3_TABLE = {"dim": 3, "C": [{"i": 1, "j": 2, "k": 3, "value": "1"},
+                              {"i": 2, "j": 3, "k": 1, "value": "1"},
+                              {"i": 1, "j": 3, "k": 2, "value": "-1"}]}
+
+
+@pytest.mark.parametrize("field, bad", [
+    pytest.param("dim", 2.7, id="dim=2.7"),
+    pytest.param("dim", True, id="dim=true"),
+    pytest.param("dim", "3", id="dim=str"),
+    pytest.param("dim", 0, id="dim=0"),
+    pytest.param("dim", -1, id="dim=-1"),
+    pytest.param("i", 1.9, id="i=1.9"),
+    pytest.param("j", True, id="j=true"),
+    pytest.param("k", 3.0, id="k=3.0"),
+    pytest.param("value", 0.5, id="value=0.5"),
+    pytest.param("value", True, id="value=true"),
+    pytest.param("value", "one", id="value=word"),
+])
+def test_table_input_rejects_reinterpretation(tmp_path, capsys, field, bad):
+    obj = json.loads(json.dumps(_SO3_TABLE))
+    if field == "dim":
+        obj["dim"] = bad
+    else:
+        obj["C"][0][field] = bad
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(obj))
+    assert cli.main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr(field) in err
+
+
+def test_table_input_accepts_integers_and_rational_strings(tmp_path, capsys):
+    obj = json.loads(json.dumps(_SO3_TABLE))
+    obj["C"][0]["value"] = 1
+    obj["C"][1]["value"] = "2/2"
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(obj))
+    assert cli.main(["check", str(path)]) == 0
+
+
 def test_su3(capsys):
     assert cli.main(["su3", "--samples", "50", "--format", "json"]) == 0
     obj = json.loads(capsys.readouterr().out)

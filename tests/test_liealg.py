@@ -7,6 +7,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poissonforge import (LieAlgebraSpec, coadjoint_invariance_check,
                           killing_classify, linear_poisson, preset,
@@ -69,20 +72,137 @@ def test_json_round_trip():
     assert {"i": 1, "j": 2, "k": 3, "value": "1"} in obj["C"]
 
 
-def test_bracket_coords_matches_ad():
-    spec = preset("sl2")
-    rng = random.Random(22)
-    for _ in range(20):
-        u = [Fraction(rng.randint(-3, 3)) for _ in range(3)]
-        v = [Fraction(rng.randint(-3, 3)) for _ in range(3)]
-        direct = spec.bracket_coords(u, v)
-        via_ad = [Fraction(0)] * 3
-        for i in range(1, 4):
-            ad = spec.ad_matrix(i)
-            for r in range(3):
-                for c in range(3):
-                    via_ad[r] += u[i - 1] * ad[r][c] * v[c]
-        assert direct == via_ad
+def _matrix_basis(name):
+    """The matrix basis each preset table is written in, in sympy."""
+    I = sympy.I
+    if name == "so3":  # rotation generators, (L_a)_bc = -eps_abc
+        return [sympy.Matrix(3, 3, lambda b, c: -sympy.LeviCivita(a, b, c))
+                for a in range(3)]
+    if name == "su2":  # i * sigma_a / 2
+        sigma = [sympy.Matrix([[0, 1], [1, 0]]), sympy.Matrix([[0, -I], [I, 0]]),
+                 sympy.Matrix([[1, 0], [0, -1]])]
+        return [I * s / 2 for s in sigma]
+    if name == "sl2":  # (e, f, h)
+        return [sympy.Matrix([[0, 1], [0, 0]]), sympy.Matrix([[0, 0], [1, 0]]),
+                sympy.Matrix([[1, 0], [0, -1]])]
+
+    def E(a, b):
+        M = sympy.zeros(3, 3)
+        M[a, b] = 1
+        return M
+
+    return [E(0, 1) - E(1, 0), I * (E(0, 1) + E(1, 0)),
+            E(0, 2) - E(2, 0), I * (E(0, 2) + E(2, 0)),
+            E(1, 2) - E(2, 1), I * (E(1, 2) + E(2, 1)),
+            I * (E(0, 0) - E(1, 1)), I * (E(1, 1) - E(2, 2))]
+
+
+def _real_coords(M):
+    entries = [sympy.expand(v) for v in M]
+    return [sympy.re(v) for v in entries] + [sympy.im(v) for v in entries]
+
+
+def _table_from_matrices(mats):
+    """Solve each commutator [M_i, M_j] in the basis: {(i, j, k): C^k_ij}."""
+    A = sympy.Matrix([_real_coords(M) for M in mats]).T
+    C = {}
+    for i in range(len(mats)):
+        for j in range(i + 1, len(mats)):
+            bracket = mats[i] * mats[j] - mats[j] * mats[i]
+            x, free = A.gauss_jordan_solve(sympy.Matrix(_real_coords(bracket)))
+            assert free.shape[0] == 0
+            for k, v in enumerate(x):
+                if v != 0:
+                    C[(i + 1, j + 1, k + 1)] = Fraction(str(v))
+    return C
+
+
+@pytest.mark.parametrize("name", ["so3", "su2", "sl2", "su3"])
+def test_preset_table_matches_its_matrix_basis(name):
+    assert _table_from_matrices(_matrix_basis(name)) == preset(name).C
+
+
+def _jacobi_oracle(spec):
+    """The first failing Jacobi sum, found by the direct n^5 loop."""
+    n = spec.dim
+    basis = range(1, n + 1)
+    for i in basis:
+        for j in range(i + 1, n + 1):
+            for k in range(j + 1, n + 1):
+                for l in basis:
+                    s = Fraction(0)
+                    for m in basis:
+                        s += (spec.c(i, j, m) * spec.c(m, k, l)
+                              + spec.c(j, k, m) * spec.c(m, i, l)
+                              + spec.c(k, i, m) * spec.c(m, j, l))
+                    if s != 0:
+                        return (f"Jacobi identity fails on basis triple {(i, j, k)}"
+                                f" in component {l} (defect {s})")
+    return None
+
+
+@st.composite
+def sparse_tables(draw):
+    n = draw(st.integers(2, 5))
+    entry = st.tuples(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True),
+                      st.integers(1, n),
+                      st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)))
+    C = {}
+    for pair, k, v in draw(st.lists(entry, max_size=5)):
+        C[(min(pair), max(pair), k)] = v
+    return LieAlgebraSpec(n, {key: v for key, v in C.items() if v})
+
+
+@pytest.mark.parametrize("name", ["so3", "su2", "sl2", "su3"])
+def test_jacobi_oracle_passes_presets(name):
+    assert _jacobi_oracle(preset(name)) is None
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(sparse_tables())
+def test_validate_agrees_with_jacobi_oracle(spec):
+    expected = _jacobi_oracle(spec)
+    if expected is None:
+        assert validate(spec) is spec
+    else:
+        with pytest.raises(ValueError) as info:
+            validate(spec)
+        assert str(info.value) == expected
+
+
+def _random_invertible(rng, n):
+    while True:
+        P = sympy.Matrix(n, n, lambda a, b: rng.randint(-2, 2))
+        if P.det() != 0:
+            return P
+
+
+def _rebased(spec, P):
+    """The table in the basis e'_a = sum_i P[i, a] e_i: P^{-1} [P e_a, P e_b]."""
+    n = spec.dim
+    Pinv = P.inv()
+    Pf = [[Fraction(str(P[r, c])) for c in range(n)] for r in range(n)]
+    Pinvf = [[Fraction(str(Pinv[r, c])) for c in range(n)] for r in range(n)]
+    C = {}
+    for a in range(n):
+        for b in range(a + 1, n):
+            bracket = [Fraction(0)] * n
+            for (i, j, k), v in spec.C.items():
+                bracket[k - 1] += v * (Pf[i - 1][a] * Pf[j - 1][b]
+                                       - Pf[j - 1][a] * Pf[i - 1][b])
+            for m in range(n):
+                v = sum(Pinvf[m][k] * bracket[k] for k in range(n))
+                if v:
+                    C[(a + 1, b + 1, m + 1)] = v
+    return LieAlgebraSpec(n, C)
+
+
+def _sympy_killing_verdict(spec):
+    n = spec.dim
+    ads = [sympy.Matrix(n, n, lambda k, j: sympy.Rational(str(spec.c(i, j + 1, k + 1))))
+           for i in range(1, n + 1)]
+    K = sympy.Matrix(n, n, lambda a, b: (ads[a] * ads[b]).trace())
+    return {"semisimple": K.rank() == n, "compact_type": bool(K.is_negative_definite)}
 
 
 class TestKilling:
@@ -101,6 +221,33 @@ class TestKilling:
     def test_abelian_degenerate(self):
         kc = killing_classify(LieAlgebraSpec(dim=2, C={}))
         assert not kc["semisimple"] and not kc["compact_type"]
+
+    def test_solvable_degenerate(self):
+        # [e1, e2] = e2: K = diag(1, 0)
+        spec = validate(LieAlgebraSpec(dim=2, C={(1, 2, 2): Fraction(1)}))
+        assert killing_classify(spec) == {"semisimple": False,
+                                          "compact_type": False}
+        assert killing_classify(spec) == _sympy_killing_verdict(spec)
+
+    @pytest.mark.parametrize("name", ["so3", "sl2", "su3"])
+    def test_verdict_survives_change_of_basis(self, name):
+        spec = preset(name)
+        verdict = killing_classify(spec)
+        assert verdict == _sympy_killing_verdict(spec)
+        rng = random.Random(name)
+        for _ in range(2):
+            rebased = validate(_rebased(spec, _random_invertible(rng, spec.dim)))
+            assert killing_classify(rebased) == verdict
+            assert _sympy_killing_verdict(rebased) == verdict
+
+    def test_split_with_negative_diagonal(self):
+        # sl2 in the basis e-f, 2e-f+h, e-2f+h: K(v, v) = -8 on every basis
+        # vector, yet K is indefinite
+        P = sympy.Matrix([[1, 2, 1], [-1, -1, -2], [0, 1, 1]])
+        spec = validate(_rebased(preset("sl2"), P))
+        verdict = {"semisimple": True, "compact_type": False}
+        assert _sympy_killing_verdict(spec) == verdict
+        assert killing_classify(spec) == verdict
 
     def test_ad_invariance(self):
         # K([x,y],z) + K(y,[x,z]) = 0, checked exactly on basis triples

@@ -52,6 +52,12 @@ def test_sharp_and_hamiltonian_vf(pi_so3):
     assert sharp(pi_so3, [f.diff(1), f.diff(2), f.diff(3)]) == H
 
 
+@pytest.mark.parametrize("alpha", [0, 4, -1, True])
+def test_sharp_rejects_covector_index_outside_variables(pi_so3, alpha):
+    with pytest.raises(ValueError, match="1..3"):
+        sharp(pi_so3, alpha)
+
+
 def test_poisson_bracket_structure_constants(pi_so3):
     x1, x2, x3 = (parse_poly(s, 3) for s in ("x1", "x2", "x3"))
     assert poisson_bracket(pi_so3, x1, x2) == x3

@@ -43,6 +43,11 @@ class TestPolyArithmetic:
             for i in range(1, n + 1):
                 assert (a * b).diff(i) == a.diff(i) * b + a * b.diff(i)
 
+    @pytest.mark.parametrize("index", [0, -1, 4])
+    def test_diff_rejects_index_outside_variables(self, index):
+        with pytest.raises(ValueError, match="outside 1..3"):
+            Poly.variable(3, 3).diff(index)
+
     def test_scalar_multiplication(self):
         p = parse_poly("x1^2 - x2", 2)
         assert p * 2 == parse_poly("2*x1^2 - 2*x2", 2)
