@@ -148,6 +148,8 @@ def cmd_realize(args) -> int:
 
 def cmd_su3(args) -> int:
     import numpy as np
+    if args.samples < 1:
+        raise ValueError("--samples must be >= 1")
     spec = liealg.preset("su3")
     kc = liealg.killing_classify(spec)
     worst_q = 0.0
@@ -171,10 +173,10 @@ def cmd_su3(args) -> int:
 
 
 def cmd_area(args) -> int:
+    d1, d2 = realize.dh_variation(args.radius, 1e-5)
     pi = liealg.linear_poisson(liealg.preset("so3"))
     area = realize.symplectic_area(
         realize.sphere_leaf_form(pi, args.radius), (64, 2048))
-    d1, d2 = realize.dh_variation(args.radius, 1e-5)
     obj = {"r": args.radius, "area": area, "expected_area": 4 * math.pi * args.radius,
            "dh": [d1, d2]}
     _emit(args, obj,

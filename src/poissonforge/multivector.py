@@ -6,9 +6,17 @@ Each field carries a weight vector in {0,1}^n splitting the coordinates into
 base (weight 0) and fiber (weight 1) directions; the fiberwise dilations
 induce the grading used by the jet/truncation machinery.
 
-Sign conventions are pinned by two requirements: on vector fields the
-bracket is the Lie bracket with L_X L_Y - L_Y L_X = L_[X,Y], and for a
-bivector pi and function f the Hamiltonian vector field is H_f = -[pi, f].
+The Schouten bracket treats each leg d_i as an odd variable xi_i, so that
+a d_{i1}^...^d_{ip} is the superfunction a xi_{i1}...xi_{ip}, and is
+
+    [W, V] = sum_i (d^R_{xi_i} W)(d_{x_i} V) - (d_{x_i} W)(d^L_{xi_i} V),
+
+with the xi-derivative taken from the right on W and from the left on V
+(Kosmann-Schwarzbach, Ann. Inst. Fourier 46, 1996).  Functions are the
+grade-0 fields.  This sign convention makes the bracket of vector fields the
+Lie bracket with L_X L_Y - L_Y L_X = L_[X,Y], gives [W, f] = (-1)^(p-1) i_df W
+for a p-vector W, and so the Hamiltonian vector field of a bivector pi is
+H_f = -[pi, f].
 
 As in ``polyalg``, data is validated where it enters: the public
 ``PolyMVF(...)`` constructor and ``PolyMVF.from_json_obj`` check leg tuples,
@@ -22,12 +30,11 @@ it trusts that every key is a strictly increasing tuple of ``grade`` legs in
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .polyalg import Poly, _add_term, format_poly, parse_poly
+from .polyalg import Poly, _add_term, _as_fraction, format_poly, parse_poly
 
 __all__ = [
     "PolyMVF",
@@ -235,25 +242,19 @@ class PolyMVF:
     # -- evaluation ---------------------------------------------------
 
     def apply_to_functions(self, funcs: Sequence[Poly]) -> Poly:
-        """Evaluate as a multiderivation: W(df_1, ..., df_q)."""
+        """Evaluate as a multiderivation: W(df_1, ..., df_q).
+
+        Contracts df_1, then df_2, ... through the bracket:
+        i_df U = (-1)^(deg U - 1) [U, f].
+        """
         if len(funcs) != self.grade:
             raise ValueError("need exactly one function per degree")
-        out = Poly.zero(self.nvars)
-        q = self.grade
-        if q == 0:
-            return self.terms.get((), out)
-        grads = [[f.diff(i) for i in range(1, self.nvars + 1)] for f in funcs]
-        import itertools
-        for indices, poly in self.terms.items():
-            acc = Poly.zero(self.nvars)
-            for perm in itertools.permutations(range(q)):
-                sign = _perm_sign(perm)
-                prod = Poly.constant(self.nvars, sign)
-                for row, col in enumerate(perm):
-                    prod = prod * grads[row][indices[col] - 1]
-                acc = acc + prod
-            out = out + poly * acc
-        return out
+        U = self
+        for f in funcs:
+            U = _schouten(U, PolyMVF.from_function(f, self.weights))
+            if U.grade % 2:
+                U = -U
+        return U.terms.get((), Poly.zero(self.nvars))
 
     def bivector_matrix(self, points: np.ndarray) -> np.ndarray:
         """Numeric skew matrix field Pi(x) for a bivector, shape (..., n, n)."""
@@ -266,23 +267,6 @@ class PolyMVF:
             out[..., i - 1, j - 1] += vals
             out[..., j - 1, i - 1] -= vals
         return out
-
-
-def _perm_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            i = perm[i]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 class GradedPiece:
@@ -318,18 +302,6 @@ def wedge(W: PolyMVF, V: PolyMVF) -> PolyMVF:
     return PolyMVF._raw(W.nvars, W.grade + V.grade, terms, W.weights)
 
 
-def _interior_df(f: Poly, W: PolyMVF) -> PolyMVF:
-    """Contraction i_df W."""
-    n = W.nvars
-    terms: dict[tuple, Poly] = {}
-    for indices, poly in W.terms.items():
-        for k, leg in enumerate(indices):
-            d = f.diff(leg)
-            if d:
-                _add_term(terms, indices[:k] + indices[k + 1:], poly * d * ((-1) ** k))
-    return PolyMVF._raw(n, W.grade - 1, terms, W.weights)
-
-
 def _accumulate(terms: dict, a: Poly, b: Poly, legs: Sequence[int], extra_sign: int):
     """Add ``a * b`` on the sorted ``legs``, signed by the sort and ``extra_sign``.
 
@@ -341,12 +313,14 @@ def _accumulate(terms: dict, a: Poly, b: Poly, legs: Sequence[int], extra_sign: 
 
 
 def schouten(W: PolyMVF, V: PolyMVF, max_grade: int | None = None) -> PolyMVF:
-    """Schouten bracket [W, V].
+    """Schouten bracket [W, V] of a p-vector W and a q-vector V.
 
-    On decomposables it expands as
-    sum_{i,j} (-1)^(i+j) [X_i, Y_j] ^ X_1 ^ ... ^ X_i-hat ^ ... ^ Y_j-hat ...,
-    and on functions it is fixed by [W, f] = (-1)^(deg W - 1) i_df W, so that
-    H_f = -[pi, f] for every bivector pi.
+    In odd variables (see the module docstring), for terms a xi_I of W and
+    b xi_J of V it is the sum of a (d_i b) on the legs I-minus-i, J with sign
+    (-1)^(p-1-k) over each leg i at position k of I, and of -(d_j a) b on
+    the legs I, J-minus-j with sign (-1)^k over each leg j at position k of
+    J.  The same formula serves functions (p or q = 0), so that
+    [W, f] = (-1)^(p-1) i_df W and H_f = -[pi, f] for every bivector pi.
 
     With ``max_grade`` set the result is exactly
     ``truncate_jet(schouten(W, V), max_grade)``, but the pieces above the
@@ -371,53 +345,26 @@ def schouten(W: PolyMVF, V: PolyMVF, max_grade: int | None = None) -> PolyMVF:
 
 def _schouten(W: PolyMVF, V: PolyMVF) -> PolyMVF:
     """The full bracket of ``schouten``, without the argument check."""
-    p, q = W.grade, V.grade
-    n = W.nvars
-    if p == 0 and q == 0:
-        return PolyMVF.zero(n, 0, W.weights)
-    if q == 0:
-        f = V.terms.get((), Poly.zero(n))
-        out = _interior_df(f, W)
-        return out if (p - 1) % 2 == 0 else -out
-    if p == 0:
-        f = W.terms.get((), Poly.zero(n))
-        return -_interior_df(f, V)
-
+    p = W.grade
+    w_legs = {i for I in W.terms for i in I}
+    v_legs = {j for J in V.terms for j in J}
+    # each coefficient is differentiated once per variable the other side uses
+    dW = {I: {j: d for j in v_legs if (d := a.diff(j))} for I, a in W.terms.items()}
+    dV = {J: {i: d for i in w_legs if (d := b.diff(i))} for J, b in V.terms.items()}
     terms: dict[tuple, Poly] = {}
-    for iw, a in W.terms.items():
-        for iv, b in V.terms.items():
-            # legs of W: (a d_{i1}), d_{i2}, ..., d_{ip}; similarly for V.
-            # Only slots carrying a coefficient have nonzero Lie brackets.
-            i1 = iw[0]
-            j1 = iv[0]
-            rest_w = iw[1:]
-            rest_v = iv[1:]
-
-            # slot 1 with slot 1: [a d_i1, b d_j1]
-            da = a.diff(j1)
-            db = b.diff(i1)
-            legs_tail = rest_w + rest_v
-            if not db.is_zero():
-                _accumulate(terms, a, db, (j1,) + legs_tail, 1)
-            if not da.is_zero():
-                _accumulate(terms, b, da, (i1,) + legs_tail, -1)
-
-            # slot 1 of W with constant legs of V: [a d_i1, d_jl] = -(da/dx_jl) d_i1
-            for l, jl in enumerate(rest_v, start=2):
-                da_l = a.diff(jl)
-                if da_l.is_zero():
-                    continue
-                legs = (i1,) + rest_w + (j1,) + rest_v[:l - 2] + rest_v[l - 1:]
-                _accumulate(terms, b, da_l, legs, -((-1) ** (1 + l)))
-
-            # constant legs of W with slot 1 of V: [d_ik, b d_j1] = (db/dx_ik) d_j1
-            for k, ik in enumerate(rest_w, start=2):
-                db_k = b.diff(ik)
-                if db_k.is_zero():
-                    continue
-                legs = (j1, i1) + rest_w[:k - 2] + rest_w[k - 1:] + rest_v
-                _accumulate(terms, a, db_k, legs, (-1) ** (k + 1))
-    return PolyMVF._raw(n, p + q - 1, terms, W.weights)
+    for I, a in W.terms.items():
+        da = dW[I]
+        for J, b in V.terms.items():
+            db = dV[J]
+            # right xi_i-derivative of a xi_I times d_i b xi_J
+            for k, i in enumerate(I):
+                if i in db:
+                    _accumulate(terms, a, db[i], I[:k] + I[k + 1:] + J, (-1) ** (p - 1 - k))
+            # minus d_j a xi_I times the left xi_j-derivative of b xi_J
+            for k, j in enumerate(J):
+                if j in da:
+                    _accumulate(terms, da[j], b, I + J[:k] + J[k + 1:], -(-1) ** k)
+    return PolyMVF._raw(W.nvars, max(p + V.grade - 1, 0), terms, W.weights)
 
 
 def grade_component(W: PolyMVF, l: int) -> GradedPiece:
@@ -428,8 +375,12 @@ def grade_component(W: PolyMVF, l: int) -> GradedPiece:
 
 
 def dilate(W: PolyMVF, t) -> PolyMVF:
-    """Dilation automorphism: multiplies each grade-l piece by t^(l-1)."""
-    t = Fraction(t) if not isinstance(t, Fraction) else t
+    """Dilation automorphism: multiplies each grade-l piece by t^(l-1).
+
+    ``t`` is exact: an int, a ``Fraction`` or a rational string (a float
+    raises ``TypeError``).
+    """
+    t = _as_fraction(t)
     if t == 0:
         raise ValueError("dilation parameter must be nonzero")
     terms: dict[tuple, Poly] = {}

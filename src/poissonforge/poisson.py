@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .polyalg import Poly, _add_term, exact_rank, solve_linear_exact
+from .polyalg import Poly, _add_term, _as_fraction, exact_rank, solve_linear_exact
 from .multivector import PolyMVF, dilate, grade_component, schouten
 
 __all__ = [
@@ -107,6 +107,9 @@ def graded_basis(n: int, k: int, l: int, weights, base_degree_cap: int = 0) -> l
     within each, exponent vectors too: solutions are RREF-canonical for a
     fixed column order, so gauge fields depend on this order.
     """
+    if base_degree_cap < 0:
+        raise ValueError(f"base_degree_cap must be >= 0, got {base_degree_cap}")
+
     def exponents(i: int, left: int):
         if i == n:
             if left == 0:
@@ -149,6 +152,8 @@ def bracket_rows(pi: PolyMVF, basis) -> dict:
 
 def casimir_basis(pi: PolyMVF, D: int) -> list[Poly]:
     """Rational basis of {f : deg f <= D, pi#(df) = 0}, found per degree."""
+    if D < 0:
+        raise ValueError(f"max degree D must be >= 0, got {D}")
     chk = check_poisson(pi)
     if not chk.is_poisson:
         raise ValueError("bivector is not Poisson; Casimirs undefined")
@@ -190,6 +195,8 @@ class CohomologyTable:
 
 def cohomology_dims(pi_lin: PolyMVF, l: int, kmax: int) -> CohomologyTable:
     """Dims/ranks/betti of d = [pi_lin, .] on grade-l homogeneous k-vectors."""
+    if l < 0 or kmax < 0:
+        raise ValueError(f"grade l and max degree kmax must be >= 0, got {l} and {kmax}")
     if pi_lin.grade != 2:
         raise ValueError("expected a bivector")
     pieces = pi_lin.graded_pieces()
@@ -248,14 +255,17 @@ def gauge_pointwise(pi_matrix: np.ndarray, omega_matrix: np.ndarray) -> np.ndarr
 # ---------------------------------------------------------------------------
 
 def conn_rescale(pi: PolyMVF, t) -> PolyMVF:
-    """The path pi^t with pi^1 = pi and pi^0 = linear part (for pi(0) = 0)."""
+    """The path pi^t with pi^1 = pi and pi^0 = linear part (for pi(0) = 0).
+
+    ``t`` is exact: an int, a ``Fraction`` or a rational string.
+    """
     if pi.grade != 2:
         raise ValueError("expected a bivector")
     for (i, j), p in pi.terms.items():
         if p.constant_term() != 0:
             raise ValueError(
                 f"coefficient of d{i}^d{j} has nonzero constant term; pi(0) != 0")
-    t = Fraction(t) if not isinstance(t, Fraction) else t
+    t = _as_fraction(t)
     if t == 0:
         return grade_component(pi, 1).value
     return dilate(pi, t)

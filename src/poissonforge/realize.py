@@ -374,8 +374,8 @@ def dh_variation(r: float, h: float, grid=(64, 2048)) -> tuple[float, float]:
     are 4pi/(1+r^2) and 4pi*r, recomputed here by quadrature of the leaf
     forms and differentiated centrally in r.
     """
-    if r <= 0:
-        raise ValueError("r must be positive")
+    if not (math.isfinite(r) and r > 0):
+        raise ValueError("radius r must be finite and > 0")
     from .liealg import linear_poisson, preset
     pi = linear_poisson(preset("so3"))
 

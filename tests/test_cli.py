@@ -146,6 +146,27 @@ def test_realize_rejects_bad_input(mvf_file, capsys, bad, named):
     assert err.startswith("error:") and named in err
 
 
+@pytest.mark.parametrize("argv, named", [
+    pytest.param(["casimirs", "{so3}", "--max-degree", "-1"], "max degree",
+                 id="casimirs-max-degree=-1"),
+    pytest.param(["cohomology", "{so3}", "--grade", "-1"], "grade", id="cohomology-grade=-1"),
+    pytest.param(["cohomology", "{so3}", "--max-degree", "-2"], "max degree",
+                 id="cohomology-max-degree=-2"),
+    pytest.param(["prolong", "{jet}", "--base-degree-cap", "-1"], "base_degree_cap",
+                 id="prolong-base-degree-cap=-1"),
+    pytest.param(["su3", "--samples", "0"], "samples", id="su3-samples=0"),
+    pytest.param(["su3", "--samples", "-5"], "samples", id="su3-samples=-5"),
+    pytest.param(["area", "--radius", "nan"], "radius", id="area-radius=nan"),
+    pytest.param(["area", "--radius", "inf"], "radius", id="area-radius=inf"),
+])
+def test_bad_numeric_arguments_exit_2(so3_file, jet_file, capsys, argv, named):
+    argv = [a.format(so3=so3_file, jet=jet_file) for a in argv]
+    assert cli.main(argv + ["--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and named in captured.err
+
+
 _SO3_TABLE = {"dim": 3, "C": [{"i": 1, "j": 2, "k": 3, "value": "1"},
                               {"i": 2, "j": 3, "k": 1, "value": "1"},
                               {"i": 1, "j": 3, "k": 2, "value": "-1"}]}

@@ -1,5 +1,6 @@
 """Multivector algebra: wedge, Schouten bracket, grading, serialization."""
 
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -117,6 +118,17 @@ def test_dilate_is_bracket_automorphism():
         v = rand_mvf(rng, n, rng.randint(0, n))
         assert dilate(schouten(u, v), t) == schouten(dilate(u, t),
                                                     dilate(v, t))
+
+
+def test_dilation_parameter_is_exact():
+    # a float would be read as its binary fraction: 0.1 -> 3602879701896397/2^55
+    u = PolyMVF(2, 1, {(1,): parse_poly("x1 + x1^2 + x2^3", 2)})
+    assert dilate(u, "1/10") == dilate(u, Fraction(1, 10))
+    assert dilate(u, 3) == dilate(u, Fraction(3))
+    assert dilate(u, "1/10").terms[(1,)] == parse_poly("x1 + 1/10*x1^2 + 1/100*x2^3", 2)
+    for t in (0.1, 2.0):
+        with pytest.raises(TypeError):
+            dilate(u, t)
 
 
 def test_newton_grade_formula():
@@ -364,16 +376,54 @@ def test_sympy_oracle_conventions():
                           {I: sgn(p - 1) * a for I, a in contraction.items()})
 
 
-@pytest.mark.parametrize("weights", [(1, 1, 1), (0, 0, 1)])
+@pytest.mark.parametrize("weights", [(1, 1, 1), (0, 0, 1), (0, 1, 0, 1)])
 def test_schouten_against_sympy_oracle(weights):
     rng = random.Random(19)
-    n = 3
+    n = len(weights)
     xs = sympy.symbols(f"x1:{n + 1}")
     for _ in range(15):
-        u = rand_mvf(rng, n, rng.randint(0, 3)).with_weights(weights)
-        v = rand_mvf(rng, n, rng.randint(0, 3)).with_weights(weights)
+        u = rand_mvf(rng, n, rng.randint(0, n)).with_weights(weights)
+        v = rand_mvf(rng, n, rng.randint(0, n)).with_weights(weights)
         oracle = _odd_schouten(_to_odd(u, xs), _to_odd(v, xs), xs)
         assert _odd_equal(_to_odd(schouten(u, v), xs), oracle)
         for k in range(5):
             assert _odd_equal(_to_odd(schouten(u, v, max_grade=k), xs),
                               _odd_truncate(oracle, xs, weights, k))
+
+
+def test_multiderivation_against_determinant_oracle():
+    # W(df_1, ..., df_q) = sum_I a_I det[d_{I_c} f_r], independent of the bracket
+    rng = random.Random(20)
+    for _ in range(40):
+        n = rng.randint(2, 4)
+        xs = sympy.symbols(f"x1:{n + 1}")
+        W = rand_mvf(rng, n, rng.randint(0, n))
+        funcs = [rand_poly(rng, n) for _ in range(W.grade)]
+        fs = [_to_odd(PolyMVF.from_function(f), xs).get((), sympy.S(0)) for f in funcs]
+        expected = sum((a * sympy.Matrix(W.grade, W.grade,
+                                         lambda r, c: sympy.diff(fs[r], xs[I[c] - 1])).det()
+                        for I, a in _to_odd(W, xs).items()), sympy.S(0))
+        got = _to_odd(PolyMVF.from_function(W.apply_to_functions(funcs)), xs).get((), 0)
+        assert sympy.expand(got - expected) == 0
+
+
+def test_schouten_differentiates_each_coefficient_once(monkeypatch):
+    # every coefficient is differentiated at most once per variable, not once
+    # per pair of terms
+    calls = []
+    diff = Poly.diff
+    monkeypatch.setattr(Poly, "diff", lambda self, i: calls.append(i) or diff(self, i))
+    rng = random.Random(21)
+    for _ in range(40):
+        n = rng.randint(2, 4)
+        W = rand_mvf(rng, n, rng.randint(0, n))
+        V = rand_mvf(rng, n, rng.randint(0, n))
+        calls.clear()
+        schouten(W, V)
+        assert len(calls) <= (len(W.terms) + len(V.terms)) * n
+    full = {legs: Poly.constant(4, 1) + Poly.variable(4, legs[0])
+            for legs in itertools.combinations(range(1, 5), 2)}
+    W = PolyMVF(4, 2, full)
+    calls.clear()
+    schouten(W, W)
+    assert len(calls) <= 2 * len(W.terms) * 4

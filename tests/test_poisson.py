@@ -241,6 +241,14 @@ class TestConnRescale:
         for t in (Fraction(1, 3), Fraction(1, 2), 1):
             assert check_poisson(conn_rescale(pi, t)).is_poisson
 
+    def test_parameter_is_exact(self, pi_so3):
+        pi = pi_so3 + PolyMVF(3, 2, {(1, 2): parse_poly("x1^2", 3)})
+        assert conn_rescale(pi, "2/3") == conn_rescale(pi, Fraction(2, 3))
+        assert conn_rescale(pi, 2) == conn_rescale(pi, Fraction(2))
+        for t in (0.1, 2.0, 0.0):
+            with pytest.raises(TypeError):
+                conn_rescale(pi, t)
+
 
 def test_readme_quick_start_pinned():
     pi = linear_poisson(preset("so3"))
