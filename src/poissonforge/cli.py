@@ -254,10 +254,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (ValueError, realize.FlowBlowupError) as e:
+    except (InputError, ValueError, realize.FlowBlowupError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

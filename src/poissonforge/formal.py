@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .polyalg import Poly, solve_linear_exact
 from .multivector import GradedPiece, PolyMVF, grade_component, schouten, truncate_jet
-from .poisson import bracket_rows, check_poisson, graded_basis
+from .poisson import _check_base_degree_cap, bracket_rows, check_poisson, graded_basis
 
 __all__ = [
     "FilteredJet",
@@ -196,6 +196,7 @@ def _solve_bracket_equation(pi: PolyMVF, rhs: PolyMVF, unknown_basis,
 
 def homotopy_solve(pi_lin: PolyMVF, Z: GradedPiece, base_degree_cap: int = 8) -> HomotopyResult:
     """Find a grade-q vector field X with [pi_lin, X] = Z (exact), or certify failure."""
+    _check_base_degree_cap(base_degree_cap)
     if Z.value.is_zero():
         zero = GradedPiece(Z.l, PolyMVF.zero(pi_lin.nvars, 1, pi_lin.weights))
         return HomotopyResult("solved", zero, None, None)
@@ -259,6 +260,7 @@ def mc_equivalence(gamma: FilteredJet, gamma_p: FilteredJet, D: int,
     returned X (and the CLI output) would change.  With the pruned Dynkin
     sum, bch(X_k, X_total) costs at most one bracket once o(X_k) >= 2.
     """
+    _check_base_degree_cap(base_degree_cap)
     gamma = _as_jet(gamma, D)
     gamma_p = _as_jet(gamma_p, D)
     _check_mc(gamma, "gamma")
@@ -315,6 +317,7 @@ def prolong_step(pi_partial: FilteredJet, m: int, base_degree_cap: int = 8) -> P
     The correction may span several dilation grades when weighted variables
     spread pi itself over several grades.
     """
+    _check_base_degree_cap(base_degree_cap)
     pi = pi_partial.value if isinstance(pi_partial, FilteredJet) else pi_partial
     if pi.grade != 2:
         raise ValueError("expected a bivector")

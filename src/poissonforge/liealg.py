@@ -20,7 +20,7 @@ import numpy as np
 import scipy.linalg
 
 from .polyalg import Poly, exact_rank
-from .multivector import PolyMVF, schouten
+from .multivector import PolyMVF, _json_int, schouten
 
 __all__ = [
     "LieAlgebraSpec",
@@ -38,13 +38,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Specs
 # ---------------------------------------------------------------------------
-
-def _json_int(obj: dict, key: str) -> int:
-    v = obj[key]
-    if not isinstance(v, int) or isinstance(v, bool):
-        raise ValueError(f"{key!r} must be a JSON integer, got {v!r}")
-    return v
-
 
 def _json_rational(obj: dict, key: str) -> Fraction:
     v = obj[key]
@@ -90,12 +83,10 @@ class LieAlgebraSpec:
     def from_json_obj(cls, obj: dict) -> "LieAlgebraSpec":
         """Read a table: ``dim`` and each ``i``/``j``/``k`` are JSON integers
         (``dim >= 1``), each ``value`` an integer or a rational string."""
-        dim = _json_int(obj, "dim")
-        if dim < 1:
-            raise ValueError(f"'dim' must be at least 1, got {dim}")
+        dim = _json_int(obj["dim"], "dim", 1)
         C: dict = {}
         for e in obj.get("C", []):
-            i, j, k = (_json_int(e, key) for key in "ijk")
+            i, j, k = (_json_int(e[key], key) for key in "ijk")
             v = _json_rational(e, "value")
             if not (1 <= i <= dim and 1 <= j <= dim and 1 <= k <= dim):
                 raise ValueError(f"structure-constant index out of range: {e}")

@@ -47,6 +47,23 @@ __all__ = [
 ]
 
 
+def _json_int(value, name: str, low: int | None = None) -> int:
+    """A JSON integer field (not a bool), at least ``low`` when given."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name!r} must be a JSON integer, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{name!r} must be at least {low}, got {value}")
+    return value
+
+
+def _json_ints(obj: dict, key: str) -> tuple:
+    """The list field ``obj[key]`` of JSON integers, as a tuple."""
+    v = obj[key]
+    if not isinstance(v, list):
+        raise ValueError(f"{key!r} must be a JSON list, got {v!r}")
+    return tuple(_json_int(x, key) for x in v)
+
+
 def _sort_indices(indices: Sequence[int]):
     """Sort a leg tuple, returning (sorted tuple, permutation sign) or None on repeats."""
     idx = list(indices)
@@ -215,14 +232,19 @@ class PolyMVF:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "PolyMVF":
-        nvars = obj["nvars"]
+        """Read a field: ``nvars`` (>= 1), ``grade`` (>= 0) and each entry of
+        the ``weights`` and ``indices`` lists are JSON integers; each ``poly``
+        is a string in the polynomial grammar."""
+        nvars = _json_int(obj["nvars"], "nvars", 1)
+        grade = _json_int(obj["grade"], "grade", 0)
+        weights = _json_ints(obj, "weights") if "weights" in obj else None
         terms = {}
         for entry in obj.get("terms", []):
-            idx = tuple(entry["indices"])
+            idx = _json_ints(entry, "indices")
             if idx in terms:
                 raise ValueError(f"repeated index tuple {list(idx)} in terms")
             terms[idx] = parse_poly(entry["poly"], nvars)
-        return cls(nvars, obj["grade"], terms, obj.get("weights"))
+        return cls(nvars, grade, terms, weights)
 
     @classmethod
     def from_json(cls, text: str) -> "PolyMVF":

@@ -98,6 +98,11 @@ def poisson_bracket(pi: PolyMVF, f: Poly, g: Poly) -> Poly:
 # The operator [pi, .] on graded monomial bases
 # ---------------------------------------------------------------------------
 
+def _check_base_degree_cap(base_degree_cap: int):
+    if base_degree_cap < 0:
+        raise ValueError(f"base_degree_cap must be >= 0, got {base_degree_cap}")
+
+
 def graded_basis(n: int, k: int, l: int, weights, base_degree_cap: int = 0) -> list:
     """Monomial k-vectors x^exps d_legs of dilation grade l, as (legs, exps) pairs.
 
@@ -107,8 +112,7 @@ def graded_basis(n: int, k: int, l: int, weights, base_degree_cap: int = 0) -> l
     within each, exponent vectors too: solutions are RREF-canonical for a
     fixed column order, so gauge fields depend on this order.
     """
-    if base_degree_cap < 0:
-        raise ValueError(f"base_degree_cap must be >= 0, got {base_degree_cap}")
+    _check_base_degree_cap(base_degree_cap)
 
     def exponents(i: int, left: int):
         if i == n:

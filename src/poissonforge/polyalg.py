@@ -256,14 +256,19 @@ class Poly:
 
 
 # ---------------------------------------------------------------------------
-# Text grammar:  poly := term (('+'|'-') term)*
-#                term := coeff ('*' varpow)* | varpow ('*' varpow)*
-#                coeff := int | int '/' posint
-#                varpow := 'x' index ('^' posexp)?
-# Whitespace insignificant; variable indices are 1-based.
+# Text grammar (whitespace may separate any two tokens; indices are 1-based):
+#   poly   := signs? term (signs term)*        signs := ('+' | '-')+
+#   term   := int ('/' int)? ('*' varpow)*  |  varpow ('*' varpow)*
+#   varpow := 'x' int ('^' int)?
+# An odd number of '-' in a sign run negates the term.  Digit runs may have
+# leading zeros; every index must lie in 1..nvars, every exponent and every
+# denominator must be positive.
 # ---------------------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(?:(?P<var>x\d+)|(?P<num>\d+)|(?P<op>[-+*/^]))")
+_VARPOW = re.compile(r"x(\d+)(?:\s*\^\s*(\d+))?")
+_TERM = re.compile(rf"\s*(?P<signs>(?:[-+]\s*)*)"
+                   rf"(?:(?P<num>\d+)(?:\s*/\s*(?P<den>\d+))?|{_VARPOW.pattern})"
+                   rf"(?:\s*\*\s*{_VARPOW.pattern})*\s*")
 
 
 def format_poly(p: Poly) -> str:
@@ -286,98 +291,36 @@ def format_poly(p: Poly) -> str:
     return " ".join(pieces)
 
 
-def _tokenize(text: str):
-    pos = 0
-    tokens = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise PolyParseError(f"unexpected character at position {pos}: {text[pos:]!r}")
-            break
-        if m.group("var"):
-            tokens.append(("var", m.group("var")))
-        elif m.group("num"):
-            tokens.append(("num", m.group("num")))
-        else:
-            tokens.append(("op", m.group("op")))
-        pos = m.end()
-    return tokens
-
-
 def parse_poly(text: str, nvars: int) -> Poly:
     """Parse the polynomial grammar, e.g. ``1/2*x1^2*x3 - x2``."""
-    tokens = _tokenize(text)
-    if not tokens:
+    if not isinstance(text, str):
+        raise TypeError(f"polynomial text must be a string, got {text!r}")
+    if not text.strip():
         raise PolyParseError("empty polynomial string")
-
-    result = Poly.zero(nvars)
-    i = 0
-
-    def parse_varpow(i):
-        if i >= len(tokens):
-            raise PolyParseError("expected variable, got end of input")
-        kind, tok = tokens[i]
-        if kind != "var":
-            raise PolyParseError(f"expected variable, got {tok!r}")
-        index = int(tok[1:])
-        if index < 1 or index > nvars:
-            raise PolyParseError(f"variable index {index} out of range 1..{nvars} (indices are 1-based)")
-        i += 1
-        power = 1
-        if i < len(tokens) and tokens[i] == ("op", "^"):
-            i += 1
-            if i >= len(tokens) or tokens[i][0] != "num":
-                raise PolyParseError("expected exponent after '^'")
-            power = int(tokens[i][1])
-            if power < 1:
-                raise PolyParseError("exponents must be positive")
-            i += 1
-        return index, power, i
-
-    while i < len(tokens):
-        sign = Fraction(1)
-        while i < len(tokens) and tokens[i][0] == "op" and tokens[i][1] in "+-":
-            if tokens[i][1] == "-":
-                sign = -sign
-            i += 1
-        if i >= len(tokens):
-            raise PolyParseError("dangling sign")
-
-        coeff = Fraction(1)
+    terms: dict[tuple, Fraction] = {}
+    pos = 0
+    while pos < len(text):
+        m = _TERM.match(text, pos)
+        if m is None:
+            raise PolyParseError(f"expected a term at position {pos}: {text[pos:]!r}")
+        pos = m.end()
+        if pos < len(text) and text[pos] not in "+-":
+            raise PolyParseError(f"expected '+' or '-' at position {pos}: {text[pos:]!r}")
+        den = int(m["den"] or 1)
+        if den == 0:
+            raise PolyParseError(f"denominator must be positive in {m[0].strip()!r}")
         exps = [0] * nvars
-        if tokens[i][0] == "num":
-            num = int(tokens[i][1])
-            i += 1
-            if i < len(tokens) and tokens[i] == ("op", "/"):
-                i += 1
-                if i >= len(tokens) or tokens[i][0] != "num":
-                    raise PolyParseError("expected denominator after '/'")
-                den = int(tokens[i][1])
-                if den <= 0:
-                    raise PolyParseError("denominator must be positive")
-                coeff = Fraction(num, den)
-                i += 1
-            else:
-                coeff = Fraction(num)
-            while i < len(tokens) and tokens[i] == ("op", "*"):
-                i += 1
-                index, power, i = parse_varpow(i)
-                exps[index - 1] += power
-        elif tokens[i][0] == "var":
-            index, power, i = parse_varpow(i)
+        for v in _VARPOW.finditer(m[0]):
+            index, power = int(v[1]), int(v[2] or 1)
+            if not 1 <= index <= nvars:
+                raise PolyParseError(f"variable index {index} out of range 1..{nvars} "
+                                     "(indices are 1-based)")
+            if power < 1:
+                raise PolyParseError(f"exponent {power} of x{index} must be positive")
             exps[index - 1] += power
-            while i < len(tokens) and tokens[i] == ("op", "*"):
-                i += 1
-                index, power, i = parse_varpow(i)
-                exps[index - 1] += power
-        else:
-            raise PolyParseError(f"unexpected token {tokens[i][1]!r}")
-
-        result = result + Poly.monomial(nvars, exps, sign * coeff)
-        if i < len(tokens) and tokens[i] not in (("op", "+"), ("op", "-")):
-            raise PolyParseError(f"expected '+' or '-' after a term, got {tokens[i][1]!r}")
-    return result
+        coeff = Fraction(int(m["num"] or 1), den)
+        _add_term(terms, tuple(exps), -coeff if m["signs"].count("-") % 2 else coeff)
+    return Poly._raw(int(nvars), terms)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -233,15 +233,7 @@ class RealizationReport:
     skipped: int
 
     def to_json_obj(self) -> dict:
-        return {
-            "n_samples": self.n_samples, "seed": self.seed, "steps": self.steps,
-            "radius": self.radius, "fd_step": self.fd_step,
-            "skew_defect_max": self.skew_defect_max,
-            "domega_max": self.domega_max, "det_min": self.det_min,
-            "poisson_residual_max": self.poisson_residual_max,
-            "zero_section_residual": self.zero_section_residual,
-            "skipped": self.skipped,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_obj(), sort_keys=True)

@@ -154,6 +154,11 @@ def test_realize_rejects_bad_input(mvf_file, capsys, bad, named):
                  id="cohomology-max-degree=-2"),
     pytest.param(["prolong", "{jet}", "--base-degree-cap", "-1"], "base_degree_cap",
                  id="prolong-base-degree-cap=-1"),
+    # the so(3) inputs need no homotopy solve, so only the up-front check fires
+    pytest.param(["linearize", "{so3}", "--base-degree-cap", "-1"], "base_degree_cap",
+                 id="linearize-base-degree-cap=-1"),
+    pytest.param(["prolong", "{so3}", "--grade", "2", "--base-degree-cap", "-1"],
+                 "base_degree_cap", id="prolong-no-solve-base-degree-cap=-1"),
     pytest.param(["su3", "--samples", "0"], "samples", id="su3-samples=0"),
     pytest.param(["su3", "--samples", "-5"], "samples", id="su3-samples=-5"),
     pytest.param(["area", "--radius", "nan"], "radius", id="area-radius=nan"),
@@ -205,6 +210,46 @@ def test_table_input_accepts_integers_and_rational_strings(tmp_path, capsys):
     path = tmp_path / "table.json"
     path.write_text(json.dumps(obj))
     assert cli.main(["check", str(path)]) == 0
+
+
+_SO3_FIELD = {"nvars": 3, "weights": [1, 1, 1], "grade": 2,
+              "terms": [{"indices": [1, 2], "poly": "x3"},
+                        {"indices": [1, 3], "poly": "-x2"},
+                        {"indices": [2, 3], "poly": "x1"}]}
+
+
+@pytest.mark.parametrize("field, edit", [
+    pytest.param("weights", {"weights": [1, 0.7, 1]}, id="weights=0.7"),
+    pytest.param("weights", {"weights": [True, False, True]}, id="weights=bools"),
+    pytest.param("weights", {"weights": "111"}, id="weights=str"),
+    pytest.param("indices", {"indices": [1.9, 2]}, id="indices=1.9"),
+    pytest.param("indices", {"indices": ["1", "2"]}, id="indices=str"),
+    # without terms no polynomial is parsed, so nothing else reads nvars
+    pytest.param("nvars", {"nvars": 3.5, "terms": []}, id="nvars=3.5"),
+    pytest.param("nvars", {"nvars": 0, "weights": [], "terms": []}, id="nvars=0"),
+    pytest.param("grade", {"grade": "2"}, id="grade=str"),
+    pytest.param("grade", {"grade": 2.0}, id="grade=2.0"),
+])
+def test_multivector_input_rejects_reinterpretation(tmp_path, capsys, field, edit):
+    obj = json.loads(json.dumps(_SO3_FIELD))
+    if "indices" in edit:
+        obj["terms"][0].update(edit)
+    else:
+        obj.update(edit)
+    path = tmp_path / "pi.json"
+    path.write_text(json.dumps(obj))
+    assert cli.main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr(field) in err
+
+
+def test_non_string_poly_exits_2(tmp_path, capsys):
+    obj = json.loads(json.dumps(_SO3_FIELD))
+    obj["terms"][0]["poly"] = 3
+    path = tmp_path / "pi.json"
+    path.write_text(json.dumps(obj))
+    assert cli.main(["check", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_su3(capsys):

@@ -130,9 +130,37 @@ class TestParsing:
                     # juxtaposed terms are not a sum
                     "x1x2", "x1 x2", "2 3", "x1^2 3",
                     # a trailing '*' (found by the grammar fuzz below)
-                    "0*", "x1*", "1/2*x1*"):
+                    "0*", "x1*", "1/2*x1*",
+                    # a dangling sign, whitespace only
+                    "- ", "+", "x1 + +", "\t",
+                    # a zero denominator or exponent, misplaced operators
+                    "1/0*x1", "x1^0", "x1^2^3", "x1/2", "x 1"):
             with pytest.raises(PolyParseError):
                 parse_poly(bad, 3)
+
+    @pytest.mark.parametrize("text, named", [
+        ("x1 + x2 x3", "position 8"),
+        ("x1 - x2 *", "position 8"),
+        ("x1 + x5", "index 5"),
+        ("x2^0", "exponent 0"),
+        ("3/00*x1", "3/00"),
+    ])
+    def test_errors_name_position_or_culprit(self, text, named):
+        with pytest.raises(PolyParseError, match=named):
+            parse_poly(text, 3)
+
+    def test_rejects_non_string_text(self):
+        with pytest.raises(TypeError):
+            parse_poly(3, 3)
+
+    def test_sum_is_built_without_poly_addition(self, monkeypatch):
+        calls = []
+        add = Poly.__add__
+        monkeypatch.setattr(Poly, "__add__", lambda a, b: calls.append(1) or add(a, b))
+        text = " + ".join(f"{k}*x1^{k}" for k in range(1, 201))
+        p = parse_poly(text, 1)
+        assert not calls
+        assert p == Poly(1, {(k,): Fraction(k) for k in range(1, 201)})
 
 
 @st.composite
@@ -145,6 +173,48 @@ def sparse_polys(draw):
 
 
 _HYPOTHESIS = settings(max_examples=300, derandomize=True, database=None, deadline=None)
+_GAP = st.sampled_from(["", " ", "\t", "  ", " \t "])
+
+
+@st.composite
+def rendered_polys(draw):
+    """(n, text, expected): drawn terms rendered as text, and their sum.
+
+    Tokens are separated by random spaces and tabs, terms carry random sign
+    runs (at least one sign after the first term) and digit runs random
+    leading zeros.  ``expected`` is summed with ``Poly`` arithmetic, so the
+    parser is not its own oracle.
+    """
+    n = draw(st.integers(1, 4))
+
+    def digits(v):
+        return "0" * draw(st.integers(0, 2)) + str(v)
+
+    tokens, expected = [], Poly.zero(n)
+    for k in range(draw(st.integers(1, 5))):
+        signs = draw(st.lists(st.sampled_from("+-"), min_size=min(k, 1), max_size=3))
+        tokens += signs
+        coeff = Fraction(1)
+        has_coeff = draw(st.booleans())
+        if has_coeff:
+            num = draw(st.integers(0, 40))
+            tokens.append(digits(num))
+            den = draw(st.one_of(st.none(), st.integers(1, 9)))
+            if den is not None:
+                tokens += ["/", digits(den)]
+            coeff = Fraction(num, den or 1)
+        exps = [0] * n
+        factor = st.tuples(st.integers(1, n), st.one_of(st.none(), st.integers(1, 4)))
+        factors = draw(st.lists(factor, min_size=0 if has_coeff else 1, max_size=3))
+        for j, (index, power) in enumerate(factors):
+            if j or has_coeff:
+                tokens.append("*")
+            tokens.append("x" + digits(index))
+            if power is not None:
+                tokens += ["^", digits(power)]
+            exps[index - 1] += power or 1
+        expected = expected + Poly.monomial(n, exps, (-1) ** signs.count("-") * coeff)
+    return n, "".join(draw(_GAP) + tok for tok in tokens) + draw(_GAP), expected
 
 
 class TestParsingProperties:
@@ -153,6 +223,12 @@ class TestParsingProperties:
     def test_format_parse_round_trip(self, case):
         n, p = case
         assert parse_poly(format_poly(p), n) == p
+
+    @_HYPOTHESIS
+    @given(rendered_polys())
+    def test_parses_rendered_terms_to_their_sum(self, case):
+        n, text, expected = case
+        assert parse_poly(text, n) == expected
 
     @_HYPOTHESIS
     @given(st.text(alphabet="x0123456789^*/+- ", max_size=30), st.integers(1, 4))
