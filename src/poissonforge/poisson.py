@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,6 +29,8 @@ __all__ = [
     "check_poisson",
     "sharp",
     "poisson_bracket",
+    "MAX_BASIS",
+    "basis_size",
     "graded_basis",
     "bracket_rows",
     "casimir_basis",
@@ -103,6 +106,27 @@ def _check_base_degree_cap(base_degree_cap: int):
         raise ValueError(f"base_degree_cap must be >= 0, got {base_degree_cap}")
 
 
+# The largest basis graded_basis builds.  The exact solver's working set is
+# about ncols^2 machine integers, 32 MiB as int64 at this bound.
+MAX_BASIS = 2048
+
+
+def basis_size(n: int, k: int, l: int, weights, base_degree_cap: int = 0) -> int:
+    """``len(graded_basis(n, k, l, weights, base_degree_cap))`` in closed form.
+
+    With all-ones weights it is ``C(n, k) * C(n + l - 1, l)``.  With ``nb``
+    base and ``nf`` fiber variables, a basis element with ``j`` base legs has
+    fiber degree ``l - j`` and free base exponents in ``0..base_degree_cap``.
+    """
+    nb = sum(1 for w in weights if w == 0)
+    nf = n - nb
+    total = 0
+    for j in range(min(k, nb, l) + 1):
+        fiber = math.comb(nf + l - j - 1, l - j) if nf else int(l == j)
+        total += math.comb(nb, j) * math.comb(nf, k - j) * fiber
+    return total * (base_degree_cap + 1) ** nb
+
+
 def graded_basis(n: int, k: int, l: int, weights, base_degree_cap: int = 0) -> list:
     """Monomial k-vectors x^exps d_legs of dilation grade l, as (legs, exps) pairs.
 
@@ -110,9 +134,14 @@ def graded_basis(n: int, k: int, l: int, weights, base_degree_cap: int = 0) -> l
     its number of base (weight-0) legs; base variables carry degree at most
     ``base_degree_cap``.  Leg sets come in ascending lexicographic order and,
     within each, exponent vectors too: solutions are RREF-canonical for a
-    fixed column order, so gauge fields depend on this order.
+    fixed column order, so gauge fields depend on this order.  A basis of
+    more than ``MAX_BASIS`` elements raises ``ValueError`` before it is built.
     """
     _check_base_degree_cap(base_degree_cap)
+    size = basis_size(n, k, l, weights, base_degree_cap)
+    if size > MAX_BASIS:
+        raise ValueError(f"the grade-{l} basis of {k}-vectors in {n} variables has {size} "
+                         f"elements, above the bound of {MAX_BASIS} (MAX_BASIS)")
 
     def exponents(i: int, left: int):
         if i == n:

@@ -3,9 +3,20 @@
 Coefficients are arbitrary-precision rationals (``fractions.Fraction``).
 Polynomials are stored sparsely as a map from exponent vectors to nonzero
 coefficients, with graded-lexicographic term order used for all canonical
-output.  The linear solver performs exact elimination with a fixed pivot
-rule, so every result (particular solution, kernel basis, infeasibility
-witness) is deterministic and certified.
+output.
+
+The linear solver returns the RREF answer (particular solution, kernel
+basis), which depends only on the system.  ``solve_linear_exact`` and
+``exact_rank`` find it by one certified modular path: each row's
+denominators are cleared, the system is reduced modulo the prime
+``2^31 - 1`` by int64 NumPy Gauss-Jordan, and the kernel basis and
+particular solution are lifted by rational reconstruction with numerator and
+denominator at most 32767.  Two exact integer checks certify the lift:
+``A v = 0`` for every kernel vector and ``A x = b`` for the particular
+solution.  If a step fails -- no lift, a failed check or an int64 guard --
+Fraction Gauss-Jordan with a fixed pivot rule (``_eliminate``) gives the
+answer instead.  An infeasible system always fails the check, so the
+witness of infeasibility comes from the Fraction elimination too.
 
 Data is validated where it enters and trusted inside.  The public
 ``Poly(nvars, terms)``, the ``zero``/``constant``/``variable``/``monomial``
@@ -18,6 +29,7 @@ keeps stored coefficients nonzero.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -356,7 +368,7 @@ def _to_sparse_rows(A, ncols=None):
     for row in A:
         dense = not isinstance(row, dict)
         items = enumerate(row) if dense else row.items()
-        sr = {int(j): fv for j, v in items if (fv := _as_fraction(v)) != 0}
+        sr = {int(j): fv for j, v in items if (fv := _as_fraction(v))}
         width = max(width, len(row) if dense else max(sr, default=-1) + 1)
         rows.append(sr)
     if ncols is None:
@@ -368,14 +380,19 @@ def _eliminate(rows: list, rhs: list, ncols: int) -> list:
     """Reduce sparse ``rows`` to RREF in place, carrying ``rhs`` along.
 
     The pivot of each column is the first unused row with a nonzero entry in
-    it, so the result is deterministic.  Returns the (column, row) pivots;
-    every other row ends up empty.
+    it, so the result is deterministic.  ``where[j]`` holds the rows with a
+    nonzero in column j and follows the fill-in, so neither the pivot search
+    nor the update visits rows without an entry in the pivot column.  Returns
+    the (column, row) pivots; every other row ends up empty.
     """
-    nrows = len(rows)
-    used = [False] * nrows
+    where = [set() for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for j in row:
+            where[j].add(i)
+    used = [False] * len(rows)
     pivots = []
     for col in range(ncols):
-        pivot = next((i for i in range(nrows) if not used[i] and col in rows[i]), None)
+        pivot = min((i for i in where[col] if not used[i]), default=None)
         if pivot is None:
             continue
         used[pivot] = True
@@ -385,21 +402,225 @@ def _eliminate(rows: list, rhs: list, ncols: int) -> list:
             rows[pivot] = {j: v / pv for j, v in rows[pivot].items()}
             rhs[pivot] = rhs[pivot] / pv
         prow, prhs = rows[pivot], rhs[pivot]
-        for i in range(nrows):
-            f = rows[i].get(col)
-            if i == pivot or not f:
-                continue
+        for i in [i for i in where[col] if i != pivot]:
             ri = rows[i]
+            f = ri[col]
             for j, v in prow.items():
                 s = ri.get(j, 0) - f * v
                 if s:
+                    if j not in ri:
+                        where[j].add(i)
                     ri[j] = s
                 else:
-                    ri.pop(j, None)
+                    del ri[j]
+                    where[j].discard(i)
             if prhs:
                 rhs[i] -= f * prhs
     return pivots
 
+
+# -- the certified modular path ----------------------------------------------
+#
+# [A | b] is reduced mod _PRIME and its RREF lifted to Q.  The lift is then
+# checked with exact integer products, which makes it the RREF over Q:
+# - the rank mod p never exceeds the rank over Q;
+# - each free column f of the mod-p RREF lifts to a vector v_f with 1 at f,
+#   0 at the other free columns and support left of f otherwise; A v_f = 0
+#   makes column f dependent on earlier columns, so the n - r_p vectors give
+#   rank_Q <= r_p, and equality pins the pivot columns to the mod-p ones;
+# - a kernel vector is fixed by its free coordinates, so v_f is the RREF
+#   kernel vector, and a checked A x = b with x zero on the free columns is
+#   the RREF particular solution.
+# Any step that fails returns None and the caller falls back to _eliminate.
+
+_PRIME = 2**31 - 1  # residues fit int32; a residue minus a product of two fits int64
+_LIFT = math.isqrt((_PRIME - 1) // 2)  # Wang's bound: |num|, den <= 32767
+_INT64_LIMIT = 2**63
+_BLOCK = 32  # rows per streamed block and per update
+_CHECK_CELLS = 2**14  # bound on the cells of one temporary of the exact check
+
+
+class _IntegerSystem:
+    """[A | b] with each row times the lcm of its denominators, row-major COO.
+
+    ``slot[e]`` is the position of entry e within its row, so the entries of
+    one slot hit distinct rows and can be applied in one vectorised step.
+    """
+
+    def __init__(self, rows: list, rhs: list):
+        lengths = [len(row) for row in rows]
+        cols = [j for row in rows for j in row]
+        vals = [v for row in rows for v in row.values()]
+        if any(v.denominator != 1 for v in vals) or any(c.denominator != 1 for c in rhs):
+            vals, rhs = [], list(rhs)
+            for i, row in enumerate(rows):
+                den = math.lcm(rhs[i].denominator, *(v.denominator for v in row.values()))
+                vals.extend(v * den for v in row.values())
+                rhs[i] *= den
+        vals = [int(v) for v in vals]
+        b = [int(c) for c in rhs]
+        val_max = max(map(abs, vals), default=0)
+        self.row_sum = val_max * max(lengths, default=0)  # bounds each row's sum of |entries|
+        self.b_max = max(map(abs, b), default=0)
+        self.nrows = len(b)
+        self.indptr = np.zeros(self.nrows + 1, dtype=np.int64)
+        np.cumsum(lengths, out=self.indptr[1:])
+        self.cols = np.array(cols, dtype=np.int64)
+        self.row_of = np.repeat(np.arange(self.nrows, dtype=np.int64), lengths)
+        self.slot = np.arange(len(cols), dtype=np.int64) - self.indptr[self.row_of]
+        self.fits = self.row_sum < _INT64_LIMIT and self.b_max < _INT64_LIMIT
+        if self.fits:
+            self.vals = np.array(vals, dtype=np.int64)
+            self.b = np.array(b, dtype=np.int64)
+
+    def block(self, start: int, stop: int):
+        """(local rows, slots, columns, values) of the entries of rows start:stop."""
+        lo, hi = self.indptr[start], self.indptr[stop]
+        return (self.row_of[lo:hi] - start, self.slot[lo:hi], self.cols[lo:hi],
+                self.vals[lo:hi])
+
+
+def _clear_column(M, row, j: int):
+    """``M -= outer(M[:, j], row)`` mod p, on the rows hit, a block at a time."""
+    hit = np.flatnonzero(M[:, j])
+    for s in range(0, len(hit), _BLOCK):
+        i = hit[s:s + _BLOCK]
+        X = M[i].astype(np.int64, copy=False)
+        X -= X[:, j:j + 1] * row
+        X %= _PRIME
+        M[i] = X
+
+
+def _reduce_block(C, R, piv):
+    """``C -= C[:, piv] @ R`` mod p: zero C's pivot columns (``R[:, piv] = I``)."""
+    F = C[:, piv]
+    ii, kk = np.nonzero(F)
+    slot = np.arange(len(ii)) - np.searchsorted(ii, ii)
+    for t in range(int(slot.max(initial=-1)) + 1):
+        s = slot == t
+        i, k = ii[s], kk[s]
+        X = C[i]
+        X -= F[i, k][:, None] * R[k]
+        X %= _PRIME
+        C[i] = X
+
+
+def _rref_mod_p(system: _IntegerSystem, ncols: int):
+    """RREF of [A | b] over GF(p), streaming the rows in blocks.
+
+    ``R[k]`` is the reduced row whose pivot (leading) column is ``piv[k]``.
+    There are at most ``ncols`` of them, stored as int32 residues, so the
+    working set is ``ncols x (ncols + 1)`` whatever the row count; products
+    are formed in int64 on at most ``_BLOCK`` rows at a time.  A row that
+    reduces to ``0 = nonzero`` adds no pivot; the check of ``A x = b`` then
+    fails, since no x solves the system.
+    """
+    width = ncols + 1
+    R = np.zeros((ncols, width), dtype=np.int32)
+    piv = np.zeros(ncols, dtype=np.int64)
+    r = 0
+    for start in range(0, system.nrows, _BLOCK):
+        stop = min(start + _BLOCK, system.nrows)
+        rows, _, cols, vals = system.block(start, stop)
+        C = np.zeros((stop - start, width), dtype=np.int64)
+        C[rows, cols] = vals % _PRIME
+        C[:, ncols] = system.b[start:stop] % _PRIME
+        _reduce_block(C, R[:r], piv[:r])
+        for i in np.flatnonzero(C[:, :ncols].any(axis=1)):
+            lead = np.flatnonzero(C[i, :ncols])
+            if not len(lead):
+                continue
+            j = lead[0]
+            row = C[i] * pow(int(C[i, j]), -1, _PRIME) % _PRIME
+            _clear_column(C[i + 1:], row, j)
+            _clear_column(R[:r], row, j)
+            R[r], piv[r] = row, j
+            r += 1
+    order = np.argsort(piv[:r])
+    return piv[order], R[order]
+
+
+def _lift(u):
+    """Wang's rational reconstruction of the residues ``u``, elementwise.
+
+    Returns ``(num, den)`` with ``num = den * u`` mod p, ``|num|, den <=
+    _LIFT`` and ``gcd(num, den) = 1``, or None when some residue has no such
+    lift.  The half-extended Euclid runs on all residues at once.
+    """
+    r0 = np.full(len(u), _PRIME, dtype=np.int64)
+    r1 = u.astype(np.int64)
+    t0 = np.zeros(len(u), dtype=np.int64)
+    t1 = np.ones(len(u), dtype=np.int64)
+    act = np.flatnonzero(r1 > _LIFT)
+    while len(act):
+        q = r0[act] // r1[act]
+        r0[act], r1[act] = r1[act], r0[act] - q * r1[act]
+        t0[act], t1[act] = t1[act], t0[act] - q * t1[act]
+        act = act[r1[act] > _LIFT]
+    num, den = np.where(t1 < 0, -r1, r1), np.abs(t1)
+    if np.any(den > _LIFT) or np.any(np.gcd(num, den) != 1):
+        return None
+    return num, den
+
+
+def _check_exact(system: _IntegerSystem, ncols: int, piv, free, lifted) -> bool:
+    """``A v_f = 0`` for each lifted kernel vector and ``A x = b``, in integers.
+
+    Each lifted vector is scaled by the lcm of its denominators into a column
+    of ``W``.  The products run in int64 only when the row sums bound them
+    below 2^63; otherwise the check fails.  Rows go through in blocks whose
+    temporaries hold at most ``_CHECK_CELLS`` cells.
+    """
+    at, col, num, den = lifted
+    k = len(free) + 1  # the kernel vectors, then the particular solution
+    scale = [1] * k
+    for c, d in zip(col[den > 1].tolist(), den[den > 1].tolist()):
+        scale[c] = math.lcm(scale[c], d)
+    top = max(scale[c] * abs(n) for c, n in zip(col.tolist(), num.tolist())) if len(num) else 1
+    if (max(max(scale), top) * system.row_sum >= _INT64_LIMIT
+            or scale[-1] * system.b_max >= _INT64_LIMIT):
+        return False
+    scale = np.array(scale, dtype=np.int64)
+    W = np.zeros((ncols, k), dtype=np.int64)
+    W[piv[at], col] = num * (scale[col] // den)
+    W[free, np.arange(len(free))] = scale[:-1]
+    step = max(1, _CHECK_CELLS // k)
+    for start in range(0, system.nrows, step):
+        stop = min(start + step, system.nrows)
+        rows, slots, cols, vals = system.block(start, stop)
+        acc = np.zeros((stop - start, k), dtype=np.int64)
+        for t in range(int(slots.max(initial=-1)) + 1):
+            s = slots == t
+            acc[rows[s]] += vals[s, None] * W[cols[s]]
+        if acc[:, :-1].any() or np.any(acc[:, -1] != scale[-1] * system.b[start:stop]):
+            return False
+    return True
+
+
+def _certified_rref(rows: list, rhs: list, ncols: int):
+    """The RREF of [A | b] over Q by the certified modular path, or None.
+
+    Returns ``(piv, free, lifted)``: the pivot and free columns, ascending,
+    and the nonzero lifted entries as arrays ``(k, c, num, den)``.  Entry
+    ``num/den`` sits at pivot ``piv[k]`` of kernel vector ``free[c]`` for
+    ``c < len(free)``, and of the particular solution for ``c = len(free)``.
+    """
+    system = _IntegerSystem(rows, rhs)
+    if not system.fits:
+        return None
+    piv, R = _rref_mod_p(system, ncols)
+    free = np.setdiff1d(np.arange(ncols), piv)
+    U = np.concatenate(((-R[:, free]) % _PRIME, R[:, ncols:]), axis=1)
+    del R  # the residues are freed before the check allocates W
+    at, col = np.nonzero(U)
+    lifted = _lift(U[at, col])
+    del U
+    if lifted is None or not _check_exact(system, ncols, piv, free, (at, col) + lifted):
+        return None
+    return piv, free, (at, col) + lifted
+
+
+# -- the Fraction elimination: fallback and oracle ---------------------------
 
 def _witness(A, b: list, ncols: int) -> list:
     """RREF particular solution w of ``[A^T; b^T] w = (0, ..., 0, 1)``."""
@@ -416,20 +637,8 @@ def _witness(A, b: list, ncols: int) -> list:
     return w
 
 
-def solve_linear_exact(A, b, ncols: int | None = None) -> SolveOutcome:
-    """Solve ``A x = b`` exactly over the rationals.
-
-    ``A`` is a sequence of rows; each row is either a dense sequence or a
-    sparse ``{column: value}`` dict (pass ``ncols`` with sparse rows).
-    Elimination uses a fixed pivot rule -- the first remaining row with a
-    nonzero entry in the leftmost unresolved column -- so the output is
-    deterministic.  Infeasibility is a status, never an exception; only then
-    is the witness of ``SolveOutcome`` computed, by a second elimination.
-    """
-    rows, ncols = _to_sparse_rows(A, ncols)
-    b = [_as_fraction(v) for v in b]
-    if len(b) != len(rows):
-        raise ValueError(f"dimension mismatch: {len(rows)} rows vs {len(b)} rhs entries")
+def _solve_by_elimination(A, rows: list, b: list, ncols: int) -> SolveOutcome:
+    """``solve_linear_exact`` by Fraction Gauss-Jordan on ``rows`` (consumed)."""
     rhs = list(b)
     pivots = _eliminate(rows, rhs, ncols)
 
@@ -457,7 +666,56 @@ def solve_linear_exact(A, b, ncols: int | None = None) -> SolveOutcome:
     return SolveOutcome(status="feasible", particular=particular, kernel_basis=kernel)
 
 
-def exact_rank(A, ncols: int | None = None) -> int:
-    """Rank of a rational matrix: the pivot count of the same exact elimination."""
+def solve_linear_exact(A, b, ncols: int | None = None) -> SolveOutcome:
+    """Solve ``A x = b`` exactly over the rationals.
+
+    ``A`` is a sequence of rows; each row is either a dense sequence or a
+    sparse ``{column: value}`` dict (pass ``ncols`` with sparse rows).  The
+    result is the RREF one: the particular solution has its free variables
+    at zero and kernel vector f has 1 at free column f and 0 at the others.
+
+    It is computed mod the prime ``2^31 - 1`` after each row's denominators
+    are cleared, by int64 Gauss-Jordan that streams the rows against at most
+    ``ncols`` reduced rows.  Every residue is lifted to a fraction with
+    numerator and denominator at most 32767 in size (Wang's bound), and two
+    exact integer checks certify the lift: ``A v = 0`` for every kernel
+    vector and ``A x = b`` for the particular solution.  When a step fails
+    (no lift, a failed check or an int64 guard; an infeasible system always
+    fails the check) the answer comes from Fraction Gauss-Jordan instead,
+    whose pivot is the first remaining row with a nonzero entry in the
+    leftmost unresolved column.  Infeasibility is a status, never an
+    exception; only then is the witness of ``SolveOutcome`` computed, by a
+    second Fraction elimination.
+    """
     rows, ncols = _to_sparse_rows(A, ncols)
-    return len(_eliminate(rows, [Fraction(0)] * len(rows), ncols))
+    b = [_as_fraction(v) for v in b]
+    if len(b) != len(rows):
+        raise ValueError(f"dimension mismatch: {len(rows)} rows vs {len(b)} rhs entries")
+    certified = _certified_rref(rows, b, ncols)
+    if certified is None:
+        return _solve_by_elimination(A, rows, b, ncols)
+    piv, free, lifted = certified
+    zero = Fraction(0)
+    particular = [zero] * ncols
+    kernel = []
+    for f in free.tolist():
+        vec = [zero] * ncols
+        vec[f] = Fraction(1)
+        kernel.append(vec)
+    piv = piv.tolist()
+    for k, c, p, q in zip(*(a.tolist() for a in lifted)):
+        (kernel[c] if c < len(kernel) else particular)[piv[k]] = Fraction(p, q)
+    return SolveOutcome(status="feasible", particular=particular, kernel_basis=kernel)
+
+
+def exact_rank(A, ncols: int | None = None) -> int:
+    """Rank of a rational matrix, through the same certified path and fallback.
+
+    The rank is the pivot count of the RREF that ``solve_linear_exact`` uses.
+    """
+    rows, ncols = _to_sparse_rows(A, ncols)
+    zero = [Fraction(0)] * len(rows)
+    certified = _certified_rref(rows, zero, ncols)
+    if certified is not None:
+        return len(certified[0])
+    return len(_eliminate(rows, zero, ncols))

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from poissonforge import cli, preset
+from poissonforge.poisson import MAX_BASIS
 
 
 @pytest.fixture
@@ -170,6 +171,30 @@ def test_bad_numeric_arguments_exit_2(so3_file, jet_file, capsys, argv, named):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and named in captured.err
+
+
+@pytest.mark.parametrize("name, obj, argv", [
+    # 2080 monomials of degree 2 in 64 variables
+    ("casimirs", {"nvars": 64, "grade": 2, "terms": []}, ["--max-degree", "2"]),
+    # 2556 monomials of degree 70 in 3 variables
+    ("cohomology", preset("so3").to_json_obj(), ["--grade", "70", "--max-degree", "0"]),
+    # grade-2 vector fields, base exponents 0..300: 8 * 301 = 2408
+    ("linearize", {"nvars": 3, "weights": [0, 1, 1], "grade": 2,
+                   "terms": [{"indices": [2, 3], "poly": "x2 + x2^2"}]},
+     ["--base-degree-cap", "300"]),
+    # grade-2 bivectors, base exponents 0..100: 3 * 101^2 = 30603
+    ("prolong", {"nvars": 3, "weights": [0, 0, 1], "grade": 2,
+                 "terms": [{"indices": [1, 2], "poly": "x3"},
+                           {"indices": [1, 3], "poly": "x1*x3"}]},
+     ["--base-degree-cap", "100"]),
+], ids=["casimirs", "cohomology", "linearize", "prolong"])
+def test_oversized_basis_exits_2(tmp_path, capsys, name, obj, argv):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj))
+    assert cli.main([name, str(path), "--format", "json"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and f"bound of {MAX_BASIS}" in captured.err
 
 
 _SO3_TABLE = {"dim": 3, "C": [{"i": 1, "j": 2, "k": 3, "value": "1"},

@@ -11,7 +11,11 @@ from poissonforge import (PolyMVF, ad_exp, casimir_basis, check_poisson,
                           cohomology_dims, conn_rescale, formal_linearize,
                           gauge_pointwise, hamiltonian_vf, linear_poisson,
                           poisson_bracket, preset, schouten, sharp)
-from poissonforge.poisson import GaugeSingularError
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from poissonforge import poisson
+from poissonforge.poisson import GaugeSingularError, basis_size, graded_basis
 from poissonforge.liealg import LieAlgebraSpec
 from poissonforge.polyalg import Poly, parse_poly
 
@@ -143,19 +147,20 @@ class TestCohomology:
         assert table.dim_cochains == {0: 6, 1: 18, 2: 18, 3: 6}
         assert table.rank_d == {0: 5, 1: 13, 2: 5, 3: 0}
 
-    @pytest.mark.parametrize("name, grades, kmax, poincare, gens", [
-        ("so3", range(6), 3, {0: 1, 3: 1}, (2,)),
-        ("sl2", range(6), 3, {0: 1, 3: 1}, (2,)),
-        ("su2", range(6), 3, {0: 1, 3: 1}, (2,)),
-        ("su3", [2], 1, {0: 1, 3: 1, 5: 1, 8: 1}, (2, 3)),
+    @pytest.mark.parametrize("name, plan, poincare, gens", [
+        ("so3", [(l, 3) for l in range(6)], {0: 1, 3: 1}, (2,)),
+        ("sl2", [(l, 3) for l in range(6)], {0: 1, 3: 1}, (2,)),
+        ("su2", [(l, 3) for l in range(6)], {0: 1, 3: 1}, (2,)),
+        # the (l, k) = (2, 2) matrix is 2014 x 1008
+        ("su3", [(1, 3), (2, 2)], {0: 1, 3: 1, 5: 1, 8: 1}, (2, 3)),
     ], ids=["so3", "sl2", "su2", "su3"])
-    def test_hochschild_serre(self, name, grades, kmax, poincare, gens):
+    def test_hochschild_serre(self, name, plan, poincare, gens):
         # The complex is Chevalley-Eilenberg with coefficients in S(g), so
         # betti_k(l) = dim H^k(g) * dim Cas_l (Hochschild-Serre), where H(g)
         # has Poincare polynomial `poincare` and the Casimirs are freely
         # generated in the degrees `gens`.
         pi = linear_poisson(preset(name))
-        for l in grades:
+        for l, kmax in plan:
             cas = sum(1 for e in itertools.product(range(l + 1), repeat=len(gens))
                       if sum(a * g for a, g in zip(e, gens)) == l)
             table = cohomology_dims(pi, l, kmax)
@@ -169,6 +174,28 @@ class TestCohomology:
         obj = cohomology_dims(pi_so3, 2, 1).to_json_obj()
         assert obj["grade"] == 2
         assert obj["rows"][0] == {"k": 0, "dim": 6, "rank": 5, "betti": 1}
+
+
+class TestBasisSize:
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+        st.just(n), st.integers(0, n + 1), st.integers(0, 5),
+        st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n), st.integers(0, 3))))
+    def test_closed_form_counts_the_basis(self, args):
+        assert basis_size(*args) == len(graded_basis(*args))
+
+    def test_all_ones_weights(self):
+        # C(n, k) * C(n + l - 1, l): the su(3) (l, k) = (2, 2) and (1, 3) bases
+        assert basis_size(8, 2, 2, [1] * 8) == 28 * 36 == 1008
+        assert basis_size(8, 3, 1, [1] * 8) == 56 * 8 == 448
+
+    def test_oversized_basis_is_refused_before_it_is_built(self, monkeypatch):
+        def build(*args):
+            raise AssertionError("the basis was built")
+        monkeypatch.setattr(poisson.itertools, "combinations", build)
+        # C(3 + 70 - 1, 70) = 2556 monomials of degree 70 in 3 variables
+        with pytest.raises(ValueError, match=f"bound of {poisson.MAX_BASIS}"):
+            graded_basis(3, 0, 70, [1, 1, 1])
 
 
 class TestGauge:

@@ -1,7 +1,9 @@
 """Exact polynomial arithmetic, parsing, and the rational linear solver."""
 
+import contextlib
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +11,8 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from poissonforge import linear_poisson, polyalg, preset
+from poissonforge.poisson import bracket_rows, graded_basis
 from poissonforge.polyalg import (Poly, PolyParseError, exact_rank,
                                   format_poly, parse_poly, solve_linear_exact)
 
@@ -296,3 +300,189 @@ class TestExactSolver:
         assert exact_rank([[1, 2], [2, 4]], 2) == 1
         assert exact_rank([[1, 0], [0, 1]], 2) == 2
         assert exact_rank([[0, 0]], 2) == 0
+
+
+# ---------------------------------------------------------------------------
+# The certified modular path against Fraction elimination and sympy
+# ---------------------------------------------------------------------------
+
+P = polyalg._PRIME
+_SOLVER = settings(max_examples=150, derandomize=True, database=None, deadline=None)
+
+
+@contextlib.contextmanager
+def _counted_eliminations():
+    """Count calls of the Fraction elimination, the fallback of the modular path."""
+    with mock.patch.object(polyalg, "_eliminate", wraps=polyalg._eliminate) as spy:
+        yield spy
+
+
+def _by_elimination(A, b, n):
+    rows, _ = polyalg._to_sparse_rows(A, n)
+    return polyalg._solve_by_elimination(A, rows, [Fraction(v) for v in b], n)
+
+
+def _rational(v) -> Fraction:
+    return Fraction(int(v.p), int(v.q))
+
+
+def _sympy_answer(A, b):
+    """(rank, RREF kernel basis, RREF particular solution or None) from sympy."""
+    M = sympy.Matrix(A)
+    n = M.cols
+    kernel = [[_rational(v) for v in vec] for vec in M.nullspace()]
+    R, pivots = M.row_join(sympy.Matrix(b)).rref()
+    particular = None
+    if n not in pivots:
+        particular = [Fraction(0)] * n
+        for i, c in enumerate(pivots):
+            particular[c] = _rational(R[i, n])
+    return M.rank(), kernel, particular
+
+
+@st.composite
+def linear_systems(draw, entries=st.integers(-3, 3), max_side=4):
+    """(A, b, n); half of the right-hand sides are drawn inside the column space."""
+    m, n = draw(st.integers(1, max_side)), draw(st.integers(1, max_side))
+    A = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m))
+    if draw(st.booleans()):
+        x = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+        b = [sum(Fraction(a) * c for a, c in zip(row, x)) for row in A]
+    else:
+        b = draw(st.lists(entries, min_size=m, max_size=m))
+    return A, b, n
+
+
+@st.composite
+def trapped_systems(draw):
+    """Small systems with a trap planted for the prime p.
+
+    An entry that is a multiple of p, an entry with denominator p, or a 2x2
+    minor equal to p: each can drop the rank mod p or spoil the lift.
+    """
+    A, b, n = draw(linear_systems(max_side=5))
+    A = [list(row) for row in A]
+    trap = draw(st.sampled_from(["multiple", "denominator", "minor"]))
+    if trap == "minor" and len(A) >= 2 and n >= 2:
+        A[0][:2], A[1][:2] = [1, 1], [1, 1 + P]
+    else:
+        i, j = draw(st.integers(0, len(A) - 1)), draw(st.integers(0, n - 1))
+        c = draw(st.integers(1, 3)) * draw(st.sampled_from([1, -1]))
+        A[i][j] = c * P if trap == "multiple" else Fraction(c, P)
+    return A, b, n
+
+
+def _assert_exact(A, b, n) -> int:
+    """Check the public answers against the Fraction elimination and sympy.
+
+    Returns the number of Fraction eliminations the public calls ran.
+    """
+    rank, kernel, particular = _sympy_answer(A, b)
+    expected = _by_elimination(A, b, n)
+    with _counted_eliminations() as spy:
+        assert exact_rank(A, n) == rank
+        out = solve_linear_exact(A, b, n)
+    assert out.feasible == expected.feasible == (particular is not None)
+    if out.feasible:
+        assert out.kernel_basis == expected.kernel_basis == kernel
+        assert out.particular == expected.particular == particular
+    else:
+        assert out.witness == expected.witness
+    return spy.call_count
+
+
+def _reference_eliminate(rows, rhs, ncols):
+    """Fraction Gauss-Jordan that scans every row for each pivot column."""
+    nrows = len(rows)
+    used = [False] * nrows
+    pivots = []
+    for col in range(ncols):
+        pivot = next((i for i in range(nrows) if not used[i] and col in rows[i]), None)
+        if pivot is None:
+            continue
+        used[pivot] = True
+        pivots.append((col, pivot))
+        pv = rows[pivot][col]
+        rows[pivot] = {j: v / pv for j, v in rows[pivot].items()}
+        rhs[pivot] = rhs[pivot] / pv
+        for i in range(nrows):
+            f = rows[i].get(col)
+            if i == pivot or not f:
+                continue
+            for j, v in rows[pivot].items():
+                s = rows[i].get(j, 0) - f * v
+                if s:
+                    rows[i][j] = s
+                else:
+                    rows[i].pop(j, None)
+            rhs[i] -= f * rhs[pivot]
+    return pivots
+
+
+class TestCertifiedSolver:
+    @_SOLVER
+    @given(linear_systems())
+    def test_small_integer_systems_are_certified(self, system):
+        # every minor is below 6^4 = 1296 < p and every RREF entry a ratio
+        # of two of them, so the prime is lucky and each lift exists: a
+        # feasible system must never reach the fallback
+        A, b, n = system
+        feasible = _sympy_answer(A, b)[2] is not None
+        # an infeasible system is eliminated twice: once to see it, once for the witness
+        assert _assert_exact(A, b, n) == (0 if feasible else 2)
+
+    @_SOLVER
+    @given(linear_systems(entries=st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4)),
+                          max_side=5))
+    def test_rational_systems_match_both_oracles(self, system):
+        _assert_exact(*system)
+
+    @_SOLVER
+    @given(trapped_systems())
+    def test_prime_traps_still_give_the_exact_answer(self, system):
+        _assert_exact(*system)
+
+    @pytest.mark.parametrize("A, rank", [
+        ([[P]], 1),
+        ([[1, 1], [1, 1 + P]], 2),
+        ([[Fraction(1, P), 1]], 1),
+        ([[2**70, 1], [1, 1]], 2),
+    ], ids=["entry=p", "minor=p", "denominator=p", "int64-guard"])
+    def test_unlucky_prime_falls_back(self, A, rank):
+        n = len(A[0])
+        with _counted_eliminations() as spy:
+            assert exact_rank(A, n) == rank
+        assert spy.call_count == 1
+        assert _assert_exact(A, [0] * len(A), n) == 2
+
+    def test_lift_bound_falls_back(self):
+        # the kernel vector (-1/40000, 1) has a denominator above Wang's bound
+        with _counted_eliminations() as spy:
+            out = solve_linear_exact([[40000, 1]], [0])
+        assert spy.call_count == 1
+        assert out.kernel_basis == [[Fraction(-1, 40000), Fraction(1)]]
+
+    @_HYPOTHESIS
+    @given(linear_systems(entries=st.integers(-2, 2), max_side=6))
+    def test_column_index_keeps_the_pivot_rule(self, system):
+        A, b, n = system
+        rows, _ = polyalg._to_sparse_rows(A, n)
+        ref_rows, _ = polyalg._to_sparse_rows(A, n)
+        rhs, ref_rhs = [Fraction(v) for v in b], [Fraction(v) for v in b]
+        assert polyalg._eliminate(rows, rhs, n) == _reference_eliminate(ref_rows, ref_rhs, n)
+        assert rows == ref_rows and rhs == ref_rhs
+
+    def test_su3_matrices_take_the_certified_path(self):
+        # the su(3) benchmark matrices: a silent fallback would lose the
+        # speed-up without changing any answer
+        pi = linear_poisson(preset("su3"))
+        ones = [1] * 8
+        with _counted_eliminations() as spy:
+            for k, l, rank in ((3, 1, 280), (1, 2, 253)):
+                basis = graded_basis(8, k, l, ones)
+                assert exact_rank(list(bracket_rows(pi, basis).values()), len(basis)) == rank
+            monos = graded_basis(8, 0, 4, ones)[::-1]
+            A = list(bracket_rows(pi, monos).values())
+            out = solve_linear_exact(A, [0] * len(A), ncols=len(monos))
+        assert spy.call_count == 0
+        assert len(out.kernel_basis) == 1  # the square of the quadratic Casimir
