@@ -6,14 +6,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poissonforge import (PolyMVF, ad_exp, casimir_basis, check_poisson,
                           cohomology_dims, conn_rescale, formal_linearize,
                           gauge_pointwise, hamiltonian_vf, linear_poisson,
                           poisson_bracket, preset, schouten, sharp)
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
 from poissonforge import poisson
 from poissonforge.poisson import GaugeSingularError, basis_size, graded_basis
 from poissonforge.liealg import LieAlgebraSpec

@@ -1,6 +1,5 @@
 """Exact polynomial arithmetic, parsing, and the rational linear solver."""
 
-import contextlib
 import random
 from fractions import Fraction
 from unittest import mock
@@ -310,11 +309,9 @@ P = polyalg._PRIME
 _SOLVER = settings(max_examples=150, derandomize=True, database=None, deadline=None)
 
 
-@contextlib.contextmanager
 def _counted_eliminations():
-    """Count calls of the Fraction elimination, the fallback of the modular path."""
-    with mock.patch.object(polyalg, "_eliminate", wraps=polyalg._eliminate) as spy:
-        yield spy
+    """A spy on the Fraction elimination, the fallback of the modular path."""
+    return mock.patch.object(polyalg, "_eliminate", wraps=polyalg._eliminate)
 
 
 def _by_elimination(A, b, n):
@@ -462,7 +459,7 @@ class TestCertifiedSolver:
         assert spy.call_count == 1
         assert out.kernel_basis == [[Fraction(-1, 40000), Fraction(1)]]
 
-    @_HYPOTHESIS
+    @_SOLVER
     @given(linear_systems(entries=st.integers(-2, 2), max_side=6))
     def test_column_index_keeps_the_pivot_rule(self, system):
         A, b, n = system
