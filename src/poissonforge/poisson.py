@@ -143,21 +143,20 @@ def graded_basis(n: int, k: int, l: int, weights, base_degree_cap: int = 0) -> l
         raise ValueError(f"the grade-{l} basis of {k}-vectors in {n} variables has {size} "
                          f"elements, above the bound of {MAX_BASIS} (MAX_BASIS)")
 
-    def exponents(i: int, left: int):
-        if i == n:
-            if left == 0:
-                yield ()
-            return
-        fiber = weights[i] == 1
-        for e in range((left if fiber else base_degree_cap) + 1):
-            for rest in exponents(i + 1, left - e if fiber else left):
-                yield (e,) + rest
-
+    # tails[d]: exponents of x_i..x_n with fiber degree d, built from the
+    # last variable back, ascending in x_i and then in the tail
+    tails = [[()]] + [[] for _ in range(l)]
+    for i in reversed(range(n)):
+        if weights[i] == 1:
+            tails = [[(e,) + t for e in range(d + 1) for t in tails[d - e]] for d in range(l + 1)]
+        else:
+            tails = [[(e,) + t for e in range(base_degree_cap + 1) for t in tails[d]]
+                     for d in range(l + 1)]
     out = []
     for legs in itertools.combinations(range(1, n + 1), k):
         fiber_deg = l - sum(1 for i in legs if weights[i - 1] == 0)
         if fiber_deg >= 0:
-            out.extend((legs, exps) for exps in exponents(0, fiber_deg))
+            out.extend((legs, exps) for exps in tails[fiber_deg])
     return out
 
 

@@ -5,18 +5,18 @@ Polynomials are stored sparsely as a map from exponent vectors to nonzero
 coefficients, with graded-lexicographic term order used for all canonical
 output.
 
-The linear solver returns the RREF answer (particular solution, kernel
-basis), which depends only on the system.  ``solve_linear_exact`` and
-``exact_rank`` find it by one certified modular path: each row's
-denominators are cleared, the system is reduced modulo the prime
-``2^31 - 1`` by int64 NumPy Gauss-Jordan, and the kernel basis and
-particular solution are lifted by rational reconstruction with numerator and
-denominator at most 32767.  Two exact integer checks certify the lift:
-``A v = 0`` for every kernel vector and ``A x = b`` for the particular
-solution.  If a step fails -- no lift, a failed check or an int64 guard --
+The linear solver returns the RREF answer (particular solution and kernel
+basis, or a witness of infeasibility), which depends only on the system.
+``solve_linear_exact`` and ``exact_rank`` read every answer off one RREF,
+``_rref``, found by a certified modular path: each row's denominators are
+cleared, the matrix is reduced modulo the prime ``2^31 - 1`` by int64 NumPy
+Gauss-Jordan, and its kernel basis is lifted by rational reconstruction with
+numerator and denominator at most 32767.  One exact integer check, ``M v =
+0`` for every kernel vector, certifies the lift.  A solve reduces ``M = [A |
+b]``, so the same certificate covers feasibility, infeasibility and the
+witness.  If a step fails -- no lift, a failed check or an int64 guard --
 Fraction Gauss-Jordan with a fixed pivot rule (``_eliminate``) gives the
-answer instead.  An infeasible system always fails the check, so the
-witness of infeasibility comes from the Fraction elimination too.
+RREF instead.
 
 Data is validated where it enters and trusted inside.  The public
 ``Poly(nvars, terms)``, the ``zero``/``constant``/``variable``/``monomial``
@@ -363,21 +363,37 @@ class SolveOutcome:
 
 
 def _to_sparse_rows(A, ncols=None):
-    rows = []
-    width = 0
+    """``A`` as sparse rows of nonzero ``Fraction``s, and its column count.
+
+    A dense row must have ``ncols`` entries (with ``ncols`` None, as many as
+    the first dense row).  A sparse row's keys must be ints in
+    ``0..ncols-1`` (with ``ncols`` None, any int >= 0, and the count is one
+    past the largest).  Anything else raises ``ValueError``.
+    """
+    rows, top = [], 0
     for row in A:
-        dense = not isinstance(row, dict)
-        items = enumerate(row) if dense else row.items()
-        sr = {int(j): fv for j, v in items if (fv := _as_fraction(v))}
-        width = max(width, len(row) if dense else max(sr, default=-1) + 1)
-        rows.append(sr)
+        if isinstance(row, dict):
+            for j in row:
+                if not isinstance(j, int) or j < 0:
+                    raise ValueError(f"column key {j!r} is not an int >= 0")
+            top = max(top, max(row, default=-1) + 1)
+            items = row.items()
+        else:
+            if ncols is None:
+                ncols = len(row)
+            if len(row) != ncols:
+                raise ValueError(f"dense row of length {len(row)} in a matrix of {ncols} columns")
+            items = enumerate(row)
+        rows.append({j: fv for j, v in items if (fv := _as_fraction(v))})
     if ncols is None:
-        ncols = width
+        ncols = top
+    elif top > ncols:
+        raise ValueError(f"column key {top - 1} outside 0..{ncols - 1}")
     return rows, ncols
 
 
-def _eliminate(rows: list, rhs: list, ncols: int) -> list:
-    """Reduce sparse ``rows`` to RREF in place, carrying ``rhs`` along.
+def _eliminate(rows: list, ncols: int) -> list:
+    """Reduce sparse ``rows`` to RREF in place.
 
     The pivot of each column is the first unused row with a nonzero entry in
     it, so the result is deterministic.  ``where[j]`` holds the rows with a
@@ -400,8 +416,7 @@ def _eliminate(rows: list, rhs: list, ncols: int) -> list:
         pv = rows[pivot][col]
         if pv != 1:
             rows[pivot] = {j: v / pv for j, v in rows[pivot].items()}
-            rhs[pivot] = rhs[pivot] / pv
-        prow, prhs = rows[pivot], rhs[pivot]
+        prow = rows[pivot]
         for i in [i for i in where[col] if i != pivot]:
             ri = rows[i]
             f = ri[col]
@@ -414,24 +429,25 @@ def _eliminate(rows: list, rhs: list, ncols: int) -> list:
                 else:
                     del ri[j]
                     where[j].discard(i)
-            if prhs:
-                rhs[i] -= f * prhs
     return pivots
 
 
 # -- the certified modular path ----------------------------------------------
 #
-# [A | b] is reduced mod _PRIME and its RREF lifted to Q.  The lift is then
-# checked with exact integer products, which makes it the RREF over Q:
+# A matrix M is reduced mod _PRIME and its RREF lifted to Q.  The lift is
+# then checked with exact integer products, which makes it the RREF over Q:
 # - the rank mod p never exceeds the rank over Q;
 # - each free column f of the mod-p RREF lifts to a vector v_f with 1 at f,
-#   0 at the other free columns and support left of f otherwise; A v_f = 0
+#   0 at the other free columns and support left of f otherwise; M v_f = 0
 #   makes column f dependent on earlier columns, so the n - r_p vectors give
 #   rank_Q <= r_p, and equality pins the pivot columns to the mod-p ones;
 # - a kernel vector is fixed by its free coordinates, so v_f is the RREF
-#   kernel vector, and a checked A x = b with x zero on the free columns is
-#   the RREF particular solution.
-# Any step that fails returns None and the caller falls back to _eliminate.
+#   kernel vector.
+# A solve reduces M = [A | b], so every answer is read off this one RREF: the
+# column of b is a pivot exactly when A x = b has no solution, and otherwise
+# minus its kernel vector, cut to the columns of A, is the RREF particular
+# solution.  Any step that fails returns None and the caller falls back to
+# _eliminate.
 
 _PRIME = 2**31 - 1  # residues fit int32; a residue minus a product of two fits int64
 _LIFT = math.isqrt((_PRIME - 1) // 2)  # Wang's bound: |num|, den <= 32767
@@ -441,37 +457,33 @@ _CHECK_CELLS = 2**14  # bound on the cells of one temporary of the exact check
 
 
 class _IntegerSystem:
-    """[A | b] with each row times the lcm of its denominators, row-major COO.
+    """A sparse matrix with each row times the lcm of its denominators, row-major COO.
 
     ``slot[e]`` is the position of entry e within its row, so the entries of
     one slot hit distinct rows and can be applied in one vectorised step.
     """
 
-    def __init__(self, rows: list, rhs: list):
+    def __init__(self, rows: list):
         lengths = [len(row) for row in rows]
         cols = [j for row in rows for j in row]
         vals = [v for row in rows for v in row.values()]
-        if any(v.denominator != 1 for v in vals) or any(c.denominator != 1 for c in rhs):
-            vals, rhs = [], list(rhs)
-            for i, row in enumerate(rows):
-                den = math.lcm(rhs[i].denominator, *(v.denominator for v in row.values()))
+        if any(v.denominator != 1 for v in vals):
+            vals = []
+            for row in rows:
+                den = math.lcm(*(v.denominator for v in row.values()))
                 vals.extend(v * den for v in row.values())
-                rhs[i] *= den
         vals = [int(v) for v in vals]
-        b = [int(c) for c in rhs]
         val_max = max(map(abs, vals), default=0)
         self.row_sum = val_max * max(lengths, default=0)  # bounds each row's sum of |entries|
-        self.b_max = max(map(abs, b), default=0)
-        self.nrows = len(b)
+        self.nrows = len(rows)
         self.indptr = np.zeros(self.nrows + 1, dtype=np.int64)
         np.cumsum(lengths, out=self.indptr[1:])
         self.cols = np.array(cols, dtype=np.int64)
         self.row_of = np.repeat(np.arange(self.nrows, dtype=np.int64), lengths)
         self.slot = np.arange(len(cols), dtype=np.int64) - self.indptr[self.row_of]
-        self.fits = self.row_sum < _INT64_LIMIT and self.b_max < _INT64_LIMIT
+        self.fits = self.row_sum < _INT64_LIMIT
         if self.fits:
             self.vals = np.array(vals, dtype=np.int64)
-            self.b = np.array(b, dtype=np.int64)
 
     def block(self, start: int, stop: int):
         """(local rows, slots, columns, values) of the entries of rows start:stop."""
@@ -506,28 +518,24 @@ def _reduce_block(C, R, piv):
 
 
 def _rref_mod_p(system: _IntegerSystem, ncols: int):
-    """RREF of [A | b] over GF(p), streaming the rows in blocks.
+    """RREF over GF(p), streaming the rows in blocks.
 
     ``R[k]`` is the reduced row whose pivot (leading) column is ``piv[k]``.
     There are at most ``ncols`` of them, stored as int32 residues, so the
-    working set is ``ncols x (ncols + 1)`` whatever the row count; products
-    are formed in int64 on at most ``_BLOCK`` rows at a time.  A row that
-    reduces to ``0 = nonzero`` adds no pivot; the check of ``A x = b`` then
-    fails, since no x solves the system.
+    working set is ``ncols x ncols`` whatever the row count; products are
+    formed in int64 on at most ``_BLOCK`` rows at a time.
     """
-    width = ncols + 1
-    R = np.zeros((ncols, width), dtype=np.int32)
+    R = np.zeros((ncols, ncols), dtype=np.int32)
     piv = np.zeros(ncols, dtype=np.int64)
     r = 0
     for start in range(0, system.nrows, _BLOCK):
         stop = min(start + _BLOCK, system.nrows)
         rows, _, cols, vals = system.block(start, stop)
-        C = np.zeros((stop - start, width), dtype=np.int64)
+        C = np.zeros((stop - start, ncols), dtype=np.int64)
         C[rows, cols] = vals % _PRIME
-        C[:, ncols] = system.b[start:stop] % _PRIME
         _reduce_block(C, R[:r], piv[:r])
-        for i in np.flatnonzero(C[:, :ncols].any(axis=1)):
-            lead = np.flatnonzero(C[i, :ncols])
+        for i in np.flatnonzero(C.any(axis=1)):
+            lead = np.flatnonzero(C[i])
             if not len(lead):
                 continue
             j = lead[0]
@@ -564,26 +572,28 @@ def _lift(u):
 
 
 def _check_exact(system: _IntegerSystem, ncols: int, piv, free, lifted) -> bool:
-    """``A v_f = 0`` for each lifted kernel vector and ``A x = b``, in integers.
+    """``M v_f = 0`` for each lifted kernel vector, in integers.
 
     Each lifted vector is scaled by the lcm of its denominators into a column
     of ``W``.  The products run in int64 only when the row sums bound them
     below 2^63; otherwise the check fails.  Rows go through in blocks whose
-    temporaries hold at most ``_CHECK_CELLS`` cells.
+    temporaries hold at most ``_CHECK_CELLS`` cells.  With no free column
+    there is nothing to check: the rank mod p is full, so over Q too.
     """
+    k = len(free)
+    if not k:
+        return True
     at, col, num, den = lifted
-    k = len(free) + 1  # the kernel vectors, then the particular solution
     scale = [1] * k
     for c, d in zip(col[den > 1].tolist(), den[den > 1].tolist()):
         scale[c] = math.lcm(scale[c], d)
     top = max(scale[c] * abs(n) for c, n in zip(col.tolist(), num.tolist())) if len(num) else 1
-    if (max(max(scale), top) * system.row_sum >= _INT64_LIMIT
-            or scale[-1] * system.b_max >= _INT64_LIMIT):
+    if max(max(scale), top) * system.row_sum >= _INT64_LIMIT:
         return False
     scale = np.array(scale, dtype=np.int64)
     W = np.zeros((ncols, k), dtype=np.int64)
     W[piv[at], col] = num * (scale[col] // den)
-    W[free, np.arange(len(free))] = scale[:-1]
+    W[free, np.arange(k)] = scale
     step = max(1, _CHECK_CELLS // k)
     for start in range(0, system.nrows, step):
         stop = min(start + step, system.nrows)
@@ -592,25 +602,25 @@ def _check_exact(system: _IntegerSystem, ncols: int, piv, free, lifted) -> bool:
         for t in range(int(slots.max(initial=-1)) + 1):
             s = slots == t
             acc[rows[s]] += vals[s, None] * W[cols[s]]
-        if acc[:, :-1].any() or np.any(acc[:, -1] != scale[-1] * system.b[start:stop]):
+        if acc.any():
             return False
     return True
 
 
-def _certified_rref(rows: list, rhs: list, ncols: int):
-    """The RREF of [A | b] over Q by the certified modular path, or None.
+def _certified_rref(rows: list, ncols: int):
+    """The RREF of ``rows`` over Q by the certified modular path, or None.
 
     Returns ``(piv, free, lifted)``: the pivot and free columns, ascending,
     and the nonzero lifted entries as arrays ``(k, c, num, den)``.  Entry
-    ``num/den`` sits at pivot ``piv[k]`` of kernel vector ``free[c]`` for
-    ``c < len(free)``, and of the particular solution for ``c = len(free)``.
+    ``num/den`` sits at pivot ``piv[k]`` of the kernel vector of free column
+    ``free[c]``.
     """
-    system = _IntegerSystem(rows, rhs)
+    system = _IntegerSystem(rows)
     if not system.fits:
         return None
     piv, R = _rref_mod_p(system, ncols)
     free = np.setdiff1d(np.arange(ncols), piv)
-    U = np.concatenate(((-R[:, free]) % _PRIME, R[:, ncols:]), axis=1)
+    U = (-R[:, free]) % _PRIME
     del R  # the residues are freed before the check allocates W
     at, col = np.nonzero(U)
     lifted = _lift(U[at, col])
@@ -620,50 +630,45 @@ def _certified_rref(rows: list, rhs: list, ncols: int):
     return piv, free, (at, col) + lifted
 
 
-# -- the Fraction elimination: fallback and oracle ---------------------------
-
-def _witness(A, b: list, ncols: int) -> list:
-    """RREF particular solution w of ``[A^T; b^T] w = (0, ..., 0, 1)``."""
-    rows, _ = _to_sparse_rows(A, ncols)
-    cols = [{} for _ in range(ncols)]
-    for i, row in enumerate(rows):
-        for j, v in row.items():
-            cols[j][i] = v
-    cols.append({i: v for i, v in enumerate(b) if v != 0})
-    rhs = [Fraction(0)] * ncols + [Fraction(1)]
-    w = [Fraction(0)] * len(rows)
-    for col, row in _eliminate(cols, rhs, len(rows)):
-        w[col] = rhs[row]
-    return w
+def _lifted_entries(piv, lifted):
+    """``_rref``'s entries from ``_certified_rref``'s arrays."""
+    piv = piv.tolist()
+    for k, c, p, q in zip(*(a.tolist() for a in lifted)):
+        yield piv[k], c, Fraction(p, q)
 
 
-def _solve_by_elimination(A, rows: list, b: list, ncols: int) -> SolveOutcome:
-    """``solve_linear_exact`` by Fraction Gauss-Jordan on ``rows`` (consumed)."""
-    rhs = list(b)
-    pivots = _eliminate(rows, rhs, ncols)
+def _rref(rows: list, ncols: int):
+    """The RREF of the sparse rational matrix ``rows`` with ``ncols`` columns.
 
-    # Infeasibility: an eliminated row with zero coefficients but nonzero rhs.
-    if any(c != 0 and not row for row, c in zip(rows, rhs)):
-        return SolveOutcome(status="infeasible", witness=_witness(A, b, ncols))
+    Returns ``(piv, free, entries)``: the pivot and the free columns as
+    ascending lists, and an iterator over the entries ``(p, c, v)`` of the
+    RREF kernel basis: the kernel vector of free column ``free[c]`` has 1
+    there, ``v`` at pivot column ``p`` and 0 elsewhere.  The certified path
+    gives it when it can, ``_eliminate`` on a copy of ``rows`` otherwise.
+    The entries are built only when iterated, so a rank builds no Fraction.
+    """
+    certified = _certified_rref(rows, ncols)
+    if certified is not None:
+        piv, free, lifted = certified
+        return piv.tolist(), free.tolist(), _lifted_entries(piv, lifted)
+    rows = [dict(row) for row in rows]
+    pivots = _eliminate(rows, ncols)
+    piv = [col for col, _ in pivots]
+    free = sorted(set(range(ncols)).difference(piv))
+    index = {f: c for c, f in enumerate(free)}
+    return piv, free, ((p, index[f], -v) for p, i in pivots for f, v in rows[i].items() if f != p)
 
-    particular = [Fraction(0)] * ncols
-    for col, row in pivots:
-        particular[col] = rhs[row]
 
-    pivot_cols = {col for col, _ in pivots}
-    kernel = []
-    for free in range(ncols):
-        if free in pivot_cols:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for col, row in pivots:
-            coeff = rows[row].get(free)
-            if coeff:
-                vec[col] = -coeff
-        kernel.append(vec)
-
-    return SolveOutcome(status="feasible", particular=particular, kernel_basis=kernel)
+def _kernel_vectors(free: list, entries, n: int) -> list:
+    """The kernel vectors that ``_rref`` describes, cut to their first ``n`` entries."""
+    zero, one = Fraction(0), Fraction(1)
+    vectors = [[zero] * n for _ in free]
+    for vec, f in zip(vectors, free):
+        if f < n:
+            vec[f] = one
+    for p, c, v in entries:
+        vectors[c][p] = v
+    return vectors
 
 
 def solve_linear_exact(A, b, ncols: int | None = None) -> SolveOutcome:
@@ -674,48 +679,37 @@ def solve_linear_exact(A, b, ncols: int | None = None) -> SolveOutcome:
     result is the RREF one: the particular solution has its free variables
     at zero and kernel vector f has 1 at free column f and 0 at the others.
 
-    It is computed mod the prime ``2^31 - 1`` after each row's denominators
-    are cleared, by int64 Gauss-Jordan that streams the rows against at most
-    ``ncols`` reduced rows.  Every residue is lifted to a fraction with
-    numerator and denominator at most 32767 in size (Wang's bound), and two
-    exact integer checks certify the lift: ``A v = 0`` for every kernel
-    vector and ``A x = b`` for the particular solution.  When a step fails
-    (no lift, a failed check or an int64 guard; an infeasible system always
-    fails the check) the answer comes from Fraction Gauss-Jordan instead,
-    whose pivot is the first remaining row with a nonzero entry in the
-    leftmost unresolved column.  Infeasibility is a status, never an
-    exception; only then is the witness of ``SolveOutcome`` computed, by a
-    second Fraction elimination.
+    All of it is read off the certified RREF (``_rref``) of ``M = [A | b]``
+    with ``b`` as column ``ncols``: the system is infeasible exactly when
+    that column is a pivot, and otherwise the particular solution is minus
+    its kernel vector.  Infeasibility is a status, never an exception; only
+    then is the witness of ``SolveOutcome`` computed, from the RREF of
+    ``[[A^T, 0], [b^T, -1]]``: the kernel vector ``(w, 1)`` of its last
+    column has ``w A = 0`` and ``w . b = 1``.
     """
     rows, ncols = _to_sparse_rows(A, ncols)
     b = [_as_fraction(v) for v in b]
     if len(b) != len(rows):
         raise ValueError(f"dimension mismatch: {len(rows)} rows vs {len(b)} rhs entries")
-    certified = _certified_rref(rows, b, ncols)
-    if certified is None:
-        return _solve_by_elimination(A, rows, b, ncols)
-    piv, free, lifted = certified
-    zero = Fraction(0)
-    particular = [zero] * ncols
-    kernel = []
-    for f in free.tolist():
-        vec = [zero] * ncols
-        vec[f] = Fraction(1)
-        kernel.append(vec)
-    piv = piv.tolist()
-    for k, c, p, q in zip(*(a.tolist() for a in lifted)):
-        (kernel[c] if c < len(kernel) else particular)[piv[k]] = Fraction(p, q)
-    return SolveOutcome(status="feasible", particular=particular, kernel_basis=kernel)
+    for row, c in zip(rows, b):
+        if c:
+            row[ncols] = c
+    piv, free, entries = _rref(rows, ncols + 1)
+    if piv and piv[-1] == ncols:
+        m = len(rows)
+        transpose = [{} for _ in range(ncols + 1)]
+        for i, row in enumerate(rows):
+            for j, v in row.items():
+                transpose[j][i] = v
+        transpose[ncols][m] = Fraction(-1)
+        _, free, entries = _rref(transpose, m + 1)
+        return SolveOutcome(status="infeasible", witness=_kernel_vectors(free, entries, m)[-1])
+    *kernel, particular = _kernel_vectors(free, entries, ncols)
+    return SolveOutcome(status="feasible", particular=[-v for v in particular],
+                        kernel_basis=kernel)
 
 
 def exact_rank(A, ncols: int | None = None) -> int:
-    """Rank of a rational matrix, through the same certified path and fallback.
-
-    The rank is the pivot count of the RREF that ``solve_linear_exact`` uses.
-    """
+    """Rank of a rational matrix: the pivot count of its RREF (``_rref``)."""
     rows, ncols = _to_sparse_rows(A, ncols)
-    zero = [Fraction(0)] * len(rows)
-    certified = _certified_rref(rows, zero, ncols)
-    if certified is not None:
-        return len(certified[0])
-    return len(_eliminate(rows, zero, ncols))
+    return len(_rref(rows, ncols)[0])

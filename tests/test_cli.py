@@ -176,6 +176,9 @@ def test_bad_numeric_arguments_exit_2(so3_file, jet_file, capsys, argv, named):
 @pytest.mark.parametrize("name, obj, argv", [
     # 2080 monomials of degree 2 in 64 variables
     ("casimirs", {"nvars": 64, "grade": 2, "terms": []}, ["--max-degree", "2"]),
+    # 1 monomial of degree 0, then 2049 of degree 1: the basis is built
+    # without recursing once per variable
+    ("casimirs", {"nvars": 2049, "grade": 2, "terms": []}, ["--max-degree", "1"]),
     # 2556 monomials of degree 70 in 3 variables
     ("cohomology", preset("so3").to_json_obj(), ["--grade", "70", "--max-degree", "0"]),
     # grade-2 vector fields, base exponents 0..300: 8 * 301 = 2408
@@ -187,14 +190,14 @@ def test_bad_numeric_arguments_exit_2(so3_file, jet_file, capsys, argv, named):
                  "terms": [{"indices": [1, 2], "poly": "x3"},
                            {"indices": [1, 3], "poly": "x1*x3"}]},
      ["--base-degree-cap", "100"]),
-], ids=["casimirs", "cohomology", "linearize", "prolong"])
+], ids=["casimirs", "casimirs-2049-variables", "cohomology", "linearize", "prolong"])
 def test_oversized_basis_exits_2(tmp_path, capsys, name, obj, argv):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(obj))
     assert cli.main([name, str(path), "--format", "json"] + argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error:") and f"bound of {MAX_BASIS}" in captured.err
+    assert captured.err.startswith("error:") and f"bound of {MAX_BASIS} (MAX_BASIS)" in captured.err
 
 
 _SO3_TABLE = {"dim": 3, "C": [{"i": 1, "j": 2, "k": 3, "value": "1"},

@@ -1,11 +1,13 @@
 """Formal calculus: jets, exp-adjoint series, BCH, gauge recursion, prolongation."""
 
+import contextlib
 import hashlib
 import itertools
 import json
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -13,7 +15,9 @@ from poissonforge import (PolyMVF, ad_exp, bch, formal_linearize,
                           grade_component, homotopy_solve, linear_poisson,
                           mc_equivalence, order_of, preset, prolong_step,
                           schouten, truncate_jet)
+from poissonforge import formal, polyalg
 from poissonforge.formal import FilteredJet
+from poissonforge.poisson import bracket_rows
 from poissonforge.polyalg import parse_poly
 
 from conftest import rand_homogeneous_vf, rand_mvf
@@ -30,6 +34,33 @@ def _broken_linear_bivector():
     from poissonforge.liealg import LieAlgebraSpec
     return linear_poisson(LieAlgebraSpec(
         dim=3, C={(1, 2, 1): Fraction(1), (1, 3, 3): Fraction(1)}))
+
+
+@contextlib.contextmanager
+def _spied_solve():
+    """Spies on the bracket-equation solve and on the Fraction elimination."""
+    with mock.patch.object(formal, "_solve_bracket_equation",
+                           wraps=formal._solve_bracket_equation) as solve, \
+            mock.patch.object(polyalg, "_eliminate", wraps=polyalg._eliminate) as eliminate:
+        yield solve, eliminate
+
+
+def _assert_certificate(call, w):
+    """w A = 0 and w . b = 1 on the system of a ``_solve_bracket_equation`` call.
+
+    The rows are rebuilt from ``bracket_rows`` on the call's basis, keyed by
+    the same sorted (legs, exps) monomials as the solve.
+    """
+    (pi, rhs, basis), kwargs = call
+    restrict = kwargs.get("restrict_grade")
+    rows = {key: row for key, row in bracket_rows(pi, basis).items()
+            if restrict is None or pi._monomial_grade(*key) <= restrict}
+    keys = sorted(set(rows) | {(legs, e) for legs, p in rhs.terms.items() for e in p.terms})
+    assert len(w) == len(keys)
+    for col in range(len(basis)):
+        assert sum(wi * rows.get(key, {}).get(col, 0) for wi, key in zip(w, keys)) == 0
+    b = [rhs.terms[legs].terms.get(e, 0) if legs in rhs.terms else 0 for legs, e in keys]
+    assert sum(wi * bi for wi, bi in zip(w, b)) == 1
 
 
 def test_order_of():
@@ -208,8 +239,11 @@ def test_mc_equivalence_obstruction_on_plane():
     n = 2
     gamma = FilteredJet(PolyMVF(n, 2, {(1, 2): parse_poly("x1^2", n)}), 4)
     gamma_p = FilteredJet(PolyMVF.zero(n, 2), 4)
-    sol = mc_equivalence(gamma_p, gamma, 4)
+    with _spied_solve() as (solve, eliminate):
+        sol = mc_equivalence(gamma_p, gamma, 4)
     assert sol.status == "obstructed"
+    _assert_certificate(solve.call_args, sol.certificate)
+    assert eliminate.call_count == 0
     assert sol.degree == 2
     assert not sol.cochain.value.is_zero()
     obj = json.loads(sol.to_json())
@@ -266,7 +300,9 @@ def test_prolong_obstruction_certificate():
                  weights=(0, 0, 1))
     jac = schouten(pi, pi)
     m = jac.min_grade()
-    res = prolong_step(FilteredJet(pi, m), m, base_degree_cap=4)
+    with _spied_solve() as (solve, eliminate):
+        res = prolong_step(FilteredJet(pi, m), m, base_degree_cap=4)
     assert res.status == "obstructed"
     assert not res.obstruction.value.is_zero()
-    assert res.certificate is not None
+    _assert_certificate(solve.call_args, res.certificate)
+    assert eliminate.call_count == 0

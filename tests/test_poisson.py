@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from poissonforge import (PolyMVF, ad_exp, casimir_basis, check_poisson,
@@ -175,13 +175,44 @@ class TestCohomology:
         assert obj["rows"][0] == {"k": 0, "dim": 6, "rank": 5, "betti": 1}
 
 
+# (n, k, l, weights, base_degree_cap)
+_BASIS_ARGS = st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(0, n + 1), st.integers(0, 5),
+    st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n), st.integers(0, 3)))
+
+
+def _recursive_basis(n, k, l, weights, base_degree_cap):
+    """graded_basis as a generator that recurses once per variable."""
+    def exponents(i, left):
+        if i == n:
+            if left == 0:
+                yield ()
+            return
+        fiber = weights[i] == 1
+        for e in range((left if fiber else base_degree_cap) + 1):
+            for rest in exponents(i + 1, left - e if fiber else left):
+                yield (e,) + rest
+
+    out = []
+    for legs in itertools.combinations(range(1, n + 1), k):
+        fiber_deg = l - sum(1 for i in legs if weights[i - 1] == 0)
+        if fiber_deg >= 0:
+            out.extend((legs, exps) for exps in exponents(0, fiber_deg))
+    return out
+
+
 class TestBasisSize:
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
-    @given(st.integers(1, 5).flatmap(lambda n: st.tuples(
-        st.just(n), st.integers(0, n + 1), st.integers(0, 5),
-        st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n), st.integers(0, 3))))
+    @given(_BASIS_ARGS)
     def test_closed_form_counts_the_basis(self, args):
         assert basis_size(*args) == len(graded_basis(*args))
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(_BASIS_ARGS)
+    def test_matches_the_recursive_generator(self, args):
+        # the order too: RREF-canonical gauge fields depend on it
+        assume(basis_size(*args) <= poisson.MAX_BASIS)
+        assert graded_basis(*args) == _recursive_basis(*args)
 
     def test_all_ones_weights(self):
         # C(n, k) * C(n + l - 1, l): the su(3) (l, k) = (2, 2) and (1, 3) bases

@@ -300,6 +300,25 @@ class TestExactSolver:
         assert exact_rank([[1, 0], [0, 1]], 2) == 2
         assert exact_rank([[0, 0]], 2) == 0
 
+    @pytest.mark.parametrize("A, ncols", [
+        ([{2: 1}], 2),
+        ([{-1: 1}], 2),
+        ([{-1: 1}], None),
+        ([{"1": 1}], 2),
+        ([{1.0: 1}], 2),
+        ([{0: 1}, {5: 0}], 3),
+        ([[1, 2, 3], [1]], None),
+        ([[1, 2]], 3),
+    ], ids=["key=ncols", "key=-1", "key=-1-no-ncols", "key=str", "key=float",
+            "zero-entry-key-out-of-range", "short-dense-row", "dense-row-not-ncols"])
+    def test_rows_are_checked_where_they_enter(self, A, ncols):
+        # b sits in column ncols of the eliminated matrix: a key equal to
+        # ncols must not merge with it
+        with pytest.raises(ValueError, match="column key|dense row"):
+            exact_rank(A, ncols)
+        with pytest.raises(ValueError, match="column key|dense row"):
+            solve_linear_exact(A, [1] * len(A), ncols)
+
 
 # ---------------------------------------------------------------------------
 # The certified modular path against Fraction elimination and sympy
@@ -315,8 +334,9 @@ def _counted_eliminations():
 
 
 def _by_elimination(A, b, n):
-    rows, _ = polyalg._to_sparse_rows(A, n)
-    return polyalg._solve_by_elimination(A, rows, [Fraction(v) for v in b], n)
+    """``solve_linear_exact`` with the modular path switched off."""
+    with mock.patch.object(polyalg, "_certified_rref", return_value=None):
+        return solve_linear_exact(A, b, n)
 
 
 def _rational(v) -> Fraction:
@@ -384,11 +404,14 @@ def _assert_exact(A, b, n) -> int:
         assert out.kernel_basis == expected.kernel_basis == kernel
         assert out.particular == expected.particular == particular
     else:
-        assert out.witness == expected.witness
+        w = out.witness
+        assert w == expected.witness
+        assert all(sum(wi * Fraction(row[c]) for wi, row in zip(w, A)) == 0 for c in range(n))
+        assert sum(wi * Fraction(bi) for wi, bi in zip(w, b)) == 1
     return spy.call_count
 
 
-def _reference_eliminate(rows, rhs, ncols):
+def _reference_eliminate(rows, ncols):
     """Fraction Gauss-Jordan that scans every row for each pivot column."""
     nrows = len(rows)
     used = [False] * nrows
@@ -401,7 +424,6 @@ def _reference_eliminate(rows, rhs, ncols):
         pivots.append((col, pivot))
         pv = rows[pivot][col]
         rows[pivot] = {j: v / pv for j, v in rows[pivot].items()}
-        rhs[pivot] = rhs[pivot] / pv
         for i in range(nrows):
             f = rows[i].get(col)
             if i == pivot or not f:
@@ -412,7 +434,6 @@ def _reference_eliminate(rows, rhs, ncols):
                     rows[i][j] = s
                 else:
                     rows[i].pop(j, None)
-            rhs[i] -= f * rhs[pivot]
     return pivots
 
 
@@ -420,13 +441,11 @@ class TestCertifiedSolver:
     @_SOLVER
     @given(linear_systems())
     def test_small_integer_systems_are_certified(self, system):
-        # every minor is below 6^4 = 1296 < p and every RREF entry a ratio
-        # of two of them, so the prime is lucky and each lift exists: a
-        # feasible system must never reach the fallback
-        A, b, n = system
-        feasible = _sympy_answer(A, b)[2] is not None
-        # an infeasible system is eliminated twice: once to see it, once for the witness
-        assert _assert_exact(A, b, n) == (0 if feasible else 2)
+        # every minor of [A | b] and of its witness matrix is below
+        # 6^4 = 1296 < p and every RREF entry a ratio of two of them, so the
+        # prime is lucky and each lift exists: no system, feasible or not,
+        # may reach the fallback
+        assert _assert_exact(*system) == 0
 
     @_SOLVER
     @given(linear_systems(entries=st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4)),
@@ -462,12 +481,13 @@ class TestCertifiedSolver:
     @_SOLVER
     @given(linear_systems(entries=st.integers(-2, 2), max_side=6))
     def test_column_index_keeps_the_pivot_rule(self, system):
+        # on [A | b], the matrix a solve eliminates
         A, b, n = system
-        rows, _ = polyalg._to_sparse_rows(A, n)
-        ref_rows, _ = polyalg._to_sparse_rows(A, n)
-        rhs, ref_rhs = [Fraction(v) for v in b], [Fraction(v) for v in b]
-        assert polyalg._eliminate(rows, rhs, n) == _reference_eliminate(ref_rows, ref_rhs, n)
-        assert rows == ref_rows and rhs == ref_rhs
+        augmented = [list(row) + [c] for row, c in zip(A, b)]
+        rows, _ = polyalg._to_sparse_rows(augmented, n + 1)
+        ref_rows, _ = polyalg._to_sparse_rows(augmented, n + 1)
+        assert polyalg._eliminate(rows, n + 1) == _reference_eliminate(ref_rows, n + 1)
+        assert rows == ref_rows
 
     def test_su3_matrices_take_the_certified_path(self):
         # the su(3) benchmark matrices: a silent fallback would lose the
