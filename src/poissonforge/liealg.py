@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-import scipy.linalg
 
 from .polyalg import Poly, exact_rank
 from .multivector import PolyMVF, _json_int, schouten
@@ -269,6 +268,8 @@ def weyl_circle_sample(r: float, theta: float) -> WeylCircleSample:
 def coadjoint_invariance_check(spec: LieAlgebraSpec, f: Poly, trials: int,
                                seed: int) -> float:
     """Max |f(flow point) - f(start)| along random coadjoint flows exp(t ad*_X)."""
+    import scipy.linalg  # here, so that importing the package does not load SciPy
+
     n = spec.dim
     if f.nvars != n:
         raise ValueError("polynomial variable count must match the algebra dimension")

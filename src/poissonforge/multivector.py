@@ -18,6 +18,20 @@ Lie bracket with L_X L_Y - L_Y L_X = L_[X,Y], gives [W, f] = (-1)^(p-1) i_df W
 for a p-vector W, and so the Hamiltonian vector field of a bivector pi is
 H_f = -[pi, f].
 
+On monomials the formula is closed: a term c x^a xi_I of a p-vector W and a
+term d x^b xi_J of V give
+
+    c d b_i x^(a+b-e_i) on the legs I-minus-i, J    for each leg i of I,
+    -c d a_j x^(a+b-e_j) on the legs I, J-minus-j   for each leg j of J,
+
+signed by the position of the removed leg and by sorting the legs.  One
+integer kernel evaluates it for ``schouten``, ``apply_to_functions`` and
+``poisson.bracket_rows``.  Each operand is brought over one denominator, the
+lcm of its coefficients' denominators, as a list of leg sets with their
+(exponent vector, integer) terms; the kernel packs each exponent vector into
+one int (Monagan & Pearce, CASC 2007), and its sums stay in ``int`` until
+one ``Fraction`` is built per output monomial.
+
 As in ``polyalg``, data is validated where it enters: the public
 ``PolyMVF(...)`` constructor and ``PolyMVF.from_json_obj`` check leg tuples,
 weights and coefficient variable counts.  Fields that the operations here
@@ -30,6 +44,9 @@ it trusts that every key is a strictly increasing tuple of ``grade`` legs in
 from __future__ import annotations
 
 import json
+import math
+from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 import numpy as np
@@ -315,78 +332,155 @@ class GradedPiece:
 # ---------------------------------------------------------------------------
 
 def wedge(W: PolyMVF, V: PolyMVF) -> PolyMVF:
-    """Exterior product; graded-commutative with sign (-1)^(|W||V|)."""
+    """Exterior product; graded-commutative with sign (-1)^(|W||V|).
+
+    Repeated legs wedge to zero; their product is never formed.
+    """
     W._check(V)
     terms: dict[tuple, Poly] = {}
     for iw, pw in W.terms.items():
         for iv, pv in V.terms.items():
-            _accumulate(terms, pw, pv, iw + iv, 1)
+            key, sign = _sort_indices(iw + iv)
+            if sign:
+                _add_term(terms, key, pw * pv * sign)
     return PolyMVF._raw(W.nvars, W.grade + V.grade, terms, W.weights)
-
-
-def _accumulate(terms: dict, a: Poly, b: Poly, legs: Sequence[int], extra_sign: int):
-    """Add ``a * b`` on the sorted ``legs``, signed by the sort and ``extra_sign``.
-
-    Repeated legs wedge to zero; their product is never formed.
-    """
-    key, sign = _sort_indices(legs)
-    if sign:
-        _add_term(terms, key, a * b * (sign * extra_sign))
 
 
 def schouten(W: PolyMVF, V: PolyMVF, max_grade: int | None = None) -> PolyMVF:
     """Schouten bracket [W, V] of a p-vector W and a q-vector V.
 
-    In odd variables (see the module docstring), for terms a xi_I of W and
-    b xi_J of V it is the sum of a (d_i b) on the legs I-minus-i, J with sign
-    (-1)^(p-1-k) over each leg i at position k of I, and of -(d_j a) b on
-    the legs I, J-minus-j with sign (-1)^k over each leg j at position k of
-    J.  The same formula serves functions (p or q = 0), so that
-    [W, f] = (-1)^(p-1) i_df W and H_f = -[pi, f] for every bivector pi.
+    In odd variables (see the module docstring), a term c x^a xi_I of W and
+    a term d x^b xi_J of V bracket to c d b_i x^(a+b-e_i) on the legs
+    I-minus-i, J with sign (-1)^(p-1-k) over each leg i at position k of I,
+    plus -c d a_j x^(a+b-e_j) on the legs I, J-minus-j with sign (-1)^k over
+    each leg j at position k of J.  The same formula serves functions (p or
+    q = 0), so that [W, f] = (-1)^(p-1) i_df W and H_f = -[pi, f] for every
+    bivector pi.  The integer kernel ``_schouten_sums`` evaluates it, with the
+    coefficients of each operand brought over one denominator.
 
     With ``max_grade`` set the result is exactly
-    ``truncate_jet(schouten(W, V), max_grade)``, but the pieces above the
-    bound are never formed: the bracket of dilation-homogeneous pieces of
-    grades g and h is homogeneous of grade g + h - 1 (dilation is a bracket
-    automorphism), so only the graded-piece pairs with g + h - 1 <= max_grade
-    are bracketed.
+    ``truncate_jet(schouten(W, V), max_grade)``, but the monomials above the
+    bound are never formed: monomials of dilation grades g and h bracket to
+    grade g + h - 1 (dilation is a bracket automorphism), so a pair with
+    g + h - 1 > max_grade is skipped before it is multiplied.
     """
     W._check(V)
-    if max_grade is None:
-        return _schouten(W, V)
-    if max_grade < 0:
+    if max_grade is not None and max_grade < 0:
         raise ValueError("jet order must be nonnegative")
-    out = PolyMVF.zero(W.nvars, max(W.grade + V.grade - 1, 0), W.weights)
-    V_pieces = V.graded_pieces()
-    for g, Wg in W.graded_pieces().items():
-        for h, Vh in V_pieces.items():
-            if g + h - 1 <= max_grade:
-                out = out + _schouten(Wg, Vh)
-    return out
+    return _schouten(W, V, max_grade)
 
 
-def _schouten(W: PolyMVF, V: PolyMVF) -> PolyMVF:
-    """The full bracket of ``schouten``, without the argument check."""
-    p = W.grade
-    w_legs = {i for I in W.terms for i in I}
-    v_legs = {j for J in V.terms for j in J}
-    # each coefficient is differentiated once per variable the other side uses
-    dW = {I: {j: d for j in v_legs if (d := a.diff(j))} for I, a in W.terms.items()}
-    dV = {J: {i: d for i in w_legs if (d := b.diff(i))} for J, b in V.terms.items()}
-    terms: dict[tuple, Poly] = {}
-    for I, a in W.terms.items():
-        da = dW[I]
-        for J, b in V.terms.items():
-            db = dV[J]
-            # right xi_i-derivative of a xi_I times d_i b xi_J
-            for k, i in enumerate(I):
-                if i in db:
-                    _accumulate(terms, a, db[i], I[:k] + I[k + 1:] + J, (-1) ** (p - 1 - k))
-            # minus d_j a xi_I times the left xi_j-derivative of b xi_J
-            for k, j in enumerate(J):
-                if j in da:
-                    _accumulate(terms, da[j], b, I + J[:k] + J[k + 1:], -(-1) ** k)
-    return PolyMVF._raw(W.nvars, max(p + V.grade - 1, 0), terms, W.weights)
+# ---------------------------------------------------------------------------
+# The integer Schouten kernel
+# ---------------------------------------------------------------------------
+#
+# An operand is a list ``[(legs, [(exps, c, tag)])]`` of integer
+# coefficients c over one denominator.  The kernel packs each exponent
+# vector into one int, ``width`` bits per variable with x_i at bit
+# width*(i-1).  Packed words add as exponent vectors do, as long as every
+# exponent of a product fits its field, and a derivative d_i subtracts
+# 1 << width*(i-1) from a word whose field i is nonzero (Monagan & Pearce,
+# CASC 2007).  Sums are keyed by one int: the output word, then n bits for
+# the id of its sorted leg set (a bracket has fewer than 2^n leg sets), then
+# the tags, which add through like exponents.  A field's tags are 0;
+# ``poisson.bracket_rows`` tags each basis monomial with its column.
+
+def _integer_terms(W: PolyMVF):
+    """``W`` as ``(den, [(legs, [(exps, c, 0)])])`` with ``W = sum c x^exps d_legs / den``.
+
+    ``den`` is the lcm of the coefficients' denominators.
+    """
+    den = math.lcm(*(c.denominator for poly in W.terms.values() for c in poly.terms.values()))
+    return den, [(legs, [(exps, c.numerator * (den // c.denominator), 0)
+                         for exps, c in poly.terms.items()])
+                 for legs, poly in W.terms.items()]
+
+
+def _schouten_sums(p: int, W: list, V: list, weights: tuple, max_grade, den: int) -> dict:
+    """The bracket of integer operands of grades p and any, over ``den``.
+
+    Returns ``{(legs, exps): {tag: coefficient}}`` with the nonzero
+    coefficients as ``Fraction``s, one built per output monomial.  With
+    ``max_grade`` set, a pair of monomials of dilation grades g and h with
+    g + h - 1 > max_grade is skipped before it is multiplied.  The sorted
+    legs and signs of the formula in ``schouten`` depend only on (I, J, p)
+    and are found once per pair of leg sets.
+    """
+    n = len(weights)
+    degree = [max((sum(exps) for _, monos in X for exps, _, _ in monos), default=0)
+              for X in (W, V)]
+    width = max(sum(degree), 1).bit_length()
+    low, tag_shift = n * width, n * width + n
+    units = [1 << (width * v) for v in range(n)]
+    limit = math.inf if max_grade is None else max_grade + 1
+
+    def packed(X):
+        """(word, exps, c, dilation grade) for each monomial, by leg set."""
+        out = []
+        for legs, monos in X:
+            base_legs = sum(1 for i in legs if weights[i - 1] == 0)
+            out.append((legs, [(sum(map(mul, exps, units)) + (tag << tag_shift), exps, c,
+                                base_legs + sum(map(mul, exps, weights)))
+                               for exps, c, tag in monos]))
+        return out
+
+    sums: dict[int, int] = {}
+    ids: dict[tuple, int] = {}
+
+    def plan(legs, sign, i):
+        """(variable index, sign, key offset) of one term on ``legs``, or None."""
+        key, s = _sort_indices(legs)
+        if s:
+            lid = ids.setdefault(key, len(ids))
+            return i - 1, s * sign, (lid << low) - units[i - 1]
+
+    V = packed(V)
+    for I, w_monos in packed(W):
+        for J, v_monos in V:
+            # c xi_I d_i(d xi_J) and -d_j(c xi_I) d xi_J, before the factors b_i, a_j
+            left = [t for k, i in enumerate(I)
+                    if (t := plan(I[:k] + I[k + 1:] + J, (-1) ** (p - 1 - k), i))]
+            right = [t for k, j in enumerate(J)
+                     if (t := plan(I + J[:k] + J[k + 1:], -(-1) ** k, j))]
+            if not (left or right):
+                continue
+            v_plan = [(vb, d, h, [(s * b[i], off) for i, s, off in left if b[i]])
+                      for vb, b, d, h in v_monos]
+            for wa, a, c, g in w_monos:
+                w_factors = [(s * a[j], off) for j, s, off in right if a[j]]
+                for vb, d, h, v_factors in v_plan:
+                    if g + h > limit:
+                        continue
+                    word, cd = wa + vb, c * d
+                    for f, off in v_factors:
+                        key = word + off
+                        sums[key] = sums.get(key, 0) + f * cd
+                    for f, off in w_factors:
+                        key = word + off
+                        sums[key] = sums.get(key, 0) + f * cd
+
+    # group by monomial, so each exponent vector is unpacked once
+    monomial = (1 << tag_shift) - 1
+    grouped: dict[int, dict] = {}
+    for key, c in sums.items():
+        if c:
+            grouped.setdefault(key & monomial, {})[key >> tag_shift] = (
+                Fraction(c, den) if den != 1 else Fraction(c))
+    legs, mask, shifts = list(ids), (1 << width) - 1, range(0, low, width)
+    return {(legs[key >> low], tuple((key >> s) & mask for s in shifts)): tagged
+            for key, tagged in grouped.items()}
+
+
+def _schouten(W: PolyMVF, V: PolyMVF, max_grade: int | None = None) -> PolyMVF:
+    """The bracket of ``schouten``, without the argument checks."""
+    den_w, w_terms = _integer_terms(W)
+    den_v, v_terms = _integer_terms(V)
+    sums = _schouten_sums(W.grade, w_terms, v_terms, W.weights, max_grade, den_w * den_v)
+    terms: dict[tuple, dict] = {}
+    for (legs, exps), tagged in sums.items():
+        terms.setdefault(legs, {})[exps] = tagged[0]
+    return PolyMVF._raw(W.nvars, max(W.grade + V.grade - 1, 0),
+                        {legs: Poly._raw(W.nvars, t) for legs, t in terms.items()}, W.weights)
 
 
 def grade_component(W: PolyMVF, l: int) -> GradedPiece:

@@ -21,7 +21,8 @@ from fractions import Fraction
 import numpy as np
 
 from .polyalg import Poly, _add_term, _as_fraction, exact_rank, solve_linear_exact
-from .multivector import PolyMVF, dilate, grade_component, schouten
+from .multivector import (PolyMVF, _integer_terms, _schouten_sums, dilate, grade_component,
+                          schouten)
 
 __all__ = [
     "PoissonCheck",
@@ -167,15 +168,17 @@ def bracket_rows(pi: PolyMVF, basis) -> dict:
     by the (legs, exps) monomials of the brackets and hold only nonzeros.
     The basis is trusted to be one ``graded_basis`` builds: increasing legs
     in 1..n and exponent vectors of length n.
+
+    One call of the integer Schouten kernel of ``multivector`` brackets pi,
+    brought over its denominator once, with every basis monomial: each
+    monomial is tagged with its column, so the images of different columns
+    never share a sum.
     """
-    n = pi.nvars
-    rows: dict[tuple, dict[int, Fraction]] = {}
+    den, pi_terms = _integer_terms(pi)
+    monos: dict[tuple, list] = {}
     for col, (legs, exps) in enumerate(basis):
-        b = PolyMVF._raw(n, len(legs), {legs: Poly._raw(n, {exps: Fraction(1)})}, pi.weights)
-        for lg, poly in schouten(pi, b).terms.items():
-            for e, c in poly.terms.items():
-                rows.setdefault((lg, e), {})[col] = c
-    return rows
+        monos.setdefault(legs, []).append((exps, 1, col))
+    return _schouten_sums(pi.grade, pi_terms, list(monos.items()), pi.weights, None, den)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,8 @@
-"""Multivector algebra: wedge, Schouten bracket, grading, serialization."""
+"""Multivector algebra: wedge, Schouten bracket, grading, serialization.
+
+The Schouten kernel and ``bracket_rows`` are checked against
+``_reference_schouten``, the bracket evaluated through ``Poly`` arithmetic.
+"""
 
 import itertools
 import json
@@ -8,9 +12,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from poissonforge import (PolyMVF, dilate, grade_component, schouten, sharp,
-                          truncate_jet, wedge)
-from poissonforge.polyalg import Poly, parse_poly
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from poissonforge import (PolyMVF, dilate, grade_component, linear_poisson, preset,
+                          schouten, sharp, truncate_jet, wedge)
+from poissonforge.multivector import _sort_indices
+from poissonforge.poisson import bracket_rows, graded_basis
+from poissonforge.polyalg import Poly, _add_term, parse_poly
 
 from conftest import rand_mvf, rand_poly, sgn
 
@@ -407,23 +416,133 @@ def test_multiderivation_against_determinant_oracle():
         assert sympy.expand(got - expected) == 0
 
 
-def test_schouten_differentiates_each_coefficient_once(monkeypatch):
-    # every coefficient is differentiated at most once per variable, not once
-    # per pair of terms
-    calls = []
-    diff = Poly.diff
-    monkeypatch.setattr(Poly, "diff", lambda self, i: calls.append(i) or diff(self, i))
+# ---------------------------------------------------------------------------
+# Reference oracle: the bracket as it stood before the integer kernel
+# ---------------------------------------------------------------------------
+#
+# The same odd-variable formula evaluated through ``Poly`` arithmetic: each
+# coefficient is differentiated, products are ``Fraction`` polynomials and
+# every term is accumulated on its sorted legs.  It shares no code with the
+# kernel beyond ``_sort_indices``.
+
+def _accumulate(terms: dict, a: Poly, b: Poly, legs, extra_sign: int):
+    """Add ``a * b`` on the sorted ``legs``, signed by the sort and ``extra_sign``.
+
+    Repeated legs wedge to zero; their product is never formed.
+    """
+    key, sign = _sort_indices(legs)
+    if sign:
+        _add_term(terms, key, a * b * (sign * extra_sign))
+
+
+def _reference_schouten(W: PolyMVF, V: PolyMVF) -> PolyMVF:
+    """The full bracket of ``schouten``, without the argument check."""
+    p = W.grade
+    w_legs = {i for I in W.terms for i in I}
+    v_legs = {j for J in V.terms for j in J}
+    # each coefficient is differentiated once per variable the other side uses
+    dW = {I: {j: d for j in v_legs if (d := a.diff(j))} for I, a in W.terms.items()}
+    dV = {J: {i: d for i in w_legs if (d := b.diff(i))} for J, b in V.terms.items()}
+    terms: dict[tuple, Poly] = {}
+    for I, a in W.terms.items():
+        da = dW[I]
+        for J, b in V.terms.items():
+            db = dV[J]
+            # right xi_i-derivative of a xi_I times d_i b xi_J
+            for k, i in enumerate(I):
+                if i in db:
+                    _accumulate(terms, a, db[i], I[:k] + I[k + 1:] + J, (-1) ** (p - 1 - k))
+            # minus d_j a xi_I times the left xi_j-derivative of b xi_J
+            for k, j in enumerate(J):
+                if j in da:
+                    _accumulate(terms, da[j], b, I + J[:k] + J[k + 1:], -(-1) ** k)
+    return PolyMVF._raw(W.nvars, max(p + V.grade - 1, 0), terms, W.weights)
+
+
+@st.composite
+def field_pairs(draw):
+    """(W, V): fields on R^n, n in 1..4, over one drawn weight vector in {0,1}^n.
+
+    Grades run over 0..3 on either side, coefficients have up to four terms
+    of degree up to 3 in each variable and rationals with denominators up
+    to 6.
+    """
+    n = draw(st.integers(1, 4))
+    weights = tuple(draw(st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n)))
+    exps = st.tuples(*[st.integers(0, 3)] * n)
+    coeffs = st.builds(Fraction, st.integers(-20, 20).filter(bool), st.integers(1, 6))
+    polys = st.dictionaries(exps, coeffs, min_size=1, max_size=4).map(lambda t: Poly(n, t))
+
+    def field():
+        grade = draw(st.integers(0, min(n, 3)))
+        leg_sets = list(itertools.combinations(range(1, n + 1), grade))
+        legs = draw(st.lists(st.sampled_from(leg_sets), unique=True, max_size=3))
+        return PolyMVF(n, grade, {I: draw(polys) for I in legs}, weights)
+
+    return field(), field()
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(field_pairs())
+def test_schouten_matches_reference(pair):
+    W, V = pair
+    expected = _reference_schouten(W, V)
+    got = schouten(W, V)
+    assert got == expected and got.grade == expected.grade
+    _assert_canonical(got)
+    for m in range(6):
+        assert schouten(W, V, max_grade=m) == truncate_jet(expected, m)
+
+
+def _reference_rows(pi, basis):
+    """``bracket_rows`` assembled column by column from ``_reference_schouten``."""
+    rows = {}
+    for col, (legs, exps) in enumerate(basis):
+        b = PolyMVF(pi.nvars, len(legs), {legs: Poly.monomial(pi.nvars, exps)}, pi.weights)
+        for lg, poly in _reference_schouten(pi, b).terms.items():
+            for e, c in poly.terms.items():
+                rows.setdefault((lg, e), {})[col] = c
+    return rows
+
+
+def _criterion_4_jet(scale=1):
+    """The criterion-4 jet: the nonlinear, weighted pi that prolong_step brackets."""
+    return PolyMVF(3, 2, {(1, 2): parse_poly("x3", 3), (1, 3): parse_poly("x1*x3", 3)},
+                   weights=(0, 0, 1)) * scale
+
+
+@pytest.mark.parametrize("build, base_degree_cap", [
+    (lambda: linear_poisson(preset("so3")), 0),
+    (lambda: linear_poisson(preset("sl2")), 0),
+    (lambda: linear_poisson(preset("su2")), 0),
+    (_criterion_4_jet, 2),
+    (lambda: _criterion_4_jet(Fraction(2, 3)) + PolyMVF(
+        3, 2, {(2, 3): parse_poly("1/5*x2^2*x3^2", 3)}, weights=(0, 0, 1)), 2),
+], ids=["so3", "sl2", "su2", "criterion-4", "criterion-4-rational"])
+def test_bracket_rows_match_reference(build, base_degree_cap):
+    pi = build()
+    for k in range(4):
+        for l in range(4):
+            basis = graded_basis(pi.nvars, k, l, pi.weights, base_degree_cap)
+            rows = bracket_rows(pi, basis)
+            assert rows == _reference_rows(pi, basis)
+            assert all(type(c) is Fraction and c for row in rows.values() for c in row.values())
+
+
+def test_bracket_never_takes_the_poly_path(monkeypatch):
+    # the kernel works on integer coefficients of packed exponent words: a
+    # Poly product, sum or derivative inside it is the slow path come back
     rng = random.Random(21)
-    for _ in range(40):
-        n = rng.randint(2, 4)
-        W = rand_mvf(rng, n, rng.randint(0, n))
-        V = rand_mvf(rng, n, rng.randint(0, n))
-        calls.clear()
-        schouten(W, V)
-        assert len(calls) <= (len(W.terms) + len(V.terms)) * n
-    full = {legs: Poly.constant(4, 1) + Poly.variable(4, legs[0])
-            for legs in itertools.combinations(range(1, 5), 2)}
-    W = PolyMVF(4, 2, full)
-    calls.clear()
-    schouten(W, W)
-    assert len(calls) <= 2 * len(W.terms) * 4
+    pairs = [(rand_mvf(rng, n, rng.randint(0, n)), rand_mvf(rng, n, rng.randint(0, n)))
+             for n in (2, 3, 4) for _ in range(10)]
+    pi = linear_poisson(preset("so3"))
+    basis = graded_basis(3, 2, 2, pi.weights)
+
+    def refuse(*args):
+        raise AssertionError("Poly arithmetic inside the Schouten kernel")
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__", "diff"):
+        monkeypatch.setattr(Poly, name, refuse)
+    for W, V in pairs:
+        assert schouten(W, V).grade == max(W.grade + V.grade - 1, 0)
+        schouten(W, V, max_grade=2)
+    assert bracket_rows(pi, basis)

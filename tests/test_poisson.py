@@ -14,7 +14,7 @@ from poissonforge import (PolyMVF, ad_exp, casimir_basis, check_poisson,
                           gauge_pointwise, hamiltonian_vf, linear_poisson,
                           poisson_bracket, preset, schouten, sharp)
 from poissonforge import poisson
-from poissonforge.poisson import GaugeSingularError, basis_size, graded_basis
+from poissonforge.poisson import GaugeSingularError, basis_size, bracket_rows, graded_basis
 from poissonforge.liealg import LieAlgebraSpec
 from poissonforge.polyalg import Poly, parse_poly
 
@@ -164,6 +164,33 @@ class TestCohomology:
                       if sum(a * g for a, g in zip(e, gens)) == l)
             table = cohomology_dims(pi, l, kmax)
             assert table.betti == {k: poincare.get(k, 0) * cas for k in range(kmax + 1)}
+
+    @pytest.mark.parametrize("name, l, ks", [("so3", 2, range(2)), ("su3", 1, range(4))],
+                             ids=["so3", "su3"])
+    def test_emitted_matrices_square_to_zero(self, name, l, ks):
+        # d o d = 0 from k to k + 1 to k + 2, on the matrices bracket_rows emits
+        # (the Chevalley-Eilenberg differential of g with coefficients in S(g))
+        pi = linear_poisson(preset(name))
+        n = pi.nvars
+
+        def columns(k):
+            """d on grade-l k-vectors: column c as {index in the (k+1)-basis: value}."""
+            index = {key: r for r, key in enumerate(graded_basis(n, k + 1, l, pi.weights))}
+            cols = {}
+            for key, row in bracket_rows(pi, graded_basis(n, k, l, pi.weights)).items():
+                for c, v in row.items():
+                    cols.setdefault(c, {})[index[key]] = v
+            return cols
+
+        for k in ks:
+            first, second = columns(k), columns(k + 1)
+            assert first and second
+            for col in first.values():
+                image = {}
+                for r, v in col.items():
+                    for s, w in second.get(r, {}).items():
+                        image[s] = image.get(s, 0) + v * w
+                assert not any(image.values())
 
     def test_rejects_weighted_vars(self, pi_so3):
         with pytest.raises(ValueError):
