@@ -10,13 +10,14 @@ realization properties at seeded random samples.
 
 Only what moves is integrated.  The spray has ydot = 0, so y is carried
 along unchanged, and the lower rows of the Jacobian J stay [0 I]; only the
-top block J_top = [Jxx Jxy] evolves, by Jdot_top = M J_top + [0 | P^T] with
-M = d(xdot)/dx and P = pi(x).  The integrand
+top block J_top = [Jxx Jxy] evolves, and the RK4 state is the stacked
+Z = [x; J_top], batch last.  A stage is one product of the stage table of
+`SprayField` with [y; 1] (x) V(x), V the monomial values, giving xdot and
+G = [M | P^T] (M = d(xdot)/dx, P = pi(x)), then Jdot_top = G [J_top; 0 I].
 J^T omega_can J = [[0, Jxx^T], [-Jxx, Jxy^T - Jxy]] is linear in J_top, so the
-quadrature keeps K = int J_top dt (the RK4 weights applied to the stage
-values of J_top) and the form is assembled from K once at the end.
-`SprayField` compiles pi and its partial derivatives into one monomial
-table, and every evaluation reads that table.
+quadrature keeps K = int J_top dt, assembling the form once at the end.  Its
+RK4 step (h/6)(J_1 + 2 J_2 + 2 J_3 + J_4) is h J_1 + (h^2/6)(k_1 + k_2 + k_3)
+in the stage slopes k_i, added to K at once.
 
 It also contains the midpoint quadrature used to reproduce sphere-leaf
 symplectic areas and their radial variations.
@@ -58,8 +59,11 @@ class SprayField:
     `pi` and its n partial derivatives are compiled once into the m
     monomials they use and a float coefficient table `_coef` of shape
     (m, n+1, n, n): slot 0 holds pi_ij, slot k holds d(pi_ij)/dx_k.  Every
-    evaluation reads that table.  Inside the integrator the batch axis comes
-    last, so that each elementwise operation runs over a contiguous batch.
+    evaluation reads that table; the integrator reads it as the stage table
+    `_stage`, (n + 2n^2, (n+1) m), columns (i, monomial) weighted by y_i for
+    i < n and by 1 for i = n.  Its rows give xdot_j = sum_i y_i pi_ij, then
+    G = [M | P^T] with M[j, k] = sum_i y_i d(pi_ij)/dx_k and P^T[j, c] = pi_cj.
+    The batch axis comes last, so each elementwise operation is contiguous.
     """
 
     def __init__(self, pi: PolyMVF):
@@ -87,13 +91,13 @@ class SprayField:
         # x_v^p is row v*(deg+1) + p of the power table built by _monomials
         self._deg = int(exps.max(initial=0))
         self._rows = exps.T + (self._deg + 1) * np.arange(n)[:, None]
-        # _rhs tables; their columns run over (i, monomial) pairs
-        pt = self._coef[:, 0].transpose(2, 1, 0)      # [j, i, m] = pi_ij coefficient
-        self._pt = pt.reshape(n * n, m)               # P^T
-        # rows j: xdot_j = sum_i y_i pi_ij;  rows n + j*n + k: M[j, k] = d(xdot_j)/dx_k
-        self._xm = np.concatenate([
-            pt.reshape(n, n * m),
-            self._coef[:, 1:].transpose(3, 1, 2, 0).reshape(n * n, n * m)])
+        pt = self._coef[:, 0].transpose(2, 1, 0)          # [j, i, m] = pi_ij coefficient
+        stage = np.zeros((n + 2 * n * n, n + 1, m))
+        stage[:n, :n] = pt
+        G = stage[n:].reshape(n, 2 * n, n + 1, m)
+        G[:, :n, :n] = self._coef[:, 1:].transpose(3, 1, 2, 0)   # [j, k, i, m]
+        G[:, n:, n] = pt
+        self._stage = stage.reshape(n + 2 * n * n, (n + 1) * m)
 
     def _monomials(self, xt: np.ndarray) -> np.ndarray:
         """Monomial values, shape (m, ...), at points xt of shape (n, ...)."""
@@ -128,82 +132,82 @@ class SprayField:
         return np.einsum("...ij,...i->...j", P, y)
 
 
-def _rhs(spray: SprayField, x, yt, Jt):
-    """One RK4 stage: xdot (B, n) and Jdot_top (n, 2n, B).
+def _rhs(spray: SprayField, x, Y, Jt, out):
+    """One RK4 stage: the slope of the stacked state Z = [x; J_top], into `out`.
 
-    `x` is (B, n); `yt` is y transposed, (n, B); `Jt` is J_top with the batch
-    last, (n, 2n, B).
+    `x` is (B, n), the view Z[:n].T; `Y` is [y; 1], (n+1, B); `Jt` is Z[n:],
+    J_top flattened over its rows, (2n^2, B); `out` is (n + 2n^2, B).
     """
     n = spray.n
     V = spray._monomials(x.T)                                  # (m, B)
-    VY = (yt[:, None, :] * V[None, :, :]).reshape(-1, V.shape[1])
-    XM = spray._xm @ VY                                        # (n + n*n, B)
-    M = XM[n:].reshape(n, n, -1)                               # [j, k, b]
-    # Jdot_top = M J_top + [0 | P^T]
-    Jdot = M[:, 0, None, :] * Jt[None, 0]
-    for k in range(1, n):
-        Jdot += M[:, k, None, :] * Jt[None, k]
-    Jdot[:, n:] += (spray._pt @ V).reshape(n, n, -1)
-    return XM[:n].T, Jdot
+    XG = spray._stage @ (Y[:, None] * V).reshape(-1, V.shape[1])
+    out[:n] = XG[:n]
+    # Jdot_top = G [J_top; 0 I] = M J_top + [0 | P^T]
+    G = XG[n:].reshape(n, 2 * n, -1)
+    Jdot = out[n:].reshape(G.shape)
+    np.einsum("jkb,kcb->jcb", G[:, :n], Jt.reshape(G.shape), out=Jdot)
+    Jdot[:, n:] += G[:, n:]
 
 
 def _flow_batch(pi: PolyMVF, xi: np.ndarray, t_final: float, steps: int):
     """Batched RK4 for the spray flow, its Jacobian and the realization form.
 
-    Integrates x and J_top = [Jxx Jxy] (the rows of J that move); y stays
-    as given and the lower rows of J are [0 I].  K accumulates the RK4
-    quadrature of the stage values of J_top, and the form is assembled once
-    at the end as Om = [[0, Kxx^T], [-Kxx, Kxy^T - Kxy]], which is
-    int_0^{t_final} J^T Omega_can J dt.
+    `xi` is (B, 2n).  Integrates Z = [x; J_top] (the rows of J that move);
+    y stays as given and the lower rows of J are [0 I].  K accumulates the
+    RK4 quadrature of J_top, and the form is assembled once at the end as
+    Om = [[0, Kxx^T], [-Kxx, Kxy^T - Kxy]] = A - A^T with A = [[0, 0], -K],
+    which is int_0^{t_final} J^T Omega_can J dt.
 
     Returns (x, y, J, Om, blowup_time) with J the full (B, 2n, 2n) Jacobian.
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
+    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 1:
+        raise ValueError(f"steps must be an int >= 1, got {steps!r}")
     spray = SprayField(pi)
     n = spray.n
-    xi = np.atleast_2d(np.asarray(xi, dtype=float))
+    xi = np.asarray(xi, dtype=float)
+    if xi.ndim != 2 or xi.shape[1] != 2 * n:
+        raise ValueError(f"xi must have shape (B, {2 * n}), got {xi.shape}")
     B = xi.shape[0]
-    x = xi[:, :n].copy()
-    y = xi[:, n:].copy()
-    yt = np.ascontiguousarray(y.T)
-    Jt = np.zeros((n, 2 * n, B))
-    Jt[:, :n] = np.eye(n)[:, :, None]
-    K = np.zeros_like(Jt)
+    Z = np.empty((n + 2 * n * n, B))
+    Z[:n], Z[n:] = xi[:, :n].T, np.eye(n, 2 * n).reshape(-1, 1)
+    Y = np.ones((n + 1, B))
+    Y[:n] = xi[:, n:].T
+    k = np.empty((4,) + Z.shape)
+    Zs = np.empty_like(Z)
+    K = np.zeros_like(Z[n:])
     h = t_final / steps
     check_every = max(1, steps // 32)
     blowup = None
     for s in range(steps):
-        k1 = _rhs(spray, x, yt, Jt)
-        J2 = Jt + 0.5 * h * k1[1]
-        k2 = _rhs(spray, x + 0.5 * h * k1[0], yt, J2)
-        J3 = Jt + 0.5 * h * k2[1]
-        k3 = _rhs(spray, x + 0.5 * h * k2[0], yt, J3)
-        J4 = Jt + h * k3[1]
-        k4 = _rhs(spray, x + h * k3[0], yt, J4)
-        x += (h / 6) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        K += (h / 6) * (Jt + 2 * J2 + 2 * J3 + J4)
-        Jt += (h / 6) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        if (s + 1) % check_every == 0 or s == steps - 1:
-            if not np.isfinite(x).all() or not np.isfinite(Jt).all():
-                blowup = (s + 1) * h
-                break
-    J = np.zeros((B, 2 * n, 2 * n))
-    J[:, :n] = Jt.transpose(2, 0, 1)
-    J[:, n:, n:] = np.eye(n)
-    Kxx = K[:, :n].transpose(2, 0, 1)
-    Kxy = K[:, n:].transpose(2, 0, 1)
-    Om = np.zeros((B, 2 * n, 2 * n))
-    Om[:, :n, n:] = Kxx.transpose(0, 2, 1)
-    Om[:, n:, :n] = -Kxx
-    Om[:, n:, n:] = Kxy.transpose(0, 2, 1) - Kxy
-    return x, y, J, Om, blowup
+        _rhs(spray, Z[:n].T, Y, Z[n:], k[0])
+        for i, c in enumerate((0.5 * h, 0.5 * h, h)):
+            np.multiply(k[i], c, out=Zs)
+            Zs += Z
+            _rhs(spray, Zs[:n].T, Y, Zs[n:], k[i + 1])
+        S = k[0] + k[1] + k[2]
+        K += h * (Z[n:] + (h / 6) * S[n:])     # (h/6)(J_1 + 2 J_2 + 2 J_3 + J_4)
+        Z += (h / 6) * (S + k[1] + k[2] + k[3])
+        if ((s + 1) % check_every == 0 or s == steps - 1) and not np.isfinite(Z).all():
+            blowup = (s + 1) * h
+            break
+    J = np.tile(np.eye(2 * n), (B, 1, 1))
+    J[:, :n] = Z[n:].reshape(n, 2 * n, B).transpose(2, 0, 1)
+    A = np.zeros_like(J)
+    A[:, n:] = -K.reshape(n, 2 * n, B).transpose(2, 0, 1)
+    return Z[:n].T.copy(), xi[:, n:].copy(), J, A - A.transpose(0, 2, 1), blowup
+
+
+def _point(xi, n: int) -> np.ndarray:
+    """A point of shape (2n,), as a batch of one."""
+    xi = np.asarray(xi, dtype=float)
+    if xi.shape != (2 * n,):
+        raise ValueError(f"xi must have shape ({2 * n},), got {xi.shape}")
+    return xi[None, :]
 
 
 def flow_with_jacobian(V: SprayField, xi, t_final: float, steps: int):
     """RK4 flow of the spray from xi, with the variational equations."""
-    x, y, J, _, blowup = _flow_batch(V.pi, np.asarray(xi, dtype=float)[None, :],
-                                     t_final, steps)
+    x, y, J, _, blowup = _flow_batch(V.pi, _point(xi, V.n), t_final, steps)
     if blowup is not None:
         raise FlowBlowupError(blowup)
     return np.concatenate([x[0], y[0]]), J[0]
@@ -211,8 +215,7 @@ def flow_with_jacobian(V: SprayField, xi, t_final: float, steps: int):
 
 def realization_form(pi: PolyMVF, xi, steps: int) -> np.ndarray:
     """omega_xi = int_0^1 (phi_t^* omega_can)_xi dt, as a 2n x 2n matrix."""
-    _, _, _, Om, blowup = _flow_batch(pi, np.asarray(xi, dtype=float)[None, :],
-                                      1.0, steps)
+    _, _, _, Om, blowup = _flow_batch(pi, _point(xi, pi.nvars), 1.0, steps)
     if blowup is not None:
         raise FlowBlowupError(blowup)
     return Om[0]
@@ -256,9 +259,7 @@ def verify_realization(pi: PolyMVF, n_samples: int, radius: float, seed: int,
 
     # one batch: base points, 2*(2n) finite-difference shifts, zero-section points
     shifts = []
-    for a in range(2 * n):
-        e = np.zeros(2 * n)
-        e[a] = h
+    for e in h * np.eye(2 * n):
         shifts.extend([base + e, base - e])
     zero_sec = np.concatenate([base[:, :n], np.zeros((n_samples, n))], axis=1)
     batch = np.concatenate([base] + shifts + [zero_sec], axis=0)
@@ -271,7 +272,6 @@ def verify_realization(pi: PolyMVF, n_samples: int, radius: float, seed: int,
     if not ok.any():
         raise FlowBlowupError(blowup if blowup is not None else 1.0)
     Om = Om.reshape(groups, n_samples, 2 * n, 2 * n)[:, ok]
-    kept = int(ok.sum())
 
     omega = Om[0]
     skew_defect = np.abs(omega + omega.transpose(0, 2, 1)).max()
@@ -283,9 +283,7 @@ def verify_realization(pi: PolyMVF, n_samples: int, radius: float, seed: int,
     poisson_res = np.abs(omega_inv[:, :n, :n] - Pi_base).max()
 
     # d(omega) via central differences of the matrix entries
-    grad = np.empty((2 * n, kept, 2 * n, 2 * n))
-    for a in range(2 * n):
-        grad[a] = (Om[1 + 2 * a] - Om[2 + 2 * a]) / (2 * h)
+    grad = (Om[1:-1:2] - Om[2:-1:2]) / (2 * h)   # shifts +e_a, -e_a alternate
     d3 = [grad[a, :, b, c] + grad[b, :, c, a] + grad[c, :, a, b]
           for a, b, c in itertools.combinations(range(2 * n), 3)]
     domega_max = float(np.abs(d3).max()) if d3 else 0.0  # NaN propagates
@@ -368,6 +366,8 @@ def dh_variation(r: float, h: float, grid=(64, 2048)) -> tuple[float, float]:
     """
     if not (math.isfinite(r) and r > 0):
         raise ValueError("radius r must be finite and > 0")
+    if not (math.isfinite(h) and 0 < h < r):
+        raise ValueError("step h must be finite, > 0 and below the radius r")
     from .liealg import linear_poisson, preset
     pi = linear_poisson(preset("so3"))
 

@@ -164,6 +164,8 @@ def test_realize_rejects_bad_input(mvf_file, capsys, bad, named):
     pytest.param(["su3", "--samples", "-5"], "samples", id="su3-samples=-5"),
     pytest.param(["area", "--radius", "nan"], "radius", id="area-radius=nan"),
     pytest.param(["area", "--radius", "inf"], "radius", id="area-radius=inf"),
+    # the radial derivative steps by 1e-5 on each side of the radius
+    pytest.param(["area", "--radius", "1e-6"], "step h", id="area-radius=1e-6"),
 ])
 def test_bad_numeric_arguments_exit_2(so3_file, jet_file, capsys, argv, named):
     argv = [a.format(so3=so3_file, jet=jet_file) for a in argv]

@@ -4,12 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm, expm_frechet
 
 from poissonforge import (FlowBlowupError, PolyMVF, SprayField, dh_variation,
-                          flow_with_jacobian, realization_form,
-                          sphere_leaf_form, symplectic_area,
+                          flow_with_jacobian, linear_poisson, preset,
+                          realization_form, sphere_leaf_form, symplectic_area,
                           verify_realization)
+from poissonforge import realize
 from poissonforge.polyalg import Poly, parse_poly
 from poissonforge.realize import _flow_batch
 
@@ -142,6 +146,170 @@ def test_reduced_state_structure():
     assert np.array_equal(Om, -Om.transpose(0, 2, 1))
 
 
+def _reference_flow_batch(pi, xi, t_final, steps):
+    """The two-array RK4 of x and J_top, with K the RK4 weights applied to the
+    stage values of J_top: the integrator before the stacked state, kept as
+    an oracle.  Returns (x, J, Om)."""
+    spray = SprayField(pi)
+    n, coef = spray.n, spray._coef
+    m = coef.shape[0]
+    pt = coef[:, 0].transpose(2, 1, 0)
+    PT = pt.reshape(n * n, m)
+    XM = np.concatenate([pt.reshape(n, n * m),
+                         coef[:, 1:].transpose(3, 1, 2, 0).reshape(n * n, n * m)])
+
+    def rhs(x, yt, Jt):
+        V = spray._monomials(x.T)
+        xm = XM @ (yt[:, None, :] * V[None, :, :]).reshape(-1, V.shape[1])
+        M = xm[n:].reshape(n, n, -1)
+        Jdot = M[:, 0, None, :] * Jt[None, 0]
+        for k in range(1, n):
+            Jdot += M[:, k, None, :] * Jt[None, k]
+        Jdot[:, n:] += (PT @ V).reshape(n, n, -1)
+        return xm[:n].T, Jdot
+
+    B = xi.shape[0]
+    x = xi[:, :n].copy()
+    yt = np.ascontiguousarray(xi[:, n:].T)
+    Jt = np.zeros((n, 2 * n, B))
+    Jt[:, :n] = np.eye(n)[:, :, None]
+    K = np.zeros_like(Jt)
+    h = t_final / steps
+    for _ in range(steps):
+        k1 = rhs(x, yt, Jt)
+        J2 = Jt + 0.5 * h * k1[1]
+        k2 = rhs(x + 0.5 * h * k1[0], yt, J2)
+        J3 = Jt + 0.5 * h * k2[1]
+        k3 = rhs(x + 0.5 * h * k2[0], yt, J3)
+        J4 = Jt + h * k3[1]
+        k4 = rhs(x + h * k3[0], yt, J4)
+        x += (h / 6) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+        K += (h / 6) * (Jt + 2 * J2 + 2 * J3 + J4)
+        Jt += (h / 6) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+    J = np.zeros((B, 2 * n, 2 * n))
+    J[:, :n] = Jt.transpose(2, 0, 1)
+    J[:, n:, n:] = np.eye(n)
+    Kxx = K[:, :n].transpose(2, 0, 1)
+    Kxy = K[:, n:].transpose(2, 0, 1)
+    Om = np.zeros((B, 2 * n, 2 * n))
+    Om[:, :n, n:] = Kxx.transpose(0, 2, 1)
+    Om[:, n:, :n] = -Kxx
+    Om[:, n:, n:] = Kxy.transpose(0, 2, 1) - Kxy
+    return x, J, Om
+
+
+@pytest.mark.parametrize("name", ["so3", "su3", "quad"])
+def test_stacked_integrator_matches_two_array_reference(name):
+    pi = _pi_quad() if name == "quad" else linear_poisson(preset(name))
+    n = pi.nvars
+    xi = 0.3 * np.random.default_rng(43).normal(size=(64, 2 * n))
+    x, y, J, Om, blowup = _flow_batch(pi, xi, 1.0, 60)
+    assert blowup is None
+    x_ref, J_ref, Om_ref = _reference_flow_batch(pi, xi, 1.0, 60)
+    np.testing.assert_allclose(x, x_ref, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(J, J_ref, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(Om, Om_ref, rtol=0, atol=1e-14)
+
+
+def _lie_poisson_closed_form(spec, xi, nodes=24):
+    """Exact flow of the spray of a linear bivector, with no time-stepping.
+
+    pi_ij = sum_k c_ij^k x_k makes xdot = A x with A_jk = sum_i y_i c_ij^k
+    constant, so x(t) = e^{tA} x0, Jxx = e^{tA} and column i of Jxy is
+    L(tA, t C_i) x0, L the Frechet derivative of expm and C_i[j, k] = c_ij^k.
+    omega = int_0^1 J^T Omega_can J dt by Gauss-Legendre quadrature (the
+    integrand is entire in t).  Returns (x(1), J(1), omega).
+    """
+    n = spec.dim
+    c = np.zeros((n, n, n))
+    for (i, j, k), v in spec.C.items():
+        c[i - 1, j - 1, k - 1] = float(v)
+        c[j - 1, i - 1, k - 1] = -float(v)
+    x0, y = xi[:n], xi[n:]
+    A = np.einsum("i,ijk->jk", y, c)
+    Omega = np.block([[np.zeros((n, n)), np.eye(n)], [-np.eye(n), np.zeros((n, n))]])
+
+    def jacobian(t):
+        J = np.eye(2 * n)
+        J[:n, :n] = expm(t * A)
+        for i in range(n):
+            J[:n, n + i] = expm_frechet(t * A, t * c[i], compute_expm=False) @ x0
+        return J
+
+    u, w = np.polynomial.legendre.leggauss(nodes)
+    omega = sum(0.5 * wq * jacobian(t).T @ Omega @ jacobian(t)
+                for t, wq in zip(0.5 * (u + 1), w))
+    J1 = jacobian(1.0)
+    return J1[:n, :n] @ x0, J1, omega
+
+
+def _phase_points(n):
+    """Points xi in R^{2n} with |xi| <= 0.5."""
+    coords = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+    return st.tuples(st.lists(coords, min_size=2 * n, max_size=2 * n),
+                     st.floats(0.0, 0.5)).filter(lambda p: any(p[0])).map(
+        lambda p: p[1] * np.array(p[0]) / np.linalg.norm(p[0]))
+
+
+@pytest.mark.parametrize("name", ["so3", "sl2", "su3"])
+def test_rk4_matches_lie_poisson_closed_form(name):
+    spec = preset(name)
+    pi = linear_poisson(spec)
+    spray = SprayField(pi)
+
+    @settings(max_examples=4, derandomize=True, database=None, deadline=None)
+    @given(_phase_points(spec.dim))
+    def check(xi):
+        x1, J1, omega = _lie_poisson_closed_form(spec, xi)
+        assert np.abs(realization_form(pi, xi, 2000) - omega).max() <= 1e-13
+        # at 100 steps the RK4 truncation error reaches 2e-10 on sl2 at |xi| = 0.5;
+        # above roundoff, halving the step divides it by 2^4
+        e50, e100 = (np.abs(realization_form(pi, xi, s) - omega).max() for s in (50, 100))
+        assert e100 <= 3e-10
+        assert e50 < 1e-12 or 14 < e50 / e100 < 18
+        state, J = flow_with_jacobian(spray, xi, 1.0, 100)
+        assert np.abs(state - np.concatenate([x1, xi[spec.dim:]])).max() <= 3e-10
+        assert np.abs(J - J1).max() <= 3e-10
+
+    check()
+
+
+@pytest.mark.parametrize("name", ["so3", "sl2", "su3"])
+def test_lie_poisson_closed_form_satisfies_theorem_0(name):
+    """The oracle's own omega, with no integrator: the base projection is a
+    Poisson map and omega on the zero section is [[0, I], [-I, pi(x)]]."""
+    spec = preset(name)
+    pi = linear_poisson(spec)
+    n = spec.dim
+    rng = np.random.default_rng(44)
+    for _ in range(3):
+        xi = 0.4 * rng.uniform(-1, 1, size=2 * n)
+        P = pi.bivector_matrix(xi[None, :n])[0]
+        _, _, omega = _lie_poisson_closed_form(spec, xi)
+        np.testing.assert_allclose(np.linalg.inv(omega)[:n, :n], P, rtol=0, atol=1e-12)
+        _, _, omega0 = _lie_poisson_closed_form(spec, np.concatenate([xi[:n], np.zeros(n)]))
+        expected = np.block([[np.zeros((n, n)), np.eye(n)], [-np.eye(n), P]])
+        np.testing.assert_allclose(omega0, expected, rtol=0, atol=1e-14)
+
+
+def test_rhs_runs_once_per_stage_through_the_module_global(monkeypatch):
+    """The benchmark's tracer rebinds `realize._rhs` by name and keys its
+    per-batch timings on the shape of the second argument."""
+    shapes = []
+    original = realize._rhs
+
+    def counting(*args):
+        shapes.append(args[1].shape)
+        return original(*args)
+
+    monkeypatch.setattr(realize, "_rhs", counting)
+    for B, steps in ((7, 13), (140, 5)):
+        shapes.clear()
+        xi = 0.2 * np.random.default_rng(B).normal(size=(B, 6))
+        _flow_batch(_pi_quad(), xi, 1.0, steps)
+        assert shapes == [(B, 3)] * (4 * steps)
+
+
 def test_zero_section_form_closed_form(pi_so3):
     rng = np.random.default_rng(37)
     for _ in range(5):
@@ -184,6 +352,35 @@ def test_bad_arguments_rejected(pi_so3):
     for radius in (math.nan, math.inf, -1.0, 0.0):
         with pytest.raises(ValueError, match="radius"):
             verify_realization(pi_so3, 2, radius, 1, 20)
+
+
+def test_steps_must_be_an_int(pi_so3):
+    xi = np.zeros(6)
+    for steps in (True, False, 20.0, "20", None):
+        with pytest.raises(ValueError, match="steps"):
+            realization_form(pi_so3, xi, steps)
+        with pytest.raises(ValueError, match="steps"):
+            flow_with_jacobian(SprayField(pi_so3), xi, 1.0, steps)
+        with pytest.raises(ValueError, match="steps"):
+            verify_realization(pi_so3, 2, 0.1, 1, steps)
+    assert realization_form(pi_so3, xi, np.int64(3)).shape == (6, 6)
+
+
+def test_batch_shape_is_checked_not_broadcast(pi_so3):
+    # a width-(n+1) batch would broadcast into [y; 1] if it were not checked
+    for shape in ((4, 4), (4, 7), (4, 5), (6,), (2, 4, 6), ()):
+        with pytest.raises(ValueError, match=r"\(B, 6\)"):
+            _flow_batch(pi_so3, np.zeros(shape), 1.0, 10)
+
+
+def test_single_point_shape_is_checked(pi_so3):
+    spray = SprayField(pi_so3)
+    for shape in ((2, 6), (1, 6), (5,), (7,), ()):
+        xi = np.zeros(shape)
+        with pytest.raises(ValueError, match=r"\(6,\)"):
+            realization_form(pi_so3, xi, 10)
+        with pytest.raises(ValueError, match=r"\(6,\)"):
+            flow_with_jacobian(spray, xi, 1.0, 10)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -235,3 +432,9 @@ class TestSphereAreas:
     def test_dh_variation_rejects_bad_radius(self):
         with pytest.raises(ValueError):
             dh_variation(0.0, 1e-5)
+
+    def test_dh_variation_rejects_bad_step(self):
+        # r - h must stay a radius: h = 1.0 would take a leaf of radius -0.5
+        for h in (0.0, -1e-5, math.nan, math.inf, -math.inf, 0.5, 1.0):
+            with pytest.raises(ValueError, match="step h"):
+                dh_variation(0.5, h)
