@@ -15,9 +15,9 @@ Z = [x; J_top], batch last.  A stage is one product of the stage table of
 `SprayField` with [y; 1] (x) V(x), V the monomial values, giving xdot and
 G = [M | P^T] (M = d(xdot)/dx, P = pi(x)), then Jdot_top = G [J_top; 0 I].
 J^T omega_can J = [[0, Jxx^T], [-Jxx, Jxy^T - Jxy]] is linear in J_top, so the
-quadrature keeps K = int J_top dt, assembling the form once at the end.  Its
-RK4 step (h/6)(J_1 + 2 J_2 + 2 J_3 + J_4) is h J_1 + (h^2/6)(k_1 + k_2 + k_3)
-in the stage slopes k_i, added to K at once.
+quadrature keeps K = int J_top dt and assembles the form once at the end.
+The RK4 step of K, (h/6)(J_1 + 2 J_2 + 2 J_3 + J_4) in the stage values, is
+h J_1 + (h^2/6)(k_1 + k_2 + k_3) in the stage slopes k_i, added to K at once.
 
 It also contains the midpoint quadrature used to reproduce sphere-leaf
 symplectic areas and their radial variations.
