@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .polyalg import Poly, solve_linear_exact
-from .multivector import GradedPiece, PolyMVF, grade_component, schouten, truncate_jet
+from .multivector import GradedPiece, PolyMVF, _grade, grade_component, schouten, truncate_jet
 from .poisson import _check_base_degree_cap, bracket_rows, check_poisson, graded_basis
 
 __all__ = [
@@ -120,14 +120,13 @@ def bch(X, Y, D: int) -> FilteredJet:
     """
     X = _as_jet(X, D)
     Y = _as_jet(Y, D)
-    for Z in (X, Y):
-        if order_of(Z) < 1:
-            raise ValueError("bch needs arguments of order >= 1")
+    ox, oy = order_of(X), order_of(Y)
+    if min(ox, oy) < 1:
+        raise ValueError("bch needs arguments of order >= 1")
     if X.value.is_zero():
         return Y
     if Y.value.is_zero():
         return X
-    ox, oy = order_of(X), order_of(Y)
     budget = D - 1 - ox      # order left for the ad operators around X
     total = X.value + Y.value
     # each block costs at least min(ox, oy) of the budget
@@ -172,7 +171,7 @@ def _solve_bracket_equation(pi: PolyMVF, rhs: PolyMVF, unknown_basis,
     rows = bracket_rows(pi, unknown_basis)
     if restrict_grade is not None:
         rows = {key: row for key, row in rows.items()
-                if pi._monomial_grade(*key) <= restrict_grade}
+                if _grade(pi.weights, *key) <= restrict_grade}
     keys = set(rows)
     for lg, poly in rhs.terms.items():
         keys.update((lg, e) for e in poly.terms)
@@ -265,16 +264,15 @@ def mc_equivalence(gamma: FilteredJet, gamma_p: FilteredJet, D: int,
     gamma_p = _as_jet(gamma_p, D)
     _check_mc(gamma, "gamma")
     _check_mc(gamma_p, "gamma'")
-    if order_of(FilteredJet(gamma.value - gamma_p.value, D)) < 1:
+    # a difference of two D-jets is a D-jet: each round's is formed once
+    diff = gamma_p.value - gamma.value
+    if order_of(diff) < 1:
         raise ValueError("gamma and gamma' must agree in grade 1")
     pi_lin = grade_component(gamma.value, 1).value
     current = gamma_p
     X_total = None
     rounds = 0
-    while True:
-        diff = truncate_jet(current.value - gamma.value, D)
-        if diff.is_zero():
-            break
+    while not diff.is_zero():
         q = diff.min_grade()
         rounds += 1
         if rounds > D + 1:
@@ -287,11 +285,10 @@ def mc_equivalence(gamma: FilteredJet, gamma_p: FilteredJet, D: int,
                                  base_degree_cap=base_degree_cap)
         # Ad(e^X) cancels Z at leading order: [X, pi_lin] = -[pi_lin, X] = -Z
         Xk = FilteredJet(res.X.value, D)
-        new = ad_exp(Xk, current, D)
-        new_order = order_of(FilteredJet(new.value - gamma.value, D))
-        if not new_order > q - 1:
+        current = ad_exp(Xk, current, D)
+        diff = current.value - gamma.value
+        if not order_of(diff) > q - 1:
             raise RuntimeError("gauge round did not raise the order")
-        current = new
         X_total = Xk if X_total is None else bch(Xk, X_total, D)
     if X_total is None:
         X_total = FilteredJet(PolyMVF.zero(gamma.value.nvars, 1, gamma.value.weights), D)
@@ -330,19 +327,15 @@ def prolong_step(pi_partial: FilteredJet, m: int, base_degree_cap: int = 8) -> P
         return ProlongResult("solved", PolyMVF.zero(pi.nvars, 2, pi.weights),
                              None, None)
     rhs = rhs_piece.value * Fraction(-1, 2)
-    pi_grades = sorted(pi.graded_pieces())
-    eta_grades = sorted({m + 1 - g for g in pi_grades if m + 1 - g >= 1})
+    eta_grades = sorted({m + 1 - g for g in pi._grades() if m + 1 - g >= 1})
     # the given data is pi's jet in the fiber-ideal filtration: corrections
-    # may only carry strictly higher fiber degree, so they leave it untouched
-    fiber_floor = 1 + max(
-        sum(e for e, w in zip(exps, pi.weights) if w == 1)
-        for poly in pi.terms.values() for exps in poly.terms)
-    basis = []
-    for g in eta_grades:
-        for legs, exps in graded_basis(pi.nvars, 2, g, pi.weights, base_degree_cap):
-            fiber = sum(e for e, w in zip(exps, pi.weights) if w == 1)
-            if fiber >= fiber_floor:
-                basis.append((legs, exps))
+    # may only carry strictly higher fiber degree (the grade of x^exps as a
+    # function), so they leave it untouched
+    fiber_floor = 1 + max(_grade(pi.weights, (), exps)
+                          for poly in pi.terms.values() for exps in poly.terms)
+    basis = [(legs, exps) for g in eta_grades
+             for legs, exps in graded_basis(pi.nvars, 2, g, pi.weights, base_degree_cap)
+             if _grade(pi.weights, (), exps) >= fiber_floor]
     sol, witness = _solve_bracket_equation(pi, rhs, basis, restrict_grade=m)
     if sol is None:
         return ProlongResult("obstructed", None, rhs_piece, witness)
@@ -355,10 +348,9 @@ def prolong_step(pi_partial: FilteredJet, m: int, base_degree_cap: int = 8) -> P
 
 def formal_linearize(pi: PolyMVF, D: int, base_degree_cap: int = 8) -> GaugeSolution:
     """Gauge pi's D-jet to its linear part, or report the obstruction."""
-    pieces = pi.graded_pieces()
-    if 0 in pieces:
+    if 0 in pi._grades():
         raise ValueError("pi must vanish at the origin (no grade-0 part)")
-    pi_lin = pieces.get(1, PolyMVF.zero(pi.nvars, 2, pi.weights))
+    pi_lin = grade_component(pi, 1).value
     if not check_poisson(pi_lin).is_poisson:
         raise ValueError("linear part of pi is not Poisson")
     gamma = FilteredJet(pi, D)

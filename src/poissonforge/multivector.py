@@ -6,6 +6,15 @@ Each field carries a weight vector in {0,1}^n splitting the coordinates into
 base (weight 0) and fiber (weight 1) directions; the fiberwise dilations
 induce the grading used by the jet/truncation machinery.
 
+The dilation grade of a monomial x^a d_I is its fiber degree, the sum of the
+a_i over fiber variables, plus the number of base legs in I.  ``_grade`` is
+its one definition; the Schouten kernel and ``formal.prolong_step`` use it
+too, and ``poisson.graded_basis`` enumerates its inverse.  One walk,
+``_by_grade``, keeps, drops or scales each monomial by its grade for
+``truncate_jet``, ``grade_component``, ``dilate`` and ``graded_pieces``; the
+grade set ``PolyMVF._grades`` answers ``min_grade``, the homogeneity check
+of ``GradedPiece`` and callers that only ask which grades occur.
+
 The Schouten bracket treats each leg d_i as an odd variable xi_i, so that
 a d_{i1}^...^d_{ip} is the superfunction a xi_{i1}...xi_{ip}, and is
 
@@ -96,6 +105,11 @@ def _sort_indices(indices: Sequence[int]):
         if a == b:
             return None, 0
     return tuple(idx), sign
+
+
+def _grade(weights: tuple, legs, exps) -> int:
+    """The dilation grade of x^exps d_legs: fiber degree plus base legs."""
+    return sum(map(mul, exps, weights)) + sum(1 for i in legs if not weights[i - 1])
 
 
 class PolyMVF:
@@ -206,32 +220,19 @@ class PolyMVF:
 
     # -- grading ------------------------------------------------------
 
-    def _monomial_grade(self, indices, exps) -> int:
-        fiber_degree = sum(e for e, w in zip(exps, self.weights) if w == 1)
-        base_legs = sum(1 for i in indices if self.weights[i - 1] == 0)
-        return fiber_degree + base_legs
+    def _grades(self) -> set:
+        """The dilation grades of the monomials."""
+        return {_grade(self.weights, legs, exps)
+                for legs, poly in self.terms.items() for exps in poly.terms}
 
     def graded_pieces(self) -> dict[int, "PolyMVF"]:
         """Decompose into homogeneous pieces keyed by dilation grade."""
-        pieces: dict[int, dict] = {}
-        for indices, poly in self.terms.items():
-            for exps, coeff in poly.terms.items():
-                l = self._monomial_grade(indices, exps)
-                pieces.setdefault(l, {}).setdefault(indices, {})[exps] = coeff
-        return {l: PolyMVF._raw(self.nvars, self.grade,
-                                {idx: Poly._raw(self.nvars, mono) for idx, mono in t.items()},
-                                self.weights)
-                for l, t in sorted(pieces.items())}
+        return {l: _by_grade(self, lambda g, c, l=l: c if g == l else 0)
+                for l in sorted(self._grades())}
 
     def min_grade(self):
         """Smallest dilation grade with a nonzero piece; None if zero."""
-        best = None
-        for indices, poly in self.terms.items():
-            for exps in poly.terms:
-                l = self._monomial_grade(indices, exps)
-                if best is None or l < best:
-                    best = l
-        return best
+        return min(self._grades(), default=None)
 
     # -- serialization ------------------------------------------------
 
@@ -314,8 +315,7 @@ class GradedPiece:
     __slots__ = ("l", "value")
 
     def __init__(self, l: int, value: PolyMVF):
-        pieces = value.graded_pieces()
-        if any(k != l for k in pieces):
+        if value._grades() - {l}:
             raise ValueError(f"value is not homogeneous of grade {l}")
         self.l = int(l)
         self.value = value
@@ -416,13 +416,10 @@ def _schouten_sums(p: int, W: list, V: list, weights: tuple, max_grade, den: int
 
     def packed(X):
         """(word, exps, c, dilation grade) for each monomial, by leg set."""
-        out = []
-        for legs, monos in X:
-            base_legs = sum(1 for i in legs if weights[i - 1] == 0)
-            out.append((legs, [(sum(map(mul, exps, units)) + (tag << tag_shift), exps, c,
-                                base_legs + sum(map(mul, exps, weights)))
-                               for exps, c, tag in monos]))
-        return out
+        return [(legs, [(sum(map(mul, exps, units)) + (tag << tag_shift), exps, c,
+                         _grade(weights, legs, exps))
+                        for exps, c, tag in monos])
+                for legs, monos in X]
 
     sums: dict[int, int] = {}
     ids: dict[tuple, int] = {}
@@ -483,11 +480,21 @@ def _schouten(W: PolyMVF, V: PolyMVF, max_grade: int | None = None) -> PolyMVF:
                         {legs: Poly._raw(W.nvars, t) for legs, t in terms.items()}, W.weights)
 
 
+def _by_grade(W: PolyMVF, scale) -> PolyMVF:
+    """``W`` with the coefficient c of each monomial of grade g replaced by
+    ``scale(g, c)``; a monomial that it sends to 0 is dropped."""
+    terms: dict[tuple, Poly] = {}
+    for legs, poly in W.terms.items():
+        kept = {exps: v for exps, c in poly.terms.items()
+                if (v := scale(_grade(W.weights, legs, exps), c))}
+        if kept:
+            terms[legs] = Poly._raw(W.nvars, kept)
+    return PolyMVF._raw(W.nvars, W.grade, terms, W.weights)
+
+
 def grade_component(W: PolyMVF, l: int) -> GradedPiece:
     """The dilation-homogeneous component of grade l."""
-    pieces = W.graded_pieces()
-    value = pieces.get(l, PolyMVF.zero(W.nvars, W.grade, W.weights))
-    return GradedPiece(l, value)
+    return GradedPiece(l, _by_grade(W, lambda g, c: c if g == l else 0))
 
 
 def dilate(W: PolyMVF, t) -> PolyMVF:
@@ -499,22 +506,11 @@ def dilate(W: PolyMVF, t) -> PolyMVF:
     t = _as_fraction(t)
     if t == 0:
         raise ValueError("dilation parameter must be nonzero")
-    terms: dict[tuple, Poly] = {}
-    for indices, poly in W.terms.items():
-        terms[indices] = Poly._raw(W.nvars, {
-            exps: coeff * t ** (W._monomial_grade(indices, exps) - 1)
-            for exps, coeff in poly.terms.items()})
-    return PolyMVF._raw(W.nvars, W.grade, terms, W.weights)
+    return _by_grade(W, lambda g, c: c * t ** (g - 1))
 
 
 def truncate_jet(W: PolyMVF, k: int) -> PolyMVF:
     """Drop all graded pieces of grade > k (the k-th order jet)."""
     if k < 0:
         raise ValueError("jet order must be nonnegative")
-    terms: dict[tuple, Poly] = {}
-    for indices, poly in W.terms.items():
-        kept = {exps: c for exps, c in poly.terms.items()
-                if W._monomial_grade(indices, exps) <= k}
-        if kept:
-            terms[indices] = Poly._raw(W.nvars, kept)
-    return PolyMVF._raw(W.nvars, W.grade, terms, W.weights)
+    return _by_grade(W, lambda g, c: c if g <= k else 0)

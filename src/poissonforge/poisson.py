@@ -234,8 +234,7 @@ def cohomology_dims(pi_lin: PolyMVF, l: int, kmax: int) -> CohomologyTable:
         raise ValueError(f"grade l and max degree kmax must be >= 0, got {l} and {kmax}")
     if pi_lin.grade != 2:
         raise ValueError("expected a bivector")
-    pieces = pi_lin.graded_pieces()
-    if set(pieces) - {1}:
+    if pi_lin._grades() - {1}:
         raise ValueError("cohomology_dims needs a linear (grade-1 homogeneous) bivector")
     if not check_poisson(pi_lin).is_poisson:
         raise ValueError("bivector is not Poisson")

@@ -19,6 +19,12 @@ quadrature keeps K = int J_top dt and assembles the form once at the end.
 The RK4 step of K, (h/6)(J_1 + 2 J_2 + 2 J_3 + J_4) in the stage values, is
 h J_1 + (h^2/6)(k_1 + k_2 + k_3) in the stage slopes k_i, added to K at once.
 
+A trajectory that leaves numeric range does not cut its batch short: every
+stage acts column by column, so its non-finite values stay in its column and
+the others are integrated to the end.  `verify_realization` skips each
+sample with a non-finite column; the single-point entries raise
+`FlowBlowupError`.
+
 It also contains the midpoint quadrature used to reproduce sphere-leaf
 symplectic areas and their radial variations.
 """
@@ -149,7 +155,7 @@ def _rhs(spray: SprayField, x, Y, Jt, out):
     Jdot[:, n:] += G[:, n:]
 
 
-def _flow_batch(pi: PolyMVF, xi: np.ndarray, t_final: float, steps: int):
+def _flow_batch(spray: SprayField, xi: np.ndarray, t_final: float, steps: int):
     """Batched RK4 for the spray flow, its Jacobian and the realization form.
 
     `xi` is (B, 2n).  Integrates Z = [x; J_top] (the rows of J that move);
@@ -158,11 +164,13 @@ def _flow_batch(pi: PolyMVF, xi: np.ndarray, t_final: float, steps: int):
     Om = [[0, Kxx^T], [-Kxx, Kxy^T - Kxy]] = A - A^T with A = [[0, 0], -K],
     which is int_0^{t_final} J^T Omega_can J dt.
 
+    `blowup_time` is the first check at which some column was non-finite,
+    or None; the loop ends early only once every column is.
+
     Returns (x, y, J, Om, blowup_time) with J the full (B, 2n, 2n) Jacobian.
     """
     if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 1:
         raise ValueError(f"steps must be an int >= 1, got {steps!r}")
-    spray = SprayField(pi)
     n = spray.n
     xi = np.asarray(xi, dtype=float)
     if xi.ndim != 2 or xi.shape[1] != 2 * n:
@@ -187,9 +195,12 @@ def _flow_batch(pi: PolyMVF, xi: np.ndarray, t_final: float, steps: int):
         S = k[0] + k[1] + k[2]
         K += h * (Z[n:] + (h / 6) * S[n:])     # (h/6)(J_1 + 2 J_2 + 2 J_3 + J_4)
         Z += (h / 6) * (S + k[1] + k[2] + k[3])
-        if ((s + 1) % check_every == 0 or s == steps - 1) and not np.isfinite(Z).all():
-            blowup = (s + 1) * h
-            break
+        if (s + 1) % check_every == 0 or s == steps - 1:
+            finite = np.isfinite(Z).all(axis=0)
+            if blowup is None and not finite.all():
+                blowup = (s + 1) * h
+            if not finite.any():
+                break
     J = np.tile(np.eye(2 * n), (B, 1, 1))
     J[:, :n] = Z[n:].reshape(n, 2 * n, B).transpose(2, 0, 1)
     A = np.zeros_like(J)
@@ -207,7 +218,7 @@ def _point(xi, n: int) -> np.ndarray:
 
 def flow_with_jacobian(V: SprayField, xi, t_final: float, steps: int):
     """RK4 flow of the spray from xi, with the variational equations."""
-    x, y, J, _, blowup = _flow_batch(V.pi, _point(xi, V.n), t_final, steps)
+    x, y, J, _, blowup = _flow_batch(V, _point(xi, V.n), t_final, steps)
     if blowup is not None:
         raise FlowBlowupError(blowup)
     return np.concatenate([x[0], y[0]]), J[0]
@@ -215,7 +226,7 @@ def flow_with_jacobian(V: SprayField, xi, t_final: float, steps: int):
 
 def realization_form(pi: PolyMVF, xi, steps: int) -> np.ndarray:
     """omega_xi = int_0^1 (phi_t^* omega_can)_xi dt, as a 2n x 2n matrix."""
-    _, _, _, Om, blowup = _flow_batch(pi, _point(xi, pi.nvars), 1.0, steps)
+    _, _, _, Om, blowup = _flow_batch(SprayField(pi), _point(xi, pi.nvars), 1.0, steps)
     if blowup is not None:
         raise FlowBlowupError(blowup)
     return Om[0]
@@ -264,7 +275,7 @@ def verify_realization(pi: PolyMVF, n_samples: int, radius: float, seed: int,
     zero_sec = np.concatenate([base[:, :n], np.zeros((n_samples, n))], axis=1)
     batch = np.concatenate([base] + shifts + [zero_sec], axis=0)
 
-    x, y, J, Om, blowup = _flow_batch(pi, batch, 1.0, steps)
+    x, y, J, Om, blowup = _flow_batch(SprayField(pi), batch, 1.0, steps)
     finite = np.isfinite(Om).all(axis=(1, 2))
     groups = 2 + 4 * n  # base + shifts + zero-section
     ok = finite.reshape(groups, n_samples).all(axis=0)

@@ -132,6 +132,19 @@ def test_realize(mvf_file, capsys):
     assert obj["skipped"] == 0
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_realize_skips_blowups_without_cutting_the_batch_short(tmp_path, capsys):
+    # samples reaching |xi| = 2.5 leave numeric range; the zero section stays put
+    path = tmp_path / "plane.json"
+    path.write_text(json.dumps({"nvars": 2, "grade": 2,
+                                "terms": [{"indices": [1, 2], "poly": "x1^2"}]}))
+    assert cli.main(["realize", str(path), "--samples", "40", "--radius", "2.5",
+                     "--seed", "0", "--steps", "400", "--format", "json"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["skipped"] >= 1
+    assert obj["zero_section_residual"] < 1e-12
+
+
 @pytest.mark.parametrize("bad, named", [
     pytest.param(["--steps", "0"], "steps", id="steps=0"),
     pytest.param(["--steps", "-3"], "steps", id="steps=-3"),

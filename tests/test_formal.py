@@ -17,6 +17,7 @@ from poissonforge import (PolyMVF, ad_exp, bch, formal_linearize,
                           schouten, truncate_jet)
 from poissonforge import formal, polyalg
 from poissonforge.formal import FilteredJet
+from poissonforge.multivector import _grade
 from poissonforge.poisson import bracket_rows
 from poissonforge.polyalg import parse_poly
 
@@ -54,7 +55,7 @@ def _assert_certificate(call, w):
     (pi, rhs, basis), kwargs = call
     restrict = kwargs.get("restrict_grade")
     rows = {key: row for key, row in bracket_rows(pi, basis).items()
-            if restrict is None or pi._monomial_grade(*key) <= restrict}
+            if restrict is None or _grade(pi.weights, *key) <= restrict}
     keys = sorted(set(rows) | {(legs, e) for legs, p in rhs.terms.items() for e in p.terms})
     assert len(w) == len(keys)
     for col in range(len(basis)):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poissonforge import (PolyMVF, dilate, grade_component, linear_poisson, preset,
+from poissonforge import (GradedPiece, PolyMVF, dilate, grade_component, linear_poisson, preset,
                           schouten, sharp, truncate_jet, wedge)
 from poissonforge.multivector import _sort_indices
 from poissonforge.poisson import bracket_rows, graded_basis
@@ -116,6 +116,82 @@ def test_weighted_grading():
     assert u.min_grade() == 3
     v = PolyMVF(n, 1, {(3,): parse_poly("x1^5", n)}, weights=(0, 0, 1))
     assert v.min_grade() == 0
+
+
+def _reference_grade(weights, legs, exps):
+    """A monomial's dilation grade from the definition, one variable at a time:
+    each unit of degree in a fiber variable and each base leg adds one."""
+    grade = 0
+    for i in range(len(weights)):
+        if weights[i] == 1:
+            grade += exps[i]
+        elif i + 1 in legs:
+            grade += 1
+    return grade
+
+
+def _reference_pieces(W):
+    """W's homogeneous pieces, by grade, built through the checking constructor."""
+    monos = {}
+    for legs, poly in W.terms.items():
+        for exps, c in poly.terms.items():
+            g = _reference_grade(W.weights, legs, exps)
+            monos.setdefault(g, {}).setdefault(legs, {})[exps] = c
+    return {g: PolyMVF(W.nvars, W.grade, {legs: Poly(W.nvars, t) for legs, t in by_legs.items()},
+                       W.weights)
+            for g, by_legs in monos.items()}
+
+
+def _grading_fields(rng):
+    """Fields with n <= 4 over every weight vector in {0,1}^n (a sample for n = 4),
+    including zero fields and functions."""
+    for n in range(1, 5):
+        all_weights = list(itertools.product((0, 1), repeat=n))
+        for weights in all_weights if n < 4 else rng.sample(all_weights, 5):
+            for p in range(n + 1):
+                yield PolyMVF.zero(n, p, weights)
+                for _ in range(2):
+                    yield rand_mvf(rng, n, p, max_deg=3, nterms=3).with_weights(weights)
+
+
+def test_grading_matches_reference():
+    rng = random.Random(19)
+    for W in _grading_fields(rng):
+        pieces = _reference_pieces(W)
+        zero = PolyMVF.zero(W.nvars, W.grade, W.weights)
+        assert W.graded_pieces() == pieces and list(W.graded_pieces()) == sorted(pieces)
+        assert sum(pieces.values(), zero) == W
+        assert W.min_grade() == min(pieces, default=None)
+        top = max(pieces, default=0)
+        for k in range(top + 2):
+            assert truncate_jet(W, k) == sum((P for g, P in pieces.items() if g <= k), zero)
+        for l in range(top + 2):
+            piece = grade_component(W, l)
+            assert piece.l == l and piece.value == pieces.get(l, zero)
+            assert (piece.value.grade, piece.value.weights) == (W.grade, W.weights)
+        for t in (2, -1, Fraction(2, 3)):
+            assert dilate(W, t) == sum((P * Fraction(t) ** (g - 1) for g, P in pieces.items()),
+                                       zero)
+        if len(pieces) > 1:
+            for l in range(top + 2):
+                with pytest.raises(ValueError, match="homogeneous"):
+                    GradedPiece(l, W)
+        for l, P in pieces.items():
+            assert GradedPiece(l, P).value == P
+            if l:
+                with pytest.raises(ValueError, match="homogeneous"):
+                    GradedPiece(l - 1, P)
+
+
+def test_graded_basis_has_the_grade_it_is_asked_for():
+    for n in range(1, 5):
+        for weights in itertools.product((0, 1), repeat=n):
+            for k in range(n + 1):
+                for l in range(4):
+                    for cap in (0, 2):
+                        basis = graded_basis(n, k, l, weights, cap)
+                        assert all(_reference_grade(weights, legs, exps) == l
+                                   for legs, exps in basis)
 
 
 def test_dilate_is_bracket_automorphism():

@@ -1,6 +1,8 @@
-"""Package-level checks: every public module's ``__all__`` resolves, and a CLI start-up
-leaves SciPy unloaded."""
+"""Package-level checks: every public module's ``__all__`` resolves, every name the
+benchmark tracer spans exists, and a CLI start-up leaves SciPy unloaded."""
 
+import importlib
+import importlib.util
 import os
 import pkgutil
 import subprocess
@@ -22,6 +24,25 @@ def test_modules_found():
 def test_star_import(module):
     # a stale __all__ entry makes the star import raise AttributeError
     exec(f"from poissonforge.{module} import *", {})
+
+
+def test_traced_names_resolve():
+    # bench/tracing.py rebinds these by name; a renamed or deleted function
+    # would otherwise break only the traced benchmark pass
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "tracing.py")
+    spec = importlib.util.spec_from_file_location("_bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for layer, attr in tracing.SPANNED:
+        home = importlib.import_module(f"poissonforge.{layer}")
+        owner, _, name = attr.rpartition(".")
+        where = vars(getattr(home, owner)) if owner else vars(home)
+        assert callable(where.get(name)), f"poissonforge.{layer}.{attr}"
+    # the jet operations are spanned where formal calls them, through its globals
+    formal, multivector = (importlib.import_module(f"poissonforge.{m}")
+                           for m in ("formal", "multivector"))
+    for name in ("truncate_jet", "grade_component"):
+        assert vars(formal)[name] is vars(multivector)[name]
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -138,7 +138,7 @@ def test_reduced_state_structure():
     integrated form is exactly skew, for every point of a batch."""
     rng = np.random.default_rng(42)
     xi = 0.4 * rng.normal(size=(64, 6))
-    x, y, J, Om, blowup = _flow_batch(_pi_quad(), xi, 1.0, 50)
+    x, y, J, Om, blowup = _flow_batch(SprayField(_pi_quad()), xi, 1.0, 50)
     assert blowup is None
     assert np.array_equal(y, xi[:, 3:])
     assert np.array_equal(J[:, 3:, :3], np.zeros((64, 3, 3)))
@@ -203,7 +203,7 @@ def test_stacked_integrator_matches_two_array_reference(name):
     pi = _pi_quad() if name == "quad" else linear_poisson(preset(name))
     n = pi.nvars
     xi = 0.3 * np.random.default_rng(43).normal(size=(64, 2 * n))
-    x, y, J, Om, blowup = _flow_batch(pi, xi, 1.0, 60)
+    x, y, J, Om, blowup = _flow_batch(SprayField(pi), xi, 1.0, 60)
     assert blowup is None
     x_ref, J_ref, Om_ref = _reference_flow_batch(pi, xi, 1.0, 60)
     np.testing.assert_allclose(x, x_ref, rtol=0, atol=1e-14)
@@ -306,7 +306,7 @@ def test_rhs_runs_once_per_stage_through_the_module_global(monkeypatch):
     for B, steps in ((7, 13), (140, 5)):
         shapes.clear()
         xi = 0.2 * np.random.default_rng(B).normal(size=(B, 6))
-        _flow_batch(_pi_quad(), xi, 1.0, steps)
+        _flow_batch(SprayField(_pi_quad()), xi, 1.0, steps)
         assert shapes == [(B, 3)] * (4 * steps)
 
 
@@ -370,7 +370,7 @@ def test_batch_shape_is_checked_not_broadcast(pi_so3):
     # a width-(n+1) batch would broadcast into [y; 1] if it were not checked
     for shape in ((4, 4), (4, 7), (4, 5), (6,), (2, 4, 6), ()):
         with pytest.raises(ValueError, match=r"\(B, 6\)"):
-            _flow_batch(pi_so3, np.zeros(shape), 1.0, 10)
+            _flow_batch(SprayField(pi_so3), np.zeros(shape), 1.0, 10)
 
 
 def test_single_point_shape_is_checked(pi_so3):
@@ -398,6 +398,43 @@ def test_flow_blowup_detected():
     xi = np.array([0.0, 1.0, 3.0, 0.0])
     with pytest.raises(FlowBlowupError):
         realization_form(pi, xi, 400)
+
+
+def _blowup_plane():
+    """x1^2 d1^d2: from x1 = 2, y2 = -2, xdot_1 = 2 x1^2 leaves range at t = 1/4."""
+    return PolyMVF(2, 2, {(1, 2): parse_poly("x1^2", 2)})
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_blowup_leaves_the_rest_of_the_batch_intact():
+    spray = SprayField(_blowup_plane())
+    survivor = np.array([0.3, 0.1, 0.2, 0.4])
+    x, _, J, Om, blowup = _flow_batch(spray, np.array([survivor, [2.0, 0.0, 0.0, -2.0]]),
+                                      1.0, 400)
+    assert 0.25 <= blowup < 0.35
+    assert not np.isfinite(Om[1]).all()
+    x1, _, J1, Om1, blowup1 = _flow_batch(spray, survivor[None], 1.0, 400)
+    assert blowup1 is None
+    for got, solo in ((x[0], x1[0]), (J[0], J1[0]), (Om[0], Om1[0])):
+        assert np.abs(got - solo).max() <= 1e-14
+
+
+def test_flow_with_jacobian_uses_the_given_field(monkeypatch, pi_so3):
+    spray = SprayField(pi_so3)
+    compiled = []
+    init = SprayField.__init__
+
+    def counting(self, pi):
+        compiled.append(pi)
+        init(self, pi)
+
+    monkeypatch.setattr(SprayField, "__init__", counting)
+    xi = np.full(6, 0.1)
+    flow_with_jacobian(spray, xi, 1.0, 10)
+    assert compiled == []
+    realization_form(pi_so3, xi, 10)
+    verify_realization(pi_so3, 2, 0.1, 1, 10)
+    assert len(compiled) == 2
 
 
 class TestSphereAreas:
