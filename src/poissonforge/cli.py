@@ -9,6 +9,7 @@ Poisson, obstructed), 2 for usage and input errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -110,8 +111,15 @@ def cmd_linearize(args) -> int:
     return 1
 
 
+def _parse_weights(text: str) -> list:
+    try:
+        return [int(w) for w in text.split(",")]
+    except ValueError:
+        raise InputError(f"--weights needs comma-separated integers, got {text!r}") from None
+
+
 def cmd_prolong(args) -> int:
-    weights = [int(w) for w in args.weights.split(",")] if args.weights else None
+    weights = None if args.weights is None else _parse_weights(args.weights)
     pi = _as_bivector(parse_input(args.input), args.input, weights)
     if args.grade is not None:
         m = args.grade
@@ -249,9 +257,14 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process, built on the first call of ``main``."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (InputError, ValueError, realize.FlowBlowupError) as e:

@@ -166,9 +166,13 @@ def _solve_bracket_equation(pi: PolyMVF, rhs: PolyMVF, unknown_basis,
     """Solve [pi, sum c_b b] = rhs exactly over the given monomial basis.
 
     With restrict_grade set, only the components of the bracket with grade
-    <= restrict_grade are constrained (higher grades are left free).
+    <= restrict_grade are constrained (higher grades are left free).  The
+    integer rows of ``bracket_rows`` are the matrix times pi's denominator
+    ``den``, so the right-hand side is multiplied by ``den`` too, and so is
+    the witness of that scaled system, which makes it the witness of the
+    equation as given.
     """
-    rows = bracket_rows(pi, unknown_basis)
+    den, rows = bracket_rows(pi, unknown_basis)
     if restrict_grade is not None:
         rows = {key: row for key, row in rows.items()
                 if _grade(pi.weights, *key) <= restrict_grade}
@@ -180,10 +184,10 @@ def _solve_bracket_equation(pi: PolyMVF, rhs: PolyMVF, unknown_basis,
     b_vec = []
     for lg, e in keys:
         poly = rhs.terms.get(lg)
-        b_vec.append(poly.terms.get(e, Fraction(0)) if poly else Fraction(0))
+        b_vec.append(poly.terms.get(e, 0) * den if poly else 0)
     out = solve_linear_exact(A, b_vec, ncols=len(unknown_basis))
     if not out.feasible:
-        return None, out.witness
+        return None, [w * den for w in out.witness]
     monos: dict[tuple, dict] = {}
     for (legs, exps), c in zip(unknown_basis, out.particular):
         if c:

@@ -38,8 +38,9 @@ integer kernel evaluates it for ``schouten``, ``apply_to_functions`` and
 ``poisson.bracket_rows``.  Each operand is brought over one denominator, the
 lcm of its coefficients' denominators, as a list of leg sets with their
 (exponent vector, integer) terms; the kernel packs each exponent vector into
-one int (Monagan & Pearce, CASC 2007), and its sums stay in ``int`` until
-one ``Fraction`` is built per output monomial.
+one int (Monagan & Pearce, CASC 2007), and its sums stay in ``int``:
+``schouten`` builds one ``Fraction`` per output monomial, and
+``bracket_rows`` keeps the integers over pi's denominator.
 
 As in ``polyalg``, data is validated where it enters: the public
 ``PolyMVF(...)`` constructor and ``PolyMVF.from_json_obj`` check leg tuples,
@@ -396,11 +397,12 @@ def _integer_terms(W: PolyMVF):
                  for legs, poly in W.terms.items()]
 
 
-def _schouten_sums(p: int, W: list, V: list, weights: tuple, max_grade, den: int) -> dict:
-    """The bracket of integer operands of grades p and any, over ``den``.
+def _schouten_sums(p: int, W: list, V: list, weights: tuple, max_grade) -> dict:
+    """The bracket of integer operands of grades p and any.
 
-    Returns ``{(legs, exps): {tag: coefficient}}`` with the nonzero
-    coefficients as ``Fraction``s, one built per output monomial.  With
+    Returns ``{(legs, exps): {tag: coefficient}}`` with the nonzero integer
+    coefficients; the bracket of the fields is this over the product of the
+    operands' denominators.  With
     ``max_grade`` set, a pair of monomials of dilation grades g and h with
     g + h - 1 > max_grade is skipped before it is multiplied.  The sorted
     legs and signs of the formula in ``schouten`` depend only on (I, J, p)
@@ -461,8 +463,7 @@ def _schouten_sums(p: int, W: list, V: list, weights: tuple, max_grade, den: int
     grouped: dict[int, dict] = {}
     for key, c in sums.items():
         if c:
-            grouped.setdefault(key & monomial, {})[key >> tag_shift] = (
-                Fraction(c, den) if den != 1 else Fraction(c))
+            grouped.setdefault(key & monomial, {})[key >> tag_shift] = c
     legs, mask, shifts = list(ids), (1 << width) - 1, range(0, low, width)
     return {(legs[key >> low], tuple((key >> s) & mask for s in shifts)): tagged
             for key, tagged in grouped.items()}
@@ -472,10 +473,12 @@ def _schouten(W: PolyMVF, V: PolyMVF, max_grade: int | None = None) -> PolyMVF:
     """The bracket of ``schouten``, without the argument checks."""
     den_w, w_terms = _integer_terms(W)
     den_v, v_terms = _integer_terms(V)
-    sums = _schouten_sums(W.grade, w_terms, v_terms, W.weights, max_grade, den_w * den_v)
+    sums = _schouten_sums(W.grade, w_terms, v_terms, W.weights, max_grade)
+    den = den_w * den_v
     terms: dict[tuple, dict] = {}
     for (legs, exps), tagged in sums.items():
-        terms.setdefault(legs, {})[exps] = tagged[0]
+        terms.setdefault(legs, {})[exps] = (Fraction(tagged[0], den) if den != 1
+                                            else Fraction(tagged[0]))
     return PolyMVF._raw(W.nvars, max(W.grade + V.grade - 1, 0),
                         {legs: Poly._raw(W.nvars, t) for legs, t in terms.items()}, W.weights)
 

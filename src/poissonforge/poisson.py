@@ -16,7 +16,6 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -107,8 +106,9 @@ def _check_base_degree_cap(base_degree_cap: int):
         raise ValueError(f"base_degree_cap must be >= 0, got {base_degree_cap}")
 
 
-# The largest basis graded_basis builds.  The exact solver's working set is
-# about ncols^2 machine integers, 32 MiB as int64 at this bound.
+# The largest basis graded_basis builds.  The exact solver keeps its sparse
+# RREF and, for the exact check, one ncols x (ncols - rank) integer matrix:
+# at most 32 MiB as int64 at this bound.
 MAX_BASIS = 2048
 
 
@@ -161,13 +161,15 @@ def graded_basis(n: int, k: int, l: int, weights, base_degree_cap: int = 0) -> l
     return out
 
 
-def bracket_rows(pi: PolyMVF, basis) -> dict:
-    """The matrix of [pi, .] on a monomial basis, as sparse rows.
+def bracket_rows(pi: PolyMVF, basis) -> tuple[int, dict]:
+    """The matrix of [pi, .] on a monomial basis, as ``(den, rows)``.
 
-    Column c is the basis element ``basis[c] = (legs, exps)``; rows are keyed
-    by the (legs, exps) monomials of the brackets and hold only nonzeros.
-    The basis is trusted to be one ``graded_basis`` builds: increasing legs
-    in 1..n and exponent vectors of length n.
+    The matrix is ``rows / den``: ``den`` is the lcm of pi's denominators
+    and ``rows`` holds sparse rows of nonzero ``int``s.  Column c is the
+    basis element ``basis[c] = (legs, exps)``; rows are keyed by the
+    (legs, exps) monomials of the brackets.  The basis is trusted to be one
+    ``graded_basis`` builds: increasing legs in 1..n and exponent vectors of
+    length n.
 
     One call of the integer Schouten kernel of ``multivector`` brackets pi,
     brought over its denominator once, with every basis monomial: each
@@ -178,7 +180,7 @@ def bracket_rows(pi: PolyMVF, basis) -> dict:
     monos: dict[tuple, list] = {}
     for col, (legs, exps) in enumerate(basis):
         monos.setdefault(legs, []).append((exps, 1, col))
-    return _schouten_sums(pi.grade, pi_terms, list(monos.items()), pi.weights, None, den)
+    return den, _schouten_sums(pi.grade, pi_terms, list(monos.items()), pi.weights, None)
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +200,8 @@ def casimir_basis(pi: PolyMVF, D: int) -> list[Poly]:
         # [pi, f] = -pi#(df); descending-lex columns fix the published
         # normalisation of each RREF kernel vector
         monos = graded_basis(n, 0, d, [1] * n)[::-1]
-        A = list(bracket_rows(pi, monos).values())
-        out = solve_linear_exact(A, [Fraction(0)] * len(A), ncols=len(monos))
+        A = list(bracket_rows(pi, monos)[1].values())
+        out = solve_linear_exact(A, [0] * len(A), ncols=len(monos))
         for vec in out.kernel_basis:
             terms = {m: v for (_, m), v in zip(monos, vec) if v != 0}
             if terms:
@@ -247,7 +249,7 @@ def cohomology_dims(pi_lin: PolyMVF, l: int, kmax: int) -> CohomologyTable:
     for k in degrees:
         basis = graded_basis(n, k, l, pi_lin.weights)
         dim_cochains[k] = len(basis)
-        rows = list(bracket_rows(pi_lin, basis).values())
+        rows = list(bracket_rows(pi_lin, basis)[1].values())
         rank_d[k] = exact_rank(rows, ncols=len(basis))
     betti = {}
     for k in degrees:

@@ -9,14 +9,16 @@ The linear solver returns the RREF answer (particular solution and kernel
 basis, or a witness of infeasibility), which depends only on the system.
 ``solve_linear_exact`` and ``exact_rank`` read every answer off one RREF,
 ``_rref``, found by a certified modular path: each row's denominators are
-cleared, the matrix is reduced modulo the prime ``2^31 - 1`` by int64 NumPy
-Gauss-Jordan, and its kernel basis is lifted by rational reconstruction with
-numerator and denominator at most 32767.  One exact integer check, ``M v =
-0`` for every kernel vector, certifies the lift.  A solve reduces ``M = [A |
-b]``, so the same certificate covers feasibility, infeasibility and the
-witness.  If a step fails -- no lift, a failed check or an int64 guard --
-Fraction Gauss-Jordan with a fixed pivot rule (``_eliminate``) gives the
-RREF instead.
+cleared, the matrix is reduced modulo the prime ``2^31 - 1`` by sparse
+Gauss-Jordan on dict rows of Python ints, and its kernel basis is lifted by
+rational reconstruction with numerator and denominator at most 32767.  One
+exact integer check, ``M v = 0`` for every kernel vector, certifies the
+lift.  A solve reduces ``M = [A | b]``, so the same certificate covers
+feasibility, infeasibility and the witness.  If a step fails -- no lift, a
+failed check or an int64 guard -- Fraction Gauss-Jordan with a fixed pivot
+rule (``_eliminate``) gives the RREF instead.  Matrix entries may be
+``int``s or ``Fraction``s: integer rows, such as the bracket rows of
+``poisson``, reach the elimination without building a ``Fraction``.
 
 Data is validated where it enters and trusted inside.  The public
 ``Poly(nvars, terms)``, the ``zero``/``constant``/``variable``/``monomial``
@@ -29,6 +31,7 @@ keeps stored coefficients nonzero.
 
 from __future__ import annotations
 
+import bisect
 import math
 import re
 from dataclasses import dataclass, field
@@ -363,7 +366,9 @@ class SolveOutcome:
 
 
 def _to_sparse_rows(A, ncols=None):
-    """``A`` as sparse rows of nonzero ``Fraction``s, and its column count.
+    """``A`` as sparse rows of nonzero exact entries, and its column count.
+
+    An ``int`` entry stays an ``int``; any other becomes a ``Fraction``.
 
     A dense row must have ``ncols`` entries (with ``ncols`` None, as many as
     the first dense row).  A sparse row's keys must be ints in
@@ -384,7 +389,8 @@ def _to_sparse_rows(A, ncols=None):
             if len(row) != ncols:
                 raise ValueError(f"dense row of length {len(row)} in a matrix of {ncols} columns")
             items = enumerate(row)
-        rows.append({j: fv for j, v in items if (fv := _as_fraction(v))})
+        rows.append({j: ev for j, v in items
+                     if (ev := v if type(v) is int else _as_fraction(v))})
     if ncols is None:
         ncols = top
     elif top > ncols:
@@ -398,8 +404,10 @@ def _eliminate(rows: list, ncols: int) -> list:
     The pivot of each column is the first unused row with a nonzero entry in
     it, so the result is deterministic.  ``where[j]`` holds the rows with a
     nonzero in column j and follows the fill-in, so neither the pivot search
-    nor the update visits rows without an entry in the pivot column.  Returns
-    the (column, row) pivots; every other row ends up empty.
+    nor the update visits rows without an entry in the pivot column.  Each
+    pivot row is divided by its pivot as a ``Fraction``, so ``int`` entries
+    come out exact.  Returns the (column, row) pivots; every other row ends
+    up empty.
     """
     where = [set() for _ in range(ncols)]
     for i, row in enumerate(rows):
@@ -414,9 +422,7 @@ def _eliminate(rows: list, ncols: int) -> list:
         used[pivot] = True
         pivots.append((col, pivot))
         pv = rows[pivot][col]
-        if pv != 1:
-            rows[pivot] = {j: v / pv for j, v in rows[pivot].items()}
-        prow = rows[pivot]
+        prow = rows[pivot] = {j: Fraction(v) / pv for j, v in rows[pivot].items()}
         for i in [i for i in where[col] if i != pivot]:
             ri = rows[i]
             f = ri[col]
@@ -434,8 +440,9 @@ def _eliminate(rows: list, ncols: int) -> list:
 
 # -- the certified modular path ----------------------------------------------
 #
-# A matrix M is reduced mod _PRIME and its RREF lifted to Q.  The lift is
-# then checked with exact integer products, which makes it the RREF over Q:
+# A matrix M, its rows cleared to integers, is reduced mod _PRIME by sparse
+# Gauss-Jordan (_rref_mod_p) and its RREF lifted to Q.  The lift is then
+# checked with exact integer products, which makes it the RREF over Q:
 # - the rank mod p never exceeds the rank over Q;
 # - each free column f of the mod-p RREF lifts to a vector v_f with 1 at f,
 #   0 at the other free columns and support left of f otherwise; M v_f = 0
@@ -449,30 +456,34 @@ def _eliminate(rows: list, ncols: int) -> list:
 # solution.  Any step that fails returns None and the caller falls back to
 # _eliminate.
 
-_PRIME = 2**31 - 1  # residues fit int32; a residue minus a product of two fits int64
+_PRIME = 2**31 - 1  # residues fit int32, so the lift's products fit int64
 _LIFT = math.isqrt((_PRIME - 1) // 2)  # Wang's bound: |num|, den <= 32767
 _INT64_LIMIT = 2**63
-_BLOCK = 32  # rows per streamed block and per update
 _CHECK_CELLS = 2**14  # bound on the cells of one temporary of the exact check
 
 
-class _IntegerSystem:
-    """A sparse matrix with each row times the lcm of its denominators, row-major COO.
+def _integer_row(row: dict) -> dict:
+    """``row`` times the lcm of its denominators, with ``int`` entries."""
+    den = math.lcm(*(v.denominator for v in row.values()))
+    return {j: int(v * den) for j, v in row.items()}
 
-    ``slot[e]`` is the position of entry e within its row, so the entries of
-    one slot hit distinct rows and can be applied in one vectorised step.
+
+class _IntegerSystem:
+    """A sparse matrix with each row times the lcm of its denominators.
+
+    ``rows`` holds the integer rows as dicts, for the elimination; a row
+    whose entries are all ``int`` is taken as it is.  The exact check reads
+    the same entries as row-major COO arrays: ``slot[e]`` is the position of
+    entry e within its row, so the entries of one slot hit distinct rows and
+    can be applied in one vectorised step.
     """
 
     def __init__(self, rows: list):
-        lengths = [len(row) for row in rows]
-        cols = [j for row in rows for j in row]
-        vals = [v for row in rows for v in row.values()]
-        if any(v.denominator != 1 for v in vals):
-            vals = []
-            for row in rows:
-                den = math.lcm(*(v.denominator for v in row.values()))
-                vals.extend(v * den for v in row.values())
-        vals = [int(v) for v in vals]
+        self.rows = [row if all(type(v) is int for v in row.values()) else _integer_row(row)
+                     for row in rows]
+        lengths = [len(row) for row in self.rows]
+        cols = [j for row in self.rows for j in row]
+        vals = [v for row in self.rows for v in row.values()]
         val_max = max(map(abs, vals), default=0)
         self.row_sum = val_max * max(lengths, default=0)  # bounds each row's sum of |entries|
         self.nrows = len(rows)
@@ -492,60 +503,48 @@ class _IntegerSystem:
                 self.vals[lo:hi])
 
 
-def _clear_column(M, row, j: int):
-    """``M -= outer(M[:, j], row)`` mod p, on the rows hit, a block at a time."""
-    hit = np.flatnonzero(M[:, j])
-    for s in range(0, len(hit), _BLOCK):
-        i = hit[s:s + _BLOCK]
-        X = M[i].astype(np.int64, copy=False)
-        X -= X[:, j:j + 1] * row
-        X %= _PRIME
-        M[i] = X
+def _rref_mod_p(rows: list):
+    """Sparse Gauss-Jordan over GF(p) on integer dict ``rows``.
 
+    Returns ``(piv, tails)``: the pivot columns, ascending, and for each the
+    residues of its reduced row off the pivot (where the row holds 1).  A
+    tail has no entry at any pivot column, so its keys are free columns.
 
-def _reduce_block(C, R, piv):
-    """``C -= C[:, piv] @ R`` mod p: zero C's pivot columns (``R[:, piv] = I``)."""
-    F = C[:, piv]
-    ii, kk = np.nonzero(F)
-    slot = np.arange(len(ii)) - np.searchsorted(ii, ii)
-    for t in range(int(slot.max(initial=-1)) + 1):
-        s = slot == t
-        i, k = ii[s], kk[s]
-        X = C[i]
-        X -= F[i, k][:, None] * R[k]
-        X %= _PRIME
-        C[i] = X
-
-
-def _rref_mod_p(system: _IntegerSystem, ncols: int):
-    """RREF over GF(p), streaming the rows in blocks.
-
-    ``R[k]`` is the reduced row whose pivot (leading) column is ``piv[k]``.
-    There are at most ``ncols`` of them, stored as int32 residues, so the
-    working set is ``ncols x ncols`` whatever the row count; products are
-    formed in int64 on at most ``_BLOCK`` rows at a time.
+    The rows go in descending order of their leading column.  Each is
+    reduced by the pivot rows found so far, which only moves its entries
+    right, and its leading column becomes a pivot.  That column is cleared
+    from the earlier pivot rows, but only those whose pivot lies left of it
+    can hold an entry there, and in this order the new pivot almost always
+    lies left of them all (Dumas & Villard, CASC 2002, on sparse elimination
+    over GF(p)).
     """
-    R = np.zeros((ncols, ncols), dtype=np.int32)
-    piv = np.zeros(ncols, dtype=np.int64)
-    r = 0
-    for start in range(0, system.nrows, _BLOCK):
-        stop = min(start + _BLOCK, system.nrows)
-        rows, _, cols, vals = system.block(start, stop)
-        C = np.zeros((stop - start, ncols), dtype=np.int64)
-        C[rows, cols] = vals % _PRIME
-        _reduce_block(C, R[:r], piv[:r])
-        for i in np.flatnonzero(C.any(axis=1)):
-            lead = np.flatnonzero(C[i])
-            if not len(lead):
-                continue
-            j = lead[0]
-            row = C[i] * pow(int(C[i, j]), -1, _PRIME) % _PRIME
-            _clear_column(C[i + 1:], row, j)
-            _clear_column(R[:r], row, j)
-            R[r], piv[r] = row, j
-            r += 1
-    order = np.argsort(piv[:r])
-    return piv[order], R[order]
+    tails: dict[int, dict] = {}
+    piv: list[int] = []
+    for row in sorted(filter(None, rows), key=min, reverse=True):
+        row = dict(row)
+        for j in [j for j in row if j in tails]:
+            f = row.pop(j)
+            for c, v in tails[j].items():
+                row[c] = row.get(c, 0) - f * v
+        row = {j: r for j, v in row.items() if (r := v % _PRIME)}
+        if not row:
+            continue
+        lead = min(row)
+        inv = pow(row.pop(lead), -1, _PRIME)
+        tail = {j: v * inv % _PRIME for j, v in row.items()}
+        at = bisect.bisect(piv, lead)
+        for k in piv[:at]:
+            t = tails[k]
+            g = t.pop(lead, 0)
+            if g:
+                for c, v in tail.items():
+                    if r := (t.get(c, 0) - g * v) % _PRIME:
+                        t[c] = r
+                    else:
+                        del t[c]
+        piv.insert(at, lead)
+        tails[lead] = tail
+    return piv, [tails[k] for k in piv]
 
 
 def _lift(u):
@@ -618,13 +617,12 @@ def _certified_rref(rows: list, ncols: int):
     system = _IntegerSystem(rows)
     if not system.fits:
         return None
-    piv, R = _rref_mod_p(system, ncols)
+    piv, tails = _rref_mod_p(system.rows)
+    piv = np.array(piv, dtype=np.int64)
     free = np.setdiff1d(np.arange(ncols), piv)
-    U = (-R[:, free]) % _PRIME
-    del R  # the residues are freed before the check allocates W
-    at, col = np.nonzero(U)
-    lifted = _lift(U[at, col])
-    del U
+    at = np.repeat(np.arange(len(tails)), [len(t) for t in tails])
+    col = np.searchsorted(free, [j for t in tails for j in t])
+    lifted = _lift(_PRIME - np.array([v for t in tails for v in t.values()], dtype=np.int64))
     if lifted is None or not _check_exact(system, ncols, piv, free, (at, col) + lifted):
         return None
     return piv, free, (at, col) + lifted
@@ -688,7 +686,7 @@ def solve_linear_exact(A, b, ncols: int | None = None) -> SolveOutcome:
     column has ``w A = 0`` and ``w . b = 1``.
     """
     rows, ncols = _to_sparse_rows(A, ncols)
-    b = [_as_fraction(v) for v in b]
+    b = [v if type(v) is int else _as_fraction(v) for v in b]
     if len(b) != len(rows):
         raise ValueError(f"dimension mismatch: {len(rows)} rows vs {len(b)} rhs entries")
     for row, c in zip(rows, b):
@@ -701,7 +699,7 @@ def solve_linear_exact(A, b, ncols: int | None = None) -> SolveOutcome:
         for i, row in enumerate(rows):
             for j, v in row.items():
                 transpose[j][i] = v
-        transpose[ncols][m] = Fraction(-1)
+        transpose[ncols][m] = -1
         _, free, entries = _rref(transpose, m + 1)
         return SolveOutcome(status="infeasible", witness=_kernel_vectors(free, entries, m)[-1])
     *kernel, particular = _kernel_vectors(free, entries, ncols)

@@ -181,8 +181,9 @@ def _flow_batch(spray: SprayField, xi: np.ndarray, t_final: float, steps: int):
     Y = np.ones((n + 1, B))
     Y[:n] = xi[:, n:].T
     k = np.empty((4,) + Z.shape)
-    Zs = np.empty_like(Z)
+    Zs, S = np.empty_like(Z), np.empty_like(Z)
     K = np.zeros_like(Z[n:])
+    T = np.empty_like(K)
     h = t_final / steps
     check_every = max(1, steps // 32)
     blowup = None
@@ -192,9 +193,20 @@ def _flow_batch(spray: SprayField, xi: np.ndarray, t_final: float, steps: int):
             np.multiply(k[i], c, out=Zs)
             Zs += Z
             _rhs(spray, Zs[:n].T, Y, Zs[n:], k[i + 1])
-        S = k[0] + k[1] + k[2]
-        K += h * (Z[n:] + (h / 6) * S[n:])     # (h/6)(J_1 + 2 J_2 + 2 J_3 + J_4)
-        Z += (h / 6) * (S + k[1] + k[2] + k[3])
+        # in place, in the order of S = k1 + k2 + k3,
+        # K += h (Z_J + (h/6) S_J), i.e. (h/6)(J_1 + 2 J_2 + 2 J_3 + J_4),
+        # Z += (h/6) (S + k2 + k3 + k4)
+        np.add(k[0], k[1], out=S)
+        S += k[2]
+        np.multiply(S[n:], h / 6, out=T)
+        T += Z[n:]
+        T *= h
+        K += T
+        S += k[1]
+        S += k[2]
+        S += k[3]
+        S *= h / 6
+        Z += S
         if (s + 1) % check_every == 0 or s == steps - 1:
             finite = np.isfinite(Z).all(axis=0)
             if blowup is None and not finite.all():

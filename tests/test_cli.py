@@ -124,6 +124,15 @@ def test_prolong_obstructed(jet_file, capsys):
     assert obj["cochain"]["terms"]
 
 
+@pytest.mark.parametrize("weights", ["", ",", "0,,1", "a,0,1", "0,0", "0,2,1"])
+def test_prolong_malformed_weights_exit_2(jet_file, capsys, weights):
+    # an empty --weights is malformed too, not a request for all-ones weights
+    assert cli.main(["prolong", jet_file, "--weights", weights, "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "weights" in captured.err
+
+
 def test_realize(mvf_file, capsys):
     assert cli.main(["realize", mvf_file, "--samples", "5", "--steps", "200",
                      "--format", "json"]) == 0
@@ -312,6 +321,36 @@ def test_area(capsys):
 def test_unknown_verb():
     with pytest.raises(SystemExit):
         cli.main(["frobnicate"])
+
+
+# Runs ``cli.main`` twice in one process: first on a bad argument, then on
+# the argv given on the command line.
+_TWO_CALLS = """
+import sys
+from poissonforge import cli
+try:
+    cli.main(["casimirs", sys.argv[1], "--max-degree", "two"])
+except SystemExit as e:
+    assert e.code == 2, e.code
+else:
+    raise AssertionError("a bad --max-degree did not exit")
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_parser_is_reused_across_calls(so3_file):
+    # the parser is built once per process: a call that exits 2 leaves the
+    # next call's output as a fresh process gives it
+    env = dict(os.environ, PYTHONPATH=os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
+    argv = ["casimirs", so3_file, "--max-degree", "4", "--format", "json"]
+    reused = subprocess.run([sys.executable, "-c", _TWO_CALLS, *argv], env=env,
+                            capture_output=True, text=True, timeout=120)
+    fresh = subprocess.run([sys.executable, "-m", "poissonforge.cli", *argv], env=env,
+                           capture_output=True, text=True, timeout=120)
+    assert reused.returncode == fresh.returncode == 0
+    assert "invalid int value" in reused.stderr
+    assert reused.stdout == fresh.stdout and json.loads(fresh.stdout)["casimirs"]
 
 
 # Records the thread variables at the moment NumPy is first imported, then

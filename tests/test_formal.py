@@ -50,11 +50,14 @@ def _assert_certificate(call, w):
     """w A = 0 and w . b = 1 on the system of a ``_solve_bracket_equation`` call.
 
     The rows are rebuilt from ``bracket_rows`` on the call's basis, keyed by
-    the same sorted (legs, exps) monomials as the solve.
+    the same sorted (legs, exps) monomials as the solve, and divided by its
+    denominator.
     """
     (pi, rhs, basis), kwargs = call
     restrict = kwargs.get("restrict_grade")
-    rows = {key: row for key, row in bracket_rows(pi, basis).items()
+    den, int_rows = bracket_rows(pi, basis)
+    rows = {key: {c: Fraction(v, den) for c, v in row.items()}
+            for key, row in int_rows.items()
             if restrict is None or _grade(pi.weights, *key) <= restrict}
     keys = sorted(set(rows) | {(legs, e) for legs, p in rhs.terms.items() for e in p.terms})
     assert len(w) == len(keys)
@@ -294,16 +297,18 @@ def test_prolong_step_rejects_early_failure():
 
 
 def test_prolong_obstruction_certificate():
-    # weighted fixture where no fiber-ideal correction can repair grade 4
+    # weighted fixture where no fiber-ideal correction can repair grade 4;
+    # at scale 2/3 the bracket rows are integers over the denominator 3
     n = 3
-    pi = PolyMVF(n, 2, {(1, 2): parse_poly("x3", n),
-                        (1, 3): parse_poly("x1*x3", n)},
-                 weights=(0, 0, 1))
-    jac = schouten(pi, pi)
-    m = jac.min_grade()
-    with _spied_solve() as (solve, eliminate):
-        res = prolong_step(FilteredJet(pi, m), m, base_degree_cap=4)
-    assert res.status == "obstructed"
-    assert not res.obstruction.value.is_zero()
-    _assert_certificate(solve.call_args, res.certificate)
-    assert eliminate.call_count == 0
+    for scale in (1, Fraction(2, 3)):
+        pi = PolyMVF(n, 2, {(1, 2): parse_poly("x3", n),
+                            (1, 3): parse_poly("x1*x3", n)},
+                     weights=(0, 0, 1)) * scale
+        jac = schouten(pi, pi)
+        m = jac.min_grade()
+        with _spied_solve() as (solve, eliminate):
+            res = prolong_step(FilteredJet(pi, m), m, base_degree_cap=4)
+        assert res.status == "obstructed"
+        assert not res.obstruction.value.is_zero()
+        _assert_certificate(solve.call_args, res.certificate)
+        assert eliminate.call_count == 0

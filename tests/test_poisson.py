@@ -177,7 +177,7 @@ class TestCohomology:
             """d on grade-l k-vectors: column c as {index in the (k+1)-basis: value}."""
             index = {key: r for r, key in enumerate(graded_basis(n, k + 1, l, pi.weights))}
             cols = {}
-            for key, row in bracket_rows(pi, graded_basis(n, k, l, pi.weights)).items():
+            for key, row in bracket_rows(pi, graded_basis(n, k, l, pi.weights))[1].items():
                 for c, v in row.items():
                     cols.setdefault(c, {})[index[key]] = v
             return cols

@@ -423,7 +423,7 @@ def _reference_eliminate(rows, ncols):
         used[pivot] = True
         pivots.append((col, pivot))
         pv = rows[pivot][col]
-        rows[pivot] = {j: v / pv for j, v in rows[pivot].items()}
+        rows[pivot] = {j: Fraction(v) / pv for j, v in rows[pivot].items()}
         for i in range(nrows):
             f = rows[i].get(col)
             if i == pivot or not f:
@@ -437,7 +437,39 @@ def _reference_eliminate(rows, ncols):
     return pivots
 
 
+def _rref_answer(rows, ncols):
+    """``_rref``'s pivots, free columns and sorted kernel entries."""
+    piv, free, entries = polyalg._rref(rows, ncols)
+    return piv, free, sorted(entries)
+
+
+@st.composite
+def sparse_matrices(draw):
+    """(rows, ncols): sparse int rows, some of them empty."""
+    m, n = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    entry = st.integers(-4, 4).filter(bool)
+    rows = draw(st.lists(st.dictionaries(st.integers(0, n - 1), entry, max_size=n),
+                         min_size=m, max_size=m))
+    return rows, n
+
+
 class TestCertifiedSolver:
+    @_SOLVER
+    @given(sparse_matrices(), st.data())
+    def test_rref_ignores_row_order_row_scale_and_entry_type(self, matrix, data):
+        # the RREF depends on the row space alone; a scale of p empties the
+        # row mod p, and 2^40 + 1 trips the int64 guard of the exact check
+        rows, n = matrix
+        answer = _rref_answer(rows, n)
+        order = data.draw(st.permutations(range(len(rows))))
+        i = data.draw(st.integers(0, len(rows) - 1))
+        scale = data.draw(st.integers(-50, 50).filter(bool) | st.sampled_from([P, -P, 2**40 + 1]))
+        moved = [dict(rows[k]) for k in order]
+        moved[i] = {j: scale * v for j, v in moved[i].items()}
+        assert _rref_answer(moved, n) == answer
+        as_fractions = [{j: Fraction(v) for j, v in row.items()} for row in rows]
+        assert _rref_answer(as_fractions, n) == answer
+
     @_SOLVER
     @given(linear_systems())
     def test_small_integer_systems_are_certified(self, system):
@@ -495,11 +527,11 @@ class TestCertifiedSolver:
         pi = linear_poisson(preset("su3"))
         ones = [1] * 8
         with _counted_eliminations() as spy:
-            for k, l, rank in ((3, 1, 280), (1, 2, 253)):
+            for k, l, rank in ((3, 1, 280), (1, 2, 253), (2, 2, 755)):
                 basis = graded_basis(8, k, l, ones)
-                assert exact_rank(list(bracket_rows(pi, basis).values()), len(basis)) == rank
+                assert exact_rank(list(bracket_rows(pi, basis)[1].values()), len(basis)) == rank
             monos = graded_basis(8, 0, 4, ones)[::-1]
-            A = list(bracket_rows(pi, monos).values())
+            A = list(bracket_rows(pi, monos)[1].values())
             out = solve_linear_exact(A, [0] * len(A), ncols=len(monos))
         assert spy.call_count == 0
         assert len(out.kernel_basis) == 1  # the square of the quadratic Casimir
