@@ -511,8 +511,8 @@ def _rref_mod_p(rows: list):
     tail has no entry at any pivot column, so its keys are free columns.
 
     The rows go in descending order of their leading column.  Each is
-    reduced by the pivot rows found so far, which only moves its entries
-    right, and its leading column becomes a pivot.  That column is cleared
+    reduced by the pivot rows found so far, which can only move its leading
+    column right, and that column becomes a pivot.  That column is cleared
     from the earlier pivot rows, but only those whose pivot lies left of it
     can hold an entry there, and in this order the new pivot almost always
     lies left of them all (Dumas & Villard, CASC 2002, on sparse elimination
