@@ -256,8 +256,8 @@ def su3_invariants(xi) -> tuple[float, float]:
 
 def weyl_circle_sample(r: float, theta: float) -> WeylCircleSample:
     """Diagonal point r*A(theta) on the Weyl circle, in orthonormal coordinates."""
-    if r <= 0:
-        raise ValueError("radius must be positive")
+    if not (math.isfinite(r) and r > 0):
+        raise ValueError("radius r must be finite and > 0")
     point = np.zeros(8)
     point[2] = r * math.cos(theta)   # along i*lambda_3/sqrt(2)
     point[7] = r * math.sin(theta)   # along i*lambda_8/sqrt(2)

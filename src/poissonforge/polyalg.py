@@ -14,11 +14,12 @@ Gauss-Jordan on dict rows of Python ints, and its kernel basis is lifted by
 rational reconstruction with numerator and denominator at most 32767.  One
 exact integer check, ``M v = 0`` for every kernel vector, certifies the
 lift.  A solve reduces ``M = [A | b]``, so the same certificate covers
-feasibility, infeasibility and the witness.  If a step fails -- no lift, a
-failed check or an int64 guard -- Fraction Gauss-Jordan with a fixed pivot
-rule (``_eliminate``) gives the RREF instead.  Matrix entries may be
-``int``s or ``Fraction``s: integer rows, such as the bracket rows of
-``poisson``, reach the elimination without building a ``Fraction``.
+feasibility, infeasibility and the witness.  All of it runs in Python ints,
+so no entry is too large for it.  If the lift or the check fails, Fraction
+Gauss-Jordan with a fixed pivot rule (``_eliminate``) gives the RREF
+instead.  Matrix entries may be ``int``s or ``Fraction``s: integer rows,
+such as the bracket rows of ``poisson``, reach the elimination without
+building a ``Fraction``.
 
 Data is validated where it enters and trusted inside.  The public
 ``Poly(nvars, terms)``, the ``zero``/``constant``/``variable``/``monomial``
@@ -453,54 +454,19 @@ def _eliminate(rows: list, ncols: int) -> list:
 # A solve reduces M = [A | b], so every answer is read off this one RREF: the
 # column of b is a pivot exactly when A x = b has no solution, and otherwise
 # minus its kernel vector, cut to the columns of A, is the RREF particular
-# solution.  Any step that fails returns None and the caller falls back to
+# solution.  If the lift or the check fails, the caller falls back to
 # _eliminate.
 
-_PRIME = 2**31 - 1  # residues fit int32, so the lift's products fit int64
+_PRIME = 2**31 - 1  # a Mersenne prime; it sets Wang's bound below
 _LIFT = math.isqrt((_PRIME - 1) // 2)  # Wang's bound: |num|, den <= 32767
-_INT64_LIMIT = 2**63
-_CHECK_CELLS = 2**14  # bound on the cells of one temporary of the exact check
 
 
 def _integer_row(row: dict) -> dict:
-    """``row`` times the lcm of its denominators, with ``int`` entries."""
+    """``row`` times the lcm of its denominators; an all-``int`` row as it is."""
+    if all(type(v) is int for v in row.values()):
+        return row
     den = math.lcm(*(v.denominator for v in row.values()))
     return {j: int(v * den) for j, v in row.items()}
-
-
-class _IntegerSystem:
-    """A sparse matrix with each row times the lcm of its denominators.
-
-    ``rows`` holds the integer rows as dicts, for the elimination; a row
-    whose entries are all ``int`` is taken as it is.  The exact check reads
-    the same entries as row-major COO arrays: ``slot[e]`` is the position of
-    entry e within its row, so the entries of one slot hit distinct rows and
-    can be applied in one vectorised step.
-    """
-
-    def __init__(self, rows: list):
-        self.rows = [row if all(type(v) is int for v in row.values()) else _integer_row(row)
-                     for row in rows]
-        lengths = [len(row) for row in self.rows]
-        cols = [j for row in self.rows for j in row]
-        vals = [v for row in self.rows for v in row.values()]
-        val_max = max(map(abs, vals), default=0)
-        self.row_sum = val_max * max(lengths, default=0)  # bounds each row's sum of |entries|
-        self.nrows = len(rows)
-        self.indptr = np.zeros(self.nrows + 1, dtype=np.int64)
-        np.cumsum(lengths, out=self.indptr[1:])
-        self.cols = np.array(cols, dtype=np.int64)
-        self.row_of = np.repeat(np.arange(self.nrows, dtype=np.int64), lengths)
-        self.slot = np.arange(len(cols), dtype=np.int64) - self.indptr[self.row_of]
-        self.fits = self.row_sum < _INT64_LIMIT
-        if self.fits:
-            self.vals = np.array(vals, dtype=np.int64)
-
-    def block(self, start: int, stop: int):
-        """(local rows, slots, columns, values) of the entries of rows start:stop."""
-        lo, hi = self.indptr[start], self.indptr[stop]
-        return (self.row_of[lo:hi] - start, self.slot[lo:hi], self.cols[lo:hi],
-                self.vals[lo:hi])
 
 
 def _rref_mod_p(rows: list):
@@ -547,61 +513,45 @@ def _rref_mod_p(rows: list):
     return piv, [tails[k] for k in piv]
 
 
-def _lift(u):
-    """Wang's rational reconstruction of the residues ``u``, elementwise.
-
-    Returns ``(num, den)`` with ``num = den * u`` mod p, ``|num|, den <=
-    _LIFT`` and ``gcd(num, den) = 1``, or None when some residue has no such
-    lift.  The half-extended Euclid runs on all residues at once.
+def _lift(u: int):
+    """Wang's rational reconstruction of the residue ``u`` (Wang, Guy &
+    Davenport, SIGSAM Bull. 16, 1982): ``(num, den)`` with ``num = den * u``
+    mod p, ``|num|, den <= _LIFT`` and ``gcd(num, den) = 1``, or None.
     """
-    r0 = np.full(len(u), _PRIME, dtype=np.int64)
-    r1 = u.astype(np.int64)
-    t0 = np.zeros(len(u), dtype=np.int64)
-    t1 = np.ones(len(u), dtype=np.int64)
-    act = np.flatnonzero(r1 > _LIFT)
-    while len(act):
-        q = r0[act] // r1[act]
-        r0[act], r1[act] = r1[act], r0[act] - q * r1[act]
-        t0[act], t1[act] = t1[act], t0[act] - q * t1[act]
-        act = act[r1[act] > _LIFT]
-    num, den = np.where(t1 < 0, -r1, r1), np.abs(t1)
-    if np.any(den > _LIFT) or np.any(np.gcd(num, den) != 1):
+    r0, r1, t0, t1 = _PRIME, u, 0, 1
+    while r1 > _LIFT:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if abs(t1) > _LIFT or math.gcd(r1, t1) != 1:
         return None
-    return num, den
+    return (-r1, -t1) if t1 < 0 else (r1, t1)
 
 
-def _check_exact(system: _IntegerSystem, ncols: int, piv, free, lifted) -> bool:
+def _check_exact(rows: list, ncols: int, piv: list, lifted: list) -> bool:
     """``M v_f = 0`` for each lifted kernel vector, in integers.
 
-    Each lifted vector is scaled by the lcm of its denominators into a column
-    of ``W``.  The products run in int64 only when the row sums bound them
-    below 2^63; otherwise the check fails.  Rows go through in blocks whose
-    temporaries hold at most ``_CHECK_CELLS`` cells.  With no free column
-    there is nothing to check: the rank mod p is full, so over Q too.
+    Each vector is scaled by the lcm of its denominators.  ``column[j]``
+    holds the entries at j of the scaled vectors, keyed by free column, and
+    each row sums its products per vector.  With no free column there is
+    nothing to check: the rank mod p is full, so over Q too.
     """
-    k = len(free)
-    if not k:
+    scale = dict.fromkeys(set(range(ncols)).difference(piv), 1)
+    if not scale:
         return True
-    at, col, num, den = lifted
-    scale = [1] * k
-    for c, d in zip(col[den > 1].tolist(), den[den > 1].tolist()):
-        scale[c] = math.lcm(scale[c], d)
-    top = max(scale[c] * abs(n) for c, n in zip(col.tolist(), num.tolist())) if len(num) else 1
-    if max(max(scale), top) * system.row_sum >= _INT64_LIMIT:
-        return False
-    scale = np.array(scale, dtype=np.int64)
-    W = np.zeros((ncols, k), dtype=np.int64)
-    W[piv[at], col] = num * (scale[col] // den)
-    W[free, np.arange(k)] = scale
-    step = max(1, _CHECK_CELLS // k)
-    for start in range(0, system.nrows, step):
-        stop = min(start + step, system.nrows)
-        rows, slots, cols, vals = system.block(start, stop)
-        acc = np.zeros((stop - start, k), dtype=np.int64)
-        for t in range(int(slots.max(initial=-1)) + 1):
-            s = slots == t
-            acc[rows[s]] += vals[s, None] * W[cols[s]]
-        if acc.any():
+    for _, f, _, den in lifted:
+        scale[f] = math.lcm(scale[f], den)
+    column = [{} for _ in range(ncols)]
+    for f, s in scale.items():
+        column[f][f] = s
+    for p, f, num, den in lifted:
+        column[p][f] = num * (scale[f] // den)
+    for row in rows:
+        acc = {}
+        for j, a in row.items():
+            for f, w in column[j].items():
+                acc[f] = acc.get(f, 0) + a * w
+        if any(acc.values()):
             return False
     return True
 
@@ -609,30 +559,22 @@ def _check_exact(system: _IntegerSystem, ncols: int, piv, free, lifted) -> bool:
 def _certified_rref(rows: list, ncols: int):
     """The RREF of ``rows`` over Q by the certified modular path, or None.
 
-    Returns ``(piv, free, lifted)``: the pivot and free columns, ascending,
-    and the nonzero lifted entries as arrays ``(k, c, num, den)``.  Entry
-    ``num/den`` sits at pivot ``piv[k]`` of the kernel vector of free column
-    ``free[c]``.
+    Returns ``(piv, lifted)``: the pivot columns, ascending, and the nonzero
+    kernel entries ``(p, f, num, den)``: ``num/den`` sits at pivot column
+    ``p`` of the kernel vector of free column ``f``.  That entry is minus
+    the residue of ``f`` in the tail of ``p``, so it lifts ``_PRIME`` minus
+    the residue.
     """
-    system = _IntegerSystem(rows)
-    if not system.fits:
-        return None
-    piv, tails = _rref_mod_p(system.rows)
-    piv = np.array(piv, dtype=np.int64)
-    free = np.setdiff1d(np.arange(ncols), piv)
-    at = np.repeat(np.arange(len(tails)), [len(t) for t in tails])
-    col = np.searchsorted(free, [j for t in tails for j in t])
-    lifted = _lift(_PRIME - np.array([v for t in tails for v in t.values()], dtype=np.int64))
-    if lifted is None or not _check_exact(system, ncols, piv, free, (at, col) + lifted):
-        return None
-    return piv, free, (at, col) + lifted
-
-
-def _lifted_entries(piv, lifted):
-    """``_rref``'s entries from ``_certified_rref``'s arrays."""
-    piv = piv.tolist()
-    for k, c, p, q in zip(*(a.tolist() for a in lifted)):
-        yield piv[k], c, Fraction(p, q)
+    rows = [_integer_row(row) for row in rows]
+    piv, tails = _rref_mod_p(rows)
+    lifted = []
+    for p, tail in zip(piv, tails):
+        for f, v in tail.items():
+            frac = _lift(_PRIME - v)
+            if frac is None:
+                return None
+            lifted.append((p, f, *frac))
+    return (piv, lifted) if _check_exact(rows, ncols, piv, lifted) else None
 
 
 def _rref(rows: list, ncols: int):
@@ -647,14 +589,16 @@ def _rref(rows: list, ncols: int):
     """
     certified = _certified_rref(rows, ncols)
     if certified is not None:
-        piv, free, lifted = certified
-        return piv.tolist(), free.tolist(), _lifted_entries(piv, lifted)
-    rows = [dict(row) for row in rows]
-    pivots = _eliminate(rows, ncols)
-    piv = [col for col, _ in pivots]
+        piv, lifted = certified
+        entries = ((p, f, Fraction(num, den)) for p, f, num, den in lifted)
+    else:
+        rows = [dict(row) for row in rows]
+        pivots = _eliminate(rows, ncols)
+        piv = [col for col, _ in pivots]
+        entries = ((p, f, -v) for p, i in pivots for f, v in rows[i].items() if f != p)
     free = sorted(set(range(ncols)).difference(piv))
     index = {f: c for c, f in enumerate(free)}
-    return piv, free, ((p, index[f], -v) for p, i in pivots for f, v in rows[i].items() if f != p)
+    return piv, free, ((p, index[f], v) for p, f, v in entries)
 
 
 def _kernel_vectors(free: list, entries, n: int) -> list:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -188,10 +189,15 @@ def test_realize_rejects_bad_input(mvf_file, capsys, bad, named):
     pytest.param(["area", "--radius", "inf"], "radius", id="area-radius=inf"),
     # the radial derivative steps by 1e-5 on each side of the radius
     pytest.param(["area", "--radius", "1e-6"], "step h", id="area-radius=1e-6"),
+    # the quadrature overflows: to inf and NaN at 1e150, to NaN at 1e160
+    pytest.param(["area", "--radius", "1e150"], "radius", id="area-radius=1e150"),
+    pytest.param(["area", "--radius", "1e160"], "radius", id="area-radius=1e160"),
 ])
 def test_bad_numeric_arguments_exit_2(so3_file, jet_file, capsys, argv, named):
     argv = [a.format(so3=so3_file, jet=jet_file) for a in argv]
-    assert cli.main(argv + ["--format", "json"]) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no warning may come before the error line
+        assert cli.main(argv + ["--format", "json"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and named in captured.err

@@ -285,6 +285,11 @@ class TestSu3Invariants:
         with pytest.raises(ValueError):
             weyl_circle_sample(-1.0, 0.0)
 
+    @pytest.mark.parametrize("r", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_weyl_circle_needs_a_finite_positive_radius(self, r):
+        with pytest.raises(ValueError, match="radius"):
+            weyl_circle_sample(r, 0.0)
+
     def test_discriminant_membership(self):
         rng = np.random.default_rng(23)
         for _ in range(300):

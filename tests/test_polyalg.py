@@ -1,5 +1,6 @@
 """Exact polynomial arithmetic, parsing, and the rational linear solver."""
 
+import math
 import random
 from fractions import Fraction
 from unittest import mock
@@ -458,7 +459,7 @@ class TestCertifiedSolver:
     @given(sparse_matrices(), st.data())
     def test_rref_ignores_row_order_row_scale_and_entry_type(self, matrix, data):
         # the RREF depends on the row space alone; a scale of p empties the
-        # row mod p, and 2^40 + 1 trips the int64 guard of the exact check
+        # row mod p, and 2^40 + 1 gives entries far above p for the exact check
         rows, n = matrix
         answer = _rref_answer(rows, n)
         order = data.draw(st.permutations(range(len(rows))))
@@ -494,14 +495,46 @@ class TestCertifiedSolver:
         ([[P]], 1),
         ([[1, 1], [1, 1 + P]], 2),
         ([[Fraction(1, P), 1]], 1),
-        ([[2**70, 1], [1, 1]], 2),
-    ], ids=["entry=p", "minor=p", "denominator=p", "int64-guard"])
+    ], ids=["entry=p", "minor=p", "denominator=p"])
     def test_unlucky_prime_falls_back(self, A, rank):
         n = len(A[0])
         with _counted_eliminations() as spy:
             assert exact_rank(A, n) == rank
         assert spy.call_count == 1
         assert _assert_exact(A, [0] * len(A), n) == 2
+
+    @pytest.mark.parametrize("A, kernel", [
+        ([[2**70, 1], [1, 1]], []),
+        ([[2**70, 2**70]], [[-1, 1]]),
+    ], ids=["full-rank", "products-past-2^63"])
+    def test_large_entries_are_certified(self, A, kernel):
+        # the exact check multiplies Python ints, so no entry is too large
+        # for the certified path
+        n = len(A[0])
+        with _counted_eliminations() as spy:
+            assert exact_rank(A, n) == n - len(kernel)
+            assert solve_linear_exact(A, [0] * len(A), n).kernel_basis == kernel
+        assert spy.call_count == 0
+        assert _assert_exact(A, [0] * len(A), n) == 0
+
+    def test_lift_meets_its_contract(self):
+        # every n/d within Wang's bound comes back from its residue, and a
+        # residue with no such n/d gives None
+        bound = polyalg._LIFT
+        for num in (-bound, -7, -1, 0, 1, 5, bound):
+            for den in (1, 2, 9, bound - 1, bound):
+                if math.gcd(num, den) == 1:
+                    assert polyalg._lift(num * pow(den, -1, P) % P) == (num, den)
+        assert polyalg._lift(pow(40000, -1, P)) is None
+        # with a composite modulus, Euclid can stop at num and den with a
+        # common factor (p itself never does): the lift must refuse them
+        with mock.patch.object(polyalg, "_PRIME", 210), mock.patch.object(polyalg, "_LIFT", 10):
+            lifts = [(u, polyalg._lift(u)) for u in range(1, 210)]
+        for u, frac in lifts:
+            if frac is not None:
+                num, den = frac
+                assert (num - den * u) % 210 == 0
+                assert abs(num) <= 10 and 1 <= den <= 10 and math.gcd(num, den) == 1
 
     def test_lift_bound_falls_back(self):
         # the kernel vector (-1/40000, 1) has a denominator above Wang's bound
