@@ -181,14 +181,10 @@ def cmd_su3(args) -> int:
 
 
 def cmd_area(args) -> int:
-    import numpy as np
-    with np.errstate(over="ignore", invalid="ignore"):
-        d1, d2 = realize.dh_variation(args.radius, 1e-5)
-        pi = liealg.linear_poisson(liealg.preset("so3"))
-        area = realize.symplectic_area(
-            realize.sphere_leaf_form(pi, args.radius), (64, 2048))
-    if not all(map(math.isfinite, (area, d1, d2))):
-        raise ValueError(f"--radius {args.radius}: the area quadrature overflows")
+    # dh_variation refuses radii above 2^18, long before the quadrature overflows (1e150)
+    d1, d2 = realize.dh_variation(args.radius, 1e-5)
+    pi = liealg.linear_poisson(liealg.preset("so3"))
+    area = realize.symplectic_area(realize.sphere_leaf_form(pi, args.radius), (64, 2048))
     obj = {"r": args.radius, "area": area, "expected_area": 4 * math.pi * args.radius,
            "dh": [d1, d2]}
     _emit(args, obj,

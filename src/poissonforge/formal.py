@@ -43,6 +43,14 @@ class FilteredJet:
     def __post_init__(self):
         object.__setattr__(self, "value", truncate_jet(self.value, self.D))
 
+    @staticmethod
+    def _raw(value: PolyMVF, D: int) -> "FilteredJet":
+        """Wrap ``value``, trusted to have no piece above grade ``D``, untruncated."""
+        out = object.__new__(FilteredJet)
+        object.__setattr__(out, "value", value)
+        object.__setattr__(out, "D", D)
+        return out
+
     @property
     def order(self):
         return order_of(self)
@@ -84,7 +92,7 @@ def ad_exp(X, u, D: int) -> FilteredJet:
         acc = acc + term
         if n > 4 * D + 8:  # nilpotency guarantees termination well before this
             raise RuntimeError("ad_exp series failed to terminate")
-    return FilteredJet(acc, D)
+    return FilteredJet._raw(acc, D)  # u and every bracket bounded by D
 
 
 def _dynkin_words(budget: int, ox: int, oy: int, k: int):
@@ -146,7 +154,7 @@ def bch(X, Y, D: int) -> FilteredJet:
                     break
             else:
                 total = total + term * (coeff_k * Fraction(1, denom))
-    return FilteredJet(total, D)
+    return FilteredJet._raw(total, D)  # X, Y and every bracket bounded by D
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +296,7 @@ def mc_equivalence(gamma: FilteredJet, gamma_p: FilteredJet, D: int,
                                  certificate=res.certificate,
                                  base_degree_cap=base_degree_cap)
         # Ad(e^X) cancels Z at leading order: [X, pi_lin] = -[pi_lin, X] = -Z
-        Xk = FilteredJet(res.X.value, D)
+        Xk = FilteredJet._raw(res.X.value, D)  # grade q of a D-jet's piece
         current = ad_exp(Xk, current, D)
         diff = current.value - gamma.value
         if not order_of(diff) > q - 1:

@@ -8,18 +8,18 @@ output.
 The linear solver returns the RREF answer (particular solution and kernel
 basis, or a witness of infeasibility), which depends only on the system.
 ``solve_linear_exact`` and ``exact_rank`` read every answer off one RREF,
-``_rref``, found by a certified modular path: each row's denominators are
-cleared, the matrix is reduced modulo the prime ``2^31 - 1`` by sparse
-Gauss-Jordan on dict rows of Python ints, and its kernel basis is lifted by
-rational reconstruction with numerator and denominator at most 32767.  One
-exact integer check, ``M v = 0`` for every kernel vector, certifies the
-lift.  A solve reduces ``M = [A | b]``, so the same certificate covers
-feasibility, infeasibility and the witness.  All of it runs in Python ints,
-so no entry is too large for it.  If the lift or the check fails, Fraction
-Gauss-Jordan with a fixed pivot rule (``_eliminate``) gives the RREF
-instead.  Matrix entries may be ``int``s or ``Fraction``s: integer rows,
-such as the bracket rows of ``poisson``, reach the elimination without
-building a ``Fraction``.
+``_rref``, found by one certified multi-modular path: each row's
+denominators are cleared, the matrix is reduced modulo one prime after
+another, counting down from ``2^31 - 1``, by sparse Gauss-Jordan on dict
+rows of Python ints, the residues of the primes that share the best pivot
+set are combined by the Chinese remainder theorem, and the kernel basis is
+lifted by rational reconstruction.  One exact integer check, ``M v = 0``
+for every kernel vector, certifies the lift; until it passes, the next
+prime is taken.  A solve reduces ``M = [A | b]``, so the same certificate
+covers feasibility, infeasibility and the witness.  All of it runs in
+Python ints, so no entry is too large for it.  Matrix entries may be
+``int``s or ``Fraction``s: integer rows, such as the bracket rows of
+``poisson``, reach the elimination without building a ``Fraction``.
 
 Data is validated where it enters and trusted inside.  The public
 ``Poly(nvars, terms)``, the ``zero``/``constant``/``variable``/``monomial``
@@ -33,6 +33,7 @@ keeps stored coefficients nonzero.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import re
 from dataclasses import dataclass, field
@@ -399,51 +400,12 @@ def _to_sparse_rows(A, ncols=None):
     return rows, ncols
 
 
-def _eliminate(rows: list, ncols: int) -> list:
-    """Reduce sparse ``rows`` to RREF in place.
-
-    The pivot of each column is the first unused row with a nonzero entry in
-    it, so the result is deterministic.  ``where[j]`` holds the rows with a
-    nonzero in column j and follows the fill-in, so neither the pivot search
-    nor the update visits rows without an entry in the pivot column.  Each
-    pivot row is divided by its pivot as a ``Fraction``, so ``int`` entries
-    come out exact.  Returns the (column, row) pivots; every other row ends
-    up empty.
-    """
-    where = [set() for _ in range(ncols)]
-    for i, row in enumerate(rows):
-        for j in row:
-            where[j].add(i)
-    used = [False] * len(rows)
-    pivots = []
-    for col in range(ncols):
-        pivot = min((i for i in where[col] if not used[i]), default=None)
-        if pivot is None:
-            continue
-        used[pivot] = True
-        pivots.append((col, pivot))
-        pv = rows[pivot][col]
-        prow = rows[pivot] = {j: Fraction(v) / pv for j, v in rows[pivot].items()}
-        for i in [i for i in where[col] if i != pivot]:
-            ri = rows[i]
-            f = ri[col]
-            for j, v in prow.items():
-                s = ri.get(j, 0) - f * v
-                if s:
-                    if j not in ri:
-                        where[j].add(i)
-                    ri[j] = s
-                else:
-                    del ri[j]
-                    where[j].discard(i)
-    return pivots
-
-
 # -- the certified modular path ----------------------------------------------
 #
-# A matrix M, its rows cleared to integers, is reduced mod _PRIME by sparse
-# Gauss-Jordan (_rref_mod_p) and its RREF lifted to Q.  The lift is then
-# checked with exact integer products, which makes it the RREF over Q:
+# A matrix M, its rows cleared to integers, is reduced mod one prime after
+# another by sparse Gauss-Jordan (_rref_mod_p), the reductions are combined
+# by CRT and lifted to Q, and the lift is checked with exact integer
+# products, which makes it the RREF over Q:
 # - the rank mod p never exceeds the rank over Q;
 # - each free column f of the mod-p RREF lifts to a vector v_f with 1 at f,
 #   0 at the other free columns and support left of f otherwise; M v_f = 0
@@ -454,11 +416,26 @@ def _eliminate(rows: list, ncols: int) -> list:
 # A solve reduces M = [A | b], so every answer is read off this one RREF: the
 # column of b is a pivot exactly when A x = b has no solution, and otherwise
 # minus its kernel vector, cut to the columns of A, is the RREF particular
-# solution.  If the lift or the check fails, the caller falls back to
-# _eliminate.
+# solution.
 
-_PRIME = 2**31 - 1  # a Mersenne prime; it sets Wang's bound below
-_LIFT = math.isqrt((_PRIME - 1) // 2)  # Wang's bound: |num|, den <= 32767
+_PRIMES = {0: 2**31 - 1}  # i -> the i-th prime of the supply; racing threads store one value
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin to the bases 2, 3, 5 and 7, exact for odd ``7 < n <
+    3,215,031,751`` (Jaeschke, Math. Comp. 61, 1993)."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s with d odd
+    d = (n - 1) >> s
+    return not any(pow(a, d, n) != 1 and all(pow(a, d << k, n) != n - 1 for k in range(s))
+                   for a in (2, 3, 5, 7))
+
+
+def _primes():
+    """The primes from 2^31 - 1 down to 11, each searched for once per process."""
+    for i in itertools.count():
+        if i not in _PRIMES:
+            _PRIMES.setdefault(i, next(n for n in range(_PRIMES[i - 1] - 2, 7, -2) if _is_prime(n)))
+        yield _PRIMES[i]
 
 
 def _integer_row(row: dict) -> dict:
@@ -469,7 +446,7 @@ def _integer_row(row: dict) -> dict:
     return {j: int(v * den) for j, v in row.items()}
 
 
-def _rref_mod_p(rows: list):
+def _rref_mod_p(rows: list, p: int):
     """Sparse Gauss-Jordan over GF(p) on integer dict ``rows``.
 
     Returns ``(piv, tails)``: the pivot columns, ascending, and for each the
@@ -492,19 +469,19 @@ def _rref_mod_p(rows: list):
             f = row.pop(j)
             for c, v in tails[j].items():
                 row[c] = row.get(c, 0) - f * v
-        row = {j: r for j, v in row.items() if (r := v % _PRIME)}
+        row = {j: r for j, v in row.items() if (r := v % p)}
         if not row:
             continue
         lead = min(row)
-        inv = pow(row.pop(lead), -1, _PRIME)
-        tail = {j: v * inv % _PRIME for j, v in row.items()}
+        inv = pow(row.pop(lead), -1, p)
+        tail = {j: v * inv % p for j, v in row.items()}
         at = bisect.bisect(piv, lead)
         for k in piv[:at]:
             t = tails[k]
             g = t.pop(lead, 0)
             if g:
                 for c, v in tail.items():
-                    if r := (t.get(c, 0) - g * v) % _PRIME:
+                    if r := (t.get(c, 0) - g * v) % p:
                         t[c] = r
                     else:
                         del t[c]
@@ -513,19 +490,36 @@ def _rref_mod_p(rows: list):
     return piv, [tails[k] for k in piv]
 
 
-def _lift(u: int):
-    """Wang's rational reconstruction of the residue ``u`` (Wang, Guy &
-    Davenport, SIGSAM Bull. 16, 1982): ``(num, den)`` with ``num = den * u``
-    mod p, ``|num|, den <= _LIFT`` and ``gcd(num, den) = 1``, or None.
+def _lift(u: int, m: int, bound: int):
+    """Wang's rational reconstruction of the residue ``u`` mod ``m`` (Wang,
+    Guy & Davenport, SIGSAM Bull. 16, 1982): ``(num, den)`` with ``num = den
+    * u`` mod m, ``|num|, den <= bound`` and ``gcd(num, den) = 1``, or None.
+    With ``2 bound^2 < m`` at most one such pair exists.
     """
-    r0, r1, t0, t1 = _PRIME, u, 0, 1
-    while r1 > _LIFT:
+    r0, r1, t0, t1 = m, u, 0, 1
+    while r1 > bound:
         q = r0 // r1
         r0, r1 = r1, r0 - q * r1
         t0, t1 = t1, t0 - q * t1
-    if abs(t1) > _LIFT or math.gcd(r1, t1) != 1:
+    if abs(t1) > bound or math.gcd(r1, t1) != 1:
         return None
     return (-r1, -t1) if t1 < 0 else (r1, t1)
+
+
+def _lift_tails(piv: list, tails: list, m: int):
+    """The kernel entries ``(p, f, num, den)``, or None at the first that
+    does not lift: ``num/den`` at pivot column ``p`` of the kernel vector of
+    free column ``f`` lifts ``m`` minus the residue of ``f`` in the tail of ``p``.
+    """
+    bound = math.isqrt(m // 2)  # Wang's bound: 2 bound^2 < m
+    lifted = []
+    for p, tail in zip(piv, tails):
+        for f, u in tail.items():
+            frac = _lift(m - u, m, bound)
+            if frac is None:
+                return None
+            lifted.append((p, f, *frac))
+    return lifted
 
 
 def _check_exact(rows: list, ncols: int, piv: list, lifted: list) -> bool:
@@ -556,49 +550,49 @@ def _check_exact(rows: list, ncols: int, piv: list, lifted: list) -> bool:
     return True
 
 
-def _certified_rref(rows: list, ncols: int):
-    """The RREF of ``rows`` over Q by the certified modular path, or None.
-
-    Returns ``(piv, lifted)``: the pivot columns, ascending, and the nonzero
-    kernel entries ``(p, f, num, den)``: ``num/den`` sits at pivot column
-    ``p`` of the kernel vector of free column ``f``.  That entry is minus
-    the residue of ``f`` in the tail of ``p``, so it lifts ``_PRIME`` minus
-    the residue.
-    """
-    rows = [_integer_row(row) for row in rows]
-    piv, tails = _rref_mod_p(rows)
-    lifted = []
-    for p, tail in zip(piv, tails):
-        for f, v in tail.items():
-            frac = _lift(_PRIME - v)
-            if frac is None:
-                return None
-            lifted.append((p, f, *frac))
-    return (piv, lifted) if _check_exact(rows, ncols, piv, lifted) else None
-
-
 def _rref(rows: list, ncols: int):
     """The RREF of the sparse rational matrix ``rows`` with ``ncols`` columns.
 
     Returns ``(piv, free, entries)``: the pivot and the free columns as
     ascending lists, and an iterator over the entries ``(p, c, v)`` of the
     RREF kernel basis: the kernel vector of free column ``free[c]`` has 1
-    there, ``v`` at pivot column ``p`` and 0 elsewhere.  The certified path
-    gives it when it can, ``_eliminate`` on a copy of ``rows`` otherwise.
-    The entries are built only when iterated, so a rank builds no Fraction.
+    there, ``v`` at pivot column ``p`` and 0 elsewhere.  The entries are
+    built only when iterated, so a rank builds no Fraction.
     """
-    certified = _certified_rref(rows, ncols)
-    if certified is not None:
-        piv, lifted = certified
-        entries = ((p, f, Fraction(num, den)) for p, f, num, den in lifted)
-    else:
-        rows = [dict(row) for row in rows]
-        pivots = _eliminate(rows, ncols)
-        piv = [col for col, _ in pivots]
-        entries = ((p, f, -v) for p, i in pivots for f, v in rows[i].items() if f != p)
-    free = sorted(set(range(ncols)).difference(piv))
+    rows = [_integer_row(row) for row in rows]
+    best = None
+    # Why this loop ends.  Let J be the pivot columns over Q and r = |J|.
+    # Every prefix of columns has rank mod p at most its rank over Q, so a
+    # pivot set mod p has at most r pivots, and with r of them it is J or
+    # lies right of J: the prime with the most pivots, the leftmost set on a
+    # tie, is the best so far.  A prime that gives J gives the residues of
+    # the RREF over Q, which is M[I, J]^-1 M[I, :] for any r rows I whose
+    # minor on J it does not divide.  Fix one such minor d != 0: a prime
+    # that does not divide d gives J, so only finitely many primes fail.
+    # Every RREF entry is a minor of M over d (Cramer), both at most
+    # Hadamard's bound H, so once the primes that gave J multiply past
+    # 2 H^2, Wang's reconstruction returns every entry and the check passes.
+    # Each prime above 2^30 adds 30 bits, and about 5 * 10^7 primes lie
+    # between 2^30 and 2^31.
+    for p in _primes():
+        piv, tails = _rref_mod_p(rows, p)
+        if best is None or len(piv) > len(best) or (len(piv) == len(best) and piv < best):
+            best, residues, m = piv, tails, p
+        elif piv == best:
+            inv = pow(m, -1, p)
+            for old, new in zip(residues, tails):
+                for f in old.keys() | new.keys():
+                    u = old.get(f, 0)
+                    old[f] = u + m * ((new.get(f, 0) - u) * inv % p)
+            m *= p
+        else:
+            continue
+        lifted = _lift_tails(best, residues, m)
+        if lifted is not None and _check_exact(rows, ncols, best, lifted):
+            break
+    free = sorted(set(range(ncols)).difference(best))
     index = {f: c for c, f in enumerate(free)}
-    return piv, free, ((p, index[f], v) for p, f, v in entries)
+    return best, free, ((p, index[f], Fraction(num, den)) for p, f, num, den in lifted)
 
 
 def _kernel_vectors(free: list, entries, n: int) -> list:

@@ -391,6 +391,8 @@ def dh_variation(r: float, h: float, grid=(64, 2048)) -> tuple[float, float]:
         raise ValueError("radius r must be finite and > 0")
     if not (math.isfinite(h) and 0 < h < r):
         raise ValueError("step h must be finite, > 0 and below the radius r")
+    if abs((r + h) - (r - h) - 2 * h) > 2e-6 * h:
+        raise ValueError(f"radius r = {r:g} swamps the difference step h = {h:g}")
     from .liealg import linear_poisson, preset
     pi = linear_poisson(preset("so3"))
 

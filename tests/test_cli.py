@@ -189,7 +189,14 @@ def test_realize_rejects_bad_input(mvf_file, capsys, bad, named):
     pytest.param(["area", "--radius", "inf"], "radius", id="area-radius=inf"),
     # the radial derivative steps by 1e-5 on each side of the radius
     pytest.param(["area", "--radius", "1e-6"], "step h", id="area-radius=1e-6"),
-    # the quadrature overflows: to inf and NaN at 1e150, to NaN at 1e160
+    # from 2^18 on the radius swamps that step: (r + h) - (r - h) is off
+    # from 2h by more than 1e-6 relative, so dh[1] would read 24.41 at 1e11
+    # (4 pi is right) and 0 from 1e12 on
+    pytest.param(["area", "--radius", "1e6"], "radius", id="area-radius=1e6"),
+    pytest.param(["area", "--radius", "1e11"], "radius", id="area-radius=1e11"),
+    pytest.param(["area", "--radius", "1e12"], "radius", id="area-radius=1e12"),
+    pytest.param(["area", "--radius", "1e100"], "radius", id="area-radius=1e100"),
+    # the quadrature would overflow here: to inf and NaN at 1e150, to NaN at 1e160
     pytest.param(["area", "--radius", "1e150"], "radius", id="area-radius=1e150"),
     pytest.param(["area", "--radius", "1e160"], "radius", id="area-radius=1e160"),
 ])

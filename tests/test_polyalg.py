@@ -1,5 +1,7 @@
 """Exact polynomial arithmetic, parsing, and the rational linear solver."""
 
+import contextlib
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 
 from poissonforge import linear_poisson, polyalg, preset
 from poissonforge.poisson import bracket_rows, graded_basis
-from poissonforge.polyalg import (Poly, PolyParseError, exact_rank,
+from poissonforge.polyalg import (Poly, PolyParseError, SolveOutcome, exact_rank,
                                   format_poly, parse_poly, solve_linear_exact)
 
 
@@ -322,22 +324,19 @@ class TestExactSolver:
 
 
 # ---------------------------------------------------------------------------
-# The certified modular path against Fraction elimination and sympy
+# The certified multi-modular path against Fraction elimination and sympy
 # ---------------------------------------------------------------------------
 
-P = polyalg._PRIME
+P = 2**31 - 1  # the first prime of the supply
 _SOLVER = settings(max_examples=150, derandomize=True, database=None, deadline=None)
 
 
-def _counted_eliminations():
-    """A spy on the Fraction elimination, the fallback of the modular path."""
-    return mock.patch.object(polyalg, "_eliminate", wraps=polyalg._eliminate)
-
-
-def _by_elimination(A, b, n):
-    """``solve_linear_exact`` with the modular path switched off."""
-    with mock.patch.object(polyalg, "_certified_rref", return_value=None):
-        return solve_linear_exact(A, b, n)
+@contextlib.contextmanager
+def _counted_primes():
+    """Spies on ``_rref`` and on ``_rref_mod_p``, which runs once per prime."""
+    with mock.patch.object(polyalg, "_rref", wraps=polyalg._rref) as rref, \
+            mock.patch.object(polyalg, "_rref_mod_p", wraps=polyalg._rref_mod_p) as mod_p:
+        yield rref, mod_p
 
 
 def _rational(v) -> Fraction:
@@ -373,7 +372,7 @@ def linear_systems(draw, entries=st.integers(-3, 3), max_side=4):
 
 @st.composite
 def trapped_systems(draw):
-    """Small systems with a trap planted for the prime p.
+    """Small systems with a trap planted for the first prime p.
 
     An entry that is a multiple of p, an entry with denominator p, or a 2x2
     minor equal to p: each can drop the rank mod p or spoil the lift.
@@ -390,14 +389,37 @@ def trapped_systems(draw):
     return A, b, n
 
 
-def _assert_exact(A, b, n) -> int:
-    """Check the public answers against the Fraction elimination and sympy.
+@st.composite
+def multi_prime_matrices(draw):
+    """(rows, ncols) whose RREF entries lie far past one prime's Wang bound.
 
-    Returns the number of Fraction eliminations the public calls ran.
+    Either m < n dense rows with entry k/(2^62 + s + j) in column j, k in
+    -9..9 and nonzero: a kernel vector of the integer matrix of the k has a
+    nonzero entry at some pivot p, and the RREF moves it by
+    (2^62 + s + p)/(2^62 + s + f), whose terms share at most a factor
+    |p - f| < 6.  Or a dense 20 x 40 matrix with entries -9..9 from a
+    seeded generator, whose 20 x 20 minors reach about 10^24.
+    """
+    if draw(st.booleans()):
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        rows = [{j: v for j in range(40) if (v := rng.randint(-9, 9))} for _ in range(20)]
+        return rows, 40
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(m + 1, 6))
+    base = 2**62 + draw(st.integers(0, 2**64))
+    k = st.integers(-9, 9).filter(bool)
+    return [{j: Fraction(draw(k), base + j) for j in range(n)} for _ in range(m)], n
+
+
+def _assert_exact(A, b, n) -> int:
+    """Check the public answers against the reference elimination and sympy.
+
+    Returns the number of primes the public calls ran beyond one per
+    ``_rref``.
     """
     rank, kernel, particular = _sympy_answer(A, b)
     expected = _by_elimination(A, b, n)
-    with _counted_eliminations() as spy:
+    with _counted_primes() as (rref, mod_p):
         assert exact_rank(A, n) == rank
         out = solve_linear_exact(A, b, n)
     assert out.feasible == expected.feasible == (particular is not None)
@@ -409,7 +431,7 @@ def _assert_exact(A, b, n) -> int:
         assert w == expected.witness
         assert all(sum(wi * Fraction(row[c]) for wi, row in zip(w, A)) == 0 for c in range(n))
         assert sum(wi * Fraction(bi) for wi, bi in zip(w, b)) == 1
-    return spy.call_count
+    return mod_p.call_count - rref.call_count
 
 
 def _reference_eliminate(rows, ncols):
@@ -436,6 +458,36 @@ def _reference_eliminate(rows, ncols):
                 else:
                     rows[i].pop(j, None)
     return pivots
+
+
+def _reference_rref(rows, ncols):
+    """What ``_rref_answer`` reads, from ``_reference_eliminate`` on a copy of ``rows``."""
+    rows = [dict(row) for row in rows]
+    pivots = _reference_eliminate(rows, ncols)
+    piv = [col for col, _ in pivots]
+    free = [f for f in range(ncols) if f not in piv]
+    index = {f: c for c, f in enumerate(free)}
+    entries = [(p, index[f], -v) for p, i in pivots for f, v in rows[i].items() if f != p]
+    return piv, free, sorted(entries)
+
+
+def _by_elimination(A, b, n):
+    """The RREF answer to ``A x = b`` from the reference elimination of ``[A | b]``.
+
+    The witness is the RREF particular solution of ``[A^T; b^T] w = (0, ..., 0, 1)``.
+    """
+    rows = [{j: Fraction(v) for j, v in enumerate([*row, c]) if v} for row, c in zip(A, b)]
+    piv, free, entries = _reference_rref(rows, n + 1)
+    if n in piv:
+        m = len(A)
+        transpose = [[A[i][j] for i in range(m)] for j in range(n)] + [list(b)]
+        witness = _by_elimination(transpose, [0] * n + [1], m).particular
+        return SolveOutcome(status="infeasible", witness=witness)
+    vectors = [[Fraction(int(j == f)) for j in range(n)] for f in free]
+    for p, c, v in entries:
+        vectors[c][p] = v
+    *kernel, last = vectors  # the vector of free column n, cut to A's columns
+    return SolveOutcome(status="feasible", particular=[-v for v in last], kernel_basis=kernel)
 
 
 def _rref_answer(rows, ncols):
@@ -476,8 +528,8 @@ class TestCertifiedSolver:
     def test_small_integer_systems_are_certified(self, system):
         # every minor of [A | b] and of its witness matrix is below
         # 6^4 = 1296 < p and every RREF entry a ratio of two of them, so the
-        # prime is lucky and each lift exists: no system, feasible or not,
-        # may reach the fallback
+        # first prime is lucky and each lift exists: no _rref, feasible or
+        # not, may need a second prime
         assert _assert_exact(*system) == 0
 
     @_SOLVER
@@ -491,17 +543,21 @@ class TestCertifiedSolver:
     def test_prime_traps_still_give_the_exact_answer(self, system):
         _assert_exact(*system)
 
-    @pytest.mark.parametrize("A, rank", [
-        ([[P]], 1),
-        ([[1, 1], [1, 1 + P]], 2),
-        ([[Fraction(1, P), 1]], 1),
+    @pytest.mark.parametrize("A, rank, primes", [
+        ([[P]], 1, 2),
+        ([[1, 1], [1, 1 + P]], 2, 2),
+        # the integer row (1, p): the kernel entry -p lifts once the
+        # modulus passes 2 p^2, at the third prime
+        ([[Fraction(1, P), 1]], 1, 3),
     ], ids=["entry=p", "minor=p", "denominator=p"])
-    def test_unlucky_prime_falls_back(self, A, rank):
+    def test_unlucky_prime_falls_back(self, A, rank, primes):
+        # the first prime's answer fails the check, so _rref moves on to
+        # the next primes until one answer is certified
         n = len(A[0])
-        with _counted_eliminations() as spy:
+        with _counted_primes() as (rref, mod_p):
             assert exact_rank(A, n) == rank
-        assert spy.call_count == 1
-        assert _assert_exact(A, [0] * len(A), n) == 2
+        assert (rref.call_count, mod_p.call_count) == (1, primes)
+        assert _assert_exact(A, [0] * len(A), n) == 2 * (primes - 1)
 
     @pytest.mark.parametrize("A, kernel", [
         ([[2**70, 1], [1, 1]], []),
@@ -509,38 +565,39 @@ class TestCertifiedSolver:
     ], ids=["full-rank", "products-past-2^63"])
     def test_large_entries_are_certified(self, A, kernel):
         # the exact check multiplies Python ints, so no entry is too large
-        # for the certified path
+        # for the first prime's answer
         n = len(A[0])
-        with _counted_eliminations() as spy:
+        with _counted_primes() as (rref, mod_p):
             assert exact_rank(A, n) == n - len(kernel)
             assert solve_linear_exact(A, [0] * len(A), n).kernel_basis == kernel
-        assert spy.call_count == 0
+        assert mod_p.call_count == rref.call_count == 2
         assert _assert_exact(A, [0] * len(A), n) == 0
 
     def test_lift_meets_its_contract(self):
         # every n/d within Wang's bound comes back from its residue, and a
         # residue with no such n/d gives None
-        bound = polyalg._LIFT
+        bound = math.isqrt(P // 2)
+        assert bound == 32767
         for num in (-bound, -7, -1, 0, 1, 5, bound):
             for den in (1, 2, 9, bound - 1, bound):
                 if math.gcd(num, den) == 1:
-                    assert polyalg._lift(num * pow(den, -1, P) % P) == (num, den)
-        assert polyalg._lift(pow(40000, -1, P)) is None
+                    assert polyalg._lift(num * pow(den, -1, P) % P, P, bound) == (num, den)
+        assert polyalg._lift(pow(40000, -1, P), P, bound) is None
         # with a composite modulus, Euclid can stop at num and den with a
-        # common factor (p itself never does): the lift must refuse them
-        with mock.patch.object(polyalg, "_PRIME", 210), mock.patch.object(polyalg, "_LIFT", 10):
-            lifts = [(u, polyalg._lift(u)) for u in range(1, 210)]
-        for u, frac in lifts:
+        # common factor (a prime never does): the lift must refuse them
+        for u in range(1, 210):
+            frac = polyalg._lift(u, 210, 10)
             if frac is not None:
                 num, den = frac
                 assert (num - den * u) % 210 == 0
                 assert abs(num) <= 10 and 1 <= den <= 10 and math.gcd(num, den) == 1
 
     def test_lift_bound_falls_back(self):
-        # the kernel vector (-1/40000, 1) has a denominator above Wang's bound
-        with _counted_eliminations() as spy:
+        # the kernel vector (-1/40000, 1) has a denominator above Wang's
+        # bound at the first prime and below it at the product of two
+        with _counted_primes() as (rref, mod_p):
             out = solve_linear_exact([[40000, 1]], [0])
-        assert spy.call_count == 1
+        assert (rref.call_count, mod_p.call_count) == (1, 2)
         assert out.kernel_basis == [[Fraction(-1, 40000), Fraction(1)]]
 
     @_SOLVER
@@ -550,21 +607,44 @@ class TestCertifiedSolver:
         A, b, n = system
         augmented = [list(row) + [c] for row, c in zip(A, b)]
         rows, _ = polyalg._to_sparse_rows(augmented, n + 1)
-        ref_rows, _ = polyalg._to_sparse_rows(augmented, n + 1)
-        assert polyalg._eliminate(rows, n + 1) == _reference_eliminate(ref_rows, n + 1)
-        assert rows == ref_rows
+        assert _rref_answer(rows, n + 1) == _reference_rref(rows, n + 1)
+
+    @settings(max_examples=20, derandomize=True, database=None, deadline=None)
+    @given(multi_prime_matrices())
+    def test_entries_past_one_prime_take_several(self, matrix):
+        rows, n = matrix
+        with _counted_primes() as (_, mod_p):
+            answer = _rref_answer(rows, n)
+        assert mod_p.call_count >= 2
+        assert answer == _reference_rref(rows, n)
+
+    def test_prime_supply_counts_down_from_2_31_minus_1(self):
+        expected = [2**31]
+        for _ in range(50):
+            expected.append(sympy.prevprime(expected[-1]))
+        primes = list(itertools.islice(polyalg._primes(), 50))
+        assert primes == expected[1:]
+        assert all(map(sympy.isprime, primes))
+
+    def test_miller_rabin_is_exact_below_its_bound(self):
+        # strong pseudoprimes: 2047 to base 2, 1373653 to 2 and 3, 25326001
+        # to 2, 3 and 5; 3215031751, the first to 2, 3, 5 and 7, is where
+        # the test stops being exact
+        for n in [*range(9, 20000, 2), 2047, 1373653, 25326001, P]:
+            assert polyalg._is_prime(n) == sympy.isprime(n)
+        assert polyalg._is_prime(3215031751)
 
     def test_su3_matrices_take_the_certified_path(self):
-        # the su(3) benchmark matrices: a silent fallback would lose the
-        # speed-up without changing any answer
+        # the su(3) benchmark matrices: a second prime would cost a second
+        # elimination without changing any answer
         pi = linear_poisson(preset("su3"))
         ones = [1] * 8
-        with _counted_eliminations() as spy:
+        with _counted_primes() as (rref, mod_p):
             for k, l, rank in ((3, 1, 280), (1, 2, 253), (2, 2, 755)):
                 basis = graded_basis(8, k, l, ones)
                 assert exact_rank(list(bracket_rows(pi, basis)[1].values()), len(basis)) == rank
             monos = graded_basis(8, 0, 4, ones)[::-1]
             A = list(bracket_rows(pi, monos)[1].values())
             out = solve_linear_exact(A, [0] * len(A), ncols=len(monos))
-        assert spy.call_count == 0
+        assert mod_p.call_count == rref.call_count == 4
         assert len(out.kernel_basis) == 1  # the square of the quadratic Casimir

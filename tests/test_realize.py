@@ -475,3 +475,12 @@ class TestSphereAreas:
         for h in (0.0, -1e-5, math.nan, math.inf, -math.inf, 0.5, 1.0):
             with pytest.raises(ValueError, match="step h"):
                 dh_variation(0.5, h)
+
+    def test_dh_variation_rejects_a_radius_that_swamps_the_step(self):
+        # past 2^18 the spacing of floats near r moves (r + h) - (r - h)
+        # off 2h by more than 1e-6 relative; at 1e12, r + h rounds to r
+        d1, d2 = dh_variation(2.0**18, 1e-5)
+        assert abs(d2 - 4 * math.pi) < 1e-4
+        for r in (2.0**18 + 1, 1e6, 1e12):
+            with pytest.raises(ValueError, match="radius r = "):
+                dh_variation(r, 1e-5)
