@@ -330,6 +330,9 @@ def prolong_step(pi_partial: FilteredJet, m: int, base_degree_cap: int = 8) -> P
     pi = pi_partial.value if isinstance(pi_partial, FilteredJet) else pi_partial
     if pi.grade != 2:
         raise ValueError("expected a bivector")
+    # a grade-0 part brackets the grade-(m+1) part, which the m-jet drops, into grade m
+    if 0 in pi._grades():
+        raise ValueError("pi must vanish at the origin (no grade-0 part)")
     jac = schouten(pi, pi, max_grade=m)
     if not jac.is_zero() and jac.min_grade() < m:
         raise ValueError(f"Jacobiator already fails below grade {m} "

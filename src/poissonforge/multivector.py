@@ -40,7 +40,9 @@ lcm of its coefficients' denominators, as a list of leg sets with their
 (exponent vector, integer) terms; the kernel packs each exponent vector into
 one int (Monagan & Pearce, CASC 2007), and its sums stay in ``int``:
 ``schouten`` builds one ``Fraction`` per output monomial, and
-``bracket_rows`` keeps the integers over pi's denominator.
+``bracket_rows`` keeps the integers over pi's denominator.  The kernel and
+``wedge`` hold a leg set as an n-bit mask, leg i at bit i - 1, and read each
+sign off bit counts (``_merge_sign``).
 
 As in ``polyalg``, data is validated where it enters: the public
 ``PolyMVF(...)`` constructor and ``PolyMVF.from_json_obj`` check leg tuples,
@@ -91,21 +93,23 @@ def _json_ints(obj: dict, key: str) -> tuple:
     return tuple(_json_int(x, key) for x in v)
 
 
-def _sort_indices(indices: Sequence[int]):
-    """Sort a leg tuple, returning (sorted tuple, permutation sign) or None on repeats."""
-    idx = list(indices)
-    sign = 1
-    # insertion sort; leg counts are tiny
-    for i in range(1, len(idx)):
-        j = i
-        while j > 0 and idx[j - 1] > idx[j]:
-            idx[j - 1], idx[j] = idx[j], idx[j - 1]
-            sign = -sign
-            j -= 1
-    for a, b in zip(idx, idx[1:]):
-        if a == b:
-            return None, 0
-    return tuple(idx), sign
+def _mask(legs) -> int:
+    """The mask of distinct legs: leg i is bit i - 1."""
+    return sum(1 << (i - 1) for i in legs)
+
+
+def _legs(mask: int) -> tuple:
+    """The increasing legs of a mask."""
+    return tuple(i for i in range(1, mask.bit_length() + 1) if mask >> (i - 1) & 1)
+
+
+def _merge_sign(A: int, B: int) -> int:
+    """The sign that sorts the legs of A, then B (disjoint masks): the parity of the
+    pairs with a leg of A above one of B (Dorst, Fontijne & Mann 2007, ch. 19)."""
+    swaps = 0
+    while A := A >> 1:
+        swaps += (A & B).bit_count()
+    return -1 if swaps & 1 else 1
 
 
 def _grade(weights: tuple, legs, exps) -> int:
@@ -339,11 +343,12 @@ def wedge(W: PolyMVF, V: PolyMVF) -> PolyMVF:
     """
     W._check(V)
     terms: dict[tuple, Poly] = {}
+    v_terms = [(_mask(iv), pv) for iv, pv in V.terms.items()]
     for iw, pw in W.terms.items():
-        for iv, pv in V.terms.items():
-            key, sign = _sort_indices(iw + iv)
-            if sign:
-                _add_term(terms, key, pw * pv * sign)
+        mw = _mask(iw)
+        for mv, pv in v_terms:
+            if not mw & mv:
+                _add_term(terms, _legs(mw | mv), pw * pv * _merge_sign(mw, mv))
     return PolyMVF._raw(W.nvars, W.grade + V.grade, terms, W.weights)
 
 
@@ -352,12 +357,12 @@ def schouten(W: PolyMVF, V: PolyMVF, max_grade: int | None = None) -> PolyMVF:
 
     In odd variables (see the module docstring), a term c x^a xi_I of W and
     a term d x^b xi_J of V bracket to c d b_i x^(a+b-e_i) on the legs
-    I-minus-i, J with sign (-1)^(p-1-k) over each leg i at position k of I,
+    I-minus-i, J with sign (-1)^k over each leg i of I with k legs above it,
     plus -c d a_j x^(a+b-e_j) on the legs I, J-minus-j with sign (-1)^k over
-    each leg j at position k of J.  The same formula serves functions (p or
-    q = 0), so that [W, f] = (-1)^(p-1) i_df W and H_f = -[pi, f] for every
-    bivector pi.  The integer kernel ``_schouten_sums`` evaluates it, with the
-    coefficients of each operand brought over one denominator.
+    each leg j of J with k legs below it.  Functions (p or q = 0) take the
+    same formula, so that [W, f] = (-1)^(p-1) i_df W and H_f = -[pi, f] for
+    every bivector pi.  The integer kernel ``_schouten_sums`` evaluates it,
+    with the coefficients of each operand brought over one denominator.
 
     With ``max_grade`` set the result is exactly
     ``truncate_jet(schouten(W, V), max_grade)``, but the monomials above the
@@ -381,10 +386,9 @@ def schouten(W: PolyMVF, V: PolyMVF, max_grade: int | None = None) -> PolyMVF:
 # width*(i-1).  Packed words add as exponent vectors do, as long as every
 # exponent of a product fits its field, and a derivative d_i subtracts
 # 1 << width*(i-1) from a word whose field i is nonzero (Monagan & Pearce,
-# CASC 2007).  Sums are keyed by one int: the output word, then n bits for
-# the id of its sorted leg set (a bracket has fewer than 2^n leg sets), then
-# the tags, which add through like exponents.  A field's tags are 0;
-# ``poisson.bracket_rows`` tags each basis monomial with its column.
+# CASC 2007).  Sums are keyed by one int: the output word, then the n-bit
+# mask of its legs, then the tags, which add through like exponents.  A field's
+# tags are 0; ``poisson.bracket_rows`` tags each basis monomial with its column.
 
 def _integer_terms(W: PolyMVF):
     """``W`` as ``(den, [(legs, [(exps, c, 0)])])`` with ``W = sum c x^exps d_legs / den``.
@@ -397,16 +401,15 @@ def _integer_terms(W: PolyMVF):
                  for legs, poly in W.terms.items()]
 
 
-def _schouten_sums(p: int, W: list, V: list, weights: tuple, max_grade) -> dict:
-    """The bracket of integer operands of grades p and any.
+def _schouten_sums(W: list, V: list, weights: tuple, max_grade) -> dict:
+    """The bracket of integer operands.
 
     Returns ``{(legs, exps): {tag: coefficient}}`` with the nonzero integer
     coefficients; the bracket of the fields is this over the product of the
-    operands' denominators.  With
-    ``max_grade`` set, a pair of monomials of dilation grades g and h with
-    g + h - 1 > max_grade is skipped before it is multiplied.  The sorted
-    legs and signs of the formula in ``schouten`` depend only on (I, J, p)
-    and are found once per pair of leg sets.
+    operands' denominators.  With ``max_grade`` set, a pair of monomials of
+    dilation grades g and h with g + h - 1 > max_grade is skipped before it
+    is multiplied.  The legs and signs of the formula in ``schouten`` depend
+    only on the masks of I and J and are found once per pair of leg sets.
     """
     n = len(weights)
     degree = [max((sum(exps) for _, monos in X for exps, _, _ in monos), default=0)
@@ -417,30 +420,25 @@ def _schouten_sums(p: int, W: list, V: list, weights: tuple, max_grade) -> dict:
     limit = math.inf if max_grade is None else max_grade + 1
 
     def packed(X):
-        """(word, exps, c, dilation grade) for each monomial, by leg set."""
-        return [(legs, [(sum(map(mul, exps, units)) + (tag << tag_shift), exps, c,
-                         _grade(weights, legs, exps))
-                        for exps, c, tag in monos])
+        """([(leg, bit)], mask, [(word, exps, c, dilation grade)]) per leg set."""
+        return [([(i, 1 << (i - 1)) for i in legs], _mask(legs),
+                 [(sum(map(mul, exps, units)) + (tag << tag_shift), exps, c,
+                   _grade(weights, legs, exps))
+                  for exps, c, tag in monos])
                 for legs, monos in X]
 
+    def plan(A, B, i, sign):
+        """(variable index, sign, key offset) of one term on the legs of A then B, or None."""
+        if not A & B:
+            return i - 1, sign * _merge_sign(A, B), ((A | B) << low) - units[i - 1]
+
     sums: dict[int, int] = {}
-    ids: dict[tuple, int] = {}
-
-    def plan(legs, sign, i):
-        """(variable index, sign, key offset) of one term on ``legs``, or None."""
-        key, s = _sort_indices(legs)
-        if s:
-            lid = ids.setdefault(key, len(ids))
-            return i - 1, s * sign, (lid << low) - units[i - 1]
-
     V = packed(V)
-    for I, w_monos in packed(W):
-        for J, v_monos in V:
+    for I, mI, w_monos in packed(W):
+        for J, mJ, v_monos in V:
             # c xi_I d_i(d xi_J) and -d_j(c xi_I) d xi_J, before the factors b_i, a_j
-            left = [t for k, i in enumerate(I)
-                    if (t := plan(I[:k] + I[k + 1:] + J, (-1) ** (p - 1 - k), i))]
-            right = [t for k, j in enumerate(J)
-                     if (t := plan(I + J[:k] + J[k + 1:], -(-1) ** k, j))]
+            left = [t for i, bit in I if (t := plan(mI ^ bit, mJ, i, _merge_sign(mI ^ bit, bit)))]
+            right = [t for j, bit in J if (t := plan(mI, mJ ^ bit, j, -_merge_sign(bit, mJ ^ bit)))]
             if not (left or right):
                 continue
             v_plan = [(vb, d, h, [(s * b[i], off) for i, s, off in left if b[i]])
@@ -458,14 +456,15 @@ def _schouten_sums(p: int, W: list, V: list, weights: tuple, max_grade) -> dict:
                         key = word + off
                         sums[key] = sums.get(key, 0) + f * cd
 
-    # group by monomial, so each exponent vector is unpacked once
+    # group by monomial, so each exponent vector and leg mask is decoded once
     monomial = (1 << tag_shift) - 1
     grouped: dict[int, dict] = {}
     for key, c in sums.items():
         if c:
             grouped.setdefault(key & monomial, {})[key >> tag_shift] = c
-    legs, mask, shifts = list(ids), (1 << width) - 1, range(0, low, width)
-    return {(legs[key >> low], tuple((key >> s) & mask for s in shifts)): tagged
+    legs = {m: _legs(m) for m in {key >> low for key in grouped}}
+    field, shifts = (1 << width) - 1, range(0, low, width)
+    return {(legs[key >> low], tuple((key >> s) & field for s in shifts)): tagged
             for key, tagged in grouped.items()}
 
 
@@ -473,7 +472,7 @@ def _schouten(W: PolyMVF, V: PolyMVF, max_grade: int | None = None) -> PolyMVF:
     """The bracket of ``schouten``, without the argument checks."""
     den_w, w_terms = _integer_terms(W)
     den_v, v_terms = _integer_terms(V)
-    sums = _schouten_sums(W.grade, w_terms, v_terms, W.weights, max_grade)
+    sums = _schouten_sums(w_terms, v_terms, W.weights, max_grade)
     den = den_w * den_v
     terms: dict[tuple, dict] = {}
     for (legs, exps), tagged in sums.items():

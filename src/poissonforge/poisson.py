@@ -181,7 +181,7 @@ def bracket_rows(pi: PolyMVF, basis) -> tuple[int, dict]:
     monos: dict[tuple, list] = {}
     for col, (legs, exps) in enumerate(basis):
         monos.setdefault(legs, []).append((exps, 1, col))
-    return den, _schouten_sums(pi.grade, pi_terms, list(monos.items()), pi.weights, None)
+    return den, _schouten_sums(pi_terms, list(monos.items()), pi.weights, None)
 
 
 # ---------------------------------------------------------------------------

@@ -573,11 +573,13 @@ def _rref(rows: list, ncols: int):
     # Hadamard's bound H, so once the primes that gave J multiply past
     # 2 H^2, Wang's reconstruction returns every entry and the check passes.
     # Each prime above 2^30 adds 30 bits, and about 5 * 10^7 primes lie
-    # between 2^30 and 2^31.
+    # between 2^30 and 2^31.  Lifting only when the number of primes folded
+    # into the residues is a power of two keeps this: a lift still comes once
+    # their product passes 2 H^2, after at most twice as many primes.
     for p in _primes():
         piv, tails = _rref_mod_p(rows, p)
         if best is None or len(piv) > len(best) or (len(piv) == len(best) and piv < best):
-            best, residues, m = piv, tails, p
+            best, residues, m, folded = piv, tails, p, 1
         elif piv == best:
             inv = pow(m, -1, p)
             for old, new in zip(residues, tails):
@@ -585,7 +587,10 @@ def _rref(rows: list, ncols: int):
                     u = old.get(f, 0)
                     old[f] = u + m * ((new.get(f, 0) - u) * inv % p)
             m *= p
+            folded += 1
         else:
+            continue
+        if folded & (folded - 1):
             continue
         lifted = _lift_tails(best, residues, m)
         if lifted is not None and _check_exact(rows, ncols, best, lifted):

@@ -125,6 +125,20 @@ def test_prolong_obstructed(jet_file, capsys):
     assert obj["cochain"]["terms"]
 
 
+def test_prolong_refuses_a_grade_0_part(tmp_path, capsys):
+    # the constant d1^d2 brackets the grade-2 part, which the 1-jet would
+    # drop, into the grade-1 Jacobiator 2*x1 d1^d2^d3: no step may claim it solved
+    path = tmp_path / "jet.json"
+    path.write_text(json.dumps({"nvars": 3, "grade": 2, "terms": [
+        {"indices": [1, 2], "poly": "1"}, {"indices": [1, 3], "poly": "x3^2"},
+        {"indices": [2, 3], "poly": "x1*x2"}]}))
+    for fmt in ("text", "json"):
+        assert cli.main(["prolong", str(path), "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "grade-0" in captured.err
+
+
 @pytest.mark.parametrize("weights", ["", ",", "0,,1", "a,0,1", "0,0", "0,2,1"])
 def test_prolong_malformed_weights_exit_2(jet_file, capsys, weights):
     # an empty --weights is malformed too, not a request for all-ones weights

@@ -298,6 +298,20 @@ def test_prolong_step_rejects_early_failure():
         prolong_step(FilteredJet(bad, 2), 5)
 
 
+def test_prolong_step_refuses_a_grade_0_part():
+    # in full, the grade-1 Jacobiator 2*x1 d1^d2^d3 is an obstruction; the
+    # 1-jet drops the grade-2 part that the constant brackets into grade 1
+    pi = PolyMVF(3, 2, {(1, 2): parse_poly("1", 3), (1, 3): parse_poly("x3^2", 3),
+                        (2, 3): parse_poly("x1*x2", 3)})
+    assert grade_component(schouten(pi, pi), 1).value == PolyMVF(
+        3, 3, {(1, 2, 3): parse_poly("2*x1", 3)})
+    for m in (1, 2):
+        with pytest.raises(ValueError, match="grade-0"):
+            prolong_step(FilteredJet(pi, m), m)
+    with pytest.raises(ValueError, match="grade-0"):
+        prolong_step(PolyMVF(3, 2, {(2, 3): parse_poly("1", 3)}, weights=(0, 1, 1)), 1)
+
+
 def test_prolong_obstruction_certificate():
     # weighted fixture where no fiber-ideal correction can repair grade 4;
     # at scale 2/3 the bracket rows are integers over the denominator 3

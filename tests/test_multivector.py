@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from poissonforge import (GradedPiece, PolyMVF, dilate, grade_component, linear_poisson, preset,
                           schouten, sharp, truncate_jet, wedge)
-from poissonforge.multivector import _sort_indices
+from poissonforge.multivector import _legs, _mask, _merge_sign
 from poissonforge.poisson import bracket_rows, graded_basis
 from poissonforge.polyalg import Poly, _add_term, parse_poly
 
@@ -498,8 +498,26 @@ def test_multiderivation_against_determinant_oracle():
 #
 # The same odd-variable formula evaluated through ``Poly`` arithmetic: each
 # coefficient is differentiated, products are ``Fraction`` polynomials and
-# every term is accumulated on its sorted legs.  It shares no code with the
-# kernel beyond ``_sort_indices``.
+# every term is accumulated on its legs, sorted by an insertion sort that
+# counts its swaps.  It shares no code with the kernel, which signs leg sets
+# by the bit counts of their masks.
+
+def _sort_indices(indices):
+    """Sort a leg tuple, returning (sorted tuple, permutation sign) or None on repeats."""
+    idx = list(indices)
+    sign = 1
+    # insertion sort; leg counts are tiny
+    for i in range(1, len(idx)):
+        j = i
+        while j > 0 and idx[j - 1] > idx[j]:
+            idx[j - 1], idx[j] = idx[j], idx[j - 1]
+            sign = -sign
+            j -= 1
+    for a, b in zip(idx, idx[1:]):
+        if a == b:
+            return None, 0
+    return tuple(idx), sign
+
 
 def _accumulate(terms: dict, a: Poly, b: Poly, legs, extra_sign: int):
     """Add ``a * b`` on the sorted ``legs``, signed by the sort and ``extra_sign``.
@@ -535,22 +553,36 @@ def _reference_schouten(W: PolyMVF, V: PolyMVF) -> PolyMVF:
     return PolyMVF._raw(W.nvars, max(p + V.grade - 1, 0), terms, W.weights)
 
 
-@st.composite
-def field_pairs(draw):
-    """(W, V): fields on R^n, n in 1..4, over one drawn weight vector in {0,1}^n.
+def _reference_wedge(W: PolyMVF, V: PolyMVF) -> PolyMVF:
+    """The exterior product of ``wedge``, through ``_sort_indices``."""
+    terms: dict[tuple, Poly] = {}
+    for I, a in W.terms.items():
+        for J, b in V.terms.items():
+            _accumulate(terms, a, b, I + J, 1)
+    return PolyMVF._raw(W.nvars, W.grade + V.grade, terms, W.weights)
 
-    Grades run over 0..3 on either side, coefficients have up to four terms
-    of degree up to 3 in each variable and rationals with denominators up
-    to 6.
+
+@st.composite
+def field_pairs(draw, nvars=st.integers(1, 4), max_grade=3, sparse=False):
+    """(W, V): fields on R^n over one drawn weight vector in {0,1}^n.
+
+    Grades run over 0..``max_grade`` on either side, coefficients have up to
+    four terms and rationals with denominators up to 6.  An exponent vector
+    has entries up to 3, in every variable or, when ``sparse``, in at most
+    three of them.
     """
-    n = draw(st.integers(1, 4))
+    n = draw(nvars)
     weights = tuple(draw(st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n)))
-    exps = st.tuples(*[st.integers(0, 3)] * n)
+    if sparse:
+        exps = st.dictionaries(st.integers(0, n - 1), st.integers(1, 3), max_size=3).map(
+            lambda e: tuple(e.get(i, 0) for i in range(n)))
+    else:
+        exps = st.tuples(*[st.integers(0, 3)] * n)
     coeffs = st.builds(Fraction, st.integers(-20, 20).filter(bool), st.integers(1, 6))
     polys = st.dictionaries(exps, coeffs, min_size=1, max_size=4).map(lambda t: Poly(n, t))
 
     def field():
-        grade = draw(st.integers(0, min(n, 3)))
+        grade = draw(st.integers(0, min(n, max_grade)))
         leg_sets = list(itertools.combinations(range(1, n + 1), grade))
         legs = draw(st.lists(st.sampled_from(leg_sets), unique=True, max_size=3))
         return PolyMVF(n, grade, {I: draw(polys) for I in legs}, weights)
@@ -568,6 +600,36 @@ def test_schouten_matches_reference(pair):
     _assert_canonical(got)
     for m in range(6):
         assert schouten(W, V, max_grade=m) == truncate_jet(expected, m)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(field_pairs(nvars=st.integers(5, 8), max_grade=4, sparse=True))
+def test_kernel_matches_references_up_to_8_legs(pair):
+    # su(3) brackets use legs up to 8, so every bit of a leg mask is in use
+    W, V = pair
+    expected = _reference_schouten(W, V)
+    got = schouten(W, V)
+    assert got == expected and got.grade == expected.grade
+    _assert_canonical(got)
+    for m in range(6):
+        assert schouten(W, V, max_grade=m) == truncate_jet(expected, m)
+    product = wedge(W, V)
+    assert product == _reference_wedge(W, V) and product.grade == W.grade + V.grade
+    _assert_canonical(product)
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.integers(1, 8), unique=True).map(sorted),
+       st.lists(st.integers(1, 8), unique=True).map(sorted))
+def test_mask_sign_matches_the_insertion_sort(I, J):
+    # legs of I, then of J, overlaps allowed: a shared leg is a common bit
+    A, B = _mask(I), _mask(J)
+    assert _legs(A) == tuple(I)
+    key, sign = _sort_indices(I + J)
+    if A & B:
+        assert sign == 0
+    else:
+        assert (key, sign) == (_legs(A | B), _merge_sign(A, B))
 
 
 def _reference_rows(pi, basis):

@@ -547,8 +547,9 @@ class TestCertifiedSolver:
         ([[P]], 1, 2),
         ([[1, 1], [1, 1 + P]], 2, 2),
         # the integer row (1, p): the kernel entry -p lifts once the
-        # modulus passes 2 p^2, at the third prime
-        ([[Fraction(1, P), 1]], 1, 3),
+        # modulus passes 2 p^2, from the third prime on, and lifts run
+        # after 1, 2 and 4 primes
+        ([[Fraction(1, P), 1]], 1, 4),
     ], ids=["entry=p", "minor=p", "denominator=p"])
     def test_unlucky_prime_falls_back(self, A, rank, primes):
         # the first prime's answer fails the check, so _rref moves on to
@@ -617,6 +618,21 @@ class TestCertifiedSolver:
             answer = _rref_answer(rows, n)
         assert mod_p.call_count >= 2
         assert answer == _reference_rref(rows, n)
+
+    def test_lifts_follow_a_geometric_schedule(self):
+        # 7 x 8 entries k/d, d in 2^62..2^64: the RREF entries need hundreds
+        # of primes, and a lift after each one would re-run Wang on every
+        # modulus; lifting at 1, 2, 4, ... folded primes needs a log of them
+        rng = random.Random(3)
+        nonzero = [k for k in range(-9, 10) if k]
+        rows = [{j: Fraction(rng.choice(nonzero), rng.randint(2**62, 2**64)) for j in range(8)}
+                for _ in range(7)]
+        with _counted_primes() as (_, mod_p), \
+                mock.patch.object(polyalg, "_lift_tails", wraps=polyalg._lift_tails) as lifts:
+            answer = _rref_answer(rows, 8)
+        assert mod_p.call_count > 100
+        assert lifts.call_count <= mod_p.call_count.bit_length()
+        assert answer == _reference_rref(rows, 8)
 
     def test_prime_supply_counts_down_from_2_31_minus_1(self):
         expected = [2**31]
