@@ -270,6 +270,9 @@ def main(argv=None) -> int:
     except (InputError, ValueError, realize.FlowBlowupError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except MemoryError as e:
+        print(f"error: out of memory: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -420,12 +420,13 @@ def _schouten_sums(W: list, V: list, weights: tuple, max_grade) -> dict:
     limit = math.inf if max_grade is None else max_grade + 1
 
     def packed(X):
-        """([(leg, bit)], mask, [(word, exps, c, dilation grade)]) per leg set."""
-        return [([(i, 1 << (i - 1)) for i in legs], _mask(legs),
+        """([(leg, bit, left sign, right sign)], mask, [(word, exps, c, grade)]) per leg set."""
+        return [([(i, b, _merge_sign(m ^ b, b), -_merge_sign(b, m ^ b))
+                  for i in legs for b in [1 << (i - 1)]], m,
                  [(sum(map(mul, exps, units)) + (tag << tag_shift), exps, c,
                    _grade(weights, legs, exps))
                   for exps, c, tag in monos])
-                for legs, monos in X]
+                for legs, monos in X for m in [_mask(legs)]]
 
     def plan(A, B, i, sign):
         """(variable index, sign, key offset) of one term on the legs of A then B, or None."""
@@ -437,8 +438,8 @@ def _schouten_sums(W: list, V: list, weights: tuple, max_grade) -> dict:
     for I, mI, w_monos in packed(W):
         for J, mJ, v_monos in V:
             # c xi_I d_i(d xi_J) and -d_j(c xi_I) d xi_J, before the factors b_i, a_j
-            left = [t for i, bit in I if (t := plan(mI ^ bit, mJ, i, _merge_sign(mI ^ bit, bit)))]
-            right = [t for j, bit in J if (t := plan(mI, mJ ^ bit, j, -_merge_sign(bit, mJ ^ bit)))]
+            left = [t for i, bit, sign, _ in I if (t := plan(mI ^ bit, mJ, i, sign))]
+            right = [t for j, bit, _, sign in J if (t := plan(mI, mJ ^ bit, j, sign))]
             if not (left or right):
                 continue
             v_plan = [(vb, d, h, [(s * b[i], off) for i, s, off in left if b[i]])

@@ -11,9 +11,10 @@ realization properties at seeded random samples.
 Only what moves is integrated.  The spray has ydot = 0, so y is carried
 along unchanged, and the lower rows of the Jacobian J stay [0 I]; only the
 top block J_top = [Jxx Jxy] evolves, and the RK4 state is the stacked
-Z = [x; J_top], batch last.  A stage is one product of the stage table of
-`SprayField` with [y; 1] (x) V(x), V the monomial values, giving xdot and
-G = [M | P^T] (M = d(xdot)/dx, P = pi(x)), then Jdot_top = G [J_top; 0 I].
+Z = [x; J_top], batch last.  A stage writes into a workspace that each
+batch allocates once: the monomial values V(x), the product [y; 1] (x) V, and
+its product with the stage table of `SprayField`, which gives xdot and
+G = [M | P^T] (M = d(xdot)/dx, P = pi(x)); then Jdot_top = G [J_top; 0 I].
 J^T omega_can J = [[0, Jxx^T], [-Jxx, Jxy^T - Jxy]] is linear in J_top, so the
 quadrature keeps K = int J_top dt and assembles the form once at the end.
 The RK4 step of K, (h/6)(J_1 + 2 J_2 + 2 J_3 + J_4) in the stage values, is
@@ -59,6 +60,12 @@ class FlowBlowupError(RuntimeError):
         self.t = t
 
 
+def _index(ix: list):
+    """Rows as a slice (a view, not a gather) if they repeat one row or run consecutively."""
+    run = len(set(ix)) == 1 or ix == list(range(ix[0], ix[-1] + 1))
+    return slice(ix[0], ix[-1] + 1) if run else np.array(ix)
+
+
 class SprayField:
     """The simplest contravariant spray of a polynomial bivector.
 
@@ -69,6 +76,10 @@ class SprayField:
     `_stage`, (n + 2n^2, (n+1) m), columns (i, monomial) weighted by y_i for
     i < n and by 1 for i = n.  Its rows give xdot_j = sum_i y_i pi_ij, then
     G = [M | P^T] with M[j, k] = sum_i y_i d(pi_ij)/dx_k and P^T[j, c] = pi_cj.
+    One recipe evaluates the monomials: one of degree d >= 1 is its parent
+    (the last nonzero exponent lowered by one) times that variable.  They and
+    their parents are rows of a workspace, the constant (ones) first, then a
+    block per degree filled by one product; a gather puts them in stage order.
     The batch axis comes last, so each elementwise operation is contiguous.
     """
 
@@ -91,12 +102,21 @@ class SprayField:
                 for k in range(n):
                     if e[k]:
                         add(e[:k] + (e[k] - 1,) + e[k + 1:], k + 1, i, j, e[k] * c)
-        exps = np.array(sorted(table), dtype=int).reshape(-1, n)
+        exps = sorted(table)
         m = len(exps)
-        self._coef = np.array([table[tuple(e)] for e in exps]).reshape(m, n + 1, n, n)
-        # x_v^p is row v*(deg+1) + p of the power table built by _monomials
-        self._deg = int(exps.max(initial=0))
-        self._rows = exps.T + (self._deg + 1) * np.arange(n)[:, None]
+        self._coef = np.array([table[e] for e in exps]).reshape(m, n + 1, n, n)
+        up = {}                                    # monomial -> (variable, parent)
+        for e in exps:
+            while any(e) and e not in up:
+                v = max(k for k in range(n) if e[k])
+                up[e] = v, (p := e[:v] + (e[v] - 1,) + e[v + 1:])
+                e = p
+        rows = sorted({(0,) * n, *up}, key=lambda e: (sum(e), e[::-1]))
+        at = {e: r for r, e in enumerate(rows)}
+        self._nrows, self._take = len(rows), np.array([at[e] for e in exps], dtype=np.intp)
+        self._levels = [(slice(at[lv[0]], at[lv[-1]] + 1), _index([at[up[e][1]] for e in lv]),
+                         _index([up[e][0] for e in lv]))      # rows, parent rows, variables
+                        for lv in (list(g) for _, g in itertools.groupby(rows[1:], key=sum))]
         pt = self._coef[:, 0].transpose(2, 1, 0)          # [j, i, m] = pi_ij coefficient
         stage = np.zeros((n + 2 * n * n, n + 1, m))
         stage[:n, :n] = pt
@@ -105,19 +125,13 @@ class SprayField:
         G[:, n:, n] = pt
         self._stage = stage.reshape(n + 2 * n * n, (n + 1) * m)
 
-    def _monomials(self, xt: np.ndarray) -> np.ndarray:
-        """Monomial values, shape (m, ...), at points xt of shape (n, ...)."""
-        powers = np.empty((self.n, self._deg + 1) + xt.shape[1:])
-        powers[:, 0] = 1.0
-        if self._deg:
-            powers[:, 1] = xt
-        for p in range(2, self._deg + 1):
-            np.multiply(powers[:, p - 1], xt, out=powers[:, p])
-        powers = powers.reshape((-1,) + xt.shape[1:])
-        out = powers[self._rows[0]]
-        for rows in self._rows[1:]:
-            out *= powers[rows]
-        return out
+    def _monomials(self, xt: np.ndarray, L=None, out=None) -> np.ndarray:
+        """Monomial values in stage order, shape (m, ...), at points xt of shape
+        (n, ...), by level into the workspace rows `L` (row 0 ones), then `out`."""
+        L = np.ones((self._nrows,) + xt.shape[1:]) if L is None else L
+        for rows, parents, v in self._levels:
+            np.multiply(L[parents], xt[v], out=L[rows])
+        return np.take(L, self._take, axis=0, out=out, mode="clip")   # "raise" buffers out
 
     def _entries(self, x, slots) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -138,15 +152,17 @@ class SprayField:
         return np.einsum("...ij,...i->...j", P, y)
 
 
-def _rhs(spray: SprayField, x, Y, Jt, out):
+def _rhs(spray: SprayField, x, Jt, out, work):
     """One RK4 stage: the slope of the stacked state Z = [x; J_top], into `out`.
 
-    `x` is (B, n), the view Z[:n].T; `Y` is [y; 1], (n+1, B); `Jt` is Z[n:],
-    J_top flattened over its rows, (2n^2, B); `out` is (n + 2n^2, B).
+    `x` is (B, n), the view Z[:n].T; `Jt` is Z[n:], J_top flattened over its
+    rows, (2n^2, B); `out` is (n + 2n^2, B); `work` is `_flow_batch`'s.
     """
     n = spray.n
-    V = spray._monomials(x.T)                                  # (m, B)
-    XG = spray._stage @ (Y[:, None] * V).reshape(-1, V.shape[1])
+    y, L, YV, XG = work
+    spray._monomials(x.T, L, out=YV[n])
+    np.multiply(y[:, None], YV[n], out=YV[:n])                # YV = [y; 1] (x) V
+    np.matmul(spray._stage, YV.reshape(-1, YV.shape[2]), out=XG)
     out[:n] = XG[:n]
     # Jdot_top = G [J_top; 0 I] = M J_top + [0 | P^T]
     G = XG[n:].reshape(n, 2 * n, -1)
@@ -178,8 +194,8 @@ def _flow_batch(spray: SprayField, xi: np.ndarray, t_final: float, steps: int):
     B = xi.shape[0]
     Z = np.empty((n + 2 * n * n, B))
     Z[:n], Z[n:] = xi[:, :n].T, np.eye(n, 2 * n).reshape(-1, 1)
-    Y = np.ones((n + 1, B))
-    Y[:n] = xi[:, n:].T
+    work = (np.ascontiguousarray(xi[:, n:].T), np.ones((spray._nrows, B)),  # y does not move
+            np.empty((n + 1, len(spray._take), B)), np.empty_like(Z))       # L, YV, XG
     k = np.empty((4,) + Z.shape)
     Zs, S = np.empty_like(Z), np.empty_like(Z)
     K = np.zeros_like(Z[n:])
@@ -188,11 +204,11 @@ def _flow_batch(spray: SprayField, xi: np.ndarray, t_final: float, steps: int):
     check_every = max(1, steps // 32)
     blowup = None
     for s in range(steps):
-        _rhs(spray, Z[:n].T, Y, Z[n:], k[0])
+        _rhs(spray, Z[:n].T, Z[n:], k[0], work)
         for i, c in enumerate((0.5 * h, 0.5 * h, h)):
             np.multiply(k[i], c, out=Zs)
             Zs += Z
-            _rhs(spray, Zs[:n].T, Y, Zs[n:], k[i + 1])
+            _rhs(spray, Zs[:n].T, Zs[n:], k[i + 1], work)
         # in place, in the order of S = k1 + k2 + k3,
         # K += h (Z_J + (h/6) S_J), i.e. (h/6)(J_1 + 2 J_2 + 2 J_3 + J_4),
         # Z += (h/6) (S + k2 + k3 + k4)

@@ -8,7 +8,7 @@ import warnings
 
 import pytest
 
-from poissonforge import cli, preset
+from poissonforge import cli, preset, realize
 from poissonforge.poisson import MAX_BASIS
 
 
@@ -182,6 +182,54 @@ def test_realize_rejects_bad_input(mvf_file, capsys, bad, named):
     assert cli.main(argv + bad) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and named in err
+
+
+# `realize --format json` stdout, captured before the spray stage moved onto
+# a per-batch workspace; a change to any of these digits has to be stated
+_REALIZE_PINNED = {
+    "so3": ('{"det_min": 0.9985127956318519, "domega_max": 3.1604492894271585e-11, '
+            '"fd_step": 1e-05, "n_samples": 5, "poisson_residual_max": 6.37857822116672e-14, '
+            '"radius": 0.1, "seed": 42, "skew_defect_max": 0.0, "skipped": 0, "steps": 50, '
+            '"zero_section_residual": 4.440892098500626e-16}\n'),
+    "quad": ('{"det_min": 0.9999055669286987, "domega_max": 1.4292820399441908e-10, '
+             '"fd_step": 5e-05, "n_samples": 5, "poisson_residual_max": 1.2215228828438285e-13, '
+             '"radius": 0.5, "seed": 7, "skew_defect_max": 0.0, "skipped": 0, "steps": 50, '
+             '"zero_section_residual": 4.440892098500626e-16}\n'),
+}
+
+
+@pytest.mark.parametrize("name, terms, options", [
+    pytest.param("so3", {(1, 2): "x3", (1, 3): "-x2", (2, 3): "x1"}, [], id="so3"),
+    # the quadratic field of the spray benchmark, (2 x3^2, -x2^2, -x1^2)
+    pytest.param("quad", {(1, 2): "2*x3^2", (1, 3): "-x2^2", (2, 3): "-x1^2"},
+                 ["--radius", "0.5", "--seed", "7"], id="quad"),
+])
+def test_realize_output_pinned(tmp_path, capsys, name, terms, options):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"nvars": 3, "grade": 2, "terms": [
+        {"indices": list(ij), "poly": poly} for ij, poly in terms.items()]}))
+    assert cli.main(["realize", str(path), "--samples", "5", "--steps", "50",
+                     "--format", "json", *options]) == 0
+    assert capsys.readouterr().out == _REALIZE_PINNED[name]
+
+
+@pytest.mark.parametrize("error", [
+    pytest.param(MemoryError(), id="bare"),
+    pytest.param(MemoryError("Unable to allocate 29.1 TiB for an array"), id="numpy"),
+])
+def test_allocation_failure_exits_2(mvf_file, capsys, monkeypatch, error):
+    # raised in place of the allocation: whether a huge malloc fails at once
+    # depends on the host's overcommit policy, so none is attempted
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(realize, "verify_realization", fail)
+    assert cli.main(["realize", mvf_file, "--samples", "1000000000000",
+                     "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "memory" in captured.err
+    assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv, named", [

@@ -1,6 +1,8 @@
 """Numerical realization: sprays, flows, the integrated form, sphere areas."""
 
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -198,9 +200,15 @@ def _reference_flow_batch(pi, xi, t_final, steps):
     return x, J, Om
 
 
-@pytest.mark.parametrize("name", ["so3", "su3", "quad"])
+def _pi_cubic():
+    """x1^3 d1^d2 + x1 x2^2 x3 d2^d3 on R^4, not Poisson: its monomials need the
+    helper parents x1, x2, x1 x2 and x2^2, which no coefficient uses."""
+    return PolyMVF(4, 2, {(1, 2): parse_poly("x1^3", 4), (2, 3): parse_poly("x1*x2^2*x3", 4)})
+
+
+@pytest.mark.parametrize("name", ["so3", "su3", "quad", "cubic"])
 def test_stacked_integrator_matches_two_array_reference(name):
-    pi = _pi_quad() if name == "quad" else linear_poisson(preset(name))
+    pi = {"quad": _pi_quad, "cubic": _pi_cubic}.get(name, lambda: linear_poisson(preset(name)))()
     n = pi.nvars
     xi = 0.3 * np.random.default_rng(43).normal(size=(64, 2 * n))
     x, y, J, Om, blowup = _flow_batch(SprayField(pi), xi, 1.0, 60)
@@ -209,6 +217,47 @@ def test_stacked_integrator_matches_two_array_reference(name):
     np.testing.assert_allclose(x, x_ref, rtol=0, atol=1e-14)
     np.testing.assert_allclose(J, J_ref, rtol=0, atol=1e-14)
     np.testing.assert_allclose(Om, Om_ref, rtol=0, atol=1e-14)
+
+
+def _stage_exponents(pi):
+    """The exponents of pi's coefficients and of their first partials, sorted."""
+    n, out = pi.nvars, set()
+    for poly in pi.terms.values():
+        for e in poly.terms:
+            out.add(e)
+            out.update(e[:k] + (e[k] - 1,) + e[k + 1:] for k in range(n) if e[k])
+    return sorted(out)
+
+
+def _random_bivector(rng, n, max_deg):
+    terms = {}
+    for ij in itertools.combinations(range(1, n + 1), 2):
+        monos = {}
+        for _ in range(rng.integers(0, 3)):
+            e = np.bincount(rng.integers(0, n, size=rng.integers(0, max_deg + 1)), minlength=n)
+            monos[tuple(int(p) for p in e)] = Fraction(int(rng.integers(1, 5)))
+        if monos:
+            terms[ij] = Poly(n, monos)
+    return PolyMVF(n, 2, terms)
+
+
+def test_monomials_match_powers():
+    """The recipe's values, in stage order, against prod_k x_k^e_k, on random
+    fields with n <= 8 and degree <= 4, a constant term and the zero field."""
+    rng = np.random.default_rng(44)
+    fields = [PolyMVF.zero(3, 2), _pi_canonical(), _pi_cubic(),
+              PolyMVF(3, 2, {(1, 2): parse_poly("2 + x1^2*x3^2", 3)})]
+    fields += [_random_bivector(rng, int(rng.integers(2, 9)), 4) for _ in range(60)]
+    for pi in fields:
+        exps = np.array(_stage_exponents(pi), dtype=float).reshape(-1, pi.nvars)
+        x = rng.uniform(-1.5, 1.5, size=(7, pi.nvars))
+        expect = np.prod(x[None, :, :] ** exps[:, None, :], axis=2)
+        V = SprayField(pi)._monomials(x.T)
+        assert V.shape == expect.shape
+        np.testing.assert_allclose(V, expect, rtol=1e-14, atol=0)
+        # any trailing shape of points, as pi_matrix passes them
+        np.testing.assert_array_equal(
+            SprayField(pi)._monomials(x.T.reshape(pi.nvars, 7, 1))[..., 0], V)
 
 
 def _lie_poisson_closed_form(spec, xi, nodes=24):
