@@ -327,6 +327,8 @@ def prolong_step(pi_partial: FilteredJet, m: int, base_degree_cap: int = 8) -> P
     spread pi itself over several grades.
     """
     _check_base_degree_cap(base_degree_cap)
+    if m < 0:
+        raise ValueError(f"grade m must be >= 0, got {m}")
     pi = pi_partial.value if isinstance(pi_partial, FilteredJet) else pi_partial
     if pi.grade != 2:
         raise ValueError("expected a bivector")

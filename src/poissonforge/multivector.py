@@ -27,22 +27,19 @@ Lie bracket with L_X L_Y - L_Y L_X = L_[X,Y], gives [W, f] = (-1)^(p-1) i_df W
 for a p-vector W, and so the Hamiltonian vector field of a bivector pi is
 H_f = -[pi, f].
 
-On monomials the formula is closed: a term c x^a xi_I of a p-vector W and a
-term d x^b xi_J of V give
-
-    c d b_i x^(a+b-e_i) on the legs I-minus-i, J    for each leg i of I,
-    -c d a_j x^(a+b-e_j) on the legs I, J-minus-j   for each leg j of J,
-
-signed by the position of the removed leg and by sorting the legs.  One
-integer kernel evaluates it for ``schouten``, ``apply_to_functions`` and
-``poisson.bracket_rows``.  Each operand is brought over one denominator, the
-lcm of its coefficients' denominators, as a list of leg sets with their
-(exponent vector, integer) terms; the kernel packs each exponent vector into
-one int (Monagan & Pearce, CASC 2007), and its sums stay in ``int``:
-``schouten`` builds one ``Fraction`` per output monomial, and
-``bracket_rows`` keeps the integers over pi's denominator.  The kernel and
-``wedge`` hold a leg set as an n-bit mask, leg i at bit i - 1, and read each
-sign off bit counts (``_merge_sign``).
+One integer kernel evaluates this sum of 2n products for ``schouten``,
+``apply_to_functions`` and ``poisson.bracket_rows``.  Each operand is
+brought over one denominator, the lcm of its coefficients' denominators, as
+a list of leg sets with their (exponent vector, integer) terms.  A
+derivative operand keeps that form: d_{x_i} lowers exponent i and scales by
+it, and d_{xi_i} drops leg i from the leg sets that hold it, with the sign
+of moving xi_i to the right end (d^R) or to the left end (d^L).  The kernel
+multiplies two such operands as ``wedge`` multiplies fields, with each
+exponent vector packed into one int (Monagan & Pearce, CASC 2007), and its
+sums stay in ``int``: ``schouten`` builds one ``Fraction`` per output
+monomial, and ``bracket_rows`` keeps the integers over pi's denominator.
+The kernel and ``wedge`` hold a leg set as an n-bit mask, leg i at bit
+i - 1, and read each sign off bit counts (``_merge_sign``).
 
 As in ``polyalg``, data is validated where it enters: the public
 ``PolyMVF(...)`` constructor and ``PolyMVF.from_json_obj`` check leg tuples,
@@ -355,14 +352,11 @@ def wedge(W: PolyMVF, V: PolyMVF) -> PolyMVF:
 def schouten(W: PolyMVF, V: PolyMVF, max_grade: int | None = None) -> PolyMVF:
     """Schouten bracket [W, V] of a p-vector W and a q-vector V.
 
-    In odd variables (see the module docstring), a term c x^a xi_I of W and
-    a term d x^b xi_J of V bracket to c d b_i x^(a+b-e_i) on the legs
-    I-minus-i, J with sign (-1)^k over each leg i of I with k legs above it,
-    plus -c d a_j x^(a+b-e_j) on the legs I, J-minus-j with sign (-1)^k over
-    each leg j of J with k legs below it.  Functions (p or q = 0) take the
-    same formula, so that [W, f] = (-1)^(p-1) i_df W and H_f = -[pi, f] for
-    every bivector pi.  The integer kernel ``_schouten_sums`` evaluates it,
-    with the coefficients of each operand brought over one denominator.
+    It is the sum of the products of derivative operands in the module
+    docstring.  Functions (p or q = 0) take the same formula, so that
+    [W, f] = (-1)^(p-1) i_df W and H_f = -[pi, f] for every bivector pi.
+    The integer kernel ``_schouten_sums`` evaluates it, with the
+    coefficients of each operand brought over one denominator.
 
     With ``max_grade`` set the result is exactly
     ``truncate_jet(schouten(W, V), max_grade)``, but the monomials above the
@@ -406,10 +400,10 @@ def _schouten_sums(W: list, V: list, weights: tuple, max_grade) -> dict:
 
     Returns ``{(legs, exps): {tag: coefficient}}`` with the nonzero integer
     coefficients; the bracket of the fields is this over the product of the
-    operands' denominators.  With ``max_grade`` set, a pair of monomials of
-    dilation grades g and h with g + h - 1 > max_grade is skipped before it
-    is multiplied.  The legs and signs of the formula in ``schouten`` depend
-    only on the masks of I and J and are found once per pair of leg sets.
+    operands' denominators.  It adds the 2n products of derivative operands
+    of the module docstring; a derivative keeps the dilation grade of the
+    monomial it came from, and with ``max_grade`` set a pair of grades g and
+    h with g + h - 1 > max_grade is skipped before it is multiplied.
     """
     n = len(weights)
     degree = [max((sum(exps) for _, monos in X for exps, _, _ in monos), default=0)
@@ -420,42 +414,42 @@ def _schouten_sums(W: list, V: list, weights: tuple, max_grade) -> dict:
     limit = math.inf if max_grade is None else max_grade + 1
 
     def packed(X):
-        """([(leg, bit, left sign, right sign)], mask, [(word, exps, c, grade)]) per leg set."""
-        return [([(i, b, _merge_sign(m ^ b, b), -_merge_sign(b, m ^ b))
-                  for i in legs for b in [1 << (i - 1)]], m,
-                 [(sum(map(mul, exps, units)) + (tag << tag_shift), exps, c,
-                   _grade(weights, legs, exps))
-                  for exps, c, tag in monos])
-                for legs, monos in X for m in [_mask(legs)]]
+        """X as [(mask, sign, [(word, exps, c, grade)])], one entry per leg set."""
+        return [(_mask(legs), 1, [(sum(map(mul, exps, units)) + (tag << tag_shift), exps, c,
+                                   _grade(weights, legs, exps))
+                                  for exps, c, tag in monos])
+                for legs, monos in X]
 
-    def plan(A, B, i, sign):
-        """(variable index, sign, key offset) of one term on the legs of A then B, or None."""
-        if not A & B:
-            return i - 1, sign * _merge_sign(A, B), ((A | B) << low) - units[i - 1]
+    def d_x(X, v):
+        """d/dx_v: the monomials with e_v > 0, lowered and times e_v."""
+        return [(m, s, lowered) for m, s, monos in X
+                if (lowered := [(word - units[v], exps, c * exps[v], g)
+                                for word, exps, c, g in monos if exps[v]])]
 
-    sums: dict[int, int] = {}
-    V = packed(V)
-    for I, mI, w_monos in packed(W):
-        for J, mJ, v_monos in V:
-            # c xi_I d_i(d xi_J) and -d_j(c xi_I) d xi_J, before the factors b_i, a_j
-            left = [t for i, bit, sign, _ in I if (t := plan(mI ^ bit, mJ, i, sign))]
-            right = [t for j, bit, _, sign in J if (t := plan(mI, mJ ^ bit, j, sign))]
-            if not (left or right):
-                continue
-            v_plan = [(vb, d, h, [(s * b[i], off) for i, s, off in left if b[i]])
-                      for vb, b, d, h in v_monos]
-            for wa, a, c, g in w_monos:
-                w_factors = [(s * a[j], off) for j, s, off in right if a[j]]
-                for vb, d, h, v_factors in v_plan:
-                    if g + h > limit:
-                        continue
-                    word, cd = wa + vb, c * d
-                    for f, off in v_factors:
-                        key = word + off
-                        sums[key] = sums.get(key, 0) + f * cd
-                    for f, off in w_factors:
-                        key = word + off
-                        sums[key] = sums.get(key, 0) + f * cd
+    W, V, sums = packed(W), packed(V), {}
+
+    def product(A, B):
+        """Add the product A B, leg sets of A before those of B."""
+        for mA, sA, a_monos in A:
+            for mB, sB, b_monos in B:
+                if mA & mB:
+                    continue
+                s, off = sA * sB * _merge_sign(mA, mB), (mA | mB) << low
+                for wa, _, c, g in a_monos:
+                    base, sc = wa + off, s * c
+                    for wb, _, d, h in b_monos:
+                        if g + h <= limit:
+                            key = base + wb
+                            sums[key] = sums.get(key, 0) + sc * d
+
+    for v in range(n):
+        bit = 1 << v
+        # xi_v taken off the right of each leg set of W and off the left of
+        # V's; the minus of the second product rides on d^L_{xi_v} V
+        product([(m ^ bit, _merge_sign(m ^ bit, bit), monos) for m, _, monos in W if m & bit],
+                d_x(V, v))
+        product(d_x(W, v),
+                [(m ^ bit, -_merge_sign(bit, m ^ bit), monos) for m, _, monos in V if m & bit])
 
     # group by monomial, so each exponent vector and leg mask is decoded once
     monomial = (1 << tag_shift) - 1

@@ -156,7 +156,7 @@ def test_realize(mvf_file, capsys):
     assert obj["skipped"] == 0
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_realize_skips_blowups_without_cutting_the_batch_short(tmp_path, capsys):
     # samples reaching |xi| = 2.5 leave numeric range; the zero section stays put
     path = tmp_path / "plane.json"
@@ -164,7 +164,9 @@ def test_realize_skips_blowups_without_cutting_the_batch_short(tmp_path, capsys)
                                 "terms": [{"indices": [1, 2], "poly": "x1^2"}]}))
     assert cli.main(["realize", str(path), "--samples", "40", "--radius", "2.5",
                      "--seed", "0", "--steps", "400", "--format", "json"]) == 0
-    obj = json.loads(capsys.readouterr().out)
+    out, err = capsys.readouterr()
+    assert err == ""
+    obj = json.loads(out)
     assert obj["skipped"] >= 1
     assert obj["zero_section_residual"] < 1e-12
 
@@ -245,6 +247,7 @@ def test_allocation_failure_exits_2(mvf_file, capsys, monkeypatch, error):
                  id="linearize-base-degree-cap=-1"),
     pytest.param(["prolong", "{so3}", "--grade", "2", "--base-degree-cap", "-1"],
                  "base_degree_cap", id="prolong-no-solve-base-degree-cap=-1"),
+    pytest.param(["prolong", "{jet}", "--grade", "-1"], "grade", id="prolong-grade=-1"),
     pytest.param(["su3", "--samples", "0"], "samples", id="su3-samples=0"),
     pytest.param(["su3", "--samples", "-5"], "samples", id="su3-samples=-5"),
     pytest.param(["area", "--radius", "nan"], "radius", id="area-radius=nan"),

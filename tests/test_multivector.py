@@ -661,11 +661,22 @@ def test_bracket_rows_match_reference(build, base_degree_cap):
     pi = build()
     for k in range(4):
         for l in range(4):
-            basis = graded_basis(pi.nvars, k, l, pi.weights, base_degree_cap)
-            den, rows = bracket_rows(pi, basis)
-            assert all(type(c) is int and c for row in rows.values() for c in row.values())
-            assert {key: {c: Fraction(v, den) for c, v in row.items()}
-                    for key, row in rows.items()} == _reference_rows(pi, basis)
+            _assert_rows_match_reference(pi, graded_basis(pi.nvars, k, l, pi.weights,
+                                                          base_degree_cap))
+
+
+@pytest.mark.parametrize("k, l", [(1, 1), (2, 1), (1, 2), (3, 1)])
+def test_bracket_rows_match_reference_su3(k, l):
+    # eight legs: the column tags sit above an 8-bit leg mask in the sum keys
+    pi = linear_poisson(preset("su3"))
+    _assert_rows_match_reference(pi, graded_basis(pi.nvars, k, l, pi.weights))
+
+
+def _assert_rows_match_reference(pi, basis):
+    den, rows = bracket_rows(pi, basis)
+    assert all(type(c) is int and c for row in rows.values() for c in row.values())
+    assert {key: {c: Fraction(v, den) for c, v in row.items()}
+            for key, row in rows.items()} == _reference_rows(pi, basis)
 
 
 def test_bracket_never_takes_the_poly_path(monkeypatch):

@@ -440,7 +440,7 @@ def test_domega_nan_is_reported(pi_so3):
     assert math.isnan(rep.domega_max)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_flow_blowup_detected():
     # xdot_2 = 3 x2^3 from x2 = 1 leaves [0,1] in finite time
     pi = PolyMVF(2, 2, {(1, 2): parse_poly("x2^3", 2)})
@@ -454,7 +454,7 @@ def _blowup_plane():
     return PolyMVF(2, 2, {(1, 2): parse_poly("x1^2", 2)})
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_blowup_leaves_the_rest_of_the_batch_intact():
     spray = SprayField(_blowup_plane())
     survivor = np.array([0.3, 0.1, 0.2, 0.4])
