@@ -12,15 +12,18 @@ def _apply_thread_cap():
     """Cap the BLAS/OpenMP thread pools at POISSON_FORGE_THREADS.
 
     The pools read these variables once, when NumPy is first imported, so
-    this runs before any submodule imports NumPy.
+    this runs before any submodule imports NumPy.  A value that is not a
+    positive integer is not forwarded: it returns the error the CLI reports.
     """
     cap = _os.environ.get("POISSON_FORGE_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            _os.environ.setdefault(var, cap)
+    if cap and not (cap.isascii() and cap.isdigit() and int(cap) > 0):
+        return f"POISSON_FORGE_THREADS must be a positive integer, got {cap!r}"
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS") if cap else ():
+        _os.environ.setdefault(var, cap)
+    return None
 
 
-_apply_thread_cap()
+_THREAD_CAP_ERROR = _apply_thread_cap()
 
 from .polyalg import Poly, Rational, SolveOutcome, exact_rank, format_poly, \
     parse_poly, solve_linear_exact

@@ -14,7 +14,7 @@ import json
 import math
 import sys
 
-from . import formal, liealg, poisson, realize
+from . import _THREAD_CAP_ERROR, formal, liealg, poisson, realize
 from .multivector import PolyMVF, schouten
 from .polyalg import PolyParseError
 
@@ -266,6 +266,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        if _THREAD_CAP_ERROR:
+            raise InputError(_THREAD_CAP_ERROR)
         return args.func(args)
     except (InputError, ValueError, realize.FlowBlowupError) as e:
         print(f"error: {e}", file=sys.stderr)

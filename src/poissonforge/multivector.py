@@ -395,15 +395,16 @@ def _integer_terms(W: PolyMVF):
                  for legs, poly in W.terms.items()]
 
 
-def _schouten_sums(W: list, V: list, weights: tuple, max_grade) -> dict:
+def _schouten_sums(W: list, V: list, weights: tuple, max_grade, keyed=True):
     """The bracket of integer operands.
 
     Returns ``{(legs, exps): {tag: coefficient}}`` with the nonzero integer
-    coefficients; the bracket of the fields is this over the product of the
-    operands' denominators.  It adds the 2n products of derivative operands
-    of the module docstring; a derivative keeps the dilation grade of the
-    monomial it came from, and with ``max_grade`` set a pair of grades g and
-    h with g + h - 1 > max_grade is skipped before it is multiplied.
+    coefficients, or with ``keyed`` false the list of its values, in order;
+    the bracket of the fields is this over the product of the operands'
+    denominators.  It adds the 2n products of derivative operands of the
+    module docstring.  Only with ``max_grade`` set is a grade computed: a
+    derivative keeps the grade of the monomial it came from, and a pair of
+    grades g and h with g + h - 1 > max_grade is skipped unmultiplied.
     """
     n = len(weights)
     degree = [max((sum(exps) for _, monos in X for exps, _, _ in monos), default=0)
@@ -416,7 +417,7 @@ def _schouten_sums(W: list, V: list, weights: tuple, max_grade) -> dict:
     def packed(X):
         """X as [(mask, sign, [(word, exps, c, grade)])], one entry per leg set."""
         return [(_mask(legs), 1, [(sum(map(mul, exps, units)) + (tag << tag_shift), exps, c,
-                                   _grade(weights, legs, exps))
+                                   max_grade is not None and _grade(weights, legs, exps))
                                   for exps, c, tag in monos])
                 for legs, monos in X]
 
@@ -457,6 +458,8 @@ def _schouten_sums(W: list, V: list, weights: tuple, max_grade) -> dict:
     for key, c in sums.items():
         if c:
             grouped.setdefault(key & monomial, {})[key >> tag_shift] = c
+    if not keyed:
+        return list(grouped.values())
     legs = {m: _legs(m) for m in {key >> low for key in grouped}}
     field, shifts = (1 << width) - 1, range(0, low, width)
     return {(legs[key >> low], tuple((key >> s) & field for s in shifts)): tagged

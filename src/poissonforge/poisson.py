@@ -177,11 +177,16 @@ def bracket_rows(pi: PolyMVF, basis) -> tuple[int, dict]:
     monomial is tagged with its column, so the images of different columns
     never share a sum.
     """
+    return _bracket_rows(pi, basis, True)
+
+
+def _bracket_rows(pi: PolyMVF, basis, keyed: bool):
+    """``bracket_rows``, or with ``keyed`` false only its rows' values, in order."""
     den, pi_terms = _integer_terms(pi)
     monos: dict[tuple, list] = {}
     for col, (legs, exps) in enumerate(basis):
         monos.setdefault(legs, []).append((exps, 1, col))
-    return den, _schouten_sums(pi_terms, list(monos.items()), pi.weights, None)
+    return den, _schouten_sums(pi_terms, list(monos.items()), pi.weights, None, keyed)
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +206,7 @@ def casimir_basis(pi: PolyMVF, D: int) -> list[Poly]:
         # [pi, f] = -pi#(df); descending-lex columns fix the published
         # normalisation of each RREF kernel vector
         monos = graded_basis(n, 0, d, [1] * n)[::-1]
-        A = list(bracket_rows(pi, monos)[1].values())
+        A = _bracket_rows(pi, monos, False)[1]
         out = solve_linear_exact(A, [0] * len(A), ncols=len(monos))
         for vec in out.kernel_basis:
             terms = {m: v for (_, m), v in zip(monos, vec) if v != 0}
@@ -250,7 +255,7 @@ def cohomology_dims(pi_lin: PolyMVF, l: int, kmax: int) -> CohomologyTable:
     for k in degrees:
         basis = graded_basis(n, k, l, pi_lin.weights)
         dim_cochains[k] = len(basis)
-        rows = list(bracket_rows(pi_lin, basis)[1].values())
+        rows = _bracket_rows(pi_lin, basis, False)[1]
         rank_d[k] = exact_rank(rows, ncols=len(basis))
     betti = {}
     for k in degrees:

@@ -19,7 +19,8 @@ prime is taken.  A solve reduces ``M = [A | b]``, so the same certificate
 covers feasibility, infeasibility and the witness.  All of it runs in
 Python ints, so no entry is too large for it.  Matrix entries may be
 ``int``s or ``Fraction``s: integer rows, such as the bracket rows of
-``poisson``, reach the elimination without building a ``Fraction``.
+``poisson``, are checked in bulk and reach the elimination without a
+per-row walk: denominators are cleared only when some entry is not an int.
 
 Data is validated where it enters and trusted inside.  The public
 ``Poly(nvars, terms)``, the ``zero``/``constant``/``variable``/``monomial``
@@ -376,7 +377,17 @@ def _to_sparse_rows(A, ncols=None):
     the first dense row).  A sparse row's keys must be ints in
     ``0..ncols-1`` (with ``ncols`` None, any int >= 0, and the count is one
     past the largest).  Anything else raises ``ValueError``.
+    A matrix of dict rows of nonzero ``int``s at ``int`` keys is checked in
+    bulk and copied; any other goes row by row.
     """
+    A = list(A)
+    if set(map(type, A)) == {dict}:
+        keys = list(itertools.chain.from_iterable(A))
+        values = list(itertools.chain.from_iterable(map(dict.values, A)))
+        if set(map(type, keys)) | set(map(type, values)) <= {int} and all(values):
+            top = max(keys, default=-1) + 1
+            if min(keys, default=0) >= 0 and (ncols is None or top <= ncols):
+                return list(map(dict, A)), top if ncols is None else ncols
     rows, top = [], 0
     for row in A:
         if isinstance(row, dict):
@@ -559,7 +570,8 @@ def _rref(rows: list, ncols: int):
     there, ``v`` at pivot column ``p`` and 0 elsewhere.  The entries are
     built only when iterated, so a rank builds no Fraction.
     """
-    rows = [_integer_row(row) for row in rows]
+    if set(map(type, itertools.chain.from_iterable(map(dict.values, rows)))) - {int}:
+        rows = [_integer_row(row) for row in rows]
     best = None
     # Why this loop ends.  Let J be the pivot columns over Q and r = |J|.
     # Every prefix of columns has rank mod p at most its rank over Q, so a

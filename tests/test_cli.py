@@ -449,16 +449,34 @@ print(json.dumps({"at_numpy_import": seen,
 """
 
 
-def test_thread_cap_env():
+def _run_thread_probe(value: str, then: str = ""):
+    """The probe, then ``then``, in a fresh interpreter with POISSON_FORGE_THREADS=value."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = {k: v for k, v in os.environ.items()
            if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
-    env["POISSON_FORGE_THREADS"] = "1"
+    env["POISSON_FORGE_THREADS"] = value
     env["PYTHONPATH"] = src
-    out = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env,
-                         capture_output=True, text=True, timeout=120, check=True)
+    return subprocess.run([sys.executable, "-c", _THREAD_PROBE + then], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_thread_cap_env():
+    out = _run_thread_probe("1")
+    assert out.returncode == 0, out.stderr
     obj = json.loads(out.stdout)
     want = {v: "1" for v in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
     assert obj["after"] == want
     # the cap was in place before NumPy was first imported
     assert obj["at_numpy_import"] == want
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-1"])
+def test_thread_cap_env_refuses_non_positive_integers(value):
+    # BLAS would ignore such a value and run its default pool: it is not
+    # forwarded, and the CLI names the variable and exits 2 before any work
+    out = _run_thread_probe(value, "sys.exit(poissonforge.cli.main(['area']))\n")
+    assert out.returncode == 2
+    assert out.stderr.splitlines() == [
+        f"error: POISSON_FORGE_THREADS must be a positive integer, got {value!r}"]
+    unset = dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"))
+    assert json.loads(out.stdout) == {"at_numpy_import": unset, "after": unset}

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from poissonforge import (GradedPiece, PolyMVF, dilate, grade_component, linear_poisson, preset,
                           schouten, sharp, truncate_jet, wedge)
 from poissonforge.multivector import _legs, _mask, _merge_sign
-from poissonforge.poisson import bracket_rows, graded_basis
+from poissonforge.poisson import _bracket_rows, bracket_rows, graded_basis
 from poissonforge.polyalg import Poly, _add_term, parse_poly
 
 from conftest import rand_mvf, rand_poly, sgn
@@ -675,6 +675,8 @@ def test_bracket_rows_match_reference_su3(k, l):
 def _assert_rows_match_reference(pi, basis):
     den, rows = bracket_rows(pi, basis)
     assert all(type(c) is int and c for row in rows.values() for c in row.values())
+    # the rows of the Casimir and cohomology solves: the same values, in order
+    assert _bracket_rows(pi, basis, False) == (den, list(rows.values()))
     assert {key: {c: Fraction(v, den) for c, v in row.items()}
             for key, row in rows.items()} == _reference_rows(pi, basis)
 

@@ -247,6 +247,57 @@ class TestParsingProperties:
         assert parse_poly(format_poly(p), n) == p
 
 
+def _per_row_rows(A, ncols=None):
+    """The solver's input check as it was before the bulk path, row by row."""
+    rows, top = [], 0
+    for row in A:
+        if isinstance(row, dict):
+            for j in row:
+                if not isinstance(j, int) or j < 0:
+                    raise ValueError(f"column key {j!r} is not an int >= 0")
+            top = max(top, max(row, default=-1) + 1)
+            items = row.items()
+        else:
+            if ncols is None:
+                ncols = len(row)
+            if len(row) != ncols:
+                raise ValueError(f"dense row of length {len(row)} in a matrix of {ncols} columns")
+            items = enumerate(row)
+        rows.append({j: ev for j, v in items
+                     if (ev := v if type(v) is int else polyalg._as_fraction(v))})
+    if ncols is None:
+        ncols = top
+    elif top > ncols:
+        raise ValueError(f"column key {top - 1} outside 0..{ncols - 1}")
+    return rows, ncols
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except (TypeError, ValueError) as e:
+        return type(e).__name__, str(e)
+
+
+@st.composite
+def checked_matrices(draw):
+    """(A, ncols) for the input check: mostly valid int dict rows, with odd
+    keys, odd values and dense rows mixed in."""
+    n = draw(st.integers(0, 5))
+    ncols = draw(st.none() | st.just(n))
+    odd_keys = st.booleans() | st.integers(-2, n + 1) | st.sampled_from([1.0, 2.5, "0"])
+    odd_values = (st.integers(-2, 2) | st.booleans() | st.sampled_from([0.5, 2.0, "1/2", "x"])
+                  | st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)))
+    keys = st.integers(0, max(n - 1, 0)) | odd_keys if draw(st.booleans()) else st.integers(0, 4)
+    values = st.integers(-3, 3).filter(bool)
+    if draw(st.booleans()):
+        values |= odd_values
+    row = st.dictionaries(keys, values, max_size=4)
+    if draw(st.booleans()):
+        row |= st.lists(values, min_size=max(n - 1, 0), max_size=n + 1)
+    return draw(st.lists(row, max_size=4)), ncols
+
+
 class TestExactSolver:
     def test_particular_solution_and_kernel(self):
         # x1 + x2 = 3 with a free variable: particular solution sets it to 0
@@ -321,6 +372,20 @@ class TestExactSolver:
             exact_rank(A, ncols)
         with pytest.raises(ValueError, match="column key|dense row"):
             solve_linear_exact(A, [1] * len(A), ncols)
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(checked_matrices())
+    def test_bulk_check_keeps_the_per_row_semantics(self, matrix):
+        # the solver behaves as if every matrix went through the per-row
+        # validator: the same rows and entry types, or the same error
+        A, ncols = matrix
+        b = [1] * len(A)
+        want = _outcome(_per_row_rows, A, ncols)
+        got = _outcome(polyalg._to_sparse_rows, A, ncols)
+        assert repr(got) == repr(want)
+        with mock.patch.object(polyalg, "_to_sparse_rows", _per_row_rows):
+            want = _outcome(exact_rank, A, ncols), _outcome(solve_linear_exact, A, b, ncols)
+        assert (_outcome(exact_rank, A, ncols), _outcome(solve_linear_exact, A, b, ncols)) == want
 
 
 # ---------------------------------------------------------------------------
