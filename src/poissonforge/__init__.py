@@ -5,15 +5,20 @@ normal-form/linearization machinery in graded truncations, and numerical
 symplectic realizations via Poisson sprays.
 """
 
+import importlib.util as _importlib_util
 import os as _os
+import sys as _sys
 
 
 def _apply_thread_cap():
     """Cap the BLAS/OpenMP thread pools at POISSON_FORGE_THREADS.
 
-    The pools read these variables once, when NumPy is first imported, so
-    this runs before any submodule imports NumPy.  A value that is not a
-    positive integer is not forwarded: it returns the error the CLI reports.
+    The pools read these variables once, when NumPy is first imported.
+    Package import runs this first and loads no NumPy itself: the exact
+    modules import it inside their float functions, and ``realize`` loads on
+    first use.  So the cap is in place whenever NumPy comes, and an exact
+    verb never loads it.  A value that is not a positive integer is not
+    forwarded: it returns the error the CLI reports.
     """
     cap = _os.environ.get("POISSON_FORGE_THREADS")
     if cap and not (cap.isascii() and cap.isdigit() and int(cap) > 0):
@@ -38,8 +43,31 @@ from .liealg import LieAlgebraSpec, WeylCircleSample, coadjoint_invariance_check
 from .formal import FilteredJet, GaugeSolution, HomotopyResult, ProlongResult, \
     ad_exp, bch, formal_linearize, homotopy_solve, mc_equivalence, order_of, \
     prolong_step
-from .realize import FlowBlowupError, RealizationReport, SprayField, \
-    dh_variation, flow_with_jacobian, realization_form, sphere_leaf_form, \
-    symplectic_area, verify_realization
+
+
+def _lazy_submodule(name: str):
+    """Register submodule ``name`` in ``sys.modules``; its body runs on first attribute use."""
+    spec = _importlib_util.find_spec(f"{__name__}.{name}")
+    spec.loader = _importlib_util.LazyLoader(spec.loader)
+    module = _importlib_util.module_from_spec(spec)
+    _sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+# The numeric realization layer imports NumPy, so it loads only when used:
+# the exact verbs never pay for NumPy.
+realize = _lazy_submodule("realize")
+_REALIZE_NAMES = frozenset((
+    "FlowBlowupError", "RealizationReport", "SprayField", "dh_variation",
+    "flow_with_jacobian", "realization_form", "sphere_leaf_form",
+    "symplectic_area", "verify_realization"))
+
+
+def __getattr__(name):
+    if name in _REALIZE_NAMES:
+        return getattr(realize, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"

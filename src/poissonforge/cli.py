@@ -269,7 +269,11 @@ def main(argv=None) -> int:
         if _THREAD_CAP_ERROR:
             raise InputError(_THREAD_CAP_ERROR)
         return args.func(args)
-    except (InputError, ValueError, realize.FlowBlowupError) as e:
+    except (InputError, ValueError, RuntimeError) as e:
+        # among RuntimeErrors only a spray flow's blow-up is an input error;
+        # asking loads `realize`, and NumPy with it, so it is asked only here
+        if isinstance(e, RuntimeError) and not isinstance(e, realize.FlowBlowupError):
+            raise
         print(f"error: {e}", file=sys.stderr)
         return 2
     except MemoryError as e:

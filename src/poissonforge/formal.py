@@ -192,7 +192,9 @@ def _solve_bracket_equation(pi: PolyMVF, rhs: PolyMVF, unknown_basis,
     b_vec = []
     for lg, e in keys:
         poly = rhs.terms.get(lg)
-        b_vec.append(poly.terms.get(e, 0) * den if poly else 0)
+        c = poly.terms.get(e, 0) * den if poly else 0
+        # an integral value as an int keeps the row [A | b] all-int for _rref
+        b_vec.append(c.numerator if c.denominator == 1 else c)
     out = solve_linear_exact(A, b_vec, ncols=len(unknown_basis))
     if not out.feasible:
         return None, [w * den for w in out.witness]

@@ -11,15 +11,18 @@ invariant-theory sampling.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .polyalg import Poly, exact_rank
 from .multivector import PolyMVF, _json_int, schouten
+
+if TYPE_CHECKING:  # annotations only: NumPy is imported where floats are computed
+    import numpy as np
 
 __all__ = [
     "LieAlgebraSpec",
@@ -224,24 +227,28 @@ def preset(name: str) -> LieAlgebraSpec:
 # su(3) invariants
 # ---------------------------------------------------------------------------
 
-_GELL_MANN = [
-    np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=complex),
-    np.array([[0, -1j, 0], [1j, 0, 0], [0, 0, 0]], dtype=complex),
-    np.array([[1, 0, 0], [0, -1, 0], [0, 0, 0]], dtype=complex),
-    np.array([[0, 0, 1], [0, 0, 0], [1, 0, 0]], dtype=complex),
-    np.array([[0, 0, -1j], [0, 0, 0], [1j, 0, 0]], dtype=complex),
-    np.array([[0, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=complex),
-    np.array([[0, 0, 0], [0, 0, -1j], [0, 1j, 0]], dtype=complex),
-    np.array([[1, 0, 0], [0, 1, 0], [0, 0, -2]], dtype=complex) / math.sqrt(3),
-]
-
-
+@functools.cache
 def _su3_onb() -> np.ndarray:
-    return np.stack([1j * lam / math.sqrt(2) for lam in _GELL_MANN])
+    """The basis i*lambda_a/sqrt(2) of su(3) from the Gell-Mann matrices, read-only."""
+    import numpy as np
+    gell_mann = [
+        np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=complex),
+        np.array([[0, -1j, 0], [1j, 0, 0], [0, 0, 0]], dtype=complex),
+        np.array([[1, 0, 0], [0, -1, 0], [0, 0, 0]], dtype=complex),
+        np.array([[0, 0, 1], [0, 0, 0], [1, 0, 0]], dtype=complex),
+        np.array([[0, 0, -1j], [0, 0, 0], [1j, 0, 0]], dtype=complex),
+        np.array([[0, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=complex),
+        np.array([[0, 0, 0], [0, 0, -1j], [0, 1j, 0]], dtype=complex),
+        np.array([[1, 0, 0], [0, 1, 0], [0, 0, -2]], dtype=complex) / math.sqrt(3),
+    ]
+    onb = np.stack([1j * lam / math.sqrt(2) for lam in gell_mann])
+    onb.flags.writeable = False  # one cached array serves every caller
+    return onb
 
 
 def su3_invariants(xi) -> tuple[float, float]:
     """(p1, p2) = (-tr(A^2), i*sqrt(6)*tr(A^3)) for A = sum xi_a e_a."""
+    import numpy as np
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (8,):
         raise ValueError("expected an 8-vector")
@@ -258,6 +265,7 @@ def weyl_circle_sample(r: float, theta: float) -> WeylCircleSample:
     """Diagonal point r*A(theta) on the Weyl circle, in orthonormal coordinates."""
     if not (math.isfinite(r) and r > 0):
         raise ValueError("radius r must be finite and > 0")
+    import numpy as np
     point = np.zeros(8)
     point[2] = r * math.cos(theta)   # along i*lambda_3/sqrt(2)
     point[7] = r * math.sin(theta)   # along i*lambda_8/sqrt(2)
@@ -268,6 +276,7 @@ def weyl_circle_sample(r: float, theta: float) -> WeylCircleSample:
 def coadjoint_invariance_check(spec: LieAlgebraSpec, f: Poly, trials: int,
                                seed: int) -> float:
     """Max |f(flow point) - f(start)| along random coadjoint flows exp(t ad*_X)."""
+    import numpy as np
     import scipy.linalg  # here, so that importing the package does not load SciPy
 
     n = spec.dim

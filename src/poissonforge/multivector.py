@@ -56,11 +56,12 @@ import json
 import math
 from fractions import Fraction
 from operator import mul
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .polyalg import Poly, _add_term, _as_fraction, format_poly, parse_poly
+
+if TYPE_CHECKING:  # annotations only: NumPy is imported where floats are computed
+    import numpy as np
 
 __all__ = [
     "PolyMVF",
@@ -300,6 +301,7 @@ class PolyMVF:
 
     def bivector_matrix(self, points: np.ndarray) -> np.ndarray:
         """Numeric skew matrix field Pi(x) for a bivector, shape (..., n, n)."""
+        import numpy as np
         if self.grade != 2:
             raise ValueError("bivector_matrix needs degree 2")
         points = np.asarray(points, dtype=float)

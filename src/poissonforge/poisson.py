@@ -16,12 +16,14 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .polyalg import Poly, _add_term, _as_fraction, exact_rank, solve_linear_exact
 from .multivector import (PolyMVF, _integer_terms, _schouten_sums, dilate, grade_component,
                           schouten)
+
+if TYPE_CHECKING:  # annotations only: NumPy is imported where floats are computed
+    import numpy as np
 
 __all__ = [
     "PoissonCheck",
@@ -277,6 +279,7 @@ class GaugeSingularError(ValueError):
 
 def gauge_pointwise(pi_matrix: np.ndarray, omega_matrix: np.ndarray) -> np.ndarray:
     """Gauge-transformed bivector matrix pi# (Id + omega# pi#)^{-1} at a point."""
+    import numpy as np
     P = np.asarray(pi_matrix, dtype=float)
     W = np.asarray(omega_matrix, dtype=float)
     if P.shape != W.shape or P.ndim != 2 or P.shape[0] != P.shape[1]:

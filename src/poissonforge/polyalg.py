@@ -39,9 +39,10 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
+if TYPE_CHECKING:  # annotations only: NumPy is imported where floats are computed
+    import numpy as np
 
 Rational = Fraction
 
@@ -256,6 +257,7 @@ class Poly:
 
     def eval_numeric(self, points: np.ndarray) -> np.ndarray:
         """Vectorized float evaluation at ``points`` of shape (..., nvars)."""
+        import numpy as np
         points = np.asarray(points, dtype=float)
         out = np.zeros(points.shape[:-1])
         for e, c in self.terms.items():
@@ -371,12 +373,15 @@ class SolveOutcome:
 def _to_sparse_rows(A, ncols=None):
     """``A`` as sparse rows of nonzero exact entries, and its column count.
 
-    An ``int`` entry stays an ``int``; any other becomes a ``Fraction``.
+    An ``int`` entry stays an ``int``; a ``Fraction`` or a rational string
+    becomes a ``Fraction``; any other entry, a ``bool`` or a ``float`` among
+    them, raises ``ValueError``.
 
     A dense row must have ``ncols`` entries (with ``ncols`` None, as many as
     the first dense row).  A sparse row's keys must be ints in
     ``0..ncols-1`` (with ``ncols`` None, any int >= 0, and the count is one
-    past the largest).  Anything else raises ``ValueError``.
+    past the largest); a ``bool`` is not a key.  Anything else raises
+    ``ValueError``.
     A matrix of dict rows of nonzero ``int``s at ``int`` keys is checked in
     bulk and copied; any other goes row by row.
     """
@@ -392,7 +397,7 @@ def _to_sparse_rows(A, ncols=None):
     for row in A:
         if isinstance(row, dict):
             for j in row:
-                if not isinstance(j, int) or j < 0:
+                if not isinstance(j, int) or isinstance(j, bool) or j < 0:
                     raise ValueError(f"column key {j!r} is not an int >= 0")
             top = max(top, max(row, default=-1) + 1)
             items = row.items()
@@ -403,12 +408,19 @@ def _to_sparse_rows(A, ncols=None):
                 raise ValueError(f"dense row of length {len(row)} in a matrix of {ncols} columns")
             items = enumerate(row)
         rows.append({j: ev for j, v in items
-                     if (ev := v if type(v) is int else _as_fraction(v))})
+                     if (ev := v if type(v) is int else _matrix_entry(v))})
     if ncols is None:
         ncols = top
     elif top > ncols:
         raise ValueError(f"column key {top - 1} outside 0..{ncols - 1}")
     return rows, ncols
+
+
+def _matrix_entry(v) -> Fraction:
+    """A matrix entry that is not an ``int`` as a ``Fraction``, or ``ValueError``."""
+    if isinstance(v, (int, Fraction, str)) and not isinstance(v, bool):
+        return _as_fraction(v)
+    raise ValueError(f"matrix entry {v!r} is not an exact rational")
 
 
 # -- the certified modular path ----------------------------------------------
@@ -641,7 +653,7 @@ def solve_linear_exact(A, b, ncols: int | None = None) -> SolveOutcome:
     column has ``w A = 0`` and ``w . b = 1``.
     """
     rows, ncols = _to_sparse_rows(A, ncols)
-    b = [v if type(v) is int else _as_fraction(v) for v in b]
+    b = [v if type(v) is int else _matrix_entry(v) for v in b]
     if len(b) != len(rows):
         raise ValueError(f"dimension mismatch: {len(rows)} rows vs {len(b)} rhs entries")
     for row, c in zip(rows, b):

@@ -234,6 +234,28 @@ def test_allocation_failure_exits_2(mvf_file, capsys, monkeypatch, error):
     assert captured.err.count("\n") == 1
 
 
+def test_flow_blowup_exits_2(mvf_file, capsys, monkeypatch):
+    # main tests for the blow-up only once a RuntimeError reaches it, so
+    # that an exact verb's error exit does not load `realize`
+    def fail(*args, **kwargs):
+        raise realize.FlowBlowupError(0.25)
+
+    monkeypatch.setattr(realize, "verify_realization", fail)
+    assert cli.main(["realize", mvf_file, "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: spray flow left numeric range near t = 0.25\n"
+
+
+def test_other_runtime_errors_propagate(mvf_file, monkeypatch):
+    def fail(*args, **kwargs):
+        raise RuntimeError("not an input error")
+
+    monkeypatch.setattr(realize, "verify_realization", fail)
+    with pytest.raises(RuntimeError, match="not an input error"):
+        cli.main(["realize", mvf_file])
+
+
 @pytest.mark.parametrize("argv, named", [
     pytest.param(["casimirs", "{so3}", "--max-degree", "-1"], "max degree",
                  id="casimirs-max-degree=-1"),
@@ -432,9 +454,10 @@ def test_parser_is_reused_across_calls(so3_file):
 
 
 # Records the thread variables at the moment NumPy is first imported, then
-# imports the CLI and prints the variables as they are then.
+# imports the CLI; at exit it prints them as recorded and as they are then.
+# Importing the CLI does not import NumPy, so ``then`` imports it.
 _THREAD_PROBE = """
-import json, os, sys
+import atexit, json, os, sys
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 seen = {}
 class Probe:
@@ -443,13 +466,13 @@ class Probe:
             seen.update({v: os.environ.get(v) for v in THREAD_VARS})
         return None
 sys.meta_path.insert(0, Probe())
+atexit.register(lambda: print(json.dumps(
+    {"at_numpy_import": seen, "after": {v: os.environ.get(v) for v in THREAD_VARS}})))
 import poissonforge.cli
-print(json.dumps({"at_numpy_import": seen,
-                  "after": {v: os.environ.get(v) for v in THREAD_VARS}}))
 """
 
 
-def _run_thread_probe(value: str, then: str = ""):
+def _run_thread_probe(value: str, then: str):
     """The probe, then ``then``, in a fresh interpreter with POISSON_FORGE_THREADS=value."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = {k: v for k, v in os.environ.items()
@@ -461,7 +484,7 @@ def _run_thread_probe(value: str, then: str = ""):
 
 
 def test_thread_cap_env():
-    out = _run_thread_probe("1")
+    out = _run_thread_probe("1", "import numpy\n")
     assert out.returncode == 0, out.stderr
     obj = json.loads(out.stdout)
     want = {v: "1" for v in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
@@ -474,7 +497,7 @@ def test_thread_cap_env():
 def test_thread_cap_env_refuses_non_positive_integers(value):
     # BLAS would ignore such a value and run its default pool: it is not
     # forwarded, and the CLI names the variable and exits 2 before any work
-    out = _run_thread_probe(value, "sys.exit(poissonforge.cli.main(['area']))\n")
+    out = _run_thread_probe(value, "import numpy\nsys.exit(poissonforge.cli.main(['area']))\n")
     assert out.returncode == 2
     assert out.stderr.splitlines() == [
         f"error: POISSON_FORGE_THREADS must be a positive integer, got {value!r}"]

@@ -247,13 +247,22 @@ class TestParsingProperties:
         assert parse_poly(format_poly(p), n) == p
 
 
+def _exact_entry(v):
+    """An entry of the model: ints stay, Fractions and rational strings convert."""
+    if type(v) is int:
+        return v
+    if type(v) in (Fraction, str):
+        return Fraction(v)
+    raise ValueError(f"matrix entry {v!r} is not an exact rational")
+
+
 def _per_row_rows(A, ncols=None):
-    """The solver's input check as it was before the bulk path, row by row."""
+    """The solver's input check, row by row: a bool is neither a key nor an entry."""
     rows, top = [], 0
     for row in A:
         if isinstance(row, dict):
             for j in row:
-                if not isinstance(j, int) or j < 0:
+                if type(j) is not int or j < 0:
                     raise ValueError(f"column key {j!r} is not an int >= 0")
             top = max(top, max(row, default=-1) + 1)
             items = row.items()
@@ -263,8 +272,7 @@ def _per_row_rows(A, ncols=None):
             if len(row) != ncols:
                 raise ValueError(f"dense row of length {len(row)} in a matrix of {ncols} columns")
             items = enumerate(row)
-        rows.append({j: ev for j, v in items
-                     if (ev := v if type(v) is int else polyalg._as_fraction(v))})
+        rows.append({j: ev for j, v in items if (ev := _exact_entry(v))})
     if ncols is None:
         ncols = top
     elif top > ncols:
@@ -286,7 +294,7 @@ def checked_matrices(draw):
     n = draw(st.integers(0, 5))
     ncols = draw(st.none() | st.just(n))
     odd_keys = st.booleans() | st.integers(-2, n + 1) | st.sampled_from([1.0, 2.5, "0"])
-    odd_values = (st.integers(-2, 2) | st.booleans() | st.sampled_from([0.5, 2.0, "1/2", "x"])
+    odd_values = (st.integers(-2, 2) | st.booleans() | st.sampled_from([0.5, 2.0, None, "1/2", "x"])
                   | st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)))
     keys = st.integers(0, max(n - 1, 0)) | odd_keys if draw(st.booleans()) else st.integers(0, 4)
     values = st.integers(-3, 3).filter(bool)
@@ -372,6 +380,22 @@ class TestExactSolver:
             exact_rank(A, ncols)
         with pytest.raises(ValueError, match="column key|dense row"):
             solve_linear_exact(A, [1] * len(A), ncols)
+
+    @pytest.mark.parametrize("A", [
+        [{0: 1.0}], [[1, 2.0]], [{0: None}], [[None, 1]],
+        [{0: True}], [[1, False]], [{True: 1}], [{False: 2}],
+    ], ids=["float-in-dict", "float-dense", "none-in-dict", "none-dense",
+            "bool-entry", "bool-dense", "bool-key-1", "bool-key-0"])
+    def test_inexact_entries_and_bool_keys_are_refused(self, A):
+        with pytest.raises(ValueError, match="not an exact rational|column key"):
+            exact_rank(A, 2)
+        with pytest.raises(ValueError, match="not an exact rational|column key"):
+            solve_linear_exact(A, [1] * len(A), 2)
+
+    @pytest.mark.parametrize("b", [[0.5], [None], [True]], ids=["float", "none", "bool"])
+    def test_inexact_right_hand_sides_are_refused(self, b):
+        with pytest.raises(ValueError, match="not an exact rational"):
+            solve_linear_exact([[1]], b)
 
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
     @given(checked_matrices())
