@@ -36,10 +36,8 @@ def parse_input(path: str):
         if "terms" in obj or "grade" in obj:
             return PolyMVF.from_json_obj(obj)
         if "C" in obj or "dim" in obj:
-            # structural validation only: the Jacobi identity is a verdict
-            # for `check`, not an input precondition
-            return liealg.validate(liealg.LieAlgebraSpec.from_json_obj(obj),
-                                   check_jacobi=False)
+            # the Jacobi identity is a verdict for `check`, not an input precondition
+            return liealg.LieAlgebraSpec.from_json_obj(obj)
     except (PolyParseError, ValueError, KeyError, TypeError) as e:
         raise InputError(f"{path}: {e}") from e
     raise InputError(f"{path}: neither a multivector nor a Lie algebra spec")
@@ -269,11 +267,7 @@ def main(argv=None) -> int:
         if _THREAD_CAP_ERROR:
             raise InputError(_THREAD_CAP_ERROR)
         return args.func(args)
-    except (InputError, ValueError, RuntimeError) as e:
-        # among RuntimeErrors only a spray flow's blow-up is an input error;
-        # asking loads `realize`, and NumPy with it, so it is asked only here
-        if isinstance(e, RuntimeError) and not isinstance(e, realize.FlowBlowupError):
-            raise
+    except (InputError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except MemoryError as e:

@@ -55,10 +55,6 @@ class FilteredJet:
     def order(self):
         return order_of(self)
 
-    def __eq__(self, other):
-        return (isinstance(other, FilteredJet) and self.D == other.D
-                and self.value == other.value)
-
 
 def _as_jet(u, D: int) -> FilteredJet:
     if isinstance(u, FilteredJet):

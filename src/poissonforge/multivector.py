@@ -43,10 +43,12 @@ i - 1, and read each sign off bit counts (``_merge_sign``).
 
 As in ``polyalg``, data is validated where it enters: the public
 ``PolyMVF(...)`` constructor and ``PolyMVF.from_json_obj`` check leg tuples,
-weights and coefficient variable counts.  Fields that the operations here
-build from valid fields are wrapped by ``PolyMVF._raw`` without re-checking;
-it trusts that every key is a strictly increasing tuple of ``grade`` legs in
-1..nvars, every value a nonzero ``Poly`` in ``nvars`` variables, and
+weights and coefficient variable counts, and refuse a non-integer or
+``bool`` ``nvars``, ``grade``, weight or leg rather than round it.  Fields
+that the operations here build from valid fields are wrapped by
+``PolyMVF._raw`` without re-checking; it trusts that every key is a
+strictly increasing tuple of ``grade`` legs in 1..nvars, every value a
+nonzero ``Poly`` in ``nvars`` variables, and
 ``weights`` a tuple in {0,1}^nvars.
 """
 
@@ -58,7 +60,7 @@ from fractions import Fraction
 from operator import mul
 from typing import TYPE_CHECKING, Sequence
 
-from .polyalg import Poly, _add_term, _as_fraction, format_poly, parse_poly
+from .polyalg import Poly, _add_term, _as_fraction, _as_int, format_poly, parse_poly
 
 if TYPE_CHECKING:  # annotations only: NumPy is imported where floats are computed
     import numpy as np
@@ -74,21 +76,12 @@ __all__ = [
 ]
 
 
-def _json_int(value, name: str, low: int | None = None) -> int:
-    """A JSON integer field (not a bool), at least ``low`` when given."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{name!r} must be a JSON integer, got {value!r}")
-    if low is not None and value < low:
-        raise ValueError(f"{name!r} must be at least {low}, got {value}")
-    return value
-
-
 def _json_ints(obj: dict, key: str) -> tuple:
     """The list field ``obj[key]`` of JSON integers, as a tuple."""
     v = obj[key]
     if not isinstance(v, list):
         raise ValueError(f"{key!r} must be a JSON list, got {v!r}")
-    return tuple(_json_int(x, key) for x in v)
+    return tuple(_as_int(x, key) for x in v)
 
 
 def _mask(legs) -> int:
@@ -122,19 +115,17 @@ class PolyMVF:
 
     def __init__(self, nvars: int, grade: int, terms: dict | None = None,
                  weights: Sequence[int] | None = None):
-        self.nvars = int(nvars)
-        self.grade = int(grade)
-        if self.grade < 0:
-            raise ValueError("multivector degree must be nonnegative")
+        self.nvars = _as_int(nvars, "nvars", 0)
+        self.grade = _as_int(grade, "grade", 0)
         if weights is None:
             weights = (1,) * self.nvars
-        self.weights = tuple(int(w) for w in weights)
+        self.weights = tuple(_as_int(w, "weights") for w in weights)
         if len(self.weights) != self.nvars or any(w not in (0, 1) for w in self.weights):
             raise ValueError(f"weights must lie in {{0,1}}^{self.nvars}")
         clean: dict[tuple, Poly] = {}
         if terms:
             for indices, poly in terms.items():
-                indices = tuple(int(i) for i in indices)
+                indices = tuple(_as_int(i, "indices") for i in indices)
                 if len(indices) != self.grade:
                     raise ValueError(f"index tuple {indices} has wrong length for grade {self.grade}")
                 if any(not 1 <= i <= self.nvars for i in indices):
@@ -256,8 +247,8 @@ class PolyMVF:
         """Read a field: ``nvars`` (>= 1), ``grade`` (>= 0) and each entry of
         the ``weights`` and ``indices`` lists are JSON integers; each ``poly``
         is a string in the polynomial grammar."""
-        nvars = _json_int(obj["nvars"], "nvars", 1)
-        grade = _json_int(obj["grade"], "grade", 0)
+        nvars = _as_int(obj["nvars"], "nvars", 1)
+        grade = _as_int(obj["grade"], "grade", 0)
         weights = _json_ints(obj, "weights") if "weights" in obj else None
         terms = {}
         for entry in obj.get("terms", []):
@@ -502,8 +493,8 @@ def grade_component(W: PolyMVF, l: int) -> GradedPiece:
 def dilate(W: PolyMVF, t) -> PolyMVF:
     """Dilation automorphism: multiplies each grade-l piece by t^(l-1).
 
-    ``t`` is exact: an int, a ``Fraction`` or a rational string (a float
-    raises ``TypeError``).
+    ``t`` is exact: an int, a ``Fraction`` or a rational string (a float or
+    a ``bool`` raises ``TypeError``).
     """
     t = _as_fraction(t)
     if t == 0:

@@ -24,10 +24,12 @@ per-row walk: denominators are cleared only when some entry is not an int.
 
 Data is validated where it enters and trusted inside.  The public
 ``Poly(nvars, terms)``, the ``zero``/``constant``/``variable``/``monomial``
-constructors and ``parse_poly`` check every exponent vector and coerce every
-coefficient.  Results the kernel builds from polynomials that already passed
-those checks (sums, products, derivatives, graded pieces) are wrapped by
-``Poly._raw`` without re-checking; ``_add_term`` is the one accumulator that
+constructors and ``parse_poly`` refuse what they would have to reinterpret:
+``nvars``, an exponent or an index must be an integer (``_as_int``), a
+coefficient exact (``_as_fraction``), and neither a ``bool``.  Results the
+kernel builds from polynomials that already passed those checks (sums,
+products, derivatives, graded pieces) are wrapped by ``Poly._raw`` without
+re-checking; ``_add_term`` is the one accumulator that
 keeps stored coefficients nonzero.
 """
 
@@ -36,6 +38,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -62,10 +65,25 @@ class PolyParseError(ValueError):
     """Raised when a polynomial string violates the text grammar."""
 
 
+def _as_int(value, name: str, low: int | None = None) -> int:
+    """``value`` as an ``int``: anything ``operator.index`` takes but a ``bool``,
+    at least ``low`` when given; anything else raises ``ValueError``."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name!r} must be an integer, got {value!r}") from None
+    if low is not None and value < low:
+        raise ValueError(f"{name!r} must be at least {low}, got {value}")
+    return value
+
+
 def _as_fraction(value) -> Fraction:
+    """An ``int``, ``Fraction`` or rational string as a ``Fraction``, else ``TypeError``."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         return Fraction(value)
@@ -96,11 +114,11 @@ class Poly:
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms: dict | None = None):
-        self.nvars = int(nvars)
+        self.nvars = _as_int(nvars, "nvars", 0)
         clean: dict[tuple, Fraction] = {}
         if terms:
             for exps, coeff in terms.items():
-                exps = tuple(int(e) for e in exps)
+                exps = tuple(_as_int(e, "exponent") for e in exps)
                 if len(exps) != self.nvars or any(e < 0 for e in exps):
                     raise ValueError(f"bad exponent vector {exps} for nvars={self.nvars}")
                 _add_term(clean, exps, _as_fraction(coeff))
@@ -127,23 +145,20 @@ class Poly:
 
     @classmethod
     def constant(cls, nvars: int, value) -> "Poly":
-        c = _as_fraction(value)
-        if c == 0:
-            return cls(nvars)
-        return cls(nvars, {(0,) * nvars: c})
+        nvars = _as_int(nvars, "nvars", 0)
+        return cls(nvars, {(0,) * nvars: value})
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "Poly":
         """The coordinate ``x_index`` (1-based)."""
+        nvars, index = _as_int(nvars, "nvars", 0), _as_int(index, "index")
         if not 1 <= index <= nvars:
             raise ValueError(f"variable index {index} out of range 1..{nvars}")
-        exps = [0] * nvars
-        exps[index - 1] = 1
-        return cls(nvars, {tuple(exps): Fraction(1)})
+        return cls(nvars, {tuple(int(m == index) for m in range(1, nvars + 1)): 1})
 
     @classmethod
     def monomial(cls, nvars: int, exps: Sequence[int], coeff=1) -> "Poly":
-        return cls(nvars, {tuple(exps): _as_fraction(coeff)})
+        return cls(nvars, {tuple(exps): coeff})
 
     # -- basic queries ------------------------------------------------
 
@@ -220,7 +235,7 @@ class Poly:
         return bool(self.terms)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             other = Poly.constant(self.nvars, other)
         return isinstance(other, Poly) and self.nvars == other.nvars and self.terms == other.terms
 
@@ -315,6 +330,7 @@ def parse_poly(text: str, nvars: int) -> Poly:
     """Parse the polynomial grammar, e.g. ``1/2*x1^2*x3 - x2``."""
     if not isinstance(text, str):
         raise TypeError(f"polynomial text must be a string, got {text!r}")
+    nvars = _as_int(nvars, "nvars", 0)
     if not text.strip():
         raise PolyParseError("empty polynomial string")
     terms: dict[tuple, Fraction] = {}
@@ -340,7 +356,7 @@ def parse_poly(text: str, nvars: int) -> Poly:
             exps[index - 1] += power
         coeff = Fraction(int(m["num"] or 1), den)
         _add_term(terms, tuple(exps), -coeff if m["signs"].count("-") % 2 else coeff)
-    return Poly._raw(int(nvars), terms)
+    return Poly._raw(nvars, terms)
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,7 @@ __all__ = [
 ]
 
 
-class FlowBlowupError(RuntimeError):
+class FlowBlowupError(RuntimeError, ValueError):
     def __init__(self, t):
         super().__init__(f"spray flow left numeric range near t = {t:.4g}")
         self.t = t

@@ -8,7 +8,7 @@ import warnings
 
 import pytest
 
-from poissonforge import cli, preset, realize
+from poissonforge import cli, liealg, preset, realize
 from poissonforge.poisson import MAX_BASIS
 
 
@@ -70,6 +70,13 @@ class TestCheck:
         out = capsys.readouterr()
         assert "witness" in out.out
         assert out.err == ""
+
+    def test_table_is_loaded_without_a_bracket(self, broken_file, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("parse_input re-checks the table")
+
+        monkeypatch.setattr(liealg, "validate", refuse)
+        assert isinstance(cli.parse_input(broken_file), liealg.LieAlgebraSpec)
 
     def test_missing_file(self, capsys):
         assert cli.main(["check", "/nonexistent/f.json"]) == 2
@@ -235,8 +242,8 @@ def test_allocation_failure_exits_2(mvf_file, capsys, monkeypatch, error):
 
 
 def test_flow_blowup_exits_2(mvf_file, capsys, monkeypatch):
-    # main tests for the blow-up only once a RuntimeError reaches it, so
-    # that an exact verb's error exit does not load `realize`
+    # a blow-up is a ValueError too, so main reports it as an input error
+    # without asking `realize` (and loading NumPy) on an exact verb's exit
     def fail(*args, **kwargs):
         raise realize.FlowBlowupError(0.25)
 

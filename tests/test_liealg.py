@@ -1,5 +1,7 @@
 """Lie algebra presets, validation, Killing classification, su(3) invariants."""
 
+import dataclasses
+import inspect
 import json
 import math
 import random
@@ -12,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poissonforge import (LieAlgebraSpec, coadjoint_invariance_check,
-                          killing_classify, linear_poisson, preset,
+                          killing_classify, linear_poisson, liealg, preset,
                           su3_invariants, validate, weyl_circle_sample)
 from poissonforge.liealg import _su3_onb
 from poissonforge.polyalg import Poly, parse_poly, solve_linear_exact
@@ -34,6 +36,114 @@ def test_validate_reports_offending_triple():
 def test_validate_rejects_bad_keys():
     with pytest.raises(ValueError, match="bad structure-constant key"):
         validate(LieAlgebraSpec(dim=2, C={(2, 1, 1): Fraction(1)}))
+
+
+def test_reversed_key_table_is_refused():
+    # so(3) with [e1, e2] = e3 stored under the reversed key (2, 1, 3): taken
+    # as is, `c` reads [e1, e2] as 0 and killing_classify calls so(3) solvable
+    with pytest.raises(ValueError, match="bad structure-constant key"):
+        LieAlgebraSpec(3, {(2, 1, 3): Fraction(-1), (2, 3, 1): Fraction(1),
+                           (1, 3, 2): Fraction(-1)})
+
+
+def test_validate_is_the_jacobi_check_alone():
+    assert list(inspect.signature(validate).parameters) == ["spec"]
+    assert [f.name for f in dataclasses.fields(LieAlgebraSpec)] == ["dim", "C"]
+
+
+def test_presets_are_built_without_a_bracket(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("preset brackets its literal table")
+
+    monkeypatch.setattr(liealg, "schouten", refuse)
+    assert [preset(name).dim for name in ("so3", "su2", "sl2", "su3")] == [3, 3, 3, 8]
+
+
+def _well_formed(spec):
+    n = spec.dim
+    return all(type(key) is tuple and len(key) == 3 and all(type(x) is int for x in key)
+               and 1 <= key[0] < key[1] <= n and 1 <= key[2] <= n for key in spec.C)
+
+
+_FAULTS = [None, "conflict", "diagonal", "range", "bool"]
+
+
+def _valid_keys(dim):
+    idx = st.integers(1, dim)
+    return st.tuples(idx, idx, idx).filter(lambda key: key[0] < key[1])
+
+
+@st.composite
+def raw_tables(draw):
+    """A JSON table object and the fault planted in it, if any.
+
+    Its valid entries come as written, reversed with the sign flipped, or
+    twice, with a zero diagonal entry now and then.  The fault is an entry
+    that conflicts with another, a nonzero diagonal entry, an index out of
+    range or a bool."""
+    dim = draw(st.integers(2, 4))
+    entries = []
+    for (i, j, k), v in draw(st.dictionaries(_valid_keys(dim), st.integers(-2, 2),
+                                             max_size=4)).items():
+        e = ({"i": j, "j": i, "k": k, "value": f"{-v}/1"} if draw(st.booleans())
+             else {"i": i, "j": j, "k": k, "value": v})
+        entries += [e] * draw(st.integers(1, 2))
+    if draw(st.booleans()):
+        i = draw(st.integers(1, dim))
+        entries.append({"i": i, "j": i, "k": draw(st.integers(1, dim)), "value": 0})
+    fault = draw(st.sampled_from(_FAULTS))
+    i, j, k = draw(_valid_keys(dim))
+    e = {"i": i, "j": j, "k": k, "value": 1}
+    entries += {
+        None: [],
+        "conflict": [e, {**e, "value": 2}],
+        "diagonal": [{**e, "j": i}],
+        "range": [{**e, draw(st.sampled_from("ijk")): draw(st.sampled_from([-1, 0, dim + 1]))}],
+        "bool": [{**e, draw(st.sampled_from(["i", "j", "k", "value"])): draw(st.booleans())}],
+    }[fault]
+    return {"dim": dim, "C": draw(st.permutations(entries))}, fault
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(raw_tables())
+def test_json_tables_come_out_well_formed_or_refused(case):
+    obj, fault = case
+    if fault:
+        with pytest.raises(ValueError):
+            LieAlgebraSpec.from_json_obj(obj)
+        return
+    spec = LieAlgebraSpec.from_json_obj(obj)
+    assert _well_formed(spec)
+    for e in obj["C"]:
+        assert spec.c(e["i"], e["j"], e["k"]) == Fraction(e["value"])
+
+
+@st.composite
+def built_tables(draw):
+    """A key dict built in code and the bad key planted in it, if any: a
+    reversed, diagonal, out-of-range, bool or wrong-length key."""
+    dim = draw(st.integers(2, 4))
+    C = draw(st.dictionaries(_valid_keys(dim), st.integers(-2, 2).map(Fraction), max_size=4))
+    fault = draw(st.sampled_from([None, "reversed", "diagonal", "range", "bool", "length"]))
+    if fault:
+        i, j, k = draw(_valid_keys(dim))
+        key = {"reversed": (j, i, k), "diagonal": (i, i, k),
+               "range": (i, j, draw(st.sampled_from([-1, 0, dim + 1]))),
+               "bool": (i, j, True) if k == 1 else (True, j, k), "length": (i, j)}[fault]
+        C.pop(key, None)  # a bool key equal to an int key would not replace it
+        C[key] = draw(st.integers(-2, 2).map(Fraction))
+    return dim, C, fault
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(built_tables())
+def test_built_tables_come_out_well_formed_or_refused(case):
+    dim, C, fault = case
+    if fault:
+        with pytest.raises(ValueError, match="bad structure-constant key"):
+            LieAlgebraSpec(dim, C)
+        return
+    assert _well_formed(LieAlgebraSpec(dim, C))
 
 
 def test_structure_constant_accessor_antisymmetry():

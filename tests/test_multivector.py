@@ -211,7 +211,7 @@ def test_dilation_parameter_is_exact():
     assert dilate(u, "1/10") == dilate(u, Fraction(1, 10))
     assert dilate(u, 3) == dilate(u, Fraction(3))
     assert dilate(u, "1/10").terms[(1,)] == parse_poly("x1 + 1/10*x1^2 + 1/100*x2^3", 2)
-    for t in (0.1, 2.0):
+    for t in (0.1, 2.0, True):
         with pytest.raises(TypeError):
             dilate(u, t)
 
@@ -345,11 +345,28 @@ def test_trusted_results_equal_their_revalidation(weights):
     lambda: PolyMVF.from_json_obj({"nvars": 2, "grade": -1, "terms": []}),
     lambda: PolyMVF.from_json_obj({"nvars": 2, "grade": 1, "weights": [1, 2],
                                    "terms": [{"indices": [1], "poly": "x1"}]}),
+    # refused, not rounded or read as 1
+    lambda: PolyMVF(3, 1, {}, weights=[1, 0.5, 1]),
+    lambda: PolyMVF(3, 1, {}, weights=[True, False, True]),
+    lambda: PolyMVF(3, 1.7, {}),
+    lambda: PolyMVF(3, True, {}),
+    lambda: PolyMVF(3.0, 1, {}),
+    lambda: PolyMVF(3, 1, {(1.0,): Poly.variable(3, 1)}),
+    lambda: PolyMVF(3, 1, {(True,): Poly.variable(3, 1)}),
 ], ids=["nvars", "grade", "weight-2", "weight-neg", "weight-len", "json-grade",
-        "json-weights"])
+        "json-weights", "weight-0.5", "weight-bools", "grade-1.7", "grade-bool",
+        "nvars-float", "leg-float", "leg-bool"])
 def test_public_constructors_reject(build):
     with pytest.raises(ValueError):
         build()
+
+
+def test_index_like_integers_are_taken():
+    W = PolyMVF(np.int64(2), np.int64(1), {(np.int64(1),): Poly.variable(2, 1)},
+                weights=[np.int64(0), 1])
+    assert W == PolyMVF(2, 1, {(1,): Poly.variable(2, 1)}, weights=(0, 1))
+    assert (W.nvars, W.grade, W.weights) == (2, 1, (0, 1))
+    assert all(type(x) is int for x in (W.nvars, W.grade, *W.weights, *next(iter(W.terms))))
 
 
 # ---------------------------------------------------------------------------

@@ -100,7 +100,12 @@ class TestTrustedPath:
         ({(1, -1): 1}, ValueError),
         ({(1, 0): 0.5}, TypeError),
         ({(1, 0): 1.0}, TypeError),
-    ], ids=["long", "short", "negative", "float", "integral-float"])
+        ({(1.9, 0): 1}, ValueError),
+        ({(1.0, 0): 1}, ValueError),
+        ({(True, 0): 1}, ValueError),
+        ({(1, 0): False}, TypeError),
+    ], ids=["long", "short", "negative", "float", "integral-float", "exponent-1.9",
+            "exponent-1.0", "exponent-bool", "coeff-bool"])
     def test_constructor_rejects(self, terms, error):
         with pytest.raises(error):
             Poly(2, terms)
@@ -112,6 +117,33 @@ class TestTrustedPath:
             Poly.monomial(2, (1, 0), 0.5)
         with pytest.raises(ValueError):
             Poly.monomial(2, (1, 0, 0))
+
+    # what the constructors used to round or read as 1: an index or nvars is
+    # an integer (no bool), a coefficient or scalar exact (no bool)
+    @pytest.mark.parametrize("build, error", [
+        (lambda: Poly(2.0), ValueError),
+        (lambda: Poly(True, {(1,): 1}), ValueError),
+        (lambda: Poly.constant(2.0, 1), ValueError),
+        (lambda: Poly.variable(2, True), ValueError),
+        (lambda: Poly.variable(2, 1.0), ValueError),
+        (lambda: Poly.monomial(2, (0.5, 1)), ValueError),
+        (lambda: parse_poly("x1", True), ValueError),
+        (lambda: Poly.constant(2, True), TypeError),
+        (lambda: Poly.monomial(2, (1, 0), True), TypeError),
+        (lambda: Poly.variable(2, 1) + True, TypeError),
+        (lambda: Poly.variable(2, 1) * True, TypeError),
+    ], ids=["nvars-float", "nvars-bool", "constant-nvars", "variable-bool",
+            "variable-float", "monomial-exponent", "parse-nvars-bool", "constant-bool",
+            "monomial-bool", "add-bool", "mul-bool"])
+    def test_constructors_refuse_rather_than_coerce(self, build, error):
+        with pytest.raises(error):
+            build()
+
+    def test_index_like_integers_are_taken(self):
+        assert Poly(np.int64(2), {(np.int64(1), 0): 1}) == Poly.variable(2, 1)
+        assert Poly.variable(np.int32(2), np.int32(2)) == Poly.variable(2, 2)
+        one = Poly.constant(2, 1)
+        assert one == 1 and one != True and not one == False  # noqa: E712
 
 
 class TestParsing:
