@@ -15,9 +15,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polyalg import Poly, solve_linear_exact
+from .polyalg import Poly, _as_int, solve_linear_exact
 from .multivector import GradedPiece, PolyMVF, _grade, grade_component, schouten, truncate_jet
-from .poisson import _check_base_degree_cap, bracket_rows, check_poisson, graded_basis
+from .poisson import _bracket_rows, check_poisson, graded_basis
 
 __all__ = [
     "FilteredJet",
@@ -41,6 +41,7 @@ class FilteredJet:
     D: int
 
     def __post_init__(self):
+        object.__setattr__(self, "D", _as_int(self.D, "jet order D", 0))
         object.__setattr__(self, "value", truncate_jet(self.value, self.D))
 
     @staticmethod
@@ -73,6 +74,7 @@ def order_of(u):
 
 def ad_exp(X, u, D: int) -> FilteredJet:
     """Ad(e^X)u = sum_n ad_X^n(u)/n! in the grade-D truncation."""
+    D = _as_int(D, "jet order D", 0)
     X = _as_jet(X, D)
     u = _as_jet(u, D)
     if X.value.grade not in (1,) and not X.value.is_zero():
@@ -122,6 +124,7 @@ def bch(X, Y, D: int) -> FilteredJet:
     - a word whose innermost block is ad_X^l X with l >= 1 (m_k = 0) is 0.
     Zero arguments are returned as they are: X*0 = X and 0*Y = Y.
     """
+    D = _as_int(D, "jet order D", 0)
     X = _as_jet(X, D)
     Y = _as_jet(Y, D)
     ox, oy = order_of(X), order_of(Y)
@@ -170,16 +173,13 @@ def _solve_bracket_equation(pi: PolyMVF, rhs: PolyMVF, unknown_basis,
     """Solve [pi, sum c_b b] = rhs exactly over the given monomial basis.
 
     With restrict_grade set, only the components of the bracket with grade
-    <= restrict_grade are constrained (higher grades are left free).  The
-    integer rows of ``bracket_rows`` are the matrix times pi's denominator
-    ``den``, so the right-hand side is multiplied by ``den`` too, and so is
-    the witness of that scaled system, which makes it the witness of the
-    equation as given.
+    <= restrict_grade are constrained (higher grades are left free): the
+    rows above it are never formed.  The integer rows of ``bracket_rows``
+    are the matrix times pi's denominator ``den``, so the right-hand side
+    is multiplied by ``den`` too, and so is the witness of that scaled
+    system, which makes it the witness of the equation as given.
     """
-    den, rows = bracket_rows(pi, unknown_basis)
-    if restrict_grade is not None:
-        rows = {key: row for key, row in rows.items()
-                if _grade(pi.weights, *key) <= restrict_grade}
+    den, rows = _bracket_rows(pi, unknown_basis, True, restrict_grade)
     keys = set(rows)
     for lg, poly in rhs.terms.items():
         keys.update((lg, e) for e in poly.terms)
@@ -205,7 +205,7 @@ def _solve_bracket_equation(pi: PolyMVF, rhs: PolyMVF, unknown_basis,
 
 def homotopy_solve(pi_lin: PolyMVF, Z: GradedPiece, base_degree_cap: int = 8) -> HomotopyResult:
     """Find a grade-q vector field X with [pi_lin, X] = Z (exact), or certify failure."""
-    _check_base_degree_cap(base_degree_cap)
+    base_degree_cap = _as_int(base_degree_cap, "base_degree_cap", 0)
     if Z.value.is_zero():
         zero = GradedPiece(Z.l, PolyMVF.zero(pi_lin.nvars, 1, pi_lin.weights))
         return HomotopyResult("solved", zero, None, None)
@@ -269,7 +269,8 @@ def mc_equivalence(gamma: FilteredJet, gamma_p: FilteredJet, D: int,
     returned X (and the CLI output) would change.  With the pruned Dynkin
     sum, bch(X_k, X_total) costs at most one bracket once o(X_k) >= 2.
     """
-    _check_base_degree_cap(base_degree_cap)
+    base_degree_cap = _as_int(base_degree_cap, "base_degree_cap", 0)
+    D = _as_int(D, "jet order D", 0)
     gamma = _as_jet(gamma, D)
     gamma_p = _as_jet(gamma_p, D)
     _check_mc(gamma, "gamma")
@@ -324,9 +325,8 @@ def prolong_step(pi_partial: FilteredJet, m: int, base_degree_cap: int = 8) -> P
     The correction may span several dilation grades when weighted variables
     spread pi itself over several grades.
     """
-    _check_base_degree_cap(base_degree_cap)
-    if m < 0:
-        raise ValueError(f"grade m must be >= 0, got {m}")
+    base_degree_cap = _as_int(base_degree_cap, "base_degree_cap", 0)
+    m = _as_int(m, "grade m", 0)
     pi = pi_partial.value if isinstance(pi_partial, FilteredJet) else pi_partial
     if pi.grade != 2:
         raise ValueError("expected a bivector")

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .polyalg import Poly, _as_int, exact_rank
+from .polyalg import Poly, _as_int, _matrix_entry, exact_rank
 from .multivector import PolyMVF, schouten
 
 if TYPE_CHECKING:  # annotations only: NumPy is imported where floats are computed
@@ -41,34 +41,26 @@ __all__ = [
 # Specs
 # ---------------------------------------------------------------------------
 
-def _json_rational(obj: dict, key: str) -> Fraction:
-    v = obj[key]
-    if isinstance(v, str):
-        try:
-            return Fraction(v)
-        except ValueError:
-            pass
-    elif isinstance(v, int) and not isinstance(v, bool):
-        return Fraction(v)
-    raise ValueError(f"{key!r} must be an integer or a rational string, got {v!r}")
-
-
 @dataclass
 class LieAlgebraSpec:
     """Bracket table [e_i, e_j] = sum_k C[(i,j,k)] e_k (1-based, sparse).
 
-    Each key is a triple of ints, 1 <= i < j <= dim and 1 <= k <= dim, or the
-    table is refused; the Jacobi identity is the verdict of ``validate``.
+    ``dim`` is an integer >= 1 (``_as_int``).  Each key is a triple of ints,
+    1 <= i < j <= dim and 1 <= k <= dim, and each value an int, a
+    ``Fraction`` or a rational string, stored as a ``Fraction``; anything
+    else is refused.  The Jacobi identity is the verdict of ``validate``.
     """
 
     dim: int
     C: dict = field(default_factory=dict)  # (i,j,k) -> Fraction, stored for i<j
 
     def __post_init__(self):
+        self.dim = _as_int(self.dim, "dim", 1)
         for key in self.C:
             if not (type(key) is tuple and len(key) == 3 and all(type(x) is int for x in key)
                     and 1 <= key[0] < key[1] <= self.dim and 1 <= key[2] <= self.dim):
                 raise ValueError(f"bad structure-constant key {key}")
+        self.C = {key: _matrix_entry(v, f"structure constant {key}") for key, v in self.C.items()}
 
     def c(self, i: int, j: int, k: int) -> Fraction:
         if i == j:
@@ -98,7 +90,11 @@ class LieAlgebraSpec:
         C: dict = {}
         for e in obj.get("C", []):
             i, j, k = (_as_int(e[key], key) for key in "ijk")
-            v = _json_rational(e, "value")
+            try:
+                v = _matrix_entry(e["value"])
+            except ValueError:  # a string that is not a rational, too
+                raise ValueError(f"'value' must be an integer or a rational string, "
+                                 f"got {e['value']!r}") from None
             if not (1 <= i <= dim and 1 <= j <= dim and 1 <= k <= dim):
                 raise ValueError(f"structure-constant index out of range: {e}")
             if i == j:
@@ -277,6 +273,7 @@ def coadjoint_invariance_check(spec: LieAlgebraSpec, f: Poly, trials: int,
     n = spec.dim
     if f.nvars != n:
         raise ValueError("polynomial variable count must match the algebra dimension")
+    trials, seed = _as_int(trials, "trials", 1), _as_int(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     worst = 0.0
     # (ad*_X xi)_k = <xi, [X, e_k]> = sum_{j,m} X_j C^m_{jk} xi_m

@@ -44,12 +44,13 @@ i - 1, and read each sign off bit counts (``_merge_sign``).
 As in ``polyalg``, data is validated where it enters: the public
 ``PolyMVF(...)`` constructor and ``PolyMVF.from_json_obj`` check leg tuples,
 weights and coefficient variable counts, and refuse a non-integer or
-``bool`` ``nvars``, ``grade``, weight or leg rather than round it.  Fields
-that the operations here build from valid fields are wrapped by
-``PolyMVF._raw`` without re-checking; it trusts that every key is a
-strictly increasing tuple of ``grade`` legs in 1..nvars, every value a
-nonzero ``Poly`` in ``nvars`` variables, and
-``weights`` a tuple in {0,1}^nvars.
+``bool`` ``nvars``, ``grade``, weight or leg rather than round it, as
+``schouten``, ``truncate_jet`` and ``GradedPiece`` refuse such a jet order
+or grade.  Fields that the operations here build from valid fields are
+wrapped by ``PolyMVF._raw`` without re-checking; it trusts that every key
+is a strictly increasing tuple of ``grade`` legs in 1..nvars, every value
+a nonzero ``Poly`` in ``nvars`` variables, and ``weights`` a tuple in
+{0,1}^nvars.
 """
 
 from __future__ import annotations
@@ -310,9 +311,9 @@ class GradedPiece:
     __slots__ = ("l", "value")
 
     def __init__(self, l: int, value: PolyMVF):
-        if value._grades() - {l}:
-            raise ValueError(f"value is not homogeneous of grade {l}")
-        self.l = int(l)
+        self.l = _as_int(l, "grade l", 0)
+        if value._grades() - {self.l}:
+            raise ValueError(f"value is not homogeneous of grade {self.l}")
         self.value = value
 
     def __eq__(self, other):
@@ -358,9 +359,7 @@ def schouten(W: PolyMVF, V: PolyMVF, max_grade: int | None = None) -> PolyMVF:
     g + h - 1 > max_grade is skipped before it is multiplied.
     """
     W._check(V)
-    if max_grade is not None and max_grade < 0:
-        raise ValueError("jet order must be nonnegative")
-    return _schouten(W, V, max_grade)
+    return _schouten(W, V, max_grade if max_grade is None else _as_int(max_grade, "max_grade", 0))
 
 
 # ---------------------------------------------------------------------------
@@ -504,6 +503,5 @@ def dilate(W: PolyMVF, t) -> PolyMVF:
 
 def truncate_jet(W: PolyMVF, k: int) -> PolyMVF:
     """Drop all graded pieces of grade > k (the k-th order jet)."""
-    if k < 0:
-        raise ValueError("jet order must be nonnegative")
+    k = _as_int(k, "jet order k", 0)
     return _by_grade(W, lambda g, c: c if g <= k else 0)

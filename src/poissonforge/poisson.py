@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .polyalg import Poly, _add_term, _as_fraction, exact_rank, solve_linear_exact
+from .polyalg import Poly, _add_term, _as_fraction, _as_int, exact_rank, solve_linear_exact
 from .multivector import (PolyMVF, _integer_terms, _schouten_sums, dilate, grade_component,
                           schouten)
 
@@ -103,11 +103,6 @@ def poisson_bracket(pi: PolyMVF, f: Poly, g: Poly) -> Poly:
 # The operator [pi, .] on graded monomial bases
 # ---------------------------------------------------------------------------
 
-def _check_base_degree_cap(base_degree_cap: int):
-    if base_degree_cap < 0:
-        raise ValueError(f"base_degree_cap must be >= 0, got {base_degree_cap}")
-
-
 # The largest basis graded_basis builds.  The exact solver's time grows about
 # as the square of the basis size: the largest su(3) solve it admits, the
 # 2518 x 2016 bracket rows of cohomology at (grade, k) = (2, 3), takes 0.65 s
@@ -122,6 +117,7 @@ def basis_size(n: int, k: int, l: int, weights, base_degree_cap: int = 0) -> int
     base and ``nf`` fiber variables, a basis element with ``j`` base legs has
     fiber degree ``l - j`` and free base exponents in ``0..base_degree_cap``.
     """
+    n, k, l, base_degree_cap = _basis_args(n, k, l, base_degree_cap)
     nb = sum(1 for w in weights if w == 0)
     nf = n - nb
     total = 0
@@ -129,6 +125,12 @@ def basis_size(n: int, k: int, l: int, weights, base_degree_cap: int = 0) -> int
         fiber = math.comb(nf + l - j - 1, l - j) if nf else int(l == j)
         total += math.comb(nb, j) * math.comb(nf, k - j) * fiber
     return total * (base_degree_cap + 1) ** nb
+
+
+def _basis_args(n, k, l, base_degree_cap) -> tuple:
+    """The integer arguments of ``basis_size`` and ``graded_basis``, each read by ``_as_int``."""
+    return (_as_int(n, "n", 0), _as_int(k, "k", 0), _as_int(l, "grade l", 0),
+            _as_int(base_degree_cap, "base_degree_cap", 0))
 
 
 def graded_basis(n: int, k: int, l: int, weights, base_degree_cap: int = 0) -> list:
@@ -141,7 +143,7 @@ def graded_basis(n: int, k: int, l: int, weights, base_degree_cap: int = 0) -> l
     fixed column order, so gauge fields depend on this order.  A basis of
     more than ``MAX_BASIS`` elements raises ``ValueError`` before it is built.
     """
-    _check_base_degree_cap(base_degree_cap)
+    n, k, l, base_degree_cap = _basis_args(n, k, l, base_degree_cap)
     size = basis_size(n, k, l, weights, base_degree_cap)
     if size > MAX_BASIS:
         raise ValueError(f"the grade-{l} basis of {k}-vectors in {n} variables has {size} "
@@ -182,13 +184,17 @@ def bracket_rows(pi: PolyMVF, basis) -> tuple[int, dict]:
     return _bracket_rows(pi, basis, True)
 
 
-def _bracket_rows(pi: PolyMVF, basis, keyed: bool):
-    """``bracket_rows``, or with ``keyed`` false only its rows' values, in order."""
+def _bracket_rows(pi: PolyMVF, basis, keyed: bool, max_grade: int | None = None):
+    """``bracket_rows``, or with ``keyed`` false only its rows' values, in order.
+
+    With ``max_grade`` set, only the rows of grade at most ``max_grade`` are
+    formed: the kernel skips every pair whose bracket lies above it.
+    """
     den, pi_terms = _integer_terms(pi)
     monos: dict[tuple, list] = {}
     for col, (legs, exps) in enumerate(basis):
         monos.setdefault(legs, []).append((exps, 1, col))
-    return den, _schouten_sums(pi_terms, list(monos.items()), pi.weights, None, keyed)
+    return den, _schouten_sums(pi_terms, list(monos.items()), pi.weights, max_grade, keyed)
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +203,7 @@ def _bracket_rows(pi: PolyMVF, basis, keyed: bool):
 
 def casimir_basis(pi: PolyMVF, D: int) -> list[Poly]:
     """Rational basis of {f : deg f <= D, pi#(df) = 0}, found per degree."""
-    if D < 0:
-        raise ValueError(f"max degree D must be >= 0, got {D}")
+    D = _as_int(D, "max degree D", 0)
     chk = check_poisson(pi)
     if not chk.is_poisson:
         raise ValueError("bivector is not Poisson; Casimirs undefined")
@@ -240,8 +245,7 @@ class CohomologyTable:
 
 def cohomology_dims(pi_lin: PolyMVF, l: int, kmax: int) -> CohomologyTable:
     """Dims/ranks/betti of d = [pi_lin, .] on grade-l homogeneous k-vectors."""
-    if l < 0 or kmax < 0:
-        raise ValueError(f"grade l and max degree kmax must be >= 0, got {l} and {kmax}")
+    l, kmax = _as_int(l, "grade l", 0), _as_int(kmax, "max degree kmax", 0)
     if pi_lin.grade != 2:
         raise ValueError("expected a bivector")
     if pi_lin._grades() - {1}:

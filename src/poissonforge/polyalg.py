@@ -26,11 +26,12 @@ Data is validated where it enters and trusted inside.  The public
 ``Poly(nvars, terms)``, the ``zero``/``constant``/``variable``/``monomial``
 constructors and ``parse_poly`` refuse what they would have to reinterpret:
 ``nvars``, an exponent or an index must be an integer (``_as_int``), a
-coefficient exact (``_as_fraction``), and neither a ``bool``.  Results the
-kernel builds from polynomials that already passed those checks (sums,
-products, derivatives, graded pieces) are wrapped by ``Poly._raw`` without
-re-checking; ``_add_term`` is the one accumulator that
-keeps stored coefficients nonzero.
+coefficient exact (``_as_fraction``), and neither a ``bool``.  Every
+integer argument of the package, a grade, order, degree or count, is read
+by ``_as_int`` too.  Results the kernel builds from polynomials that
+already passed those checks (sums, products, derivatives, graded pieces)
+are wrapped by ``Poly._raw`` without re-checking; ``_add_term`` is the one
+accumulator that keeps stored coefficients nonzero.
 """
 
 from __future__ import annotations
@@ -220,8 +221,7 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power")
+        n = _as_int(n, "power", 0)
         result = Poly.constant(self.nvars, 1)
         base = self
         while n:
@@ -246,7 +246,7 @@ class Poly:
 
     def diff(self, index: int) -> "Poly":
         """Partial derivative with respect to ``x_index`` (1-based)."""
-        if not 1 <= index <= self.nvars:
+        if not 1 <= (index := _as_int(index, "index")) <= self.nvars:
             raise ValueError(f"variable index {index} outside 1..{self.nvars}")
         i = index - 1
         terms = {}
@@ -432,11 +432,12 @@ def _to_sparse_rows(A, ncols=None):
     return rows, ncols
 
 
-def _matrix_entry(v) -> Fraction:
-    """A matrix entry that is not an ``int`` as a ``Fraction``, or ``ValueError``."""
+def _matrix_entry(v, name: str = "matrix entry") -> Fraction:
+    """An ``int``, ``Fraction`` or rational string as a ``Fraction``; anything
+    else, a ``bool`` or a ``float`` among them, raises ``ValueError`` naming it."""
     if isinstance(v, (int, Fraction, str)) and not isinstance(v, bool):
         return _as_fraction(v)
-    raise ValueError(f"matrix entry {v!r} is not an exact rational")
+    raise ValueError(f"{name} {v!r} is not an exact rational")
 
 
 # -- the certified modular path ----------------------------------------------
@@ -668,7 +669,7 @@ def solve_linear_exact(A, b, ncols: int | None = None) -> SolveOutcome:
     ``[[A^T, 0], [b^T, -1]]``: the kernel vector ``(w, 1)`` of its last
     column has ``w A = 0`` and ``w . b = 1``.
     """
-    rows, ncols = _to_sparse_rows(A, ncols)
+    rows, ncols = _to_sparse_rows(A, ncols if ncols is None else _as_int(ncols, "ncols", 0))
     b = [v if type(v) is int else _matrix_entry(v) for v in b]
     if len(b) != len(rows):
         raise ValueError(f"dimension mismatch: {len(rows)} rows vs {len(b)} rhs entries")
@@ -692,5 +693,5 @@ def solve_linear_exact(A, b, ncols: int | None = None) -> SolveOutcome:
 
 def exact_rank(A, ncols: int | None = None) -> int:
     """Rank of a rational matrix: the pivot count of its RREF (``_rref``)."""
-    rows, ncols = _to_sparse_rows(A, ncols)
+    rows, ncols = _to_sparse_rows(A, ncols if ncols is None else _as_int(ncols, "ncols", 0))
     return len(_rref(rows, ncols)[0])

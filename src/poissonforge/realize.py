@@ -40,6 +40,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .multivector import PolyMVF
+from .polyalg import _as_int
 
 __all__ = [
     "SprayField",
@@ -185,8 +186,7 @@ def _flow_batch(spray: SprayField, xi: np.ndarray, t_final: float, steps: int):
 
     Returns (x, y, J, Om, blowup_time) with J the full (B, 2n, 2n) Jacobian.
     """
-    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 1:
-        raise ValueError(f"steps must be an int >= 1, got {steps!r}")
+    steps = _as_int(steps, "steps", 1)
     n = spray.n
     xi = np.asarray(xi, dtype=float)
     if xi.ndim != 2 or xi.shape[1] != 2 * n:
@@ -287,8 +287,8 @@ class RealizationReport:
 def verify_realization(pi: PolyMVF, n_samples: int, radius: float, seed: int,
                        steps: int) -> RealizationReport:
     """Check Theorem-0 properties of omega at seeded random points |xi| <= radius."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    n_samples, seed = _as_int(n_samples, "n_samples", 1), _as_int(seed, "seed", 0)
+    steps = _as_int(steps, "steps", 1)
     if not (math.isfinite(radius) and radius > 0):
         raise ValueError("radius must be finite and > 0")
     n = pi.nvars
@@ -354,12 +354,8 @@ def symplectic_area(form, grid) -> float:
     `form(phi, theta)` must accept broadcast arrays; `grid` is an int N
     (N x N nodes) or a pair (n_phi, n_theta), each at least 32.
     """
-    if isinstance(grid, int):
-        n_phi = n_theta = grid
-    else:
-        n_phi, n_theta = grid
-    if n_phi < 32 or n_theta < 32:
-        raise ValueError("grid must be at least 32 x 32")
+    n_phi, n_theta = (_as_int(g, "grid", 32)
+                      for g in (grid if isinstance(grid, (tuple, list)) else (grid, grid)))
     dphi = 2 * math.pi / n_phi
     dtheta = math.pi / n_theta
     phi = (np.arange(n_phi) + 0.5) * dphi

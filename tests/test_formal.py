@@ -18,7 +18,7 @@ from poissonforge import (PolyMVF, ad_exp, bch, formal_linearize,
 from poissonforge import formal, polyalg
 from poissonforge.formal import FilteredJet
 from poissonforge.multivector import _grade
-from poissonforge.poisson import bracket_rows
+from poissonforge.poisson import _bracket_rows, bracket_rows, graded_basis
 from poissonforge.polyalg import parse_poly
 
 from conftest import rand_homogeneous_vf, rand_mvf
@@ -328,3 +328,18 @@ def test_prolong_obstruction_certificate():
         assert not res.obstruction.value.is_zero()
         _assert_certificate(solve.call_args, res.certificate)
         assert mod_p.call_count == rref.call_count > 0
+
+
+def test_bounded_bracket_rows_are_the_filtered_rows():
+    # prolongation bounds the kernel at its grade instead of filtering the
+    # rows: monomials of grades g and h bracket into grade g + h - 1, so the
+    # bound forms exactly the rows of grade <= m and each of them in full
+    rng = random.Random(23)
+    for _ in range(400):
+        weights = tuple(rng.randint(0, 1) for _ in range(3))
+        pi = rand_mvf(rng, 3, 2).with_weights(weights)
+        basis = graded_basis(3, rng.randint(1, 2), rng.randint(1, 3), weights, 2)
+        m = rng.randint(0, 4)
+        den, rows = bracket_rows(pi, basis)
+        filtered = {key: row for key, row in rows.items() if _grade(weights, *key) <= m}
+        assert _bracket_rows(pi, basis, True, m) == (den, filtered)

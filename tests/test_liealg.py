@@ -46,6 +46,20 @@ def test_reversed_key_table_is_refused():
                            (1, 3, 2): Fraction(-1)})
 
 
+@pytest.mark.parametrize("value", [0.5, 2.0, True, None], ids=["0.5", "2.0", "True", "None"])
+def test_built_table_values_must_be_exact(value):
+    # a float once surfaced only later, in linear_poisson or killing_classify
+    with pytest.raises(ValueError, match=r"structure constant \(1, 2, 3\)"):
+        LieAlgebraSpec(3, {(1, 2, 3): value, (2, 3, 1): 1, (1, 3, 2): -1})
+
+
+def test_built_table_values_are_stored_as_fractions():
+    spec = LieAlgebraSpec(3, {(1, 2, 3): 1, (2, 3, 1): "2/2", (1, 3, 2): Fraction(-1)})
+    assert all(type(v) is Fraction for v in spec.C.values())
+    assert spec.C == preset("so3").C
+    assert killing_classify(spec) == killing_classify(preset("so3"))
+
+
 def test_validate_is_the_jacobi_check_alone():
     assert list(inspect.signature(validate).parameters) == ["spec"]
     assert [f.name for f in dataclasses.fields(LieAlgebraSpec)] == ["dim", "C"]
