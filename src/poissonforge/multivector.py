@@ -109,6 +109,15 @@ def _grade(weights: tuple, legs, exps) -> int:
     return sum(map(mul, exps, weights)) + sum(1 for i in legs if not weights[i - 1])
 
 
+def _weights(weights, n: int) -> tuple:
+    """``weights`` as a tuple of n ints, each read by ``_as_int`` and each 0 or 1,
+    else ``ValueError``."""
+    weights = tuple(_as_int(w, "weights") for w in weights)
+    if len(weights) != n or any(w not in (0, 1) for w in weights):
+        raise ValueError(f"weights must lie in {{0,1}}^{n}")
+    return weights
+
+
 class PolyMVF:
     """Polynomial multivector field on R^n with exact rational coefficients."""
 
@@ -118,11 +127,7 @@ class PolyMVF:
                  weights: Sequence[int] | None = None):
         self.nvars = _as_int(nvars, "nvars", 0)
         self.grade = _as_int(grade, "grade", 0)
-        if weights is None:
-            weights = (1,) * self.nvars
-        self.weights = tuple(_as_int(w, "weights") for w in weights)
-        if len(self.weights) != self.nvars or any(w not in (0, 1) for w in self.weights):
-            raise ValueError(f"weights must lie in {{0,1}}^{self.nvars}")
+        self.weights = (1,) * self.nvars if weights is None else _weights(weights, self.nvars)
         clean: dict[tuple, Poly] = {}
         if terms:
             for indices, poly in terms.items():

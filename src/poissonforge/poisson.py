@@ -18,9 +18,10 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .polyalg import Poly, _add_term, _as_fraction, _as_int, exact_rank, solve_linear_exact
-from .multivector import (PolyMVF, _integer_terms, _schouten_sums, dilate, grade_component,
-                          schouten)
+from .polyalg import (Poly, _add_term, _as_fraction, _as_int, _primes, _rref, _rref_mod_p,
+                      solve_linear_exact)
+from .multivector import (PolyMVF, _integer_terms, _schouten_sums, _weights, dilate,
+                          grade_component, schouten)
 
 if TYPE_CHECKING:  # annotations only: NumPy is imported where floats are computed
     import numpy as np
@@ -117,7 +118,7 @@ def basis_size(n: int, k: int, l: int, weights, base_degree_cap: int = 0) -> int
     base and ``nf`` fiber variables, a basis element with ``j`` base legs has
     fiber degree ``l - j`` and free base exponents in ``0..base_degree_cap``.
     """
-    n, k, l, base_degree_cap = _basis_args(n, k, l, base_degree_cap)
+    n, k, l, weights, base_degree_cap = _basis_args(n, k, l, weights, base_degree_cap)
     nb = sum(1 for w in weights if w == 0)
     nf = n - nb
     total = 0
@@ -127,9 +128,11 @@ def basis_size(n: int, k: int, l: int, weights, base_degree_cap: int = 0) -> int
     return total * (base_degree_cap + 1) ** nb
 
 
-def _basis_args(n, k, l, base_degree_cap) -> tuple:
-    """The integer arguments of ``basis_size`` and ``graded_basis``, each read by ``_as_int``."""
-    return (_as_int(n, "n", 0), _as_int(k, "k", 0), _as_int(l, "grade l", 0),
+def _basis_args(n, k, l, weights, base_degree_cap) -> tuple:
+    """The arguments of ``basis_size`` and ``graded_basis``: each integer read by
+    ``_as_int``, and ``weights`` by ``PolyMVF``'s rule, n entries each 0 or 1."""
+    n = _as_int(n, "n", 0)
+    return (n, _as_int(k, "k", 0), _as_int(l, "grade l", 0), _weights(weights, n),
             _as_int(base_degree_cap, "base_degree_cap", 0))
 
 
@@ -143,7 +146,7 @@ def graded_basis(n: int, k: int, l: int, weights, base_degree_cap: int = 0) -> l
     fixed column order, so gauge fields depend on this order.  A basis of
     more than ``MAX_BASIS`` elements raises ``ValueError`` before it is built.
     """
-    n, k, l, base_degree_cap = _basis_args(n, k, l, base_degree_cap)
+    n, k, l, weights, base_degree_cap = _basis_args(n, k, l, weights, base_degree_cap)
     size = basis_size(n, k, l, weights, base_degree_cap)
     if size > MAX_BASIS:
         raise ValueError(f"the grade-{l} basis of {k}-vectors in {n} variables has {size} "
@@ -244,7 +247,22 @@ class CohomologyTable:
 
 
 def cohomology_dims(pi_lin: PolyMVF, l: int, kmax: int) -> CohomologyTable:
-    """Dims/ranks/betti of d = [pi_lin, .] on grade-l homogeneous k-vectors."""
+    """Dims/ranks/betti of d = [pi_lin, .] on grade-l homogeneous k-vectors.
+
+    Each rank r_k of d_k is certified by the complex's exactness where it
+    can be.  The matrix of d_k is reduced once modulo the first prime of the
+    exact solver (``polyalg._rref_mod_p``); the rank there, low_k, is at most
+    r_k.  [pi_lin, pi_lin] = 0 is checked exactly, so d_{k+1} d_k = 0 (as
+    [pi, [pi, X]] = [[pi, pi], X] / 2): the image of d_{k-1} lies in the
+    kernel of d_k, and the image of d_k in the kernel of d_{k+1}.  Hence
+
+        r_k <= min(rows_k, dim C^k - r_{k-1}, dim C^{k+1} - low_{k+1}),
+
+    with rows_k the nonzero rows of d_k, r_{-1} = 0, and the last term used
+    only for k < kmax.  Where low_k meets this bound, r_k = low_k with no
+    lift.  Elsewhere the certified elimination (``polyalg._rref``) runs,
+    continuing from the same reduction.
+    """
     l, kmax = _as_int(l, "grade l", 0), _as_int(kmax, "max degree kmax", 0)
     if pi_lin.grade != 2:
         raise ValueError("expected a bivector")
@@ -255,14 +273,21 @@ def cohomology_dims(pi_lin: PolyMVF, l: int, kmax: int) -> CohomologyTable:
     if any(w != 1 for w in pi_lin.weights):
         # base-variable degree is unbounded in principle
         raise ValueError("cohomology_dims requires all-ones weights")
-    n = pi_lin.nvars
+    n, p = pi_lin.nvars, next(_primes())
     degrees = list(range(kmax + 1))
-    dim_cochains, rank_d = {}, {}
+    dim_cochains, rows, first = {}, {}, {}
     for k in degrees:
         basis = graded_basis(n, k, l, pi_lin.weights)
         dim_cochains[k] = len(basis)
-        rows = _bracket_rows(pi_lin, basis, False)[1]
-        rank_d[k] = exact_rank(rows, ncols=len(basis))
+        rows[k] = _bracket_rows(pi_lin, basis, False)[1]
+        first[k] = _rref_mod_p(rows[k], p)
+    rank_d = {}
+    for k in degrees:
+        low = len(first[k][0])
+        up = min(len(rows[k]), dim_cochains[k] - rank_d.get(k - 1, 0))
+        if k < kmax:
+            up = min(up, dim_cochains[k + 1] - len(first[k + 1][0]))
+        rank_d[k] = low if low == up else len(_rref(rows[k], dim_cochains[k], first[k])[0])
     betti = {}
     for k in degrees:
         dim_ker = dim_cochains[k] - rank_d[k]

@@ -590,7 +590,7 @@ def _check_exact(rows: list, ncols: int, piv: list, lifted: list) -> bool:
     return True
 
 
-def _rref(rows: list, ncols: int):
+def _rref(rows: list, ncols: int, first=None):
     """The RREF of the sparse rational matrix ``rows`` with ``ncols`` columns.
 
     Returns ``(piv, free, entries)``: the pivot and the free columns as
@@ -598,6 +598,11 @@ def _rref(rows: list, ncols: int):
     RREF kernel basis: the kernel vector of free column ``free[c]`` has 1
     there, ``v`` at pivot column ``p`` and 0 elsewhere.  The entries are
     built only when iterated, so a rank builds no Fraction.
+
+    ``first``, when given, is ``_rref_mod_p(rows, p)`` of integer ``rows``
+    at the first prime ``p`` of ``_primes()``, already computed: the loop
+    starts from it instead of reducing the matrix again (its tails are
+    updated in place).
     """
     if set(map(type, itertools.chain.from_iterable(map(dict.values, rows)))) - {int}:
         rows = [_integer_row(row) for row in rows]
@@ -618,7 +623,8 @@ def _rref(rows: list, ncols: int):
     # into the residues is a power of two keeps this: a lift still comes once
     # their product passes 2 H^2, after at most twice as many primes.
     for p in _primes():
-        piv, tails = _rref_mod_p(rows, p)
+        piv, tails = _rref_mod_p(rows, p) if first is None else first
+        first = None
         if best is None or len(piv) > len(best) or (len(piv) == len(best) and piv < best):
             best, residues, m, folded = piv, tails, p, 1
         elif piv == best:

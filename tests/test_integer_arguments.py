@@ -102,6 +102,23 @@ def test_integer_parameters_refuse_what_they_would_coerce(name, call, good, null
         call(None)
 
 
+@pytest.mark.parametrize("call", [basis_size, graded_basis], ids=["basis_size", "graded_basis"])
+@pytest.mark.parametrize("weights", [[2, 2], [1], [1, 1, 1], [True, 1], [1.0, 1]],
+                         ids=["two", "short", "long", "bool", "float"])
+def test_basis_weights_are_read_as_polymvf_reads_them(call, weights):
+    # once unchecked: basis_size(2, 1, 1, [2, 2]) was 4 while graded_basis
+    # built no element, and graded_basis(2, 1, 1, [1]) raised IndexError
+    with pytest.raises(ValueError, match="weights"):
+        call(2, 1, 1, weights)
+    with pytest.raises(ValueError, match="weights"):
+        PolyMVF(2, 1, weights=weights)
+
+
+def test_basis_weights_take_integer_entries():
+    weights = (np.int64(0), np.int64(1))
+    assert basis_size(2, 1, 1, weights) == len(graded_basis(2, 1, 1, weights)) == 2
+
+
 def test_integer_results_are_ints():
     # what is read is stored as an int, not as the NumPy integer given
     assert type(GradedPiece(np.int64(2), PolyMVF.zero(2, 1)).l) is int

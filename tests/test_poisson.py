@@ -1,7 +1,11 @@
 """Poisson-specific operations: checks, Casimirs, cohomology, gauge, rescale."""
 
+import importlib.util
 import itertools
+import json
+import os
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -13,10 +17,10 @@ from poissonforge import (PolyMVF, ad_exp, casimir_basis, check_poisson,
                           cohomology_dims, conn_rescale, formal_linearize,
                           gauge_pointwise, hamiltonian_vf, linear_poisson,
                           poisson_bracket, preset, schouten, sharp)
-from poissonforge import poisson
+from poissonforge import poisson, polyalg
 from poissonforge.poisson import GaugeSingularError, basis_size, bracket_rows, graded_basis
 from poissonforge.liealg import LieAlgebraSpec
-from poissonforge.polyalg import Poly, parse_poly
+from poissonforge.polyalg import Poly, exact_rank, parse_poly
 
 from conftest import rand_mvf, rand_poly
 
@@ -200,6 +204,104 @@ class TestCohomology:
         obj = cohomology_dims(pi_so3, 2, 1).to_json_obj()
         assert obj["grade"] == 2
         assert obj["rows"][0] == {"k": 0, "dim": 6, "rank": 5, "betti": 1}
+
+
+_FIRST_PRIME = 2**31 - 1
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """Counts of kernel lifts and of reductions at the exact solver's first prime."""
+    counts = {"lifts": 0, "first_prime": 0}
+    lift_tails, rref_mod_p = polyalg._lift_tails, polyalg._rref_mod_p
+
+    def counted_lift_tails(*args):
+        counts["lifts"] += 1
+        return lift_tails(*args)
+
+    def counted_rref_mod_p(rows, p):
+        counts["first_prime"] += p == _FIRST_PRIME
+        return rref_mod_p(rows, p)
+
+    monkeypatch.setattr(polyalg, "_lift_tails", counted_lift_tails)
+    for module in (polyalg, poisson):
+        monkeypatch.setattr(module, "_rref_mod_p", counted_rref_mod_p)
+    return counts
+
+
+def _certified_table(counts, pi, l, kmax):
+    """``cohomology_dims(pi, l, kmax)``, its ranks checked against ``exact_rank``
+    of the same rows, and the number of lifts it took.  No matrix is reduced
+    at the first prime twice."""
+    counts.update(lifts=0, first_prime=0)
+    table = cohomology_dims(pi, l, kmax)
+    lifts, first_prime = counts["lifts"], counts["first_prime"]
+    assert first_prime <= kmax + 1
+    for k in range(kmax + 1):
+        basis = graded_basis(pi.nvars, k, l, pi.weights)
+        rows = list(bracket_rows(pi, basis)[1].values())
+        assert table.rank_d[k] == exact_rank(rows, ncols=len(basis)), (l, k)
+    return table, lifts
+
+
+def _ranks_workload_cohomology(workdir, monkeypatch):
+    """(case id, pi, grade, kmax) of each cohomology case of the ranks benchmark, seeds 1-3."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks itself up
+    spec.loader.exec_module(workloads)
+    out = []
+    for seed in (1, 2, 3):
+        for case in workloads.ranks_cases(seed, workdir):
+            verb, table_path, _, grade, _, kmax = case.argv[:6]
+            if verb == "cohomology":
+                with open(table_path, encoding="utf-8") as fh:
+                    pi = linear_poisson(LieAlgebraSpec.from_json_obj(json.load(fh)))
+                out.append((case.id, pi, int(grade), int(kmax)))
+    return out
+
+
+class TestCohomologyCertificate:
+    """Ranks certified by the complex's exactness, and the fallback where that fails."""
+
+    def test_ranks_workload_needs_no_lift(self, eliminations, tmp_path, monkeypatch):
+        # semisimple algebras: H(g*) = H(g) (x) Cas, so every bound is tight
+        cases = _ranks_workload_cohomology(str(tmp_path), monkeypatch)
+        assert len(cases) == 60  # 20 per seed, beside one Casimir case
+        for case_id, pi, l, kmax in cases:
+            _, lifts = _certified_table(eliminations, pi, l, kmax)
+            assert lifts == 0, case_id
+
+    @pytest.mark.parametrize("spec, grades, trivial_betti, lifted", [
+        # Heisenberg: dim H^k(h_{2m+1}) = C(2m, k) - C(2m, k - 2) for k <= m,
+        # and Poincare duality above (Santharoubane, Canad. J. Math. 1983)
+        (LieAlgebraSpec(3, {(1, 2, 3): 1}), range(4), [1, 2, 2, 1], True),
+        (LieAlgebraSpec(5, {(1, 3, 5): 1, (2, 4, 5): 1}), range(3), [1, 4, 5, 5, 4, 1], True),
+        # the affine algebra [e1, e2] = e2: H^1 = g / [g, g], and S(g)-valued
+        # cohomology vanishes above grade 0, so its bounds are tight
+        (LieAlgebraSpec(2, {(1, 2, 2): 1}), range(4), [1, 1, 0], False),
+        # the zero bracket: d = 0 has no rows
+        (LieAlgebraSpec(3, {}), range(4), [1, 3, 3, 1], False),
+    ], ids=["heisenberg3", "heisenberg5", "affine2", "zero"])
+    def test_non_semisimple_tables(self, eliminations, spec, grades, trivial_betti, lifted):
+        pi = linear_poisson(spec)
+        total_lifts = 0
+        for l in grades:
+            table, lifts = _certified_table(eliminations, pi, l, spec.dim)
+            total_lifts += lifts
+            if l == 0:
+                assert list(table.betti.values()) == trivial_betti
+        assert (total_lifts > 0) == lifted
+
+    def test_rows_zero_at_the_first_prime(self, eliminations):
+        # so(3) times the first prime: every row is 0 there, so each rank
+        # with a nonzero row must come from the fallback, at later primes
+        scaled = LieAlgebraSpec(3, {key: v * _FIRST_PRIME for key, v in preset("so3").C.items()})
+        for l in range(4):
+            table, lifts = _certified_table(eliminations, linear_poisson(scaled), l, 3)
+            assert lifts > 0
+            assert table == cohomology_dims(linear_poisson(preset("so3")), l, 3)
 
 
 # (n, k, l, weights, base_degree_cap)
