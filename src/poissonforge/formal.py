@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polyalg import Poly, _as_int, solve_linear_exact
+from .polyalg import Poly, _as_int, _Rows, solve_linear_exact
 from .multivector import GradedPiece, PolyMVF, _grade, grade_component, schouten, truncate_jet
 from .poisson import _bracket_rows, check_poisson, graded_basis
 
@@ -184,7 +184,7 @@ def _solve_bracket_equation(pi: PolyMVF, rhs: PolyMVF, unknown_basis,
     for lg, poly in rhs.terms.items():
         keys.update((lg, e) for e in poly.terms)
     keys = sorted(keys)
-    A = [rows.get(key, {}) for key in keys]
+    A = _Rows(rows.get(key, {}) for key in keys)
     b_vec = []
     for lg, e in keys:
         poly = rhs.terms.get(lg)

@@ -211,7 +211,7 @@ def preset(name: str) -> LieAlgebraSpec:
     if name not in _PRESETS:
         raise ValueError(f"unknown preset {name!r}")
     dim, table = _PRESETS[name]
-    return LieAlgebraSpec(dim, {key: Fraction(v) for key, v in table.items()})
+    return LieAlgebraSpec(dim, table)
 
 
 # ---------------------------------------------------------------------------

@@ -291,7 +291,7 @@ class PolyMVF:
             raise ValueError("need exactly one function per degree")
         U = self
         for f in funcs:
-            U = _schouten(U, PolyMVF.from_function(f, self.weights))
+            U = schouten(U, PolyMVF.from_function(f, self.weights))
             if U.grade % 2:
                 U = -U
         return U.terms.get((), Poly.zero(self.nvars))
@@ -364,7 +364,17 @@ def schouten(W: PolyMVF, V: PolyMVF, max_grade: int | None = None) -> PolyMVF:
     g + h - 1 > max_grade is skipped before it is multiplied.
     """
     W._check(V)
-    return _schouten(W, V, max_grade if max_grade is None else _as_int(max_grade, "max_grade", 0))
+    max_grade = max_grade if max_grade is None else _as_int(max_grade, "max_grade", 0)
+    den_w, w_terms = _integer_terms(W)
+    den_v, v_terms = _integer_terms(V)
+    sums = _schouten_sums(w_terms, v_terms, W.weights, max_grade)
+    den = den_w * den_v
+    terms: dict[tuple, dict] = {}
+    for (legs, exps), tagged in sums.items():
+        terms.setdefault(legs, {})[exps] = (Fraction(tagged[0], den) if den != 1
+                                            else Fraction(tagged[0]))
+    return PolyMVF._raw(W.nvars, max(W.grade + V.grade - 1, 0),
+                        {legs: Poly._raw(W.nvars, t) for legs, t in terms.items()}, W.weights)
 
 
 # ---------------------------------------------------------------------------
@@ -461,20 +471,6 @@ def _schouten_sums(W: list, V: list, weights: tuple, max_grade, keyed=True):
     field, shifts = (1 << width) - 1, range(0, low, width)
     return {(legs[key >> low], tuple((key >> s) & field for s in shifts)): tagged
             for key, tagged in grouped.items()}
-
-
-def _schouten(W: PolyMVF, V: PolyMVF, max_grade: int | None = None) -> PolyMVF:
-    """The bracket of ``schouten``, without the argument checks."""
-    den_w, w_terms = _integer_terms(W)
-    den_v, v_terms = _integer_terms(V)
-    sums = _schouten_sums(w_terms, v_terms, W.weights, max_grade)
-    den = den_w * den_v
-    terms: dict[tuple, dict] = {}
-    for (legs, exps), tagged in sums.items():
-        terms.setdefault(legs, {})[exps] = (Fraction(tagged[0], den) if den != 1
-                                            else Fraction(tagged[0]))
-    return PolyMVF._raw(W.nvars, max(W.grade + V.grade - 1, 0),
-                        {legs: Poly._raw(W.nvars, t) for legs, t in terms.items()}, W.weights)
 
 
 def _by_grade(W: PolyMVF, scale) -> PolyMVF:

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .polyalg import (Poly, _add_term, _as_fraction, _as_int, _primes, _rref, _rref_mod_p,
+from .polyalg import (Poly, _add_term, _as_fraction, _as_int, _complex_ranks, _Rows,
                       solve_linear_exact)
 from .multivector import (PolyMVF, _integer_terms, _schouten_sums, _weights, dilate,
                           grade_component, schouten)
@@ -216,7 +216,7 @@ def casimir_basis(pi: PolyMVF, D: int) -> list[Poly]:
         # [pi, f] = -pi#(df); descending-lex columns fix the published
         # normalisation of each RREF kernel vector
         monos = graded_basis(n, 0, d, [1] * n)[::-1]
-        A = _bracket_rows(pi, monos, False)[1]
+        A = _Rows(_bracket_rows(pi, monos, False)[1])
         out = solve_linear_exact(A, [0] * len(A), ncols=len(monos))
         for vec in out.kernel_basis:
             terms = {m: v for (_, m), v in zip(monos, vec) if v != 0}
@@ -249,19 +249,9 @@ class CohomologyTable:
 def cohomology_dims(pi_lin: PolyMVF, l: int, kmax: int) -> CohomologyTable:
     """Dims/ranks/betti of d = [pi_lin, .] on grade-l homogeneous k-vectors.
 
-    Each rank r_k of d_k is certified by the complex's exactness where it
-    can be.  The matrix of d_k is reduced once modulo the first prime of the
-    exact solver (``polyalg._rref_mod_p``); the rank there, low_k, is at most
-    r_k.  [pi_lin, pi_lin] = 0 is checked exactly, so d_{k+1} d_k = 0 (as
-    [pi, [pi, X]] = [[pi, pi], X] / 2): the image of d_{k-1} lies in the
-    kernel of d_k, and the image of d_k in the kernel of d_{k+1}.  Hence
-
-        r_k <= min(rows_k, dim C^k - r_{k-1}, dim C^{k+1} - low_{k+1}),
-
-    with rows_k the nonzero rows of d_k, r_{-1} = 0, and the last term used
-    only for k < kmax.  Where low_k meets this bound, r_k = low_k with no
-    lift.  Elsewhere the certified elimination (``polyalg._rref``) runs,
-    continuing from the same reduction.
+    [pi_lin, pi_lin] = 0 is checked exactly, so d_{k+1} d_k = 0 (as
+    [pi, [pi, X]] = [[pi, pi], X] / 2), and the ranks are certified by the
+    complex's exactness where it can be (``polyalg._complex_ranks``).
     """
     l, kmax = _as_int(l, "grade l", 0), _as_int(kmax, "max degree kmax", 0)
     if pi_lin.grade != 2:
@@ -273,26 +263,12 @@ def cohomology_dims(pi_lin: PolyMVF, l: int, kmax: int) -> CohomologyTable:
     if any(w != 1 for w in pi_lin.weights):
         # base-variable degree is unbounded in principle
         raise ValueError("cohomology_dims requires all-ones weights")
-    n, p = pi_lin.nvars, next(_primes())
     degrees = list(range(kmax + 1))
-    dim_cochains, rows, first = {}, {}, {}
-    for k in degrees:
-        basis = graded_basis(n, k, l, pi_lin.weights)
-        dim_cochains[k] = len(basis)
-        rows[k] = _bracket_rows(pi_lin, basis, False)[1]
-        first[k] = _rref_mod_p(rows[k], p)
-    rank_d = {}
-    for k in degrees:
-        low = len(first[k][0])
-        up = min(len(rows[k]), dim_cochains[k] - rank_d.get(k - 1, 0))
-        if k < kmax:
-            up = min(up, dim_cochains[k + 1] - len(first[k + 1][0]))
-        rank_d[k] = low if low == up else len(_rref(rows[k], dim_cochains[k], first[k])[0])
-    betti = {}
-    for k in degrees:
-        dim_ker = dim_cochains[k] - rank_d[k]
-        incoming = rank_d.get(k - 1, 0) if k > 0 else 0
-        betti[k] = dim_ker - incoming
+    bases = [graded_basis(pi_lin.nvars, k, l, pi_lin.weights) for k in degrees]
+    dims = [len(basis) for basis in bases]
+    ranks = _complex_ranks([_bracket_rows(pi_lin, basis, False)[1] for basis in bases], dims)
+    dim_cochains, rank_d = dict(zip(degrees, dims)), dict(zip(degrees, ranks))
+    betti = {k: dim_cochains[k] - rank_d[k] - rank_d.get(k - 1, 0) for k in degrees}
     return CohomologyTable(l, degrees, dim_cochains, rank_d, betti)
 
 

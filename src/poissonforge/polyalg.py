@@ -18,9 +18,10 @@ for every kernel vector, certifies the lift; until it passes, the next
 prime is taken.  A solve reduces ``M = [A | b]``, so the same certificate
 covers feasibility, infeasibility and the witness.  All of it runs in
 Python ints, so no entry is too large for it.  Matrix entries may be
-``int``s or ``Fraction``s: integer rows, such as the bracket rows of
-``poisson``, are checked in bulk and reach the elimination without a
-per-row walk: denominators are cleared only when some entry is not an int.
+``int``s or ``Fraction``s; denominators are cleared only when some entry
+is not an int.  The ranks of a complex, whose matrices compose to zero,
+are certified by its exactness where that suffices (``_complex_ranks``),
+and by ``_rref`` where it does not.
 
 Data is validated where it enters and trusted inside.  The public
 ``Poly(nvars, terms)``, the ``zero``/``constant``/``variable``/``monomial``
@@ -31,7 +32,8 @@ integer argument of the package, a grade, order, degree or count, is read
 by ``_as_int`` too.  Results the kernel builds from polynomials that
 already passed those checks (sums, products, derivatives, graded pieces)
 are wrapped by ``Poly._raw`` without re-checking; ``_add_term`` is the one
-accumulator that keeps stored coefficients nonzero.
+accumulator that keeps stored coefficients nonzero.  A matrix is checked
+row by row (``_to_sparse_rows``), except a ``_Rows`` the package built.
 """
 
 from __future__ import annotations
@@ -386,6 +388,11 @@ class SolveOutcome:
         return self.status == "feasible"
 
 
+class _Rows(list):
+    """Sparse rows the package builds itself: dicts of nonzero ``int``s at ``int``
+    keys in ``0..ncols-1``, which ``_to_sparse_rows`` copies unchecked."""
+
+
 def _to_sparse_rows(A, ncols=None):
     """``A`` as sparse rows of nonzero exact entries, and its column count.
 
@@ -397,18 +404,11 @@ def _to_sparse_rows(A, ncols=None):
     the first dense row).  A sparse row's keys must be ints in
     ``0..ncols-1`` (with ``ncols`` None, any int >= 0, and the count is one
     past the largest); a ``bool`` is not a key.  Anything else raises
-    ``ValueError``.
-    A matrix of dict rows of nonzero ``int``s at ``int`` keys is checked in
-    bulk and copied; any other goes row by row.
+    ``ValueError``.  ``_Rows`` with ``ncols`` given are trusted: their rows
+    are copied, so a solve never changes its caller's dicts.
     """
-    A = list(A)
-    if set(map(type, A)) == {dict}:
-        keys = list(itertools.chain.from_iterable(A))
-        values = list(itertools.chain.from_iterable(map(dict.values, A)))
-        if set(map(type, keys)) | set(map(type, values)) <= {int} and all(values):
-            top = max(keys, default=-1) + 1
-            if min(keys, default=0) >= 0 and (ncols is None or top <= ncols):
-                return list(map(dict, A)), top if ncols is None else ncols
+    if type(A) is _Rows and ncols is not None:
+        return list(map(dict, A)), ncols
     rows, top = [], 0
     for row in A:
         if isinstance(row, dict):
@@ -599,10 +599,10 @@ def _rref(rows: list, ncols: int, first=None):
     there, ``v`` at pivot column ``p`` and 0 elsewhere.  The entries are
     built only when iterated, so a rank builds no Fraction.
 
-    ``first``, when given, is ``_rref_mod_p(rows, p)`` of integer ``rows``
-    at the first prime ``p`` of ``_primes()``, already computed: the loop
-    starts from it instead of reducing the matrix again (its tails are
-    updated in place).
+    ``first``, passed only by ``_complex_ranks``, is ``_rref_mod_p(rows, p)``
+    of integer ``rows`` at the first prime ``p`` of ``_primes()``, already
+    computed: the loop starts from it instead of reducing the matrix again
+    (its tails are updated in place).
     """
     if set(map(type, itertools.chain.from_iterable(map(dict.values, rows)))) - {int}:
         rows = [_integer_row(row) for row in rows]
@@ -645,6 +645,31 @@ def _rref(rows: list, ncols: int, first=None):
     free = sorted(set(range(ncols)).difference(best))
     index = {f: c for c, f in enumerate(free)}
     return best, free, ((p, index[f], Fraction(num, den)) for p, f, num, den in lifted)
+
+
+def _complex_ranks(mats: list, ncols: list) -> list:
+    """The ranks r_k of the integer matrices d_k = ``mats[k]`` of a complex.
+
+    d_k maps C^k, of dimension ``ncols[k]``, to C^{k+1}, and the caller
+    guarantees d_{k+1} d_k = 0: the image of d_{k-1} lies in the kernel of
+    d_k, and that of d_k in the kernel of d_{k+1}.  The rank low_k of d_k
+    modulo the first prime is at most r_k, so
+
+        r_k <= min(rows of d_k, dim C^k - r_{k-1}, dim C^{k+1} - low_{k+1}),
+
+    with r_{-1} = 0 and the last term only where d_{k+1} is given.  Where
+    low_k meets this bound, r_k = low_k with no lift; elsewhere ``_rref``
+    certifies r_k, continuing from the same reduction.
+    """
+    p = next(_primes())
+    first = [_rref_mod_p(rows, p) for rows in mats]
+    low = [len(piv) for piv, _ in first]
+    ranks = []
+    for k, rows in enumerate(mats):
+        up = min(len(rows), ncols[k] - (ranks[-1] if ranks else 0),
+                 ncols[k + 1] - low[k + 1] if k + 1 < len(mats) else math.inf)
+        ranks.append(low[k] if low[k] == up else len(_rref(rows, ncols[k], first[k])[0]))
+    return ranks
 
 
 def _kernel_vectors(free: list, entries, n: int) -> list:

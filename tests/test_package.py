@@ -12,6 +12,7 @@ import sys
 
 import pytest
 
+import exact_verbs
 import poissonforge
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(poissonforge.__path__))
@@ -80,13 +81,6 @@ def test_cli_import_leaves_scipy_unloaded():
     assert second == "SprayField FlowBlowupError"
 
 
-_SO3 = {"dim": 3, "C": [{"i": 1, "j": 2, "k": 3, "value": "1"},
-                        {"i": 2, "j": 3, "k": 1, "value": "1"},
-                        {"i": 1, "j": 3, "k": 2, "value": "-1"}]}
-_JET = {"nvars": 3, "weights": [0, 0, 1], "grade": 2,
-        "terms": [{"indices": [1, 2], "poly": "x3"}, {"indices": [1, 3], "poly": "x1*x3"}]}
-_VECTOR_FIELD = {"nvars": 3, "grade": 1, "terms": [{"indices": [1], "poly": "x2"}]}
-
 # Runs the CLI on argv lists given as JSON, then prints the exit codes and
 # whether NumPy was loaded, as the last line of stdout.
 _EXACT_RUN = """
@@ -97,24 +91,20 @@ print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
 """
 
 
-@pytest.mark.parametrize("runs", [
-    [(["check", "so3.json"], 0), (["check", "vf.json"], 2)],
-    [(["casimirs", "so3.json", "--max-degree", "2"], 0),
-     (["casimirs", "so3.json", "--max-degree", "-1"], 2)],
-    [(["cohomology", "so3.json", "--grade", "2"], 0),
-     (["cohomology", "so3.json", "--grade", "-1"], 2)],
-    [(["linearize", "so3.json", "--truncate", "4"], 0),
-     (["linearize", "so3.json", "--base-degree-cap", "-1"], 2)],
-    # the README jet is obstructed: the witness path runs too
-    [(["prolong", "jet.json", "--weights", "0,0,1"], 1), (["prolong", "so3.json"], 0),
-     (["prolong", "jet.json", "--grade", "-1"], 2)],
-], ids=["check", "casimirs", "cohomology", "linearize", "prolong"])
+@pytest.mark.parametrize("runs", list(exact_verbs.RUNS.values()), ids=list(exact_verbs.RUNS))
 def test_exact_verbs_leave_numpy_unloaded(tmp_path, runs):
     # the exact verbs compute nothing in floating point, on success or on
     # an input error
-    for name, obj in (("so3", _SO3), ("jet", _JET), ("vf", _VECTOR_FIELD)):
-        (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+    exact_verbs.write_inputs(tmp_path)
     argvs, codes = zip(*runs)
     out = _run_python(_EXACT_RUN, json.dumps(argvs), cwd=tmp_path)
     assert json.loads(out.stdout.splitlines()[-1]) == {"codes": list(codes), "numpy": False}
     assert out.stderr.startswith("error:") and out.stderr.count("\n") == 1
+
+
+def test_exact_verbs_script():
+    # the script the Python 3.10 CI job runs: every verb in one interpreter,
+    # and the Heisenberg table, whose ranks take the lift
+    path = os.path.join(os.path.dirname(__file__), "exact_verbs.py")
+    out = _run_python(f"import runpy; runpy.run_path({path!r}, run_name='__main__')")
+    assert out.stdout.endswith("NumPy-free start-up as expected\n")

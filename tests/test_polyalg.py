@@ -442,6 +442,24 @@ class TestExactSolver:
         with mock.patch.object(polyalg, "_to_sparse_rows", _per_row_rows):
             want = _outcome(exact_rank, A, ncols), _outcome(solve_linear_exact, A, b, ncols)
         assert (_outcome(exact_rank, A, ncols), _outcome(solve_linear_exact, A, b, ncols)) == want
+        # a valid int-dict matrix is trusted as _Rows, with the same answers
+        top = math.inf if ncols is None else ncols
+        if all(type(row) is dict and all(type(j) is int and 0 <= j < top and type(v) is int and v
+                                         for j, v in row.items()) for row in A):
+            rows = polyalg._Rows(A)
+            assert (_outcome(exact_rank, rows, ncols),
+                    _outcome(solve_linear_exact, rows, b, ncols)) == want
+
+    @pytest.mark.parametrize("b", [[1, 3, 0], [Fraction(1, 2), 1, 0]],
+                             ids=["infeasible", "feasible"])
+    def test_solves_leave_trusted_rows_unchanged(self, b):
+        # the rows are copied: b is written into column ncols of the copy,
+        # and an infeasible solve transposes it for the witness
+        rows = polyalg._Rows([{0: 1, 1: 2}, {0: 2, 1: 4}, {}])
+        before = [dict(row) for row in rows]
+        solve_linear_exact(rows, b, 2)
+        assert exact_rank(rows, 2) == 1
+        assert rows == before
 
 
 # ---------------------------------------------------------------------------
@@ -680,6 +698,20 @@ class TestCertifiedSolver:
             assert exact_rank(A, n) == rank
         assert (rref.call_count, mod_p.call_count) == (1, primes)
         assert _assert_exact(A, [0] * len(A), n) == 2 * (primes - 1)
+
+    def test_a_prime_with_fewer_pivots_is_dropped(self):
+        # the RREF entry 10^5 lies past Wang's bound at the first prime, so
+        # that lift fails; the second prime q divides the pivot minor q and
+        # gives one pivot, so it is dropped; the third agrees with the
+        # first, and the product of the two lifts the entry
+        q = 2**31 - 19
+        A = [[1, 1, 0], [1, 1 + q, 10**5 * q]]
+        assert list(itertools.islice(polyalg._primes(), 2)) == [P, q]
+        assert polyalg._rref_mod_p(polyalg._to_sparse_rows(A)[0], q)[0] == [0]
+        with _counted_primes() as (rref, mod_p):
+            assert exact_rank(A, 3) == 2
+        assert (rref.call_count, mod_p.call_count) == (1, 3)
+        _assert_exact(A, [0, 0], 3)
 
     @pytest.mark.parametrize("A, kernel", [
         ([[2**70, 1], [1, 1]], []),
