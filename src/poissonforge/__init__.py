@@ -30,7 +30,7 @@ def _apply_thread_cap():
 
 _THREAD_CAP_ERROR = _apply_thread_cap()
 
-from .polyalg import Poly, Rational, SolveOutcome, exact_rank, format_poly, \
+from .polyalg import Poly, SolveOutcome, exact_rank, format_poly, \
     parse_poly, solve_linear_exact
 from .multivector import GradedPiece, PolyMVF, dilate, grade_component, \
     schouten, truncate_jet, wedge

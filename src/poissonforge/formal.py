@@ -10,7 +10,6 @@ prolongation, and the formal linearization pipeline built from the above.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -52,17 +51,15 @@ class FilteredJet:
         object.__setattr__(out, "D", D)
         return out
 
-    @property
-    def order(self):
-        return order_of(self)
-
 
 def _as_jet(u, D: int) -> FilteredJet:
-    if isinstance(u, FilteredJet):
-        if u.D != D:
-            return FilteredJet(u.value, D)
-        return u
-    return FilteredJet(u, D)
+    """``u`` as a D-jet: a higher-order jet is truncated, a lower-order one refused."""
+    if not isinstance(u, FilteredJet):
+        return FilteredJet(u, D)
+    if u.D < D:
+        raise ValueError(f"a jet of order {u.D} cannot stand for one of order {D}: "
+                         f"its grades {u.D + 1}..{D} are unknown")
+    return u if u.D == D else FilteredJet(u.value, D)
 
 
 def order_of(u):
@@ -243,9 +240,6 @@ class GaugeSolution:
         return {"status": "obstructed", "degree": self.degree,
                 "cochain": self.cochain.value.to_json_obj(),
                 "base_degree_cap": self.base_degree_cap}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True)
 
 
 def _check_mc(gamma: FilteredJet, name: str):

@@ -12,7 +12,6 @@ invariant-theory sampling.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -79,9 +78,6 @@ class LieAlgebraSpec:
                    for (i, j, k), v in sorted(self.C.items()) if v != 0]
         return {"dim": self.dim, "C": entries}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True)
-
     @classmethod
     def from_json_obj(cls, obj: dict) -> "LieAlgebraSpec":
         """Read a table: ``dim`` and each ``i``/``j``/``k`` are JSON integers
@@ -106,10 +102,6 @@ class LieAlgebraSpec:
                 raise ValueError(f"conflicting values for C at {key}")
             C[key] = val
         return cls(dim, {k: v for k, v in C.items() if v != 0})
-
-    @classmethod
-    def from_json(cls, text: str) -> "LieAlgebraSpec":
-        return cls.from_json_obj(json.loads(text))
 
 
 @dataclass(frozen=True)

@@ -55,7 +55,6 @@ a nonzero ``Poly`` in ``nvars`` variables, and ``weights`` a tuple in
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 from operator import mul
@@ -245,9 +244,6 @@ class PolyMVF:
             "terms": [{"indices": list(idx), "poly": format_poly(p)} for idx, p in items],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True)
-
     @classmethod
     def from_json_obj(cls, obj: dict) -> "PolyMVF":
         """Read a field: ``nvars`` (>= 1), ``grade`` (>= 0) and each entry of
@@ -263,10 +259,6 @@ class PolyMVF:
                 raise ValueError(f"repeated index tuple {list(idx)} in terms")
             terms[idx] = parse_poly(entry["poly"], nvars)
         return cls(nvars, grade, terms, weights)
-
-    @classmethod
-    def from_json(cls, text: str) -> "PolyMVF":
-        return cls.from_json_obj(json.loads(text))
 
     def __repr__(self):
         if self.grade == 0:

@@ -13,7 +13,6 @@ the homotopy solves of ``formal`` all build their matrices through them.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -241,9 +240,6 @@ class CohomologyTable:
         rows = [{"k": k, "dim": self.dim_cochains[k], "rank": self.rank_d[k],
                  "betti": self.betti[k]} for k in self.degrees]
         return {"grade": self.grade, "rows": rows}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True)
 
 
 def cohomology_dims(pi_lin: PolyMVF, l: int, kmax: int) -> CohomologyTable:

@@ -50,10 +50,7 @@ from typing import TYPE_CHECKING, Sequence
 if TYPE_CHECKING:  # annotations only: NumPy is imported where floats are computed
     import numpy as np
 
-Rational = Fraction
-
 __all__ = [
-    "Rational",
     "Poly",
     "SolveOutcome",
     "solve_linear_exact",
@@ -260,17 +257,6 @@ class Poly:
         return Poly._raw(self.nvars, terms)
 
     # -- evaluation ---------------------------------------------------
-
-    def eval_exact(self, point: Sequence) -> Fraction:
-        value = Fraction(0)
-        point = [_as_fraction(p) for p in point]
-        for e, c in self.terms.items():
-            term = c
-            for x, k in zip(point, e):
-                if k:
-                    term *= x**k
-            value += term
-        return value
 
     def eval_numeric(self, points: np.ndarray) -> np.ndarray:
         """Vectorized float evaluation at ``points`` of shape (..., nvars)."""

@@ -33,7 +33,6 @@ symplectic areas and their radial variations.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import asdict, dataclass
 
@@ -134,18 +133,10 @@ class SprayField:
             np.multiply(L[parents], xt[v], out=L[rows])
         return np.take(L, self._take, axis=0, out=out, mode="clip")   # "raise" buffers out
 
-    def _entries(self, x, slots) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        V = self._monomials(np.moveaxis(x, -1, 0))
-        return np.tensordot(V, self._coef[:, slots], axes=(0, 0))
-
     def pi_matrix(self, x: np.ndarray) -> np.ndarray:
         """Shape (..., n, n): the matrix pi_ij(x)."""
-        return self._entries(x, 0)
-
-    def dpi_matrices(self, x: np.ndarray) -> np.ndarray:
-        """Shape (..., n, n, n): entry [k,i,j] = d(pi_ij)/dx_k at x."""
-        return self._entries(x, slice(1, None))
+        V = self._monomials(np.moveaxis(np.asarray(x, dtype=float), -1, 0))
+        return np.tensordot(V, self._coef[:, 0], axes=(0, 0))
 
     def __call__(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Horizontal part of V: (dx/dt)_j = sum_i pi_ij(x) y_i."""
@@ -279,9 +270,6 @@ class RealizationReport:
 
     def to_json_obj(self) -> dict:
         return asdict(self)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True)
 
 
 def verify_realization(pi: PolyMVF, n_samples: int, radius: float, seed: int,

@@ -2,20 +2,22 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 import warnings
 
 import pytest
 
-from poissonforge import cli, liealg, preset, realize
+from poissonforge import (Poly, PolyMVF, ad_exp, cli, liealg, linear_poisson, preset, realize,
+                          schouten, truncate_jet)
 from poissonforge.poisson import MAX_BASIS
 
 
 @pytest.fixture
 def so3_file(tmp_path):
     path = tmp_path / "so3.json"
-    path.write_text(preset("so3").to_json())
+    path.write_text(json.dumps(preset("so3").to_json_obj(), sort_keys=True))
     return str(path)
 
 
@@ -130,6 +132,23 @@ def test_prolong_obstructed(jet_file, capsys):
     assert obj["status"] == "obstructed"
     assert obj["grade"] == 4
     assert obj["cochain"]["terms"]
+
+
+def test_prolong_solved(tmp_path, capsys):
+    # the 2-jet of demos/jet_prolongation.py, whose grade-3 Jacobiator one correction removes
+    rng = random.Random(11)
+    terms = {(i,): Poly(3, {(1, 1, 0): rng.choice([-1, 1])}) for i in (1, 2)}
+    X0 = PolyMVF(3, 1, terms)
+    two_jet = truncate_jet(ad_exp(X0, linear_poisson(preset("so3")), 3).value, 2)
+    path = tmp_path / "two_jet.json"
+    path.write_text(json.dumps(two_jet.to_json_obj(), sort_keys=True))
+    assert cli.main(["prolong", str(path), "--grade", "3", "--format", "json"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["status"] == "solved" and obj["grade"] == 3
+    assert obj["eta"]["terms"]
+    corrected = two_jet + PolyMVF.from_json_obj(obj["eta"])
+    jac = schouten(corrected, corrected)
+    assert jac.is_zero() or jac.min_grade() > 3
 
 
 def test_prolong_refuses_a_grade_0_part(tmp_path, capsys):

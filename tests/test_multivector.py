@@ -238,10 +238,10 @@ def test_json_round_trip():
     for _ in range(30):
         n = rng.randint(2, 4)
         u = rand_mvf(rng, n, rng.randint(0, n))
-        assert PolyMVF.from_json(u.to_json()) == u
+        assert PolyMVF.from_json_obj(json.loads(json.dumps(u.to_json_obj(), sort_keys=True))) == u
     # schema spot check
     u = PolyMVF(3, 2, {(1, 2): parse_poly("x3", 3)})
-    obj = json.loads(u.to_json())
+    obj = json.loads(json.dumps(u.to_json_obj(), sort_keys=True))
     assert obj["nvars"] == 3 and obj["grade"] == 2
     assert obj["weights"] == [1, 1, 1]
     assert obj["terms"] == [{"indices": [1, 2], "poly": "x3"}]

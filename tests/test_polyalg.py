@@ -61,7 +61,6 @@ class TestPolyArithmetic:
 
     def test_eval(self):
         p = parse_poly("1/2*x1^2*x3 - x2", 3)
-        assert p.eval_exact([2, 1, 3]) == Fraction(5)
         pts = np.array([[2.0, 1.0, 3.0], [0.0, 1.0, 0.0]])
         np.testing.assert_allclose(p.eval_numeric(pts), [5.0, -1.0])
 

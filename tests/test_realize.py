@@ -44,22 +44,6 @@ def test_spray_matches_bivector_matrix(pi_so3):
         np.testing.assert_allclose(spray(x, y), expect, rtol=1e-14)
 
 
-def test_spray_derivative_tables(pi_so3):
-    rng = np.random.default_rng(36)
-    h = 1e-6
-    for pi in (pi_so3, _pi_quad()):
-        spray = SprayField(pi)
-        x = rng.normal(size=(2, 4, 3))
-        dP = spray.dpi_matrices(x)
-        assert dP.shape == (2, 4, 3, 3, 3)
-        for k in range(3):
-            e = np.zeros(3)
-            e[k] = h
-            fd = (pi.bivector_matrix(x + e) - pi.bivector_matrix(x - e)) / (2 * h)
-            # entry [k, i, j] is d(pi_ij)/dx_k
-            np.testing.assert_allclose(dP[..., k, :, :], fd, atol=1e-8)
-
-
 def test_flow_of_zero_structure_is_identity():
     pi = PolyMVF.zero(2, 2)
     xi = np.array([0.3, -0.2, 0.5, 0.1])

@@ -20,6 +20,9 @@ _X1 = PolyMVF(3, 1, {(1,): Poly.variable(3, 2)})                     # x2 d1, a 
 _F = Poly.variable(3, 1)
 _NOT_POISSON = PolyMVF(3, 2, {(1, 2): Poly.variable(3, 3), (1, 3): Poly.variable(3, 1)})
 _D13 = PolyMVF(3, 2, {(1, 3): Poly.constant(3, 1)}, (0, 0, 1))      # grade 1 by its weights
+_X11 = PolyMVF(3, 1, {(1,): Poly(3, {(2, 0, 0): 1})})                 # x1^2 d1
+# a 1-jet read as a 3-jet would lose its x3^2 d1^d2 term: ad_exp must not answer for it
+_PI_1JET = FilteredJet(_PI + PolyMVF(3, 2, {(1, 2): Poly(3, {(0, 0, 2): 1})}), 1)
 
 
 @pytest.mark.parametrize("call, message", [
@@ -43,12 +46,16 @@ _D13 = PolyMVF(3, 2, {(1, 3): Poly.constant(3, 1)}, (0, 0, 1))      # grade 1 by
     (lambda: ad_exp(_PI, _PI, 3), "exponent must be a vector field"),
     (lambda: mc_equivalence(FilteredJet(_PI, 3), FilteredJet(_PI * 2, 3), 3),
      "gamma and gamma' must agree in grade 1"),
+    (lambda: ad_exp(_X11, _PI_1JET, 3), "a jet of order 1 cannot stand for one of order 3"),
+    (lambda: mc_equivalence(FilteredJet(_PI, 2), FilteredJet(_PI, 3), 3),
+     "a jet of order 2 cannot stand for one of order 3"),
     (lambda: preset("so4"), "unknown preset 'so4'"),
 ], ids=["solve-rhs-count", "index-tuple-length", "check-nvars", "check-weights",
         "add-degrees", "json-repeated-indices", "apply-function-count", "dilate-zero",
         "check_poisson-vector", "sharp-vector", "poisson_bracket-vector", "sharp-form-length",
         "casimirs-not-poisson", "cohomology-not-poisson", "cohomology-weights",
-        "ad_exp-bivector-exponent", "mc-grade-1", "preset-unknown"])
+        "ad_exp-bivector-exponent", "mc-grade-1", "ad_exp-lower-order-jet",
+        "mc-lower-order-jet", "preset-unknown"])
 def test_bad_input_is_refused(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
