@@ -171,7 +171,7 @@ def _solve_bracket_equation(pi: PolyMVF, rhs: PolyMVF, unknown_basis,
 
     With restrict_grade set, only the components of the bracket with grade
     <= restrict_grade are constrained (higher grades are left free): the
-    rows above it are never formed.  The integer rows of ``bracket_rows``
+    rows above it are never formed.  The integer rows of ``_bracket_rows``
     are the matrix times pi's denominator ``den``, so the right-hand side
     is multiplied by ``den`` too, and so is the witness of that scaled
     system, which makes it the witness of the equation as given.
@@ -331,6 +331,9 @@ def prolong_step(pi_partial: FilteredJet, m: int, base_degree_cap: int = 8) -> P
     if not jac.is_zero() and jac.min_grade() < m:
         raise ValueError(f"Jacobiator already fails below grade {m} "
                          f"(at grade {jac.min_grade()})")
+    if isinstance(pi_partial, FilteredJet) and pi_partial.D < m - 1:
+        raise ValueError(f"a jet of order {pi_partial.D} cannot give the grade-{m} "
+                         f"Jacobiator: it needs the pieces up to grade {m - 1}")
     rhs_piece = grade_component(jac, m)
     if rhs_piece.value.is_zero():
         return ProlongResult("solved", PolyMVF.zero(pi.nvars, 2, pi.weights),

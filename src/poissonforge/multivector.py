@@ -28,7 +28,7 @@ for a p-vector W, and so the Hamiltonian vector field of a bivector pi is
 H_f = -[pi, f].
 
 One integer kernel evaluates this sum of 2n products for ``schouten``,
-``apply_to_functions`` and ``poisson.bracket_rows``.  Each operand is
+``apply_to_functions`` and ``poisson._bracket_rows``.  Each operand is
 brought over one denominator, the lcm of its coefficients' denominators, as
 a list of leg sets with their (exponent vector, integer) terms.  A
 derivative operand keeps that form: d_{x_i} lowers exponent i and scales by
@@ -37,7 +37,7 @@ of moving xi_i to the right end (d^R) or to the left end (d^L).  The kernel
 multiplies two such operands as ``wedge`` multiplies fields, with each
 exponent vector packed into one int (Monagan & Pearce, CASC 2007), and its
 sums stay in ``int``: ``schouten`` builds one ``Fraction`` per output
-monomial, and ``bracket_rows`` keeps the integers over pi's denominator.
+monomial, and ``_bracket_rows`` keeps the integers over pi's denominator.
 The kernel and ``wedge`` hold a leg set as an n-bit mask, leg i at bit
 i - 1, and read each sign off bit counts (``_merge_sign``).
 
@@ -381,7 +381,7 @@ def schouten(W: PolyMVF, V: PolyMVF, max_grade: int | None = None) -> PolyMVF:
 # 1 << width*(i-1) from a word whose field i is nonzero (Monagan & Pearce,
 # CASC 2007).  Sums are keyed by one int: the output word, then the n-bit
 # mask of its legs, then the tags, which add through like exponents.  A field's
-# tags are 0; ``poisson.bracket_rows`` tags each basis monomial with its column.
+# tags are 0; ``poisson._bracket_rows`` tags each basis monomial with its column.
 
 def _integer_terms(W: PolyMVF):
     """``W`` as ``(den, [(legs, [(exps, c, 0)])])`` with ``W = sum c x^exps d_legs / den``.

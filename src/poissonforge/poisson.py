@@ -5,7 +5,7 @@ cohomology ranks of the homogeneous complexes attached to a linear structure,
 pointwise gauge transformations, and the rescaling path connecting a
 vanishing-at-zero structure to its linear part.
 
-``graded_basis`` and ``bracket_rows`` are the one assembly of the operator
+``graded_basis`` and ``_bracket_rows`` are the one assembly of the operator
 ``[pi, .]`` on a graded monomial basis; Casimir bases, cohomology ranks and
 the homotopy solves of ``formal`` all build their matrices through them.
 """
@@ -34,7 +34,6 @@ __all__ = [
     "MAX_BASIS",
     "basis_size",
     "graded_basis",
-    "bracket_rows",
     "casimir_basis",
     "cohomology_dims",
     "gauge_pointwise",
@@ -168,29 +167,22 @@ def graded_basis(n: int, k: int, l: int, weights, base_degree_cap: int = 0) -> l
     return out
 
 
-def bracket_rows(pi: PolyMVF, basis) -> tuple[int, dict]:
+def _bracket_rows(pi: PolyMVF, basis, keyed: bool, max_grade: int | None = None):
     """The matrix of [pi, .] on a monomial basis, as ``(den, rows)``.
 
     The matrix is ``rows / den``: ``den`` is the lcm of pi's denominators
     and ``rows`` holds sparse rows of nonzero ``int``s.  Column c is the
     basis element ``basis[c] = (legs, exps)``; rows are keyed by the
-    (legs, exps) monomials of the brackets.  The basis is trusted to be one
-    ``graded_basis`` builds: increasing legs in 1..n and exponent vectors of
-    length n.
+    (legs, exps) monomials of the brackets, or with ``keyed`` false are the
+    list of their values, in order.  The basis is trusted to come from
+    ``graded_basis``: increasing legs in 1..n, exponent vectors of length n.
+    With ``max_grade`` set, only the rows of grade at most ``max_grade`` are
+    formed: the kernel skips every pair whose bracket lies above it.
 
     One call of the integer Schouten kernel of ``multivector`` brackets pi,
     brought over its denominator once, with every basis monomial: each
     monomial is tagged with its column, so the images of different columns
     never share a sum.
-    """
-    return _bracket_rows(pi, basis, True)
-
-
-def _bracket_rows(pi: PolyMVF, basis, keyed: bool, max_grade: int | None = None):
-    """``bracket_rows``, or with ``keyed`` false only its rows' values, in order.
-
-    With ``max_grade`` set, only the rows of grade at most ``max_grade`` are
-    formed: the kernel skips every pair whose bracket lies above it.
     """
     den, pi_terms = _integer_terms(pi)
     monos: dict[tuple, list] = {}
@@ -204,24 +196,19 @@ def _bracket_rows(pi: PolyMVF, basis, keyed: bool, max_grade: int | None = None)
 # ---------------------------------------------------------------------------
 
 def casimir_basis(pi: PolyMVF, D: int) -> list[Poly]:
-    """Rational basis of {f : deg f <= D, pi#(df) = 0}, found per degree."""
+    """Rational basis of {f : deg f <= D, pi#(df) = 0}: one exact kernel over all
+    degrees <= D, so an inhomogeneous pi's inhomogeneous Casimirs are found too."""
     D = _as_int(D, "max degree D", 0)
-    chk = check_poisson(pi)
-    if not chk.is_poisson:
+    if not check_poisson(pi).is_poisson:
         raise ValueError("bivector is not Poisson; Casimirs undefined")
     n = pi.nvars
-    basis: list[Poly] = []
-    for d in range(D + 1):
-        # [pi, f] = -pi#(df); descending-lex columns fix the published
-        # normalisation of each RREF kernel vector
-        monos = graded_basis(n, 0, d, [1] * n)[::-1]
-        A = _Rows(_bracket_rows(pi, monos, False)[1])
-        out = solve_linear_exact(A, [0] * len(A), ncols=len(monos))
-        for vec in out.kernel_basis:
-            terms = {m: v for (_, m), v in zip(monos, vec) if v != 0}
-            if terms:
-                basis.append(Poly(n, terms))
-    return basis
+    # [pi, f] = -pi#(df); columns by degree and descending-lex within a
+    # degree fix the published normalisation of each RREF kernel vector
+    monos = [mono for d in range(D + 1) for mono in graded_basis(n, 0, d, [1] * n)[::-1]]
+    A = _Rows(_bracket_rows(pi, monos, False)[1])
+    out = solve_linear_exact(A, [0] * len(A), ncols=len(monos))
+    return [Poly._raw(n, {m: v for (_, m), v in zip(monos, vec) if v})
+            for vec in out.kernel_basis]
 
 
 # ---------------------------------------------------------------------------
@@ -301,16 +288,15 @@ def gauge_pointwise(pi_matrix: np.ndarray, omega_matrix: np.ndarray) -> np.ndarr
 # ---------------------------------------------------------------------------
 
 def conn_rescale(pi: PolyMVF, t) -> PolyMVF:
-    """The path pi^t with pi^1 = pi and pi^0 = linear part (for pi(0) = 0).
+    """The path pi^t with pi^1 = pi and pi^0 = grade-1 part (for no grade-0 part).
 
     ``t`` is exact: an int, a ``Fraction`` or a rational string.
     """
     if pi.grade != 2:
         raise ValueError("expected a bivector")
-    for (i, j), p in pi.terms.items():
-        if p.constant_term() != 0:
-            raise ValueError(
-                f"coefficient of d{i}^d{j} has nonzero constant term; pi(0) != 0")
+    # a grade-0 part would be scaled by t^-1: the path has no limit at t = 0
+    if 0 in pi._grades():
+        raise ValueError("pi must vanish at the origin (no grade-0 part)")
     t = _as_fraction(t)
     if t == 0:
         return grade_component(pi, 1).value

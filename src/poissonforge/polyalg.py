@@ -171,9 +171,6 @@ class Poly:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.nvars, Fraction(0))
-
     def sorted_terms(self):
         """Terms in graded-lex order, highest first."""
         return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)

@@ -86,7 +86,6 @@ class SprayField:
     def __init__(self, pi: PolyMVF):
         if pi.grade != 2:
             raise ValueError("expected a bivector")
-        self.pi = pi
         n = self.n = pi.nvars
         table: dict[tuple, np.ndarray] = {}
 

@@ -109,6 +109,16 @@ def test_casimirs(so3_file, capsys):
     assert len(obj["casimirs"]) == 2
 
 
+def test_casimirs_of_an_inhomogeneous_structure(tmp_path, capsys):
+    # pi_C for C = x1^2 + x2^2 + x3^2 + x3^3: Poisson, with the Casimirs 1 and C
+    path = tmp_path / "pi_c.json"
+    path.write_text(json.dumps({"nvars": 3, "grade": 2, "terms": [
+        {"indices": [1, 2], "poly": "2*x3 + 3*x3^2"}, {"indices": [1, 3], "poly": "-2*x2"},
+        {"indices": [2, 3], "poly": "2*x1"}]}))
+    assert cli.main(["casimirs", str(path), "--max-degree", "3", "--format", "json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["casimirs"]) == 2
+
+
 def test_cohomology(so3_file, capsys):
     assert cli.main(["cohomology", so3_file, "--grade", "2",
                      "--format", "json"]) == 0

@@ -18,7 +18,7 @@ from poissonforge import (PolyMVF, ad_exp, bch, formal_linearize,
 from poissonforge import formal, polyalg
 from poissonforge.formal import FilteredJet
 from poissonforge.multivector import _grade
-from poissonforge.poisson import _bracket_rows, bracket_rows, graded_basis
+from poissonforge.poisson import _bracket_rows, graded_basis
 from poissonforge.polyalg import parse_poly
 
 from conftest import rand_homogeneous_vf, rand_mvf
@@ -51,13 +51,13 @@ def _spied_solve():
 def _assert_certificate(call, w):
     """w A = 0 and w . b = 1 on the system of a ``_solve_bracket_equation`` call.
 
-    The rows are rebuilt from ``bracket_rows`` on the call's basis, keyed by
+    The rows are rebuilt from ``_bracket_rows`` on the call's basis, keyed by
     the same sorted (legs, exps) monomials as the solve, and divided by its
     denominator.
     """
     (pi, rhs, basis), kwargs = call
     restrict = kwargs.get("restrict_grade")
-    den, int_rows = bracket_rows(pi, basis)
+    den, int_rows = _bracket_rows(pi, basis, True)
     rows = {key: {c: Fraction(v, den) for c, v in row.items()}
             for key, row in int_rows.items()
             if restrict is None or _grade(pi.weights, *key) <= restrict}
@@ -340,6 +340,6 @@ def test_bounded_bracket_rows_are_the_filtered_rows():
         pi = rand_mvf(rng, 3, 2).with_weights(weights)
         basis = graded_basis(3, rng.randint(1, 2), rng.randint(1, 3), weights, 2)
         m = rng.randint(0, 4)
-        den, rows = bracket_rows(pi, basis)
+        den, rows = _bracket_rows(pi, basis, True)
         filtered = {key: row for key, row in rows.items() if _grade(weights, *key) <= m}
         assert _bracket_rows(pi, basis, True, m) == (den, filtered)

@@ -1,6 +1,6 @@
 """Multivector algebra: wedge, Schouten bracket, grading, serialization.
 
-The Schouten kernel and ``bracket_rows`` are checked against
+The Schouten kernel and ``poisson._bracket_rows`` are checked against
 ``_reference_schouten``, the bracket evaluated through ``Poly`` arithmetic.
 """
 
@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from poissonforge import (GradedPiece, PolyMVF, dilate, grade_component, linear_poisson, preset,
                           schouten, sharp, truncate_jet, wedge)
 from poissonforge.multivector import _legs, _mask, _merge_sign
-from poissonforge.poisson import _bracket_rows, bracket_rows, graded_basis
+from poissonforge.poisson import _bracket_rows, graded_basis
 from poissonforge.polyalg import Poly, _add_term, parse_poly
 
 from conftest import rand_mvf, rand_poly, sgn
@@ -650,7 +650,7 @@ def test_mask_sign_matches_the_insertion_sort(I, J):
 
 
 def _reference_rows(pi, basis):
-    """``bracket_rows`` assembled column by column from ``_reference_schouten``."""
+    """``_bracket_rows`` assembled column by column from ``_reference_schouten``."""
     rows = {}
     for col, (legs, exps) in enumerate(basis):
         b = PolyMVF(pi.nvars, len(legs), {legs: Poly.monomial(pi.nvars, exps)}, pi.weights)
@@ -690,7 +690,7 @@ def test_bracket_rows_match_reference_su3(k, l):
 
 
 def _assert_rows_match_reference(pi, basis):
-    den, rows = bracket_rows(pi, basis)
+    den, rows = _bracket_rows(pi, basis, True)
     assert all(type(c) is int and c for row in rows.values() for c in row.values())
     # the rows of the Casimir and cohomology solves: the same values, in order
     assert _bracket_rows(pi, basis, False) == (den, list(rows.values()))
@@ -714,4 +714,4 @@ def test_bracket_never_takes_the_poly_path(monkeypatch):
     for W, V in pairs:
         assert schouten(W, V).grade == max(W.grade + V.grade - 1, 0)
         schouten(W, V, max_grade=2)
-    assert bracket_rows(pi, basis)[1]
+    assert _bracket_rows(pi, basis, True)[1]

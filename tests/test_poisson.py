@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +19,7 @@ from poissonforge import (PolyMVF, ad_exp, casimir_basis, check_poisson,
                           gauge_pointwise, hamiltonian_vf, linear_poisson,
                           poisson_bracket, preset, schouten, sharp)
 from poissonforge import poisson, polyalg
-from poissonforge.poisson import GaugeSingularError, basis_size, bracket_rows, graded_basis
+from poissonforge.poisson import GaugeSingularError, _bracket_rows, basis_size, graded_basis
 from poissonforge.liealg import LieAlgebraSpec
 from poissonforge.polyalg import Poly, exact_rank, parse_poly
 
@@ -98,6 +99,35 @@ def test_differential_squares_to_zero(pi_so3):
         assert schouten(pi_so3, schouten(pi_so3, u)).is_zero()
 
 
+def _pi_of(C: Poly) -> PolyMVF:
+    """pi_C = dC/dx3 d1^d2 - dC/dx2 d1^d3 + dC/dx1 d2^d3 on R^3: Poisson, with Casimir C."""
+    return PolyMVF(3, 2, {(1, 2): C.diff(3), (1, 3): -C.diff(2), (2, 3): C.diff(1)})
+
+
+_XS = sympy.symbols("x1:4")
+# the monomials of degree <= 3 in x1, x2, x3, as exponent vectors
+_CUBIC_EXPS = [e for d in range(4) for e in itertools.product(range(d + 1), repeat=3)
+               if sum(e) == d]
+
+
+def _sympy_casimir_nullity(C) -> int:
+    """dim {f : deg f <= 3, {f, x_k} = 0 for k = 1, 2, 3} under pi_C, for a
+    sympy polynomial C: the bracket is written out in sympy, with no package code."""
+    grad = [sympy.diff(C, x) for x in _XS]
+    pi = {(0, 1): grad[2], (0, 2): -grad[1], (1, 2): grad[0]}
+    cs = sympy.symbols(f"c0:{len(_CUBIC_EXPS)}")
+    f = sum(c * sympy.Mul(*(x ** a for x, a in zip(_XS, e))) for c, e in zip(cs, _CUBIC_EXPS))
+    df = [sympy.diff(f, x) for x in _XS]
+    eqs = []
+    for k in range(3):
+        # {f, x_k} = sum_{i<j} pi_ij (d_i f d_j x_k - d_j f d_i x_k), d_j x_k = [j == k]
+        bracket = sum(p * (df[i] * int(j == k) - df[j] * int(i == k))
+                      for (i, j), p in pi.items())
+        eqs += sympy.Poly(sympy.expand(bracket), *_XS).coeffs()
+    A, _ = sympy.linear_eq_to_matrix(eqs, cs)
+    return len(cs) - A.rank()
+
+
 class TestCasimirs:
     def test_so3(self, pi_so3):
         basis = casimir_basis(pi_so3, 2)
@@ -142,6 +172,27 @@ class TestCasimirs:
             "9/4*x6^2*x7 + 9/8*x6^2*x8 - x7^3 - 3/2*x7^2*x8 + 3/2*x7*x8^2 + x8^3",
         ]
 
+    def test_inhomogeneous_casimir(self):
+        # C has parts of degree 2 and 3, so pi_C is inhomogeneous and so is
+        # its Casimir C: a solve per degree finds neither part alone
+        C = parse_poly("x1^2 + x2^2 + x3^2 + x3^3", 3)
+        pi = _pi_of(C)
+        basis = casimir_basis(pi, 3)
+        assert len(basis) == 2 == _sympy_casimir_nullity(
+            _XS[0] ** 2 + _XS[1] ** 2 + _XS[2] ** 2 + _XS[2] ** 3)
+        for f in basis:
+            for i in range(1, 4):
+                assert poisson_bracket(pi, f, Poly.variable(3, i)).is_zero()
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(st.lists(st.integers(-3, 3), min_size=len(_CUBIC_EXPS), max_size=len(_CUBIC_EXPS)))
+    def test_inhomogeneous_casimir_is_in_the_span(self, coeffs):
+        C = Poly(3, dict(zip(_CUBIC_EXPS, coeffs)))
+        basis = casimir_basis(_pi_of(C), 3)
+        rows = [[sympy.Rational(f.terms.get(e, 0)) for e in _CUBIC_EXPS] for f in basis]
+        target = [0] + coeffs[1:]  # C - C(0); _CUBIC_EXPS starts at the constant
+        assert sympy.Matrix(rows + [target]).rank() == sympy.Matrix(rows).rank()
+
 
 class TestCohomology:
     def test_so3_quadratic_table(self, pi_so3):
@@ -172,7 +223,7 @@ class TestCohomology:
     @pytest.mark.parametrize("name, l, ks", [("so3", 2, range(2)), ("su3", 1, range(4))],
                              ids=["so3", "su3"])
     def test_emitted_matrices_square_to_zero(self, name, l, ks):
-        # d o d = 0 from k to k + 1 to k + 2, on the matrices bracket_rows emits
+        # d o d = 0 from k to k + 1 to k + 2, on the matrices _bracket_rows emits
         # (the Chevalley-Eilenberg differential of g with coefficients in S(g))
         pi = linear_poisson(preset(name))
         n = pi.nvars
@@ -181,7 +232,7 @@ class TestCohomology:
             """d on grade-l k-vectors: column c as {index in the (k+1)-basis: value}."""
             index = {key: r for r, key in enumerate(graded_basis(n, k + 1, l, pi.weights))}
             cols = {}
-            for key, row in bracket_rows(pi, graded_basis(n, k, l, pi.weights))[1].items():
+            for key, row in _bracket_rows(pi, graded_basis(n, k, l, pi.weights), True)[1].items():
                 for c, v in row.items():
                     cols.setdefault(c, {})[index[key]] = v
             return cols
@@ -238,7 +289,7 @@ def _certified_table(counts, pi, l, kmax):
     assert first_prime <= kmax + 1
     for k in range(kmax + 1):
         basis = graded_basis(pi.nvars, k, l, pi.weights)
-        rows = list(bracket_rows(pi, basis)[1].values())
+        rows = list(_bracket_rows(pi, basis, True)[1].values())
         assert table.rank_d[k] == exact_rank(rows, ncols=len(basis)), (l, k)
     return table, lifts
 

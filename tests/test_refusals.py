@@ -10,10 +10,11 @@ import re
 import pytest
 
 from poissonforge import (FilteredJet, Poly, PolyMVF, ad_exp, casimir_basis, check_poisson,
-                          cohomology_dims, dilate, linear_poisson, mc_equivalence,
-                          poisson_bracket, preset, schouten, sharp, solve_linear_exact,
-                          truncate_jet)
+                          cohomology_dims, conn_rescale, dilate, linear_poisson, mc_equivalence,
+                          poisson_bracket, preset, prolong_step, schouten, sharp,
+                          solve_linear_exact, truncate_jet)
 from poissonforge.formal import _as_jet
+from poissonforge.polyalg import parse_poly
 
 _PI = linear_poisson(preset("so3"))
 _X1 = PolyMVF(3, 1, {(1,): Poly.variable(3, 2)})                     # x2 d1, a vector field
@@ -23,6 +24,13 @@ _D13 = PolyMVF(3, 2, {(1, 3): Poly.constant(3, 1)}, (0, 0, 1))      # grade 1 by
 _X11 = PolyMVF(3, 1, {(1,): Poly(3, {(2, 0, 0): 1})})                 # x1^2 d1
 # a 1-jet read as a 3-jet would lose its x3^2 d1^d2 term: ad_exp must not answer for it
 _PI_1JET = FilteredJet(_PI + PolyMVF(3, 2, {(1, 2): Poly(3, {(0, 0, 2): 1})}), 1)
+# x1 d2^d3 has grade 0 under these weights: conn_rescale would scale it by 1/t
+_GRADE_0 = PolyMVF(3, 2, {(2, 3): parse_poly("x1 + x2", 3)}, (0, 1, 1))
+# the 2-jet of demos/jet_prolongation.py: its grade-3 correction is -x1*x2*x3 d1^d2,
+# which a 0- or 1-jet of it cannot see
+_TWO_JET = PolyMVF(3, 2, {(1, 2): parse_poly("-x1*x3 - x2*x3 + x3", 3),
+                          (1, 3): parse_poly("-x1^2 - x1*x2 + x2^2 - x2", 3),
+                          (2, 3): parse_poly("-x1^2 + x1*x2 + x2^2 + x1", 3)})
 
 
 @pytest.mark.parametrize("call, message", [
@@ -49,13 +57,19 @@ _PI_1JET = FilteredJet(_PI + PolyMVF(3, 2, {(1, 2): Poly(3, {(0, 0, 2): 1})}), 1
     (lambda: ad_exp(_X11, _PI_1JET, 3), "a jet of order 1 cannot stand for one of order 3"),
     (lambda: mc_equivalence(FilteredJet(_PI, 2), FilteredJet(_PI, 3), 3),
      "a jet of order 2 cannot stand for one of order 3"),
+    (lambda: conn_rescale(_GRADE_0, "1/10"), "pi must vanish at the origin (no grade-0 part)"),
+    (lambda: prolong_step(FilteredJet(_TWO_JET, 0), 3),
+     "a jet of order 0 cannot give the grade-3 Jacobiator"),
+    (lambda: prolong_step(FilteredJet(_TWO_JET, 1), 3),
+     "a jet of order 1 cannot give the grade-3 Jacobiator"),
     (lambda: preset("so4"), "unknown preset 'so4'"),
 ], ids=["solve-rhs-count", "index-tuple-length", "check-nvars", "check-weights",
         "add-degrees", "json-repeated-indices", "apply-function-count", "dilate-zero",
         "check_poisson-vector", "sharp-vector", "poisson_bracket-vector", "sharp-form-length",
         "casimirs-not-poisson", "cohomology-not-poisson", "cohomology-weights",
         "ad_exp-bivector-exponent", "mc-grade-1", "ad_exp-lower-order-jet",
-        "mc-lower-order-jet", "preset-unknown"])
+        "mc-lower-order-jet", "conn_rescale-grade-0", "prolong-0-jet-grade-3",
+        "prolong-1-jet-grade-3", "preset-unknown"])
 def test_bad_input_is_refused(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
