@@ -14,8 +14,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polyalg import Poly, _as_int, _Rows, solve_linear_exact
-from .multivector import GradedPiece, PolyMVF, _grade, grade_component, schouten, truncate_jet
+from .polyalg import _as_int, _Rows, solve_linear_exact
+from .multivector import (GradedPiece, PolyMVF, _grade, _integral, grade_component, schouten,
+                          truncate_jet)
 from .poisson import _bracket_rows, check_poisson, graded_basis
 
 __all__ = [
@@ -172,32 +173,23 @@ def _solve_bracket_equation(pi: PolyMVF, rhs: PolyMVF, unknown_basis,
     With restrict_grade set, only the components of the bracket with grade
     <= restrict_grade are constrained (higher grades are left free): the
     rows above it are never formed.  The integer rows of ``_bracket_rows``
-    are the matrix times pi's denominator ``den``, so the right-hand side
-    is multiplied by ``den`` too, and so is the witness of that scaled
-    system, which makes it the witness of the equation as given.
+    are the matrix times pi's denominator ``den``, and rhs is its integers
+    over ``rhs.den``: times ``den * rhs.den`` the equation is all-int, rows
+    times ``rhs.den`` and rhs's integers times ``den``, and the witness of
+    that system, times ``den * rhs.den``, is the witness of the equation.
     """
     den, rows = _bracket_rows(pi, unknown_basis, True, restrict_grade)
-    keys = set(rows)
-    for lg, poly in rhs.terms.items():
-        keys.update((lg, e) for e in poly.terms)
-    keys = sorted(keys)
+    if rhs.den != 1:
+        rows = {key: {col: v * rhs.den for col, v in row.items()} for key, row in rows.items()}
+    b = {(legs, exps): c * den for (_, legs, exps), c in rhs._ints.items()}
+    keys = sorted(rows.keys() | b.keys())
     A = _Rows(rows.get(key, {}) for key in keys)
-    b_vec = []
-    for lg, e in keys:
-        poly = rhs.terms.get(lg)
-        c = poly.terms.get(e, 0) * den if poly else 0
-        # an integral value as an int keeps the row [A | b] all-int for _rref
-        b_vec.append(c.numerator if c.denominator == 1 else c)
-    out = solve_linear_exact(A, b_vec, ncols=len(unknown_basis))
+    out = solve_linear_exact(A, [b.get(key, 0) for key in keys], ncols=len(unknown_basis))
     if not out.feasible:
-        return None, [w * den for w in out.witness]
-    monos: dict[tuple, dict] = {}
-    for (legs, exps), c in zip(unknown_basis, out.particular):
-        if c:
-            monos.setdefault(legs, {})[exps] = c
-    terms = {legs: Poly._raw(pi.nvars, m) for legs, m in monos.items()}
+        return None, [w * (den * rhs.den) for w in out.witness]
     grade = len(unknown_basis[0][0]) if unknown_basis else 0
-    return PolyMVF._raw(pi.nvars, grade, terms, pi.weights), None
+    ints, sol_den = _integral(pi.weights, zip(unknown_basis, out.particular))
+    return PolyMVF._raw(pi.nvars, grade, ints, pi.weights, sol_den), None
 
 
 def homotopy_solve(pi_lin: PolyMVF, Z: GradedPiece, base_degree_cap: int = 8) -> HomotopyResult:
@@ -343,8 +335,7 @@ def prolong_step(pi_partial: FilteredJet, m: int, base_degree_cap: int = 8) -> P
     # the given data is pi's jet in the fiber-ideal filtration: corrections
     # may only carry strictly higher fiber degree (the grade of x^exps as a
     # function), so they leave it untouched
-    fiber_floor = 1 + max(_grade(pi.weights, (), exps)
-                          for poly in pi.terms.values() for exps in poly.terms)
+    fiber_floor = 1 + max(_grade(pi.weights, (), exps) for _, _, exps in pi._ints)
     basis = [(legs, exps) for g in eta_grades
              for legs, exps in graded_basis(pi.nvars, 2, g, pi.weights, base_degree_cap)
              if _grade(pi.weights, (), exps) >= fiber_floor]

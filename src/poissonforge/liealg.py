@@ -126,11 +126,10 @@ def validate(spec: LieAlgebraSpec) -> LieAlgebraSpec:
     triple and its lowest variable name the first failure.
     """
     pi = linear_poisson(spec)
-    jacobiator = schouten(pi, pi)
-    if jacobiator.terms:
-        triple = min(jacobiator.terms)
-        l, coeff = min((e.index(1) + 1, c)
-                       for e, c in jacobiator.terms[triple].terms.items())
+    jacobiator = schouten(pi, pi).terms
+    if jacobiator:
+        triple = min(jacobiator)
+        l, coeff = min((e.index(1) + 1, c) for e, c in jacobiator[triple].terms.items())
         raise ValueError(
             f"Jacobi identity fails on basis triple {triple}"
             f" in component {l} (defect {-coeff / 2})")

@@ -1,19 +1,24 @@
 """Polynomial multivector fields with the Schouten bracket and dilation grading.
 
-A multivector field of degree q on R^n is stored as a map from strictly
-increasing index tuples (i1 < ... < iq, 1-based) to polynomial coefficients.
-Each field carries a weight vector in {0,1}^n splitting the coordinates into
-base (weight 0) and fiber (weight 1) directions; the fiberwise dilations
-induce the grading used by the jet/truncation machinery.
+A q-vector field on R^n is a sum of monomials c x^exps d_legs, legs a
+strictly increasing tuple (i1 < ... < iq, 1-based) and c rational.  Each
+field carries a weight vector in {0,1}^n splitting the coordinates into base
+(weight 0) and fiber (weight 1) directions; the fiberwise dilations induce
+the grading used by the jet/truncation machinery.  The dilation grade of
+x^a d_I is its fiber degree, the sum of the a_i over fiber variables, plus
+the number of base legs in I.  ``_grade`` is its one definition, and
+``poisson.graded_basis`` enumerates its inverse.
 
-The dilation grade of a monomial x^a d_I is its fiber degree, the sum of the
-a_i over fiber variables, plus the number of base legs in I.  ``_grade`` is
-its one definition; the Schouten kernel and ``formal.prolong_step`` use it
-too, and ``poisson.graded_basis`` enumerates its inverse.  One walk,
-``_by_grade``, keeps, drops or scales each monomial by its grade for
-``truncate_jet``, ``grade_component``, ``dilate`` and ``graded_pieces``; the
-grade set ``PolyMVF._grades`` answers ``min_grade``, the homogeneity check
-of ``GradedPiece`` and callers that only ask which grades occur.
+A field stores integer numerators over one denominator: ``den`` and
+``_ints``, a dict ``{(g, legs, exps): c}`` with W = sum c x^exps d_legs /
+den.  A monomial's grade g is computed once, where the monomial enters, and
+carried: grading, truncation and the kernel's ``max_grade`` bound read it.
+``den`` is positive and coprime to the numerators together, so a field has
+one representation, which ``==`` and ``hash`` compare.  Sums scale by the
+lcm of the denominators, a scalar multiplies the numerators by its numerator
+and ``den`` by its denominator, and ``PolyMVF._raw`` divides out the gcd.
+``PolyMVF.terms`` is the ``{legs: Poly}`` form, built on each read for
+parsing, formatting and the readers outside this module.
 
 The Schouten bracket treats each leg d_i as an odd variable xi_i, so that
 a d_{i1}^...^d_{ip} is the superfunction a xi_{i1}...xi_{ip}, and is
@@ -27,19 +32,16 @@ Lie bracket with L_X L_Y - L_Y L_X = L_[X,Y], gives [W, f] = (-1)^(p-1) i_df W
 for a p-vector W, and so the Hamiltonian vector field of a bivector pi is
 H_f = -[pi, f].
 
-One integer kernel evaluates this sum of 2n products for ``schouten``,
-``apply_to_functions`` and ``poisson._bracket_rows``.  Each operand is
-brought over one denominator, the lcm of its coefficients' denominators, as
-a list of leg sets with their (exponent vector, integer) terms.  A
-derivative operand keeps that form: d_{x_i} lowers exponent i and scales by
-it, and d_{xi_i} drops leg i from the leg sets that hold it, with the sign
-of moving xi_i to the right end (d^R) or to the left end (d^L).  The kernel
-multiplies two such operands as ``wedge`` multiplies fields, with each
-exponent vector packed into one int (Monagan & Pearce, CASC 2007), and its
-sums stay in ``int``: ``schouten`` builds one ``Fraction`` per output
-monomial, and ``_bracket_rows`` keeps the integers over pi's denominator.
-The kernel and ``wedge`` hold a leg set as an n-bit mask, leg i at bit
-i - 1, and read each sign off bit counts (``_merge_sign``).
+One integer kernel evaluates this sum of 2n products on the numerators for
+``schouten``, ``apply_to_functions`` and ``poisson._bracket_rows``, with
+each operand grouped by leg set and grade.  A derivative operand keeps that
+form: d_{x_i} lowers exponent i and scales by it, and d_{xi_i} drops leg i
+from the leg sets that hold it, with the sign of moving xi_i to the right
+end (d^R) or to the left end (d^L).  The kernel multiplies two such operands
+as ``wedge`` multiplies fields, with each exponent vector packed into one
+int (Monagan & Pearce, CASC 2007); its sums stay in ``int`` and build no
+``Fraction``.  It and ``wedge`` hold a leg set as an n-bit mask, leg i at
+bit i - 1, and read each sign off bit counts (``_merge_sign``).
 
 As in ``polyalg``, data is validated where it enters: the public
 ``PolyMVF(...)`` constructor and ``PolyMVF.from_json_obj`` check leg tuples,
@@ -47,20 +49,21 @@ weights and coefficient variable counts, and refuse a non-integer or
 ``bool`` ``nvars``, ``grade``, weight or leg rather than round it, as
 ``schouten``, ``truncate_jet`` and ``GradedPiece`` refuse such a jet order
 or grade.  Fields that the operations here build from valid fields are
-wrapped by ``PolyMVF._raw`` without re-checking; it trusts that every key
-is a strictly increasing tuple of ``grade`` legs in 1..nvars, every value
-a nonzero ``Poly`` in ``nvars`` variables, and ``weights`` a tuple in
-{0,1}^nvars.
+wrapped by ``PolyMVF._raw`` without re-checking.  It trusts that each key is
+``(g, legs, exps)`` with legs ``grade`` increasing legs in 1..nvars, exps
+nvars ints >= 0 and g their grade under ``weights``, a tuple in {0,1}^nvars;
+that each value is a nonzero ``int``; and that ``den`` is a positive int.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import mul
+from operator import add, itemgetter, mul
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Sequence
 
-from .polyalg import Poly, _add_term, _as_fraction, _as_int, format_poly, parse_poly
+from .polyalg import Poly, _as_fraction, _as_int, format_poly, parse_poly
 
 if TYPE_CHECKING:  # annotations only: NumPy is imported where floats are computed
     import numpy as np
@@ -117,40 +120,55 @@ def _weights(weights, n: int) -> tuple:
     return weights
 
 
+def _integral(weights: tuple, items) -> tuple:
+    """``(ints, den)`` of the ``((legs, exps), c)`` pairs ``items``, summed per
+    monomial, over the lcm of the denominators, which is coprime to them."""
+    acc: dict[tuple, Fraction] = {}
+    for mono, c in items:
+        acc[mono] = acc[mono] + c if mono in acc else c
+    den = math.lcm(*(c.denominator for c in acc.values() if c))
+    return {(_grade(weights, *mono), *mono): c.numerator * (den // c.denominator)
+            for mono, c in acc.items() if c}, den
+
+
 class PolyMVF:
     """Polynomial multivector field on R^n with exact rational coefficients."""
 
-    __slots__ = ("nvars", "grade", "weights", "terms")
+    __slots__ = ("nvars", "grade", "weights", "den", "_ints")
 
     def __init__(self, nvars: int, grade: int, terms: dict | None = None,
                  weights: Sequence[int] | None = None):
         self.nvars = _as_int(nvars, "nvars", 0)
         self.grade = _as_int(grade, "grade", 0)
         self.weights = (1,) * self.nvars if weights is None else _weights(weights, self.nvars)
-        clean: dict[tuple, Poly] = {}
-        if terms:
-            for indices, poly in terms.items():
-                indices = tuple(_as_int(i, "indices") for i in indices)
-                if len(indices) != self.grade:
-                    raise ValueError(f"index tuple {indices} has wrong length for grade {self.grade}")
-                if any(not 1 <= i <= self.nvars for i in indices):
-                    raise ValueError(f"index tuple {indices} out of range 1..{self.nvars}")
-                if any(a >= b for a, b in zip(indices, indices[1:])):
-                    raise ValueError(f"index tuple {indices} is not strictly increasing")
-                if poly.nvars != self.nvars:
-                    raise ValueError("coefficient variable count mismatch")
-                _add_term(clean, indices, poly)
-        self.terms = clean
+        items = []
+        for indices, poly in (terms or {}).items():
+            indices = tuple(_as_int(i, "indices") for i in indices)
+            if len(indices) != self.grade:
+                raise ValueError(f"index tuple {indices} has wrong length for grade {self.grade}")
+            if any(not 1 <= i <= self.nvars for i in indices):
+                raise ValueError(f"index tuple {indices} out of range 1..{self.nvars}")
+            if any(a >= b for a, b in zip(indices, indices[1:])):
+                raise ValueError(f"index tuple {indices} is not strictly increasing")
+            if poly.nvars != self.nvars:
+                raise ValueError("coefficient variable count mismatch")
+            items += [((indices, exps), c) for exps, c in poly.terms.items()]
+        self._ints, self.den = _integral(self.weights, items)
 
     @staticmethod
-    def _raw(nvars: int, grade: int, terms: dict, weights: tuple) -> "PolyMVF":
-        """Wrap ``terms`` without checks (see the module docstring for what is trusted)."""
+    def _raw(nvars: int, grade: int, ints: dict, weights: tuple, den: int = 1) -> "PolyMVF":
+        """Wrap ``ints / den`` without checks (see the module docstring for what is
+        trusted), dividing out the gcd of ``den`` and the numerators."""
+        if den != 1 and (g := math.gcd(den, *ints.values())) != 1:
+            ints = {key: c // g for key, c in ints.items()}
+            den //= g
         out = PolyMVF.__new__(PolyMVF)
-        out.nvars = nvars
-        out.grade = grade
-        out.weights = weights
-        out.terms = terms
+        out.nvars, out.grade, out.weights, out.den, out._ints = nvars, grade, weights, den, ints
         return out
+
+    def _like(self, ints: dict, den: int) -> "PolyMVF":
+        """A field of this one's kind holding ``ints / den``."""
+        return PolyMVF._raw(self.nvars, self.grade, ints, self.weights, den)
 
     # -- constructors -------------------------------------------------
 
@@ -163,12 +181,20 @@ class PolyMVF:
         return cls(poly.nvars, 0, {(): poly}, weights)
 
     def with_weights(self, weights) -> "PolyMVF":
-        return PolyMVF(self.nvars, self.grade, dict(self.terms), weights)
+        return PolyMVF(self.nvars, self.grade, self.terms, weights)
 
     # -- basic queries ------------------------------------------------
 
+    @property
+    def terms(self) -> MappingProxyType:
+        """The coefficients as a read-only ``{legs: Poly}``, built on each read."""
+        polys: dict[tuple, dict] = {}
+        for (_, legs, exps), c in self._ints.items():
+            polys.setdefault(legs, {})[exps] = Fraction(c, self.den)
+        return MappingProxyType({legs: Poly._raw(self.nvars, t) for legs, t in polys.items()})
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._ints
 
     def _check(self, other: "PolyMVF"):
         if self.nvars != other.nvars:
@@ -177,43 +203,51 @@ class PolyMVF:
             raise ValueError("weight vector mismatch")
 
     def __eq__(self, other):
-        if not (isinstance(other, PolyMVF) and self.nvars == other.nvars
-                and self.weights == other.weights):
-            return NotImplemented if not isinstance(other, PolyMVF) else False
+        if not isinstance(other, PolyMVF):
+            return NotImplemented
+        if self.nvars != other.nvars or self.weights != other.weights:
+            return False
         if self.is_zero() and other.is_zero():
             return True
-        return self.grade == other.grade and self.terms == other.terms
+        return self.grade == other.grade and self.den == other.den and self._ints == other._ints
 
     def __hash__(self):
         grade = -1 if self.is_zero() else self.grade
-        return hash((self.nvars, grade, self.weights,
-                     frozenset(self.terms.items())))
+        return hash((self.nvars, grade, self.weights, self.den, frozenset(self._ints.items())))
 
     # -- linear structure ---------------------------------------------
 
     def __add__(self, other: "PolyMVF") -> "PolyMVF":
+        """The sum, over the lcm of the denominators."""
+        if not isinstance(other, PolyMVF):
+            return NotImplemented
         self._check(other)
+        if other.is_zero() or self.is_zero():
+            return self if other.is_zero() else other
         if self.grade != other.grade:
-            if self.is_zero():
-                return other
-            if other.is_zero():
-                return self
             raise ValueError("cannot add multivectors of different degree")
-        terms = dict(self.terms)
-        for idx, p in other.terms.items():
-            _add_term(terms, idx, p)
-        return PolyMVF._raw(self.nvars, self.grade, terms, self.weights)
+        den = math.lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        ints = self._ints.copy() if a == 1 else {k: c * a for k, c in self._ints.items()}
+        for key, c in other._ints.items():
+            if s := ints.get(key, 0) + c * b:
+                ints[key] = s
+            else:
+                del ints[key]
+        return self._like(ints, den)
 
     def __neg__(self):
-        return PolyMVF._raw(self.nvars, self.grade, {i: -p for i, p in self.terms.items()},
-                            self.weights)
+        return self._like({key: -c for key, c in self._ints.items()}, self.den)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, scalar):
-        terms = {i: q for i, p in self.terms.items() if (q := p * scalar)}
-        return PolyMVF._raw(self.nvars, self.grade, terms, self.weights)
+        """The field times an int, a ``Fraction`` or a rational string (``_as_fraction``)."""
+        t = _as_fraction(scalar)
+        num = t.numerator  # 0 keeps no monomial
+        ints = self._ints if num == 1 else {key: c * num for key, c in self._ints.items() if num}
+        return self._like(ints, self.den * t.denominator)
 
     __rmul__ = __mul__
 
@@ -221,13 +255,11 @@ class PolyMVF:
 
     def _grades(self) -> set:
         """The dilation grades of the monomials."""
-        return {_grade(self.weights, legs, exps)
-                for legs, poly in self.terms.items() for exps in poly.terms}
+        return {g for g, _, _ in self._ints}
 
     def graded_pieces(self) -> dict[int, "PolyMVF"]:
         """Decompose into homogeneous pieces keyed by dilation grade."""
-        return {l: _by_grade(self, lambda g, c, l=l: c if g == l else 0)
-                for l in sorted(self._grades())}
+        return {g: grade_component(self, g).value for g in sorted(self._grades())}
 
     def min_grade(self):
         """Smallest dilation grade with a nonzero piece; None if zero."""
@@ -261,14 +293,12 @@ class PolyMVF:
         return cls(nvars, grade, terms, weights)
 
     def __repr__(self):
+        terms = sorted(self.terms.items())
         if self.grade == 0:
-            body = format_poly(self.terms.get((), Poly.zero(self.nvars)))
+            body = format_poly(terms[0][1]) if terms else "0"
         else:
-            parts = []
-            for idx, p in sorted(self.terms.items()):
-                legs = "^".join(f"d{i}" for i in idx)
-                parts.append(f"({format_poly(p)}) {legs}")
-            body = " + ".join(parts) if parts else "0"
+            body = " + ".join(f"({format_poly(p)}) " + "^".join(f"d{i}" for i in idx)
+                              for idx, p in terms) or "0"
         return f"<PolyMVF deg={self.grade} {body}>"
 
     # -- evaluation ---------------------------------------------------
@@ -327,17 +357,19 @@ class GradedPiece:
 def wedge(W: PolyMVF, V: PolyMVF) -> PolyMVF:
     """Exterior product; graded-commutative with sign (-1)^(|W||V|).
 
-    Repeated legs wedge to zero; their product is never formed.
+    Repeated legs wedge to zero; their product is never formed.  Grades add.
     """
     W._check(V)
-    terms: dict[tuple, Poly] = {}
-    v_terms = [(_mask(iv), pv) for iv, pv in V.terms.items()]
-    for iw, pw in W.terms.items():
-        mw = _mask(iw)
-        for mv, pv in v_terms:
+    ints: dict[tuple, int] = {}
+    v_ints = [(_mask(legs), h, exps, d) for (h, legs, exps), d in V._ints.items()]
+    for (g, legs, exps), c in W._ints.items():
+        mw = _mask(legs)
+        for mv, h, ev, d in v_ints:
             if not mw & mv:
-                _add_term(terms, _legs(mw | mv), pw * pv * _merge_sign(mw, mv))
-    return PolyMVF._raw(W.nvars, W.grade + V.grade, terms, W.weights)
+                key = (g + h, _legs(mw | mv), tuple(map(add, exps, ev)))
+                ints[key] = ints.get(key, 0) + c * d * _merge_sign(mw, mv)
+    return PolyMVF._raw(W.nvars, W.grade + V.grade, {k: c for k, c in ints.items() if c},
+                        W.weights, W.den * V.den)
 
 
 def schouten(W: PolyMVF, V: PolyMVF, max_grade: int | None = None) -> PolyMVF:
@@ -346,8 +378,8 @@ def schouten(W: PolyMVF, V: PolyMVF, max_grade: int | None = None) -> PolyMVF:
     It is the sum of the products of derivative operands in the module
     docstring.  Functions (p or q = 0) take the same formula, so that
     [W, f] = (-1)^(p-1) i_df W and H_f = -[pi, f] for every bivector pi.
-    The integer kernel ``_schouten_sums`` evaluates it, with the
-    coefficients of each operand brought over one denominator.
+    The integer kernel ``_schouten_sums`` evaluates it on the numerators;
+    the bracket is its result over ``W.den * V.den``.
 
     With ``max_grade`` set the result is exactly
     ``truncate_jet(schouten(W, V), max_grade)``, but the monomials above the
@@ -357,129 +389,106 @@ def schouten(W: PolyMVF, V: PolyMVF, max_grade: int | None = None) -> PolyMVF:
     """
     W._check(V)
     max_grade = max_grade if max_grade is None else _as_int(max_grade, "max_grade", 0)
-    den_w, w_terms = _integer_terms(W)
-    den_v, v_terms = _integer_terms(V)
-    sums = _schouten_sums(w_terms, v_terms, W.weights, max_grade)
-    den = den_w * den_v
-    terms: dict[tuple, dict] = {}
-    for (legs, exps), tagged in sums.items():
-        terms.setdefault(legs, {})[exps] = (Fraction(tagged[0], den) if den != 1
-                                            else Fraction(tagged[0]))
     return PolyMVF._raw(W.nvars, max(W.grade + V.grade - 1, 0),
-                        {legs: Poly._raw(W.nvars, t) for legs, t in terms.items()}, W.weights)
+                        _schouten_sums(W._ints, V._ints, W.weights, max_grade),
+                        W.weights, W.den * V.den)
 
 
 # ---------------------------------------------------------------------------
 # The integer Schouten kernel
 # ---------------------------------------------------------------------------
 #
-# An operand is a list ``[(legs, [(exps, c, tag)])]`` of integer
-# coefficients c over one denominator.  The kernel packs each exponent
-# vector into one int, ``width`` bits per variable with x_i at bit
-# width*(i-1).  Packed words add as exponent vectors do, as long as every
-# exponent of a product fits its field, and a derivative d_i subtracts
-# 1 << width*(i-1) from a word whose field i is nonzero (Monagan & Pearce,
-# CASC 2007).  Sums are keyed by one int: the output word, then the n-bit
-# mask of its legs, then the tags, which add through like exponents.  A field's
-# tags are 0; ``poisson._bracket_rows`` tags each basis monomial with its column.
+# An operand is a dict ``{(grade, legs, exps): c}`` of integer numerators, as
+# ``PolyMVF._ints``.  The kernel packs each exponent vector into one int,
+# ``width`` bits per variable with x_i at bit width*(i-1).  Packed words add
+# as exponent vectors do, as long as every exponent of a product fits its
+# field, and a derivative d_i subtracts 1 << width*(i-1) from a word whose
+# field i is nonzero (Monagan & Pearce, CASC 2007).  Sums are keyed by one
+# int: the output word, the n-bit mask of its legs, and extra bits that add
+# through: grades g + h for fields, or each basis monomial's column for
+# ``poisson._bracket_rows`` (and none for pi).
 
-def _integer_terms(W: PolyMVF):
-    """``W`` as ``(den, [(legs, [(exps, c, 0)])])`` with ``W = sum c x^exps d_legs / den``.
+def _schouten_sums(W: dict, V: dict, weights: tuple, max_grade, rows=None):
+    """The bracket of integer operands: the 2n products of the module docstring.
 
-    ``den`` is the lcm of the coefficients' denominators.
-    """
-    den = math.lcm(*(c.denominator for poly in W.terms.values() for c in poly.terms.values()))
-    return den, [(legs, [(exps, c.numerator * (den // c.denominator), 0)
-                         for exps, c in poly.terms.items()])
-                 for legs, poly in W.terms.items()]
-
-
-def _schouten_sums(W: list, V: list, weights: tuple, max_grade, keyed=True):
-    """The bracket of integer operands.
-
-    Returns ``{(legs, exps): {tag: coefficient}}`` with the nonzero integer
-    coefficients, or with ``keyed`` false the list of its values, in order;
-    the bracket of the fields is this over the product of the operands'
-    denominators.  It adds the 2n products of derivative operands of the
-    module docstring.  Only with ``max_grade`` set is a grade computed: a
-    derivative keeps the grade of the monomial it came from, and a pair of
-    grades g and h with g + h - 1 > max_grade is skipped unmultiplied.
+    With ``rows`` None it is ``{(grade, legs, exps): c}``, nonzero, over the
+    product of the operands' denominators.  Otherwise V's values are column
+    tags of monomials with coefficient 1, and it is ``{(legs, exps): {tag:
+    c}}``, or with ``rows`` False the list of its values, in order.  A
+    derivative keeps its monomial's grade, and with ``max_grade`` set a pair
+    of grades g and h with g + h - 1 > max_grade is skipped unmultiplied.
     """
     n = len(weights)
-    degree = [max((sum(exps) for _, monos in X for exps, _, _ in monos), default=0)
-              for X in (W, V)]
+    degree = [max(map(sum, map(itemgetter(2), X)), default=0) for X in (W, V)]
     width = max(sum(degree), 1).bit_length()
-    low, tag_shift = n * width, n * width + n
+    low, top = n * width, n * width + n
     units = [1 << (width * v) for v in range(n)]
     limit = math.inf if max_grade is None else max_grade + 1
 
-    def packed(X):
-        """X as [(mask, sign, [(word, exps, c, grade)])], one entry per leg set."""
-        return [(_mask(legs), 1, [(sum(map(mul, exps, units)) + (tag << tag_shift), exps, c,
-                                   max_grade is not None and _grade(weights, legs, exps))
-                                  for exps, c, tag in monos])
-                for legs, monos in X]
+    def packed(X, tags):
+        """X as [(mask, grade, extra bits, sign, [(word, exps, c)])] by leg set and grade."""
+        groups: dict[tuple, list] = {}
+        for (g, legs, exps), c in X.items():
+            word = sum(map(mul, exps, units))
+            if tags:
+                word, c = word + (c << top), 1
+            groups.setdefault((legs, g), []).append((word, exps, c))
+        return [(_mask(legs), g, 0 if rows is not None else g << top, 1, monos)
+                for (legs, g), monos in groups.items()]
 
     def d_x(X, v):
         """d/dx_v: the monomials with e_v > 0, lowered and times e_v."""
-        return [(m, s, lowered) for m, s, monos in X
-                if (lowered := [(word - units[v], exps, c * exps[v], g)
-                                for word, exps, c, g in monos if exps[v]])]
+        return [(m, g, x, s, lowered) for m, g, x, s, monos in X
+                if (lowered := [(word - units[v], exps, c * exps[v])
+                                for word, exps, c in monos if exps[v]])]
 
-    W, V, sums = packed(W), packed(V), {}
+    W, V, sums = packed(W, False), packed(V, rows is not None), {}
 
     def product(A, B):
         """Add the product A B, leg sets of A before those of B."""
-        for mA, sA, a_monos in A:
-            for mB, sB, b_monos in B:
-                if mA & mB:
+        for mA, gA, xA, sA, a_monos in A:
+            for mB, gB, xB, sB, b_monos in B:
+                if mA & mB or gA + gB > limit:
                     continue
-                s, off = sA * sB * _merge_sign(mA, mB), (mA | mB) << low
-                for wa, _, c, g in a_monos:
+                s, off = sA * sB * _merge_sign(mA, mB), ((mA | mB) << low) + xA + xB
+                for wa, _, c in a_monos:
                     base, sc = wa + off, s * c
-                    for wb, _, d, h in b_monos:
-                        if g + h <= limit:
-                            key = base + wb
-                            sums[key] = sums.get(key, 0) + sc * d
+                    for wb, _, d in b_monos:
+                        key = base + wb
+                        sums[key] = sums.get(key, 0) + sc * d
 
     for v in range(n):
         bit = 1 << v
         # xi_v taken off the right of each leg set of W and off the left of
         # V's; the minus of the second product rides on d^L_{xi_v} V
-        product([(m ^ bit, _merge_sign(m ^ bit, bit), monos) for m, _, monos in W if m & bit],
-                d_x(V, v))
-        product(d_x(W, v),
-                [(m ^ bit, -_merge_sign(bit, m ^ bit), monos) for m, _, monos in V if m & bit])
+        product([(m ^ bit, g, x, _merge_sign(m ^ bit, bit), monos)
+                 for m, g, x, _, monos in W if m & bit], d_x(V, v))
+        product(d_x(W, v), [(m ^ bit, g, x, -_merge_sign(bit, m ^ bit), monos)
+                            for m, g, x, _, monos in V if m & bit])
 
+    field, shifts = (1 << width) - 1, range(0, low, width)
+    if rows is None:
+        sums = {key: c for key, c in sums.items() if c}
+        legs_of = (1 << n) - 1
+        legs = {m: _legs(m) for m in {key >> low & legs_of for key in sums}}
+        return {((key >> top) - 1, legs[key >> low & legs_of],
+                 tuple((key >> s) & field for s in shifts)): c for key, c in sums.items()}
     # group by monomial, so each exponent vector and leg mask is decoded once
-    monomial = (1 << tag_shift) - 1
+    monomial = (1 << top) - 1
     grouped: dict[int, dict] = {}
     for key, c in sums.items():
         if c:
-            grouped.setdefault(key & monomial, {})[key >> tag_shift] = c
-    if not keyed:
+            grouped.setdefault(key & monomial, {})[key >> top] = c
+    if not rows:
         return list(grouped.values())
     legs = {m: _legs(m) for m in {key >> low for key in grouped}}
-    field, shifts = (1 << width) - 1, range(0, low, width)
     return {(legs[key >> low], tuple((key >> s) & field for s in shifts)): tagged
             for key, tagged in grouped.items()}
 
 
-def _by_grade(W: PolyMVF, scale) -> PolyMVF:
-    """``W`` with the coefficient c of each monomial of grade g replaced by
-    ``scale(g, c)``; a monomial that it sends to 0 is dropped."""
-    terms: dict[tuple, Poly] = {}
-    for legs, poly in W.terms.items():
-        kept = {exps: v for exps, c in poly.terms.items()
-                if (v := scale(_grade(W.weights, legs, exps), c))}
-        if kept:
-            terms[legs] = Poly._raw(W.nvars, kept)
-    return PolyMVF._raw(W.nvars, W.grade, terms, W.weights)
-
-
 def grade_component(W: PolyMVF, l: int) -> GradedPiece:
     """The dilation-homogeneous component of grade l."""
-    return GradedPiece(l, _by_grade(W, lambda g, c: c if g == l else 0))
+    return GradedPiece(l, W._like({key: c for key, c in W._ints.items() if key[0] == l}, W.den))
 
 
 def dilate(W: PolyMVF, t) -> PolyMVF:
@@ -491,10 +500,14 @@ def dilate(W: PolyMVF, t) -> PolyMVF:
     t = _as_fraction(t)
     if t == 0:
         raise ValueError("dilation parameter must be nonzero")
-    return _by_grade(W, lambda g, c: c * t ** (g - 1))
+    scale = {g: t ** (g - 1) for g in W._grades()}
+    lcm = math.lcm(*(s.denominator for s in scale.values()))
+    factor = {g: s.numerator * (lcm // s.denominator) for g, s in scale.items()}
+    return W._like({key: c * factor[key[0]] for key, c in W._ints.items()}, W.den * lcm)
 
 
 def truncate_jet(W: PolyMVF, k: int) -> PolyMVF:
     """Drop all graded pieces of grade > k (the k-th order jet)."""
     k = _as_int(k, "jet order k", 0)
-    return _by_grade(W, lambda g, c: c if g <= k else 0)
+    kept = {key: c for key, c in W._ints.items() if key[0] <= k}
+    return W if len(kept) == len(W._ints) else W._like(kept, W.den)

@@ -19,8 +19,8 @@ from typing import TYPE_CHECKING
 
 from .polyalg import (Poly, _add_term, _as_fraction, _as_int, _complex_ranks, _Rows,
                       solve_linear_exact)
-from .multivector import (PolyMVF, _integer_terms, _schouten_sums, _weights, dilate,
-                          grade_component, schouten)
+from .multivector import (PolyMVF, _grade, _schouten_sums, _weights, dilate, grade_component,
+                          schouten)
 
 if TYPE_CHECKING:  # annotations only: NumPy is imported where floats are computed
     import numpy as np
@@ -79,7 +79,7 @@ def sharp(pi: PolyMVF, alpha) -> PolyMVF:
         # pi(dx_i, .) picks up +p d_j; pi(dx_j, .) picks up -p d_i
         _add_term(terms, (j,), p * coeffs[i - 1])
         _add_term(terms, (i,), -(p * coeffs[j - 1]))
-    return PolyMVF._raw(n, 1, terms, pi.weights)
+    return PolyMVF(n, 1, terms, pi.weights)
 
 
 def hamiltonian_vf(pi: PolyMVF, f: Poly) -> PolyMVF:
@@ -170,25 +170,24 @@ def graded_basis(n: int, k: int, l: int, weights, base_degree_cap: int = 0) -> l
 def _bracket_rows(pi: PolyMVF, basis, keyed: bool, max_grade: int | None = None):
     """The matrix of [pi, .] on a monomial basis, as ``(den, rows)``.
 
-    The matrix is ``rows / den``: ``den`` is the lcm of pi's denominators
-    and ``rows`` holds sparse rows of nonzero ``int``s.  Column c is the
-    basis element ``basis[c] = (legs, exps)``; rows are keyed by the
-    (legs, exps) monomials of the brackets, or with ``keyed`` false are the
-    list of their values, in order.  The basis is trusted to come from
-    ``graded_basis``: increasing legs in 1..n, exponent vectors of length n.
+    The matrix is ``rows / den``: ``den`` is pi's denominator and ``rows``
+    holds sparse rows of nonzero ``int``s.  Column c is the basis element
+    ``basis[c] = (legs, exps)``; rows are keyed by the (legs, exps)
+    monomials of the brackets, or with ``keyed`` false are the list of their
+    values, in order.  The basis is trusted to come from ``graded_basis``:
+    distinct elements, increasing legs in 1..n, exponent vectors of length n.
     With ``max_grade`` set, only the rows of grade at most ``max_grade`` are
-    formed: the kernel skips every pair whose bracket lies above it.
+    formed: the kernel skips every pair whose bracket lies above it.  Only
+    then are the basis grades computed, as nothing else reads them.
 
-    One call of the integer Schouten kernel of ``multivector`` brackets pi,
-    brought over its denominator once, with every basis monomial: each
-    monomial is tagged with its column, so the images of different columns
-    never share a sum.
+    One call of the integer Schouten kernel of ``multivector`` brackets pi's
+    numerators with every basis monomial, tagged with its column, so the
+    images of different columns never share a sum.
     """
-    den, pi_terms = _integer_terms(pi)
-    monos: dict[tuple, list] = {}
-    for col, (legs, exps) in enumerate(basis):
-        monos.setdefault(legs, []).append((exps, 1, col))
-    return den, _schouten_sums(pi_terms, list(monos.items()), pi.weights, max_grade, keyed)
+    weights = pi.weights
+    cols = {(0 if max_grade is None else _grade(weights, legs, exps), legs, exps): col
+            for col, (legs, exps) in enumerate(basis)}
+    return pi.den, _schouten_sums(pi._ints, cols, weights, max_grade, keyed)
 
 
 # ---------------------------------------------------------------------------

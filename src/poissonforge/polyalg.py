@@ -182,7 +182,7 @@ class Poly:
             raise ValueError(f"variable count mismatch: {self.nvars} vs {other.nvars}")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Poly):
             other = Poly.constant(self.nvars, other)
         self._check(other)
         terms = dict(self.terms)
@@ -196,15 +196,13 @@ class Poly:
         return Poly._raw(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly.constant(self.nvars, other)
-        return self + (-other)
+        return self + (-other if isinstance(other, Poly) else -_as_fraction(other))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Poly):
             c = _as_fraction(other)
             return Poly._raw(self.nvars, {e: c * v for e, v in self.terms.items()} if c else {})
         self._check(other)

@@ -567,7 +567,7 @@ def _reference_schouten(W: PolyMVF, V: PolyMVF) -> PolyMVF:
             for k, j in enumerate(J):
                 if j in da:
                     _accumulate(terms, da[j], b, I + J[:k] + J[k + 1:], -(-1) ** k)
-    return PolyMVF._raw(W.nvars, max(p + V.grade - 1, 0), terms, W.weights)
+    return PolyMVF(W.nvars, max(p + V.grade - 1, 0), terms, W.weights)
 
 
 def _reference_wedge(W: PolyMVF, V: PolyMVF) -> PolyMVF:
@@ -576,7 +576,7 @@ def _reference_wedge(W: PolyMVF, V: PolyMVF) -> PolyMVF:
     for I, a in W.terms.items():
         for J, b in V.terms.items():
             _accumulate(terms, a, b, I + J, 1)
-    return PolyMVF._raw(W.nvars, W.grade + V.grade, terms, W.weights)
+    return PolyMVF(W.nvars, W.grade + V.grade, terms, W.weights)
 
 
 @st.composite

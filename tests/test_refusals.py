@@ -6,6 +6,7 @@ a reinterpretation.
 """
 
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -80,3 +81,26 @@ def test_a_jet_of_another_order_is_truncated_again():
     jet = _as_jet(FilteredJet(cubic, 4), 2)
     assert jet.D == 2
     assert jet.value == truncate_jet(cubic, 2) == _PI
+
+
+_P = Poly(3, {(1, 0, 0): 2, (0, 1, 1): Fraction(-1, 3)})
+
+
+@pytest.mark.parametrize("call", [
+    lambda: _P * 0.5, lambda: 0.5 * _P, lambda: _P + 0.5, lambda: 0.5 + _P,
+    lambda: _P - 0.5, lambda: 0.5 - _P, lambda: _P * True, lambda: _P + True,
+    lambda: _PI * 0.5, lambda: 0.5 * _PI, lambda: _PI * True, lambda: _PI + 0.5,
+], ids=["poly*float", "float*poly", "poly+float", "float+poly", "poly-float", "float-poly",
+        "poly*bool", "poly+bool", "field*float", "float*field", "field*bool", "field+float"])
+def test_inexact_scalars_raise_type_error(call):
+    # a float is not read as the rational it rounds to, nor a bool as 0 or 1
+    with pytest.raises(TypeError):
+        call()
+
+
+def test_rational_strings_are_exact_scalars():
+    half = Fraction(1, 2)
+    assert _P * "1/2" == _P * half == "1/2" * _P
+    assert _P + "1/2" == _P + half and _P - "1/2" == _P - half
+    assert _PI * "1/2" == _PI * half
+    assert (_PI * "-2/3").terms[(1, 2)] == _PI.terms[(1, 2)] * Fraction(-2, 3)
