@@ -10,7 +10,7 @@ basis, or a witness of infeasibility), which depends only on the system.
 ``solve_linear_exact`` and ``exact_rank`` read every answer off one RREF,
 ``_rref``, found by one certified multi-modular path: each row's
 denominators are cleared, the matrix is reduced modulo one prime after
-another, counting down from ``2^31 - 1``, by sparse Gauss-Jordan on dict
+another, counting down from ``2^30 - 35``, by sparse Gauss-Jordan on dict
 rows of Python ints, the residues of the primes that share the best pivot
 set are combined by the Chinese remainder theorem, and the kernel basis is
 lifted by rational reconstruction.  One exact integer check, ``M v = 0``
@@ -439,7 +439,10 @@ def _matrix_entry(v, name: str = "matrix entry") -> Fraction:
 # minus its kernel vector, cut to the columns of A, is the RREF particular
 # solution.
 
-_PRIMES = {0: 2**31 - 1}  # i -> the i-th prime of the supply; racing threads store one value
+# i -> the i-th prime of the supply; racing threads store one value.  The first
+# is the largest prime below 2^30: CPython stores ints in 30-bit digits, so
+# every residue fits one digit and `% p` takes the one-digit path.
+_PRIMES = {0: 2**30 - 35}
 
 
 def _is_prime(n: int) -> bool:
@@ -452,7 +455,7 @@ def _is_prime(n: int) -> bool:
 
 
 def _primes():
-    """The primes from 2^31 - 1 down to 11, each searched for once per process."""
+    """The primes from 2^30 - 35 down to 11, each searched for once per process."""
     for i in itertools.count():
         if i not in _PRIMES:
             _PRIMES.setdefault(i, next(n for n in range(_PRIMES[i - 1] - 2, 7, -2) if _is_prime(n)))
@@ -599,8 +602,8 @@ def _rref(rows: list, ncols: int, first=None):
     # Every RREF entry is a minor of M over d (Cramer), both at most
     # Hadamard's bound H, so once the primes that gave J multiply past
     # 2 H^2, Wang's reconstruction returns every entry and the check passes.
-    # Each prime above 2^30 adds 30 bits, and about 5 * 10^7 primes lie
-    # between 2^30 and 2^31.  Lifting only when the number of primes folded
+    # Each prime above 2^29 adds 29 bits, and about 2.6 * 10^7 primes lie
+    # between 2^29 and 2^30.  Lifting only when the number of primes folded
     # into the residues is a power of two keeps this: a lift still comes once
     # their product passes 2 H^2, after at most twice as many primes.
     for p in _primes():

@@ -15,6 +15,9 @@ Z = [x; J_top], batch last.  A stage writes into a workspace that each
 batch allocates once: the monomial values V(x), the product [y; 1] (x) V, and
 its product with the stage table of `SprayField`, which gives xdot and
 G = [M | P^T] (M = d(xdot)/dx, P = pi(x)); then Jdot_top = G [J_top; 0 I].
+Every view a stage reads or writes, of the workspace, of the states and of
+the four slopes, is also built once per batch, so a stage only calls the
+arithmetic into them.
 J^T omega_can J = [[0, Jxx^T], [-Jxx, Jxy^T - Jxy]] is linear in J_top, so the
 quadrature keeps K = int J_top dt and assembles the form once at the end.
 The RK4 step of K, (h/6)(J_1 + 2 J_2 + 2 J_3 + J_4) in the stage values, is
@@ -34,6 +37,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -58,6 +62,20 @@ class FlowBlowupError(RuntimeError, ValueError):
     def __init__(self, t):
         super().__init__(f"spray flow left numeric range near t = {t:.4g}")
         self.t = t
+
+
+def _as_real(value, name: str) -> float:
+    """``value`` as a finite ``float``: any real number but a ``bool``; anything
+    else, NaN and the infinities included, raises ``ValueError``."""
+    try:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise TypeError
+        real = float(value)                      # an int past the float range overflows
+        if not math.isfinite(real):
+            raise TypeError
+    except (TypeError, OverflowError):
+        raise ValueError(f"{name!r} must be a finite real number, got {value!r}") from None
+    return real
 
 
 def _index(ix: list):
@@ -130,7 +148,7 @@ class SprayField:
         L = np.ones((self._nrows,) + xt.shape[1:]) if L is None else L
         for rows, parents, v in self._levels:
             np.multiply(L[parents], xt[v], out=L[rows])
-        return np.take(L, self._take, axis=0, out=out, mode="clip")   # "raise" buffers out
+        return L.take(self._take, axis=0, out=out, mode="clip")   # "raise" buffers out
 
     def pi_matrix(self, x: np.ndarray) -> np.ndarray:
         """Shape (..., n, n): the matrix pi_ij(x)."""
@@ -143,23 +161,24 @@ class SprayField:
         return np.einsum("...ij,...i->...j", P, y)
 
 
-def _rhs(spray: SprayField, x, Jt, out, work):
-    """One RK4 stage: the slope of the stacked state Z = [x; J_top], into `out`.
+def _rhs(spray: SprayField, x, xt, Jt, xdot, Jdot, JdotP, work):
+    """One RK4 stage: the slope of the stacked state Z = [x; J_top], into
+    its views `xdot` and `Jdot`.
 
-    `x` is (B, n), the view Z[:n].T; `Jt` is Z[n:], J_top flattened over its
-    rows, (2n^2, B); `out` is (n + 2n^2, B); `work` is `_flow_batch`'s.
+    `xt` is Z[:n], and `x` (B, n) its transpose, which the stage does not
+    read: the benchmark's tracer keys its per-batch timings on its shape.
+    `Jt` is Z[n:] as (n, 2n, B), J_top by rows; `Jdot` is the slope's J_top
+    part, shaped like `Jt`, and `JdotP` its last n columns.  These views and
+    those in `work` are built once per batch by `_flow_batch`.
     """
-    n = spray.n
-    y, L, YV, XG = work
-    spray._monomials(x.T, L, out=YV[n])
-    np.multiply(y[:, None], YV[n], out=YV[:n])                # YV = [y; 1] (x) V
-    np.matmul(spray._stage, YV.reshape(-1, YV.shape[2]), out=XG)
-    out[:n] = XG[:n]
+    y, L, V, YV_y, YV, XG, xg, GM, GP = work
+    spray._monomials(xt, L, out=V)
+    np.multiply(y, V, out=YV_y)                                # YV = [y; 1] (x) V
+    np.matmul(spray._stage, YV, out=XG)
+    xdot[...] = xg
     # Jdot_top = G [J_top; 0 I] = M J_top + [0 | P^T]
-    G = XG[n:].reshape(n, 2 * n, -1)
-    Jdot = out[n:].reshape(G.shape)
-    np.einsum("jkb,kcb->jcb", G[:, :n], Jt.reshape(G.shape), out=Jdot)
-    Jdot[:, n:] += G[:, n:]
+    np.einsum("jkb,kcb->jcb", GM, Jt, out=Jdot)
+    JdotP += GP
 
 
 def _flow_batch(spray: SprayField, xi: np.ndarray, t_final: float, steps: int):
@@ -177,6 +196,7 @@ def _flow_batch(spray: SprayField, xi: np.ndarray, t_final: float, steps: int):
     Returns (x, y, J, Om, blowup_time) with J the full (B, 2n, 2n) Jacobian.
     """
     steps = _as_int(steps, "steps", 1)
+    t_final = _as_real(t_final, "t_final")
     n = spray.n
     xi = np.asarray(xi, dtype=float)
     if xi.ndim != 2 or xi.shape[1] != 2 * n:
@@ -184,37 +204,51 @@ def _flow_batch(spray: SprayField, xi: np.ndarray, t_final: float, steps: int):
     B = xi.shape[0]
     Z = np.empty((n + 2 * n * n, B))
     Z[:n], Z[n:] = xi[:, :n].T, np.eye(n, 2 * n).reshape(-1, 1)
-    work = (np.ascontiguousarray(xi[:, n:].T), np.ones((spray._nrows, B)),  # y does not move
-            np.empty((n + 1, len(spray._take), B)), np.empty_like(Z))       # L, YV, XG
-    k = np.empty((4,) + Z.shape)
+    y = np.ascontiguousarray(xi[:, n:].T)                      # y does not move
+    YV = np.empty((n + 1, len(spray._take), B))
+    XG = np.empty_like(Z)
+    G = XG[n:].reshape(n, 2 * n, B)
+    work = (y[:, None], np.ones((spray._nrows, B)), YV[n], YV[:n], YV.reshape(-1, B),
+            XG, XG[:n], G[:, :n], G[:, n:])            # y, L, V, y (x) V, YV, XG, xdot, M, P^T
+    k = list(np.empty((4,) + Z.shape))                        # the four stage slopes
     Zs, S = np.empty_like(Z), np.empty_like(Z)
     K = np.zeros_like(Z[n:])
     T = np.empty_like(K)
     h = t_final / steps
+    h6 = h / 6
     check_every = max(1, steps // 32)
     blowup = None
+
+    def views(X, out):
+        """The views of one (state, slope) pair that a stage reads and writes."""
+        Jdot = out[n:].reshape(n, 2 * n, B)
+        return X[:n].T, X[:n], X[n:].reshape(n, 2 * n, B), out[:n], Jdot, Jdot[:, n:]
+
+    first = views(Z, k[0])
+    later = [(k[i], c, views(Zs, k[i + 1])) for i, c in enumerate((0.5 * h, 0.5 * h, h))]
+    ZJ, SJ = Z[n:], S[n:]
     # a sample that leaves numeric range turns inf or nan in its own column
     # only; `blowup` records it and the caller reports it as skipped
     with np.errstate(over="ignore", invalid="ignore"):
         for s in range(steps):
-            _rhs(spray, Z[:n].T, Z[n:], k[0], work)
-            for i, c in enumerate((0.5 * h, 0.5 * h, h)):
-                np.multiply(k[i], c, out=Zs)
+            _rhs(spray, *first, work)
+            for slope, c, stage in later:
+                np.multiply(slope, c, out=Zs)
                 Zs += Z
-                _rhs(spray, Zs[:n].T, Zs[n:], k[i + 1], work)
+                _rhs(spray, *stage, work)
             # in place, in the order of S = k1 + k2 + k3,
             # K += h (Z_J + (h/6) S_J), i.e. (h/6)(J_1 + 2 J_2 + 2 J_3 + J_4),
             # Z += (h/6) (S + k2 + k3 + k4)
             np.add(k[0], k[1], out=S)
             S += k[2]
-            np.multiply(S[n:], h / 6, out=T)
-            T += Z[n:]
+            np.multiply(SJ, h6, out=T)
+            T += ZJ
             T *= h
             K += T
             S += k[1]
             S += k[2]
             S += k[3]
-            S *= h / 6
+            S *= h6
             Z += S
             if (s + 1) % check_every == 0 or s == steps - 1:
                 finite = np.isfinite(Z).all(axis=0)
@@ -275,9 +309,9 @@ def verify_realization(pi: PolyMVF, n_samples: int, radius: float, seed: int,
                        steps: int) -> RealizationReport:
     """Check Theorem-0 properties of omega at seeded random points |xi| <= radius."""
     n_samples, seed = _as_int(n_samples, "n_samples", 1), _as_int(seed, "seed", 0)
-    steps = _as_int(steps, "steps", 1)
-    if not (math.isfinite(radius) and radius > 0):
-        raise ValueError("radius must be finite and > 0")
+    steps, radius = _as_int(steps, "steps", 1), _as_real(radius, "radius")
+    if radius <= 0:
+        raise ValueError(f"'radius' must be > 0, got {radius!r}")
     n = pi.nvars
     rng = np.random.default_rng(seed)
     dirs = rng.normal(size=(n_samples, 2 * n))
@@ -389,10 +423,11 @@ def dh_variation(r: float, h: float, grid=(64, 2048)) -> tuple[float, float]:
     are 4pi/(1+r^2) and 4pi*r, recomputed here by quadrature of the leaf
     forms and differentiated centrally in r.
     """
-    if not (math.isfinite(r) and r > 0):
-        raise ValueError("radius r must be finite and > 0")
-    if not (math.isfinite(h) and 0 < h < r):
-        raise ValueError("step h must be finite, > 0 and below the radius r")
+    r, h = _as_real(r, "radius r"), _as_real(h, "step h")
+    if r <= 0:
+        raise ValueError("radius r must be > 0")
+    if not 0 < h < r:
+        raise ValueError("step h must be > 0 and below the radius r")
     if abs((r + h) - (r - h) - 2 * h) > 2e-6 * h:
         raise ValueError(f"radius r = {r:g} swamps the difference step h = {h:g}")
     from .liealg import linear_poisson, preset

@@ -251,6 +251,35 @@ def test_realize_output_pinned(tmp_path, capsys, name, terms, options):
     assert capsys.readouterr().out == _REALIZE_PINNED[name]
 
 
+# The same, at the batch sizes of the spray benchmark: B = samples * (2 + 4n)
+# trajectories, so 1400 (so3) and 140 (quad), each over 100 steps; captured
+# before the spray stage built its views once per batch
+_REALIZE_PINNED_AT_BATCH = {
+    "so3": ('{"det_min": 0.9986953296578734, "domega_max": 7.632783272613908e-11, '
+            '"fd_step": 1e-05, "n_samples": 100, "poisson_residual_max": 8.250344851745695e-15, '
+            '"radius": 0.1, "seed": 42, "skew_defect_max": 0.0, "skipped": 0, "steps": 100, '
+            '"zero_section_residual": 6.661338147750939e-16}\n'),
+    "quad": ('{"det_min": 0.9979094739105259, "domega_max": 2.366835026579306e-10, '
+             '"fd_step": 5e-05, "n_samples": 10, "poisson_residual_max": 6.455946888195285e-14, '
+             '"radius": 0.5, "seed": 7, "skew_defect_max": 0.0, "skipped": 0, "steps": 100, '
+             '"zero_section_residual": 6.661338147750939e-16}\n'),
+}
+
+
+@pytest.mark.parametrize("name, terms, options", [
+    pytest.param("so3", {(1, 2): "x3", (1, 3): "-x2", (2, 3): "x1"}, ["--samples", "100"],
+                 id="so3-B1400"),
+    pytest.param("quad", {(1, 2): "2*x3^2", (1, 3): "-x2^2", (2, 3): "-x1^2"},
+                 ["--samples", "10", "--radius", "0.5", "--seed", "7"], id="quad-B140"),
+])
+def test_realize_output_pinned_at_bench_batches(tmp_path, capsys, name, terms, options):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"nvars": 3, "grade": 2, "terms": [
+        {"indices": list(ij), "poly": poly} for ij, poly in terms.items()]}))
+    assert cli.main(["realize", str(path), "--steps", "100", "--format", "json", *options]) == 0
+    assert capsys.readouterr().out == _REALIZE_PINNED_AT_BATCH[name]
+
+
 @pytest.mark.parametrize("error", [
     pytest.param(MemoryError(), id="bare"),
     pytest.param(MemoryError("Unable to allocate 29.1 TiB for an array"), id="numpy"),

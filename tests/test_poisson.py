@@ -257,7 +257,7 @@ class TestCohomology:
         assert obj["rows"][0] == {"k": 0, "dim": 6, "rank": 5, "betti": 1}
 
 
-_FIRST_PRIME = 2**31 - 1
+_FIRST_PRIME = 2**30 - 35
 
 
 @pytest.fixture

@@ -465,7 +465,7 @@ class TestExactSolver:
 # The certified multi-modular path against Fraction elimination and sympy
 # ---------------------------------------------------------------------------
 
-P = 2**31 - 1  # the first prime of the supply
+P = 2**30 - 35  # the first prime of the supply, the largest below 2^30
 _SOLVER = settings(max_examples=150, derandomize=True, database=None, deadline=None)
 
 
@@ -703,7 +703,7 @@ class TestCertifiedSolver:
         # that lift fails; the second prime q divides the pivot minor q and
         # gives one pivot, so it is dropped; the third agrees with the
         # first, and the product of the two lifts the entry
-        q = 2**31 - 19
+        q = 2**30 - 41
         A = [[1, 1, 0], [1, 1 + q, 10**5 * q]]
         assert list(itertools.islice(polyalg._primes(), 2)) == [P, q]
         assert polyalg._rref_mod_p(polyalg._to_sparse_rows(A)[0], q)[0] == [0]
@@ -730,7 +730,7 @@ class TestCertifiedSolver:
         # every n/d within Wang's bound comes back from its residue, and a
         # residue with no such n/d gives None
         bound = math.isqrt(P // 2)
-        assert bound == 32767
+        assert bound == 23170
         for num in (-bound, -7, -1, 0, 1, 5, bound):
             for den in (1, 2, 9, bound - 1, bound):
                 if math.gcd(num, den) == 1:
@@ -786,8 +786,8 @@ class TestCertifiedSolver:
         assert lifts.call_count <= mod_p.call_count.bit_length()
         assert answer == _reference_rref(rows, 8)
 
-    def test_prime_supply_counts_down_from_2_31_minus_1(self):
-        expected = [2**31]
+    def test_prime_supply_counts_down_from_below_2_30(self):
+        expected = [2**30]
         for _ in range(50):
             expected.append(sympy.prevprime(expected[-1]))
         primes = list(itertools.islice(polyalg._primes(), 50))

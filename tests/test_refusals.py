@@ -5,9 +5,11 @@ the ``ValueError`` and its message, so a refusal cannot turn silently into
 a reinterpretation.
 """
 
+import math
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from poissonforge import (FilteredJet, Poly, PolyMVF, ad_exp, casimir_basis, check_poisson,
@@ -16,6 +18,8 @@ from poissonforge import (FilteredJet, Poly, PolyMVF, ad_exp, casimir_basis, che
                           solve_linear_exact, truncate_jet)
 from poissonforge.formal import _as_jet
 from poissonforge.polyalg import parse_poly
+from poissonforge.realize import (FlowBlowupError, SprayField, dh_variation, flow_with_jacobian,
+                                  verify_realization)
 
 _PI = linear_poisson(preset("so3"))
 _X1 = PolyMVF(3, 1, {(1,): Poly.variable(3, 2)})                     # x2 d1, a vector field
@@ -104,3 +108,42 @@ def test_rational_strings_are_exact_scalars():
     assert _P + "1/2" == _P + half and _P - "1/2" == _P - half
     assert _PI * "1/2" == _PI * half
     assert (_PI * "-2/3").terms[(1, 2)] == _PI.terms[(1, 2)] * Fraction(-2, 3)
+
+
+_SPRAY = SprayField(_PI)
+_XI = np.array([0.1, 0.0, 0.0, 0.0, 0.1, 0.0])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: verify_realization(_PI, 2, True, 1, 10), "'radius' must be a finite real number, got True"),
+    (lambda: verify_realization(_PI, 2, math.nan, 1, 10), "'radius' must be a finite real number, got nan"),
+    (lambda: verify_realization(_PI, 2, "0.1", 1, 10), "'radius' must be a finite real number, got '0.1'"),
+    (lambda: verify_realization(_PI, 2, 0.1j, 1, 10), "'radius' must be a finite real number, got 0.1j"),
+    (lambda: verify_realization(_PI, 2, 0.0, 1, 10), "'radius' must be > 0, got 0.0"),
+    (lambda: flow_with_jacobian(_SPRAY, _XI, True, 10), "'t_final' must be a finite real number, got True"),
+    (lambda: flow_with_jacobian(_SPRAY, _XI, np.True_, 10), "'t_final' must be a finite real number, got"),
+    (lambda: flow_with_jacobian(_SPRAY, _XI, math.nan, 10), "'t_final' must be a finite real number, got nan"),
+    (lambda: flow_with_jacobian(_SPRAY, _XI, math.inf, 10), "'t_final' must be a finite real number, got inf"),
+    (lambda: flow_with_jacobian(_SPRAY, _XI, -math.inf, 10), "'t_final' must be a finite real number, got -inf"),
+    (lambda: flow_with_jacobian(_SPRAY, _XI, 10**400, 10), "'t_final' must be a finite real number, got 1000"),
+    (lambda: flow_with_jacobian(_SPRAY, _XI, None, 10), "'t_final' must be a finite real number, got None"),
+    (lambda: dh_variation(True, 1e-5), "'radius r' must be a finite real number, got True"),
+    (lambda: dh_variation(1.0, False), "'step h' must be a finite real number, got False"),
+], ids=["verify-radius-bool", "verify-radius-nan", "verify-radius-str", "verify-radius-complex",
+        "verify-radius-zero", "flow-t-bool", "flow-t-numpy-bool", "flow-t-nan", "flow-t-inf",
+        "flow-t-minus-inf", "flow-t-past-float-range", "flow-t-none", "dh-radius-bool",
+        "dh-step-bool"])
+def test_bad_float_arguments_are_refused(call, message):
+    # a bool is not read as 0 or 1, and a NaN or infinity is named as the
+    # argument it came in, not reported as a blow-up of the flow
+    with pytest.raises(ValueError, match=re.escape(message)) as refusal:
+        call()
+    assert not isinstance(refusal.value, FlowBlowupError)
+
+
+def test_real_arguments_are_read_as_floats():
+    x, J = flow_with_jacobian(_SPRAY, _XI, 1.0, 10)
+    for t in (1, Fraction(1), np.float64(1.0), np.int64(1)):
+        x_t, J_t = flow_with_jacobian(_SPRAY, _XI, t, 10)
+        assert np.array_equal(x_t, x) and np.array_equal(J_t, J)
+    assert type(verify_realization(_PI, 2, Fraction(1, 10), 1, 10).radius) is float
