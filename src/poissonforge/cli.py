@@ -16,7 +16,7 @@ import sys
 
 from . import _THREAD_CAP_ERROR, formal, liealg, poisson, realize
 from .multivector import PolyMVF, schouten
-from .polyalg import PolyParseError
+from .polyalg import PolyParseError, _as_int
 
 
 class InputError(Exception):
@@ -154,8 +154,7 @@ def cmd_realize(args) -> int:
 
 def cmd_su3(args) -> int:
     import numpy as np
-    if args.samples < 1:
-        raise ValueError("--samples must be >= 1")
+    _as_int(args.samples, "--samples", 1)
     spec = liealg.preset("su3")
     kc = liealg.killing_classify(spec)
     worst_q = 0.0

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .polyalg import _as_int, _Rows, solve_linear_exact
-from .multivector import (GradedPiece, PolyMVF, _grade, _integral, grade_component, schouten,
-                          truncate_jet)
+from .multivector import (GradedPiece, PolyMVF, _check_bivector, _grade, _integral,
+                          grade_component, schouten, truncate_jet)
 from .poisson import _bracket_rows, check_poisson, graded_basis
 
 __all__ = [
@@ -314,8 +314,7 @@ def prolong_step(pi_partial: FilteredJet, m: int, base_degree_cap: int = 8) -> P
     base_degree_cap = _as_int(base_degree_cap, "base_degree_cap", 0)
     m = _as_int(m, "grade m", 0)
     pi = pi_partial.value if isinstance(pi_partial, FilteredJet) else pi_partial
-    if pi.grade != 2:
-        raise ValueError("expected a bivector")
+    _check_bivector(pi)
     # a grade-0 part brackets the grade-(m+1) part, which the m-jet drops, into grade m
     if 0 in pi._grades():
         raise ValueError("pi must vanish at the origin (no grade-0 part)")

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .polyalg import Poly, _as_int, _matrix_entry, exact_rank
+from .polyalg import Poly, _as_int, _as_real, _matrix_entry, exact_rank
 from .multivector import PolyMVF, schouten
 
 if TYPE_CHECKING:  # annotations only: NumPy is imported where floats are computed
@@ -234,6 +234,8 @@ def su3_invariants(xi) -> tuple[float, float]:
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (8,):
         raise ValueError("expected an 8-vector")
+    if not np.isfinite(xi).all():
+        raise ValueError(f"'xi' must have finite entries, got {xi.tolist()}")
     A = np.tensordot(xi, _su3_onb(), axes=(0, 0))
     p1 = -np.trace(A @ A)
     p2 = 1j * math.sqrt(6) * np.trace(A @ A @ A)
@@ -245,8 +247,7 @@ def su3_invariants(xi) -> tuple[float, float]:
 
 def weyl_circle_sample(r: float, theta: float) -> WeylCircleSample:
     """Diagonal point r*A(theta) on the Weyl circle, in orthonormal coordinates."""
-    if not (math.isfinite(r) and r > 0):
-        raise ValueError("radius r must be finite and > 0")
+    r, theta = _as_real(r, "radius r", positive=True), _as_real(theta, "theta")
     import numpy as np
     point = np.zeros(8)
     point[2] = r * math.cos(theta)   # along i*lambda_3/sqrt(2)

@@ -87,6 +87,12 @@ def _json_ints(obj: dict, key: str) -> tuple:
     return tuple(_as_int(x, key) for x in v)
 
 
+def _check_bivector(pi) -> None:
+    """Refuse a field ``pi`` that is not a bivector."""
+    if pi.grade != 2:
+        raise ValueError(f"expected a bivector, got degree {pi.grade}")
+
+
 def _mask(legs) -> int:
     """The mask of distinct legs: leg i is bit i - 1."""
     return sum(1 << (i - 1) for i in legs)
@@ -321,8 +327,7 @@ class PolyMVF:
     def bivector_matrix(self, points: np.ndarray) -> np.ndarray:
         """Numeric skew matrix field Pi(x) for a bivector, shape (..., n, n)."""
         import numpy as np
-        if self.grade != 2:
-            raise ValueError("bivector_matrix needs degree 2")
+        _check_bivector(self)
         points = np.asarray(points, dtype=float)
         out = np.zeros(points.shape[:-1] + (self.nvars, self.nvars))
         for (i, j), poly in self.terms.items():

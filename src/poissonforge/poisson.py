@@ -19,8 +19,8 @@ from typing import TYPE_CHECKING
 
 from .polyalg import (Poly, _add_term, _as_fraction, _as_int, _complex_ranks, _Rows,
                       solve_linear_exact)
-from .multivector import (PolyMVF, _grade, _schouten_sums, _weights, dilate, grade_component,
-                          schouten)
+from .multivector import (PolyMVF, _check_bivector, _grade, _schouten_sums, _weights, dilate,
+                          grade_component, schouten)
 
 if TYPE_CHECKING:  # annotations only: NumPy is imported where floats are computed
     import numpy as np
@@ -50,8 +50,7 @@ class PoissonCheck:
 
 def check_poisson(pi: PolyMVF) -> PoissonCheck:
     """Test the Jacobi identity [pi, pi] = 0 exactly."""
-    if pi.grade != 2:
-        raise ValueError(f"expected a bivector, got degree {pi.grade}")
+    _check_bivector(pi)
     witness = schouten(pi, pi)
     return PoissonCheck(witness.is_zero(), witness)
 
@@ -62,8 +61,7 @@ def sharp(pi: PolyMVF, alpha) -> PolyMVF:
     alpha may be an integer i (meaning dx_i) or a length-n sequence of Poly
     coefficients.  sharp(pi, grad f) is the Hamiltonian vector field of f.
     """
-    if pi.grade != 2:
-        raise ValueError(f"expected a bivector, got degree {pi.grade}")
+    _check_bivector(pi)
     n = pi.nvars
     if isinstance(alpha, int):
         if isinstance(alpha, bool) or not 1 <= alpha <= n:
@@ -90,8 +88,7 @@ def hamiltonian_vf(pi: PolyMVF, f: Poly) -> PolyMVF:
 
 def poisson_bracket(pi: PolyMVF, f: Poly, g: Poly) -> Poly:
     """{f, g} = pi(df, dg)."""
-    if pi.grade != 2:
-        raise ValueError(f"expected a bivector, got degree {pi.grade}")
+    _check_bivector(pi)
     out = Poly.zero(pi.nvars)
     for (i, j), p in pi.terms.items():
         out = out + p * (f.diff(i) * g.diff(j) - f.diff(j) * g.diff(i))
@@ -236,8 +233,7 @@ def cohomology_dims(pi_lin: PolyMVF, l: int, kmax: int) -> CohomologyTable:
     complex's exactness where it can be (``polyalg._complex_ranks``).
     """
     l, kmax = _as_int(l, "grade l", 0), _as_int(kmax, "max degree kmax", 0)
-    if pi_lin.grade != 2:
-        raise ValueError("expected a bivector")
+    _check_bivector(pi_lin)
     if pi_lin._grades() - {1}:
         raise ValueError("cohomology_dims needs a linear (grade-1 homogeneous) bivector")
     if not check_poisson(pi_lin).is_poisson:
@@ -291,8 +287,7 @@ def conn_rescale(pi: PolyMVF, t) -> PolyMVF:
 
     ``t`` is exact: an int, a ``Fraction`` or a rational string.
     """
-    if pi.grade != 2:
-        raise ValueError("expected a bivector")
+    _check_bivector(pi)
     # a grade-0 part would be scaled by t^-1: the path has no limit at t = 0
     if 0 in pi._grades():
         raise ValueError("pi must vanish at the origin (no grade-0 part)")

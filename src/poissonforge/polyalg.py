@@ -29,9 +29,10 @@ constructors and ``parse_poly`` refuse what they would have to reinterpret:
 ``nvars``, an exponent or an index must be an integer (``_as_int``), a
 coefficient exact (``_as_fraction``), and neither a ``bool``.  Every
 integer argument of the package, a grade, order, degree or count, is read
-by ``_as_int`` too.  Results the kernel builds from polynomials that
-already passed those checks (sums, products, derivatives, graded pieces)
-are wrapped by ``Poly._raw`` without re-checking; ``_add_term`` is the one
+by ``_as_int`` too, and every real one, a radius, time, step or scale, by
+``_as_real``.  Results the kernel builds from polynomials that already
+passed those checks (sums, products, derivatives, graded pieces) are
+wrapped by ``Poly._raw`` without re-checking; ``_add_term`` is the one
 accumulator that keeps stored coefficients nonzero.  A matrix is checked
 row by row (``_to_sparse_rows``), except a ``_Rows`` the package built.
 """
@@ -41,6 +42,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import numbers
 import operator
 import re
 from dataclasses import dataclass, field
@@ -77,6 +79,22 @@ def _as_int(value, name: str, low: int | None = None) -> int:
     if low is not None and value < low:
         raise ValueError(f"{name!r} must be at least {low}, got {value}")
     return value
+
+
+def _as_real(value, name: str, positive: bool = False) -> float:
+    """``value`` as a finite ``float``, above 0 when ``positive``: any real number but
+    a ``bool``; anything else, NaN and the infinities included, raises ``ValueError``."""
+    try:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise TypeError
+        real = float(value)                      # an int past the float range overflows
+        if not math.isfinite(real):
+            raise TypeError
+    except (TypeError, OverflowError):
+        raise ValueError(f"{name!r} must be a finite real number, got {value!r}") from None
+    if positive and real <= 0:
+        raise ValueError(f"{name!r} must be > 0, got {real!r}")
+    return real
 
 
 def _as_fraction(value) -> Fraction:

@@ -37,13 +37,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .multivector import PolyMVF
-from .polyalg import _as_int
+from .multivector import PolyMVF, _check_bivector
+from .polyalg import _as_int, _as_real
 
 __all__ = [
     "SprayField",
@@ -62,20 +61,6 @@ class FlowBlowupError(RuntimeError, ValueError):
     def __init__(self, t):
         super().__init__(f"spray flow left numeric range near t = {t:.4g}")
         self.t = t
-
-
-def _as_real(value, name: str) -> float:
-    """``value`` as a finite ``float``: any real number but a ``bool``; anything
-    else, NaN and the infinities included, raises ``ValueError``."""
-    try:
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise TypeError
-        real = float(value)                      # an int past the float range overflows
-        if not math.isfinite(real):
-            raise TypeError
-    except (TypeError, OverflowError):
-        raise ValueError(f"{name!r} must be a finite real number, got {value!r}") from None
-    return real
 
 
 def _index(ix: list):
@@ -102,8 +87,7 @@ class SprayField:
     """
 
     def __init__(self, pi: PolyMVF):
-        if pi.grade != 2:
-            raise ValueError("expected a bivector")
+        _check_bivector(pi)
         n = self.n = pi.nvars
         table: dict[tuple, np.ndarray] = {}
 
@@ -309,9 +293,7 @@ def verify_realization(pi: PolyMVF, n_samples: int, radius: float, seed: int,
                        steps: int) -> RealizationReport:
     """Check Theorem-0 properties of omega at seeded random points |xi| <= radius."""
     n_samples, seed = _as_int(n_samples, "n_samples", 1), _as_int(seed, "seed", 0)
-    steps, radius = _as_int(steps, "steps", 1), _as_real(radius, "radius")
-    if radius <= 0:
-        raise ValueError(f"'radius' must be > 0, got {radius!r}")
+    steps, radius = _as_int(steps, "steps", 1), _as_real(radius, "radius", positive=True)
     n = pi.nvars
     rng = np.random.default_rng(seed)
     dirs = rng.normal(size=(n_samples, 2 * n))
@@ -402,6 +384,9 @@ def sphere_leaf_form(pi: PolyMVF, r: float, scale: float = 1.0):
     """
     if pi.nvars != 3:
         raise ValueError("sphere leaves require a bivector on R^3")
+    r, scale = _as_real(r, "radius r", positive=True), _as_real(scale, "scale")
+    if scale == 0:
+        raise ValueError("'scale' must be nonzero")
 
     def form(phi, theta):
         phi, theta = np.broadcast_arrays(phi, theta)
@@ -423,9 +408,7 @@ def dh_variation(r: float, h: float, grid=(64, 2048)) -> tuple[float, float]:
     are 4pi/(1+r^2) and 4pi*r, recomputed here by quadrature of the leaf
     forms and differentiated centrally in r.
     """
-    r, h = _as_real(r, "radius r"), _as_real(h, "step h")
-    if r <= 0:
-        raise ValueError("radius r must be > 0")
+    r, h = _as_real(r, "radius r", positive=True), _as_real(h, "step h")
     if not 0 < h < r:
         raise ValueError("step h must be > 0 and below the radius r")
     if abs((r + h) - (r - h) - 2 * h) > 2e-6 * h:

@@ -8,8 +8,10 @@ a fresh interpreter.  Run as a script, with ``src`` on ``PYTHONPATH``, this
 file makes every run in one interpreter, in a temporary directory, then the
 cohomology table of the 3-dimensional Heisenberg algebra at grade 1, whose
 ranks are not all pinned by the complex's exactness and so take the lift,
-and asserts the exit codes, the Betti numbers ``[1, 4, 5, 2]`` and that
-NumPy was never imported:
+reads reals through ``polyalg._as_real``, the package's one real reader,
+and asserts the exit codes, the Betti numbers ``[1, 4, 5, 2]``, that the
+reader refuses a ``bool``, a NaN and, when ``positive``, a value <= 0, and
+that NumPy was never imported:
 
     PYTHONPATH=src python tests/exact_verbs.py
 """
@@ -50,6 +52,20 @@ def write_inputs(directory: str) -> None:
             json.dump(obj, fh)
 
 
+def check_real_reader() -> None:
+    """``_as_real`` refuses a bool, a NaN and, when ``positive``, 0 and -1, naming each."""
+    from poissonforge.polyalg import _as_real
+
+    for value, positive in ((True, False), (float("nan"), False), (0.0, True), (-1, True)):
+        try:
+            _as_real(value, "x", positive)
+        except ValueError as e:
+            assert str(e).startswith("'x' must be"), e
+        else:
+            raise AssertionError(f"_as_real({value!r}, positive={positive}) was not refused")
+    assert _as_real(-1, "x") == -1.0 and _as_real(2, "x", True) == 2.0
+
+
 def main() -> None:
     from poissonforge import cli
 
@@ -66,8 +82,10 @@ def main() -> None:
     assert codes == [expected for _, expected in runs], codes
     betti = [row["betti"] for row in json.loads(out.getvalue())["rows"]]
     assert (code, betti) == (0, [1, 4, 5, 2]), (code, betti)
+    check_real_reader()
     assert "numpy" not in sys.modules
-    print("exact verbs: exit codes, Heisenberg Betti numbers and NumPy-free start-up as expected")
+    print("exact verbs: exit codes, Heisenberg Betti numbers, real reader and NumPy-free "
+          "start-up as expected")
 
 
 if __name__ == "__main__":

@@ -15,11 +15,11 @@ import pytest
 from poissonforge import (FilteredJet, Poly, PolyMVF, ad_exp, casimir_basis, check_poisson,
                           cohomology_dims, conn_rescale, dilate, linear_poisson, mc_equivalence,
                           poisson_bracket, preset, prolong_step, schouten, sharp,
-                          solve_linear_exact, truncate_jet)
+                          solve_linear_exact, su3_invariants, truncate_jet, weyl_circle_sample)
 from poissonforge.formal import _as_jet
 from poissonforge.polyalg import parse_poly
 from poissonforge.realize import (FlowBlowupError, SprayField, dh_variation, flow_with_jacobian,
-                                  verify_realization)
+                                  sphere_leaf_form, verify_realization)
 
 _PI = linear_poisson(preset("so3"))
 _X1 = PolyMVF(3, 1, {(1,): Poly.variable(3, 2)})                     # x2 d1, a vector field
@@ -68,13 +68,19 @@ _TWO_JET = PolyMVF(3, 2, {(1, 2): parse_poly("-x1*x3 - x2*x3 + x3", 3),
     (lambda: prolong_step(FilteredJet(_TWO_JET, 1), 3),
      "a jet of order 1 cannot give the grade-3 Jacobiator"),
     (lambda: preset("so4"), "unknown preset 'so4'"),
+    (lambda: cohomology_dims(_X1, 1, 1), "expected a bivector, got degree 1"),
+    (lambda: conn_rescale(_X1, 1), "expected a bivector, got degree 1"),
+    (lambda: prolong_step(FilteredJet(_X1, 2), 3), "expected a bivector, got degree 1"),
+    (lambda: SprayField(_X1), "expected a bivector, got degree 1"),
+    (lambda: _X1.bivector_matrix(np.zeros(3)), "expected a bivector, got degree 1"),
 ], ids=["solve-rhs-count", "index-tuple-length", "check-nvars", "check-weights",
         "add-degrees", "json-repeated-indices", "apply-function-count", "dilate-zero",
         "check_poisson-vector", "sharp-vector", "poisson_bracket-vector", "sharp-form-length",
         "casimirs-not-poisson", "cohomology-not-poisson", "cohomology-weights",
         "ad_exp-bivector-exponent", "mc-grade-1", "ad_exp-lower-order-jet",
         "mc-lower-order-jet", "conn_rescale-grade-0", "prolong-0-jet-grade-3",
-        "prolong-1-jet-grade-3", "preset-unknown"])
+        "prolong-1-jet-grade-3", "preset-unknown", "cohomology-vector", "conn_rescale-vector",
+        "prolong-vector", "spray-vector", "bivector_matrix-vector"])
 def test_bad_input_is_refused(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
@@ -129,10 +135,25 @@ _XI = np.array([0.1, 0.0, 0.0, 0.0, 0.1, 0.0])
     (lambda: flow_with_jacobian(_SPRAY, _XI, None, 10), "'t_final' must be a finite real number, got None"),
     (lambda: dh_variation(True, 1e-5), "'radius r' must be a finite real number, got True"),
     (lambda: dh_variation(1.0, False), "'step h' must be a finite real number, got False"),
+    (lambda: dh_variation(0.0, 1e-5), "'radius r' must be > 0, got 0.0"),
+    (lambda: weyl_circle_sample(True, 0.0), "'radius r' must be a finite real number, got True"),
+    (lambda: weyl_circle_sample(1.0, math.nan), "'theta' must be a finite real number, got nan"),
+    (lambda: weyl_circle_sample(1.0, math.inf), "'theta' must be a finite real number, got inf"),
+    (lambda: sphere_leaf_form(_PI, True), "'radius r' must be a finite real number, got True"),
+    (lambda: sphere_leaf_form(_PI, math.nan), "'radius r' must be a finite real number, got nan"),
+    (lambda: sphere_leaf_form(_PI, 0.0), "'radius r' must be > 0, got 0.0"),
+    (lambda: sphere_leaf_form(_PI, -1.0), "'radius r' must be > 0, got -1.0"),
+    (lambda: sphere_leaf_form(_PI, 1.0, scale=math.nan), "'scale' must be a finite real number, got nan"),
+    (lambda: sphere_leaf_form(_PI, 1.0, scale=True), "'scale' must be a finite real number, got True"),
+    (lambda: sphere_leaf_form(_PI, 1.0, scale=0.0), "'scale' must be nonzero"),
+    (lambda: su3_invariants([1.0] * 7 + [math.nan]), "'xi' must have finite entries"),
+    (lambda: su3_invariants([math.inf] + [0.0] * 7), "'xi' must have finite entries"),
 ], ids=["verify-radius-bool", "verify-radius-nan", "verify-radius-str", "verify-radius-complex",
         "verify-radius-zero", "flow-t-bool", "flow-t-numpy-bool", "flow-t-nan", "flow-t-inf",
         "flow-t-minus-inf", "flow-t-past-float-range", "flow-t-none", "dh-radius-bool",
-        "dh-step-bool"])
+        "dh-step-bool", "dh-radius-zero", "weyl-radius-bool", "weyl-theta-nan", "weyl-theta-inf",
+        "leaf-radius-bool", "leaf-radius-nan", "leaf-radius-zero", "leaf-radius-negative",
+        "leaf-scale-nan", "leaf-scale-bool", "leaf-scale-zero", "su3-xi-nan", "su3-xi-inf"])
 def test_bad_float_arguments_are_refused(call, message):
     # a bool is not read as 0 or 1, and a NaN or infinity is named as the
     # argument it came in, not reported as a blow-up of the flow
