@@ -163,7 +163,7 @@ def cmd_su3(args) -> int:
             s = liealg.weyl_circle_sample(r, float(theta))
             worst_q = max(worst_q, abs(s.q1 - r ** 2),
                           abs(s.q2 - r ** 3 * math.sin(3 * theta)))
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(_as_int(args.seed, "--seed", 0))
     delta_ok = True
     for _ in range(args.samples):
         p1, p2 = liealg.su3_invariants(rng.normal(size=8))

@@ -231,6 +231,9 @@ def _su3_onb() -> np.ndarray:
 def su3_invariants(xi) -> tuple[float, float]:
     """(p1, p2) = (-tr(A^2), i*sqrt(6)*tr(A^3)) for A = sum xi_a e_a."""
     import numpy as np
+    xi = np.asarray(xi)
+    if xi.dtype.kind == "b":  # a bool is not read as 0.0 or 1.0
+        raise ValueError(f"'xi' must have real entries, got {xi.tolist()}")
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (8,):
         raise ValueError("expected an 8-vector")

@@ -9,19 +9,19 @@ The linear solver returns the RREF answer (particular solution and kernel
 basis, or a witness of infeasibility), which depends only on the system.
 ``solve_linear_exact`` and ``exact_rank`` read every answer off one RREF,
 ``_rref``, found by one certified multi-modular path: each row's
-denominators are cleared, the matrix is reduced modulo one prime after
-another, counting down from ``2^30 - 35``, by sparse Gauss-Jordan on dict
-rows of Python ints, the residues of the primes that share the best pivot
-set are combined by the Chinese remainder theorem, and the kernel basis is
-lifted by rational reconstruction.  One exact integer check, ``M v = 0``
-for every kernel vector, certifies the lift; until it passes, the next
-prime is taken.  A solve reduces ``M = [A | b]``, so the same certificate
-covers feasibility, infeasibility and the witness.  All of it runs in
-Python ints, so no entry is too large for it.  Matrix entries may be
-``int``s or ``Fraction``s; denominators are cleared only when some entry
-is not an int.  The ranks of a complex, whose matrices compose to zero,
-are certified by its exactness where that suffices (``_complex_ranks``),
-and by ``_rref`` where it does not.
+denominators are cleared where it has a ``Fraction``, the matrix is reduced
+modulo one prime after another, counting down from ``2^30 - 35``, by sparse
+Gauss-Jordan on dict rows of Python ints, the residues of the primes that
+share the best pivot set are combined by the Chinese remainder theorem, and
+the kernel basis is lifted by rational reconstruction into one integer form:
+each vector sparse ints over one denominator.  One exact integer check,
+``M v = 0`` for each of those vectors, certifies the lift; until it passes,
+the next prime is taken.  A solve reduces ``M = [A | b]``, so the same
+certificate covers feasibility, infeasibility and the witness.  All of it
+runs in Python ints, so no entry is too large for it, and ``Fraction``s are
+made only of a solve's answer.  The ranks of a complex, whose matrices
+compose to zero, are certified by its exactness where that suffices
+(``_complex_ranks``), and by ``_rref`` where it does not.
 
 Data is validated where it enters and trusted inside.  The public
 ``Poly(nvars, terms)``, the ``zero``/``constant``/``variable``/``monomial``
@@ -452,10 +452,6 @@ def _matrix_entry(v, name: str = "matrix entry") -> Fraction:
 #   rank_Q <= r_p, and equality pins the pivot columns to the mod-p ones;
 # - a kernel vector is fixed by its free coordinates, so v_f is the RREF
 #   kernel vector.
-# A solve reduces M = [A | b], so every answer is read off this one RREF: the
-# column of b is a pivot exactly when A x = b has no solution, and otherwise
-# minus its kernel vector, cut to the columns of A, is the RREF particular
-# solution.
 
 # i -> the i-th prime of the supply; racing threads store one value.  The first
 # is the largest prime below 2^30: CPython stores ints in 30-bit digits, so
@@ -548,12 +544,18 @@ def _lift(u: int, m: int, bound: int):
     return (-r1, -t1) if t1 < 0 else (r1, t1)
 
 
-def _lift_tails(piv: list, tails: list, m: int):
-    """The kernel entries ``(p, f, num, den)``, or None at the first that
-    does not lift: ``num/den`` at pivot column ``p`` of the kernel vector of
-    free column ``f`` lifts ``m`` minus the residue of ``f`` in the tail of ``p``.
+def _lift_kernel(ncols: int, piv: list, tails: list, m: int):
+    """The RREF kernel basis lifted from the residues ``tails`` mod ``m``, or
+    None at the first entry that does not lift.
+
+    Returns ``{f: (ints, den)}`` by ascending free column ``f``: the kernel
+    vector of ``f`` is ``ints / den``, sparse integers over the lcm ``den``
+    of its entries' denominators, with ``ints[f] == den``.  Its entry at
+    pivot column ``p`` lifts ``m`` minus the residue of ``f`` in the tail of ``p``.
     """
     bound = math.isqrt(m // 2)  # Wang's bound: 2 bound^2 < m
+    pivots = set(piv)
+    dens = {f: 1 for f in range(ncols) if f not in pivots}
     lifted = []
     for p, tail in zip(piv, tails):
         for f, u in tail.items():
@@ -561,27 +563,27 @@ def _lift_tails(piv: list, tails: list, m: int):
             if frac is None:
                 return None
             lifted.append((p, f, *frac))
-    return lifted
-
-
-def _check_exact(rows: list, ncols: int, piv: list, lifted: list) -> bool:
-    """``M v_f = 0`` for each lifted kernel vector, in integers.
-
-    Each vector is scaled by the lcm of its denominators.  ``column[j]``
-    holds the entries at j of the scaled vectors, keyed by free column, and
-    each row sums its products per vector.  With no free column there is
-    nothing to check: the rank mod p is full, so over Q too.
-    """
-    scale = dict.fromkeys(set(range(ncols)).difference(piv), 1)
-    if not scale:
-        return True
-    for _, f, _, den in lifted:
-        scale[f] = math.lcm(scale[f], den)
-    column = [{} for _ in range(ncols)]
-    for f, s in scale.items():
-        column[f][f] = s
+            dens[f] = math.lcm(dens[f], frac[1])
+    kernel = {f: ({f: den}, den) for f, den in dens.items()}
     for p, f, num, den in lifted:
-        column[p][f] = num * (scale[f] // den)
+        kernel[f][0][p] = num * (dens[f] // den)
+    return kernel
+
+
+def _check_exact(rows: list, ncols: int, kernel: dict) -> bool:
+    """``M ints = 0`` in integers for each ``(ints, den)`` of the ``kernel``
+    that ``_lift_kernel`` returns, the very vectors every answer is read off.
+
+    ``column[j]`` holds the entries at j of the vectors, keyed by free
+    column, and each row sums its products per vector.  With no free column
+    there is nothing to check: the rank mod p is full, so over Q too.
+    """
+    if not kernel:
+        return True
+    column = [{} for _ in range(ncols)]
+    for f, (ints, _) in kernel.items():
+        for j, v in ints.items():
+            column[j][f] = v
     for row in rows:
         acc = {}
         for j, a in row.items():
@@ -595,11 +597,9 @@ def _check_exact(rows: list, ncols: int, piv: list, lifted: list) -> bool:
 def _rref(rows: list, ncols: int, first=None):
     """The RREF of the sparse rational matrix ``rows`` with ``ncols`` columns.
 
-    Returns ``(piv, free, entries)``: the pivot and the free columns as
-    ascending lists, and an iterator over the entries ``(p, c, v)`` of the
-    RREF kernel basis: the kernel vector of free column ``free[c]`` has 1
-    there, ``v`` at pivot column ``p`` and 0 elsewhere.  The entries are
-    built only when iterated, so a rank builds no Fraction.
+    Returns ``(piv, kernel)``: the pivot columns, ascending, and the RREF
+    kernel basis ``{f: (ints, den)}`` of ``_lift_kernel``, integers over one
+    denominator per vector, as ``_check_exact`` certified it.
 
     ``first``, passed only by ``_complex_ranks``, is ``_rref_mod_p(rows, p)``
     of integer ``rows`` at the first prime ``p`` of ``_primes()``, already
@@ -641,12 +641,10 @@ def _rref(rows: list, ncols: int, first=None):
             continue
         if folded & (folded - 1):
             continue
-        lifted = _lift_tails(best, residues, m)
-        if lifted is not None and _check_exact(rows, ncols, best, lifted):
+        kernel = _lift_kernel(ncols, best, residues, m)
+        if kernel is not None and _check_exact(rows, ncols, kernel):
             break
-    free = sorted(set(range(ncols)).difference(best))
-    index = {f: c for c, f in enumerate(free)}
-    return best, free, ((p, index[f], Fraction(num, den)) for p, f, num, den in lifted)
+    return best, kernel
 
 
 def _complex_ranks(mats: list, ncols: list) -> list:
@@ -674,16 +672,13 @@ def _complex_ranks(mats: list, ncols: list) -> list:
     return ranks
 
 
-def _kernel_vectors(free: list, entries, n: int) -> list:
-    """The kernel vectors that ``_rref`` describes, cut to their first ``n`` entries."""
-    zero, one = Fraction(0), Fraction(1)
-    vectors = [[zero] * n for _ in free]
-    for vec, f in zip(vectors, free):
-        if f < n:
-            vec[f] = one
-    for p, c, v in entries:
-        vectors[c][p] = v
-    return vectors
+def _fraction_vector(ints: dict, den: int, n: int) -> list:
+    """``ints / den`` as a dense list of ``n`` Fractions, its keys from n on dropped."""
+    vec = [Fraction(0)] * n
+    for j, v in ints.items():
+        if j < n:
+            vec[j] = Fraction(v, den)
+    return vec
 
 
 def solve_linear_exact(A, b, ncols: int | None = None) -> SolveOutcome:
@@ -709,7 +704,7 @@ def solve_linear_exact(A, b, ncols: int | None = None) -> SolveOutcome:
     for row, c in zip(rows, b):
         if c:
             row[ncols] = c
-    piv, free, entries = _rref(rows, ncols + 1)
+    piv, kernel = _rref(rows, ncols + 1)
     if piv and piv[-1] == ncols:
         m = len(rows)
         transpose = [{} for _ in range(ncols + 1)]
@@ -717,11 +712,12 @@ def solve_linear_exact(A, b, ncols: int | None = None) -> SolveOutcome:
             for j, v in row.items():
                 transpose[j][i] = v
         transpose[ncols][m] = -1
-        _, free, entries = _rref(transpose, m + 1)
-        return SolveOutcome(status="infeasible", witness=_kernel_vectors(free, entries, m)[-1])
-    *kernel, particular = _kernel_vectors(free, entries, ncols)
-    return SolveOutcome(status="feasible", particular=[-v for v in particular],
-                        kernel_basis=kernel)
+        _, kernel = _rref(transpose, m + 1)
+        return SolveOutcome(status="infeasible", witness=_fraction_vector(*kernel[m], m))
+    ints, den = kernel.pop(ncols)
+    particular = _fraction_vector({j: -v for j, v in ints.items()}, den, ncols)
+    basis = [_fraction_vector(ints, den, ncols) for ints, den in kernel.values()]
+    return SolveOutcome(status="feasible", particular=particular, kernel_basis=basis)
 
 
 def exact_rank(A, ncols: int | None = None) -> int:

@@ -337,6 +337,7 @@ def test_other_runtime_errors_propagate(mvf_file, monkeypatch):
     pytest.param(["prolong", "{jet}", "--grade", "-1"], "grade", id="prolong-grade=-1"),
     pytest.param(["su3", "--samples", "0"], "samples", id="su3-samples=0"),
     pytest.param(["su3", "--samples", "-5"], "samples", id="su3-samples=-5"),
+    pytest.param(["su3", "--seed", "-1"], "seed", id="su3-seed=-1"),
     pytest.param(["area", "--radius", "nan"], "radius", id="area-radius=nan"),
     pytest.param(["area", "--radius", "inf"], "radius", id="area-radius=inf"),
     # the radial derivative steps by 1e-5 on each side of the radius

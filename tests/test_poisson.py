@@ -264,17 +264,17 @@ _FIRST_PRIME = 2**30 - 35
 def eliminations(monkeypatch):
     """Counts of kernel lifts and of reductions at the exact solver's first prime."""
     counts = {"lifts": 0, "first_prime": 0}
-    lift_tails, rref_mod_p = polyalg._lift_tails, polyalg._rref_mod_p
+    lift_kernel, rref_mod_p = polyalg._lift_kernel, polyalg._rref_mod_p
 
-    def counted_lift_tails(*args):
+    def counted_lift_kernel(*args):
         counts["lifts"] += 1
-        return lift_tails(*args)
+        return lift_kernel(*args)
 
     def counted_rref_mod_p(rows, p):
         counts["first_prime"] += p == _FIRST_PRIME
         return rref_mod_p(rows, p)
 
-    monkeypatch.setattr(polyalg, "_lift_tails", counted_lift_tails)
+    monkeypatch.setattr(polyalg, "_lift_kernel", counted_lift_kernel)
     monkeypatch.setattr(polyalg, "_rref_mod_p", counted_rref_mod_p)
     return counts
 

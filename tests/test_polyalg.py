@@ -629,9 +629,13 @@ def _by_elimination(A, b, n):
 
 
 def _rref_answer(rows, ncols):
-    """``_rref``'s pivots, free columns and sorted kernel entries."""
-    piv, free, entries = polyalg._rref(rows, ncols)
-    return piv, free, sorted(entries)
+    """``_rref``'s pivots, free columns and sorted kernel entries, in the form
+    of ``_reference_rref``: ``(p, c, v)`` for the value v at pivot column p
+    of the kernel vector of the c-th free column."""
+    piv, kernel = polyalg._rref(rows, ncols)
+    entries = [(p, c, Fraction(v, den)) for c, (f, (ints, den)) in enumerate(kernel.items())
+               for p, v in ints.items() if p != f]
+    return piv, list(kernel), sorted(entries)
 
 
 @st.composite
@@ -660,6 +664,21 @@ class TestCertifiedSolver:
         assert _rref_answer(moved, n) == answer
         as_fractions = [{j: Fraction(v) for j, v in row.items()} for row in rows]
         assert _rref_answer(as_fractions, n) == answer
+
+    @_SOLVER
+    @given(sparse_matrices())
+    def test_kernel_is_one_integer_form(self, matrix):
+        # the vectors _check_exact certifies are the answer: by ascending
+        # free column f, nonzero ints over a positive denominator with gcd 1,
+        # den at f and the rest at pivots, and M ints = 0 in exact integers
+        rows, n = matrix
+        piv, kernel = polyalg._rref(rows, n)
+        assert list(kernel) == [f for f in range(n) if f not in piv]
+        for f, (ints, den) in kernel.items():
+            assert den > 0 and ints[f] == den
+            assert math.gcd(den, *ints.values()) == 1
+            assert 0 not in ints.values() and set(ints) <= set(piv) | {f}
+            assert all(sum(a * ints.get(j, 0) for j, a in row.items()) == 0 for row in rows)
 
     @_SOLVER
     @given(linear_systems())
@@ -780,7 +799,7 @@ class TestCertifiedSolver:
         rows = [{j: Fraction(rng.choice(nonzero), rng.randint(2**62, 2**64)) for j in range(8)}
                 for _ in range(7)]
         with _counted_primes() as (_, mod_p), \
-                mock.patch.object(polyalg, "_lift_tails", wraps=polyalg._lift_tails) as lifts:
+                mock.patch.object(polyalg, "_lift_kernel", wraps=polyalg._lift_kernel) as lifts:
             answer = _rref_answer(rows, 8)
         assert mod_p.call_count > 100
         assert lifts.call_count <= mod_p.call_count.bit_length()
