@@ -56,10 +56,11 @@ def _as_bivector(obj, path: str, weights=None) -> PolyMVF:
 
 
 def _emit(args, obj, text_lines):
+    """Print ``obj`` as JSON, or the lines ``text_lines()`` builds only for text."""
     if args.format == "json":
         print(json.dumps(obj, sort_keys=True))
     else:
-        for line in text_lines:
+        for line in text_lines():
             print(line)
 
 
@@ -68,7 +69,7 @@ def cmd_check(args) -> int:
     res = poisson.check_poisson(pi)
     obj = {"is_poisson": res.is_poisson,
            "witness": res.witness.to_json_obj() if not res.is_poisson else None}
-    _emit(args, obj, [f"poisson: {res.is_poisson}"]
+    _emit(args, obj, lambda: [f"poisson: {res.is_poisson}"]
           + ([] if res.is_poisson else [f"witness: {res.witness!r}"]))
     return 0 if res.is_poisson else 1
 
@@ -78,7 +79,7 @@ def cmd_casimirs(args) -> int:
     basis = poisson.casimir_basis(pi, args.max_degree)
     strs = [str(p) for p in basis]
     _emit(args, {"max_degree": args.max_degree, "casimirs": strs},
-          [f"{len(strs)} Casimir basis elements up to degree {args.max_degree}:"]
+          lambda: [f"{len(strs)} Casimir basis elements up to degree {args.max_degree}:"]
           + [f"  {s}" for s in strs])
     return 0
 
@@ -87,11 +88,9 @@ def cmd_cohomology(args) -> int:
     pi = _as_bivector(parse_input(args.input), args.input)
     kmax = args.max_degree if args.max_degree is not None else pi.nvars
     table = poisson.cohomology_dims(pi, args.grade, kmax)
-    lines = [f"grade {table.grade}:"]
-    for k in table.degrees:
-        lines.append(f"  k={k}: dim={table.dim_cochains[k]} "
-                     f"rank={table.rank_d[k]} betti={table.betti[k]}")
-    _emit(args, table.to_json_obj(), lines)
+    _emit(args, table.to_json_obj(), lambda: [f"grade {table.grade}:"] + [
+        f"  k={k}: dim={table.dim_cochains[k]} rank={table.rank_d[k]} betti={table.betti[k]}"
+        for k in table.degrees])
     return 0
 
 
@@ -100,12 +99,12 @@ def cmd_linearize(args) -> int:
     sol = formal.formal_linearize(pi, args.truncate, args.base_degree_cap)
     if sol.status == "equivalent":
         _emit(args, sol.to_json_obj(),
-              [f"equivalent after {sol.rounds} rounds",
-               f"gauge vector field: {sol.X.value!r}"])
+              lambda: [f"equivalent after {sol.rounds} rounds",
+                       f"gauge vector field: {sol.X.value!r}"])
         return 0
     _emit(args, sol.to_json_obj(),
-          [f"obstructed at grade {sol.degree}",
-           f"cochain: {sol.cochain.value!r}"])
+          lambda: [f"obstructed at grade {sol.degree}",
+                   f"cochain: {sol.cochain.value!r}"])
     return 1
 
 
@@ -129,12 +128,12 @@ def cmd_prolong(args) -> int:
     if res.status == "solved":
         _emit(args, {"status": "solved", "grade": m,
                      "eta": res.eta.to_json_obj()},
-              [f"solved at grade {m}", f"correction: {res.eta!r}"])
+              lambda: [f"solved at grade {m}", f"correction: {res.eta!r}"])
         return 0
     _emit(args, {"status": "obstructed", "grade": m,
                  "cochain": res.obstruction.value.to_json_obj(),
                  "base_degree_cap": args.base_degree_cap},
-          [f"obstructed at grade {m}", f"cochain: {res.obstruction.value!r}"])
+          lambda: [f"obstructed at grade {m}", f"cochain: {res.obstruction.value!r}"])
     return 1
 
 
@@ -143,12 +142,12 @@ def cmd_realize(args) -> int:
     rep = realize.verify_realization(pi, args.samples, args.radius, args.seed,
                                      args.steps)
     _emit(args, rep.to_json_obj(),
-          [f"samples={rep.n_samples} skipped={rep.skipped}",
-           f"skew defect:        {rep.skew_defect_max:.3e}",
-           f"max |d omega|:      {rep.domega_max:.3e}",
-           f"min |det omega|:    {rep.det_min:.3e}",
-           f"poisson residual:   {rep.poisson_residual_max:.3e}",
-           f"zero-section resid: {rep.zero_section_residual:.3e}"])
+          lambda: [f"samples={rep.n_samples} skipped={rep.skipped}",
+                   f"skew defect:        {rep.skew_defect_max:.3e}",
+                   f"max |d omega|:      {rep.domega_max:.3e}",
+                   f"min |det omega|:    {rep.det_min:.3e}",
+                   f"poisson residual:   {rep.poisson_residual_max:.3e}",
+                   f"zero-section resid: {rep.zero_section_residual:.3e}"])
     return 0
 
 
@@ -172,8 +171,8 @@ def cmd_su3(args) -> int:
     obj = {"killing": kc, "weyl_circle_max_dev": worst_q,
            "delta_membership": delta_ok, "samples": args.samples}
     _emit(args, obj,
-          [f"killing: {kc}", f"weyl circle max deviation: {worst_q:.3e}",
-           f"Delta membership over {args.samples} samples: {delta_ok}"])
+          lambda: [f"killing: {kc}", f"weyl circle max deviation: {worst_q:.3e}",
+                   f"Delta membership over {args.samples} samples: {delta_ok}"])
     return 0 if (delta_ok and worst_q < 1e-10 and kc["compact_type"]) else 1
 
 
@@ -185,8 +184,9 @@ def cmd_area(args) -> int:
     obj = {"r": args.radius, "area": area, "expected_area": 4 * math.pi * args.radius,
            "dh": [d1, d2]}
     _emit(args, obj,
-          [f"area(S_r), r={args.radius}: {area:.9f} (4*pi*r = {4*math.pi*args.radius:.9f})",
-           f"d/dr areas: ({d1:.6f}, {d2:.6f})"])
+          lambda: [f"area(S_r), r={args.radius}: {area:.9f} "
+                   f"(4*pi*r = {4*math.pi*args.radius:.9f})",
+                   f"d/dr areas: ({d1:.6f}, {d2:.6f})"])
     return 0
 
 

@@ -254,6 +254,9 @@ def mc_equivalence(gamma: FilteredJet, gamma_p: FilteredJet, D: int,
     (grade 4 at D = 4) and with it the RREF gauge field solved there, so the
     returned X (and the CLI output) would change.  With the pruned Dynkin
     sum, bch(X_k, X_total) costs at most one bracket once o(X_k) >= 2.
+
+    The returned X is re-verified, ad_exp(X, gamma', D) == gamma.  After one
+    round X is X_1, and the loop's own ad_exp(X_1, gamma', D) is that check.
     """
     base_degree_cap = _as_int(base_degree_cap, "base_degree_cap", 0)
     D = _as_int(D, "jet order D", 0)
@@ -289,7 +292,7 @@ def mc_equivalence(gamma: FilteredJet, gamma_p: FilteredJet, D: int,
         X_total = Xk if X_total is None else bch(Xk, X_total, D)
     if X_total is None:
         X_total = FilteredJet(PolyMVF.zero(gamma.value.nvars, 1, gamma.value.weights), D)
-    if ad_exp(X_total, gamma_p, D).value != gamma.value:
+    if rounds > 1 and ad_exp(X_total, gamma_p, D).value != gamma.value:
         raise RuntimeError("composed gauge element failed re-verification")
     return GaugeSolution("equivalent", X=X_total, rounds=rounds,
                          base_degree_cap=base_degree_cap)

@@ -231,9 +231,10 @@ def _su3_onb() -> np.ndarray:
 def su3_invariants(xi) -> tuple[float, float]:
     """(p1, p2) = (-tr(A^2), i*sqrt(6)*tr(A^3)) for A = sum xi_a e_a."""
     import numpy as np
+    entries = np.asarray(xi, dtype=object).ravel()  # a bool mixed into floats stays a bool
     xi = np.asarray(xi)
-    if xi.dtype.kind == "b":  # a bool is not read as 0.0 or 1.0
-        raise ValueError(f"'xi' must have real entries, got {xi.tolist()}")
+    if xi.dtype.kind not in "iuf" or any(isinstance(x, (bool, np.bool_)) for x in entries):
+        raise ValueError(f"'xi' must have real entries, got {entries.tolist()}")
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (8,):
         raise ValueError("expected an 8-vector")

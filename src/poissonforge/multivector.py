@@ -40,8 +40,10 @@ from the leg sets that hold it, with the sign of moving xi_i to the right
 end (d^R) or to the left end (d^L).  The kernel multiplies two such operands
 as ``wedge`` multiplies fields, with each exponent vector packed into one
 int (Monagan & Pearce, CASC 2007); its sums stay in ``int`` and build no
-``Fraction``.  It and ``wedge`` hold a leg set as an n-bit mask, leg i at
-bit i - 1, and read each sign off bit counts (``_merge_sign``).
+``Fraction``.  Under a grade bound it drops, before packing, each monomial
+whose grade plus the other operand's least grade exceeds the bound plus 1.
+It and ``wedge`` hold a leg set as an n-bit mask, leg i at bit i - 1, and
+read each sign off bit counts (``_merge_sign``).
 
 As in ``polyalg``, data is validated where it enters: the public
 ``PolyMVF(...)`` constructor and ``PolyMVF.from_json_obj`` check leg tuples,
@@ -390,7 +392,9 @@ def schouten(W: PolyMVF, V: PolyMVF, max_grade: int | None = None) -> PolyMVF:
     ``truncate_jet(schouten(W, V), max_grade)``, but the monomials above the
     bound are never formed: monomials of dilation grades g and h bracket to
     grade g + h - 1 (dilation is a bracket automorphism), so a pair with
-    g + h - 1 > max_grade is skipped before it is multiplied.
+    g + h - 1 > max_grade is skipped before it is multiplied.  A monomial
+    that joins only such pairs, as its grade plus the other operand's least
+    grade is above max_grade + 1, is dropped before the operands are packed.
     """
     W._check(V)
     max_grade = max_grade if max_grade is None else _as_int(max_grade, "max_grade", 0)
@@ -421,14 +425,20 @@ def _schouten_sums(W: dict, V: dict, weights: tuple, max_grade, rows=None):
     tags of monomials with coefficient 1, and it is ``{(legs, exps): {tag:
     c}}``, or with ``rows`` False the list of its values, in order.  A
     derivative keeps its monomial's grade, and with ``max_grade`` set a pair
-    of grades g and h with g + h - 1 > max_grade is skipped unmultiplied.
+    of grades g and h with g + h - 1 > max_grade is skipped unmultiplied; a
+    monomial that joins only such pairs, its grade plus the other operand's
+    least grade above max_grade + 1, is dropped before packing.
     """
     n = len(weights)
+    limit = math.inf if max_grade is None else max_grade + 1
+    if max_grade is not None:  # drop the monomials whose every pair lies above the bound
+        least_W, least_V = (min((g for g, _, _ in X), default=0) for X in (W, V))
+        W = {key: c for key, c in W.items() if key[0] + least_V <= limit}
+        V = {key: c for key, c in V.items() if key[0] + least_W <= limit}
     degree = [max(map(sum, map(itemgetter(2), X)), default=0) for X in (W, V)]
     width = max(sum(degree), 1).bit_length()
     low, top = n * width, n * width + n
     units = [1 << (width * v) for v in range(n)]
-    limit = math.inf if max_grade is None else max_grade + 1
 
     def packed(X, tags):
         """X as [(mask, grade, extra bits, sign, [(word, exps, c)])] by leg set and grade."""

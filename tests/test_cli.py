@@ -161,6 +161,35 @@ def test_prolong_solved(tmp_path, capsys):
     assert jac.is_zero() or jac.min_grade() > 3
 
 
+def test_json_output_formats_no_field(so3_file, broken_file, mvf_file, jet_file, tmp_path,
+                                      capsys, monkeypatch):
+    # the text lines, with the repr of a gauge field, correction, cochain or
+    # witness, are built only for --format text
+    plane = tmp_path / "plane.json"
+    plane.write_text(json.dumps({"nvars": 2, "grade": 2,
+                                 "terms": [{"indices": [1, 2], "poly": "x1^2"}]}))
+    X0 = PolyMVF(3, 1, {(1,): Poly(3, {(1, 1, 0): 1}), (2,): Poly(3, {(1, 1, 0): -1})})
+    two_jet = tmp_path / "two_jet.json"
+    two_jet.write_text(json.dumps(truncate_jet(
+        ad_exp(X0, linear_poisson(preset("so3")), 3).value, 2).to_json_obj()))
+    runs = [["check", so3_file], ["check", broken_file],
+            ["linearize", mvf_file, "--truncate", "3"], ["linearize", str(plane)],
+            ["prolong", str(two_jet), "--grade", "3"], ["prolong", jet_file]]
+    expected = []
+    for argv in runs:
+        expected.append((cli.main(argv + ["--format", "json"]), capsys.readouterr().out))
+    assert [rc for rc, _ in expected] == [0, 1, 0, 1, 0, 1]
+
+    def refuse(self):
+        raise AssertionError("a field formatted for JSON output")
+    monkeypatch.setattr(PolyMVF, "__repr__", refuse)
+    for argv, (rc, out) in zip(runs, expected):
+        assert cli.main(argv + ["--format", "json"]) == rc
+        assert capsys.readouterr().out == out
+    with pytest.raises(AssertionError, match="formatted"):
+        cli.main(["check", broken_file])
+
+
 def test_prolong_refuses_a_grade_0_part(tmp_path, capsys):
     # the constant d1^d2 brackets the grade-2 part, which the 1-jet would
     # drop, into the grade-1 Jacobiator 2*x1 d1^d2^d3: no step may claim it solved

@@ -240,6 +240,28 @@ def test_mc_equivalence_constructed_pair(pi_so3):
         assert ad_exp(sol.X, pi_so3, D).value == gamma.value
 
 
+@pytest.mark.parametrize("D, rounds", [(2, 1), (3, 2), (4, 3)])
+def test_one_round_reuses_the_loops_ad_exp(pi_so3, D, rounds):
+    # after one round the loop's ad_exp(X_1, gamma', D) is the re-verification;
+    # after r > 1 rounds the composed X is checked by one more ad_exp
+    X0 = rand_homogeneous_vf(random.Random(36), 3, 2)
+    gamma = ad_exp(X0, pi_so3, D)
+    with mock.patch.object(formal, "ad_exp", wraps=formal.ad_exp) as spy:
+        sol = mc_equivalence(gamma, FilteredJet(pi_so3, D), D)
+    assert sol.status == "equivalent" and sol.rounds == rounds
+    assert spy.call_count == (1 if rounds == 1 else rounds + 1)
+    assert ad_exp(sol.X, pi_so3, D).value == gamma.value
+
+
+def test_composed_gauge_is_reverified(pi_so3, monkeypatch):
+    # a composition that keeps only the last round's X_k must be caught
+    D = 4
+    gamma = ad_exp(rand_homogeneous_vf(random.Random(36), 3, 2), pi_so3, D)
+    monkeypatch.setattr(formal, "bch", lambda X, Y, D: X)
+    with pytest.raises(RuntimeError, match="composed gauge element failed re-verification"):
+        mc_equivalence(gamma, FilteredJet(pi_so3, D), D)
+
+
 def test_mc_equivalence_obstruction_on_plane():
     # with vanishing linear part no gauge can remove a quadratic term
     n = 2

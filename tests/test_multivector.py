@@ -8,6 +8,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from poissonforge import (GradedPiece, PolyMVF, dilate, grade_component, linear_poisson, preset,
                           schouten, sharp, truncate_jet, wedge)
+from poissonforge import multivector
 from poissonforge.multivector import _legs, _mask, _merge_sign
 from poissonforge.poisson import _bracket_rows, graded_basis
 from poissonforge.polyalg import Poly, _add_term, parse_poly
@@ -280,6 +282,23 @@ def test_schouten_max_grade_is_truncation(weights):
             assert schouten(u, v, max_grade=k) == truncate_jet(full, k)
     with pytest.raises(ValueError):
         schouten(u, v, max_grade=-1)
+
+
+def test_monomials_above_the_bound_are_dropped_before_packing(monkeypatch):
+    # every monomial has grade 3, so every pair brackets to grade 5: below
+    # that bound each monomial is dropped before packing, and no leg set of
+    # either side reaches the kernel's sign rule
+    n = 3
+    W = PolyMVF(n, 2, {(1, 2): parse_poly("x1^3 + x2*x3^2", n), (2, 3): parse_poly("x3^3", n)})
+    V = PolyMVF(n, 2, {(1, 3): parse_poly("x1*x2*x3", n)})
+    assert not schouten(W, V).is_zero() and min(schouten(W, V)._grades()) == 5
+    monkeypatch.setattr(multivector, "_merge_sign", mock.Mock(wraps=_merge_sign))
+    for k in (3, 4):
+        bounded = schouten(W, V, max_grade=k)
+        assert bounded.is_zero() and bounded == PolyMVF.zero(n, 3)
+    assert multivector._merge_sign.call_count == 0
+    assert schouten(W, V, max_grade=5) == schouten(W, V)
+    assert multivector._merge_sign.call_count > 0
 
 
 # ---------------------------------------------------------------------------

@@ -149,13 +149,15 @@ _XI = np.array([0.1, 0.0, 0.0, 0.0, 0.1, 0.0])
     (lambda: su3_invariants([1.0] * 7 + [math.nan]), "'xi' must have finite entries"),
     (lambda: su3_invariants([math.inf] + [0.0] * 7), "'xi' must have finite entries"),
     (lambda: su3_invariants([True] * 8), "'xi' must have real entries, got [True, True"),
+    (lambda: su3_invariants([True] + [0.5] * 7), "'xi' must have real entries, got [True, 0.5"),
+    (lambda: su3_invariants(np.array(["1.0"] * 8)), "'xi' must have real entries, got ['1.0'"),
 ], ids=["verify-radius-bool", "verify-radius-nan", "verify-radius-str", "verify-radius-complex",
         "verify-radius-zero", "flow-t-bool", "flow-t-numpy-bool", "flow-t-nan", "flow-t-inf",
         "flow-t-minus-inf", "flow-t-past-float-range", "flow-t-none", "dh-radius-bool",
         "dh-step-bool", "dh-radius-zero", "weyl-radius-bool", "weyl-theta-nan", "weyl-theta-inf",
         "leaf-radius-bool", "leaf-radius-nan", "leaf-radius-zero", "leaf-radius-negative",
         "leaf-scale-nan", "leaf-scale-bool", "leaf-scale-zero", "su3-xi-nan", "su3-xi-inf",
-        "su3-xi-bool"])
+        "su3-xi-bool", "su3-xi-bool-among-floats", "su3-xi-numeric-strings"])
 def test_bad_float_arguments_are_refused(call, message):
     # a bool is not read as 0 or 1, and a NaN or infinity is named as the
     # argument it came in, not reported as a blow-up of the flow
