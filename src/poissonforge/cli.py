@@ -1,9 +1,11 @@
 """Command-line front end.
 
-Verbs map one-to-one onto library operations; every report is available as
-JSON (`--format json`) or a short human-readable summary.  Exit codes: 0 for
-success / positive verdicts, 1 for negative mathematical verdicts (not
-Poisson, obstructed), 2 for usage and input errors.
+Verbs map one-to-one onto library operations.  Each ``cmd_*`` computes its
+report and returns its exit code with two renderings that are built only when
+called: the JSON object (`--format json`) and the lines of a short
+human-readable summary; ``main`` prints the one ``--format`` asks for.  Exit
+codes: 0 for success / positive verdicts, 1 for negative mathematical verdicts
+(not Poisson, obstructed), 2 for usage and input errors.
 """
 
 from __future__ import annotations
@@ -55,57 +57,42 @@ def _as_bivector(obj, path: str, weights=None) -> PolyMVF:
     return obj
 
 
-def _emit(args, obj, text_lines):
-    """Print ``obj`` as JSON, or the lines ``text_lines()`` builds only for text."""
-    if args.format == "json":
-        print(json.dumps(obj, sort_keys=True))
-    else:
-        for line in text_lines():
-            print(line)
-
-
-def cmd_check(args) -> int:
+def cmd_check(args) -> tuple:
     pi = _as_bivector(parse_input(args.input), args.input)
     res = poisson.check_poisson(pi)
-    obj = {"is_poisson": res.is_poisson,
-           "witness": res.witness.to_json_obj() if not res.is_poisson else None}
-    _emit(args, obj, lambda: [f"poisson: {res.is_poisson}"]
-          + ([] if res.is_poisson else [f"witness: {res.witness!r}"]))
-    return 0 if res.is_poisson else 1
+    return (0 if res.is_poisson else 1,
+            lambda: {"is_poisson": res.is_poisson,
+                     "witness": res.witness.to_json_obj() if not res.is_poisson else None},
+            lambda: [f"poisson: {res.is_poisson}"]
+            + ([] if res.is_poisson else [f"witness: {res.witness!r}"]))
 
 
-def cmd_casimirs(args) -> int:
+def cmd_casimirs(args) -> tuple:
     pi = _as_bivector(parse_input(args.input), args.input)
     basis = poisson.casimir_basis(pi, args.max_degree)
     strs = [str(p) for p in basis]
-    _emit(args, {"max_degree": args.max_degree, "casimirs": strs},
-          lambda: [f"{len(strs)} Casimir basis elements up to degree {args.max_degree}:"]
-          + [f"  {s}" for s in strs])
-    return 0
+    return (0, lambda: {"max_degree": args.max_degree, "casimirs": strs},
+            lambda: [f"{len(strs)} Casimir basis elements up to degree {args.max_degree}:"]
+            + [f"  {s}" for s in strs])
 
 
-def cmd_cohomology(args) -> int:
+def cmd_cohomology(args) -> tuple:
     pi = _as_bivector(parse_input(args.input), args.input)
     kmax = args.max_degree if args.max_degree is not None else pi.nvars
     table = poisson.cohomology_dims(pi, args.grade, kmax)
-    _emit(args, table.to_json_obj(), lambda: [f"grade {table.grade}:"] + [
+    return 0, table.to_json_obj, lambda: [f"grade {table.grade}:"] + [
         f"  k={k}: dim={table.dim_cochains[k]} rank={table.rank_d[k]} betti={table.betti[k]}"
-        for k in table.degrees])
-    return 0
+        for k in table.degrees]
 
 
-def cmd_linearize(args) -> int:
+def cmd_linearize(args) -> tuple:
     pi = _as_bivector(parse_input(args.input), args.input)
     sol = formal.formal_linearize(pi, args.truncate, args.base_degree_cap)
     if sol.status == "equivalent":
-        _emit(args, sol.to_json_obj(),
-              lambda: [f"equivalent after {sol.rounds} rounds",
-                       f"gauge vector field: {sol.X.value!r}"])
-        return 0
-    _emit(args, sol.to_json_obj(),
-          lambda: [f"obstructed at grade {sol.degree}",
-                   f"cochain: {sol.cochain.value!r}"])
-    return 1
+        return 0, sol.to_json_obj, lambda: [f"equivalent after {sol.rounds} rounds",
+                                            f"gauge vector field: {sol.X.value!r}"]
+    return 1, sol.to_json_obj, lambda: [f"obstructed at grade {sol.degree}",
+                                        f"cochain: {sol.cochain.value!r}"]
 
 
 def _parse_weights(text: str) -> list:
@@ -115,7 +102,7 @@ def _parse_weights(text: str) -> list:
         raise InputError(f"--weights needs comma-separated integers, got {text!r}") from None
 
 
-def cmd_prolong(args) -> int:
+def cmd_prolong(args) -> tuple:
     weights = None if args.weights is None else _parse_weights(args.weights)
     pi = _as_bivector(parse_input(args.input), args.input, weights)
     if args.grade is not None:
@@ -126,32 +113,27 @@ def cmd_prolong(args) -> int:
     res = formal.prolong_step(formal.FilteredJet(pi, max(m, 1)), m,
                               args.base_degree_cap)
     if res.status == "solved":
-        _emit(args, {"status": "solved", "grade": m,
-                     "eta": res.eta.to_json_obj()},
-              lambda: [f"solved at grade {m}", f"correction: {res.eta!r}"])
-        return 0
-    _emit(args, {"status": "obstructed", "grade": m,
-                 "cochain": res.obstruction.value.to_json_obj(),
-                 "base_degree_cap": args.base_degree_cap},
-          lambda: [f"obstructed at grade {m}", f"cochain: {res.obstruction.value!r}"])
-    return 1
+        return (0, lambda: {"status": "solved", "grade": m, "eta": res.eta.to_json_obj()},
+                lambda: [f"solved at grade {m}", f"correction: {res.eta!r}"])
+    return (1, lambda: {"status": "obstructed", "grade": m,
+                        "cochain": res.obstruction.value.to_json_obj(),
+                        "base_degree_cap": args.base_degree_cap},
+            lambda: [f"obstructed at grade {m}", f"cochain: {res.obstruction.value!r}"])
 
 
-def cmd_realize(args) -> int:
+def cmd_realize(args) -> tuple:
     pi = _as_bivector(parse_input(args.input), args.input)
     rep = realize.verify_realization(pi, args.samples, args.radius, args.seed,
                                      args.steps)
-    _emit(args, rep.to_json_obj(),
-          lambda: [f"samples={rep.n_samples} skipped={rep.skipped}",
-                   f"skew defect:        {rep.skew_defect_max:.3e}",
-                   f"max |d omega|:      {rep.domega_max:.3e}",
-                   f"min |det omega|:    {rep.det_min:.3e}",
-                   f"poisson residual:   {rep.poisson_residual_max:.3e}",
-                   f"zero-section resid: {rep.zero_section_residual:.3e}"])
-    return 0
+    return 0, rep.to_json_obj, lambda: [f"samples={rep.n_samples} skipped={rep.skipped}",
+                                        f"skew defect:        {rep.skew_defect_max:.3e}",
+                                        f"max |d omega|:      {rep.domega_max:.3e}",
+                                        f"min |det omega|:    {rep.det_min:.3e}",
+                                        f"poisson residual:   {rep.poisson_residual_max:.3e}",
+                                        f"zero-section resid: {rep.zero_section_residual:.3e}"]
 
 
-def cmd_su3(args) -> int:
+def cmd_su3(args) -> tuple:
     import numpy as np
     _as_int(args.samples, "--samples", 1)
     spec = liealg.preset("su3")
@@ -168,26 +150,23 @@ def cmd_su3(args) -> int:
         p1, p2 = liealg.su3_invariants(rng.normal(size=8))
         if p1 ** 3 < p2 ** 2 - 1e-9:
             delta_ok = False
-    obj = {"killing": kc, "weyl_circle_max_dev": worst_q,
-           "delta_membership": delta_ok, "samples": args.samples}
-    _emit(args, obj,
-          lambda: [f"killing: {kc}", f"weyl circle max deviation: {worst_q:.3e}",
-                   f"Delta membership over {args.samples} samples: {delta_ok}"])
-    return 0 if (delta_ok and worst_q < 1e-10 and kc["compact_type"]) else 1
+    return (0 if (delta_ok and worst_q < 1e-10 and kc["compact_type"]) else 1,
+            lambda: {"killing": kc, "weyl_circle_max_dev": worst_q,
+                     "delta_membership": delta_ok, "samples": args.samples},
+            lambda: [f"killing: {kc}", f"weyl circle max deviation: {worst_q:.3e}",
+                     f"Delta membership over {args.samples} samples: {delta_ok}"])
 
 
-def cmd_area(args) -> int:
+def cmd_area(args) -> tuple:
     # dh_variation refuses radii above 2^18, long before the quadrature overflows (1e150)
     d1, d2 = realize.dh_variation(args.radius, 1e-5)
     pi = liealg.linear_poisson(liealg.preset("so3"))
     area = realize.symplectic_area(realize.sphere_leaf_form(pi, args.radius), (64, 2048))
-    obj = {"r": args.radius, "area": area, "expected_area": 4 * math.pi * args.radius,
-           "dh": [d1, d2]}
-    _emit(args, obj,
-          lambda: [f"area(S_r), r={args.radius}: {area:.9f} "
-                   f"(4*pi*r = {4*math.pi*args.radius:.9f})",
-                   f"d/dr areas: ({d1:.6f}, {d2:.6f})"])
-    return 0
+    return (0, lambda: {"r": args.radius, "area": area,
+                        "expected_area": 4 * math.pi * args.radius, "dh": [d1, d2]},
+            lambda: [f"area(S_r), r={args.radius}: {area:.9f} "
+                     f"(4*pi*r = {4*math.pi*args.radius:.9f})",
+                     f"d/dr areas: ({d1:.6f}, {d2:.6f})"])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -265,7 +244,12 @@ def main(argv=None) -> int:
     try:
         if _THREAD_CAP_ERROR:
             raise InputError(_THREAD_CAP_ERROR)
-        return args.func(args)
+        code, json_obj, text_lines = args.func(args)
+        if args.format == "json":
+            print(json.dumps(json_obj(), sort_keys=True))
+        else:
+            print("\n".join(text_lines()))
+        return code
     except (InputError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -63,8 +63,9 @@ def sharp(pi: PolyMVF, alpha) -> PolyMVF:
     """
     _check_bivector(pi)
     n = pi.nvars
-    if isinstance(alpha, int):
-        if isinstance(alpha, bool) or not 1 <= alpha <= n:
+    if not hasattr(alpha, "__len__"):
+        alpha = _as_int(alpha, f"dx_i in 1..{n}")
+        if not 1 <= alpha <= n:
             raise ValueError(f"dx_i needs an integer i in 1..{n}, got {alpha!r}")
         coeffs = [Poly.zero(n)] * (alpha - 1) + [Poly.constant(n, 1)]
         coeffs += [Poly.zero(n)] * (n - alpha)

@@ -3,15 +3,17 @@
 ``INPUTS`` are the JSON files the runs read and ``RUNS`` the CLI argv lists,
 grouped by verb, each with its expected exit code: a success and an input
 error per verb, and for ``prolong`` the obstructed README jet, which takes
-the witness path of the exact solver.  ``test_package`` runs each group in
-a fresh interpreter.  Run as a script, with ``src`` on ``PYTHONPATH``, this
-file makes every run in one interpreter, in a temporary directory, then the
-cohomology table of the 3-dimensional Heisenberg algebra at grade 1, whose
-ranks are not all pinned by the complex's exactness and so take the lift,
-reads reals through ``polyalg._as_real``, the package's one real reader,
-and asserts the exit codes, the Betti numbers ``[1, 4, 5, 2]``, that the
-reader refuses a ``bool``, a NaN and, when ``positive``, a value <= 0, and
-that NumPy was never imported:
+the witness path of the exact solver.  Every run but the input error comes
+once in text and once with ``--format json``, so both renderings of each
+report are built.  ``test_package`` runs each group in a fresh interpreter.
+Run as a script, with ``src`` on ``PYTHONPATH``, this file makes every run
+in one interpreter, in a temporary directory, then the cohomology table of
+the 3-dimensional Heisenberg algebra at grade 1, whose ranks are not all
+pinned by the complex's exactness and so take the lift, reads reals through
+``polyalg._as_real``, the package's one real reader, and asserts the exit
+codes, that each JSON run printed one JSON object, the Betti numbers
+``[1, 4, 5, 2]``, that the reader refuses a ``bool``, a NaN and, when
+``positive``, a value <= 0, and that NumPy was never imported:
 
     PYTHONPATH=src python tests/exact_verbs.py
 """
@@ -44,6 +46,8 @@ RUNS = {
     "prolong": [(["prolong", "jet.json", "--weights", "0,0,1"], 1), (["prolong", "so3.json"], 0),
                 (["prolong", "jet.json", "--grade", "-1"], 2)],
 }
+for _runs in RUNS.values():
+    _runs += [(argv + ["--format", "json"], code) for argv, code in _runs if code != 2]
 
 
 def write_inputs(directory: str) -> None:
@@ -74,18 +78,25 @@ def main() -> None:
         write_inputs(directory)
         os.chdir(directory)
         try:
-            codes = [cli.main(argv) for argv, _ in runs]
+            codes, stdouts = [], []
+            for argv, _ in runs:
+                with contextlib.redirect_stdout(io.StringIO()) as run_out:
+                    codes.append(cli.main(argv))
+                stdouts.append(run_out.getvalue())
             with contextlib.redirect_stdout(out):
                 code = cli.main(["cohomology", "heis.json", "--grade", "1", "--format", "json"])
         finally:
             os.chdir(cwd)
     assert codes == [expected for _, expected in runs], codes
+    for (argv, _), stdout in zip(runs, stdouts):
+        if "json" in argv:
+            assert isinstance(json.loads(stdout), dict) and stdout.count("\n") == 1, argv
     betti = [row["betti"] for row in json.loads(out.getvalue())["rows"]]
     assert (code, betti) == (0, [1, 4, 5, 2]), (code, betti)
     check_real_reader()
     assert "numpy" not in sys.modules
-    print("exact verbs: exit codes, Heisenberg Betti numbers, real reader and NumPy-free "
-          "start-up as expected")
+    print("exact verbs: exit codes, JSON reports, Heisenberg Betti numbers, real reader and "
+          "NumPy-free start-up as expected")
 
 
 if __name__ == "__main__":

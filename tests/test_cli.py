@@ -161,10 +161,11 @@ def test_prolong_solved(tmp_path, capsys):
     assert jac.is_zero() or jac.min_grade() > 3
 
 
-def test_json_output_formats_no_field(so3_file, broken_file, mvf_file, jet_file, tmp_path,
-                                      capsys, monkeypatch):
-    # the text lines, with the repr of a gauge field, correction, cochain or
-    # witness, are built only for --format text
+@pytest.fixture
+def field_runs(so3_file, broken_file, mvf_file, jet_file, tmp_path):
+    """argv lists whose reports carry a field: ``check`` of a Poisson and a broken
+    structure, ``linearize`` equivalent and obstructed, ``prolong`` solved and
+    obstructed, with exit codes 0 and 1 in turn."""
     plane = tmp_path / "plane.json"
     plane.write_text(json.dumps({"nvars": 2, "grade": 2,
                                  "terms": [{"indices": [1, 2], "poly": "x1^2"}]}))
@@ -172,22 +173,40 @@ def test_json_output_formats_no_field(so3_file, broken_file, mvf_file, jet_file,
     two_jet = tmp_path / "two_jet.json"
     two_jet.write_text(json.dumps(truncate_jet(
         ad_exp(X0, linear_poisson(preset("so3")), 3).value, 2).to_json_obj()))
-    runs = [["check", so3_file], ["check", broken_file],
+    return [["check", so3_file], ["check", broken_file],
             ["linearize", mvf_file, "--truncate", "3"], ["linearize", str(plane)],
             ["prolong", str(two_jet), "--grade", "3"], ["prolong", jet_file]]
+
+
+def _same_output_without(method, fmt, runs, capsys, monkeypatch):
+    """Each run in ``--format fmt`` prints as before with ``PolyMVF.method`` refused."""
     expected = []
     for argv in runs:
-        expected.append((cli.main(argv + ["--format", "json"]), capsys.readouterr().out))
+        expected.append((cli.main(argv + ["--format", fmt]), capsys.readouterr().out))
     assert [rc for rc, _ in expected] == [0, 1, 0, 1, 0, 1]
 
     def refuse(self):
-        raise AssertionError("a field formatted for JSON output")
-    monkeypatch.setattr(PolyMVF, "__repr__", refuse)
+        raise AssertionError(f"a field formatted outside --format {fmt}")
+    monkeypatch.setattr(PolyMVF, method, refuse)
     for argv, (rc, out) in zip(runs, expected):
-        assert cli.main(argv + ["--format", "json"]) == rc
+        assert cli.main(argv + ["--format", fmt]) == rc
         assert capsys.readouterr().out == out
+
+
+def test_json_output_formats_no_field(field_runs, broken_file, capsys, monkeypatch):
+    # the text lines, with the repr of a gauge field, correction, cochain or
+    # witness, are built only for --format text
+    _same_output_without("__repr__", "json", field_runs, capsys, monkeypatch)
     with pytest.raises(AssertionError, match="formatted"):
         cli.main(["check", broken_file])
+
+
+def test_text_output_builds_no_json(field_runs, broken_file, capsys, monkeypatch):
+    # the JSON object, with every term of such a field formatted, is built
+    # only for --format json
+    _same_output_without("to_json_obj", "text", field_runs, capsys, monkeypatch)
+    with pytest.raises(AssertionError, match="formatted"):
+        cli.main(["check", broken_file, "--format", "json"])
 
 
 def test_prolong_refuses_a_grade_0_part(tmp_path, capsys):

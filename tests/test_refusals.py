@@ -53,6 +53,7 @@ _TWO_JET = PolyMVF(3, 2, {(1, 2): parse_poly("-x1*x3 - x2*x3 + x3", 3),
     (lambda: sharp(_X1, 1), "expected a bivector, got degree 1"),
     (lambda: poisson_bracket(_X1, _F, _F), "expected a bivector, got degree 1"),
     (lambda: sharp(_PI, [_F, _F]), "1-form needs 3 coefficients"),
+    (lambda: sharp(_PI, 2.0), "'dx_i in 1..3' must be an integer, got 2.0"),
     (lambda: casimir_basis(_NOT_POISSON, 1), "bivector is not Poisson; Casimirs undefined"),
     (lambda: cohomology_dims(_NOT_POISSON, 1, 1), "bivector is not Poisson"),
     (lambda: cohomology_dims(_D13, 1, 1), "cohomology_dims requires all-ones weights"),
@@ -76,6 +77,7 @@ _TWO_JET = PolyMVF(3, 2, {(1, 2): parse_poly("-x1*x3 - x2*x3 + x3", 3),
 ], ids=["solve-rhs-count", "index-tuple-length", "check-nvars", "check-weights",
         "add-degrees", "json-repeated-indices", "apply-function-count", "dilate-zero",
         "check_poisson-vector", "sharp-vector", "poisson_bracket-vector", "sharp-form-length",
+        "sharp-float-index",
         "casimirs-not-poisson", "cohomology-not-poisson", "cohomology-weights",
         "ad_exp-bivector-exponent", "mc-grade-1", "ad_exp-lower-order-jet",
         "mc-lower-order-jet", "conn_rescale-grade-0", "prolong-0-jet-grade-3",
@@ -84,6 +86,12 @@ _TWO_JET = PolyMVF(3, 2, {(1, 2): parse_poly("-x1*x3 - x2*x3 + x3", 3),
 def test_bad_input_is_refused(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
+
+
+@pytest.mark.parametrize("index", [np.int64(2), np.uint8(2)], ids=["numpy-int64", "numpy-uint8"])
+def test_covector_index_takes_any_integer(index):
+    # a NumPy integer names dx_2 as the int 2 does, not a 1-form to iterate
+    assert sharp(_PI, index) == sharp(_PI, 2)
 
 
 def test_a_jet_of_another_order_is_truncated_again():
