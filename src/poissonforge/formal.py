@@ -71,10 +71,11 @@ def order_of(u):
 
 
 def ad_exp(X, u, D: int) -> FilteredJet:
-    """Ad(e^X)u = sum_n ad_X^n(u)/n! in the grade-D truncation."""
+    """Ad(e^X)u = sum_n ad_X^n(u)/n! in the grade-D truncation; X is read to grade
+    D + 1 where u has a grade-0 part, which brackets that grade of X into grade D."""
     D = _as_int(D, "jet order D", 0)
-    X = _as_jet(X, D)
     u = _as_jet(u, D)
+    X = _as_jet(X, D + 1 if 0 in u.value._grades() else D)
     if X.value.grade not in (1,) and not X.value.is_zero():
         raise ValueError("exponent must be a vector field")
     if order_of(X) < 1:
@@ -188,7 +189,7 @@ def _solve_bracket_equation(pi: PolyMVF, rhs: PolyMVF, unknown_basis,
     if not out.feasible:
         return None, [w * (den * rhs.den) for w in out.witness]
     grade = len(unknown_basis[0][0]) if unknown_basis else 0
-    ints, sol_den = _integral(pi.weights, zip(unknown_basis, out.particular))
+    ints, sol_den = _integral(pi.weights, dict(zip(unknown_basis, out.particular)))
     return PolyMVF._raw(pi.nvars, grade, ints, pi.weights, sol_den), None
 
 
@@ -284,8 +285,8 @@ def mc_equivalence(gamma: FilteredJet, gamma_p: FilteredJet, D: int,
                                  certificate=res.certificate,
                                  base_degree_cap=base_degree_cap)
         # Ad(e^X) cancels Z at leading order: [X, pi_lin] = -[pi_lin, X] = -Z
+        current = ad_exp(res.X.value, current, D)  # exact: homogeneous of grade q
         Xk = FilteredJet._raw(res.X.value, D)  # grade q of a D-jet's piece
-        current = ad_exp(Xk, current, D)
         diff = current.value - gamma.value
         if not order_of(diff) > q - 1:
             raise RuntimeError("gauge round did not raise the order")

@@ -14,9 +14,11 @@ A field stores integer numerators over one denominator: ``den`` and
 den.  A monomial's grade g is computed once, where the monomial enters, and
 carried: grading, truncation and the kernel's ``max_grade`` bound read it.
 ``den`` is positive and coprime to the numerators together, so a field has
-one representation, which ``==`` and ``hash`` compare.  Sums scale by the
-lcm of the denominators, a scalar multiplies the numerators by its numerator
-and ``den`` by its denominator, and ``PolyMVF._raw`` divides out the gcd.
+one representation, which ``==`` and ``hash`` compare.  Coefficients and a
+dilation's scale factors become integers through ``polyalg._over_lcm``, the
+one converter.  Sums scale by the lcm of the denominators, a scalar multiplies
+the numerators by its numerator and ``den`` by its denominator, and
+``PolyMVF._raw`` divides out the gcd.
 ``PolyMVF.terms`` is the ``{legs: Poly}`` form, built on each read for
 parsing, formatting and the readers outside this module.
 
@@ -65,7 +67,7 @@ from operator import add, itemgetter, mul
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Sequence
 
-from .polyalg import Poly, _as_fraction, _as_int, format_poly, parse_poly
+from .polyalg import Poly, _add_term, _as_fraction, _as_int, _over_lcm, format_poly, parse_poly
 
 if TYPE_CHECKING:  # annotations only: NumPy is imported where floats are computed
     import numpy as np
@@ -128,15 +130,10 @@ def _weights(weights, n: int) -> tuple:
     return weights
 
 
-def _integral(weights: tuple, items) -> tuple:
-    """``(ints, den)`` of the ``((legs, exps), c)`` pairs ``items``, summed per
-    monomial, over the lcm of the denominators, which is coprime to them."""
-    acc: dict[tuple, Fraction] = {}
-    for mono, c in items:
-        acc[mono] = acc[mono] + c if mono in acc else c
-    den = math.lcm(*(c.denominator for c in acc.values() if c))
-    return {(_grade(weights, *mono), *mono): c.numerator * (den // c.denominator)
-            for mono, c in acc.items() if c}, den
+def _integral(weights: tuple, monos: dict) -> tuple:
+    """``_over_lcm`` of distinct monomials ``{(legs, exps): c}``, keys led by grade."""
+    ints, den = _over_lcm(monos)
+    return {(_grade(weights, *mono), *mono): c for mono, c in ints.items()}, den
 
 
 class PolyMVF:
@@ -149,7 +146,7 @@ class PolyMVF:
         self.nvars = _as_int(nvars, "nvars", 0)
         self.grade = _as_int(grade, "grade", 0)
         self.weights = (1,) * self.nvars if weights is None else _weights(weights, self.nvars)
-        items = []
+        monos: dict[tuple, Fraction] = {}
         for indices, poly in (terms or {}).items():
             indices = tuple(_as_int(i, "indices") for i in indices)
             if len(indices) != self.grade:
@@ -160,8 +157,9 @@ class PolyMVF:
                 raise ValueError(f"index tuple {indices} is not strictly increasing")
             if poly.nvars != self.nvars:
                 raise ValueError("coefficient variable count mismatch")
-            items += [((indices, exps), c) for exps, c in poly.terms.items()]
-        self._ints, self.den = _integral(self.weights, items)
+            for exps, c in poly.terms.items():  # index tuples may read to the same legs
+                _add_term(monos, (indices, exps), c)
+        self._ints, self.den = _integral(self.weights, monos)
 
     @staticmethod
     def _raw(nvars: int, grade: int, ints: dict, weights: tuple, den: int = 1) -> "PolyMVF":
@@ -189,7 +187,9 @@ class PolyMVF:
         return cls(poly.nvars, 0, {(): poly}, weights)
 
     def with_weights(self, weights) -> "PolyMVF":
-        return PolyMVF(self.nvars, self.grade, self.terms, weights)
+        weights = (1,) * self.nvars if weights is None else _weights(weights, self.nvars)
+        ints = {(_grade(weights, *key[1:]), *key[1:]): c for key, c in self._ints.items()}
+        return PolyMVF._raw(self.nvars, self.grade, ints, weights, self.den)
 
     # -- basic queries ------------------------------------------------
 
@@ -515,9 +515,7 @@ def dilate(W: PolyMVF, t) -> PolyMVF:
     t = _as_fraction(t)
     if t == 0:
         raise ValueError("dilation parameter must be nonzero")
-    scale = {g: t ** (g - 1) for g in W._grades()}
-    lcm = math.lcm(*(s.denominator for s in scale.values()))
-    factor = {g: s.numerator * (lcm // s.denominator) for g, s in scale.items()}
+    factor, lcm = _over_lcm({g: t ** (g - 1) for g in W._grades()})
     return W._like({key: c * factor[key[0]] for key, c in W._ints.items()}, W.den * lcm)
 
 

@@ -8,8 +8,9 @@ output.
 The linear solver returns the RREF answer (particular solution and kernel
 basis, or a witness of infeasibility), which depends only on the system.
 ``solve_linear_exact`` and ``exact_rank`` read every answer off one RREF,
-``_rref``, found by one certified multi-modular path: each row's
-denominators are cleared where it has a ``Fraction``, the matrix is reduced
+``_rref``, found by one certified multi-modular path: the rows of a matrix
+with a ``Fraction`` are cleared by ``_over_lcm``, the package's one converter
+to integers over the lcm of the denominators, the matrix is reduced
 modulo one prime after another, counting down from ``2^30 - 35``, by sparse
 Gauss-Jordan on dict rows of Python ints, the residues of the primes that
 share the best pivot set are combined by the Chinese remainder theorem, and
@@ -34,7 +35,7 @@ by ``_as_int`` too, and every real one, a radius, time, step or scale, by
 passed those checks (sums, products, derivatives, graded pieces) are
 wrapped by ``Poly._raw`` without re-checking; ``_add_term`` is the one
 accumulator that keeps stored coefficients nonzero.  A matrix is checked
-row by row (``_to_sparse_rows``), except a ``_Rows`` the package built.
+row by row, a dense one as dicts (``_to_sparse_rows``), except ``_Rows``.
 """
 
 from __future__ import annotations
@@ -120,6 +121,13 @@ def _add_term(terms: dict, key, value):
         terms[key] = s
     else:
         terms.pop(key, None)
+
+
+def _over_lcm(values: dict) -> tuple:
+    """``(ints, den)``: the nonzero ``int`` and ``Fraction`` values of the dict as
+    integers at the same keys, over the lcm ``den`` of their denominators (coprime to them)."""
+    den = math.lcm(*(v.denominator for v in values.values()))
+    return {k: v.numerator * (den // v.denominator) for k, v in values.items() if v}, den
 
 
 class Poly:
@@ -399,30 +407,30 @@ def _to_sparse_rows(A, ncols=None):
     becomes a ``Fraction``; any other entry, a ``bool`` or a ``float`` among
     them, raises ``ValueError``.
 
-    A dense row must have ``ncols`` entries (with ``ncols`` None, as many as
-    the first dense row).  A sparse row's keys must be ints in
-    ``0..ncols-1`` (with ``ncols`` None, any int >= 0, and the count is one
-    past the largest); a ``bool`` is not a key.  Anything else raises
-    ``ValueError``.  ``_Rows`` with ``ncols`` given are trusted: their rows
-    are copied, so a solve never changes its caller's dicts.
+    ``ncols`` is read by ``_as_int``.  A dense row must have ``ncols``
+    entries (with ``ncols`` None, as many as the first dense row), and is
+    read as ``dict(enumerate(row))``.  Keys must be ints in ``0..ncols-1``
+    (with ``ncols`` None, any int >= 0, and the count is one past the
+    largest); a ``bool`` is not a key.  Anything else raises ``ValueError``.
+    ``_Rows`` with ``ncols`` given are trusted: their rows are copied, so a
+    solve never changes its caller's dicts.
     """
+    ncols = ncols if ncols is None else _as_int(ncols, "ncols", 0)
     if type(A) is _Rows and ncols is not None:
         return list(map(dict, A)), ncols
     rows, top = [], 0
     for row in A:
-        if isinstance(row, dict):
-            for j in row:
-                if not isinstance(j, int) or isinstance(j, bool) or j < 0:
-                    raise ValueError(f"column key {j!r} is not an int >= 0")
-            top = max(top, max(row, default=-1) + 1)
-            items = row.items()
-        else:
+        if not isinstance(row, dict):
             if ncols is None:
                 ncols = len(row)
             if len(row) != ncols:
                 raise ValueError(f"dense row of length {len(row)} in a matrix of {ncols} columns")
-            items = enumerate(row)
-        rows.append({j: ev for j, v in items
+            row = dict(enumerate(row))
+        for j in row:
+            if not isinstance(j, int) or isinstance(j, bool) or j < 0:
+                raise ValueError(f"column key {j!r} is not an int >= 0")
+        top = max(top, max(row, default=-1) + 1)
+        rows.append({j: ev for j, v in row.items()
                      if (ev := v if type(v) is int else _matrix_entry(v))})
     if ncols is None:
         ncols = top
@@ -474,14 +482,6 @@ def _primes():
         if i not in _PRIMES:
             _PRIMES.setdefault(i, next(n for n in range(_PRIMES[i - 1] - 2, 7, -2) if _is_prime(n)))
         yield _PRIMES[i]
-
-
-def _integer_row(row: dict) -> dict:
-    """``row`` times the lcm of its denominators; an all-``int`` row as it is."""
-    if all(type(v) is int for v in row.values()):
-        return row
-    den = math.lcm(*(v.denominator for v in row.values()))
-    return {j: int(v * den) for j, v in row.items()}
 
 
 def _rref_mod_p(rows: list, p: int):
@@ -607,7 +607,7 @@ def _rref(rows: list, ncols: int, first=None):
     (its tails are updated in place).
     """
     if set(map(type, itertools.chain.from_iterable(map(dict.values, rows)))) - {int}:
-        rows = [_integer_row(row) for row in rows]
+        rows = [_over_lcm(row)[0] for row in rows]
     best = None
     # Why this loop ends.  Let J be the pivot columns over Q and r = |J|.
     # Every prefix of columns has rank mod p at most its rank over Q, so a
@@ -697,7 +697,7 @@ def solve_linear_exact(A, b, ncols: int | None = None) -> SolveOutcome:
     ``[[A^T, 0], [b^T, -1]]``: the kernel vector ``(w, 1)`` of its last
     column has ``w A = 0`` and ``w . b = 1``.
     """
-    rows, ncols = _to_sparse_rows(A, ncols if ncols is None else _as_int(ncols, "ncols", 0))
+    rows, ncols = _to_sparse_rows(A, ncols)
     b = [v if type(v) is int else _matrix_entry(v) for v in b]
     if len(b) != len(rows):
         raise ValueError(f"dimension mismatch: {len(rows)} rows vs {len(b)} rhs entries")
@@ -722,5 +722,5 @@ def solve_linear_exact(A, b, ncols: int | None = None) -> SolveOutcome:
 
 def exact_rank(A, ncols: int | None = None) -> int:
     """Rank of a rational matrix: the pivot count of its RREF (``_rref``)."""
-    rows, ncols = _to_sparse_rows(A, ncols if ncols is None else _as_int(ncols, "ncols", 0))
+    rows, ncols = _to_sparse_rows(A, ncols)
     return len(_rref(rows, ncols)[0])

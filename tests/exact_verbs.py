@@ -10,10 +10,13 @@ Run as a script, with ``src`` on ``PYTHONPATH``, this file makes every run
 in one interpreter, in a temporary directory, then the cohomology table of
 the 3-dimensional Heisenberg algebra at grade 1, whose ranks are not all
 pinned by the complex's exactness and so take the lift, reads reals through
-``polyalg._as_real``, the package's one real reader, and asserts the exit
-codes, that each JSON run printed one JSON object, the Betti numbers
-``[1, 4, 5, 2]``, that the reader refuses a ``bool``, a NaN and, when
-``positive``, a value <= 0, and that NumPy was never imported:
+``polyalg._as_real``, the package's one real reader, solves a dense system
+with ``Fraction`` and rational-string entries and takes its rank, so that the
+row reader ``polyalg._to_sparse_rows`` and the converter ``polyalg._over_lcm``
+run, and asserts the exit codes, that each JSON run printed one JSON object,
+the Betti numbers ``[1, 4, 5, 2]``, that the reader refuses a ``bool``, a NaN
+and, when ``positive``, a value <= 0, that the solution and the kernel vector
+satisfy the system exactly, the rank 2, and that NumPy was never imported:
 
     PYTHONPATH=src python tests/exact_verbs.py
 """
@@ -24,6 +27,7 @@ import json
 import os
 import sys
 import tempfile
+from fractions import Fraction
 
 INPUTS = {
     "so3": {"dim": 3, "C": [{"i": 1, "j": 2, "k": 3, "value": "1"},
@@ -70,6 +74,21 @@ def check_real_reader() -> None:
     assert _as_real(-1, "x") == -1.0 and _as_real(2, "x", True) == 2.0
 
 
+def check_dense_solve() -> None:
+    """A dense 2 x 3 system of ``Fraction``s, ints and rational strings: the particular
+    solution and the kernel vector satisfy it exactly, and the rank is 2."""
+    from poissonforge.polyalg import exact_rank, solve_linear_exact
+
+    A = [[Fraction(1, 2), "1/3", 0], ["-2/5", 1, Fraction(3, 7)]]
+    b = ["1/6", 1]
+    out = solve_linear_exact(A, b)
+    assert out.feasible and len(out.kernel_basis) == 1, out
+    rows = [[Fraction(v) for v in row] for row in A]
+    for x, rhs in [(out.particular, b), (out.kernel_basis[0], [0, 0])]:
+        assert [sum(map(Fraction.__mul__, row, x)) for row in rows] == list(map(Fraction, rhs)), x
+    assert exact_rank(A + [["1/10", "4/3", "3/7"]], 3) == 2  # the sum of the two rows
+
+
 def main() -> None:
     from poissonforge import cli
 
@@ -94,9 +113,10 @@ def main() -> None:
     betti = [row["betti"] for row in json.loads(out.getvalue())["rows"]]
     assert (code, betti) == (0, [1, 4, 5, 2]), (code, betti)
     check_real_reader()
+    check_dense_solve()
     assert "numpy" not in sys.modules
-    print("exact verbs: exit codes, JSON reports, Heisenberg Betti numbers, real reader and "
-          "NumPy-free start-up as expected")
+    print("exact verbs: exit codes, JSON reports, Heisenberg Betti numbers, real reader, "
+          "dense rational solve and NumPy-free start-up as expected")
 
 
 if __name__ == "__main__":

@@ -140,6 +140,17 @@ def test_equality_is_canonical(data):
     assert W - W == zero and hash(W - W) == hash(zero)
 
 
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_reweighting_regrades_the_same_coefficients(data):
+    n, q, weights, a, W = data.draw(fields())
+    w = tuple(data.draw(st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n)))
+    moved = W.with_weights(w)
+    _assert_canonical(moved)  # each monomial's grade recomputed under w
+    assert moved == PolyMVF(n, q, W.terms, w) and moved.weights == w
+    assert _to_model(moved) == a
+
+
 def test_grades_stay_carried():
     # operations on fields that already exist read their monomials' grades;
     # only a monomial entering a field has its grade computed

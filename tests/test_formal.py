@@ -111,6 +111,29 @@ def test_ad_exp_is_bracket_automorphism():
         assert lhs == rhs
 
 
+def test_ad_exp_reads_the_exponent_one_grade_past_a_constant_part():
+    # [x1^3 d1, d1^d2] = -3 x1^2 d1^d2: the grade-3 part of X brackets the
+    # grade-0 part of u into grade 2, so it counts in the 2-jet
+    n = 2
+    X = PolyMVF(n, 1, {(1,): parse_poly("x1^3", n)})
+    u = PolyMVF(n, 2, {(1, 2): parse_poly("1 + x1", n)})
+    assert ad_exp(X, u, 2).value == PolyMVF(n, 2, {(1, 2): parse_poly("-3*x1^2 + x1 + 1", n)})
+    # a 2-jet of X does not know that part
+    with pytest.raises(ValueError, match="a jet of order 2 cannot stand for one of order 3"):
+        ad_exp(FilteredJet(X, 2), u, 2)
+
+
+def test_gauge_of_a_field_with_a_constant_part():
+    # the loop hands ad_exp each round's homogeneous field as an exact field,
+    # which a grade-0 part of gamma' needs one grade past D
+    n, D = 2, 3
+    gamma_p = PolyMVF(n, 2, {(1, 2): parse_poly("1 - x1 + 2*x2", n)})
+    gamma = ad_exp(PolyMVF(n, 1, {(1,): parse_poly("3*x2^2", n)}), gamma_p, D)
+    sol = mc_equivalence(gamma, FilteredJet(gamma_p, D), D)
+    assert (sol.status, sol.rounds) == ("equivalent", 1)
+    assert ad_exp(sol.X.value, gamma_p, D).value == gamma.value
+
+
 def test_bch_worked_example():
     # for commuting-tail fields on the line: [x^2 dx, x^3 dx] = x^4 dx
     n = 1

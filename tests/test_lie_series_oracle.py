@@ -19,7 +19,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poissonforge import Poly, PolyMVF, ad_exp, formal_linearize
+from poissonforge import Poly, PolyMVF, ad_exp, bch, formal_linearize
 
 
 def _sym(poly, xs) -> sympy.Poly:
@@ -113,6 +113,51 @@ def _ad_exp_cases(draw):
 def test_ad_exp_is_the_lie_series_change_of_coordinates(case):
     X, pi, D = case
     _assert_carries(X, ad_exp(X, pi, D).value, pi, D)
+
+
+def test_ad_exp_of_a_field_with_a_constant_part():
+    # X's degree-3 part moves the constant of pi into degree 2, inside the 2-jet
+    X = PolyMVF(2, 1, {(1,): Poly(2, {(3, 0): 1})})
+    pi = PolyMVF(2, 2, {(1, 2): Poly(2, {(0, 0): 1, (1, 0): 1})})
+    _assert_carries(X, ad_exp(X, pi, 2).value, pi, 2)
+
+
+def _composition(outer: list, inner: list, D: int) -> list:
+    """outer o inner, component by component, modulo degree > D."""
+    return [_compose(p, inner, D) for p in outer]
+
+
+def _assert_bch_composes(X, Y, D: int) -> None:
+    """The Lie series of bch(X, Y) is psi_Y o psi_X modulo degree > D: ad_exp(X)
+    pulls back along psi_X, and ad_exp(bch(X, Y)) = ad_exp(X) ad_exp(Y)."""
+    xs = sympy.symbols(f"x1:{X.nvars + 1}")
+    psi = [_jet(p, D) for p in _lie_series(bch(X, Y, D).value, xs, D)]
+    assert psi == _composition(_lie_series(Y, xs, D), _lie_series(X, xs, D), D)
+
+
+def test_bch_composition_order_is_calibrated():
+    # [x2^2 d1, x1^2 d2] != 0 below degree 4, so the two orders of composition
+    # differ there, and only psi_Y o psi_X is the series of bch(X, Y)
+    X = PolyMVF(2, 1, {(1,): Poly(2, {(0, 2): 1})})
+    Y = PolyMVF(2, 1, {(2,): Poly(2, {(2, 0): 1})})
+    xs = sympy.symbols("x1:3")
+    psi_x, psi_y = _lie_series(X, xs, 4), _lie_series(Y, xs, 4)
+    assert _composition(psi_y, psi_x, 4) != _composition(psi_x, psi_y, 4)
+    _assert_bch_composes(X, Y, 4)
+
+
+@st.composite
+def _bch_cases(draw):
+    """n = 2-3, D = 3-4, X and Y of degree 2-3 (order >= 1)."""
+    n = draw(st.integers(2, 3))
+    X, Y = (draw(_fields(n, 1, {2, 3}).filter(lambda V: V.terms)) for _ in range(2))
+    return X, Y, draw(st.integers(3, 4))
+
+
+@settings(max_examples=15, deadline=None)
+@given(_bch_cases())
+def test_bch_is_the_composition_of_lie_series(case):
+    _assert_bch_composes(*case)
 
 
 def test_linearizing_gauge_carries_pi_to_its_linear_part():

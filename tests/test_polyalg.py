@@ -337,6 +337,17 @@ def checked_matrices(draw):
     return draw(st.lists(row, max_size=4)), ncols
 
 
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.dictionaries(st.integers(0, 9), st.integers(-40, 40)
+                       | st.builds(Fraction, st.integers(-40, 40), st.integers(1, 60)), max_size=6))
+def test_over_lcm_is_the_values_over_one_denominator(values):
+    ints, den = polyalg._over_lcm(values)
+    assert den > 0 and math.gcd(den, *ints.values()) == 1
+    assert all(type(v) is int for v in ints.values())
+    assert ints.keys() == {k for k, v in values.items() if v}
+    assert all(Fraction(v, den) == values[k] for k, v in ints.items())
+
+
 class TestExactSolver:
     def test_particular_solution_and_kernel(self):
         # x1 + x2 = 3 with a free variable: particular solution sets it to 0
@@ -448,6 +459,19 @@ class TestExactSolver:
             rows = polyalg._Rows(A)
             assert (_outcome(exact_rank, rows, ncols),
                     _outcome(solve_linear_exact, rows, b, ncols)) == want
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(st.integers(0, 4).flatmap(lambda n: st.tuples(
+        st.just(n) | st.none(),
+        st.lists(st.lists(st.integers(-2, 2) | st.booleans()
+                          | st.sampled_from([0.5, None, "1/2", "x", Fraction(2, 3)]),
+                          min_size=n, max_size=n), max_size=4))))
+    def test_a_dense_row_reads_as_the_dict_of_its_entries(self, case):
+        # the same rows, entry types and column count, or the same error
+        ncols, dense = case
+        sparse = [dict(enumerate(row)) for row in dense]
+        assert (repr(_outcome(polyalg._to_sparse_rows, dense, ncols))
+                == repr(_outcome(polyalg._to_sparse_rows, sparse, ncols)))
 
     @pytest.mark.parametrize("b", [[1, 3, 0], [Fraction(1, 2), 1, 0]],
                              ids=["infeasible", "feasible"])

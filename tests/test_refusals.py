@@ -12,9 +12,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from poissonforge import (FilteredJet, Poly, PolyMVF, ad_exp, casimir_basis, check_poisson,
-                          cohomology_dims, conn_rescale, dilate, linear_poisson, mc_equivalence,
-                          poisson_bracket, preset, prolong_step, schouten, sharp,
+from poissonforge import (FilteredJet, GradedPiece, Poly, PolyMVF, ad_exp, bch, casimir_basis,
+                          check_poisson, coadjoint_invariance_check, cohomology_dims,
+                          conn_rescale, dilate, gauge_pointwise, homotopy_solve, linear_poisson,
+                          mc_equivalence, poisson_bracket, preset, prolong_step, schouten, sharp,
                           solve_linear_exact, su3_invariants, truncate_jet, weyl_circle_sample)
 from poissonforge.formal import _as_jet
 from poissonforge.polyalg import parse_poly
@@ -27,6 +28,8 @@ _F = Poly.variable(3, 1)
 _NOT_POISSON = PolyMVF(3, 2, {(1, 2): Poly.variable(3, 3), (1, 3): Poly.variable(3, 1)})
 _D13 = PolyMVF(3, 2, {(1, 3): Poly.constant(3, 1)}, (0, 0, 1))      # grade 1 by its weights
 _X11 = PolyMVF(3, 1, {(1,): Poly(3, {(2, 0, 0): 1})})                 # x1^2 d1
+# x2^3 d1^d2 on the plane: from x2 = 1, y1 = 3 the flow leaves numeric range before t = 1
+_BLOWUP_SPRAY = SprayField(PolyMVF(2, 2, {(1, 2): parse_poly("x2^3", 2)}))
 # a 1-jet read as a 3-jet would lose its x3^2 d1^d2 term: ad_exp must not answer for it
 _PI_1JET = FilteredJet(_PI + PolyMVF(3, 2, {(1, 2): Poly(3, {(0, 0, 2): 1})}), 1)
 # x1 d2^d3 has grade 0 under these weights: conn_rescale would scale it by 1/t
@@ -74,6 +77,17 @@ _TWO_JET = PolyMVF(3, 2, {(1, 2): parse_poly("-x1*x3 - x2*x3 + x3", 3),
     (lambda: prolong_step(FilteredJet(_X1, 2), 3), "expected a bivector, got degree 1"),
     (lambda: SprayField(_X1), "expected a bivector, got degree 1"),
     (lambda: _X1.bivector_matrix(np.zeros(3)), "expected a bivector, got degree 1"),
+    (lambda: ad_exp(_X1, _PI, 3), "ad_exp needs order >= 1 (grade >= 2) exponent"),
+    (lambda: bch(_X1, _X11, 3), "bch needs arguments of order >= 1"),
+    (lambda: homotopy_solve(_PI, GradedPiece(2, _X11)), "right-hand side must be a bivector"),
+    (lambda: Poly.variable(3, 4), "variable index 4 out of range 1..3"),
+    (lambda: _F + Poly.variable(2, 1), "variable count mismatch: 3 vs 2"),
+    (lambda: gauge_pointwise(np.zeros((2, 3)), np.zeros((2, 3))),
+     "matrices must be square and of equal shape"),
+    (lambda: coadjoint_invariance_check(preset("so3"), Poly.variable(2, 1), 1, 0),
+     "polynomial variable count must match the algebra dimension"),
+    (lambda: flow_with_jacobian(_BLOWUP_SPRAY, np.array([0.0, 1.0, 3.0, 0.0]), 1.0, 400),
+     "spray flow left numeric range near t = "),
 ], ids=["solve-rhs-count", "index-tuple-length", "check-nvars", "check-weights",
         "add-degrees", "json-repeated-indices", "apply-function-count", "dilate-zero",
         "check_poisson-vector", "sharp-vector", "poisson_bracket-vector", "sharp-form-length",
@@ -82,7 +96,9 @@ _TWO_JET = PolyMVF(3, 2, {(1, 2): parse_poly("-x1*x3 - x2*x3 + x3", 3),
         "ad_exp-bivector-exponent", "mc-grade-1", "ad_exp-lower-order-jet",
         "mc-lower-order-jet", "conn_rescale-grade-0", "prolong-0-jet-grade-3",
         "prolong-1-jet-grade-3", "preset-unknown", "cohomology-vector", "conn_rescale-vector",
-        "prolong-vector", "spray-vector", "bivector_matrix-vector"])
+        "prolong-vector", "spray-vector", "bivector_matrix-vector", "ad_exp-order-0-exponent",
+        "bch-order-0-argument", "homotopy-vector-rhs", "poly-variable-index",
+        "poly-nvars-mismatch", "gauge-not-square", "coadjoint-nvars", "flow-blowup"])
 def test_bad_input_is_refused(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
@@ -154,6 +170,8 @@ _XI = np.array([0.1, 0.0, 0.0, 0.0, 0.1, 0.0])
     (lambda: sphere_leaf_form(_PI, 1.0, scale=math.nan), "'scale' must be a finite real number, got nan"),
     (lambda: sphere_leaf_form(_PI, 1.0, scale=True), "'scale' must be a finite real number, got True"),
     (lambda: sphere_leaf_form(_PI, 1.0, scale=0.0), "'scale' must be nonzero"),
+    (lambda: sphere_leaf_form(PolyMVF(2, 2, {(1, 2): Poly.variable(2, 1)}), 1.0),
+     "sphere leaves require a bivector on R^3"),
     (lambda: su3_invariants([1.0] * 7 + [math.nan]), "'xi' must have finite entries"),
     (lambda: su3_invariants([math.inf] + [0.0] * 7), "'xi' must have finite entries"),
     (lambda: su3_invariants([True] * 8), "'xi' must have real entries, got [True, True"),
@@ -164,7 +182,7 @@ _XI = np.array([0.1, 0.0, 0.0, 0.0, 0.1, 0.0])
         "flow-t-minus-inf", "flow-t-past-float-range", "flow-t-none", "dh-radius-bool",
         "dh-step-bool", "dh-radius-zero", "weyl-radius-bool", "weyl-theta-nan", "weyl-theta-inf",
         "leaf-radius-bool", "leaf-radius-nan", "leaf-radius-zero", "leaf-radius-negative",
-        "leaf-scale-nan", "leaf-scale-bool", "leaf-scale-zero", "su3-xi-nan", "su3-xi-inf",
+        "leaf-scale-nan", "leaf-scale-bool", "leaf-scale-zero", "leaf-nvars", "su3-xi-nan", "su3-xi-inf",
         "su3-xi-bool", "su3-xi-bool-among-floats", "su3-xi-numeric-strings"])
 def test_bad_float_arguments_are_refused(call, message):
     # a bool is not read as 0 or 1, and a NaN or infinity is named as the
