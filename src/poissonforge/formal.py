@@ -258,6 +258,10 @@ def mc_equivalence(gamma: FilteredJet, gamma_p: FilteredJet, D: int,
 
     The returned X is re-verified, ad_exp(X, gamma', D) == gamma.  After one
     round X is X_1, and the loop's own ad_exp(X_1, gamma', D) is that check.
+
+    Each round inverts [pi_lin, .] alone, so a grade-0 part pi_0 of gamma'
+    puts [X_q, pi_0] one grade below the order solved; when a round thus
+    fails to raise the order, ValueError names pi_0.
     """
     base_degree_cap = _as_int(base_degree_cap, "base_degree_cap", 0)
     D = _as_int(D, "jet order D", 0)
@@ -289,6 +293,10 @@ def mc_equivalence(gamma: FilteredJet, gamma_p: FilteredJet, D: int,
         Xk = FilteredJet._raw(res.X.value, D)  # grade q of a D-jet's piece
         diff = current.value - gamma.value
         if not order_of(diff) > q - 1:
+            pi_0 = grade_component(gamma_p.value, 0).value
+            if not pi_0.is_zero():
+                raise ValueError(f"gamma' has a grade-0 part {pi_0!r}, whose bracket "
+                                 "with a round's gauge field lowers the order")
             raise RuntimeError("gauge round did not raise the order")
         X_total = Xk if X_total is None else bch(Xk, X_total, D)
     if X_total is None:

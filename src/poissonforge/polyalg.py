@@ -498,10 +498,23 @@ def _rref_mod_p(rows: list, p: int):
     can hold an entry there, and in this order the new pivot almost always
     lies left of them all (Dumas & Villard, CASC 2002, on sparse elimination
     over GF(p)).
+
+    ``settled`` holds the pivot columns whose tail is empty, where every
+    kernel vector is 0.  Reducing a row by such a pivot row only deletes
+    its entry there, so a row whose columns all lie in ``settled`` reduces
+    to the empty row: it is skipped before it is copied, as structured
+    Gaussian elimination drops such rows (LaMacchia & Odlyzko, CRYPTO '90).
+    A tail never gains an entry once empty, since back-elimination only
+    touches the tails that hold the new lead; it can empty one, which then
+    joins the set.  So the set only grows, and ``(piv, tails)`` is what
+    reducing every row gives.
     """
     tails: dict[int, dict] = {}
     piv: list[int] = []
+    settled: set[int] = set()
     for row in sorted(filter(None, rows), key=min, reverse=True):
+        if row.keys() <= settled:
+            continue
         row = dict(row)
         for j in [j for j in row if j in tails]:
             f = row.pop(j)
@@ -523,8 +536,12 @@ def _rref_mod_p(rows: list, p: int):
                         t[c] = r
                     else:
                         del t[c]
+                if not t:
+                    settled.add(k)
         piv.insert(at, lead)
         tails[lead] = tail
+        if not tail:
+            settled.add(lead)
     return piv, [tails[k] for k in piv]
 
 
@@ -575,7 +592,9 @@ def _check_exact(rows: list, ncols: int, kernel: dict) -> bool:
     that ``_lift_kernel`` returns, the very vectors every answer is read off.
 
     ``column[j]`` holds the entries at j of the vectors, keyed by free
-    column, and each row sums its products per vector.  With no free column
+    column, and each row sums its products per vector.  A row with no
+    column in the kernel's ``support`` has the product 0 with every vector,
+    so it is skipped and the verdict is unchanged.  With no free column
     there is nothing to check: the rank mod p is full, so over Q too.
     """
     if not kernel:
@@ -584,7 +603,10 @@ def _check_exact(rows: list, ncols: int, kernel: dict) -> bool:
     for f, (ints, _) in kernel.items():
         for j, v in ints.items():
             column[j][f] = v
+    support = {j for j, c in enumerate(column) if c}
     for row in rows:
+        if support.isdisjoint(row):
+            continue
         acc = {}
         for j, a in row.items():
             for f, w in column[j].items():

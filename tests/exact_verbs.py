@@ -14,9 +14,12 @@ pinned by the complex's exactness and so take the lift, reads reals through
 with ``Fraction`` and rational-string entries and takes its rank, so that the
 row reader ``polyalg._to_sparse_rows`` and the converter ``polyalg._over_lcm``
 run, and asserts the exit codes, that each JSON run printed one JSON object,
-the Betti numbers ``[1, 4, 5, 2]``, that the reader refuses a ``bool``, a NaN
-and, when ``positive``, a value <= 0, that the solution and the kernel vector
-satisfy the system exactly, the rank 2, and that NumPy was never imported:
+the so3 Casimir basis ``1``, ``x1^2 + x2^2 + x3^2`` in both renderings (its
+elimination skips the rows that unit pivot rows settle, and its certificate
+the rows off the kernel's support), the Betti numbers ``[1, 4, 5, 2]``, that
+the reader refuses a ``bool``, a NaN and, when ``positive``, a value <= 0,
+that the solution and the kernel vector satisfy the system exactly, the
+rank 2, and that NumPy was never imported:
 
     PYTHONPATH=src python tests/exact_verbs.py
 """
@@ -110,13 +113,19 @@ def main() -> None:
     for (argv, _), stdout in zip(runs, stdouts):
         if "json" in argv:
             assert isinstance(json.loads(stdout), dict) and stdout.count("\n") == 1, argv
+    printed = {tuple(argv): stdout for (argv, _), stdout in zip(runs, stdouts)}
+    argv = ("casimirs", "so3.json", "--max-degree", "2")
+    assert printed[argv] == ("2 Casimir basis elements up to degree 2:\n"
+                             "  1\n  x1^2 + x2^2 + x3^2\n"), printed[argv]
+    casimirs = json.loads(printed[argv + ("--format", "json")])["casimirs"]
+    assert casimirs == ["1", "x1^2 + x2^2 + x3^2"], casimirs
     betti = [row["betti"] for row in json.loads(out.getvalue())["rows"]]
     assert (code, betti) == (0, [1, 4, 5, 2]), (code, betti)
     check_real_reader()
     check_dense_solve()
     assert "numpy" not in sys.modules
-    print("exact verbs: exit codes, JSON reports, Heisenberg Betti numbers, real reader, "
-          "dense rational solve and NumPy-free start-up as expected")
+    print("exact verbs: exit codes, JSON reports, so3 Casimirs, Heisenberg Betti numbers, "
+          "real reader, dense rational solve and NumPy-free start-up as expected")
 
 
 if __name__ == "__main__":

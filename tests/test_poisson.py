@@ -1,5 +1,6 @@
 """Poisson-specific operations: checks, Casimirs, cohomology, gauge, rescale."""
 
+import hashlib
 import importlib.util
 import itertools
 import json
@@ -171,6 +172,25 @@ class TestCasimirs:
             "9/8*x3^2*x8 - 9/8*x4^2*x7 + 9/8*x4^2*x8 + 9/4*x5^2*x7 + 9/8*x5^2*x8 + "
             "9/4*x6^2*x7 + 9/8*x6^2*x8 - x7^3 - 3/2*x7^2*x8 + 3/2*x7*x8^2 + x8^3",
         ]
+
+    def test_su3_degree_5_against_its_generators(self):
+        # degree 5 is past every benchmark case.  The Casimirs of su(3) are
+        # the polynomials in its generators of degree 2 and 3 (Chevalley),
+        # so degree d holds one per (a, b) with 2a + 3b = d, and each one
+        # Poisson-commutes with every coordinate; the hash pins the RREF
+        # normalisation of all five
+        pi = linear_poisson(preset("su3"))
+        basis = casimir_basis(pi, 5)
+        degrees = [{sum(e) for e in p.terms} for p in basis]
+        assert all(len(d) == 1 for d in degrees)  # each one homogeneous
+        assert [degrees.count({d}) for d in range(6)] == [
+            sum(2 * a + 3 * b == d for a in range(3) for b in range(2)) for d in range(6)
+        ] == [1, 0, 1, 1, 1, 1]
+        for p in basis:
+            for i in range(1, 9):
+                assert poisson_bracket(pi, p, Poly.variable(8, i)).is_zero()
+        assert hashlib.sha256("\n".join(map(str, basis)).encode()).hexdigest() == (
+            "e76760ff77dae5f9353dbbc09d32380be4bee25c772d7c118a75f741f96e4610")
 
     def test_inhomogeneous_casimir(self):
         # C has parts of degree 2 and 3, so pi_C is inhomogeneous and so is

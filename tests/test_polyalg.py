@@ -672,7 +672,66 @@ def sparse_matrices(draw):
     return rows, n
 
 
+def _gauss_jordan_mod_p(rows, ncols, p):
+    """``(piv, tails)`` of ``_rref_mod_p`` from a dense Gauss-Jordan over GF(p)
+    that reduces every row, column by column."""
+    dense = [[row.get(j, 0) % p for j in range(ncols)] for row in rows]
+    piv = []
+    for col in range(ncols):
+        r = len(piv)
+        i = next((i for i in range(r, len(dense)) if dense[i][col]), None)
+        if i is None:
+            continue
+        dense[r], dense[i] = dense[i], dense[r]
+        inv = pow(dense[r][col], -1, p)
+        dense[r] = [v * inv % p for v in dense[r]]
+        for k, other in enumerate(dense):
+            if k != r and (f := other[col]):
+                dense[k] = [(a - f * b) % p for a, b in zip(other, dense[r])]
+        piv.append(col)
+    return piv, [{j: v for j, v in enumerate(dense[r]) if v and j != c}
+                 for r, c in enumerate(piv)]
+
+
+@st.composite
+def settling_matrices(draw):
+    """(rows, ncols): sparse int rows rich in single-entry rows and in pairs
+    whose difference is a unit vector e_j.  Such a pair puts e_j in the row
+    space, so the pivot row of j is a unit vector, and clearing j from an
+    earlier pivot row can empty that row's tail."""
+    n = draw(st.integers(1, 8))
+    col, entry = st.integers(0, n - 1), st.integers(-4, 4).filter(bool)
+    rows = draw(st.lists(st.dictionaries(col, entry, max_size=n), max_size=4))
+    rows += [{j: v} for j, v in draw(st.lists(st.tuples(col, entry), max_size=6))]
+    for row, j in draw(st.lists(st.tuples(st.dictionaries(col, entry, min_size=1, max_size=n),
+                                          col), max_size=3)):
+        twin = {**row, j: row.get(j, 0) + 1}
+        rows += [row, {c: v for c, v in twin.items() if v}]
+    return draw(st.permutations(rows)), n
+
+
 class TestCertifiedSolver:
+    @_SOLVER
+    @given(settling_matrices(), st.sampled_from([5, 7, P]))
+    def test_skipped_rows_leave_the_reduction_unchanged(self, matrix, p):
+        # _rref_mod_p skips a row whose columns are all pivots with an empty
+        # tail; a row it skips wrongly loses a pivot or a tail entry
+        rows, n = matrix
+        assert polyalg._rref_mod_p(rows, p) == _gauss_jordan_mod_p(rows, n, p)
+
+    @_SOLVER
+    @given(sparse_matrices())
+    def test_check_refuses_an_entry_off_by_one(self, matrix):
+        # the certificate skips the rows off the kernel's support; every
+        # entry at a pivot column meets a nonzero column of M, so one such
+        # entry off by one must fail the check
+        rows, n = matrix
+        _, kernel = polyalg._rref(rows, n)
+        for f, (ints, den) in kernel.items():
+            for j in ints.keys() - {f}:
+                wrong = {**kernel, f: ({**ints, j: ints[j] + 1}, den)}
+                assert not polyalg._check_exact(rows, n, wrong)
+
     @_SOLVER
     @given(sparse_matrices(), st.data())
     def test_rref_ignores_row_order_row_scale_and_entry_type(self, matrix, data):

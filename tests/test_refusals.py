@@ -14,9 +14,10 @@ import pytest
 
 from poissonforge import (FilteredJet, GradedPiece, Poly, PolyMVF, ad_exp, bch, casimir_basis,
                           check_poisson, coadjoint_invariance_check, cohomology_dims,
-                          conn_rescale, dilate, gauge_pointwise, homotopy_solve, linear_poisson,
-                          mc_equivalence, poisson_bracket, preset, prolong_step, schouten, sharp,
-                          solve_linear_exact, su3_invariants, truncate_jet, weyl_circle_sample)
+                          conn_rescale, dilate, gauge_pointwise, hamiltonian_vf, homotopy_solve,
+                          linear_poisson, mc_equivalence, poisson_bracket, preset, prolong_step,
+                          schouten, sharp, solve_linear_exact, su3_invariants, truncate_jet,
+                          weyl_circle_sample)
 from poissonforge.formal import _as_jet
 from poissonforge.polyalg import parse_poly
 from poissonforge.realize import (FlowBlowupError, SprayField, dh_variation, flow_with_jacobian,
@@ -39,6 +40,12 @@ _GRADE_0 = PolyMVF(3, 2, {(2, 3): parse_poly("x1 + x2", 3)}, (0, 1, 1))
 _TWO_JET = PolyMVF(3, 2, {(1, 2): parse_poly("-x1*x3 - x2*x3 + x3", 3),
                           (1, 3): parse_poly("-x1^2 - x1*x2 + x2^2 - x2", 3),
                           (2, 3): parse_poly("-x1^2 + x1*x2 + x2^2 + x1", 3)})
+# gamma' = (1 + 2 x1 - x2) d1^d2 and gamma = Ad(e^X) gamma' for the Hamiltonian field X
+# of a cubic-plus-quartic h on the plane: the first gauge round leaves [X_q, d1^d2]
+# one grade below the order it solved, which no later round can remove
+_GAMMA_P = PolyMVF(2, 2, {(1, 2): parse_poly("1 + 2*x1 - x2", 2)})
+_GAMMA = ad_exp(hamiltonian_vf(PolyMVF(2, 2, {(1, 2): Poly.constant(2, 1)}),
+                               parse_poly("x1^3 + x1*x2^2 + x2^4", 2)), _GAMMA_P, 4)
 
 
 @pytest.mark.parametrize("call, message", [
@@ -88,6 +95,8 @@ _TWO_JET = PolyMVF(3, 2, {(1, 2): parse_poly("-x1*x3 - x2*x3 + x3", 3),
      "polynomial variable count must match the algebra dimension"),
     (lambda: flow_with_jacobian(_BLOWUP_SPRAY, np.array([0.0, 1.0, 3.0, 0.0]), 1.0, 400),
      "spray flow left numeric range near t = "),
+    (lambda: mc_equivalence(_GAMMA, FilteredJet(_GAMMA_P, 4), 4),
+     "gamma' has a grade-0 part <PolyMVF deg=2 (1) d1^d2>"),
 ], ids=["solve-rhs-count", "index-tuple-length", "check-nvars", "check-weights",
         "add-degrees", "json-repeated-indices", "apply-function-count", "dilate-zero",
         "check_poisson-vector", "sharp-vector", "poisson_bracket-vector", "sharp-form-length",
@@ -98,7 +107,8 @@ _TWO_JET = PolyMVF(3, 2, {(1, 2): parse_poly("-x1*x3 - x2*x3 + x3", 3),
         "prolong-1-jet-grade-3", "preset-unknown", "cohomology-vector", "conn_rescale-vector",
         "prolong-vector", "spray-vector", "bivector_matrix-vector", "ad_exp-order-0-exponent",
         "bch-order-0-argument", "homotopy-vector-rhs", "poly-variable-index",
-        "poly-nvars-mismatch", "gauge-not-square", "coadjoint-nvars", "flow-blowup"])
+        "poly-nvars-mismatch", "gauge-not-square", "coadjoint-nvars", "flow-blowup",
+        "mc-grade-0-part"])
 def test_bad_input_is_refused(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
