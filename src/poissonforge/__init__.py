@@ -34,9 +34,8 @@ from .polyalg import Poly, SolveOutcome, exact_rank, format_poly, \
     parse_poly, solve_linear_exact
 from .multivector import GradedPiece, PolyMVF, dilate, grade_component, \
     schouten, truncate_jet, wedge
-from .poisson import CohomologyTable, GaugeSingularError, PoissonCheck, \
-    casimir_basis, check_poisson, cohomology_dims, conn_rescale, \
-    gauge_pointwise, hamiltonian_vf, poisson_bracket, sharp
+from .poisson import CohomologyTable, PoissonCheck, casimir_basis, check_poisson, \
+    cohomology_dims, hamiltonian_vf, poisson_bracket, sharp
 from .liealg import LieAlgebraSpec, WeylCircleSample, coadjoint_invariance_check, \
     killing_classify, linear_poisson, preset, su3_invariants, validate, \
     weyl_circle_sample

@@ -253,8 +253,8 @@ def main(argv=None) -> int:
     except (InputError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except MemoryError as e:
-        print(f"error: out of memory: {e}", file=sys.stderr)
+    except MemoryError as e:  # a bare MemoryError has no message of its own
+        print("error: out of memory" + (f": {e}" if str(e) else ""), file=sys.stderr)
         return 2
 
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .polyalg import Poly, _as_int, _as_real, _matrix_entry, exact_rank
-from .multivector import PolyMVF, schouten
+from .multivector import MAX_NVARS, PolyMVF, schouten
 
 if TYPE_CHECKING:  # annotations only: NumPy is imported where floats are computed
     import numpy as np
@@ -44,17 +44,17 @@ __all__ = [
 class LieAlgebraSpec:
     """Bracket table [e_i, e_j] = sum_k C[(i,j,k)] e_k (1-based, sparse).
 
-    ``dim`` is an integer >= 1 (``_as_int``).  Each key is a triple of ints,
-    1 <= i < j <= dim and 1 <= k <= dim, and each value an int, a
-    ``Fraction`` or a rational string, stored as a ``Fraction``; anything
-    else is refused.  The Jacobi identity is the verdict of ``validate``.
+    ``dim`` is an integer in 1..``MAX_NVARS`` (``_as_int``).  Each key is a
+    triple of ints, 1 <= i < j <= dim and 1 <= k <= dim, and each value an
+    int, a ``Fraction`` or a rational string, stored as a ``Fraction``;
+    anything else is refused.  The Jacobi identity is the verdict of ``validate``.
     """
 
     dim: int
     C: dict = field(default_factory=dict)  # (i,j,k) -> Fraction, stored for i<j
 
     def __post_init__(self):
-        self.dim = _as_int(self.dim, "dim", 1)
+        self.dim = _as_int(self.dim, "dim", 1, MAX_NVARS)
         for key in self.C:
             if not (type(key) is tuple and len(key) == 3 and all(type(x) is int for x in key)
                     and 1 <= key[0] < key[1] <= self.dim and 1 <= key[2] <= self.dim):
@@ -81,8 +81,9 @@ class LieAlgebraSpec:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "LieAlgebraSpec":
         """Read a table: ``dim`` and each ``i``/``j``/``k`` are JSON integers
-        (``dim >= 1``), each ``value`` an integer or a rational string."""
-        dim = _as_int(obj["dim"], "dim", 1)
+        (``1 <= dim <= MAX_NVARS``), each ``value`` an integer or a rational
+        string."""
+        dim = _as_int(obj["dim"], "dim", 1, MAX_NVARS)
         C: dict = {}
         for e in obj.get("C", []):
             i, j, k = (_as_int(e[key], key) for key in "ijk")

@@ -52,11 +52,12 @@ As in ``polyalg``, data is validated where it enters: the public
 weights and coefficient variable counts, and refuse a non-integer or
 ``bool`` ``nvars``, ``grade``, weight or leg rather than round it, as
 ``schouten``, ``truncate_jet`` and ``GradedPiece`` refuse such a jet order
-or grade.  Fields that the operations here build from valid fields are
-wrapped by ``PolyMVF._raw`` without re-checking.  It trusts that each key is
-``(g, legs, exps)`` with legs ``grade`` increasing legs in 1..nvars, exps
-nvars ints >= 0 and g their grade under ``weights``, a tuple in {0,1}^nvars;
-that each value is a nonzero ``int``; and that ``den`` is a positive int.
+or grade, and an ``nvars`` above ``MAX_NVARS``.  Fields that the operations
+here build from valid fields are wrapped by ``PolyMVF._raw`` without
+re-checking.  It trusts that each key is ``(g, legs, exps)`` with legs
+``grade`` increasing legs in 1..nvars, exps nvars ints >= 0 and g their
+grade under ``weights``, a tuple in {0,1}^nvars; that each value is a
+nonzero ``int``; and that ``den`` is a positive int.
 """
 
 from __future__ import annotations
@@ -81,6 +82,13 @@ __all__ = [
     "dilate",
     "truncate_jet",
 ]
+
+
+# The most variables a field or a Lie algebra may have, a bound on ``nvars`` and
+# ``dim`` where they are read.  It is the value of ``poisson.MAX_BASIS``: above
+# it even the degree-1 function basis is larger than that bound.  Without it a
+# huge count fails only in an allocation, which overflows or exhausts memory.
+MAX_NVARS = 2048
 
 
 def _json_ints(obj: dict, key: str) -> tuple:
@@ -143,7 +151,7 @@ class PolyMVF:
 
     def __init__(self, nvars: int, grade: int, terms: dict | None = None,
                  weights: Sequence[int] | None = None):
-        self.nvars = _as_int(nvars, "nvars", 0)
+        self.nvars = _as_int(nvars, "nvars", 0, MAX_NVARS)
         self.grade = _as_int(grade, "grade", 0)
         self.weights = (1,) * self.nvars if weights is None else _weights(weights, self.nvars)
         monos: dict[tuple, Fraction] = {}
@@ -286,10 +294,10 @@ class PolyMVF:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "PolyMVF":
-        """Read a field: ``nvars`` (>= 1), ``grade`` (>= 0) and each entry of
-        the ``weights`` and ``indices`` lists are JSON integers; each ``poly``
-        is a string in the polynomial grammar."""
-        nvars = _as_int(obj["nvars"], "nvars", 1)
+        """Read a field: ``nvars`` (1..``MAX_NVARS``), ``grade`` (>= 0) and each
+        entry of the ``weights`` and ``indices`` lists are JSON integers; each
+        ``poly`` is a string in the polynomial grammar."""
+        nvars = _as_int(obj["nvars"], "nvars", 1, MAX_NVARS)
         grade = _as_int(obj["grade"], "grade", 0)
         weights = _json_ints(obj, "weights") if "weights" in obj else None
         terms = {}

@@ -1,9 +1,8 @@
 """Poisson-specific operations on polynomial bivector fields.
 
 Jacobi verification, the sharp (anchor) map, brackets, exact Casimir bases,
-cohomology ranks of the homogeneous complexes attached to a linear structure,
-pointwise gauge transformations, and the rescaling path connecting a
-vanishing-at-zero structure to its linear part.
+and cohomology ranks of the homogeneous complexes attached to a linear
+structure.
 
 ``graded_basis`` and ``_bracket_rows`` are the one assembly of the operator
 ``[pi, .]`` on a graded monomial basis; Casimir bases, cohomology ranks and
@@ -15,15 +14,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
-from .polyalg import (Poly, _add_term, _as_fraction, _as_int, _complex_ranks, _Rows,
-                      solve_linear_exact)
-from .multivector import (PolyMVF, _check_bivector, _grade, _schouten_sums, _weights, dilate,
-                          grade_component, schouten)
-
-if TYPE_CHECKING:  # annotations only: NumPy is imported where floats are computed
-    import numpy as np
+from .polyalg import Poly, _add_term, _as_int, _complex_ranks, _Rows, solve_linear_exact
+from .multivector import PolyMVF, _check_bivector, _grade, _schouten_sums, _weights, schouten
 
 __all__ = [
     "PoissonCheck",
@@ -36,9 +29,6 @@ __all__ = [
     "graded_basis",
     "casimir_basis",
     "cohomology_dims",
-    "gauge_pointwise",
-    "GaugeSingularError",
-    "conn_rescale",
 ]
 
 
@@ -101,9 +91,10 @@ def poisson_bracket(pi: PolyMVF, f: Poly, g: Poly) -> Poly:
 # ---------------------------------------------------------------------------
 
 # The largest basis graded_basis builds.  The exact solver's time grows about
-# as the square of the basis size: the largest su(3) solve it admits, the
-# 2518 x 2016 bracket rows of cohomology at (grade, k) = (2, 3), takes 0.65 s
-# to rank (2-core x86-64, Python 3.11); the next, (3, 2), has 3360 columns.
+# as the square of the basis size.  The largest su(3) solve it admits is the
+# 2518 x 2016 bracket rows of cohomology at (grade, k) = (2, 3): the whole
+# cohomology_dims call up to k = 3 takes 0.28 s (median of 7, 2-core x86-64
+# Xeon, Python 3.11.7).  The next, (3, 2), has 3360 columns.
 MAX_BASIS = 2048
 
 
@@ -249,50 +240,3 @@ def cohomology_dims(pi_lin: PolyMVF, l: int, kmax: int) -> CohomologyTable:
     dim_cochains, rank_d = dict(zip(degrees, dims)), dict(zip(degrees, ranks))
     betti = {k: dim_cochains[k] - rank_d[k] - rank_d.get(k - 1, 0) for k in degrees}
     return CohomologyTable(l, degrees, dim_cochains, rank_d, betti)
-
-
-# ---------------------------------------------------------------------------
-# Gauge transformations (pointwise, numeric)
-# ---------------------------------------------------------------------------
-
-class GaugeSingularError(ValueError):
-    def __init__(self, det):
-        super().__init__(f"gauge transformation singular: |det(Id + omega# pi#)| = {abs(det):.3e}")
-        self.det = det
-
-
-def gauge_pointwise(pi_matrix: np.ndarray, omega_matrix: np.ndarray) -> np.ndarray:
-    """Gauge-transformed bivector matrix pi# (Id + omega# pi#)^{-1} at a point."""
-    import numpy as np
-    P = np.asarray(pi_matrix, dtype=float)
-    W = np.asarray(omega_matrix, dtype=float)
-    if P.shape != W.shape or P.ndim != 2 or P.shape[0] != P.shape[1]:
-        raise ValueError("matrices must be square and of equal shape")
-    for M, name in ((P, "pi"), (W, "omega")):
-        if not np.allclose(M, -M.T, atol=1e-12):
-            raise ValueError(f"{name} matrix is not skew-symmetric")
-    M = np.eye(P.shape[0]) - W @ P
-    det = np.linalg.det(M)
-    if abs(det) < 1e-10:
-        raise GaugeSingularError(det)
-    out = P @ np.linalg.inv(M)
-    return 0.5 * (out - out.T)  # symmetrize away round-off
-
-
-# ---------------------------------------------------------------------------
-# Rescaling path to the linear part
-# ---------------------------------------------------------------------------
-
-def conn_rescale(pi: PolyMVF, t) -> PolyMVF:
-    """The path pi^t with pi^1 = pi and pi^0 = grade-1 part (for no grade-0 part).
-
-    ``t`` is exact: an int, a ``Fraction`` or a rational string.
-    """
-    _check_bivector(pi)
-    # a grade-0 part would be scaled by t^-1: the path has no limit at t = 0
-    if 0 in pi._grades():
-        raise ValueError("pi must vanish at the origin (no grade-0 part)")
-    t = _as_fraction(t)
-    if t == 0:
-        return grade_component(pi, 1).value
-    return dilate(pi, t)

@@ -68,9 +68,10 @@ class PolyParseError(ValueError):
     """Raised when a polynomial string violates the text grammar."""
 
 
-def _as_int(value, name: str, low: int | None = None) -> int:
+def _as_int(value, name: str, low: int | None = None, high: int | None = None) -> int:
     """``value`` as an ``int``: anything ``operator.index`` takes but a ``bool``,
-    at least ``low`` when given; anything else raises ``ValueError``."""
+    at least ``low`` and at most ``high`` when given; anything else raises
+    ``ValueError``."""
     try:
         if isinstance(value, bool):
             raise TypeError
@@ -79,6 +80,8 @@ def _as_int(value, name: str, low: int | None = None) -> int:
         raise ValueError(f"{name!r} must be an integer, got {value!r}") from None
     if low is not None and value < low:
         raise ValueError(f"{name!r} must be at least {low}, got {value}")
+    if high is not None and value > high:
+        raise ValueError(f"{name!r} must be at most {high}, got {value}")
     return value
 
 

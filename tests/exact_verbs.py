@@ -2,12 +2,14 @@
 
 ``INPUTS`` are the JSON files the runs read and ``RUNS`` the CLI argv lists,
 grouped by verb, each with its expected exit code: a success and an input
-error per verb, and for ``prolong`` the obstructed README jet, which takes
-the witness path of the exact solver.  Every run but the input error comes
-once in text and once with ``--format json``, so both renderings of each
-report are built.  ``test_package`` runs each group in a fresh interpreter.
-Run as a script, with ``src`` on ``PYTHONPATH``, this file makes every run
-in one interpreter, in a temporary directory, then the cohomology table of
+error per verb, for ``check`` and ``casimirs`` a field and a table of 10^30
+variables, refused where ``nvars`` and ``dim`` are read, and for ``prolong``
+the obstructed README jet, which takes the witness path of the exact solver.
+Every run but an input error comes once in text and once with ``--format
+json``, so both renderings of each report are built.  ``test_package`` runs
+each group in a fresh interpreter.  Run as a script, with ``src`` on
+``PYTHONPATH``, this file makes every run in one interpreter, in a temporary
+directory, then the cohomology table of
 the 3-dimensional Heisenberg algebra at grade 1, whose ranks are not all
 pinned by the complex's exactness and so take the lift, reads reals through
 ``polyalg._as_real``, the package's one real reader, solves a dense system
@@ -40,12 +42,16 @@ INPUTS = {
             "terms": [{"indices": [1, 2], "poly": "x3"}, {"indices": [1, 3], "poly": "x1*x3"}]},
     "vf": {"nvars": 3, "grade": 1, "terms": [{"indices": [1], "poly": "x2"}]},
     "heis": {"dim": 3, "C": [{"i": 1, "j": 2, "k": 3, "value": "1"}]},
+    "huge_field": {"nvars": 10**30, "grade": 2, "terms": []},
+    "huge_table": {"dim": 10**30, "C": []},
 }
 
 RUNS = {
-    "check": [(["check", "so3.json"], 0), (["check", "vf.json"], 2)],
+    "check": [(["check", "so3.json"], 0), (["check", "vf.json"], 2),
+              (["check", "huge_field.json"], 2)],
     "casimirs": [(["casimirs", "so3.json", "--max-degree", "2"], 0),
-                 (["casimirs", "so3.json", "--max-degree", "-1"], 2)],
+                 (["casimirs", "so3.json", "--max-degree", "-1"], 2),
+                 (["casimirs", "huge_table.json"], 2)],
     "cohomology": [(["cohomology", "so3.json", "--grade", "2"], 0),
                    (["cohomology", "so3.json", "--grade", "-1"], 2)],
     "linearize": [(["linearize", "so3.json", "--truncate", "4"], 0),

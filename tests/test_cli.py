@@ -1,16 +1,24 @@
 """End-to-end exercise of every CLI verb, exit codes, and JSON output."""
 
+import contextlib
+import functools
+import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
+import tempfile
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poissonforge import (Poly, PolyMVF, ad_exp, cli, liealg, linear_poisson, preset, realize,
                           schouten, truncate_jet)
+from poissonforge.multivector import MAX_NVARS
 from poissonforge.poisson import MAX_BASIS
 
 
@@ -328,11 +336,12 @@ def test_realize_output_pinned_at_bench_batches(tmp_path, capsys, name, terms, o
     assert capsys.readouterr().out == _REALIZE_PINNED_AT_BATCH[name]
 
 
-@pytest.mark.parametrize("error", [
-    pytest.param(MemoryError(), id="bare"),
-    pytest.param(MemoryError("Unable to allocate 29.1 TiB for an array"), id="numpy"),
+@pytest.mark.parametrize("error, line", [
+    pytest.param(MemoryError(), "error: out of memory\n", id="bare"),
+    pytest.param(MemoryError("Unable to allocate 29.1 TiB for an array"),
+                 "error: out of memory: Unable to allocate 29.1 TiB for an array\n", id="numpy"),
 ])
-def test_allocation_failure_exits_2(mvf_file, capsys, monkeypatch, error):
+def test_allocation_failure_exits_2(mvf_file, capsys, monkeypatch, error, line):
     # raised in place of the allocation: whether a huge malloc fails at once
     # depends on the host's overcommit policy, so none is attempted
     def fail(*args, **kwargs):
@@ -345,6 +354,8 @@ def test_allocation_failure_exits_2(mvf_file, capsys, monkeypatch, error):
     assert captured.out == ""
     assert captured.err.startswith("error:") and "memory" in captured.err
     assert captured.err.count("\n") == 1
+    # a bare MemoryError carries no message: the reason is not left empty after ": "
+    assert captured.err == line
 
 
 def test_flow_blowup_exits_2(mvf_file, capsys, monkeypatch):
@@ -414,9 +425,11 @@ def test_bad_numeric_arguments_exit_2(so3_file, jet_file, capsys, argv, named):
 @pytest.mark.parametrize("name, obj, argv", [
     # 2080 monomials of degree 2 in 64 variables
     ("casimirs", {"nvars": 64, "grade": 2, "terms": []}, ["--max-degree", "2"]),
-    # 1 monomial of degree 0, then 2049 of degree 1: the basis is built
-    # without recursing once per variable
-    ("casimirs", {"nvars": 2049, "grade": 2, "terms": []}, ["--max-degree", "1"]),
+    # grade-0 k-vectors in the most variables a field may have: 1 for k = 0
+    # and 2048 for k = 1 are built without recursing once per variable, then
+    # C(2048, 2) = 2096128 for k = 2 are refused
+    ("cohomology", {"nvars": 2048, "grade": 2, "terms": []},
+     ["--grade", "0", "--max-degree", "2"]),
     # 2556 monomials of degree 70 in 3 variables
     ("cohomology", preset("so3").to_json_obj(), ["--grade", "70", "--max-degree", "0"]),
     # grade-2 vector fields, base exponents 0..300: 8 * 301 = 2408
@@ -428,7 +441,7 @@ def test_bad_numeric_arguments_exit_2(so3_file, jet_file, capsys, argv, named):
                  "terms": [{"indices": [1, 2], "poly": "x3"},
                            {"indices": [1, 3], "poly": "x1*x3"}]},
      ["--base-degree-cap", "100"]),
-], ids=["casimirs", "casimirs-2049-variables", "cohomology", "linearize", "prolong"])
+], ids=["casimirs", "cohomology-2048-variables", "cohomology", "linearize", "prolong"])
 def test_oversized_basis_exits_2(tmp_path, capsys, name, obj, argv):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(obj))
@@ -516,6 +529,80 @@ def test_non_string_poly_exits_2(tmp_path, capsys):
     path.write_text(json.dumps(obj))
     assert cli.main(["check", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+# The README's multivector and Lie-algebra JSON at its own size or one far
+# outside the bounds, the multivector with and without its optional weights,
+# which nvars then sizes.  Up to three edits follow, each a path into the
+# object and the value put there: entries of the wrong type or range, and
+# polynomials that break the Jacobi identity, name a variable above nvars or
+# do not parse.
+_SIZE = st.sampled_from([0, -1, -10**30, MAX_NVARS + 1, 10**30])
+_FIELDS = st.fixed_dictionaries(
+    {"nvars": st.just(3) | _SIZE, "grade": st.just(2), "terms": st.just(_SO3_FIELD["terms"])},
+    optional={"weights": st.just(_SO3_FIELD["weights"])})
+_TABLES = st.fixed_dictionaries({"dim": st.just(3) | _SIZE, "C": st.just(_SO3_TABLE["C"])})
+_VALUE = (_SIZE | st.integers(-1, 4) | st.sampled_from(["1", "1/2", 1.5, True, None])
+          | st.lists(st.integers(-1, 4), max_size=3))
+_POLY = st.sampled_from(["x1", "-x2", "x1*x2 + 1", "1/2*x1^2*x3 - x2", "x3^2", "2", "x4", "x1 +"])
+_TERM = st.integers(0, 2)
+_FIELD_EDIT = st.one_of(
+    st.tuples(st.tuples(st.just("terms"), _TERM, st.just("poly")), _POLY | _VALUE),
+    st.tuples(st.sampled_from([("nvars",), ("grade",), ("weights",)]), _VALUE),
+    st.tuples(st.tuples(st.just("weights"), _TERM), _VALUE),
+    st.tuples(st.tuples(st.just("terms"), _TERM, st.just("indices")), _VALUE),
+    st.tuples(st.tuples(st.just("terms"), _TERM, st.just("indices"), st.integers(0, 1)), _VALUE))
+_TABLE_EDIT = st.one_of(
+    st.tuples(st.tuples(st.just("C"), _TERM, st.just("value")),
+              st.sampled_from([2, "-1/2", 0]) | _VALUE),
+    st.tuples(st.tuples(st.just("C"), _TERM, st.sampled_from("ijk")), _VALUE),
+    st.tuples(st.just(("dim",)), _VALUE))
+
+
+def _edited(base: dict, edits) -> dict:
+    """A copy of ``base`` with each edit made; one whose path an earlier edit
+    replaced or shortened is left out."""
+    obj = json.loads(json.dumps(base))
+    for path, value in edits:
+        *parents, key = path
+        with contextlib.suppress(IndexError, KeyError, TypeError):
+            functools.reduce(lambda node, step: node[step], parents, obj)[key] = value
+    return obj
+
+
+_EXACT_INPUTS = (st.tuples(_FIELDS, st.lists(_FIELD_EDIT, max_size=3))
+                 | st.tuples(_TABLES, st.lists(_TABLE_EDIT, max_size=3))).map(lambda e: _edited(*e))
+_DEGREE = st.integers(-1, 2).map(str)
+_EXACT_ARGV = st.one_of(
+    st.just(["check"]),
+    st.tuples(st.just("casimirs"), st.just("--max-degree"), _DEGREE).map(list),
+    st.tuples(st.just("cohomology"), st.just("--grade"), _DEGREE, st.just("--max-degree"),
+              _DEGREE).map(list),
+    st.tuples(st.just("linearize"), st.just("--truncate"), st.integers(0, 3).map(str),
+              st.just("--base-degree-cap"), _DEGREE).map(list),
+    st.tuples(st.just("prolong"), st.just("--grade"), st.integers(-1, 3).map(str),
+              st.just("--base-degree-cap"), _DEGREE).map(list))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(obj=_EXACT_INPUTS, argv=_EXACT_ARGV)
+def test_exact_verbs_keep_the_exit_code_contract(obj, argv):
+    # 0 or 1 print one JSON object; 2 prints one error line with a reason;
+    # nothing else escapes, whatever the input
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "input.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(obj, fh)
+        with contextlib.redirect_stdout(io.StringIO()) as out, \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            code = cli.main([argv[0], path, "--format", "json", *argv[1:]])
+    out, err = out.getvalue(), err.getvalue()
+    if code == 2:
+        assert out == "" and err.count("\n") == 1, (out, err)
+        assert re.fullmatch(r"error: \S(.*\S)?\n", err) and not err.endswith(":\n"), err
+    else:
+        assert code in (0, 1) and err == "", (code, err)
+        assert out.count("\n") == 1 and isinstance(json.loads(out), dict), out
 
 
 def test_su3(capsys):

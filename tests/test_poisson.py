@@ -1,4 +1,4 @@
-"""Poisson-specific operations: checks, Casimirs, cohomology, gauge, rescale."""
+"""Poisson-specific operations: checks, brackets, Casimirs, cohomology."""
 
 import hashlib
 import importlib.util
@@ -9,18 +9,16 @@ import random
 import sys
 from fractions import Fraction
 
-import numpy as np
 import pytest
 import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from poissonforge import (PolyMVF, ad_exp, casimir_basis, check_poisson,
-                          cohomology_dims, conn_rescale, formal_linearize,
-                          gauge_pointwise, hamiltonian_vf, linear_poisson,
-                          poisson_bracket, preset, schouten, sharp)
+                          cohomology_dims, formal_linearize, hamiltonian_vf,
+                          linear_poisson, poisson_bracket, preset, schouten, sharp)
 from poissonforge import poisson, polyalg
-from poissonforge.poisson import GaugeSingularError, _bracket_rows, basis_size, graded_basis
+from poissonforge.poisson import _bracket_rows, basis_size, graded_basis
 from poissonforge.liealg import LieAlgebraSpec
 from poissonforge.polyalg import Poly, exact_rank, parse_poly
 
@@ -425,85 +423,6 @@ class TestBasisSize:
         # C(3 + 70 - 1, 70) = 2556 monomials of degree 70 in 3 variables
         with pytest.raises(ValueError, match=f"bound of {poisson.MAX_BASIS}"):
             graded_basis(3, 0, 70, [1, 1, 1])
-
-
-class TestGauge:
-    J = np.array([[0.0, 1.0], [-1.0, 0.0]])
-
-    def test_scalar_family(self):
-        # gauging J by c*J divides the structure by 1 + c
-        for c in (0.3, -0.4, 2.0):
-            out = gauge_pointwise(self.J, c * self.J)
-            np.testing.assert_allclose(out, self.J / (1 + c), atol=1e-14)
-
-    def test_singular_value(self):
-        with pytest.raises(GaugeSingularError):
-            gauge_pointwise(self.J, -1.0 * self.J)
-
-    def test_composition_law(self):
-        rng = np.random.default_rng(21)
-        for _ in range(25):
-            n = 4
-            P = rng.normal(size=(n, n))
-            P = P - P.T
-            W1 = rng.normal(size=(n, n)) * 0.2
-            W1 = W1 - W1.T
-            W2 = rng.normal(size=(n, n)) * 0.2
-            W2 = W2 - W2.T
-            lhs = gauge_pointwise(gauge_pointwise(P, W1), W2)
-            rhs = gauge_pointwise(P, W1 + W2)
-            np.testing.assert_allclose(lhs, rhs, atol=1e-10)
-
-    def test_inverse_form_relative_to_current_structure(self):
-        # gauging by c*J and then by (-c/(1+c)) * (current structure)^{-1}
-        # restores the original bivector
-        c = 0.7
-        once = gauge_pointwise(self.J, c * self.J)
-        omega_current = np.linalg.inv(-once)  # inverse 2-form of J/(1+c)
-        back = gauge_pointwise(once, (-c / (1 + c)) * omega_current)
-        np.testing.assert_allclose(back, self.J, atol=1e-12)
-
-    def test_rejects_non_skew(self):
-        with pytest.raises(ValueError):
-            gauge_pointwise(np.eye(2), self.J)
-        with pytest.raises(ValueError):
-            gauge_pointwise(self.J, np.eye(2))
-
-
-class TestConnRescale:
-    def test_rejects_constant_part(self):
-        pi = PolyMVF(2, 2, {(1, 2): parse_poly("1 + x1", 2)})
-        with pytest.raises(ValueError):
-            conn_rescale(pi, Fraction(1, 2))
-
-    def test_zero_time_gives_linear_part(self, pi_so3):
-        quad = PolyMVF(3, 2, {(1, 2): parse_poly("x1^2", 3)})
-        pi = pi_so3 + quad
-        assert conn_rescale(pi, 0) == pi_so3
-
-    def test_matches_dilation(self, pi_so3):
-        quad = PolyMVF(3, 2, {(1, 2): parse_poly("x1^2", 3)})
-        pi = pi_so3 + quad
-        t = Fraction(2, 3)
-        assert conn_rescale(pi, t) == pi_so3 + quad * t
-
-    def test_preserves_jacobi(self, pi_so3):
-        # connecting path stays Poisson when the endpoints are
-        eps = PolyMVF(3, 2, {(1, 2): parse_poly("x3^2", 3),
-                             (1, 3): parse_poly("-x2*x3", 3),
-                             (2, 3): parse_poly("x1*x3", 3)})
-        pi = pi_so3 + eps
-        assert check_poisson(pi).is_poisson
-        for t in (Fraction(1, 3), Fraction(1, 2), 1):
-            assert check_poisson(conn_rescale(pi, t)).is_poisson
-
-    def test_parameter_is_exact(self, pi_so3):
-        pi = pi_so3 + PolyMVF(3, 2, {(1, 2): parse_poly("x1^2", 3)})
-        assert conn_rescale(pi, "2/3") == conn_rescale(pi, Fraction(2, 3))
-        assert conn_rescale(pi, 2) == conn_rescale(pi, Fraction(2))
-        for t in (0.1, 2.0, 0.0):
-            with pytest.raises(TypeError):
-                conn_rescale(pi, t)
 
 
 def test_readme_quick_start_pinned():

@@ -1,10 +1,12 @@
 """Refusals of bad input that no other test or benchmark case reaches.
 
-Each case calls one public function on an input it must refuse and checks
-the ``ValueError`` and its message, so a refusal cannot turn silently into
-a reinterpretation.
+Each case calls one public function, or a CLI verb, on an input it must
+refuse and checks the ``ValueError`` and its message, or the exit code 2 and
+the one ``error:`` line, so a refusal cannot turn silently into a
+reinterpretation.
 """
 
+import json
 import math
 import re
 from fractions import Fraction
@@ -12,13 +14,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from poissonforge import (FilteredJet, GradedPiece, Poly, PolyMVF, ad_exp, bch, casimir_basis,
-                          check_poisson, coadjoint_invariance_check, cohomology_dims,
-                          conn_rescale, dilate, gauge_pointwise, hamiltonian_vf, homotopy_solve,
-                          linear_poisson, mc_equivalence, poisson_bracket, preset, prolong_step,
-                          schouten, sharp, solve_linear_exact, su3_invariants, truncate_jet,
-                          weyl_circle_sample)
+from poissonforge import (FilteredJet, GradedPiece, LieAlgebraSpec, Poly, PolyMVF, ad_exp, bch,
+                          casimir_basis, check_poisson, cli, coadjoint_invariance_check,
+                          cohomology_dims, dilate, hamiltonian_vf, homotopy_solve, linear_poisson,
+                          mc_equivalence, poisson_bracket, preset, prolong_step, schouten, sharp,
+                          solve_linear_exact, su3_invariants, truncate_jet, weyl_circle_sample)
 from poissonforge.formal import _as_jet
+from poissonforge.multivector import MAX_NVARS
 from poissonforge.polyalg import parse_poly
 from poissonforge.realize import (FlowBlowupError, SprayField, dh_variation, flow_with_jacobian,
                                   sphere_leaf_form, verify_realization)
@@ -33,8 +35,6 @@ _X11 = PolyMVF(3, 1, {(1,): Poly(3, {(2, 0, 0): 1})})                 # x1^2 d1
 _BLOWUP_SPRAY = SprayField(PolyMVF(2, 2, {(1, 2): parse_poly("x2^3", 2)}))
 # a 1-jet read as a 3-jet would lose its x3^2 d1^d2 term: ad_exp must not answer for it
 _PI_1JET = FilteredJet(_PI + PolyMVF(3, 2, {(1, 2): Poly(3, {(0, 0, 2): 1})}), 1)
-# x1 d2^d3 has grade 0 under these weights: conn_rescale would scale it by 1/t
-_GRADE_0 = PolyMVF(3, 2, {(2, 3): parse_poly("x1 + x2", 3)}, (0, 1, 1))
 # the 2-jet of demos/jet_prolongation.py: its grade-3 correction is -x1*x2*x3 d1^d2,
 # which a 0- or 1-jet of it cannot see
 _TWO_JET = PolyMVF(3, 2, {(1, 2): parse_poly("-x1*x3 - x2*x3 + x3", 3),
@@ -73,14 +73,12 @@ _GAMMA = ad_exp(hamiltonian_vf(PolyMVF(2, 2, {(1, 2): Poly.constant(2, 1)}),
     (lambda: ad_exp(_X11, _PI_1JET, 3), "a jet of order 1 cannot stand for one of order 3"),
     (lambda: mc_equivalence(FilteredJet(_PI, 2), FilteredJet(_PI, 3), 3),
      "a jet of order 2 cannot stand for one of order 3"),
-    (lambda: conn_rescale(_GRADE_0, "1/10"), "pi must vanish at the origin (no grade-0 part)"),
     (lambda: prolong_step(FilteredJet(_TWO_JET, 0), 3),
      "a jet of order 0 cannot give the grade-3 Jacobiator"),
     (lambda: prolong_step(FilteredJet(_TWO_JET, 1), 3),
      "a jet of order 1 cannot give the grade-3 Jacobiator"),
     (lambda: preset("so4"), "unknown preset 'so4'"),
     (lambda: cohomology_dims(_X1, 1, 1), "expected a bivector, got degree 1"),
-    (lambda: conn_rescale(_X1, 1), "expected a bivector, got degree 1"),
     (lambda: prolong_step(FilteredJet(_X1, 2), 3), "expected a bivector, got degree 1"),
     (lambda: SprayField(_X1), "expected a bivector, got degree 1"),
     (lambda: _X1.bivector_matrix(np.zeros(3)), "expected a bivector, got degree 1"),
@@ -89,29 +87,45 @@ _GAMMA = ad_exp(hamiltonian_vf(PolyMVF(2, 2, {(1, 2): Poly.constant(2, 1)}),
     (lambda: homotopy_solve(_PI, GradedPiece(2, _X11)), "right-hand side must be a bivector"),
     (lambda: Poly.variable(3, 4), "variable index 4 out of range 1..3"),
     (lambda: _F + Poly.variable(2, 1), "variable count mismatch: 3 vs 2"),
-    (lambda: gauge_pointwise(np.zeros((2, 3)), np.zeros((2, 3))),
-     "matrices must be square and of equal shape"),
     (lambda: coadjoint_invariance_check(preset("so3"), Poly.variable(2, 1), 1, 0),
      "polynomial variable count must match the algebra dimension"),
     (lambda: flow_with_jacobian(_BLOWUP_SPRAY, np.array([0.0, 1.0, 3.0, 0.0]), 1.0, 400),
      "spray flow left numeric range near t = "),
     (lambda: mc_equivalence(_GAMMA, FilteredJet(_GAMMA_P, 4), 4),
      "gamma' has a grade-0 part <PolyMVF deg=2 (1) d1^d2>"),
+    (lambda: PolyMVF(10**30, 2), f"'nvars' must be at most {MAX_NVARS}, got {10**30}"),
+    (lambda: LieAlgebraSpec(10**30), f"'dim' must be at most {MAX_NVARS}, got {10**30}"),
 ], ids=["solve-rhs-count", "index-tuple-length", "check-nvars", "check-weights",
         "add-degrees", "json-repeated-indices", "apply-function-count", "dilate-zero",
         "check_poisson-vector", "sharp-vector", "poisson_bracket-vector", "sharp-form-length",
         "sharp-float-index",
         "casimirs-not-poisson", "cohomology-not-poisson", "cohomology-weights",
         "ad_exp-bivector-exponent", "mc-grade-1", "ad_exp-lower-order-jet",
-        "mc-lower-order-jet", "conn_rescale-grade-0", "prolong-0-jet-grade-3",
-        "prolong-1-jet-grade-3", "preset-unknown", "cohomology-vector", "conn_rescale-vector",
-        "prolong-vector", "spray-vector", "bivector_matrix-vector", "ad_exp-order-0-exponent",
+        "mc-lower-order-jet", "prolong-0-jet-grade-3", "prolong-1-jet-grade-3",
+        "preset-unknown", "cohomology-vector", "prolong-vector", "spray-vector",
+        "bivector_matrix-vector", "ad_exp-order-0-exponent",
         "bch-order-0-argument", "homotopy-vector-rhs", "poly-variable-index",
-        "poly-nvars-mismatch", "gauge-not-square", "coadjoint-nvars", "flow-blowup",
-        "mc-grade-0-part"])
+        "poly-nvars-mismatch", "coadjoint-nvars", "flow-blowup", "mc-grade-0-part",
+        "field-nvars-huge", "spec-dim-huge"])
 def test_bad_input_is_refused(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
+
+
+@pytest.mark.parametrize("verb", ["check", "casimirs"])
+@pytest.mark.parametrize("obj, field", [
+    ({"nvars": 10**30, "grade": 2, "terms": []}, "nvars"),
+    ({"dim": 10**30, "C": []}, "dim"),
+], ids=["nvars", "dim"])
+def test_a_huge_size_exits_2_naming_its_field(tmp_path, capsys, obj, field, verb):
+    # read unbounded, 10^30 overflowed an index (a traceback and exit 1), and
+    # 10^8 variables allocated memory until the host ran out
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(obj))
+    assert cli.main([verb, str(path), "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: {field!r} must be at most {MAX_NVARS}, got {10**30}\n"
 
 
 @pytest.mark.parametrize("index", [np.int64(2), np.uint8(2)], ids=["numpy-int64", "numpy-uint8"])
