@@ -34,6 +34,8 @@ def parse_input(path: str):
         raise InputError(f"cannot read {path}: {e.strerror}") from e
     except json.JSONDecodeError as e:
         raise InputError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}") from e
+    except ValueError as e:  # not UTF-8, or an integer longer than int() reads
+        raise InputError(f"{path}: unreadable JSON: {e}") from e
     try:
         if "terms" in obj or "grade" in obj:
             return PolyMVF.from_json_obj(obj)

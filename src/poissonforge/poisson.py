@@ -91,10 +91,11 @@ def poisson_bracket(pi: PolyMVF, f: Poly, g: Poly) -> Poly:
 # ---------------------------------------------------------------------------
 
 # The largest basis graded_basis builds.  The exact solver's time grows about
-# as the square of the basis size.  The largest su(3) solve it admits is the
-# 2518 x 2016 bracket rows of cohomology at (grade, k) = (2, 3): the whole
-# cohomology_dims call up to k = 3 takes 0.28 s (median of 7, 2-core x86-64
-# Xeon, Python 3.11.7).  The next, (3, 2), has 3360 columns.
+# as the square of the basis size.  The largest su(3) solve it admits is
+# cohomology at (grade, k) = (2, 3), 2518 bracket rows on the 1261 of its 2016
+# columns off the pivot rows of d_2: the whole cohomology_dims call up to
+# k = 3 takes 0.066 s (median of 7, 2-core x86-64 Xeon, Python 3.11.7).  The
+# next, (3, 2), has 3360 columns.
 MAX_BASIS = 2048
 
 
@@ -139,15 +140,25 @@ def graded_basis(n: int, k: int, l: int, weights, base_degree_cap: int = 0) -> l
         raise ValueError(f"the grade-{l} basis of {k}-vectors in {n} variables has {size} "
                          f"elements, above the bound of {MAX_BASIS} (MAX_BASIS)")
 
-    # tails[d]: exponents of x_i..x_n with fiber degree d, built from the
-    # last variable back, ascending in x_i and then in the tail
-    tails = [[()]] + [[] for _ in range(l)]
-    for i in reversed(range(n)):
-        if weights[i] == 1:
-            tails = [[(e,) + t for e in range(d + 1) for t in tails[d - e]] for d in range(l + 1)]
-        else:
-            tails = [[(e,) + t for e in range(base_degree_cap + 1) for t in tails[d]]
-                     for d in range(l + 1)]
+    # tails[d]: the nonzero (i, e_i) of the exponents of x_i..x_n with fiber
+    # degree d, built from the last variable back, ascending in x_i and then
+    # in the tail.  A zero exponent reuses the tail as it is, so each
+    # exponent vector is written out once, at the end.  A leg set with j
+    # base legs reads the fiber degree l - j, so only degrees lo..hi are read.
+    nb = weights.count(0)
+    lo, hi = max(l - min(k, nb), 0), l - max(k - n + nb, 0)
+    tails = [[()]] + [[] for _ in range(hi)]
+    for i, w in reversed(list(enumerate(weights))):
+        tails = [tails[d] + [((i, e),) + t for e in range(1, (d if w else base_degree_cap) + 1)
+                             for t in tails[d - w * e]] for d in range(hi + 1)]
+    zero = [0] * n
+    for d in range(lo, hi + 1):
+        tail = tails[d]
+        for c, nonzero in enumerate(tail):
+            exps = zero.copy()
+            for i, e in nonzero:
+                exps[i] = e
+            tail[c] = tuple(exps)
     out = []
     for legs in itertools.combinations(range(1, n + 1), k):
         fiber_deg = l - sum(1 for i in legs if weights[i - 1] == 0)
@@ -221,8 +232,10 @@ def cohomology_dims(pi_lin: PolyMVF, l: int, kmax: int) -> CohomologyTable:
     """Dims/ranks/betti of d = [pi_lin, .] on grade-l homogeneous k-vectors.
 
     [pi_lin, pi_lin] = 0 is checked exactly, so d_{k+1} d_k = 0 (as
-    [pi, [pi, X]] = [[pi, pi], X] / 2), and the ranks are certified by the
-    complex's exactness where it can be (``polyalg._complex_ranks``).
+    [pi, [pi, X]] = [[pi, pi], X] / 2).  Each d_k is built on the k-vectors
+    off those whose rows of d_{k-1} yielded pivots, and the ranks are
+    certified by the complex's exactness where it can be
+    (``polyalg._complex_ranks``).
     """
     l, kmax = _as_int(l, "grade l", 0), _as_int(kmax, "max degree kmax", 0)
     _check_bivector(pi_lin)
@@ -236,7 +249,9 @@ def cohomology_dims(pi_lin: PolyMVF, l: int, kmax: int) -> CohomologyTable:
     degrees = list(range(kmax + 1))
     bases = [graded_basis(pi_lin.nvars, k, l, pi_lin.weights) for k in degrees]
     dims = [len(basis) for basis in bases]
-    ranks = _complex_ranks([_bracket_rows(pi_lin, basis, False)[1] for basis in bases], dims)
+    ranks = _complex_ranks(
+        lambda k, skip: _bracket_rows(pi_lin, [b for b in bases[k] if b not in skip], True)[1],
+        dims)
     dim_cochains, rank_d = dict(zip(degrees, dims)), dict(zip(degrees, ranks))
     betti = {k: dim_cochains[k] - rank_d[k] - rank_d.get(k - 1, 0) for k in degrees}
     return CohomologyTable(l, degrees, dim_cochains, rank_d, betti)

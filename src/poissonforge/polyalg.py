@@ -21,7 +21,8 @@ the next prime is taken.  A solve reduces ``M = [A | b]``, so the same
 certificate covers feasibility, infeasibility and the witness.  All of it
 runs in Python ints, so no entry is too large for it, and ``Fraction``s are
 made only of a solve's answer.  The ranks of a complex, whose matrices
-compose to zero, are certified by its exactness where that suffices
+compose to zero, are taken each on a complement of the image of the one
+before, and certified by its exactness where that suffices
 (``_complex_ranks``), and by ``_rref`` where it does not.
 
 Data is validated where it enters and trusted inside.  The public
@@ -490,9 +491,11 @@ def _primes():
 def _rref_mod_p(rows: list, p: int):
     """Sparse Gauss-Jordan over GF(p) on integer dict ``rows``.
 
-    Returns ``(piv, tails)``: the pivot columns, ascending, and for each the
-    residues of its reduced row off the pivot (where the row holds 1).  A
-    tail has no entry at any pivot column, so its keys are free columns.
+    Returns ``(piv, tails, pivot_rows)``: the pivot columns, ascending, for
+    each the residues of its reduced row off the pivot (where the row holds
+    1), and the given rows that yielded a pivot, ``len(piv)`` rows that span
+    the row space mod p.  A tail has no entry at any pivot column, so its
+    keys are free columns.
 
     The rows go in descending order of their leading column.  Each is
     reduced by the pivot rows found so far, which can only move its leading
@@ -515,10 +518,11 @@ def _rref_mod_p(rows: list, p: int):
     tails: dict[int, dict] = {}
     piv: list[int] = []
     settled: set[int] = set()
-    for row in sorted(filter(None, rows), key=min, reverse=True):
-        if row.keys() <= settled:
+    pivot_rows = []
+    for given in sorted(filter(None, rows), key=min, reverse=True):
+        if given.keys() <= settled:
             continue
-        row = dict(row)
+        row = dict(given)
         for j in [j for j in row if j in tails]:
             f = row.pop(j)
             for c, v in tails[j].items():
@@ -526,6 +530,7 @@ def _rref_mod_p(rows: list, p: int):
         row = {j: r for j, v in row.items() if (r := v % p)}
         if not row:
             continue
+        pivot_rows.append(given)
         lead = min(row)
         inv = pow(row.pop(lead), -1, p)
         tail = {j: v * inv % p for j, v in row.items()}
@@ -545,7 +550,7 @@ def _rref_mod_p(rows: list, p: int):
         tails[lead] = tail
         if not tail:
             settled.add(lead)
-    return piv, [tails[k] for k in piv]
+    return piv, [tails[k] for k in piv], pivot_rows
 
 
 def _lift(u: int, m: int, bound: int):
@@ -650,7 +655,7 @@ def _rref(rows: list, ncols: int, first=None):
     # into the residues is a power of two keeps this: a lift still comes once
     # their product passes 2 H^2, after at most twice as many primes.
     for p in _primes():
-        piv, tails = _rref_mod_p(rows, p) if first is None else first
+        piv, tails, _ = _rref_mod_p(rows, p) if first is None else first
         first = None
         if best is None or len(piv) > len(best) or (len(piv) == len(best) and piv < best):
             best, residues, m, folded = piv, tails, p, 1
@@ -672,28 +677,45 @@ def _rref(rows: list, ncols: int, first=None):
     return best, kernel
 
 
-def _complex_ranks(mats: list, ncols: list) -> list:
-    """The ranks r_k of the integer matrices d_k = ``mats[k]`` of a complex.
+def _complex_ranks(rows_of, ncols: list) -> list:
+    """The ranks r_k of the integer differentials d_k of a complex.
 
     d_k maps C^k, of dimension ``ncols[k]``, to C^{k+1}, and the caller
-    guarantees d_{k+1} d_k = 0: the image of d_{k-1} lies in the kernel of
-    d_k, and that of d_k in the kernel of d_{k+1}.  The rank low_k of d_k
-    modulo the first prime is at most r_k, so
+    guarantees d_{k+1} d_k = 0.  ``rows_of(k, skip)`` returns the rows of d_k
+    keyed by the C^{k+1} basis element they belong to, on the columns of the
+    C^k basis without the elements in ``skip``, numbered in order.
+
+    Each d_k is built without the set P of C^k elements whose rows of d_{k-1}
+    yielded the pivots modulo the first prime p.  Those rows are independent
+    mod p, so over Q too: the image of d_{k-1} projects onto the coordinates
+    P, over GF(p) and over Q, and every cochain is an image plus one off P.
+    As d_k vanishes on the image, its rank mod p and over Q is that of its
+    columns off P, and by the same argument one degree down, the columns
+    d_{k-1} keeps give its whole image.  The sum need not be direct: over Q
+    the image is larger than P where p lowers the rank of d_{k-1}, and the
+    ranks still hold.  So the rank low_k of d_k modulo p is at most r_k, and
 
         r_k <= min(rows of d_k, dim C^k - r_{k-1}, dim C^{k+1} - low_{k+1}),
 
     with r_{-1} = 0 and the last term only where d_{k+1} is given.  Where
     low_k meets this bound, r_k = low_k with no lift; elsewhere ``_rref``
-    certifies r_k, continuing from the same reduction.
+    certifies r_k on the same columns, continuing from the same reduction.
     """
     p = next(_primes())
-    first = [_rref_mod_p(rows, p) for rows in mats]
-    low = [len(piv) for piv, _ in first]
+    mats, first, skip = [], [], set()
+    for k in range(len(ncols)):
+        keyed = rows_of(k, skip)
+        mats.append(list(keyed.values()))
+        first.append(_rref_mod_p(mats[-1], p))
+        yielded = set(map(id, first[-1][2]))
+        skip = {key for key, row in keyed.items() if id(row) in yielded}
+    low = [len(piv) for piv, _, _ in first]
     ranks = []
     for k, rows in enumerate(mats):
         up = min(len(rows), ncols[k] - (ranks[-1] if ranks else 0),
                  ncols[k + 1] - low[k + 1] if k + 1 < len(mats) else math.inf)
-        ranks.append(low[k] if low[k] == up else len(_rref(rows, ncols[k], first[k])[0]))
+        width = ncols[k] - (low[k - 1] if k else 0)
+        ranks.append(low[k] if low[k] == up else len(_rref(rows, width, first[k])[0]))
     return ranks
 
 

@@ -1,10 +1,14 @@
 """The exact verbs on the standard library alone: no verb may load NumPy.
 
-``INPUTS`` are the JSON files the runs read and ``RUNS`` the CLI argv lists,
-grouped by verb, each with its expected exit code: a success and an input
-error per verb, for ``check`` and ``casimirs`` a field and a table of 10^30
-variables, refused where ``nvars`` and ``dim`` are read, and for ``prolong``
-the obstructed README jet, which takes the witness path of the exact solver.
+``INPUTS`` are the JSON files the runs read, beside the su3 preset's table,
+and ``RUNS`` the CLI argv lists, grouped by verb, each with its expected
+exit code: a success and an input error per verb, for ``check`` and
+``casimirs`` a field and a table of 10^30 variables, refused where
+``nvars`` and ``dim`` are read, for ``check`` a field whose ``nvars`` has
+5000 digits, more than ``json.load`` reads, for ``cohomology`` the su3
+table at grade 2 up to degree 3, whose last degree is certified on the
+columns off the pivot rows of the degree before, and for ``prolong`` the
+obstructed README jet, which takes the witness path of the exact solver.
 Every run but an input error comes once in text and once with ``--format
 json``, so both renderings of each report are built.  ``test_package`` runs
 each group in a fresh interpreter.  Run as a script, with ``src`` on
@@ -16,7 +20,7 @@ pinned by the complex's exactness and so take the lift, reads reals through
 with ``Fraction`` and rational-string entries and takes its rank, so that the
 row reader ``polyalg._to_sparse_rows`` and the converter ``polyalg._over_lcm``
 run, and asserts the exit codes, that each JSON run printed one JSON object,
-the so3 Casimir basis ``1``, ``x1^2 + x2^2 + x3^2`` in both renderings (its
+the su3 Betti numbers ``[1, 0, 0, 1]``, the so3 Casimir basis ``1``, ``x1^2 + x2^2 + x3^2`` in both renderings (its
 elimination skips the rows that unit pivot rows settle, and its certificate
 the rows off the kernel's support), the Betti numbers ``[1, 4, 5, 2]``, that
 the reader refuses a ``bool``, a NaN and, when ``positive``, a value <= 0,
@@ -44,15 +48,18 @@ INPUTS = {
     "heis": {"dim": 3, "C": [{"i": 1, "j": 2, "k": 3, "value": "1"}]},
     "huge_field": {"nvars": 10**30, "grade": 2, "terms": []},
     "huge_table": {"dim": 10**30, "C": []},
+    # as text, since json.dump cannot write an integer past int()'s digit limit
+    "long_field": '{"nvars": ' + "9" * 5000 + ', "grade": 2, "terms": []}',
 }
 
 RUNS = {
     "check": [(["check", "so3.json"], 0), (["check", "vf.json"], 2),
-              (["check", "huge_field.json"], 2)],
+              (["check", "huge_field.json"], 2), (["check", "long_field.json"], 2)],
     "casimirs": [(["casimirs", "so3.json", "--max-degree", "2"], 0),
                  (["casimirs", "so3.json", "--max-degree", "-1"], 2),
                  (["casimirs", "huge_table.json"], 2)],
     "cohomology": [(["cohomology", "so3.json", "--grade", "2"], 0),
+                   (["cohomology", "su3.json", "--grade", "2", "--max-degree", "3"], 0),
                    (["cohomology", "so3.json", "--grade", "-1"], 2)],
     "linearize": [(["linearize", "so3.json", "--truncate", "4"], 0),
                   (["linearize", "so3.json", "--base-degree-cap", "-1"], 2)],
@@ -64,9 +71,11 @@ for _runs in RUNS.values():
 
 
 def write_inputs(directory: str) -> None:
-    for name, obj in INPUTS.items():
+    from poissonforge.liealg import preset
+
+    for name, obj in {**INPUTS, "su3": preset("su3").to_json_obj()}.items():
         with open(os.path.join(directory, f"{name}.json"), "w", encoding="utf-8") as fh:
-            json.dump(obj, fh)
+            fh.write(obj if isinstance(obj, str) else json.dumps(obj))
 
 
 def check_real_reader() -> None:
@@ -125,12 +134,15 @@ def main() -> None:
                              "  1\n  x1^2 + x2^2 + x3^2\n"), printed[argv]
     casimirs = json.loads(printed[argv + ("--format", "json")])["casimirs"]
     assert casimirs == ["1", "x1^2 + x2^2 + x3^2"], casimirs
+    su3 = json.loads(printed[("cohomology", "su3.json", "--grade", "2", "--max-degree", "3",
+                              "--format", "json")])
+    assert [row["betti"] for row in su3["rows"]] == [1, 0, 0, 1], su3
     betti = [row["betti"] for row in json.loads(out.getvalue())["rows"]]
     assert (code, betti) == (0, [1, 4, 5, 2]), (code, betti)
     check_real_reader()
     check_dense_solve()
     assert "numpy" not in sys.modules
-    print("exact verbs: exit codes, JSON reports, so3 Casimirs, Heisenberg Betti numbers, "
+    print("exact verbs: exit codes, JSON reports, so3 Casimirs, su3 and Heisenberg Betti numbers, "
           "real reader, dense rational solve and NumPy-free start-up as expected")
 
 

@@ -371,6 +371,30 @@ class TestCohomologyCertificate:
             assert lifts > 0
             assert table == cohomology_dims(linear_poisson(preset("so3")), l, 3)
 
+    def test_a_partly_unlucky_first_prime(self, eliminations, monkeypatch):
+        # so3 + P so3, the second factor times the first prime P, is
+        # isomorphic to so3 + so3 over Q, but P sees only the first factor:
+        # r_{k-1} > low_{k-1} > 0, so the image of d_{k-1} and the columns off
+        # its pivot rows only sum to C^k, and d_k is certified on those columns
+        def so3_twice(scale):
+            C = dict(preset("so3").C)
+            C.update({tuple(i + 3 for i in key): v * scale for key, v in preset("so3").C.items()})
+            return linear_poisson(LieAlgebraSpec(6, C))
+
+        for l in range(3):
+            table, _ = _certified_table(eliminations, so3_twice(_FIRST_PRIME), l, 4)
+            assert table == cohomology_dims(so3_twice(1), l, 4)
+        calls, rref = [], polyalg._rref
+        monkeypatch.setattr(polyalg, "_rref", lambda rows, ncols, first=None: calls.append(
+            (ncols, first is not None)) or rref(rows, ncols, first))
+        table = cohomology_dims(so3_twice(_FIRST_PRIME), 1, 4)
+        # no degree is tight, and each runs from its own first-prime
+        # reduction; after the first, on dim C^k - low_{k-1} columns, with
+        # 0 < low_{k-1} < r_{k-1}
+        assert [first for _, first in calls] == [True] * 5
+        low = [table.dim_cochains[k + 1] - ncols for k, (ncols, _) in enumerate(calls[1:])]
+        assert all(0 < low[k] < table.rank_d[k] for k in range(4)), low
+
 
 # (n, k, l, weights, base_degree_cap)
 _BASIS_ARGS = st.integers(1, 5).flatmap(lambda n: st.tuples(

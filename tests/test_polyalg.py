@@ -715,9 +715,14 @@ class TestCertifiedSolver:
     @given(settling_matrices(), st.sampled_from([5, 7, P]))
     def test_skipped_rows_leave_the_reduction_unchanged(self, matrix, p):
         # _rref_mod_p skips a row whose columns are all pivots with an empty
-        # tail; a row it skips wrongly loses a pivot or a tail entry
+        # tail; a row it skips wrongly loses a pivot or a tail entry.  The
+        # given rows that yielded the pivots span the row space alone
         rows, n = matrix
-        assert polyalg._rref_mod_p(rows, p) == _gauss_jordan_mod_p(rows, n, p)
+        piv, tails, pivot_rows = polyalg._rref_mod_p(rows, p)
+        assert (piv, tails) == _gauss_jordan_mod_p(rows, n, p)
+        assert len(pivot_rows) == len(piv)
+        assert all(any(row is given for given in rows) for row in pivot_rows)
+        assert polyalg._rref_mod_p(pivot_rows, p)[:2] == (piv, tails)
 
     @_SOLVER
     @given(sparse_matrices())

@@ -128,6 +128,22 @@ def test_a_huge_size_exits_2_naming_its_field(tmp_path, capsys, obj, field, verb
     assert captured.err == f"error: {path}: {field!r} must be at most {MAX_NVARS}, got {10**30}\n"
 
 
+@pytest.mark.parametrize("content, reason", [
+    (b'{"nvars": ' + b"9" * 5000 + b', "grade": 2, "terms": []}',
+     "Exceeds the limit (4300 digits) for integer string conversion"),
+    (b'\xff{"dim": 3}', "'utf-8' codec can't decode byte 0xff"),
+], ids=["integer-of-5000-digits", "not-utf-8"])
+def test_unreadable_json_exits_2_naming_its_file(tmp_path, capsys, content, reason):
+    # json.load raised a bare ValueError here, and the error line named no file
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    assert cli.main(["check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: unreadable JSON: {reason}")
+    assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("index", [np.int64(2), np.uint8(2)], ids=["numpy-int64", "numpy-uint8"])
 def test_covector_index_takes_any_integer(index):
     # a NumPy integer names dx_2 as the int 2 does, not a 1-form to iterate
