@@ -25,11 +25,19 @@ class InputError(Exception):
     """Usage or input-file problem; maps to exit code 2."""
 
 
+def _parse_int(text: str) -> int:
+    """A JSON integer, refused past ``int()``'s limit by its digit count alone."""
+    digits, limit = len(text.lstrip("-")), getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if 0 < limit < digits:  # 0: no limit
+        raise ValueError(f"an integer of {digits} digits, above the {limit}-digit limit")
+    return int(text)
+
+
 def parse_input(path: str):
     """Load a PolyMVF or LieAlgebraSpec from a JSON file."""
     try:
         with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
+            obj = json.load(fh, parse_int=_parse_int)
     except OSError as e:
         raise InputError(f"cannot read {path}: {e.strerror}") from e
     except json.JSONDecodeError as e:

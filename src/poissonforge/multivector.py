@@ -32,7 +32,10 @@ with the xi-derivative taken from the right on W and from the left on V
 grade-0 fields.  This sign convention makes the bracket of vector fields the
 Lie bracket with L_X L_Y - L_Y L_X = L_[X,Y], gives [W, f] = (-1)^(p-1) i_df W
 for a p-vector W, and so the Hamiltonian vector field of a bivector pi is
-H_f = -[pi, f].
+H_f = -[pi, f].  A self-bracket [W, W] takes the first product, doubled:
+for even p, d^L_{xi_i} W = -d^R_{xi_i} W, as xi_i crosses the other p - 1
+odd factors, and the even d_{x_i} W commutes, so [W, W] = 2 sum_i
+(d^R_{xi_i} W)(d_{x_i} W); for odd p, graded antisymmetry makes it 0.
 
 One integer kernel evaluates this sum of 2n products on the numerators for
 ``schouten``, ``apply_to_functions`` and ``poisson._bracket_rows``, with
@@ -62,6 +65,7 @@ nonzero ``int``; and that ``den`` is a positive int.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from operator import add, itemgetter, mul
@@ -430,13 +434,17 @@ def _schouten_sums(W: dict, V: dict, weights: tuple, max_grade, rows=None):
 
     With ``rows`` None it is ``{(grade, legs, exps): c}``, nonzero, over the
     product of the operands' denominators.  Otherwise V's values are column
-    tags of monomials with coefficient 1, and it is ``{(legs, exps): {tag:
-    c}}``, or with ``rows`` False the list of its values, in order.  A
+    tags of monomials with coefficient 1, and it is ``({key: {tag: c}},
+    decode)``, ``decode`` turning a packed key into its (legs, exps), or with
+    ``rows`` False the list of those rows, in order.  A
     derivative keeps its monomial's grade, and with ``max_grade`` set a pair
     of grades g and h with g + h - 1 > max_grade is skipped unmultiplied; a
     monomial that joins only such pairs, its grade plus the other operand's
     least grade above max_grade + 1, is dropped before packing.
     """
+    twice = W is V and rows is None  # a self-bracket, as in the module docstring
+    if twice and (not W or len(next(iter(W))[1]) % 2):
+        return {}
     n = len(weights)
     limit = math.inf if max_grade is None else max_grade + 1
     if max_grade is not None:  # drop the monomials whose every pair lies above the bound
@@ -465,7 +473,8 @@ def _schouten_sums(W: dict, V: dict, weights: tuple, max_grade, rows=None):
                 if (lowered := [(word - units[v], exps, c * exps[v])
                                 for word, exps, c in monos if exps[v]])]
 
-    W, V, sums = packed(W, False), packed(V, rows is not None), {}
+    W, sums = packed(W, False), {}
+    V = W if twice else packed(V, rows is not None)
 
     def product(A, B):
         """Add the product A B, leg sets of A before those of B."""
@@ -483,11 +492,13 @@ def _schouten_sums(W: dict, V: dict, weights: tuple, max_grade, rows=None):
     for v in range(n):
         bit = 1 << v
         # xi_v taken off the right of each leg set of W and off the left of
-        # V's; the minus of the second product rides on d^L_{xi_v} V
-        product([(m ^ bit, g, x, _merge_sign(m ^ bit, bit), monos)
+        # V's; the minus of the second product rides on d^L_{xi_v} V, and the
+        # 2 of a self-bracket on d^R_{xi_v} W
+        product([(m ^ bit, g, x, (2 if twice else 1) * _merge_sign(m ^ bit, bit), monos)
                  for m, g, x, _, monos in W if m & bit], d_x(V, v))
-        product(d_x(W, v), [(m ^ bit, g, x, -_merge_sign(bit, m ^ bit), monos)
-                            for m, g, x, _, monos in V if m & bit])
+        if not twice:
+            product(d_x(W, v), [(m ^ bit, g, x, -_merge_sign(bit, m ^ bit), monos)
+                                for m, g, x, _, monos in V if m & bit])
 
     field, shifts = (1 << width) - 1, range(0, low, width)
     if rows is None:
@@ -504,9 +515,8 @@ def _schouten_sums(W: dict, V: dict, weights: tuple, max_grade, rows=None):
             grouped.setdefault(key & monomial, {})[key >> top] = c
     if not rows:
         return list(grouped.values())
-    legs = {m: _legs(m) for m in {key >> low for key in grouped}}
-    return {(legs[key >> low], tuple((key >> s) & field for s in shifts)): tagged
-            for key, tagged in grouped.items()}
+    legs = functools.cache(_legs)
+    return grouped, lambda key: (legs(key >> low), tuple((key >> s) & field for s in shifts))
 
 
 def grade_component(W: PolyMVF, l: int) -> GradedPiece:

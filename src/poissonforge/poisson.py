@@ -135,10 +135,17 @@ def graded_basis(n: int, k: int, l: int, weights, base_degree_cap: int = 0) -> l
     more than ``MAX_BASIS`` elements raises ``ValueError`` before it is built.
     """
     n, k, l, weights, base_degree_cap = _basis_args(n, k, l, weights, base_degree_cap)
-    size = basis_size(n, k, l, weights, base_degree_cap)
-    if size > MAX_BASIS:
-        raise ValueError(f"the grade-{l} basis of {k}-vectors in {n} variables has {size} "
-                         f"elements, above the bound of {MAX_BASIS} (MAX_BASIS)")
+    return _graded_bases(n, (k,), l, weights, base_degree_cap)[0]
+
+
+def _graded_bases(n: int, ks, l: int, weights: tuple, base_degree_cap: int) -> list:
+    """``graded_basis`` of each k in ``ks``, from one build of the exponent tails;
+    the arguments are trusted, as ``_basis_args`` reads them."""
+    for k in ks:
+        size = basis_size(n, k, l, weights, base_degree_cap)
+        if size > MAX_BASIS:
+            raise ValueError(f"the grade-{l} basis of {k}-vectors in {n} variables has {size} "
+                             f"elements, above the bound of {MAX_BASIS} (MAX_BASIS)")
 
     # tails[d]: the nonzero (i, e_i) of the exponents of x_i..x_n with fiber
     # degree d, built from the last variable back, ascending in x_i and then
@@ -146,7 +153,7 @@ def graded_basis(n: int, k: int, l: int, weights, base_degree_cap: int = 0) -> l
     # exponent vector is written out once, at the end.  A leg set with j
     # base legs reads the fiber degree l - j, so only degrees lo..hi are read.
     nb = weights.count(0)
-    lo, hi = max(l - min(k, nb), 0), l - max(k - n + nb, 0)
+    lo, hi = min(max(l - min(k, nb), 0) for k in ks), max(l - max(k - n + nb, 0) for k in ks)
     tails = [[()]] + [[] for _ in range(hi)]
     for i, w in reversed(list(enumerate(weights))):
         tails = [tails[d] + [((i, e),) + t for e in range(1, (d if w else base_degree_cap) + 1)
@@ -159,23 +166,27 @@ def graded_basis(n: int, k: int, l: int, weights, base_degree_cap: int = 0) -> l
             for i, e in nonzero:
                 exps[i] = e
             tail[c] = tuple(exps)
-    out = []
-    for legs in itertools.combinations(range(1, n + 1), k):
-        fiber_deg = l - sum(1 for i in legs if weights[i - 1] == 0)
-        if fiber_deg >= 0:
-            out.extend((legs, exps) for exps in tails[fiber_deg])
-    return out
+    bases = [[] for _ in ks]
+    for k, out in zip(ks, bases):
+        for legs in itertools.combinations(range(1, n + 1), k):
+            fiber_deg = l - sum(1 for i in legs if weights[i - 1] == 0)
+            if fiber_deg >= 0:
+                out.extend((legs, exps) for exps in tails[fiber_deg])
+    return bases
 
 
-def _bracket_rows(pi: PolyMVF, basis, keyed: bool, max_grade: int | None = None):
+def _bracket_rows(pi: PolyMVF, basis, keyed: bool, max_grade: int | None = None,
+                  packed: bool = False):
     """The matrix of [pi, .] on a monomial basis, as ``(den, rows)``.
 
     The matrix is ``rows / den``: ``den`` is pi's denominator and ``rows``
     holds sparse rows of nonzero ``int``s.  Column c is the basis element
     ``basis[c] = (legs, exps)``; rows are keyed by the (legs, exps)
     monomials of the brackets, or with ``keyed`` false are the list of their
-    values, in order.  The basis is trusted to come from ``graded_basis``:
-    distinct elements, increasing legs in 1..n, exponent vectors of length n.
+    values, in order; with ``packed`` too they are ``(rows, decode)``, keyed by
+    the kernel's packed ints, which ``decode`` turns into monomials.  The basis
+    is trusted to come from ``graded_basis``: distinct elements, increasing
+    legs in 1..n, exponent vectors of length n.
     With ``max_grade`` set, only the rows of grade at most ``max_grade`` are
     formed: the kernel skips every pair whose bracket lies above it.  Only
     then are the basis grades computed, as nothing else reads them.
@@ -187,7 +198,11 @@ def _bracket_rows(pi: PolyMVF, basis, keyed: bool, max_grade: int | None = None)
     weights = pi.weights
     cols = {(0 if max_grade is None else _grade(weights, legs, exps), legs, exps): col
             for col, (legs, exps) in enumerate(basis)}
-    return pi.den, _schouten_sums(pi._ints, cols, weights, max_grade, keyed)
+    rows = _schouten_sums(pi._ints, cols, weights, max_grade, keyed)
+    if keyed and not packed:
+        rows, decode = rows
+        rows = {decode(key): row for key, row in rows.items()}
+    return pi.den, rows
 
 
 # ---------------------------------------------------------------------------
@@ -247,11 +262,10 @@ def cohomology_dims(pi_lin: PolyMVF, l: int, kmax: int) -> CohomologyTable:
         # base-variable degree is unbounded in principle
         raise ValueError("cohomology_dims requires all-ones weights")
     degrees = list(range(kmax + 1))
-    bases = [graded_basis(pi_lin.nvars, k, l, pi_lin.weights) for k in degrees]
+    bases = _graded_bases(pi_lin.nvars, degrees, l, pi_lin.weights, 0)
     dims = [len(basis) for basis in bases]
-    ranks = _complex_ranks(
-        lambda k, skip: _bracket_rows(pi_lin, [b for b in bases[k] if b not in skip], True)[1],
-        dims)
+    ranks = _complex_ranks(lambda k, skip: _bracket_rows(
+        pi_lin, [b for b in bases[k] if b not in skip], True, packed=True)[1], dims)
     dim_cochains, rank_d = dict(zip(degrees, dims)), dict(zip(degrees, ranks))
     betti = {k: dim_cochains[k] - rank_d[k] - rank_d.get(k - 1, 0) for k in degrees}
     return CohomologyTable(l, degrees, dim_cochains, rank_d, betti)

@@ -681,9 +681,10 @@ def _complex_ranks(rows_of, ncols: list) -> list:
     """The ranks r_k of the integer differentials d_k of a complex.
 
     d_k maps C^k, of dimension ``ncols[k]``, to C^{k+1}, and the caller
-    guarantees d_{k+1} d_k = 0.  ``rows_of(k, skip)`` returns the rows of d_k
-    keyed by the C^{k+1} basis element they belong to, on the columns of the
-    C^k basis without the elements in ``skip``, numbered in order.
+    guarantees d_{k+1} d_k = 0.  ``rows_of(k, skip) -> (rows by key, decode)``
+    gives the rows of d_k on the columns of the C^k basis without the
+    elements in ``skip``, numbered in order; ``decode`` names the C^{k+1}
+    basis element of a key, and is called only on pivot rows' keys, none at the last k.
 
     Each d_k is built without the set P of C^k elements whose rows of d_{k-1}
     yielded the pivots modulo the first prime p.  Those rows are independent
@@ -704,11 +705,12 @@ def _complex_ranks(rows_of, ncols: list) -> list:
     p = next(_primes())
     mats, first, skip = [], [], set()
     for k in range(len(ncols)):
-        keyed = rows_of(k, skip)
+        keyed, decode = rows_of(k, skip)
         mats.append(list(keyed.values()))
         first.append(_rref_mod_p(mats[-1], p))
-        yielded = set(map(id, first[-1][2]))
-        skip = {key for key, row in keyed.items() if id(row) in yielded}
+        if k + 1 < len(ncols):
+            yielded = set(map(id, first[-1][2]))
+            skip = {decode(key) for key, row in keyed.items() if id(row) in yielded}
     low = [len(piv) for piv, _, _ in first]
     ranks = []
     for k, rows in enumerate(mats):

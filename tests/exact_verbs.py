@@ -5,7 +5,9 @@ and ``RUNS`` the CLI argv lists, grouped by verb, each with its expected
 exit code: a success and an input error per verb, for ``check`` and
 ``casimirs`` a field and a table of 10^30 variables, refused where
 ``nvars`` and ``dim`` are read, for ``check`` a field whose ``nvars`` has
-5000 digits, more than ``json.load`` reads, for ``cohomology`` the su3
+5000 digits, more than ``json.load`` reads, and the README jet, which is
+not Poisson, so its witness [pi, pi] is the self-bracket the Schouten
+kernel forms once and doubles, for ``cohomology`` the su3
 table at grade 2 up to degree 3, whose last degree is certified on the
 columns off the pivot rows of the degree before, and for ``prolong`` the
 obstructed README jet, which takes the witness path of the exact solver.
@@ -25,7 +27,8 @@ elimination skips the rows that unit pivot rows settle, and its certificate
 the rows off the kernel's support), the Betti numbers ``[1, 4, 5, 2]``, that
 the reader refuses a ``bool``, a NaN and, when ``positive``, a value <= 0,
 that the solution and the kernel vector satisfy the system exactly, the
-rank 2, and that NumPy was never imported:
+rank 2, the jet's JSON witness ``2*x3^2`` at ``d1^d2^d3``, and that NumPy
+was never imported:
 
     PYTHONPATH=src python tests/exact_verbs.py
 """
@@ -53,7 +56,7 @@ INPUTS = {
 }
 
 RUNS = {
-    "check": [(["check", "so3.json"], 0), (["check", "vf.json"], 2),
+    "check": [(["check", "so3.json"], 0), (["check", "jet.json"], 1), (["check", "vf.json"], 2),
               (["check", "huge_field.json"], 2), (["check", "long_field.json"], 2)],
     "casimirs": [(["casimirs", "so3.json", "--max-degree", "2"], 0),
                  (["casimirs", "so3.json", "--max-degree", "-1"], 2),
@@ -134,6 +137,8 @@ def main() -> None:
                              "  1\n  x1^2 + x2^2 + x3^2\n"), printed[argv]
     casimirs = json.loads(printed[argv + ("--format", "json")])["casimirs"]
     assert casimirs == ["1", "x1^2 + x2^2 + x3^2"], casimirs
+    witness = json.loads(printed[("check", "jet.json", "--format", "json")])["witness"]
+    assert witness["terms"] == [{"indices": [1, 2, 3], "poly": "2*x3^2"}], witness
     su3 = json.loads(printed[("cohomology", "su3.json", "--grade", "2", "--max-degree", "3",
                               "--format", "json")])
     assert [row["betti"] for row in su3["rows"]] == [1, 0, 0, 1], su3
@@ -142,8 +147,8 @@ def main() -> None:
     check_real_reader()
     check_dense_solve()
     assert "numpy" not in sys.modules
-    print("exact verbs: exit codes, JSON reports, so3 Casimirs, su3 and Heisenberg Betti numbers, "
-          "real reader, dense rational solve and NumPy-free start-up as expected")
+    print("exact verbs: exit codes, JSON reports, so3 Casimirs, jet witness, su3 and Heisenberg "
+          "Betti numbers, real reader, dense rational solve and NumPy-free start-up as expected")
 
 
 if __name__ == "__main__":

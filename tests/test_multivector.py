@@ -654,6 +654,35 @@ def test_kernel_matches_references_up_to_8_legs(pair):
     _assert_canonical(product)
 
 
+def _copy(W: PolyMVF) -> PolyMVF:
+    """W with its own ``_ints`` dict, so that a bracket with W takes the two-product path."""
+    return PolyMVF._raw(W.nvars, W.grade, dict(W._ints), W.weights, W.den)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(field_pairs(nvars=st.integers(1, 5), max_grade=4), st.one_of(st.none(), st.integers(0, 5)))
+def test_self_bracket_equals_the_bracket_with_a_copy(pair, bound):
+    # [W, W] is formed from its first product, doubled, and is 0 for odd |W|
+    for W in pair:
+        self_bracket = schouten(W, W, bound)
+        assert self_bracket == schouten(W, _copy(W), bound)
+        assert self_bracket.grade == max(2 * W.grade - 1, 0)
+        if W.grade % 2:
+            assert self_bracket.is_zero()
+
+
+def test_self_bracket_forms_one_product_per_variable(monkeypatch):
+    n = 4
+    W = PolyMVF(n, 2, {(1, 2): parse_poly("x3 + x4^2", n), (1, 3): parse_poly("x1*x3", n),
+                       (2, 4): parse_poly("x2 - 2*x1", n), (3, 4): parse_poly("x1*x2", n)})
+    spy = mock.Mock(wraps=_merge_sign)
+    monkeypatch.setattr(multivector, "_merge_sign", spy)
+    self_bracket = schouten(W, W)
+    self_calls, spy.call_count = spy.call_count, 0
+    assert self_bracket == schouten(W, _copy(W)) and not self_bracket.is_zero()
+    assert 0 < self_calls < spy.call_count
+
+
 @settings(max_examples=500, derandomize=True, database=None, deadline=None)
 @given(st.lists(st.integers(1, 8), unique=True).map(sorted),
        st.lists(st.integers(1, 8), unique=True).map(sorted))

@@ -395,6 +395,30 @@ class TestCohomologyCertificate:
         low = [table.dim_cochains[k + 1] - ncols for k, (ncols, _) in enumerate(calls[1:])]
         assert all(0 < low[k] < table.rank_d[k] for k in range(4)), low
 
+    def test_only_the_pivot_rows_are_decoded(self, monkeypatch):
+        # the rows of d_k stay keyed by packed ints; the keys of the rows that
+        # yield pivots are decoded to form the next skip set, none at the last
+        rows, decoded, complex_ranks = {}, {}, polyalg._complex_ranks
+
+        def spy(rows_of, ncols):
+            def counted_rows_of(k, skip):
+                keyed, decode = rows_of(k, skip)
+                rows[k], decoded[k] = len(keyed), 0
+
+                def counted_decode(key):
+                    decoded[k] += 1
+                    return decode(key)
+                return keyed, counted_decode
+            return complex_ranks(counted_rows_of, ncols)
+
+        monkeypatch.setattr(poisson, "_complex_ranks", spy)
+        table = cohomology_dims(linear_poisson(preset("su3")), 2, 3)
+        assert decoded == {0: 35, 1: 253, 2: 755, 3: 0}
+        assert sum(rows.values()) == 5805
+        assert (table.dim_cochains, table.rank_d, table.betti) == (
+            {0: 36, 1: 288, 2: 1008, 3: 2016}, {0: 35, 1: 253, 2: 755, 3: 1260},
+            {0: 1, 1: 0, 2: 0, 3: 1})
+
 
 # (n, k, l, weights, base_degree_cap)
 _BASIS_ARGS = st.integers(1, 5).flatmap(lambda n: st.tuples(
@@ -434,6 +458,15 @@ class TestBasisSize:
         # the order too: RREF-canonical gauge fields depend on it
         assume(basis_size(*args) <= poisson.MAX_BASIS)
         assert graded_basis(*args) == _recursive_basis(*args)
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(_BASIS_ARGS)
+    def test_one_tails_build_serves_every_degree(self, args):
+        n, _, l, weights, cap = args
+        ks = [k for k in range(n + 2) if basis_size(n, k, l, weights, cap) <= poisson.MAX_BASIS]
+        assume(ks)
+        assert poisson._graded_bases(n, ks, l, tuple(weights), cap) == [
+            graded_basis(n, k, l, weights, cap) for k in ks]
 
     def test_all_ones_weights(self):
         # C(n, k) * C(n + l - 1, l): the su(3) (l, k) = (2, 2) and (1, 3) bases
