@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .polyalg import _as_int, _Rows, solve_linear_exact
-from .multivector import (GradedPiece, PolyMVF, _check_bivector, _grade, _integral,
-                          grade_component, schouten, truncate_jet)
+from .multivector import (GradedPiece, PolyMVF, _ad_series, _check_bivector, _grade,
+                          _integral, grade_component, schouten, truncate_jet)
 from .poisson import _bracket_rows, check_poisson, graded_basis
 
 __all__ = [
@@ -72,7 +72,8 @@ def order_of(u):
 
 def ad_exp(X, u, D: int) -> FilteredJet:
     """Ad(e^X)u = sum_n ad_X^n(u)/n! in the grade-D truncation; X is read to grade
-    D + 1 where u has a grade-0 part, which brackets that grade of X into grade D."""
+    D + 1 where u has a grade-0 part, which brackets that grade of X into grade D.
+    The series runs in the Schouten kernel's packed form (``_ad_series``)."""
     D = _as_int(D, "jet order D", 0)
     u = _as_jet(u, D)
     X = _as_jet(X, D + 1 if 0 in u.value._grades() else D)
@@ -80,16 +81,7 @@ def ad_exp(X, u, D: int) -> FilteredJet:
         raise ValueError("exponent must be a vector field")
     if order_of(X) < 1:
         raise ValueError("ad_exp needs order >= 1 (grade >= 2) exponent")
-    acc = u.value
-    term = u.value
-    n = 0
-    while not term.is_zero():
-        n += 1
-        term = schouten(X.value, term, max_grade=D) * Fraction(1, n)
-        acc = acc + term
-        if n > 4 * D + 8:  # nilpotency guarantees termination well before this
-            raise RuntimeError("ad_exp series failed to terminate")
-    return FilteredJet._raw(acc, D)  # u and every bracket bounded by D
+    return FilteredJet._raw(_ad_series(X.value, u.value, D), D)
 
 
 def _dynkin_words(budget: int, ox: int, oy: int, k: int):
@@ -194,20 +186,25 @@ def _solve_bracket_equation(pi: PolyMVF, rhs: PolyMVF, unknown_basis,
 
 
 def homotopy_solve(pi_lin: PolyMVF, Z: GradedPiece, base_degree_cap: int = 8) -> HomotopyResult:
-    """Find a grade-q vector field X with [pi_lin, X] = Z (exact), or certify failure."""
+    """Find a grade-q vector field X with [pi_lin, X] = Z (exact), or certify failure.
+
+    The solve comes first.  A solution is certified, [pi_lin, X] = Z, so for
+    Poisson pi_lin [pi_lin, Z] = 1/2 [[pi_lin, pi_lin], X] = 0 and the cocycle
+    bracket is formed only when the solve fails: a non-cocycle Z raises
+    ValueError, a cocycle is obstructed.  A non-Poisson pi_lin whose image
+    holds a non-cocycle Z therefore gets that Z's exact solution.
+    """
     base_degree_cap = _as_int(base_degree_cap, "base_degree_cap", 0)
     if Z.value.is_zero():
         zero = GradedPiece(Z.l, PolyMVF.zero(pi_lin.nvars, 1, pi_lin.weights))
         return HomotopyResult("solved", zero, None, None)
     if Z.value.grade != 2:
         raise ValueError("right-hand side must be a bivector")
-    dZ = schouten(pi_lin, Z.value)
-    if not dZ.is_zero():
-        raise ValueError("right-hand side is not a cocycle: [pi_lin, Z] != 0")
-    n = pi_lin.nvars
-    basis = graded_basis(n, 1, Z.l, pi_lin.weights, base_degree_cap)
+    basis = graded_basis(pi_lin.nvars, 1, Z.l, pi_lin.weights, base_degree_cap)
     sol, witness = _solve_bracket_equation(pi_lin, Z.value, basis)
     if sol is None:
+        if not schouten(pi_lin, Z.value).is_zero():
+            raise ValueError("right-hand side is not a cocycle: [pi_lin, Z] != 0")
         return HomotopyResult("obstructed", None, Z, witness)
     return HomotopyResult("solved", GradedPiece(Z.l, sol), None, None)
 
@@ -261,7 +258,9 @@ def mc_equivalence(gamma: FilteredJet, gamma_p: FilteredJet, D: int,
 
     Each round inverts [pi_lin, .] alone, so a grade-0 part pi_0 of gamma'
     puts [X_q, pi_0] one grade below the order solved; when a round thus
-    fails to raise the order, ValueError names pi_0.
+    fails to raise the order, ValueError names pi_0.  Without pi_0 the
+    grade-1 piece of the checked [gamma, gamma] is [pi_lin, pi_lin], so
+    pi_lin is Poisson and a solved round forms no cocycle bracket.
     """
     base_degree_cap = _as_int(base_degree_cap, "base_degree_cap", 0)
     D = _as_int(D, "jet order D", 0)

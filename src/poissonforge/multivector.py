@@ -37,13 +37,14 @@ for even p, d^L_{xi_i} W = -d^R_{xi_i} W, as xi_i crosses the other p - 1
 odd factors, and the even d_{x_i} W commutes, so [W, W] = 2 sum_i
 (d^R_{xi_i} W)(d_{x_i} W); for odd p, graded antisymmetry makes it 0.
 
-One integer kernel evaluates this sum of 2n products on the numerators for
-``schouten``, ``apply_to_functions`` and ``poisson._bracket_rows``, with
-each operand grouped by leg set and grade.  A derivative operand keeps that
-form: d_{x_i} lowers exponent i and scales by it, and d_{xi_i} drops leg i
-from the leg sets that hold it, with the sign of moving xi_i to the right
-end (d^R) or to the left end (d^L).  The kernel multiplies two such operands
-as ``wedge`` multiplies fields, with each exponent vector packed into one
+One integer kernel, ``_products``, evaluates this sum of 2n products on the
+numerators for ``schouten``, ``apply_to_functions``, ``poisson._bracket_rows``
+and each step of ``formal.ad_exp``'s Lie series, which stays packed from step
+to step, with each operand grouped by leg set and grade.  A derivative
+operand keeps that form: d_{x_i} lowers exponent i and scales by it, and
+d_{xi_i} drops leg i from the leg sets that hold it, with the sign of moving
+xi_i to the right end (d^R) or to the left end (d^L).  The kernel multiplies
+two such operands as ``wedge`` multiplies fields, with each exponent vector packed into one
 int (Monagan & Pearce, CASC 2007); its sums stay in ``int`` and build no
 ``Fraction``.  Under a grade bound it drops, before packing, each monomial
 whose grade plus the other operand's least grade exceeds the bound plus 1.
@@ -420,27 +421,26 @@ def schouten(W: PolyMVF, V: PolyMVF, max_grade: int | None = None) -> PolyMVF:
 # ---------------------------------------------------------------------------
 #
 # An operand is a dict ``{(grade, legs, exps): c}`` of integer numerators, as
-# ``PolyMVF._ints``.  The kernel packs each exponent vector into one int,
-# ``width`` bits per variable with x_i at bit width*(i-1).  Packed words add
-# as exponent vectors do, as long as every exponent of a product fits its
-# field, and a derivative d_i subtracts 1 << width*(i-1) from a word whose
-# field i is nonzero (Monagan & Pearce, CASC 2007).  Sums are keyed by one
-# int: the output word, the n-bit mask of its legs, and extra bits that add
-# through: grades g + h for fields, or each basis monomial's column for
-# ``poisson._bracket_rows`` (and none for pi).
+# ``PolyMVF._ints``.  ``_pack`` packs each exponent vector into one int,
+# ``width`` bits per variable with x_i at bit width*(i-1), and groups the
+# monomials by leg mask and grade.  Packed words add as exponent vectors do,
+# as long as every exponent of a product fits its field, and a derivative d_i
+# reads e_i off field i and subtracts 1 << width*(i-1) (Monagan & Pearce,
+# CASC 2007).  ``_products`` keys its sums by one int: the output word, its
+# leg mask at bit low = n*width, and extra bits that add through: grades
+# g + h at bit top = low + n for fields, so ``key >> low`` is the key's group
+# in a next bracket's operand, or each basis monomial's column tag for
+# ``poisson._bracket_rows`` (and none for pi), above any field.
 
 def _schouten_sums(W: dict, V: dict, weights: tuple, max_grade, rows=None):
-    """The bracket of integer operands: the 2n products of the module docstring.
+    """The bracket of integer operands: packed, one ``_products`` step, decoded.
 
     With ``rows`` None it is ``{(grade, legs, exps): c}``, nonzero, over the
     product of the operands' denominators.  Otherwise V's values are column
     tags of monomials with coefficient 1, and it is ``({key: {tag: c}},
     decode)``, ``decode`` turning a packed key into its (legs, exps), or with
-    ``rows`` False the list of those rows, in order.  A
-    derivative keeps its monomial's grade, and with ``max_grade`` set a pair
-    of grades g and h with g + h - 1 > max_grade is skipped unmultiplied; a
-    monomial that joins only such pairs, its grade plus the other operand's
-    least grade above max_grade + 1, is dropped before packing.
+    ``rows`` False the list of those rows, in order.  Under ``max_grade``, a
+    monomial that joins only pairs above it is dropped before packing.
     """
     twice = W is V and rows is None  # a self-bracket, as in the module docstring
     if twice and (not W or len(next(iter(W))[1]) % 2):
@@ -453,60 +453,12 @@ def _schouten_sums(W: dict, V: dict, weights: tuple, max_grade, rows=None):
         V = {key: c for key, c in V.items() if key[0] + least_W <= limit}
     degree = [max(map(sum, map(itemgetter(2), X)), default=0) for X in (W, V)]
     width = max(sum(degree), 1).bit_length()
-    low, top = n * width, n * width + n
-    units = [1 << (width * v) for v in range(n)]
-
-    def packed(X, tags):
-        """X as [(mask, grade, extra bits, sign, [(word, exps, c)])] by leg set and grade."""
-        groups: dict[tuple, list] = {}
-        for (g, legs, exps), c in X.items():
-            word = sum(map(mul, exps, units))
-            if tags:
-                word, c = word + (c << top), 1
-            groups.setdefault((legs, g), []).append((word, exps, c))
-        return [(_mask(legs), g, 0 if rows is not None else g << top, 1, monos)
-                for (legs, g), monos in groups.items()]
-
-    def d_x(X, v):
-        """d/dx_v: the monomials with e_v > 0, lowered and times e_v."""
-        return [(m, g, x, s, lowered) for m, g, x, s, monos in X
-                if (lowered := [(word - units[v], exps, c * exps[v])
-                                for word, exps, c in monos if exps[v]])]
-
-    W, sums = packed(W, False), {}
-    V = W if twice else packed(V, rows is not None)
-
-    def product(A, B):
-        """Add the product A B, leg sets of A before those of B."""
-        for mA, gA, xA, sA, a_monos in A:
-            for mB, gB, xB, sB, b_monos in B:
-                if mA & mB or gA + gB > limit:
-                    continue
-                s, off = sA * sB * _merge_sign(mA, mB), ((mA | mB) << low) + xA + xB
-                for wa, _, c in a_monos:
-                    base, sc = wa + off, s * c
-                    for wb, _, d in b_monos:
-                        key = base + wb
-                        sums[key] = sums.get(key, 0) + sc * d
-
-    for v in range(n):
-        bit = 1 << v
-        # xi_v taken off the right of each leg set of W and off the left of
-        # V's; the minus of the second product rides on d^L_{xi_v} V, and the
-        # 2 of a self-bracket on d^R_{xi_v} W
-        product([(m ^ bit, g, x, (2 if twice else 1) * _merge_sign(m ^ bit, bit), monos)
-                 for m, g, x, _, monos in W if m & bit], d_x(V, v))
-        if not twice:
-            product(d_x(W, v), [(m ^ bit, g, x, -_merge_sign(bit, m ^ bit), monos)
-                                for m, g, x, _, monos in V if m & bit])
-
-    field, shifts = (1 << width) - 1, range(0, low, width)
+    units, low, top = [1 << (width * v) for v in range(n)], n * width, n * width + n
+    W = _pack(W, units)
+    sums = _products(W, W if twice else _pack(V, units, None if rows is None else top),
+                     n, width, limit, rows is None)
     if rows is None:
-        sums = {key: c for key, c in sums.items() if c}
-        legs_of = (1 << n) - 1
-        legs = {m: _legs(m) for m in {key >> low & legs_of for key in sums}}
-        return {((key >> top) - 1, legs[key >> low & legs_of],
-                 tuple((key >> s) & field for s in shifts)): c for key, c in sums.items()}
+        return _decode(sums, n, width)
     # group by monomial, so each exponent vector and leg mask is decoded once
     monomial = (1 << top) - 1
     grouped: dict[int, dict] = {}
@@ -515,8 +467,105 @@ def _schouten_sums(W: dict, V: dict, weights: tuple, max_grade, rows=None):
             grouped.setdefault(key & monomial, {})[key >> top] = c
     if not rows:
         return list(grouped.values())
-    legs = functools.cache(_legs)
+    legs, field, shifts = functools.cache(_legs), (1 << width) - 1, range(0, low, width)
     return grouped, lambda key: (legs(key >> low), tuple((key >> s) & field for s in shifts))
+
+
+def _pack(X: dict, units: list, tags_at: int | None = None) -> list:
+    """X as ``[(mask, grade, [(word, c)])]``, or with each value a tag at bit ``tags_at``."""
+    groups: dict[tuple, list] = {}
+    for (g, legs, exps), c in X.items():
+        word = sum(map(mul, exps, units))
+        groups.setdefault((legs, g), []).append(
+            (word, c) if tags_at is None else (word + (c << tags_at), 1))
+    return [(_mask(legs), g, monos) for (legs, g), monos in groups.items()]
+
+
+def _products(W: list, V: list, n: int, width: int, limit, graded: bool) -> dict:
+    """The sums, zeros kept, of the 2n products of the module docstring on packed
+    operands, V being W for a self-bracket.  A derivative keeps its monomial's
+    grade, and a pair with g + h > ``limit`` is skipped unmultiplied."""
+    twice, low = W is V, n * width
+    field, gbit = (1 << width) - 1, 1 << (low + n) if graded else 0
+    sums: dict[int, int] = {}
+
+    def product(A, B):
+        """Add the product A B, leg sets of A before those of B."""
+        for mA, gA, xA, sA, a_monos in A:
+            for mB, gB, xB, sB, b_monos in B:
+                if mA & mB or gA + gB > limit:
+                    continue
+                s, off = sA * sB * _merge_sign(mA, mB), ((mA | mB) << low) + xA + xB
+                for wa, c in a_monos:
+                    base, sc = wa + off, s * c
+                    for wb, d in b_monos:
+                        key = base + wb
+                        sums[key] = sums.get(key, 0) + sc * d
+
+    def d_x(X, v):
+        """d/dx_v: the monomials with e_v > 0, lowered and times e_v."""
+        shift = width * v
+        unit, bits = 1 << shift, field << shift
+        return [(m, g, g * gbit, 1, lowered) for m, g, monos in X
+                if (lowered := [(word - unit, c * (e >> shift)) for word, c in monos
+                                if (e := word & bits)])]
+
+    for v in range(n):
+        bit = 1 << v
+        # xi_v taken off the right of each leg set of W and off the left of
+        # V's; the minus of the second product rides on d^L_{xi_v} V, and the
+        # 2 of a self-bracket on d^R_{xi_v} W
+        product([(m ^ bit, g, g * gbit, (2 if twice else 1) * _merge_sign(m ^ bit, bit), monos)
+                 for m, g, monos in W if m & bit], d_x(V, v))
+        if not twice:
+            product(d_x(W, v), [(m ^ bit, g, g * gbit, -_merge_sign(bit, m ^ bit), monos)
+                                  for m, g, monos in V if m & bit])
+    return sums
+
+
+def _decode(sums: dict, n: int, width: int) -> dict:
+    """Graded sums ``{key: c}`` as ``{(grade, legs, exps): c}``, zeros dropped."""
+    low, field, legs_of = n * width, (1 << width) - 1, (1 << n) - 1
+    shifts = range(0, low, width)
+    sums = {key: c for key, c in sums.items() if c}
+    legs = {m: _legs(m) for m in {key >> low & legs_of for key in sums}}
+    return {((key >> (low + n)) - 1, legs[key >> low & legs_of],
+             tuple((key >> s) & field for s in shifts)): c for key, c in sums.items()}
+
+
+def _ad_series(X: PolyMVF, u: PolyMVF, max_grade: int) -> PolyMVF:
+    """sum_k ad_X^k(u)/k! up to grade ``max_grade``, for X of least grade >= 2.
+
+    Step k brackets step k - 1's packed sums into T_k = ad_X^k(u) den_u den_X^k.
+    Over den_u den_X^k k!, the terms 1..k sum to acc_k = acc_(k-1) den_X k + T_k,
+    which is decoded once and added to u.  A step raises the least grade by
+    least_X - 1 or more, so at most s = (max_grade - least_u) // (least_X - 1)
+    + 1 steps are taken, and a field of a word holds deg u + s deg X.
+    """
+    limit, least_u = max_grade + 1, u.min_grade()
+    X_ints = {} if least_u is None else {key: c for key, c in X._ints.items()
+                                         if key[0] + least_u <= limit}
+    if not X_ints:
+        return u
+    n, steps = u.nvars, (max_grade - least_u) // (min(g for g, _, _ in X_ints) - 1) + 1
+    deg_u, deg_X = (max(map(sum, map(itemgetter(2), ints))) for ints in (u._ints, X_ints))
+    width = max(deg_u + steps * deg_X, 1).bit_length()
+    units, low = [1 << (width * v) for v in range(n)], n * width
+    word_bits = (1 << low) - 1
+    Xp, T, acc, N = _pack(X_ints, units), _pack(u._ints, units), {}, 0
+    while T:
+        least_T, groups = min(g for _, g, _ in T), {}
+        sums = _products([x for x in Xp if x[1] + least_T <= limit], T, n, width, limit, True)
+        for key, c in sums.items():
+            if c:
+                groups.setdefault(key >> low, []).append((key & word_bits, c))
+        if T := [(k & (1 << n) - 1, (k >> n) - 1, monos) for k, monos in groups.items()]:
+            N += 1
+            acc = {key: c * X.den * N for key, c in acc.items()}
+            for key, c in sums.items():
+                acc[key] = acc.get(key, 0) + c
+    return u + PolyMVF._raw(u.nvars, u.grade, _decode(acc, n, width), u.weights,
+                            u.den * X.den ** N * math.factorial(N))
 
 
 def grade_component(W: PolyMVF, l: int) -> GradedPiece:

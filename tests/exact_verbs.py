@@ -9,8 +9,11 @@ exit code: a success and an input error per verb, for ``check`` and
 not Poisson, so its witness [pi, pi] is the self-bracket the Schouten
 kernel forms once and doubles, for ``cohomology`` the su3
 table at grade 2 up to degree 3, whose last degree is certified on the
-columns off the pivot rows of the degree before, and for ``prolong`` the
-obstructed README jet, which takes the witness path of the exact solver.
+columns off the pivot rows of the degree before, for ``linearize`` a
+nonlinear so3 jet that takes three gauge rounds, so that ``ad_exp``'s packed
+Lie series, ``bch`` and the solved rounds of ``homotopy_solve`` run, and for
+``prolong`` the obstructed README jet, which takes the witness path of the
+exact solver.
 Every run but an input error comes once in text and once with ``--format
 json``, so both renderings of each report are built.  ``test_package`` runs
 each group in a fresh interpreter.  Run as a script, with ``src`` on
@@ -27,8 +30,9 @@ elimination skips the rows that unit pivot rows settle, and its certificate
 the rows off the kernel's support), the Betti numbers ``[1, 4, 5, 2]``, that
 the reader refuses a ``bool``, a NaN and, when ``positive``, a value <= 0,
 that the solution and the kernel vector satisfy the system exactly, the
-rank 2, the jet's JSON witness ``2*x3^2`` at ``d1^d2^d3``, and that NumPy
-was never imported:
+rank 2, the jet's JSON witness ``2*x3^2`` at ``d1^d2^d3``, the so3 jet's 3
+rounds and its gauge field ``SO3_JET_GAUGE``, and that NumPy was never
+imported:
 
     PYTHONPATH=src python tests/exact_verbs.py
 """
@@ -49,6 +53,12 @@ INPUTS = {
             "terms": [{"indices": [1, 2], "poly": "x3"}, {"indices": [1, 3], "poly": "x1*x3"}]},
     "vf": {"nvars": 3, "grade": 1, "terms": [{"indices": [1], "poly": "x2"}]},
     "heis": {"dim": 3, "C": [{"i": 1, "j": 2, "k": 3, "value": "1"}]},
+    # ad_exp(x2^2 d1 + x1*x2 d3, pi_so3, 4): three gauge rounds, each one an ad_exp
+    "so3_jet": {"nvars": 3, "weights": [1, 1, 1], "grade": 2, "terms": [
+        {"indices": [1, 2], "poly": "1/2*x2^3 + x1*x2 + x3"},
+        {"indices": [1, 3],
+         "poly": "-2*x1*x2^3 - x1^2*x2 - 2*x2^3 - 3/2*x2^2*x3 - 2*x1*x2 - x1*x3 - x2"},
+        {"indices": [2, 3], "poly": "1/2*x2^4 + x1*x2^2 + x2^2 + x2*x3 + x1"}]},
     "huge_field": {"nvars": 10**30, "grade": 2, "terms": []},
     "huge_table": {"dim": 10**30, "C": []},
     # as text, since json.dump cannot write an integer past int()'s digit limit
@@ -65,10 +75,17 @@ RUNS = {
                    (["cohomology", "su3.json", "--grade", "2", "--max-degree", "3"], 0),
                    (["cohomology", "so3.json", "--grade", "-1"], 2)],
     "linearize": [(["linearize", "so3.json", "--truncate", "4"], 0),
+                  (["linearize", "so3_jet.json", "--truncate", "4"], 0),
                   (["linearize", "so3.json", "--base-degree-cap", "-1"], 2)],
     "prolong": [(["prolong", "jet.json", "--weights", "0,0,1"], 1), (["prolong", "so3.json"], 0),
                 (["prolong", "jet.json", "--grade", "-1"], 2)],
 }
+# the gauge field of ``linearize so3_jet.json --truncate 4``
+SO3_JET_GAUGE = {"nvars": 3, "weights": [1, 1, 1], "grade": 1, "terms": [
+    {"indices": [1], "poly": "x1^2*x2*x3 + 1/2*x1^2*x3^2 - 1/4*x2^4 + 1/2*x2^3*x3"
+                             " + 3/4*x2^2*x3^2 + 1/2*x1*x2^2 + x1*x2*x3 + x2^2 + x2*x3"},
+    {"indices": [2], "poly": "-x1*x2^2*x3 - x1*x2*x3^2 - x1^2*x3 - 1/2*x2^2*x3"},
+    {"indices": [3], "poly": "-1/2*x2^2*x3"}]}
 for _runs in RUNS.values():
     _runs += [(argv + ["--format", "json"], code) for argv, code in _runs if code != 2]
 
@@ -142,13 +159,17 @@ def main() -> None:
     su3 = json.loads(printed[("cohomology", "su3.json", "--grade", "2", "--max-degree", "3",
                               "--format", "json")])
     assert [row["betti"] for row in su3["rows"]] == [1, 0, 0, 1], su3
+    argv = ("linearize", "so3_jet.json", "--truncate", "4", "--format", "json")
+    gauge = json.loads(printed[argv])
+    assert (gauge["rounds"], gauge["X"]) == (3, SO3_JET_GAUGE), gauge
     betti = [row["betti"] for row in json.loads(out.getvalue())["rows"]]
     assert (code, betti) == (0, [1, 4, 5, 2]), (code, betti)
     check_real_reader()
     check_dense_solve()
     assert "numpy" not in sys.modules
-    print("exact verbs: exit codes, JSON reports, so3 Casimirs, jet witness, su3 and Heisenberg "
-          "Betti numbers, real reader, dense rational solve and NumPy-free start-up as expected")
+    print("exact verbs: exit codes, JSON reports, so3 Casimirs, jet witness, so3 jet gauge, "
+          "su3 and Heisenberg Betti numbers, real reader, dense rational solve and NumPy-free "
+          "start-up as expected")
 
 
 if __name__ == "__main__":

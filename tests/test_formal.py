@@ -10,13 +10,16 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from poissonforge import (PolyMVF, ad_exp, bch, formal_linearize,
+from poissonforge import (Poly, PolyMVF, ad_exp, bch, formal_linearize,
                           grade_component, homotopy_solve, linear_poisson,
                           mc_equivalence, order_of, preset, prolong_step,
                           schouten, truncate_jet)
-from poissonforge import formal, polyalg
+from poissonforge import formal, multivector, polyalg
 from poissonforge.formal import FilteredJet
+from poissonforge.liealg import LieAlgebraSpec
 from poissonforge.multivector import _grade
 from poissonforge.poisson import _bracket_rows, graded_basis
 from poissonforge.polyalg import parse_poly
@@ -121,6 +124,88 @@ def test_ad_exp_reads_the_exponent_one_grade_past_a_constant_part():
     # a 2-jet of X does not know that part
     with pytest.raises(ValueError, match="a jet of order 2 cannot stand for one of order 3"):
         ad_exp(FilteredJet(X, 2), u, 2)
+
+
+def _outcome(f):
+    """``f()``, or the type of the exception it raises."""
+    try:
+        return f()
+    except Exception as e:  # the type of any exception is the outcome
+        return type(e)
+
+
+def _series_reference(X, u, D):
+    """sum_n ad_X^n(u)/n! from public brackets, each bounded by D; X is read to
+    grade D + 1 where u has a grade-0 part, as ``ad_exp`` reads it."""
+    u = truncate_jet(u, D)
+    X = truncate_jet(X, D if grade_component(u, 0).value.is_zero() else D + 1)
+    acc = term = u
+    for n in range(1, 4 * D + 9):
+        term = schouten(X, term, max_grade=D) * Fraction(1, n)
+        if term.is_zero():
+            return acc
+        acc = acc + term
+    raise RuntimeError("the series did not end")
+
+
+@st.composite
+def _series_cases(draw):
+    """(X, u, D): n = 1-4, weights in {0,1}^n, D = 0-5, u of degree 0-3 and grades
+    0..D, X a vector field of grades 2..D+1.  Either may be zero, and an X whose
+    grades all lie above D + 1 - (u's least grade) is emptied by the bound."""
+    n = draw(st.integers(1, 4))
+    weights = tuple(draw(st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n)))
+    D = draw(st.integers(0, 5))
+    exps = st.tuples(*[st.integers(0, 3)] * n)
+    coeffs = st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 4))
+
+    def field(degree, grades):
+        leg_sets = list(itertools.combinations(range(1, n + 1), degree))
+        monos = draw(st.dictionaries(st.tuples(st.sampled_from(leg_sets), exps), coeffs,
+                                     max_size=5))
+        terms = {}
+        for (legs, e), c in monos.items():
+            terms.setdefault(legs, {})[e] = c
+        W = PolyMVF(n, degree, {legs: Poly(n, t) for legs, t in terms.items()}, weights)
+        pieces = [p for g, p in W.graded_pieces().items() if g in grades]
+        return sum(pieces, PolyMVF.zero(n, degree, weights))
+
+    u = field(draw(st.integers(0, min(3, n))), range(D + 1))
+    return field(1, range(2, D + 2)), u, D
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_series_cases())
+def test_ad_exp_is_the_series_of_public_brackets(case):
+    # the series runs on the kernel's packed groups: X is packed once, and
+    # each step brackets the groups of the step before
+    X, u, D = case
+    with mock.patch.object(multivector, "_pack", wraps=multivector._pack) as pack:
+        got = _outcome(lambda: ad_exp(X, u, D).value)
+    assert got == _outcome(lambda: _series_reference(X, u, D))
+    assert pack.call_count in (0, 2)  # X and u, or neither when the series is u
+
+
+def test_a_long_series_packs_its_exponent_once(pi_so3):
+    # ad_X^k(pi) for a grade-2 X reaches grade 5 in five steps
+    X = PolyMVF(3, 1, {(1,): parse_poly("x2^2", 3), (3,): parse_poly("x1*x2 - x3^2", 3)})
+    with mock.patch.object(multivector, "_pack", wraps=multivector._pack) as pack, \
+            mock.patch.object(multivector, "_products", wraps=multivector._products) as steps, \
+            mock.patch.object(multivector, "_schouten_sums") as bracket:
+        got = ad_exp(X, pi_so3, 5).value
+    assert got == _series_reference(X, pi_so3, 5)
+    assert sorted(len(next(iter(call.args[0]))[1]) for call in pack.call_args_list) == [1, 2]
+    assert steps.call_count >= 4 and bracket.call_count == 0
+
+
+def test_packed_series_fields_hold_every_step():
+    # x1 is a base variable, so its degree grows by 2 in each of five steps
+    # while the grade grows by 1: the fields must hold deg u + 5 deg X
+    X = PolyMVF(2, 1, {(1,): parse_poly("x1^3*x2", 2)}, (0, 1))
+    u = PolyMVF.from_function(parse_poly("x1^3", 2), (0, 1))
+    assert ad_exp(X, u, 5).value == _series_reference(X, u, 5) == PolyMVF.from_function(
+        parse_poly("693/8*x1^13*x2^5 + 315/8*x1^11*x2^4 + 35/2*x1^9*x2^3 + 15/2*x1^7*x2^2"
+                   " + 3*x1^5*x2 + x1^3", 2), (0, 1))
 
 
 def test_gauge_of_a_field_with_a_constant_part():
@@ -250,6 +335,64 @@ def test_homotopy_solve_rejects_non_cocycle(pi_so3):
     Z = grade_component(PolyMVF(3, 2, {(1, 2): parse_poly("x1^2", 3)}), 2)
     with pytest.raises(ValueError):
         homotopy_solve(pi_so3, Z)
+
+
+def _check_then_solve(pi_lin, Z, base_degree_cap=8):
+    """``homotopy_solve`` with the cocycle check before the solve: status and X."""
+    if Z.value.is_zero():
+        return "solved", PolyMVF.zero(pi_lin.nvars, 1, pi_lin.weights)
+    if Z.value.grade != 2:
+        raise ValueError("right-hand side must be a bivector")
+    if not schouten(pi_lin, Z.value).is_zero():
+        raise ValueError("right-hand side is not a cocycle")
+    basis = graded_basis(pi_lin.nvars, 1, Z.l, pi_lin.weights, base_degree_cap)
+    sol, _ = formal._solve_bracket_equation(pi_lin, Z.value, basis)
+    return ("obstructed", None) if sol is None else ("solved", sol)
+
+
+_COCYCLE_ALGEBRAS = {
+    "so3": preset("so3"), "sl2": preset("sl2"), "su2": preset("su2"),
+    "heisenberg": LieAlgebraSpec(3, {(1, 2, 3): 1}),
+    "affine": LieAlgebraSpec(2, {(1, 2, 1): 1}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_COCYCLE_ALGEBRAS))
+def test_homotopy_solve_matches_the_check_first_order(name):
+    # the solve comes first: a solved round is certified, so [pi, X] = Z, and
+    # then [pi, Z] = 1/2 [[pi, pi], X] = 0 for Poisson pi; only a failed solve
+    # forms [pi, Z], to tell a non-cocycle (ValueError) from an obstruction
+    pi = linear_poisson(_COCYCLE_ALGEBRAS[name])
+    n, rng, seen = pi.nvars, random.Random(f"cocycle-{name}"), set()
+    for _ in range(12):
+        q = rng.randint(1, 3)
+        if rng.random() < 0.5:
+            Z = grade_component(schouten(pi, rand_homogeneous_vf(rng, n, q)), q)
+        else:
+            Z = grade_component(rand_mvf(rng, n, 2, max_deg=q, nterms=3), q)
+        want = _outcome(lambda: _check_then_solve(pi, Z))
+        with mock.patch.object(formal, "schouten", wraps=formal.schouten) as bracket:
+            res = _outcome(lambda: homotopy_solve(pi, Z))
+        if isinstance(want, type):
+            assert res is want
+        else:
+            assert (res.status, res.X and res.X.value) == want
+            if res.status == "solved":
+                assert bracket.call_count == 0
+        seen.add(want if isinstance(want, type) else want[0])
+    # on the plane every bivector is a cocycle: no 3-vector is nonzero there
+    assert seen >= ({"solved"} if n == 2 else {"solved", ValueError})
+
+
+def test_homotopy_solve_solves_a_non_cocycle_of_a_non_poisson_pi():
+    # with [pi, pi] != 0 the image of [pi, .] holds non-cocycles: the solve
+    # comes first, so such a Z gets its exact solution, not a ValueError
+    pi = _broken_linear_bivector()
+    X = PolyMVF(3, 1, {(1,): parse_poly("x1^2", 3)})
+    Z = grade_component(schouten(pi, X), 2)
+    assert Z.value == schouten(pi, X) and not schouten(pi, Z.value).is_zero()
+    res = homotopy_solve(pi, Z)
+    assert res.status == "solved" and schouten(pi, res.X.value) == Z.value
 
 
 def test_mc_equivalence_constructed_pair(pi_so3):

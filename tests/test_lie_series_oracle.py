@@ -13,13 +13,17 @@ monomials above the bound dropped after each product; the package builds the
 inputs and its results are read only through ``.terms``.
 """
 
+import importlib.util
 import itertools
+import os
+import sys
 
+import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poissonforge import Poly, PolyMVF, ad_exp, bch, formal_linearize
+from poissonforge import Poly, PolyMVF, ad_exp, bch, formal_linearize, linear_poisson, preset
 
 
 def _sym(poly, xs) -> sympy.Poly:
@@ -171,6 +175,36 @@ def test_linearizing_gauge_carries_pi_to_its_linear_part():
     pi_lin = PolyMVF(3, 2, {idx: Poly(3, {e: s}) for idx, (e, s) in so3.items()})
     pi = PolyMVF(3, 2, {idx: Poly(3, {tuple(a + b for a, b in zip(e, f)): s for f in one_plus_c})
                         for idx, (e, s) in so3.items()})
+    sol = formal_linearize(pi, D)
+    assert sol.status == "equivalent" and sol.X.value.terms
+    _assert_carries(sol.X.value, pi, pi_lin, D)
+
+
+def _load_workloads():
+    """bench/workloads.py, loaded by path: the benchmark's seeded inputs."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # for its dataclass
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+_WORKLOADS = _load_workloads()
+_GAUGE_CORPUS = [entry for entry in _WORKLOADS._gauge_corpus() if set(entry[2].weights) == {1}]
+
+
+def test_the_gauge_corpus_has_sixteen_all_ones_entries():
+    assert len(_GAUGE_CORPUS) == 16
+
+
+@pytest.mark.parametrize("name, deg, X0", _GAUGE_CORPUS, ids=[
+    f"{name}-d{deg}-{k}" for k, (name, deg, _) in enumerate(_GAUGE_CORPUS)])
+def test_gauge_corpus_gauges_carry_pi_to_its_linear_part(name, deg, X0):
+    # each linearize case of the gauge benchmark, before its seeded reflection:
+    # the gauge that formal_linearize returns is a change of coordinates
+    D = _WORKLOADS.GAUGE_D
+    pi_lin = linear_poisson(preset(name))
+    pi = ad_exp(X0, pi_lin, D).value
     sol = formal_linearize(pi, D)
     assert sol.status == "equivalent" and sol.X.value.terms
     _assert_carries(sol.X.value, pi, pi_lin, D)
