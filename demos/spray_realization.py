@@ -8,8 +8,7 @@ base projection is a Poisson map.
 
 import numpy as np
 
-from poissonforge import (SprayField, linear_poisson, preset,
-                          realization_form, verify_realization)
+from poissonforge import linear_poisson, preset, realization_form, verify_realization
 
 pi = linear_poisson(preset("so3"))
 
@@ -29,7 +28,6 @@ expected = np.block([[np.zeros((3, 3)), np.eye(3)], [-np.eye(3), P]])
 print("zero-section deviation :",
       f"{np.abs(Om - expected).max():.3e}")
 
-# the spray itself: xdot_j = sum_i pi_ij(x) y_i, with y frozen
-spray = SprayField(pi)
-y = np.array([[0.2, -0.1, 0.3]])
-print("spray at x:", spray(x[None, :], y)[0])
+# the spray's base part: xdot_j = sum_i pi_ij(x) y_i, with y frozen
+y = np.array([0.2, -0.1, 0.3])
+print("spray at x:", y @ P)

@@ -170,10 +170,12 @@ def _solve_bracket_equation(pi: PolyMVF, rhs: PolyMVF, unknown_basis,
     over ``rhs.den``: times ``den * rhs.den`` the equation is all-int, rows
     times ``rhs.den`` and rhs's integers times ``den``, and the witness of
     that system, times ``den * rhs.den``, is the witness of the equation.
+    The rows' packed keys are decoded as they are scaled, and the system's
+    rows are the (legs, exps) monomials in sorted order.
     """
-    den, rows = _bracket_rows(pi, unknown_basis, True, restrict_grade)
-    if rhs.den != 1:
-        rows = {key: {col: v * rhs.den for col, v in row.items()} for key, row in rows.items()}
+    den, packed, decode = _bracket_rows(pi, unknown_basis, restrict_grade)
+    rows = {decode(key): row if rhs.den == 1 else {col: v * rhs.den for col, v in row.items()}
+            for key, row in packed.items()}
     b = {(legs, exps): c * den for (_, legs, exps), c in rhs._ints.items()}
     keys = sorted(rows.keys() | b.keys())
     A = _Rows(rows.get(key, {}) for key in keys)
@@ -192,9 +194,11 @@ def homotopy_solve(pi_lin: PolyMVF, Z: GradedPiece, base_degree_cap: int = 8) ->
     Poisson pi_lin [pi_lin, Z] = 1/2 [[pi_lin, pi_lin], X] = 0 and the cocycle
     bracket is formed only when the solve fails: a non-cocycle Z raises
     ValueError, a cocycle is obstructed.  A non-Poisson pi_lin whose image
-    holds a non-cocycle Z therefore gets that Z's exact solution.
+    holds a non-cocycle Z therefore gets that Z's exact solution.  A Z whose
+    variable count or weights differ from pi_lin's raises ValueError first.
     """
     base_degree_cap = _as_int(base_degree_cap, "base_degree_cap", 0)
+    pi_lin._check(Z.value)
     if Z.value.is_zero():
         zero = GradedPiece(Z.l, PolyMVF.zero(pi_lin.nvars, 1, pi_lin.weights))
         return HomotopyResult("solved", zero, None, None)

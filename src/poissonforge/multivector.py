@@ -49,7 +49,8 @@ int (Monagan & Pearce, CASC 2007); its sums stay in ``int`` and build no
 ``Fraction``.  Under a grade bound it drops, before packing, each monomial
 whose grade plus the other operand's least grade exceeds the bound plus 1.
 It and ``wedge`` hold a leg set as an n-bit mask, leg i at bit i - 1, and
-read each sign off bit counts (``_merge_sign``).
+read each sign off bit counts (``_merge_sign``).  ``_schouten_sums`` decodes
+a field, or keeps ``poisson._bracket_rows``' rows keyed by packed int.
 
 As in ``polyalg``, data is validated where it enters: the public
 ``PolyMVF(...)`` constructor and ``PolyMVF.from_json_obj`` check leg tuples,
@@ -432,17 +433,17 @@ def schouten(W: PolyMVF, V: PolyMVF, max_grade: int | None = None) -> PolyMVF:
 # in a next bracket's operand, or each basis monomial's column tag for
 # ``poisson._bracket_rows`` (and none for pi), above any field.
 
-def _schouten_sums(W: dict, V: dict, weights: tuple, max_grade, rows=None):
+def _schouten_sums(W: dict, V: dict, weights: tuple, max_grade, rows=False):
     """The bracket of integer operands: packed, one ``_products`` step, decoded.
 
-    With ``rows`` None it is ``{(grade, legs, exps): c}``, nonzero, over the
-    product of the operands' denominators.  Otherwise V's values are column
-    tags of monomials with coefficient 1, and it is ``({key: {tag: c}},
-    decode)``, ``decode`` turning a packed key into its (legs, exps), or with
-    ``rows`` False the list of those rows, in order.  Under ``max_grade``, a
-    monomial that joins only pairs above it is dropped before packing.
+    It is ``{(grade, legs, exps): c}``, nonzero, over the product of the
+    operands' denominators.  With ``rows``, V's values are column tags of
+    monomials with coefficient 1, and it is ``({key: {tag: c}}, decode)``:
+    the rows of the bracket matrix keyed by packed int, and ``decode``
+    turning a key into its (legs, exps).  Under ``max_grade``, a monomial
+    that joins only pairs above it is dropped before packing.
     """
-    twice = W is V and rows is None  # a self-bracket, as in the module docstring
+    twice = W is V and not rows  # a self-bracket, as in the module docstring
     if twice and (not W or len(next(iter(W))[1]) % 2):
         return {}
     n = len(weights)
@@ -455,9 +456,9 @@ def _schouten_sums(W: dict, V: dict, weights: tuple, max_grade, rows=None):
     width = max(sum(degree), 1).bit_length()
     units, low, top = [1 << (width * v) for v in range(n)], n * width, n * width + n
     W = _pack(W, units)
-    sums = _products(W, W if twice else _pack(V, units, None if rows is None else top),
-                     n, width, limit, rows is None)
-    if rows is None:
+    sums = _products(W, W if twice else _pack(V, units, top if rows else None),
+                     n, width, limit, not rows)
+    if not rows:
         return _decode(sums, n, width)
     # group by monomial, so each exponent vector and leg mask is decoded once
     monomial = (1 << top) - 1
@@ -465,8 +466,6 @@ def _schouten_sums(W: dict, V: dict, weights: tuple, max_grade, rows=None):
     for key, c in sums.items():
         if c:
             grouped.setdefault(key & monomial, {})[key >> top] = c
-    if not rows:
-        return list(grouped.values())
     legs, field, shifts = functools.cache(_legs), (1 << width) - 1, range(0, low, width)
     return grouped, lambda key: (legs(key >> low), tuple((key >> s) & field for s in shifts))
 

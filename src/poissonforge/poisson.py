@@ -6,7 +6,9 @@ structure.
 
 ``graded_basis`` and ``_bracket_rows`` are the one assembly of the operator
 ``[pi, .]`` on a graded monomial basis; Casimir bases, cohomology ranks and
-the homotopy solves of ``formal`` all build their matrices through them.
+the homotopy solves of ``formal`` all build their matrices through them, in
+one form: integer rows keyed by the kernel's packed ints, beside a
+``decode`` for the keys a caller names.
 """
 
 from __future__ import annotations
@@ -175,16 +177,13 @@ def _graded_bases(n: int, ks, l: int, weights: tuple, base_degree_cap: int) -> l
     return bases
 
 
-def _bracket_rows(pi: PolyMVF, basis, keyed: bool, max_grade: int | None = None,
-                  packed: bool = False):
-    """The matrix of [pi, .] on a monomial basis, as ``(den, rows)``.
+def _bracket_rows(pi: PolyMVF, basis, max_grade: int | None = None):
+    """The matrix of [pi, .] on a monomial basis, as ``(den, rows, decode)``.
 
     The matrix is ``rows / den``: ``den`` is pi's denominator and ``rows``
-    holds sparse rows of nonzero ``int``s.  Column c is the basis element
-    ``basis[c] = (legs, exps)``; rows are keyed by the (legs, exps)
-    monomials of the brackets, or with ``keyed`` false are the list of their
-    values, in order; with ``packed`` too they are ``(rows, decode)``, keyed by
-    the kernel's packed ints, which ``decode`` turns into monomials.  The basis
+    holds sparse rows ``{col: int}`` of nonzero ``int``s, keyed by the
+    kernel's packed ints, which ``decode`` turns into (legs, exps) monomials.
+    Column c is the basis element ``basis[c] = (legs, exps)``.  The basis
     is trusted to come from ``graded_basis``: distinct elements, increasing
     legs in 1..n, exponent vectors of length n.
     With ``max_grade`` set, only the rows of grade at most ``max_grade`` are
@@ -198,11 +197,7 @@ def _bracket_rows(pi: PolyMVF, basis, keyed: bool, max_grade: int | None = None,
     weights = pi.weights
     cols = {(0 if max_grade is None else _grade(weights, legs, exps), legs, exps): col
             for col, (legs, exps) in enumerate(basis)}
-    rows = _schouten_sums(pi._ints, cols, weights, max_grade, keyed)
-    if keyed and not packed:
-        rows, decode = rows
-        rows = {decode(key): row for key, row in rows.items()}
-    return pi.den, rows
+    return (pi.den, *_schouten_sums(pi._ints, cols, weights, max_grade, True))
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +214,7 @@ def casimir_basis(pi: PolyMVF, D: int) -> list[Poly]:
     # [pi, f] = -pi#(df); columns by degree and descending-lex within a
     # degree fix the published normalisation of each RREF kernel vector
     monos = [mono for d in range(D + 1) for mono in graded_basis(n, 0, d, [1] * n)[::-1]]
-    A = _Rows(_bracket_rows(pi, monos, False)[1])
+    A = _Rows(_bracket_rows(pi, monos)[1].values())
     out = solve_linear_exact(A, [0] * len(A), ncols=len(monos))
     return [Poly._raw(n, {m: v for (_, m), v in zip(monos, vec) if v})
             for vec in out.kernel_basis]
@@ -265,7 +260,7 @@ def cohomology_dims(pi_lin: PolyMVF, l: int, kmax: int) -> CohomologyTable:
     bases = _graded_bases(pi_lin.nvars, degrees, l, pi_lin.weights, 0)
     dims = [len(basis) for basis in bases]
     ranks = _complex_ranks(lambda k, skip: _bracket_rows(
-        pi_lin, [b for b in bases[k] if b not in skip], True, packed=True)[1], dims)
+        pi_lin, [b for b in bases[k] if b not in skip])[1:], dims)
     dim_cochains, rank_d = dict(zip(degrees, dims)), dict(zip(degrees, ranks))
     betti = {k: dim_cochains[k] - rank_d[k] - rank_d.get(k - 1, 0) for k in degrees}
     return CohomologyTable(l, degrees, dim_cochains, rank_d, betti)

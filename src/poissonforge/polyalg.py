@@ -683,8 +683,10 @@ def _complex_ranks(rows_of, ncols: list) -> list:
     d_k maps C^k, of dimension ``ncols[k]``, to C^{k+1}, and the caller
     guarantees d_{k+1} d_k = 0.  ``rows_of(k, skip) -> (rows by key, decode)``
     gives the rows of d_k on the columns of the C^k basis without the
-    elements in ``skip``, numbered in order; ``decode`` names the C^{k+1}
-    basis element of a key, and is called only on pivot rows' keys, none at the last k.
+    elements in ``skip``, numbered in order, as ``poisson._bracket_rows``
+    gives them beside its denominator; ``decode`` names the C^{k+1} basis
+    element of a key, and is called only on pivot rows' keys, none at the
+    last k.
 
     Each d_k is built without the set P of C^k elements whose rows of d_{k-1}
     yielded the pivots modulo the first prime p.  Those rows are independent

@@ -74,8 +74,8 @@ class SprayField:
 
     `pi` and its n partial derivatives are compiled once into the m
     monomials they use and a float coefficient table `_coef` of shape
-    (m, n+1, n, n): slot 0 holds pi_ij, slot k holds d(pi_ij)/dx_k.  Every
-    evaluation reads that table; the integrator reads it as the stage table
+    (m, n+1, n, n): slot 0 holds pi_ij, slot k holds d(pi_ij)/dx_k.  The
+    integrator reads that table as the stage table
     `_stage`, (n + 2n^2, (n+1) m), columns (i, monomial) weighted by y_i for
     i < n and by 1 for i = n.  Its rows give xdot_j = sum_i y_i pi_ij, then
     G = [M | P^T] with M[j, k] = sum_i y_i d(pi_ij)/dx_k and P^T[j, c] = pi_cj.
@@ -133,16 +133,6 @@ class SprayField:
         for rows, parents, v in self._levels:
             np.multiply(L[parents], xt[v], out=L[rows])
         return L.take(self._take, axis=0, out=out, mode="clip")   # "raise" buffers out
-
-    def pi_matrix(self, x: np.ndarray) -> np.ndarray:
-        """Shape (..., n, n): the matrix pi_ij(x)."""
-        V = self._monomials(np.moveaxis(np.asarray(x, dtype=float), -1, 0))
-        return np.tensordot(V, self._coef[:, 0], axes=(0, 0))
-
-    def __call__(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Horizontal part of V: (dx/dt)_j = sum_i pi_ij(x) y_i."""
-        P = self.pi_matrix(x)
-        return np.einsum("...ij,...i->...j", P, y)
 
 
 def _rhs(spray: SprayField, x, xt, Jt, xdot, Jdot, JdotP, work):

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from poissonforge import PolyMVF, linear_poisson, preset
+from poissonforge.poisson import _bracket_rows
 from poissonforge.polyalg import Poly
 
 
@@ -38,6 +39,12 @@ def rand_mvf(rng, nvars, grade, max_deg=2, nterms=2):
             terms[idx] = rand_poly(rng, nvars, max_deg, nterms)
     return PolyMVF(nvars, grade, {k: v for k, v in terms.items()
                                   if not v.is_zero()})
+
+
+def decoded_rows(pi, basis, max_grade=None):
+    """``poisson._bracket_rows`` with its packed row keys decoded, as ``(den, rows)``."""
+    den, rows, decode = _bracket_rows(pi, basis, max_grade)
+    return den, {decode(key): row for key, row in rows.items()}
 
 
 def rand_homogeneous_vf(rng, nvars, degree, nterms=2):

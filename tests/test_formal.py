@@ -21,10 +21,10 @@ from poissonforge import formal, multivector, polyalg
 from poissonforge.formal import FilteredJet
 from poissonforge.liealg import LieAlgebraSpec
 from poissonforge.multivector import _grade
-from poissonforge.poisson import _bracket_rows, graded_basis
+from poissonforge.poisson import graded_basis
 from poissonforge.polyalg import parse_poly
 
-from conftest import rand_homogeneous_vf, rand_mvf
+from conftest import decoded_rows, rand_homogeneous_vf, rand_mvf
 
 
 def _strip_constant_part(u):
@@ -54,13 +54,13 @@ def _spied_solve():
 def _assert_certificate(call, w):
     """w A = 0 and w . b = 1 on the system of a ``_solve_bracket_equation`` call.
 
-    The rows are rebuilt from ``_bracket_rows`` on the call's basis, keyed by
-    the same sorted (legs, exps) monomials as the solve, and divided by its
-    denominator.
+    The rows are rebuilt from ``_bracket_rows`` on the call's basis, their
+    keys decoded into the same sorted (legs, exps) monomials as the solve, and
+    divided by its denominator.
     """
     (pi, rhs, basis), kwargs = call
     restrict = kwargs.get("restrict_grade")
-    den, int_rows = _bracket_rows(pi, basis, True)
+    den, int_rows = decoded_rows(pi, basis)
     rows = {key: {c: Fraction(v, den) for c, v in row.items()}
             for key, row in int_rows.items()
             if restrict is None or _grade(pi.weights, *key) <= restrict}
@@ -518,6 +518,25 @@ def test_prolong_obstruction_certificate():
         assert mod_p.call_count == rref.call_count > 0
 
 
+def test_prolong_obstruction_can_be_an_artifact_of_the_cap():
+    # base variables x1, x2: the bases stop at base_degree_cap, and the one
+    # correction x2^2 x3^2 d2^d3 has base degree 2, so caps 0 and 1 certify an
+    # obstruction that cap 2 solves
+    pi = PolyMVF(3, 2, {(1, 2): parse_poly("-x1^2*x2^2*x3^2 + 2*x1*x2^2*x3", 3),
+                        (1, 3): parse_poly("-x2^2", 3)}, weights=(0, 0, 1))
+    for cap in (0, 1):
+        with _spied_solve() as (solve, _, _):
+            res = prolong_step(FilteredJet(pi, 3), 3, base_degree_cap=cap)
+        assert res.status == "obstructed" and res.eta is None
+        assert res.obstruction.l == 3 and not res.obstruction.value.is_zero()
+        _assert_certificate(solve.call_args, res.certificate)
+    res = prolong_step(FilteredJet(pi, 3), 3, base_degree_cap=2)
+    assert res.status == "solved"
+    assert res.eta == PolyMVF(3, 2, {(2, 3): parse_poly("x2^2*x3^2", 3)}, weights=(0, 0, 1))
+    jac = schouten(pi + res.eta, pi + res.eta, max_grade=3)
+    assert jac.is_zero()
+
+
 def test_bounded_bracket_rows_are_the_filtered_rows():
     # prolongation bounds the kernel at its grade instead of filtering the
     # rows: monomials of grades g and h bracket into grade g + h - 1, so the
@@ -528,6 +547,6 @@ def test_bounded_bracket_rows_are_the_filtered_rows():
         pi = rand_mvf(rng, 3, 2).with_weights(weights)
         basis = graded_basis(3, rng.randint(1, 2), rng.randint(1, 3), weights, 2)
         m = rng.randint(0, 4)
-        den, rows = _bracket_rows(pi, basis, True)
+        den, rows = decoded_rows(pi, basis)
         filtered = {key: row for key, row in rows.items() if _grade(weights, *key) <= m}
-        assert _bracket_rows(pi, basis, True, m) == (den, filtered)
+        assert decoded_rows(pi, basis, m) == (den, filtered)

@@ -22,7 +22,7 @@ from poissonforge.poisson import _bracket_rows, basis_size, graded_basis
 from poissonforge.liealg import LieAlgebraSpec
 from poissonforge.polyalg import Poly, exact_rank, parse_poly
 
-from conftest import rand_mvf, rand_poly
+from conftest import decoded_rows, rand_mvf, rand_poly
 
 
 def test_check_poisson_so3(pi_so3):
@@ -250,7 +250,7 @@ class TestCohomology:
             """d on grade-l k-vectors: column c as {index in the (k+1)-basis: value}."""
             index = {key: r for r, key in enumerate(graded_basis(n, k + 1, l, pi.weights))}
             cols = {}
-            for key, row in _bracket_rows(pi, graded_basis(n, k, l, pi.weights), True)[1].items():
+            for key, row in decoded_rows(pi, graded_basis(n, k, l, pi.weights))[1].items():
                 for c, v in row.items():
                     cols.setdefault(c, {})[index[key]] = v
             return cols
@@ -307,7 +307,7 @@ def _certified_table(counts, pi, l, kmax):
     assert first_prime <= kmax + 1
     for k in range(kmax + 1):
         basis = graded_basis(pi.nvars, k, l, pi.weights)
-        rows = list(_bracket_rows(pi, basis, True)[1].values())
+        rows = list(_bracket_rows(pi, basis)[1].values())
         assert table.rank_d[k] == exact_rank(rows, ncols=len(basis)), (l, k)
     return table, lifts
 

@@ -917,9 +917,9 @@ class TestCertifiedSolver:
         with _counted_primes() as (rref, mod_p):
             for k, l, rank in ((3, 1, 280), (1, 2, 253), (2, 2, 755)):
                 basis = graded_basis(8, k, l, ones)
-                assert exact_rank(list(_bracket_rows(pi, basis, True)[1].values()), len(basis)) == rank
+                assert exact_rank(list(_bracket_rows(pi, basis)[1].values()), len(basis)) == rank
             monos = graded_basis(8, 0, 4, ones)[::-1]
-            A = list(_bracket_rows(pi, monos, True)[1].values())
+            A = list(_bracket_rows(pi, monos)[1].values())
             out = solve_linear_exact(A, [0] * len(A), ncols=len(monos))
         assert mod_p.call_count == rref.call_count == 4
         assert len(out.kernel_basis) == 1  # the square of the quadratic Casimir

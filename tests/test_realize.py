@@ -33,15 +33,20 @@ def _pi_quad():
 
 
 def test_spray_matches_bivector_matrix(pi_so3):
+    # the compiled tables against bivector_matrix: slot 0 of _coef on the
+    # monomials is pi, and the xdot rows of _stage on [y; 1] (x) V are
+    # xdot_j = sum_i y_i pi_ij(x)
     rng = np.random.default_rng(35)
     for pi in (pi_so3, _pi_quad()):
-        spray = SprayField(pi)
+        spray, n = SprayField(pi), pi.nvars
         x = rng.normal(size=(5, 3))
-        np.testing.assert_allclose(spray.pi_matrix(x), pi.bivector_matrix(x), rtol=1e-14)
+        V = spray._monomials(x.T)
+        P = pi.bivector_matrix(x)
+        np.testing.assert_allclose(np.tensordot(V, spray._coef[:, 0], axes=(0, 0)), P, rtol=1e-14)
         y = rng.normal(size=(5, 3))
-        # xdot_j = sum_i pi_ij(x) y_i
-        expect = np.einsum("bij,bi->bj", pi.bivector_matrix(x), y)
-        np.testing.assert_allclose(spray(x, y), expect, rtol=1e-14)
+        YV = (np.vstack([y.T, np.ones((1, 5))])[:, None, :] * V).reshape(-1, 5)
+        np.testing.assert_allclose((spray._stage[:n] @ YV).T, np.einsum("bij,bi->bj", P, y),
+                                   rtol=1e-14)
 
 
 def test_flow_of_zero_structure_is_identity():
@@ -239,7 +244,7 @@ def test_monomials_match_powers():
         V = SprayField(pi)._monomials(x.T)
         assert V.shape == expect.shape
         np.testing.assert_allclose(V, expect, rtol=1e-14, atol=0)
-        # any trailing shape of points, as pi_matrix passes them
+        # any trailing shape of points
         np.testing.assert_array_equal(
             SprayField(pi)._monomials(x.T.reshape(pi.nvars, 7, 1))[..., 0], V)
 

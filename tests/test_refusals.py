@@ -16,9 +16,10 @@ import pytest
 
 from poissonforge import (FilteredJet, GradedPiece, LieAlgebraSpec, Poly, PolyMVF, ad_exp, bch,
                           casimir_basis, check_poisson, cli, coadjoint_invariance_check,
-                          cohomology_dims, dilate, hamiltonian_vf, homotopy_solve, linear_poisson,
-                          mc_equivalence, poisson_bracket, preset, prolong_step, schouten, sharp,
-                          solve_linear_exact, su3_invariants, truncate_jet, weyl_circle_sample)
+                          cohomology_dims, dilate, grade_component, hamiltonian_vf,
+                          homotopy_solve, linear_poisson, mc_equivalence, poisson_bracket,
+                          preset, prolong_step, schouten, sharp, solve_linear_exact,
+                          su3_invariants, truncate_jet, weyl_circle_sample)
 from poissonforge.formal import _as_jet
 from poissonforge.multivector import MAX_NVARS
 from poissonforge.polyalg import parse_poly
@@ -40,6 +41,10 @@ _PI_1JET = FilteredJet(_PI + PolyMVF(3, 2, {(1, 2): Poly(3, {(0, 0, 2): 1})}), 1
 _TWO_JET = PolyMVF(3, 2, {(1, 2): parse_poly("-x1*x3 - x2*x3 + x3", 3),
                           (1, 3): parse_poly("-x1^2 - x1*x2 + x2^2 - x2", 3),
                           (2, 3): parse_poly("-x1^2 + x1*x2 + x2^2 + x1", 3)})
+# [pi, x1*x2 d1] read with weights (1, 0, 1): its grade-2 piece lies in the image of
+# [pi, .] on all-ones weights, so it must be refused before it is solved
+_Z_REWEIGHTED = grade_component(schouten(_PI, PolyMVF(3, 1, {(1,): parse_poly("x1*x2", 3)}))
+                                .with_weights((1, 0, 1)), 2)
 # gamma' = (1 + 2 x1 - x2) d1^d2 and gamma = Ad(e^X) gamma' for the Hamiltonian field X
 # of a cubic-plus-quartic h on the plane: the first gauge round leaves [X_q, d1^d2]
 # one grade below the order it solved, which no later round can remove
@@ -85,6 +90,8 @@ _GAMMA = ad_exp(hamiltonian_vf(PolyMVF(2, 2, {(1, 2): Poly.constant(2, 1)}),
     (lambda: ad_exp(_X1, _PI, 3), "ad_exp needs order >= 1 (grade >= 2) exponent"),
     (lambda: bch(_X1, _X11, 3), "bch needs arguments of order >= 1"),
     (lambda: homotopy_solve(_PI, GradedPiece(2, _X11)), "right-hand side must be a bivector"),
+    (lambda: homotopy_solve(_PI, _Z_REWEIGHTED), "weight vector mismatch"),
+    (lambda: homotopy_solve(_PI, GradedPiece(1, PolyMVF.zero(2, 2))), "variable count mismatch"),
     (lambda: Poly.variable(3, 4), "variable index 4 out of range 1..3"),
     (lambda: _F + Poly.variable(2, 1), "variable count mismatch: 3 vs 2"),
     (lambda: coadjoint_invariance_check(preset("so3"), Poly.variable(2, 1), 1, 0),
@@ -104,7 +111,8 @@ _GAMMA = ad_exp(hamiltonian_vf(PolyMVF(2, 2, {(1, 2): Poly.constant(2, 1)}),
         "mc-lower-order-jet", "prolong-0-jet-grade-3", "prolong-1-jet-grade-3",
         "preset-unknown", "cohomology-vector", "prolong-vector", "spray-vector",
         "bivector_matrix-vector", "ad_exp-order-0-exponent",
-        "bch-order-0-argument", "homotopy-vector-rhs", "poly-variable-index",
+        "bch-order-0-argument", "homotopy-vector-rhs", "homotopy-weights",
+        "homotopy-zero-nvars", "poly-variable-index",
         "poly-nvars-mismatch", "coadjoint-nvars", "flow-blowup", "mc-grade-0-part",
         "field-nvars-huge", "spec-dim-huge"])
 def test_bad_input_is_refused(call, message):
