@@ -199,11 +199,11 @@ def homotopy_solve(pi_lin: PolyMVF, Z: GradedPiece, base_degree_cap: int = 8) ->
     """
     base_degree_cap = _as_int(base_degree_cap, "base_degree_cap", 0)
     pi_lin._check(Z.value)
+    if Z.value.grade != 2:
+        raise ValueError("right-hand side must be a bivector")
     if Z.value.is_zero():
         zero = GradedPiece(Z.l, PolyMVF.zero(pi_lin.nvars, 1, pi_lin.weights))
         return HomotopyResult("solved", zero, None, None)
-    if Z.value.grade != 2:
-        raise ValueError("right-hand side must be a bivector")
     basis = graded_basis(pi_lin.nvars, 1, Z.l, pi_lin.weights, base_degree_cap)
     sol, witness = _solve_bracket_equation(pi_lin, Z.value, basis)
     if sol is None:
@@ -247,24 +247,26 @@ def mc_equivalence(gamma: FilteredJet, gamma_p: FilteredJet, D: int,
                    base_degree_cap: int = 8) -> GaugeSolution:
     """Gauge-equivalence of two MC bivectors agreeing to first order.
 
-    Runs the recursion X_k = h(gamma_{k-1} - gamma), gamma_k = Ad(e^{X_k})
-    gamma_{k-1}, composing the X_k with the Campbell-Hausdorff product.
+    Runs the recursion X_q = h(Ad(e^X) gamma' - gamma) on one state, the
+    gauge X, from X = 0: each round solves for X_q in the least grade q of
+    the difference, composes X = X_q * X by the Campbell-Hausdorff product
+    and measures the difference anew with ad_exp(X, gamma', D).  The loop
+    ends only on an X with ad_exp(X, gamma', D) == gamma, the check.
 
-    Composition stays although X_k has strictly higher order than the gauge
-    so far.  Adding X_k instead drops the bracket terms of the product, such
-    as [X_k, X_total]/2, which shifts the right-hand side of a later round
-    (grade 4 at D = 4) and with it the RREF gauge field solved there, so the
+    Composition stays although X_q has strictly higher order than X.
+    Adding X_q instead drops the bracket terms of the product, such as
+    [X_q, X]/2, which shifts the right-hand side of a later round (grade 4
+    at D = 4) and with it the RREF gauge field solved there, so the
     returned X (and the CLI output) would change.  With the pruned Dynkin
-    sum, bch(X_k, X_total) costs at most one bracket once o(X_k) >= 2.
-
-    The returned X is re-verified, ad_exp(X, gamma', D) == gamma.  After one
-    round X is X_1, and the loop's own ad_exp(X_1, gamma', D) is that check.
+    sum, bch(X_q, X) costs at most one bracket once o(X_q) >= 2.
 
     Each round inverts [pi_lin, .] alone, so a grade-0 part pi_0 of gamma'
     puts [X_q, pi_0] one grade below the order solved; when a round thus
-    fails to raise the order, ValueError names pi_0.  Without pi_0 the
-    grade-1 piece of the checked [gamma, gamma] is [pi_lin, pi_lin], so
-    pi_lin is Poisson and a solved round forms no cocycle bracket.
+    fails to raise the order, ValueError names pi_0.  Else [X_q, pi_0] = 0,
+    so the Lie words in the X_q above grade D, which the D-jet X drops and
+    ad_exp reads, commute with pi_0.  Without pi_0 the grade-1 piece of the
+    checked [gamma, gamma] is [pi_lin, pi_lin], so pi_lin is Poisson and a
+    solved round forms no cocycle bracket.
     """
     base_degree_cap = _as_int(base_degree_cap, "base_degree_cap", 0)
     D = _as_int(D, "jet order D", 0)
@@ -277,36 +279,25 @@ def mc_equivalence(gamma: FilteredJet, gamma_p: FilteredJet, D: int,
     if order_of(diff) < 1:
         raise ValueError("gamma and gamma' must agree in grade 1")
     pi_lin = grade_component(gamma.value, 1).value
-    current = gamma_p
-    X_total = None
-    rounds = 0
+    X, rounds = FilteredJet._raw(PolyMVF.zero(pi_lin.nvars, 1, pi_lin.weights), D), 0
     while not diff.is_zero():
-        q = diff.min_grade()
-        rounds += 1
-        if rounds > D + 1:
-            raise RuntimeError("gauge iteration failed to make progress")
+        q, rounds = diff.min_grade(), rounds + 1
         Z = grade_component(diff, q)
         res = homotopy_solve(pi_lin, Z, base_degree_cap)
         if res.status == "obstructed":
             return GaugeSolution("obstructed", degree=q, cochain=Z,
                                  certificate=res.certificate,
                                  base_degree_cap=base_degree_cap)
-        # Ad(e^X) cancels Z at leading order: [X, pi_lin] = -[pi_lin, X] = -Z
-        current = ad_exp(res.X.value, current, D)  # exact: homogeneous of grade q
-        Xk = FilteredJet._raw(res.X.value, D)  # grade q of a D-jet's piece
-        diff = current.value - gamma.value
+        # Ad(e^X_q) cancels Z at leading order: [X_q, pi_lin] = -[pi_lin, X_q] = -Z
+        X = bch(FilteredJet._raw(res.X.value, D), X, D)  # X_q: grade q of a D-jet's piece
+        diff = ad_exp(X.value, gamma_p, D).value - gamma.value
         if not order_of(diff) > q - 1:
             pi_0 = grade_component(gamma_p.value, 0).value
             if not pi_0.is_zero():
                 raise ValueError(f"gamma' has a grade-0 part {pi_0!r}, whose bracket "
                                  "with a round's gauge field lowers the order")
             raise RuntimeError("gauge round did not raise the order")
-        X_total = Xk if X_total is None else bch(Xk, X_total, D)
-    if X_total is None:
-        X_total = FilteredJet(PolyMVF.zero(gamma.value.nvars, 1, gamma.value.weights), D)
-    if rounds > 1 and ad_exp(X_total, gamma_p, D).value != gamma.value:
-        raise RuntimeError("composed gauge element failed re-verification")
-    return GaugeSolution("equivalent", X=X_total, rounds=rounds,
+    return GaugeSolution("equivalent", X=X, rounds=rounds,
                          base_degree_cap=base_degree_cap)
 
 

@@ -46,10 +46,10 @@ d_{xi_i} drops leg i from the leg sets that hold it, with the sign of moving
 xi_i to the right end (d^R) or to the left end (d^L).  The kernel multiplies
 two such operands as ``wedge`` multiplies fields, with each exponent vector packed into one
 int (Monagan & Pearce, CASC 2007); its sums stay in ``int`` and build no
-``Fraction``.  Under a grade bound it drops, before packing, each monomial
-whose grade plus the other operand's least grade exceeds the bound plus 1.
-It and ``wedge`` hold a leg set as an n-bit mask, leg i at bit i - 1, and
-read each sign off bit counts (``_merge_sign``).  ``_schouten_sums`` decodes
+``Fraction``.  Under a grade bound it drops on entry each group whose grade
+plus the other operand's least grade exceeds the bound plus 1.  It and
+``wedge`` hold a leg set as an n-bit mask, leg i at bit i - 1, and read each
+sign off bit counts (``_merge_sign``).  ``_schouten_sums`` decodes
 a field, or keeps ``poisson._bracket_rows``' rows keyed by packed int.
 
 As in ``polyalg``, data is validated where it enters: the public
@@ -406,9 +406,7 @@ def schouten(W: PolyMVF, V: PolyMVF, max_grade: int | None = None) -> PolyMVF:
     ``truncate_jet(schouten(W, V), max_grade)``, but the monomials above the
     bound are never formed: monomials of dilation grades g and h bracket to
     grade g + h - 1 (dilation is a bracket automorphism), so a pair with
-    g + h - 1 > max_grade is skipped before it is multiplied.  A monomial
-    that joins only such pairs, as its grade plus the other operand's least
-    grade is above max_grade + 1, is dropped before the operands are packed.
+    g + h - 1 > max_grade is skipped before it is multiplied (``_products``).
     """
     W._check(V)
     max_grade = max_grade if max_grade is None else _as_int(max_grade, "max_grade", 0)
@@ -440,18 +438,14 @@ def _schouten_sums(W: dict, V: dict, weights: tuple, max_grade, rows=False):
     operands' denominators.  With ``rows``, V's values are column tags of
     monomials with coefficient 1, and it is ``({key: {tag: c}}, decode)``:
     the rows of the bracket matrix keyed by packed int, and ``decode``
-    turning a key into its (legs, exps).  Under ``max_grade``, a monomial
-    that joins only pairs above it is dropped before packing.
+    turning a key into its (legs, exps).  ``max_grade`` is the bound of
+    ``_products``.
     """
     twice = W is V and not rows  # a self-bracket, as in the module docstring
     if twice and (not W or len(next(iter(W))[1]) % 2):
         return {}
     n = len(weights)
     limit = math.inf if max_grade is None else max_grade + 1
-    if max_grade is not None:  # drop the monomials whose every pair lies above the bound
-        least_W, least_V = (min((g for g, _, _ in X), default=0) for X in (W, V))
-        W = {key: c for key, c in W.items() if key[0] + least_V <= limit}
-        V = {key: c for key, c in V.items() if key[0] + least_W <= limit}
     degree = [max(map(sum, map(itemgetter(2), X)), default=0) for X in (W, V)]
     width = max(sum(degree), 1).bit_length()
     units, low, top = [1 << (width * v) for v in range(n)], n * width, n * width + n
@@ -483,9 +477,13 @@ def _pack(X: dict, units: list, tags_at: int | None = None) -> list:
 def _products(W: list, V: list, n: int, width: int, limit, graded: bool) -> dict:
     """The sums, zeros kept, of the 2n products of the module docstring on packed
     operands, V being W for a self-bracket.  A derivative keeps its monomial's
-    grade, and a pair with g + h > ``limit`` is skipped unmultiplied."""
+    grade.  A group whose grade plus the other operand's least grade exceeds
+    ``limit`` is dropped on entry, and a pair with g + h > ``limit`` is skipped."""
     twice, low = W is V, n * width
     field, gbit = (1 << width) - 1, 1 << (low + n) if graded else 0
+    least_W, least_V = (min((g for _, g, _ in X), default=0) for X in (W, V))
+    W = [x for x in W if x[1] + least_V <= limit]
+    V = W if twice else [x for x in V if x[1] + least_W <= limit]
     sums: dict[int, int] = {}
 
     def product(A, B):
@@ -535,26 +533,23 @@ def _decode(sums: dict, n: int, width: int) -> dict:
 def _ad_series(X: PolyMVF, u: PolyMVF, max_grade: int) -> PolyMVF:
     """sum_k ad_X^k(u)/k! up to grade ``max_grade``, for X of least grade >= 2.
 
-    Step k brackets step k - 1's packed sums into T_k = ad_X^k(u) den_u den_X^k.
-    Over den_u den_X^k k!, the terms 1..k sum to acc_k = acc_(k-1) den_X k + T_k,
-    which is decoded once and added to u.  A step raises the least grade by
-    least_X - 1 or more, so at most s = (max_grade - least_u) // (least_X - 1)
-    + 1 steps are taken, and a field of a word holds deg u + s deg X.
+    Step k brackets step k - 1's packed sums into T_k = ad_X^k(u) den_u den_X^k
+    in one bounded ``_products``.  Over den_u den_X^k k!, the terms 1..k sum to
+    acc_k = acc_(k-1) den_X k + T_k, which is decoded once and added to u.  A
+    step raises the least grade by least_X - 1 or more, so at most s =
+    (max_grade - least_u) // (least_X - 1) + 1 steps are taken, and a field of
+    a word holds deg u + s deg X (u is a ``max_grade``-jet, so s >= 1).
     """
-    limit, least_u = max_grade + 1, u.min_grade()
-    X_ints = {} if least_u is None else {key: c for key, c in X._ints.items()
-                                         if key[0] + least_u <= limit}
-    if not X_ints:
+    if u.is_zero() or X.is_zero():
         return u
-    n, steps = u.nvars, (max_grade - least_u) // (min(g for g, _, _ in X_ints) - 1) + 1
-    deg_u, deg_X = (max(map(sum, map(itemgetter(2), ints))) for ints in (u._ints, X_ints))
+    n, steps = u.nvars, (max_grade - u.min_grade()) // (X.min_grade() - 1) + 1
+    deg_u, deg_X = (max(map(sum, map(itemgetter(2), ints))) for ints in (u._ints, X._ints))
     width = max(deg_u + steps * deg_X, 1).bit_length()
     units, low = [1 << (width * v) for v in range(n)], n * width
     word_bits = (1 << low) - 1
-    Xp, T, acc, N = _pack(X_ints, units), _pack(u._ints, units), {}, 0
+    Xp, T, acc, N = _pack(X._ints, units), _pack(u._ints, units), {}, 0
     while T:
-        least_T, groups = min(g for _, g, _ in T), {}
-        sums = _products([x for x in Xp if x[1] + least_T <= limit], T, n, width, limit, True)
+        sums, groups = _products(Xp, T, n, width, max_grade + 1, True), {}
         for key, c in sums.items():
             if c:
                 groups.setdefault(key >> low, []).append((key & word_bits, c))

@@ -17,7 +17,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .polyalg import Poly, _add_term, _as_int, _complex_ranks, _Rows, solve_linear_exact
+from .polyalg import (Poly, _add_term, _as_int, _as_sequence, _complex_ranks, _Rows,
+                      solve_linear_exact)
 from .multivector import PolyMVF, _check_bivector, _grade, _schouten_sums, _weights, schouten
 
 __all__ = [
@@ -51,7 +52,8 @@ def sharp(pi: PolyMVF, alpha) -> PolyMVF:
     """The anchor pi#(alpha) = pi(alpha, .) for a polynomial 1-form alpha.
 
     alpha may be an integer i (meaning dx_i) or a length-n sequence of Poly
-    coefficients.  sharp(pi, grad f) is the Hamiltonian vector field of f.
+    coefficients, no string or mapping.  sharp(pi, grad f) is the Hamiltonian
+    vector field of f.
     """
     _check_bivector(pi)
     n = pi.nvars
@@ -62,7 +64,7 @@ def sharp(pi: PolyMVF, alpha) -> PolyMVF:
         coeffs = [Poly.zero(n)] * (alpha - 1) + [Poly.constant(n, 1)]
         coeffs += [Poly.zero(n)] * (n - alpha)
     else:
-        coeffs = list(alpha)
+        coeffs = list(_as_sequence(alpha, "1-form alpha"))
         if len(coeffs) != n:
             raise ValueError(f"1-form needs {n} coefficients")
     terms: dict[tuple, Poly] = {}

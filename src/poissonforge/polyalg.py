@@ -47,6 +47,7 @@ import math
 import numbers
 import operator
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
@@ -100,6 +101,14 @@ def _as_real(value, name: str, positive: bool = False) -> float:
     if positive and real <= 0:
         raise ValueError(f"{name!r} must be > 0, got {real!r}")
     return real
+
+
+def _as_sequence(value, name: str):
+    """``value``, but ``ValueError`` for a string or a mapping: its characters or keys
+    are no entries."""
+    if isinstance(value, (str, bytes, Mapping)):
+        raise ValueError(f"{name!r} must be a sequence, got {value!r}")
+    return value
 
 
 def _as_fraction(value) -> Fraction:
@@ -411,9 +420,9 @@ def _to_sparse_rows(A, ncols=None):
     becomes a ``Fraction``; any other entry, a ``bool`` or a ``float`` among
     them, raises ``ValueError``.
 
-    ``ncols`` is read by ``_as_int``.  A dense row must have ``ncols``
-    entries (with ``ncols`` None, as many as the first dense row), and is
-    read as ``dict(enumerate(row))``.  Keys must be ints in ``0..ncols-1``
+    ``ncols`` is read by ``_as_int``.  A dense row (no string or mapping) has
+    ``ncols`` entries (with ``ncols`` None, as many as the first dense row) and
+    is read as ``dict(enumerate(row))``.  Keys must be ints in ``0..ncols-1``
     (with ``ncols`` None, any int >= 0, and the count is one past the
     largest); a ``bool`` is not a key.  Anything else raises ``ValueError``.
     ``_Rows`` with ``ncols`` given are trusted: their rows are copied, so a
@@ -423,8 +432,9 @@ def _to_sparse_rows(A, ncols=None):
     if type(A) is _Rows and ncols is not None:
         return list(map(dict, A)), ncols
     rows, top = [], 0
-    for row in A:
+    for row in _as_sequence(A, "A"):
         if not isinstance(row, dict):
+            row = _as_sequence(row, "dense row")
             if ncols is None:
                 ncols = len(row)
             if len(row) != ncols:
@@ -735,10 +745,11 @@ def _fraction_vector(ints: dict, den: int, n: int) -> list:
 def solve_linear_exact(A, b, ncols: int | None = None) -> SolveOutcome:
     """Solve ``A x = b`` exactly over the rationals.
 
-    ``A`` is a sequence of rows; each row is either a dense sequence or a
-    sparse ``{column: value}`` dict (pass ``ncols`` with sparse rows).  The
-    result is the RREF one: the particular solution has its free variables
-    at zero and kernel vector f has 1 at free column f and 0 at the others.
+    ``A`` and ``b`` are sequences, never a string or a mapping, and each row
+    of ``A`` is a dense sequence (the same) or a sparse ``{column: value}``
+    dict (pass ``ncols`` with sparse rows).  The result is the RREF one: the
+    particular solution has its free variables at zero and kernel vector f
+    has 1 at free column f and 0 at the others.
 
     All of it is read off the certified RREF (``_rref``) of ``M = [A | b]``
     with ``b`` as column ``ncols``: the system is infeasible exactly when
@@ -749,7 +760,7 @@ def solve_linear_exact(A, b, ncols: int | None = None) -> SolveOutcome:
     column has ``w A = 0`` and ``w . b = 1``.
     """
     rows, ncols = _to_sparse_rows(A, ncols)
-    b = [v if type(v) is int else _matrix_entry(v) for v in b]
+    b = [v if type(v) is int else _matrix_entry(v) for v in _as_sequence(b, "b")]
     if len(b) != len(rows):
         raise ValueError(f"dimension mismatch: {len(rows)} rows vs {len(b)} rhs entries")
     for row, c in zip(rows, b):

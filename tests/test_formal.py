@@ -408,24 +408,59 @@ def test_mc_equivalence_constructed_pair(pi_so3):
 
 @pytest.mark.parametrize("D, rounds", [(2, 1), (3, 2), (4, 3)])
 def test_one_round_reuses_the_loops_ad_exp(pi_so3, D, rounds):
-    # after one round the loop's ad_exp(X_1, gamma', D) is the re-verification;
-    # after r > 1 rounds the composed X is checked by one more ad_exp
+    # each round measures the composed gauge with one ad_exp(X, gamma', D),
+    # and the last of them is the check that the returned X gauges gamma' to gamma
     X0 = rand_homogeneous_vf(random.Random(36), 3, 2)
     gamma = ad_exp(X0, pi_so3, D)
-    with mock.patch.object(formal, "ad_exp", wraps=formal.ad_exp) as spy:
+    with mock.patch.object(formal, "ad_exp", wraps=formal.ad_exp) as spy, \
+            mock.patch.object(formal, "bch", wraps=formal.bch) as compose:
         sol = mc_equivalence(gamma, FilteredJet(pi_so3, D), D)
     assert sol.status == "equivalent" and sol.rounds == rounds
-    assert spy.call_count == (1 if rounds == 1 else rounds + 1)
+    assert spy.call_count == compose.call_count == rounds
     assert ad_exp(sol.X, pi_so3, D).value == gamma.value
 
 
 def test_composed_gauge_is_reverified(pi_so3, monkeypatch):
-    # a composition that keeps only the last round's X_k must be caught
+    # a composition that keeps only the last round's X_k must be caught: the
+    # round measures that X_k alone, whose gauge leaves grade 2 standing
     D = 4
     gamma = ad_exp(rand_homogeneous_vf(random.Random(36), 3, 2), pi_so3, D)
     monkeypatch.setattr(formal, "bch", lambda X, Y, D: X)
-    with pytest.raises(RuntimeError, match="composed gauge element failed re-verification"):
+    with pytest.raises(RuntimeError, match="gauge round did not raise the order"):
         mc_equivalence(gamma, FilteredJet(pi_so3, D), D)
+
+
+def _two_state_gauge(gamma, gamma_p, D):
+    """The gauge recursion with two states, as (rounds, X) for an equivalent pair:
+    gamma' pushed forward by each round's X_q, and the X_q composed by ``bch`` beside it."""
+    pi_lin = grade_component(gamma.value, 1).value
+    current, X, rounds = gamma_p, FilteredJet(PolyMVF.zero(3, 1), D), 0
+    diff = current.value - gamma.value
+    while not diff.is_zero():
+        q, rounds = diff.min_grade(), rounds + 1
+        X_q = homotopy_solve(pi_lin, grade_component(diff, q)).X.value
+        current = ad_exp(X_q, current, D)
+        X = bch(FilteredJet(X_q, D), X, D)
+        diff = current.value - gamma.value
+        assert order_of(diff) > q - 1
+    return rounds, X.value
+
+
+@pytest.mark.parametrize("name", ["so3", "sl2", "su2"])
+def test_one_state_loop_matches_the_two_state_recursion(name):
+    pi_lin = linear_poisson(preset(name))
+    rng = random.Random(f"two-state {name}")
+    seen = set()
+    for D in (2, 3, 4):
+        for _ in range(3):
+            grades = rng.choice([(2,), (3,), (2, 3)])
+            X0 = sum((rand_homogeneous_vf(rng, 3, g) for g in grades), PolyMVF.zero(3, 1))
+            gamma = ad_exp(X0, pi_lin, D)
+            sol = mc_equivalence(gamma, FilteredJet(pi_lin, D), D)
+            rounds, X = _two_state_gauge(gamma, FilteredJet(pi_lin, D), D)
+            assert (sol.status, sol.rounds, sol.X.value) == ("equivalent", rounds, X)
+            seen.add(rounds)
+    assert seen >= {1, 2, 3}
 
 
 def test_mc_equivalence_obstruction_on_plane():

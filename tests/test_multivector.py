@@ -285,10 +285,10 @@ def test_schouten_max_grade_is_truncation(weights):
         schouten(u, v, max_grade=-1)
 
 
-def test_monomials_above_the_bound_are_dropped_before_packing(monkeypatch):
+def test_groups_above_the_bound_are_dropped_before_multiplying(monkeypatch):
     # every monomial has grade 3, so every pair brackets to grade 5: below
-    # that bound each monomial is dropped before packing, and no leg set of
-    # either side reaches the kernel's sign rule
+    # that bound ``_products`` drops each packed group where it is entered,
+    # and no leg set of either side reaches the kernel's sign rule
     n = 3
     W = PolyMVF(n, 2, {(1, 2): parse_poly("x1^3 + x2*x3^2", n), (2, 3): parse_poly("x3^3", n)})
     V = PolyMVF(n, 2, {(1, 3): parse_poly("x1*x2*x3", n)})

@@ -298,6 +298,8 @@ def _per_row_rows(A, ncols=None):
             top = max(top, max(row, default=-1) + 1)
             items = row.items()
         else:
+            if isinstance(row, (str, bytes)):
+                raise ValueError(f"'dense row' must be a sequence, got {row!r}")
             if ncols is None:
                 ncols = len(row)
             if len(row) != ncols:
@@ -413,8 +415,11 @@ class TestExactSolver:
         ([{0: 1}, {5: 0}], 3),
         ([[1, 2, 3], [1]], None),
         ([[1, 2]], 3),
+        (["12", "34"], None),
+        ([b"12", b"34"], 2),
     ], ids=["key=ncols", "key=-1", "key=-1-no-ncols", "key=str", "key=float",
-            "zero-entry-key-out-of-range", "short-dense-row", "dense-row-not-ncols"])
+            "zero-entry-key-out-of-range", "short-dense-row", "dense-row-not-ncols",
+            "string-rows", "bytes-rows"])
     def test_rows_are_checked_where_they_enter(self, A, ncols):
         # b sits in column ncols of the eliminated matrix: a key equal to
         # ncols must not merge with it
@@ -434,9 +439,13 @@ class TestExactSolver:
         with pytest.raises(ValueError, match="not an exact rational|column key"):
             solve_linear_exact(A, [1] * len(A), 2)
 
-    @pytest.mark.parametrize("b", [[0.5], [None], [True]], ids=["float", "none", "bool"])
-    def test_inexact_right_hand_sides_are_refused(self, b):
-        with pytest.raises(ValueError, match="not an exact rational"):
+    @pytest.mark.parametrize("b, message", [
+        ([0.5], "not an exact rational"), ([None], "not an exact rational"),
+        ([True], "not an exact rational"), ("5", "'b' must be a sequence"),
+        (b"5", "'b' must be a sequence"), ({0: 5}, "'b' must be a sequence"),
+    ], ids=["float", "none", "bool", "string", "bytes", "mapping"])
+    def test_inexact_right_hand_sides_are_refused(self, b, message):
+        with pytest.raises(ValueError, match=message):
             solve_linear_exact([[1]], b)
 
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)

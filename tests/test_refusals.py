@@ -16,7 +16,7 @@ import pytest
 
 from poissonforge import (FilteredJet, GradedPiece, LieAlgebraSpec, Poly, PolyMVF, ad_exp, bch,
                           casimir_basis, check_poisson, cli, coadjoint_invariance_check,
-                          cohomology_dims, dilate, grade_component, hamiltonian_vf,
+                          cohomology_dims, dilate, exact_rank, grade_component, hamiltonian_vf,
                           homotopy_solve, linear_poisson, mc_equivalence, poisson_bracket,
                           preset, prolong_step, schouten, sharp, solve_linear_exact,
                           su3_invariants, truncate_jet, weyl_circle_sample)
@@ -92,6 +92,20 @@ _GAMMA = ad_exp(hamiltonian_vf(PolyMVF(2, 2, {(1, 2): Poly.constant(2, 1)}),
     (lambda: homotopy_solve(_PI, GradedPiece(2, _X11)), "right-hand side must be a bivector"),
     (lambda: homotopy_solve(_PI, _Z_REWEIGHTED), "weight vector mismatch"),
     (lambda: homotopy_solve(_PI, GradedPiece(1, PolyMVF.zero(2, 2))), "variable count mismatch"),
+    (lambda: homotopy_solve(_PI, GradedPiece(2, PolyMVF.zero(3, 1))),
+     "right-hand side must be a bivector"),
+    (lambda: homotopy_solve(_PI, GradedPiece(2, PolyMVF.zero(3, 3))),
+     "right-hand side must be a bivector"),
+    (lambda: sharp(_PI, "123"), "'1-form alpha' must be a sequence, got '123'"),
+    (lambda: sharp(_PI, {1: 1, 2: 0, 3: 0}),
+     "'1-form alpha' must be a sequence, got {1: 1, 2: 0, 3: 0}"),
+    (lambda: solve_linear_exact(["12", "34"], [5, 6]), "'dense row' must be a sequence, got '12'"),
+    (lambda: solve_linear_exact([[1, 2], [3, 4]], "56"),
+     "'b' must be a sequence, got '56'"),
+    (lambda: solve_linear_exact([[1, 2], [3, 4]], {0: 5, 1: 6}),
+     "'b' must be a sequence, got {0: 5, 1: 6}"),
+    (lambda: exact_rank(["12", "34"]), "'dense row' must be a sequence, got '12'"),
+    (lambda: exact_rank({(1, 2): 0, (3, 4): 0}), "'A' must be a sequence, got {(1, 2): 0,"),
     (lambda: Poly.variable(3, 4), "variable index 4 out of range 1..3"),
     (lambda: _F + Poly.variable(2, 1), "variable count mismatch: 3 vs 2"),
     (lambda: coadjoint_invariance_check(preset("so3"), Poly.variable(2, 1), 1, 0),
@@ -112,7 +126,9 @@ _GAMMA = ad_exp(hamiltonian_vf(PolyMVF(2, 2, {(1, 2): Poly.constant(2, 1)}),
         "preset-unknown", "cohomology-vector", "prolong-vector", "spray-vector",
         "bivector_matrix-vector", "ad_exp-order-0-exponent",
         "bch-order-0-argument", "homotopy-vector-rhs", "homotopy-weights",
-        "homotopy-zero-nvars", "poly-variable-index",
+        "homotopy-zero-nvars", "homotopy-zero-vector-rhs", "homotopy-zero-trivector-rhs",
+        "sharp-string-form", "sharp-mapping-form", "solve-string-rows", "solve-string-rhs",
+        "solve-mapping-rhs", "rank-string-rows", "rank-mapping-matrix", "poly-variable-index",
         "poly-nvars-mismatch", "coadjoint-nvars", "flow-blowup", "mc-grade-0-part",
         "field-nvars-huge", "spec-dim-huge"])
 def test_bad_input_is_refused(call, message):
