@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .polyalg import _as_int, _Rows, solve_linear_exact
 from .multivector import (GradedPiece, PolyMVF, _ad_series, _check_bivector, _grade,
-                          _integral, grade_component, schouten, truncate_jet)
+                          grade_component, schouten, truncate_jet)
 from .poisson import _bracket_rows, check_poisson, graded_basis
 
 __all__ = [
@@ -171,7 +171,8 @@ def _solve_bracket_equation(pi: PolyMVF, rhs: PolyMVF, unknown_basis,
     times ``rhs.den`` and rhs's integers times ``den``, and the witness of
     that system, times ``den * rhs.den``, is the witness of the equation.
     The rows' packed keys are decoded as they are scaled, and the system's
-    rows are the (legs, exps) monomials in sorted order.
+    rows are the (legs, exps) monomials in sorted order.  The solution is
+    the solve's integers over their denominator, read as they were lifted.
     """
     den, packed, decode = _bracket_rows(pi, unknown_basis, restrict_grade)
     rows = {decode(key): row if rhs.den == 1 else {col: v * rhs.den for col, v in row.items()}
@@ -183,8 +184,12 @@ def _solve_bracket_equation(pi: PolyMVF, rhs: PolyMVF, unknown_basis,
     if not out.feasible:
         return None, [w * (den * rhs.den) for w in out.witness]
     grade = len(unknown_basis[0][0]) if unknown_basis else 0
-    ints, sol_den = _integral(pi.weights, dict(zip(unknown_basis, out.particular)))
-    return PolyMVF._raw(pi.nvars, grade, ints, pi.weights, sol_den), None
+    ints, sol_den = out._sparse["particular"]
+    sol = {}
+    for j in sorted(ints):
+        legs, exps = unknown_basis[j]
+        sol[_grade(pi.weights, legs, exps), legs, exps] = ints[j]
+    return PolyMVF._raw(pi.nvars, grade, sol, pi.weights, sol_den), None
 
 
 def homotopy_solve(pi_lin: PolyMVF, Z: GradedPiece, base_degree_cap: int = 8) -> HomotopyResult:

@@ -18,9 +18,12 @@ one representation, which ``==`` and ``hash`` compare.  Coefficients and a
 dilation's scale factors become integers through ``polyalg._over_lcm``, the
 one converter.  Sums scale by the lcm of the denominators, a scalar multiplies
 the numerators by its numerator and ``den`` by its denominator, and
-``PolyMVF._raw`` divides out the gcd.
-``PolyMVF.terms`` is the ``{legs: Poly}`` form, built on each read for
-parsing, formatting and the readers outside this module.
+``PolyMVF._raw`` divides out the gcd.  A field's JSON is read and written
+in integers: ``from_json_obj`` puts the terms of the grammar's one reader,
+``polyalg._parse_terms``, over the lcm of their denominators, and
+``to_json_obj`` and ``repr`` reduce each numerator over ``den`` by one gcd
+for its one writer, ``polyalg._format_terms``.  ``PolyMVF.terms`` is the
+``{legs: Poly}`` form, built on each read for the readers outside this module.
 
 The Schouten bracket treats each leg d_i as an odd variable xi_i, so that
 a d_{i1}^...^d_{ip} is the superfunction a xi_{i1}...xi_{ip}, and is
@@ -74,7 +77,8 @@ from operator import add, itemgetter, mul
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Sequence
 
-from .polyalg import Poly, _add_term, _as_fraction, _as_int, _over_lcm, format_poly, parse_poly
+from .polyalg import (Poly, _add_term, _as_fraction, _as_int, _format_terms, _over_lcm,
+                      _parse_terms)
 
 if TYPE_CHECKING:  # annotations only: NumPy is imported where floats are computed
     import numpy as np
@@ -144,10 +148,16 @@ def _weights(weights, n: int) -> tuple:
     return weights
 
 
-def _integral(weights: tuple, monos: dict) -> tuple:
-    """``_over_lcm`` of distinct monomials ``{(legs, exps): c}``, keys led by grade."""
-    ints, den = _over_lcm(monos)
-    return {(_grade(weights, *mono), *mono): c for mono, c in ints.items()}, den
+def _check_legs(indices: tuple, nvars: int, grade: int) -> tuple:
+    """``indices`` if it holds ``grade`` strictly increasing legs in 1..nvars, else
+    ``ValueError``."""
+    if len(indices) != grade:
+        raise ValueError(f"index tuple {indices} has wrong length for grade {grade}")
+    if any(not 1 <= i <= nvars for i in indices):
+        raise ValueError(f"index tuple {indices} out of range 1..{nvars}")
+    if any(a >= b for a, b in zip(indices, indices[1:])):
+        raise ValueError(f"index tuple {indices} is not strictly increasing")
+    return indices
 
 
 class PolyMVF:
@@ -162,18 +172,14 @@ class PolyMVF:
         self.weights = (1,) * self.nvars if weights is None else _weights(weights, self.nvars)
         monos: dict[tuple, Fraction] = {}
         for indices, poly in (terms or {}).items():
-            indices = tuple(_as_int(i, "indices") for i in indices)
-            if len(indices) != self.grade:
-                raise ValueError(f"index tuple {indices} has wrong length for grade {self.grade}")
-            if any(not 1 <= i <= self.nvars for i in indices):
-                raise ValueError(f"index tuple {indices} out of range 1..{self.nvars}")
-            if any(a >= b for a, b in zip(indices, indices[1:])):
-                raise ValueError(f"index tuple {indices} is not strictly increasing")
+            indices = _check_legs(tuple(_as_int(i, "indices") for i in indices),
+                                  self.nvars, self.grade)
             if poly.nvars != self.nvars:
                 raise ValueError("coefficient variable count mismatch")
             for exps, c in poly.terms.items():  # index tuples may read to the same legs
                 _add_term(monos, (indices, exps), c)
-        self._ints, self.den = _integral(self.weights, monos)
+        ints, self.den = _over_lcm(monos)
+        self._ints = {(_grade(self.weights, *mono), *mono): c for mono, c in ints.items()}
 
     @staticmethod
     def _raw(nvars: int, grade: int, ints: dict, weights: tuple, den: int = 1) -> "PolyMVF":
@@ -289,20 +295,30 @@ class PolyMVF:
 
     # -- serialization ------------------------------------------------
 
+    def _texts(self) -> list:
+        """``[(legs, text)]`` by legs: each coefficient in the polynomial grammar,
+        written from the numerators, with one gcd per coefficient."""
+        polys: dict[tuple, list] = {}
+        for (_, legs, exps), c in self._ints.items():
+            g = math.gcd(c, self.den)
+            polys.setdefault(legs, []).append((exps, c // g, self.den // g))
+        return sorted((legs, _format_terms(t)) for legs, t in polys.items())
+
     def to_json_obj(self) -> dict:
-        items = sorted(self.terms.items())
         return {
             "nvars": self.nvars,
             "weights": list(self.weights),
             "grade": self.grade,
-            "terms": [{"indices": list(idx), "poly": format_poly(p)} for idx, p in items],
+            "terms": [{"indices": list(legs), "poly": text} for legs, text in self._texts()],
         }
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "PolyMVF":
         """Read a field: ``nvars`` (1..``MAX_NVARS``), ``grade`` (>= 0) and each
         entry of the ``weights`` and ``indices`` lists are JSON integers; each
-        ``poly`` is a string in the polynomial grammar."""
+        ``poly`` is a string in the polynomial grammar.  It is refused as
+        ``PolyMVF(...)`` refuses it, and its terms are read as integers
+        (``polyalg._parse_terms``) over the lcm of their denominators."""
         nvars = _as_int(obj["nvars"], "nvars", 1, MAX_NVARS)
         grade = _as_int(obj["grade"], "grade", 0)
         weights = _json_ints(obj, "weights") if "weights" in obj else None
@@ -311,16 +327,23 @@ class PolyMVF:
             idx = _json_ints(entry, "indices")
             if idx in terms:
                 raise ValueError(f"repeated index tuple {list(idx)} in terms")
-            terms[idx] = parse_poly(entry["poly"], nvars)
-        return cls(nvars, grade, terms, weights)
+            terms[idx] = list(_parse_terms(entry["poly"], nvars))
+        zero = cls(nvars, grade, None, weights)  # the weights checked as PolyMVF(...) checks them
+        den = math.lcm(*(d for t in terms.values() for _, _, d in t))
+        ints: dict[tuple, int] = {}
+        for idx, t in terms.items():
+            legs = _check_legs(idx, nvars, grade)
+            for exps, num, d in t:
+                _add_term(ints, (_grade(zero.weights, legs, exps), legs, exps), num * (den // d))
+        return zero._like(ints, den)
 
     def __repr__(self):
-        terms = sorted(self.terms.items())
+        texts = self._texts()
         if self.grade == 0:
-            body = format_poly(terms[0][1]) if terms else "0"
+            body = texts[0][1] if texts else "0"
         else:
-            body = " + ".join(f"({format_poly(p)}) " + "^".join(f"d{i}" for i in idx)
-                              for idx, p in terms) or "0"
+            body = " + ".join(f"({text}) " + "^".join(f"d{i}" for i in legs)
+                              for legs, text in texts) or "0"
         return f"<PolyMVF deg={self.grade} {body}>"
 
     # -- evaluation ---------------------------------------------------

@@ -19,8 +19,9 @@ each vector sparse ints over one denominator.  One exact integer check,
 ``M v = 0`` for each of those vectors, certifies the lift; until it passes,
 the next prime is taken.  A solve reduces ``M = [A | b]``, so the same
 certificate covers feasibility, infeasibility and the witness.  All of it
-runs in Python ints, so no entry is too large for it, and ``Fraction``s are
-made only of a solve's answer.  The ranks of a complex, whose matrices
+runs in Python ints, so no entry is too large for it, and a
+``SolveOutcome`` keeps its vectors in that form: they become ``Fraction``s
+only where they are read.  The ranks of a complex, whose matrices
 compose to zero, are taken each on a complement of the image of the one
 before, and certified by its exactness where that suffices
 (``_complex_ranks``), and by ``_rref`` where it does not.
@@ -37,18 +38,24 @@ passed those checks (sums, products, derivatives, graded pieces) are
 wrapped by ``Poly._raw`` without re-checking; ``_add_term`` is the one
 accumulator that keeps stored coefficients nonzero.  A matrix is checked
 row by row, a dense one as dicts (``_to_sparse_rows``), except ``_Rows``.
+
+The text grammar has one reader, ``_parse_terms``, which yields each term
+as integers ``(exps, num, den)``, and one writer, ``_format_terms``, of
+reduced integer terms.  ``parse_poly`` and ``format_poly`` go through them
+for a ``Poly``, and a multivector field's JSON and ``repr`` go through them
+from its numerators, with no ``Fraction``.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 import numbers
 import operator
 import re
-from collections.abc import Mapping
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
@@ -104,9 +111,9 @@ def _as_real(value, name: str, positive: bool = False) -> float:
 
 
 def _as_sequence(value, name: str):
-    """``value``, but ``ValueError`` for a string or a mapping: its characters or keys
-    are no entries."""
-    if isinstance(value, (str, bytes, Mapping)):
+    """``value``, but ``ValueError`` for a string or a mapping, whose characters or
+    keys are no entries, and for anything not iterable, such as a bare number."""
+    if isinstance(value, (str, bytes, Mapping)) or not isinstance(value, Iterable):
         raise ValueError(f"{name!r} must be a sequence, got {value!r}")
     return value
 
@@ -328,34 +335,40 @@ _TERM = re.compile(rf"\s*(?P<signs>(?:[-+]\s*)*)"
                    rf"(?:\s*\*\s*{_VARPOW.pattern})*\s*")
 
 
-def format_poly(p: Poly) -> str:
-    if p.is_zero():
-        return "0"
+def _format_terms(terms) -> str:
+    """The text of reduced terms ``(exps, num, den)``, ``den > 0`` coprime to
+    ``num != 0`` and the exponent vectors distinct, in graded-lex order, highest first."""
     pieces = []
-    for exps, coeff in p.sorted_terms():
+    for exps, num, den in sorted(terms, key=lambda t: (sum(t[0]), t[0]), reverse=True):
         factors = [f"x{i + 1}" + (f"^{k}" if k > 1 else "") for i, k in enumerate(exps) if k]
-        mag = abs(coeff)
+        mag = f"{abs(num)}" if den == 1 else f"{abs(num)}/{den}"
         if not factors:
-            body = str(mag)
-        elif mag == 1:
+            body = mag
+        elif mag == "1":
             body = "*".join(factors)
         else:
-            body = "*".join([str(mag)] + factors)
+            body = "*".join([mag] + factors)
         if not pieces:
-            pieces.append(body if coeff > 0 else f"-{body}")
+            pieces.append(body if num > 0 else f"-{body}")
         else:
-            pieces.append(f"{'+' if coeff > 0 else '-'} {body}")
-    return " ".join(pieces)
+            pieces.append(f"{'+' if num > 0 else '-'} {body}")
+    return " ".join(pieces) or "0"
 
 
-def parse_poly(text: str, nvars: int) -> Poly:
-    """Parse the polynomial grammar, e.g. ``1/2*x1^2*x3 - x2``."""
+def format_poly(p: Poly) -> str:
+    return _format_terms((e, c.numerator, c.denominator) for e, c in p.terms.items())
+
+
+def _parse_terms(text: str, nvars: int):
+    """The terms of ``text`` in the polynomial grammar, in order, each ``(exps,
+    num, den)``: an exponent tuple of ``nvars`` ints and the signed integer
+    coefficient ``num / den``, ``den > 0`` (not reduced, and exponent vectors
+    may repeat).  A generator: the checks run as it is read."""
     if not isinstance(text, str):
         raise TypeError(f"polynomial text must be a string, got {text!r}")
     nvars = _as_int(nvars, "nvars", 0)
     if not text.strip():
         raise PolyParseError("empty polynomial string")
-    terms: dict[tuple, Fraction] = {}
     pos = 0
     while pos < len(text):
         m = _TERM.match(text, pos)
@@ -376,16 +389,22 @@ def parse_poly(text: str, nvars: int) -> Poly:
             if power < 1:
                 raise PolyParseError(f"exponent {power} of x{index} must be positive")
             exps[index - 1] += power
-        coeff = Fraction(int(m["num"] or 1), den)
-        _add_term(terms, tuple(exps), -coeff if m["signs"].count("-") % 2 else coeff)
-    return Poly._raw(nvars, terms)
+        num = int(m["num"] or 1)
+        yield tuple(exps), -num if m["signs"].count("-") % 2 else num, den
+
+
+def parse_poly(text: str, nvars: int) -> Poly:
+    """Parse the polynomial grammar, e.g. ``1/2*x1^2*x3 - x2``."""
+    terms: dict[tuple, Fraction] = {}
+    for exps, num, den in _parse_terms(text, nvars):
+        _add_term(terms, exps, Fraction(num, den))
+    return Poly._raw(_as_int(nvars, "nvars", 0), terms)
 
 
 # ---------------------------------------------------------------------------
 # Exact linear solving
 # ---------------------------------------------------------------------------
 
-@dataclass
 class SolveOutcome:
     """Result of an exact linear solve ``A x = b``.
 
@@ -396,16 +415,61 @@ class SolveOutcome:
     ``[A^T; b^T] w = (0, ..., 0, 1)``, which by the Fredholm alternative is
     solvable exactly when ``A x = b`` is not.  It is computed only for
     infeasible systems.
+
+    ``solve_linear_exact`` keeps each vector as the certified RREF holds it,
+    ``(ints, den)``: sparse nonzero integers over one positive denominator,
+    coprime to them, in ``_sparse`` by name.  Each becomes a list of
+    ``Fraction``s when it is first read, so a caller that reads only the
+    integers (``formal._solve_bracket_equation``) makes none.
     """
 
-    status: str  # "feasible" | "infeasible"
-    particular: list | None = None
-    kernel_basis: list = field(default_factory=list)
-    witness: list | None = None
+    def __init__(self, status: str, particular: list | None = None,
+                 kernel_basis: list | None = None, witness: list | None = None):
+        self.status = status  # "feasible" | "infeasible"
+        self.particular, self.witness = particular, witness
+        self.kernel_basis = [] if kernel_basis is None else kernel_basis
+
+    @classmethod
+    def _lifted(cls, n: int, particular=None, kernel_basis=(), witness=None) -> "SolveOutcome":
+        """A feasible outcome from ``particular`` and ``kernel_basis``, or an infeasible
+        one from ``witness``, each an ``(ints, den)`` of length-``n`` vectors."""
+        out = cls.__new__(cls)
+        out._n = n
+        if witness is None:
+            out.status, out.witness = "feasible", None
+            out._sparse = {"particular": particular, "kernel_basis": kernel_basis}
+        else:
+            out.status, out.particular, out.kernel_basis = "infeasible", None, []
+            out._sparse = {"witness": witness}
+        return out
+
+    @functools.cached_property
+    def particular(self) -> list:
+        return _fraction_vector(*self._sparse["particular"], self._n)
+
+    @functools.cached_property
+    def kernel_basis(self) -> list:
+        return [_fraction_vector(*vector, self._n) for vector in self._sparse["kernel_basis"]]
+
+    @functools.cached_property
+    def witness(self) -> list:
+        return _fraction_vector(*self._sparse["witness"], self._n)
 
     @property
     def feasible(self) -> bool:
         return self.status == "feasible"
+
+    def _fields(self) -> tuple:
+        return self.status, self.particular, self.kernel_basis, self.witness
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self):
+        return ("SolveOutcome(status={!r}, particular={!r}, kernel_basis={!r}, witness={!r})"
+                .format(*self._fields()))
 
 
 class _Rows(list):
@@ -757,7 +821,8 @@ def solve_linear_exact(A, b, ncols: int | None = None) -> SolveOutcome:
     its kernel vector.  Infeasibility is a status, never an exception; only
     then is the witness of ``SolveOutcome`` computed, from the RREF of
     ``[[A^T, 0], [b^T, -1]]``: the kernel vector ``(w, 1)`` of its last
-    column has ``w A = 0`` and ``w . b = 1``.
+    column has ``w A = 0`` and ``w . b = 1``.  The outcome holds these
+    vectors as ``_rref`` lifted them, integers over one denominator each.
     """
     rows, ncols = _to_sparse_rows(A, ncols)
     b = [v if type(v) is int else _matrix_entry(v) for v in _as_sequence(b, "b")]
@@ -775,11 +840,11 @@ def solve_linear_exact(A, b, ncols: int | None = None) -> SolveOutcome:
                 transpose[j][i] = v
         transpose[ncols][m] = -1
         _, kernel = _rref(transpose, m + 1)
-        return SolveOutcome(status="infeasible", witness=_fraction_vector(*kernel[m], m))
+        ints, den = kernel[m]
+        return SolveOutcome._lifted(m, witness=({j: v for j, v in ints.items() if j < m}, den))
     ints, den = kernel.pop(ncols)
-    particular = _fraction_vector({j: -v for j, v in ints.items()}, den, ncols)
-    basis = [_fraction_vector(ints, den, ncols) for ints, den in kernel.values()]
-    return SolveOutcome(status="feasible", particular=particular, kernel_basis=basis)
+    particular = {j: -v for j, v in ints.items() if j < ncols}
+    return SolveOutcome._lifted(ncols, (particular, den), list(kernel.values()))
 
 
 def exact_rank(A, ncols: int | None = None) -> int:

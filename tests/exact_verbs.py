@@ -31,8 +31,10 @@ the rows off the kernel's support), the Betti numbers ``[1, 4, 5, 2]``, that
 the reader refuses a ``bool``, a NaN and, when ``positive``, a value <= 0,
 that the solution and the kernel vector satisfy the system exactly, the
 rank 2, the jet's JSON witness ``2*x3^2`` at ``d1^d2^d3``, the so3 jet's 3
-rounds and its gauge field ``SO3_JET_GAUGE``, and that NumPy was never
-imported:
+rounds and its gauge field ``SO3_JET_GAUGE``, whose text rendering is the
+``repr`` of the field read back from that JSON, that each of the so3 jet's
+two ``linearize`` runs makes at most ``SO3_JET_FRACTIONS`` ``Fraction``s
+(``fractions_made``), and that NumPy was never imported:
 
     PYTHONPATH=src python tests/exact_verbs.py
 """
@@ -86,6 +88,10 @@ SO3_JET_GAUGE = {"nvars": 3, "weights": [1, 1, 1], "grade": 1, "terms": [
                              " + 3/4*x2^2*x3^2 + 1/2*x1*x2^2 + x1*x2*x3 + x2^2 + x2*x3"},
     {"indices": [2], "poly": "-x1*x2^2*x3 - x1*x2*x3^2 - x1^2*x3 - 1/2*x2^2*x3"},
     {"indices": [3], "poly": "-1/2*x2^2*x3"}]}
+# the most ``Fraction``s one ``linearize so3_jet.json`` run may make: its solves hand
+# their integers to the gauge field, and the field's JSON and text are read and
+# written from its numerators, so only ``bch``'s 3 coefficients are made
+SO3_JET_FRACTIONS = 10
 for _runs in RUNS.values():
     _runs += [(argv + ["--format", "json"], code) for argv, code in _runs if code != 2]
 
@@ -96,6 +102,25 @@ def write_inputs(directory: str) -> None:
     for name, obj in {**INPUTS, "su3": preset("su3").to_json_obj()}.items():
         with open(os.path.join(directory, f"{name}.json"), "w", encoding="utf-8") as fh:
             fh.write(obj if isinstance(obj, str) else json.dumps(obj))
+
+
+@contextlib.contextmanager
+def fractions_made():
+    """Count in ``made[0]`` the ``Fraction.__new__`` calls inside the block.  From
+    Python 3.12 on, ``Fraction`` arithmetic builds its results without that
+    call, so there only the ``Fraction``s built from numbers are counted, such
+    as the entries of a solver's vector."""
+    made, new = [0], Fraction.__dict__["__new__"]
+
+    def counted(cls, *args, **kwargs):
+        made[0] += 1
+        return new(cls, *args, **kwargs)
+
+    Fraction.__new__ = counted
+    try:
+        yield made
+    finally:
+        Fraction.__new__ = new
 
 
 def check_real_reader() -> None:
@@ -129,17 +154,19 @@ def check_dense_solve() -> None:
 
 def main() -> None:
     from poissonforge import cli
+    from poissonforge.multivector import PolyMVF
 
     cwd, runs, out = os.getcwd(), [run for group in RUNS.values() for run in group], io.StringIO()
     with tempfile.TemporaryDirectory() as directory:
         write_inputs(directory)
         os.chdir(directory)
         try:
-            codes, stdouts = [], []
+            codes, stdouts, made = [], [], []
             for argv, _ in runs:
-                with contextlib.redirect_stdout(io.StringIO()) as run_out:
+                with contextlib.redirect_stdout(io.StringIO()) as run_out, fractions_made() as n:
                     codes.append(cli.main(argv))
                 stdouts.append(run_out.getvalue())
+                made.append(n[0])
             with contextlib.redirect_stdout(out):
                 code = cli.main(["cohomology", "heis.json", "--grade", "1", "--format", "json"])
         finally:
@@ -159,17 +186,22 @@ def main() -> None:
     su3 = json.loads(printed[("cohomology", "su3.json", "--grade", "2", "--max-degree", "3",
                               "--format", "json")])
     assert [row["betti"] for row in su3["rows"]] == [1, 0, 0, 1], su3
-    argv = ("linearize", "so3_jet.json", "--truncate", "4", "--format", "json")
-    gauge = json.loads(printed[argv])
+    argv = ("linearize", "so3_jet.json", "--truncate", "4")
+    gauge = json.loads(printed[argv + ("--format", "json")])
     assert (gauge["rounds"], gauge["X"]) == (3, SO3_JET_GAUGE), gauge
+    field = PolyMVF.from_json_obj(gauge["X"])
+    assert printed[argv] == f"equivalent after 3 rounds\ngauge vector field: {field!r}\n", argv
+    made = {tuple(run): n for (run, _), n in zip(runs, made)}
+    for key in (argv, argv + ("--format", "json")):
+        assert made[key] <= SO3_JET_FRACTIONS, (key, made[key])
     betti = [row["betti"] for row in json.loads(out.getvalue())["rows"]]
     assert (code, betti) == (0, [1, 4, 5, 2]), (code, betti)
     check_real_reader()
     check_dense_solve()
     assert "numpy" not in sys.modules
-    print("exact verbs: exit codes, JSON reports, so3 Casimirs, jet witness, so3 jet gauge, "
-          "su3 and Heisenberg Betti numbers, real reader, dense rational solve and NumPy-free "
-          "start-up as expected")
+    print("exact verbs: exit codes, JSON reports, so3 Casimirs, jet witness, so3 jet gauge "
+          "and its Fraction count, su3 and Heisenberg Betti numbers, real reader, dense "
+          "rational solve and NumPy-free start-up as expected")
 
 
 if __name__ == "__main__":

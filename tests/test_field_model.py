@@ -4,6 +4,8 @@ The model of a field is a plain ``{(legs, exps): Fraction}`` dict, with the
 dilation grade of each monomial computed here from its definition.  Its
 linear structure and grading are written out below with dict and
 ``Fraction`` operations only, so no arithmetic of the package is shared.
+The text a field's JSON holds is read back by sympy, which shares no code
+with the package's grammar reader and writer.
 """
 
 import itertools
@@ -12,13 +14,14 @@ import random
 from fractions import Fraction
 from unittest import mock
 
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poissonforge import (PolyMVF, dilate, grade_component, linear_poisson, preset, schouten,
                           truncate_jet)
 from poissonforge import multivector
-from poissonforge.polyalg import Poly
+from poissonforge.polyalg import Poly, format_poly
 
 from conftest import rand_mvf
 
@@ -169,3 +172,41 @@ def test_grades_stay_carried():
         assert grade.call_count == 0
         PolyMVF(3, 1, {(1,): Poly.variable(3, 2)})
         assert grade.call_count == 1
+
+
+def _sympy_coefficients(text, n):
+    """``{exps: Fraction}`` of a polynomial string, as sympy parses it."""
+    xs = sympy.symbols(f"x1:{n + 1}")
+    expr = sympy.parse_expr(text.replace("^", "**"), local_dict={str(x): x for x in xs})
+    return {exps: Fraction(int(c.p), int(c.q)) for exps, c in sympy.Poly(expr, *xs).terms() if c}
+
+
+def _repr_from_terms(W):
+    """The text rendering of a field, written from its ``{legs: Poly}`` form."""
+    terms = sorted(W.terms.items())
+    if W.grade == 0:
+        body = format_poly(terms[0][1]) if terms else "0"
+    else:
+        body = " + ".join(f"({format_poly(p)}) " + "^".join(f"d{i}" for i in legs)
+                          for legs, p in terms) or "0"
+    return f"<PolyMVF deg={W.grade} {body}>"
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_json_round_trip_matches_the_grammar_oracle(data):
+    # the integer reader and writer of a field's JSON against sympy's parse of
+    # the same text, and against the Poly-level format_poly
+    n, q, weights, a, W = data.draw(fields())
+    obj = W.to_json_obj()
+    back = PolyMVF.from_json_obj(obj)
+    _assert_canonical(back)
+    assert back == W and hash(back) == hash(W)
+    assert [entry["indices"] for entry in obj["terms"]] == sorted(map(list, W.terms))
+    for entry in obj["terms"]:
+        legs = tuple(entry["indices"])
+        assert entry["poly"] == format_poly(W.terms[legs])
+        assert _sympy_coefficients(entry["poly"], n) == {
+            exps: c for (mono_legs, exps), c in a.items() if mono_legs == legs}
+    assert repr(W) == repr(back) == _repr_from_terms(W)
+    assert (obj["terms"] == []) == (a == {})

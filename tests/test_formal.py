@@ -2,6 +2,7 @@
 
 import contextlib
 import hashlib
+import io
 import itertools
 import json
 import math
@@ -17,13 +18,14 @@ from poissonforge import (Poly, PolyMVF, ad_exp, bch, formal_linearize,
                           grade_component, homotopy_solve, linear_poisson,
                           mc_equivalence, order_of, preset, prolong_step,
                           schouten, truncate_jet)
-from poissonforge import formal, multivector, polyalg
+from poissonforge import cli, formal, multivector, polyalg
 from poissonforge.formal import FilteredJet
 from poissonforge.liealg import LieAlgebraSpec
 from poissonforge.multivector import _grade
 from poissonforge.poisson import graded_basis
 from poissonforge.polyalg import parse_poly
 
+import exact_verbs
 from conftest import decoded_rows, rand_homogeneous_vf, rand_mvf
 
 
@@ -418,6 +420,20 @@ def test_one_round_reuses_the_loops_ad_exp(pi_so3, D, rounds):
     assert sol.status == "equivalent" and sol.rounds == rounds
     assert spy.call_count == compose.call_count == rounds
     assert ad_exp(sol.X, pi_so3, D).value == gamma.value
+
+
+def test_the_gauge_path_makes_no_solver_fractions(tmp_path, monkeypatch):
+    # the so3 jet's three gauge rounds read each solve's integers as they were
+    # lifted, and the field is read and written from its numerators: no solver
+    # vector becomes Fractions, and the run makes only bch's few
+    exact_verbs.write_inputs(str(tmp_path))
+    monkeypatch.chdir(tmp_path)
+    argv = ["linearize", "so3_jet.json", "--truncate", "4", "--format", "json"]
+    with mock.patch.object(polyalg, "_fraction_vector", wraps=polyalg._fraction_vector) as vec, \
+            exact_verbs.fractions_made() as made, contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cli.main(argv) == 0
+    assert vec.call_count == 0 and made[0] <= exact_verbs.SO3_JET_FRACTIONS
+    assert json.loads(out.getvalue())["X"] == exact_verbs.SO3_JET_GAUGE
 
 
 def test_composed_gauge_is_reverified(pi_so3, monkeypatch):

@@ -360,6 +360,22 @@ class TestExactSolver:
         k = out.kernel_basis[0]
         assert k[0] + k[1] == 0 and any(k)
 
+    def test_vectors_become_fractions_when_read(self):
+        # the solve keeps the lifted integers; each vector is made once, on its
+        # first read, and the outcome reads as the one built from the lists
+        with mock.patch.object(polyalg, "_fraction_vector", wraps=polyalg._fraction_vector) as vec:
+            out = solve_linear_exact([[2, 2, 0], [0, 0, 3]], [3, 1])
+            assert vec.call_count == 0
+            assert out._sparse["particular"] == ({0: 9, 2: 2}, 6)
+            assert out.particular is out.particular and vec.call_count == 1
+        want = SolveOutcome("feasible", [Fraction(3, 2), Fraction(0), Fraction(1, 3)],
+                            [[Fraction(-1), Fraction(1), Fraction(0)]])
+        assert out == want and repr(out) == repr(want) and out != SolveOutcome("feasible")
+        out = solve_linear_exact([[1, 2], [2, 4]], [1, 3])
+        assert out == SolveOutcome("infeasible", witness=[-2, 1])
+        assert repr(out) == ("SolveOutcome(status='infeasible', particular=None, "
+                             "kernel_basis=[], witness=[Fraction(-2, 1), Fraction(1, 1)])")
+
     def test_infeasibility_witness(self):
         A = [[1, 2], [2, 4]]
         b = [1, 3]

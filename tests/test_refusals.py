@@ -106,6 +106,10 @@ _GAMMA = ad_exp(hamiltonian_vf(PolyMVF(2, 2, {(1, 2): Poly.constant(2, 1)}),
      "'b' must be a sequence, got {0: 5, 1: 6}"),
     (lambda: exact_rank(["12", "34"]), "'dense row' must be a sequence, got '12'"),
     (lambda: exact_rank({(1, 2): 0, (3, 4): 0}), "'A' must be a sequence, got {(1, 2): 0,"),
+    (lambda: exact_rank(5), "'A' must be a sequence, got 5"),
+    (lambda: solve_linear_exact([[1]], 5), "'b' must be a sequence, got 5"),
+    (lambda: exact_rank([[1, 2], 5]), "'dense row' must be a sequence, got 5"),
+    (lambda: solve_linear_exact([[1, 2], 5], [1, 2]), "'dense row' must be a sequence, got 5"),
     (lambda: Poly.variable(3, 4), "variable index 4 out of range 1..3"),
     (lambda: _F + Poly.variable(2, 1), "variable count mismatch: 3 vs 2"),
     (lambda: coadjoint_invariance_check(preset("so3"), Poly.variable(2, 1), 1, 0),
@@ -128,7 +132,8 @@ _GAMMA = ad_exp(hamiltonian_vf(PolyMVF(2, 2, {(1, 2): Poly.constant(2, 1)}),
         "bch-order-0-argument", "homotopy-vector-rhs", "homotopy-weights",
         "homotopy-zero-nvars", "homotopy-zero-vector-rhs", "homotopy-zero-trivector-rhs",
         "sharp-string-form", "sharp-mapping-form", "solve-string-rows", "solve-string-rhs",
-        "solve-mapping-rhs", "rank-string-rows", "rank-mapping-matrix", "poly-variable-index",
+        "solve-mapping-rhs", "rank-string-rows", "rank-mapping-matrix", "rank-int-matrix",
+        "solve-int-rhs", "rank-int-row", "solve-int-row", "poly-variable-index",
         "poly-nvars-mismatch", "coadjoint-nvars", "flow-blowup", "mc-grade-0-part",
         "field-nvars-huge", "spec-dim-huge"])
 def test_bad_input_is_refused(call, message):
