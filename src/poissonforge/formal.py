@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polyalg import _as_int, _Rows, solve_linear_exact
+from .polyalg import _as_int, _fraction_vector, _Rows, solve_linear_exact
 from .multivector import (GradedPiece, PolyMVF, _ad_series, _check_bivector, _grade,
                           grade_component, schouten, truncate_jet)
 from .poisson import _bracket_rows, check_poisson, graded_basis
@@ -165,31 +165,31 @@ def _solve_bracket_equation(pi: PolyMVF, rhs: PolyMVF, unknown_basis,
 
     With restrict_grade set, only the components of the bracket with grade
     <= restrict_grade are constrained (higher grades are left free): the
-    rows above it are never formed.  The integer rows of ``_bracket_rows``
-    are the matrix times pi's denominator ``den``, and rhs is its integers
-    over ``rhs.den``: times ``den * rhs.den`` the equation is all-int, rows
-    times ``rhs.den`` and rhs's integers times ``den``, and the witness of
-    that system, times ``den * rhs.den``, is the witness of the equation.
-    The rows' packed keys are decoded as they are scaled, and the system's
-    rows are the (legs, exps) monomials in sorted order.  The solution is
-    the solve's integers over their denominator, read as they were lifted.
+    rows above it are never formed.  The integer rows R of ``_bracket_rows``
+    are the matrix times pi's denominator ``den``, and rhs is its integers z
+    over ``rhs.den``.  The solve takes R x' = den z on the rows as built, and
+    the RREF solution scales with the right-hand side, so x' / ``rhs.den``
+    is the solution; the solve's witness w times ``den * rhs.den``, scaled
+    in integers, is the witness of the equation.  The system's rows are the
+    decoded (legs, exps) monomials in sorted order, and the solution is
+    read off the solve's integers as they were lifted.
     """
     den, packed, decode = _bracket_rows(pi, unknown_basis, restrict_grade)
-    rows = {decode(key): row if rhs.den == 1 else {col: v * rhs.den for col, v in row.items()}
-            for key, row in packed.items()}
+    rows = {decode(key): row for key, row in packed.items()}
     b = {(legs, exps): c * den for (_, legs, exps), c in rhs._ints.items()}
     keys = sorted(rows.keys() | b.keys())
     A = _Rows(rows.get(key, {}) for key in keys)
     out = solve_linear_exact(A, [b.get(key, 0) for key in keys], ncols=len(unknown_basis))
     if not out.feasible:
-        return None, [w * (den * rhs.den) for w in out.witness]
+        (ints, w_den), scale = out._witness, den * rhs.den
+        return None, _fraction_vector({j: v * scale for j, v in ints.items()}, w_den, len(keys))
     grade = len(unknown_basis[0][0]) if unknown_basis else 0
-    ints, sol_den = out._sparse["particular"]
+    ints, sol_den = out._particular
     sol = {}
     for j in sorted(ints):
         legs, exps = unknown_basis[j]
         sol[_grade(pi.weights, legs, exps), legs, exps] = ints[j]
-    return PolyMVF._raw(pi.nvars, grade, sol, pi.weights, sol_den), None
+    return PolyMVF._raw(pi.nvars, grade, sol, pi.weights, sol_den * rhs.den), None
 
 
 def homotopy_solve(pi_lin: PolyMVF, Z: GradedPiece, base_degree_cap: int = 8) -> HomotopyResult:

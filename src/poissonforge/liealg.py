@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .polyalg import Poly, _as_int, _as_real, _matrix_entry, exact_rank
-from .multivector import MAX_NVARS, PolyMVF, schouten
+from .multivector import MAX_NVARS, PolyMVF, _json_list, schouten
 
 if TYPE_CHECKING:  # annotations only: NumPy is imported where floats are computed
     import numpy as np
@@ -82,10 +82,10 @@ class LieAlgebraSpec:
     def from_json_obj(cls, obj: dict) -> "LieAlgebraSpec":
         """Read a table: ``dim`` and each ``i``/``j``/``k`` are JSON integers
         (``1 <= dim <= MAX_NVARS``), each ``value`` an integer or a rational
-        string."""
+        string, and ``C``, if given, is a JSON list of objects."""
         dim = _as_int(obj["dim"], "dim", 1, MAX_NVARS)
         C: dict = {}
-        for e in obj.get("C", []):
+        for e in _json_list(obj, "C", True) if "C" in obj else ():
             i, j, k = (_as_int(e[key], key) for key in "ijk")
             try:
                 v = _matrix_entry(e["value"])

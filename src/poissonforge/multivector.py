@@ -57,8 +57,8 @@ a field, or keeps ``poisson._bracket_rows``' rows keyed by packed int.
 
 As in ``polyalg``, data is validated where it enters: the public
 ``PolyMVF(...)`` constructor and ``PolyMVF.from_json_obj`` check leg tuples,
-weights and coefficient variable counts, and refuse a non-integer or
-``bool`` ``nvars``, ``grade``, weight or leg rather than round it, as
+weights and coefficients (each a ``Poly`` of ``nvars`` variables), and refuse
+a non-integer or ``bool`` ``nvars``, ``grade``, weight or leg, as
 ``schouten``, ``truncate_jet`` and ``GradedPiece`` refuse such a jet order
 or grade, and an ``nvars`` above ``MAX_NVARS``.  Fields that the operations
 here build from valid fields are wrapped by ``PolyMVF._raw`` without
@@ -101,12 +101,21 @@ __all__ = [
 MAX_NVARS = 2048
 
 
-def _json_ints(obj: dict, key: str) -> tuple:
-    """The list field ``obj[key]`` of JSON integers, as a tuple."""
+def _json_list(obj: dict, key: str, objects: bool = False) -> list:
+    """The list field ``obj[key]``, each entry a JSON object when ``objects``;
+    anything else raises ``ValueError`` naming ``key``."""
     v = obj[key]
     if not isinstance(v, list):
         raise ValueError(f"{key!r} must be a JSON list, got {v!r}")
-    return tuple(_as_int(x, key) for x in v)
+    for entry in v if objects else ():
+        if not isinstance(entry, dict):
+            raise ValueError(f"each entry of {key!r} must be a JSON object, got {entry!r}")
+    return v
+
+
+def _json_ints(obj: dict, key: str) -> tuple:
+    """The list field ``obj[key]`` of JSON integers, as a tuple."""
+    return tuple(_as_int(x, key) for x in _json_list(obj, key))
 
 
 def _check_bivector(pi) -> None:
@@ -174,6 +183,8 @@ class PolyMVF:
         for indices, poly in (terms or {}).items():
             indices = _check_legs(tuple(_as_int(i, "indices") for i in indices),
                                   self.nvars, self.grade)
+            if not isinstance(poly, Poly):
+                raise ValueError(f"coefficient of {indices} must be a Poly, got {poly!r}")
             if poly.nvars != self.nvars:
                 raise ValueError("coefficient variable count mismatch")
             for exps, c in poly.terms.items():  # index tuples may read to the same legs
@@ -314,16 +325,16 @@ class PolyMVF:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "PolyMVF":
-        """Read a field: ``nvars`` (1..``MAX_NVARS``), ``grade`` (>= 0) and each
-        entry of the ``weights`` and ``indices`` lists are JSON integers; each
-        ``poly`` is a string in the polynomial grammar.  It is refused as
-        ``PolyMVF(...)`` refuses it, and its terms are read as integers
-        (``polyalg._parse_terms``) over the lcm of their denominators."""
+        """Read a field: ``nvars`` (1..``MAX_NVARS``), ``grade`` (>= 0) and the
+        entries of the ``weights`` and ``indices`` lists are JSON integers,
+        ``terms`` is a list of objects and each ``poly`` a string in the
+        grammar.  It is refused as ``PolyMVF(...)`` refuses it, and its terms
+        are read as integers (``polyalg._parse_terms``) over one lcm."""
         nvars = _as_int(obj["nvars"], "nvars", 1, MAX_NVARS)
         grade = _as_int(obj["grade"], "grade", 0)
         weights = _json_ints(obj, "weights") if "weights" in obj else None
         terms = {}
-        for entry in obj.get("terms", []):
+        for entry in _json_list(obj, "terms", True) if "terms" in obj else ():
             idx = _json_ints(entry, "indices")
             if idx in terms:
                 raise ValueError(f"repeated index tuple {list(idx)} in terms")

@@ -18,10 +18,11 @@ the kernel basis is lifted by rational reconstruction into one integer form:
 each vector sparse ints over one denominator.  One exact integer check,
 ``M v = 0`` for each of those vectors, certifies the lift; until it passes,
 the next prime is taken.  A solve reduces ``M = [A | b]``, so the same
-certificate covers feasibility, infeasibility and the witness.  All of it
-runs in Python ints, so no entry is too large for it, and a
-``SolveOutcome`` keeps its vectors in that form: they become ``Fraction``s
-only where they are read.  The ranks of a complex, whose matrices
+certificate covers feasibility, infeasibility and the witness; ``b``
+goes into new rows, never into a row it is given.  All of it runs in
+Python ints, so no entry is too large for it, and a ``SolveOutcome``
+holds its vectors in that one form: they become ``Fraction``s only where
+they are read.  The ranks of a complex, whose matrices
 compose to zero, are taken each on a complement of the image of the one
 before, and certified by its exactness where that suffices
 (``_complex_ranks``), and by ``_rref`` where it does not.
@@ -416,44 +417,31 @@ class SolveOutcome:
     solvable exactly when ``A x = b`` is not.  It is computed only for
     infeasible systems.
 
-    ``solve_linear_exact`` keeps each vector as the certified RREF holds it,
-    ``(ints, den)``: sparse nonzero integers over one positive denominator,
-    coprime to them, in ``_sparse`` by name.  Each becomes a list of
-    ``Fraction``s when it is first read, so a caller that reads only the
-    integers (``formal._solve_bracket_equation``) makes none.
+    An outcome holds each vector as the certified RREF does, an ``(ints,
+    den)`` of length ``n``: nonzero integers at keys in ``0..n-1`` over one
+    positive denominator, coprime to them.  It is infeasible exactly when
+    it has a ``witness``.  Each vector becomes a list of ``Fraction``s when
+    first read, so a caller that reads only the integers, ``_particular``
+    and ``_witness`` (``formal._solve_bracket_equation``), makes none.
     """
 
-    def __init__(self, status: str, particular: list | None = None,
-                 kernel_basis: list | None = None, witness: list | None = None):
-        self.status = status  # "feasible" | "infeasible"
-        self.particular, self.witness = particular, witness
-        self.kernel_basis = [] if kernel_basis is None else kernel_basis
-
-    @classmethod
-    def _lifted(cls, n: int, particular=None, kernel_basis=(), witness=None) -> "SolveOutcome":
-        """A feasible outcome from ``particular`` and ``kernel_basis``, or an infeasible
-        one from ``witness``, each an ``(ints, den)`` of length-``n`` vectors."""
-        out = cls.__new__(cls)
-        out._n = n
-        if witness is None:
-            out.status, out.witness = "feasible", None
-            out._sparse = {"particular": particular, "kernel_basis": kernel_basis}
-        else:
-            out.status, out.particular, out.kernel_basis = "infeasible", None, []
-            out._sparse = {"witness": witness}
-        return out
+    def __init__(self, n: int, particular: tuple | None = None, kernel_basis=(),
+                 witness: tuple | None = None):
+        self.status = "feasible" if witness is None else "infeasible"
+        self._n, self._particular, self._witness = n, particular, witness
+        self._kernel_basis = kernel_basis
 
     @functools.cached_property
-    def particular(self) -> list:
-        return _fraction_vector(*self._sparse["particular"], self._n)
+    def particular(self) -> list | None:
+        return None if self._particular is None else _fraction_vector(*self._particular, self._n)
 
     @functools.cached_property
     def kernel_basis(self) -> list:
-        return [_fraction_vector(*vector, self._n) for vector in self._sparse["kernel_basis"]]
+        return [_fraction_vector(*vector, self._n) for vector in self._kernel_basis]
 
     @functools.cached_property
-    def witness(self) -> list:
-        return _fraction_vector(*self._sparse["witness"], self._n)
+    def witness(self) -> list | None:
+        return None if self._witness is None else _fraction_vector(*self._witness, self._n)
 
     @property
     def feasible(self) -> bool:
@@ -474,7 +462,7 @@ class SolveOutcome:
 
 class _Rows(list):
     """Sparse rows the package builds itself: dicts of nonzero ``int``s at ``int``
-    keys in ``0..ncols-1``, which ``_to_sparse_rows`` copies unchecked."""
+    keys in ``0..ncols-1``, which ``_to_sparse_rows`` passes on unchecked."""
 
 
 def _to_sparse_rows(A, ncols=None):
@@ -489,12 +477,12 @@ def _to_sparse_rows(A, ncols=None):
     is read as ``dict(enumerate(row))``.  Keys must be ints in ``0..ncols-1``
     (with ``ncols`` None, any int >= 0, and the count is one past the
     largest); a ``bool`` is not a key.  Anything else raises ``ValueError``.
-    ``_Rows`` with ``ncols`` given are trusted: their rows are copied, so a
-    solve never changes its caller's dicts.
+    ``_Rows`` with ``ncols`` given are trusted and returned as they are: no
+    solve writes into a row it is given, so none is copied.
     """
     ncols = ncols if ncols is None else _as_int(ncols, "ncols", 0)
     if type(A) is _Rows and ncols is not None:
-        return list(map(dict, A)), ncols
+        return A, ncols
     rows, top = [], 0
     for row in _as_sequence(A, "A"):
         if not isinstance(row, dict):
@@ -798,11 +786,10 @@ def _complex_ranks(rows_of, ncols: list) -> list:
 
 
 def _fraction_vector(ints: dict, den: int, n: int) -> list:
-    """``ints / den`` as a dense list of ``n`` Fractions, its keys from n on dropped."""
+    """``ints / den``, its keys in ``0..n-1``, as a dense list of ``n`` Fractions."""
     vec = [Fraction(0)] * n
     for j, v in ints.items():
-        if j < n:
-            vec[j] = Fraction(v, den)
+        vec[j] = Fraction(v, den)
     return vec
 
 
@@ -816,21 +803,20 @@ def solve_linear_exact(A, b, ncols: int | None = None) -> SolveOutcome:
     has 1 at free column f and 0 at the others.
 
     All of it is read off the certified RREF (``_rref``) of ``M = [A | b]``
-    with ``b`` as column ``ncols``: the system is infeasible exactly when
+    with ``b`` as column ``ncols`` (new rows ``{**row, ncols: c}`` for each
+    nonzero ``c`` of ``b``): the system is infeasible exactly when
     that column is a pivot, and otherwise the particular solution is minus
     its kernel vector.  Infeasibility is a status, never an exception; only
     then is the witness of ``SolveOutcome`` computed, from the RREF of
     ``[[A^T, 0], [b^T, -1]]``: the kernel vector ``(w, 1)`` of its last
-    column has ``w A = 0`` and ``w . b = 1``.  The outcome holds these
-    vectors as ``_rref`` lifted them, integers over one denominator each.
+    column has ``w A = 0`` and ``w . b = 1``.  The outcome is built from
+    these vectors as ``_rref`` lifted them, integers over one denominator each.
     """
     rows, ncols = _to_sparse_rows(A, ncols)
     b = [v if type(v) is int else _matrix_entry(v) for v in _as_sequence(b, "b")]
     if len(b) != len(rows):
         raise ValueError(f"dimension mismatch: {len(rows)} rows vs {len(b)} rhs entries")
-    for row, c in zip(rows, b):
-        if c:
-            row[ncols] = c
+    rows = [{**row, ncols: c} if c else row for row, c in zip(rows, b)]
     piv, kernel = _rref(rows, ncols + 1)
     if piv and piv[-1] == ncols:
         m = len(rows)
@@ -841,10 +827,10 @@ def solve_linear_exact(A, b, ncols: int | None = None) -> SolveOutcome:
         transpose[ncols][m] = -1
         _, kernel = _rref(transpose, m + 1)
         ints, den = kernel[m]
-        return SolveOutcome._lifted(m, witness=({j: v for j, v in ints.items() if j < m}, den))
+        return SolveOutcome(m, witness=({j: v for j, v in ints.items() if j < m}, den))
     ints, den = kernel.pop(ncols)
     particular = {j: -v for j, v in ints.items() if j < ncols}
-    return SolveOutcome._lifted(ncols, (particular, den), list(kernel.values()))
+    return SolveOutcome(ncols, (particular, den), list(kernel.values()))
 
 
 def exact_rank(A, ncols: int | None = None) -> int:

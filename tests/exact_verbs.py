@@ -5,7 +5,8 @@ and ``RUNS`` the CLI argv lists, grouped by verb, each with its expected
 exit code: a success and an input error per verb, for ``check`` and
 ``casimirs`` a field and a table of 10^30 variables, refused where
 ``nvars`` and ``dim`` are read, for ``check`` a field whose ``nvars`` has
-5000 digits, more than ``json.load`` reads, and the README jet, which is
+5000 digits, more than ``json.load`` reads, one whose ``terms`` is the
+string ``""``, not a list, and the README jet, which is
 not Poisson, so its witness [pi, pi] is the self-bracket the Schouten
 kernel forms once and doubles, for ``cohomology`` the su3
 table at grade 2 up to degree 3, whose last degree is certified on the
@@ -62,6 +63,7 @@ INPUTS = {
          "poly": "-2*x1*x2^3 - x1^2*x2 - 2*x2^3 - 3/2*x2^2*x3 - 2*x1*x2 - x1*x3 - x2"},
         {"indices": [2, 3], "poly": "1/2*x2^4 + x1*x2^2 + x2^2 + x2*x3 + x1"}]},
     "huge_field": {"nvars": 10**30, "grade": 2, "terms": []},
+    "string_terms": {"nvars": 3, "grade": 2, "terms": ""},
     "huge_table": {"dim": 10**30, "C": []},
     # as text, since json.dump cannot write an integer past int()'s digit limit
     "long_field": '{"nvars": ' + "9" * 5000 + ', "grade": 2, "terms": []}',
@@ -69,7 +71,8 @@ INPUTS = {
 
 RUNS = {
     "check": [(["check", "so3.json"], 0), (["check", "jet.json"], 1), (["check", "vf.json"], 2),
-              (["check", "huge_field.json"], 2), (["check", "long_field.json"], 2)],
+              (["check", "huge_field.json"], 2), (["check", "long_field.json"], 2),
+              (["check", "string_terms.json"], 2)],
     "casimirs": [(["casimirs", "so3.json", "--max-degree", "2"], 0),
                  (["casimirs", "so3.json", "--max-degree", "-1"], 2),
                  (["casimirs", "huge_table.json"], 2)],

@@ -522,6 +522,27 @@ def test_multivector_input_rejects_reinterpretation(tmp_path, capsys, field, edi
     assert err.startswith("error:") and repr(field) in err
 
 
+@pytest.mark.parametrize("argv", [["check"], ["cohomology", "--grade", "1"]],
+                         ids=["check", "cohomology"])
+@pytest.mark.parametrize("obj, message", [
+    ({"nvars": 3, "grade": 2, "terms": ""}, "'terms' must be a JSON list, got ''"),
+    ({"nvars": 3, "grade": 2, "terms": {}}, "'terms' must be a JSON list, got {}"),
+    ({"nvars": 3, "grade": 2, "terms": [[1, 2]]},
+     "each entry of 'terms' must be a JSON object, got [1, 2]"),
+    ({"dim": 3, "C": {}}, "'C' must be a JSON list, got {}"),
+    ({"dim": 3, "C": ["1,2,3"]}, "each entry of 'C' must be a JSON object, got '1,2,3'"),
+], ids=["terms-string", "terms-object", "terms-entry", "C-object", "C-entry"])
+def test_a_non_list_of_objects_exits_2_naming_its_key(tmp_path, capsys, obj, message, argv):
+    # such terms or C were read as empty: the zero bivector, "poisson: True",
+    # or the abelian table, with exit code 0
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj))
+    assert cli.main([argv[0], str(path), *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: {message}\n"
+
+
 def test_non_string_poly_exits_2(tmp_path, capsys):
     obj = json.loads(json.dumps(_SO3_FIELD))
     obj["terms"][0]["poly"] = 3

@@ -33,7 +33,8 @@ from hypothesis import strategies as st
 from sympy import QQ
 from sympy.polys.rings import ring
 
-from poissonforge import Poly, PolyMVF, ad_exp, bch, formal_linearize, linear_poisson, preset
+from poissonforge import (FilteredJet, Poly, PolyMVF, ad_exp, bch, formal_linearize,
+                          linear_poisson, mc_equivalence, preset)
 
 
 @functools.cache
@@ -226,6 +227,32 @@ def test_linearizing_gauge_carries_pi_to_its_linear_part():
     sol = formal_linearize(pi, D)
     assert sol.status == "equivalent" and sol.X.value.terms
     _assert_carries(sol.X.value, pi, pi_lin, D)
+
+
+@st.composite
+def _mc_cases_under_base_variables(draw):
+    """X of grades 2-3 and gamma' = (g1 d1 + g2 d2) ^ d3 under weights (0, 0, 1),
+    g1 and g2 of degree <= 2 in the base variables x1 and x2: gamma' is pure
+    grade 1, and Poisson for any g1 and g2."""
+    weights = (0, 0, 1)
+    monomials = [(a, b, 0) for a in range(3) for b in range(3 - a)]
+    g = st.dictionaries(st.sampled_from(monomials), st.integers(-3, 3).filter(bool),
+                        min_size=1, max_size=3)
+    gamma_p = PolyMVF(3, 2, {(1, 3): Poly(3, draw(g)), (2, 3): Poly(3, draw(g))}, weights)
+    return draw(_fields(3, 1, {2, 3}, weights).filter(lambda X: X.terms)), gamma_p
+
+
+@settings(max_examples=9, derandomize=True, database=None, deadline=None)
+@given(_mc_cases_under_base_variables())
+def test_mc_equivalence_gauge_is_the_change_of_coordinates_under_base_variables(case):
+    # the gauge that mc_equivalence returns for gamma = Ad(e^X) gamma', not X
+    # itself: exp of it carries gamma to gamma' in fiber degree
+    X, gamma_p = case
+    D = 4
+    gamma = ad_exp(X, gamma_p, D)
+    sol = mc_equivalence(gamma, FilteredJet(gamma_p, D), D)
+    assert sol.status == "equivalent"
+    _assert_carries(sol.X.value, gamma.value, gamma_p, D)
 
 
 def _load_workloads():

@@ -362,17 +362,21 @@ class TestExactSolver:
 
     def test_vectors_become_fractions_when_read(self):
         # the solve keeps the lifted integers; each vector is made once, on its
-        # first read, and the outcome reads as the one built from the lists
+        # first read, and the outcome reads as the one built from those integers
         with mock.patch.object(polyalg, "_fraction_vector", wraps=polyalg._fraction_vector) as vec:
             out = solve_linear_exact([[2, 2, 0], [0, 0, 3]], [3, 1])
             assert vec.call_count == 0
-            assert out._sparse["particular"] == ({0: 9, 2: 2}, 6)
+            assert out._particular == ({0: 9, 2: 2}, 6)
             assert out.particular is out.particular and vec.call_count == 1
-        want = SolveOutcome("feasible", [Fraction(3, 2), Fraction(0), Fraction(1, 3)],
-                            [[Fraction(-1), Fraction(1), Fraction(0)]])
-        assert out == want and repr(out) == repr(want) and out != SolveOutcome("feasible")
+        assert (out.status, out.particular, out.kernel_basis, out.witness) == (
+            "feasible", [Fraction(3, 2), Fraction(0), Fraction(1, 3)],
+            [[Fraction(-1), Fraction(1), Fraction(0)]], None)
+        want = SolveOutcome(3, ({0: 9, 2: 2}, 6), [({0: -1, 1: 1}, 1)])
+        assert out == want and repr(out) == repr(want) and out != SolveOutcome(3)
         out = solve_linear_exact([[1, 2], [2, 4]], [1, 3])
-        assert out == SolveOutcome("infeasible", witness=[-2, 1])
+        assert (out.status, out.particular, out.kernel_basis, out.witness) == (
+            "infeasible", None, [], [Fraction(-2), Fraction(1)])
+        assert out == SolveOutcome(2, witness=({0: -2, 1: 1}, 1))
         assert repr(out) == ("SolveOutcome(status='infeasible', particular=None, "
                              "kernel_basis=[], witness=[Fraction(-2, 1), Fraction(1, 1)])")
 
@@ -501,13 +505,24 @@ class TestExactSolver:
     @pytest.mark.parametrize("b", [[1, 3, 0], [Fraction(1, 2), 1, 0]],
                              ids=["infeasible", "feasible"])
     def test_solves_leave_trusted_rows_unchanged(self, b):
-        # the rows are copied: b is written into column ncols of the copy,
-        # and an infeasible solve transposes it for the witness
+        # no row is written into: b goes into column ncols of new rows, and
+        # an infeasible solve transposes those for the witness
         rows = polyalg._Rows([{0: 1, 1: 2}, {0: 2, 1: 4}, {}])
         before = [dict(row) for row in rows]
         solve_linear_exact(rows, b, 2)
         assert exact_rank(rows, 2) == 1
         assert rows == before
+
+    def test_trusted_rows_reach_the_solver_uncopied(self):
+        # _Rows pass the reader as they are, and only a row with a nonzero b
+        # entry is a new dict, [A | b]'s row: the others reach _rref as given
+        rows = polyalg._Rows([{0: 1, 1: 2}, {0: 2, 1: 4}, {}])
+        assert polyalg._to_sparse_rows(rows, 2)[0] is rows
+        with mock.patch.object(polyalg, "_rref", wraps=polyalg._rref) as rref:
+            solve_linear_exact(rows, [0, 3, 0], 2)
+        reduced = rref.call_args_list[0].args[0]
+        assert reduced[0] is rows[0] and reduced[2] is rows[2]
+        assert reduced[1] == {0: 2, 1: 4, 2: 3} and rows[1] == {0: 2, 1: 4}
 
 
 # ---------------------------------------------------------------------------
@@ -669,12 +684,17 @@ def _by_elimination(A, b, n):
         m = len(A)
         transpose = [[A[i][j] for i in range(m)] for j in range(n)] + [list(b)]
         witness = _by_elimination(transpose, [0] * n + [1], m).particular
-        return SolveOutcome(status="infeasible", witness=witness)
+        return SolveOutcome(m, witness=_integer_form(witness))
     vectors = [[Fraction(int(j == f)) for j in range(n)] for f in free]
     for p, c, v in entries:
         vectors[c][p] = v
     *kernel, last = vectors  # the vector of free column n, cut to A's columns
-    return SolveOutcome(status="feasible", particular=[-v for v in last], kernel_basis=kernel)
+    return SolveOutcome(n, _integer_form([-v for v in last]), list(map(_integer_form, kernel)))
+
+
+def _integer_form(vector):
+    """A list of Fractions as the ``(ints, den)`` a ``SolveOutcome`` is built from."""
+    return polyalg._over_lcm(dict(enumerate(vector)))
 
 
 def _rref_answer(rows, ncols):

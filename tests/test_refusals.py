@@ -120,6 +120,16 @@ _GAMMA = ad_exp(hamiltonian_vf(PolyMVF(2, 2, {(1, 2): Poly.constant(2, 1)}),
      "gamma' has a grade-0 part <PolyMVF deg=2 (1) d1^d2>"),
     (lambda: PolyMVF(10**30, 2), f"'nvars' must be at most {MAX_NVARS}, got {10**30}"),
     (lambda: LieAlgebraSpec(10**30), f"'dim' must be at most {MAX_NVARS}, got {10**30}"),
+    (lambda: PolyMVF.from_json_obj({"nvars": 3, "grade": 2, "terms": ""}),
+     "'terms' must be a JSON list, got ''"),
+    (lambda: PolyMVF.from_json_obj({"nvars": 3, "grade": 2, "terms": {}}),
+     "'terms' must be a JSON list, got {}"),
+    (lambda: PolyMVF.from_json_obj({"nvars": 3, "grade": 2, "terms": [5]}),
+     "each entry of 'terms' must be a JSON object, got 5"),
+    (lambda: LieAlgebraSpec.from_json_obj({"dim": 3, "C": {}}), "'C' must be a JSON list, got {}"),
+    (lambda: LieAlgebraSpec.from_json_obj({"dim": 3, "C": [[1, 2, 3]]}),
+     "each entry of 'C' must be a JSON object, got [1, 2, 3]"),
+    (lambda: PolyMVF(2, 1, {(1,): 3}), "coefficient of (1,) must be a Poly, got 3"),
 ], ids=["solve-rhs-count", "index-tuple-length", "check-nvars", "check-weights",
         "add-degrees", "json-repeated-indices", "apply-function-count", "dilate-zero",
         "check_poisson-vector", "sharp-vector", "poisson_bracket-vector", "sharp-form-length",
@@ -135,7 +145,8 @@ _GAMMA = ad_exp(hamiltonian_vf(PolyMVF(2, 2, {(1, 2): Poly.constant(2, 1)}),
         "solve-mapping-rhs", "rank-string-rows", "rank-mapping-matrix", "rank-int-matrix",
         "solve-int-rhs", "rank-int-row", "solve-int-row", "poly-variable-index",
         "poly-nvars-mismatch", "coadjoint-nvars", "flow-blowup", "mc-grade-0-part",
-        "field-nvars-huge", "spec-dim-huge"])
+        "field-nvars-huge", "spec-dim-huge", "json-terms-string", "json-terms-object",
+        "json-terms-entry", "json-C-object", "json-C-entry", "field-int-coefficient"])
 def test_bad_input_is_refused(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
