@@ -44,13 +44,15 @@ def parse_input(path: str):
         raise InputError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}") from e
     except ValueError as e:  # not UTF-8, or an integer longer than int() reads
         raise InputError(f"{path}: unreadable JSON: {e}") from e
+    if not isinstance(obj, dict):
+        raise InputError(f"{path}: the top level must be a JSON object")
     try:
         if "terms" in obj or "grade" in obj:
             return PolyMVF.from_json_obj(obj)
         if "C" in obj or "dim" in obj:
             # the Jacobi identity is a verdict for `check`, not an input precondition
             return liealg.LieAlgebraSpec.from_json_obj(obj)
-    except (PolyParseError, ValueError, KeyError, TypeError) as e:
+    except (PolyParseError, ValueError, TypeError) as e:
         raise InputError(f"{path}: {e}") from e
     raise InputError(f"{path}: neither a multivector nor a Lie algebra spec")
 

@@ -269,16 +269,49 @@ def mc_equivalence(gamma: FilteredJet, gamma_p: FilteredJet, D: int,
     puts [X_q, pi_0] one grade below the order solved; when a round thus
     fails to raise the order, ValueError names pi_0.  Else [X_q, pi_0] = 0,
     so the Lie words in the X_q above grade D, which the D-jet X drops and
-    ad_exp reads, commute with pi_0.  Without pi_0 the grade-1 piece of the
-    checked [gamma, gamma] is [pi_lin, pi_lin], so pi_lin is Poisson and a
-    solved round forms no cocycle bracket.
+    ad_exp reads, commute with pi_0.
+
+    The Maurer-Cartan checks, [gamma, gamma] = 0 and [gamma', gamma'] = 0 mod
+    grade D, run as follows (``_gauge``).  gamma' is checked before the loop,
+    so pi_lin, its grade-1 piece, is Poisson and a solved round forms no
+    cocycle bracket.  Where gamma or gamma' has a grade-0 part, gamma is
+    checked first.  Else gamma is checked only when the answer is not an
+    equivalence: before "obstructed" is returned, and before a ValueError
+    or RuntimeError is raised, that of gamma' included, so gamma's error
+    comes first as it does with a grade-0 part.  An equivalence needs no
+    check of gamma: brackets of grades a, b >= 1 land in grade a + b - 1 >= 1,
+    so Ad(e^X) is an automorphism of the grade->=1 D-truncation, and
+    gamma = Ad(e^X) gamma' gives [gamma, gamma] = Ad(e^X) [gamma', gamma'] = 0
+    mod grade D.
     """
     base_degree_cap = _as_int(base_degree_cap, "base_degree_cap", 0)
     D = _as_int(D, "jet order D", 0)
-    gamma = _as_jet(gamma, D)
-    gamma_p = _as_jet(gamma_p, D)
-    _check_mc(gamma, "gamma")
-    _check_mc(gamma_p, "gamma'")
+    return _gauge(_as_jet(gamma, D), _as_jet(gamma_p, D), D, base_degree_cap)
+
+
+def _gauge(gamma: FilteredJet, gamma_p: FilteredJet, D: int, base_degree_cap: int,
+           gamma_p_checked: bool = False) -> GaugeSolution:
+    """``mc_equivalence`` on checked arguments, with its Maurer-Cartan checks;
+    ``gamma_p_checked`` skips that of gamma', which the caller has made."""
+    deferred = 0 not in gamma.value._grades() | gamma_p.value._grades()
+    if not deferred:
+        _check_mc(gamma, "gamma")
+    try:
+        if not gamma_p_checked:
+            _check_mc(gamma_p, "gamma'")
+        sol = _gauge_loop(gamma, gamma_p, D, base_degree_cap)
+    except (ValueError, RuntimeError):
+        if deferred:
+            _check_mc(gamma, "gamma")
+        raise
+    if sol.status == "obstructed" and deferred:
+        _check_mc(gamma, "gamma")
+    return sol
+
+
+def _gauge_loop(gamma: FilteredJet, gamma_p: FilteredJet, D: int,
+                base_degree_cap: int) -> GaugeSolution:
+    """The gauge recursion of ``mc_equivalence``, on gamma' checked Maurer-Cartan."""
     # a difference of two D-jets is a D-jet: each round's is formed once
     diff = gamma_p.value - gamma.value
     if order_of(diff) < 1:
@@ -360,7 +393,13 @@ def prolong_step(pi_partial: FilteredJet, m: int, base_degree_cap: int = 8) -> P
 
 
 def formal_linearize(pi: PolyMVF, D: int, base_degree_cap: int = 8) -> GaugeSolution:
-    """Gauge pi's D-jet to its linear part, or report the obstruction."""
+    """Gauge pi's D-jet to its linear part, or report the obstruction.
+
+    The linear part pi_lin is checked Poisson, [pi_lin, pi_lin] = 0, which
+    makes its D-jet, gamma', Maurer-Cartan: the gauge loop does not check it
+    again.  pi has no grade-0 part, so its D-jet gamma is checked only when
+    the answer is not an equivalence, as ``mc_equivalence`` says: a verified
+    gauge proves [gamma, gamma] = 0 mod grade D."""
     if 0 in pi._grades():
         raise ValueError("pi must vanish at the origin (no grade-0 part)")
     pi_lin = grade_component(pi, 1).value
@@ -368,4 +407,5 @@ def formal_linearize(pi: PolyMVF, D: int, base_degree_cap: int = 8) -> GaugeSolu
         raise ValueError("linear part of pi is not Poisson")
     gamma = FilteredJet(pi, D)
     gamma_p = FilteredJet(pi_lin, D)
-    return mc_equivalence(gamma, gamma_p, D, base_degree_cap)
+    base_degree_cap = _as_int(base_degree_cap, "base_degree_cap", 0)
+    return _gauge(gamma, gamma_p, gamma.D, base_degree_cap, gamma_p_checked=True)

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .polyalg import Poly, _as_int, _as_real, _matrix_entry, exact_rank
-from .multivector import MAX_NVARS, PolyMVF, _json_list, schouten
+from .multivector import MAX_NVARS, PolyMVF, _json_list, _json_require, schouten
 
 if TYPE_CHECKING:  # annotations only: NumPy is imported where floats are computed
     import numpy as np
@@ -82,10 +82,14 @@ class LieAlgebraSpec:
     def from_json_obj(cls, obj: dict) -> "LieAlgebraSpec":
         """Read a table: ``dim`` and each ``i``/``j``/``k`` are JSON integers
         (``1 <= dim <= MAX_NVARS``), each ``value`` an integer or a rational
-        string, and ``C``, if given, is a JSON list of objects."""
+        string, and ``C``, if given, is a JSON list of objects.  ``dim`` and
+        each entry's ``i``, ``j``, ``k`` and ``value`` are required, and a
+        missing one is refused by name."""
+        _json_require(obj, ("dim",), "a table")
         dim = _as_int(obj["dim"], "dim", 1, MAX_NVARS)
         C: dict = {}
         for e in _json_list(obj, "C", True) if "C" in obj else ():
+            _json_require(e, ("i", "j", "k", "value"), "a 'C' entry")
             i, j, k = (_as_int(e[key], key) for key in "ijk")
             try:
                 v = _matrix_entry(e["value"])

@@ -101,6 +101,13 @@ __all__ = [
 MAX_NVARS = 2048
 
 
+def _json_require(obj: dict, keys, where: str) -> None:
+    """Refuse ``obj`` with a ``ValueError`` naming the first of ``keys`` it lacks and ``where``."""
+    for key in keys:
+        if key not in obj:
+            raise ValueError(f"missing key {key!r} in {where}")
+
+
 def _json_list(obj: dict, key: str, objects: bool = False) -> list:
     """The list field ``obj[key]``, each entry a JSON object when ``objects``;
     anything else raises ``ValueError`` naming ``key``."""
@@ -258,28 +265,36 @@ class PolyMVF:
 
     def __add__(self, other: "PolyMVF") -> "PolyMVF":
         """The sum, over the lcm of the denominators."""
+        return self._combine(other, 1)
+
+    def __neg__(self):
+        return self._like({key: -c for key, c in self._ints.items()}, self.den)
+
+    def __sub__(self, other: "PolyMVF") -> "PolyMVF":
+        """The difference, over the lcm of the denominators, formed without ``-other``."""
+        return self._combine(other, -1)
+
+    def _combine(self, other: "PolyMVF", sign: int) -> "PolyMVF":
+        """``self + sign * other``: the operand with more monomials is copied,
+        scaled to the lcm of the denominators, and the other added into it."""
         if not isinstance(other, PolyMVF):
             return NotImplemented
         self._check(other)
         if other.is_zero() or self.is_zero():
-            return self if other.is_zero() else other
+            return self if other.is_zero() else other if sign == 1 else -other
         if self.grade != other.grade:
             raise ValueError("cannot add multivectors of different degree")
         den = math.lcm(self.den, other.den)
-        a, b = den // self.den, den // other.den
-        ints = self._ints.copy() if a == 1 else {k: c * a for k, c in self._ints.items()}
-        for key, c in other._ints.items():
+        big, a, small, b = self._ints, den // self.den, other._ints, sign * (den // other.den)
+        if len(big) < len(small):
+            big, a, small, b = small, b, big, a
+        ints = big.copy() if a == 1 else {k: c * a for k, c in big.items()}
+        for key, c in small.items():
             if s := ints.get(key, 0) + c * b:
                 ints[key] = s
             else:
                 del ints[key]
         return self._like(ints, den)
-
-    def __neg__(self):
-        return self._like({key: -c for key, c in self._ints.items()}, self.den)
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, scalar):
         """The field times an int, a ``Fraction`` or a rational string (``_as_fraction``)."""
@@ -328,13 +343,17 @@ class PolyMVF:
         """Read a field: ``nvars`` (1..``MAX_NVARS``), ``grade`` (>= 0) and the
         entries of the ``weights`` and ``indices`` lists are JSON integers,
         ``terms`` is a list of objects and each ``poly`` a string in the
-        grammar.  It is refused as ``PolyMVF(...)`` refuses it, and its terms
-        are read as integers (``polyalg._parse_terms``) over one lcm."""
+        grammar.  ``nvars``, ``grade`` and each entry's ``indices`` and ``poly``
+        are required, and a missing one is refused by name.  It is refused as
+        ``PolyMVF(...)`` refuses it, and its terms are read as integers
+        (``polyalg._parse_terms``) over one lcm."""
+        _json_require(obj, ("nvars", "grade"), "a field")
         nvars = _as_int(obj["nvars"], "nvars", 1, MAX_NVARS)
         grade = _as_int(obj["grade"], "grade", 0)
         weights = _json_ints(obj, "weights") if "weights" in obj else None
         terms = {}
         for entry in _json_list(obj, "terms", True) if "terms" in obj else ():
+            _json_require(entry, ("indices", "poly"), "a 'terms' entry")
             idx = _json_ints(entry, "indices")
             if idx in terms:
                 raise ValueError(f"repeated index tuple {list(idx)} in terms")

@@ -12,7 +12,10 @@ kernel forms once and doubles, for ``cohomology`` the su3
 table at grade 2 up to degree 3, whose last degree is certified on the
 columns off the pivot rows of the degree before, for ``linearize`` a
 nonlinear so3 jet that takes three gauge rounds, so that ``ad_exp``'s packed
-Lie series, ``bch`` and the solved rounds of ``homotopy_solve`` run, and for
+Lie series, ``bch`` and the solved rounds of ``homotopy_solve`` run, and a
+jet with the so3 linear part that is not Maurer-Cartan, its [gamma, gamma]
+nonzero in grade 2, which the gauge loop refuses only after its first
+round fails, when gamma is checked, and for
 ``prolong`` the obstructed README jet, which takes the witness path of the
 exact solver.
 Every run but an input error comes once in text and once with ``--format
@@ -33,7 +36,8 @@ the reader refuses a ``bool``, a NaN and, when ``positive``, a value <= 0,
 that the solution and the kernel vector satisfy the system exactly, the
 rank 2, the jet's JSON witness ``2*x3^2`` at ``d1^d2^d3``, the so3 jet's 3
 rounds and its gauge field ``SO3_JET_GAUGE``, whose text rendering is the
-``repr`` of the field read back from that JSON, that each of the so3 jet's
+``repr`` of the field read back from that JSON, the defective jet's
+error line ``SO3_DEFECT_ERROR``, that each of the so3 jet's
 two ``linearize`` runs makes at most ``SO3_JET_FRACTIONS`` ``Fraction``s
 (``fractions_made``), and that NumPy was never imported:
 
@@ -62,6 +66,10 @@ INPUTS = {
         {"indices": [1, 3],
          "poly": "-2*x1*x2^3 - x1^2*x2 - 2*x2^3 - 3/2*x2^2*x3 - 2*x1*x2 - x1*x3 - x2"},
         {"indices": [2, 3], "poly": "1/2*x2^4 + x1*x2^2 + x2^2 + x2*x3 + x1"}]},
+    # the so3 linear part plus x1^2 d1^d2: [gamma, gamma] has a grade-2 piece
+    "so3_defect": {"nvars": 3, "grade": 2, "terms": [
+        {"indices": [1, 2], "poly": "x1^2 + x3"}, {"indices": [1, 3], "poly": "-x2"},
+        {"indices": [2, 3], "poly": "x1"}]},
     "huge_field": {"nvars": 10**30, "grade": 2, "terms": []},
     "string_terms": {"nvars": 3, "grade": 2, "terms": ""},
     "huge_table": {"dim": 10**30, "C": []},
@@ -81,6 +89,7 @@ RUNS = {
                    (["cohomology", "so3.json", "--grade", "-1"], 2)],
     "linearize": [(["linearize", "so3.json", "--truncate", "4"], 0),
                   (["linearize", "so3_jet.json", "--truncate", "4"], 0),
+                  (["linearize", "so3_defect.json", "--truncate", "3"], 2),
                   (["linearize", "so3.json", "--base-degree-cap", "-1"], 2)],
     "prolong": [(["prolong", "jet.json", "--weights", "0,0,1"], 1), (["prolong", "so3.json"], 0),
                 (["prolong", "jet.json", "--grade", "-1"], 2)],
@@ -91,6 +100,9 @@ SO3_JET_GAUGE = {"nvars": 3, "weights": [1, 1, 1], "grade": 1, "terms": [
                              " + 3/4*x2^2*x3^2 + 1/2*x1*x2^2 + x1*x2*x3 + x2^2 + x2*x3"},
     {"indices": [2], "poly": "-x1*x2^2*x3 - x1*x2*x3^2 - x1^2*x3 - 1/2*x2^2*x3"},
     {"indices": [3], "poly": "-1/2*x2^2*x3"}]}
+# the error line of ``linearize so3_defect.json --truncate 3``
+SO3_DEFECT_ERROR = ("error: gamma is not Maurer-Cartan mod grade 3: "
+                    "[gamma,gamma] has grade-2 defect\n")
 # the most ``Fraction``s one ``linearize so3_jet.json`` run may make: its solves hand
 # their integers to the gauge field, and the field's JSON and text are read and
 # written from its numerators, so only ``bch``'s 3 coefficients are made
@@ -164,11 +176,13 @@ def main() -> None:
         write_inputs(directory)
         os.chdir(directory)
         try:
-            codes, stdouts, made = [], [], []
+            codes, stdouts, stderrs, made = [], [], [], []
             for argv, _ in runs:
-                with contextlib.redirect_stdout(io.StringIO()) as run_out, fractions_made() as n:
+                with contextlib.redirect_stdout(io.StringIO()) as run_out, \
+                        contextlib.redirect_stderr(io.StringIO()) as run_err, fractions_made() as n:
                     codes.append(cli.main(argv))
                 stdouts.append(run_out.getvalue())
+                stderrs.append(run_err.getvalue())
                 made.append(n[0])
             with contextlib.redirect_stdout(out):
                 code = cli.main(["cohomology", "heis.json", "--grade", "1", "--format", "json"])
@@ -194,6 +208,9 @@ def main() -> None:
     assert (gauge["rounds"], gauge["X"]) == (3, SO3_JET_GAUGE), gauge
     field = PolyMVF.from_json_obj(gauge["X"])
     assert printed[argv] == f"equivalent after 3 rounds\ngauge vector field: {field!r}\n", argv
+    errors = {tuple(argv): stderr for (argv, _), stderr in zip(runs, stderrs)}
+    defect = errors[("linearize", "so3_defect.json", "--truncate", "3")]
+    assert defect == SO3_DEFECT_ERROR, defect
     made = {tuple(run): n for (run, _), n in zip(runs, made)}
     for key in (argv, argv + ("--format", "json")):
         assert made[key] <= SO3_JET_FRACTIONS, (key, made[key])
@@ -203,7 +220,7 @@ def main() -> None:
     check_dense_solve()
     assert "numpy" not in sys.modules
     print("exact verbs: exit codes, JSON reports, so3 Casimirs, jet witness, so3 jet gauge "
-          "and its Fraction count, su3 and Heisenberg Betti numbers, real reader, dense "
+          "and its Fraction count, refused non-MC jet, su3 and Heisenberg Betti numbers, real reader, dense "
           "rational solve and NumPy-free start-up as expected")
 
 

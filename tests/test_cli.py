@@ -543,6 +543,44 @@ def test_a_non_list_of_objects_exits_2_naming_its_key(tmp_path, capsys, obj, mes
     assert captured.err == f"error: {path}: {message}\n"
 
 
+@pytest.mark.parametrize("text", ['["terms"]', '"dim C"', "5", "null"],
+                         ids=["list", "string", "number", "null"])
+def test_a_top_level_that_is_not_an_object_exits_2(tmp_path, capsys, text):
+    # a list or string holding "terms" or "C" reached a reader and was refused
+    # with Python's indexing error; a number or null with a TypeError's text
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    assert cli.main(["check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: the top level must be a JSON object\n"
+
+
+_SO3_TABLE_ENTRY = {"i": 1, "j": 2, "k": 3, "value": "1"}
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({"nvars": 3, "grade": 2, "terms": [{"indices": [1, 2]}]},
+     "missing key 'poly' in a 'terms' entry"),
+    ({"nvars": 3, "grade": 2, "terms": [{"poly": "x3"}]},
+     "missing key 'indices' in a 'terms' entry"),
+    *[({"dim": 3, "C": [{k: v for k, v in _SO3_TABLE_ENTRY.items() if k != key}]},
+       f"missing key {key!r} in a 'C' entry") for key in ("i", "j", "k", "value")],
+    ({"grade": 2, "terms": []}, "missing key 'nvars' in a field"),
+    ({"nvars": 3, "terms": []}, "missing key 'grade' in a field"),
+    ({"C": []}, "missing key 'dim' in a table"),
+], ids=["terms-poly", "terms-indices", "C-i", "C-j", "C-k", "C-value", "field-nvars",
+        "field-grade", "table-dim"])
+def test_a_missing_key_exits_2_naming_it(tmp_path, capsys, obj, message):
+    # the message was the bare KeyError text, such as "'poly'"
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj))
+    assert cli.main(["check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: {message}\n"
+
+
 def test_non_string_poly_exits_2(tmp_path, capsys):
     obj = json.loads(json.dumps(_SO3_FIELD))
     obj["terms"][0]["poly"] = 3

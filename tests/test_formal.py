@@ -18,7 +18,7 @@ from poissonforge import (Poly, PolyMVF, ad_exp, bch, formal_linearize,
                           grade_component, homotopy_solve, linear_poisson,
                           mc_equivalence, order_of, preset, prolong_step,
                           schouten, truncate_jet)
-from poissonforge import cli, formal, multivector, polyalg
+from poissonforge import cli, formal, multivector, poisson, polyalg
 from poissonforge.formal import FilteredJet
 from poissonforge.liealg import LieAlgebraSpec
 from poissonforge.multivector import _grade
@@ -500,6 +500,118 @@ def test_mc_equivalence_rejects_non_mc():
     assert not schouten(bad, bad).is_zero()
     with pytest.raises(ValueError, match="Maurer-Cartan"):
         mc_equivalence(FilteredJet(bad, 3), FilteredJet(bad, 3), 3)
+
+
+_HEISENBERG = LieAlgebraSpec(3, {(1, 2, 3): 1})
+# the affine algebra of the line, [e1, e2] = e2, plus a central e3
+_AFFINE_PLUS_R = LieAlgebraSpec(3, {(1, 2, 2): 1})
+
+
+def _perturbed_jet(rng, pi_lin):
+    """(D, gamma): the D-jet ad_exp(X0, pi_lin, D) for a drawn quadratic X0, D in
+    2..4, plus a drawn bivector of one grade g in 2..D: one or two monomials, or
+    [pi_lin, Y] for a vector field Y of grade g, a coboundary."""
+    D = rng.randint(2, 4)
+    gamma = ad_exp(rand_homogeneous_vf(rng, 3, 2, nterms=1), pi_lin, D).value
+    g = rng.randint(2, D)
+    if rng.random() < 0.25:
+        return D, gamma + schouten(pi_lin, rand_homogeneous_vf(rng, 3, g, nterms=1))
+    terms = {}
+    for _ in range(rng.randint(1, 2)):
+        exps = [0, 0, 0]
+        for _ in range(g):
+            exps[rng.randrange(3)] += 1
+        poly = terms.setdefault(rng.choice([(1, 2), (1, 3), (2, 3)]), {})
+        poly[tuple(exps)] = Fraction(rng.choice([-2, -1, 1, 2]))
+    return D, gamma + PolyMVF(3, 2, {legs: Poly(3, t) for legs, t in terms.items()})
+
+
+def _gauge_outcome(call):
+    """A gauge answer as comparable data, or the text of its refusal."""
+    try:
+        sol = call()
+    except ValueError as e:
+        return str(e)
+    return (sol.status, sol.rounds, sol.degree, sol.X and sol.X.value,
+            sol.cochain, sol.certificate)
+
+
+@pytest.mark.parametrize("spec, outcomes", [
+    (preset("so3"), {"refused", "equivalent"}),
+    (preset("sl2"), {"refused", "equivalent"}),
+    (_HEISENBERG, {"refused", "equivalent", "obstructed"}),
+    (_AFFINE_PLUS_R, {"refused", "equivalent", "obstructed"}),
+], ids=["so3", "sl2", "heisenberg", "affine+R"])
+def test_a_perturbed_jet_is_refused_exactly_when_it_is_not_maurer_cartan(spec, outcomes):
+    # gamma is checked only when the answer is not a verified equivalence: the
+    # refusal must come exactly when the test's own [gamma, gamma] has a piece
+    # of grade <= D, and any other answer must be the one the gauge loop gives
+    # with both checks made first
+    pi_lin = linear_poisson(spec)
+    rng = random.Random(f"perturbed jets {spec.dim} {sorted(spec.C.items())}")
+    seen = set()
+    for _ in range(60):
+        D, gamma = _perturbed_jet(rng, pi_lin)
+        jet, jet_p = FilteredJet(gamma, D), FilteredJet(pi_lin, D)
+        defect = truncate_jet(schouten(gamma, gamma), D)
+        if defect.is_zero():
+            expected = _gauge_outcome(lambda: formal._gauge_loop(jet, jet_p, D, 8))
+            seen.add(expected[0])
+        else:
+            expected = (f"gamma is not Maurer-Cartan mod grade {D}: "
+                        f"[gamma,gamma] has grade-{defect.min_grade()} defect")
+            seen.add("refused")
+        assert _gauge_outcome(lambda: mc_equivalence(jet, jet_p, D)) == expected
+        assert _gauge_outcome(lambda: formal_linearize(gamma, D)) == expected
+    assert seen == outcomes  # so3 and sl2 have H^2 = 0: no jet of theirs is obstructed
+
+
+@contextlib.contextmanager
+def _self_brackets():
+    """The first arguments of the ``schouten`` calls that bracket a field with itself,
+    from ``formal`` (the Maurer-Cartan checks) and ``poisson`` (``check_poisson``)."""
+    calls = []
+
+    def spy(W, V, *args, **kwargs):
+        if W == V:
+            calls.append(W)
+        return multivector.schouten(W, V, *args, **kwargs)
+
+    with mock.patch.object(formal, "schouten", spy), mock.patch.object(poisson, "schouten", spy):
+        yield calls
+
+
+def test_linearize_brackets_gamma_with_itself_only_when_it_is_not_equivalent(pi_so3):
+    # an equivalence proves [gamma, gamma] = 0, and check_poisson has bracketed
+    # pi_lin with itself: neither self-bracket is formed again
+    D = 4
+    gamma = ad_exp(rand_homogeneous_vf(random.Random(36), 3, 2), pi_so3, D).value
+    with _self_brackets() as calls:
+        sol = formal_linearize(gamma, D)
+    assert sol.status == "equivalent" and sol.rounds == 3
+    assert calls == [pi_so3]
+    # mc_equivalence checks gamma' once, and gamma not at all
+    with _self_brackets() as calls:
+        assert mc_equivalence(FilteredJet(gamma, D), FilteredJet(pi_so3, D), D) == sol
+    assert calls == [pi_so3]
+    # an obstruction proves nothing about gamma, which is checked before it is returned
+    pi_lin = linear_poisson(_HEISENBERG)
+    gamma = pi_lin + PolyMVF(3, 2, {(1, 2): parse_poly("x1^2", 3)})
+    with _self_brackets() as calls:
+        sol = formal_linearize(gamma, 3)
+    assert sol.status == "obstructed" and sol.degree == 2
+    assert calls == [pi_lin, gamma]
+
+
+def test_gamma_keeps_its_precedence_over_gamma_p():
+    # both fail their checks: gamma's error comes first, as when gamma was checked first
+    bad = _broken_linear_bivector()
+    with pytest.raises(ValueError, match=r"^gamma is not Maurer-Cartan"):
+        mc_equivalence(FilteredJet(bad, 3), FilteredJet(bad + bad, 3), 3)
+    # only gamma' fails: its own error
+    gamma = ad_exp(PolyMVF(3, 1, {(1,): parse_poly("x2^2", 3)}), linear_poisson(preset("so3")), 3)
+    with pytest.raises(ValueError, match=r"^gamma' is not Maurer-Cartan"):
+        mc_equivalence(gamma, FilteredJet(bad, 3), 3)
 
 
 def test_gauge_solution_json(pi_so3):

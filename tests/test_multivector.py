@@ -655,6 +655,58 @@ def test_kernel_matches_references_up_to_8_legs(pair):
     _assert_canonical(product)
 
 
+@st.composite
+def same_kind_pairs(draw):
+    """(A, B, sign): fields of one grade and weight vector on R^n, with up to
+    twelve monomials each and denominators of unequal primes.  B is drawn on its
+    own, or as a rational multiple of A (so A - A and A + (-A) cancel to zero),
+    or as such a multiple plus a field of its own (so some monomials cancel)."""
+    n = draw(st.integers(1, 4))
+    weights = tuple(draw(st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n)))
+    grade = draw(st.integers(0, min(n, 3)))
+    leg_sets = list(itertools.combinations(range(1, n + 1), grade))
+    coeffs = st.builds(Fraction, st.integers(-20, 20).filter(bool), st.sampled_from([1, 2, 3, 4, 9]))
+    polys = st.dictionaries(st.tuples(*[st.integers(0, 2)] * n), coeffs, max_size=4).map(
+        lambda t: Poly(n, t))
+
+    def field():
+        legs = draw(st.lists(st.sampled_from(leg_sets), unique=True, max_size=3))
+        return PolyMVF(n, grade, {I: draw(polys) for I in legs}, weights)
+
+    A, shape = field(), draw(st.sampled_from(["free", "multiple", "shared"]))
+    B = field() if shape != "multiple" else PolyMVF.zero(n, grade, weights)
+    if shape != "free":
+        B = B + A * draw(st.sampled_from([1, -1]) | coeffs)
+    return A, B, draw(st.sampled_from([1, -1]))
+
+
+def _poly_sum(A: PolyMVF, B: PolyMVF, sign: int) -> PolyMVF:
+    """A + sign * B through the ``Poly`` arithmetic of the ``.terms`` coefficients."""
+    terms = dict(A.terms)
+    for legs, p in B.terms.items():
+        q = terms.get(legs, Poly.zero(A.nvars))
+        terms[legs] = q + p if sign == 1 else q - p
+    return PolyMVF(A.nvars, A.grade, {I: p for I, p in terms.items() if not p.is_zero()},
+                   A.weights)
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(same_kind_pairs())
+def test_sum_and_difference_match_poly_arithmetic(case):
+    # + and - copy the operand with more monomials and add the other into it:
+    # either side may be the larger, and - forms no negated copy of B
+    A, B, sign = case
+    for left, right in ((A, B), (B, A)):
+        got = left + right if sign == 1 else left - right
+        expected = _poly_sum(left, right, sign)
+        assert got == expected and hash(got) == hash(expected)
+        assert dict(got.terms) == dict(expected.terms)
+        assert got.is_zero() == (not expected.terms)
+        if not got.is_zero():
+            _assert_canonical(got)
+    assert A - B == A + (-B) and hash(A - B) == hash(A + (-B))
+
+
 def _copy(W: PolyMVF) -> PolyMVF:
     """W with its own ``_ints`` dict, so that a bracket with W takes the two-product path."""
     return PolyMVF._raw(W.nvars, W.grade, dict(W._ints), W.weights, W.den)
