@@ -41,19 +41,19 @@ odd factors, and the even d_{x_i} W commutes, so [W, W] = 2 sum_i
 (d^R_{xi_i} W)(d_{x_i} W); for odd p, graded antisymmetry makes it 0.
 
 One integer kernel, ``_products``, evaluates this sum of 2n products on the
-numerators for ``schouten``, ``apply_to_functions``, ``poisson._bracket_rows``
-and each step of ``formal.ad_exp``'s Lie series, which stays packed from step
-to step, with each operand grouped by leg set and grade.  A derivative
-operand keeps that form: d_{x_i} lowers exponent i and scales by it, and
-d_{xi_i} drops leg i from the leg sets that hold it, with the sign of moving
-xi_i to the right end (d^R) or to the left end (d^L).  The kernel multiplies
-two such operands as ``wedge`` multiplies fields, with each exponent vector packed into one
-int (Monagan & Pearce, CASC 2007); its sums stay in ``int`` and build no
-``Fraction``.  Under a grade bound it drops on entry each group whose grade
-plus the other operand's least grade exceeds the bound plus 1.  It and
-``wedge`` hold a leg set as an n-bit mask, leg i at bit i - 1, and read each
-sign off bit counts (``_merge_sign``).  ``_schouten_sums`` decodes
-a field, or keeps ``poisson._bracket_rows``' rows keyed by packed int.
+numerators for ``schouten`` (so for ``apply_to_functions``, ``poisson.sharp``
+and ``hamiltonian_vf``), ``poisson._bracket_rows`` and each step of
+``formal.ad_exp``'s Lie series, which stays packed from step to step, each
+operand grouped by leg set and grade.  A derivative operand keeps that form:
+d_{x_i} lowers exponent i and scales by it, and d_{xi_i} drops leg i from the
+leg sets that hold it, with the sign of moving xi_i to the right end (d^R) or
+to the left end (d^L).  Each product is one ``_multiply``, and so is ``wedge``:
+every product of fields packs each exponent vector into one int (Monagan &
+Pearce, CASC 2007), holds a leg set as an n-bit mask, leg i at bit i - 1, reads
+each sign off bit counts (``_merge_sign``) and sums in ``int``, with no
+``Fraction``.  Under a grade bound the kernel drops on entry each group whose
+grade plus the other operand's least grade exceeds the bound plus 1, and
+``_schouten_sums`` decodes a field or keeps ``_bracket_rows``' rows packed.
 
 As in ``polyalg``, data is validated where it enters: the public
 ``PolyMVF(...)`` constructor and ``PolyMVF.from_json_obj`` check leg tuples,
@@ -73,7 +73,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from operator import add, itemgetter, mul
+from operator import itemgetter, mul
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Sequence
 
@@ -222,7 +222,9 @@ class PolyMVF:
 
     @classmethod
     def from_function(cls, poly: Poly, weights=None) -> "PolyMVF":
-        return cls(poly.nvars, 0, {(): poly}, weights)
+        if not isinstance(poly, Poly):
+            raise ValueError(f"function must be a Poly, got {poly!r}")
+        return cls(poly.nvars if weights is None else len(weights), 0, {(): poly}, weights)
 
     def with_weights(self, weights) -> "PolyMVF":
         weights = (1,) * self.nvars if weights is None else _weights(weights, self.nvars)
@@ -431,19 +433,17 @@ class GradedPiece:
 def wedge(W: PolyMVF, V: PolyMVF) -> PolyMVF:
     """Exterior product; graded-commutative with sign (-1)^(|W||V|).
 
-    Repeated legs wedge to zero; their product is never formed.  Grades add.
+    It is one ``_multiply`` of the packed operands, the kernel's product, so
+    repeated legs wedge to zero and their product is never formed.  Grades
+    add: W's groups are packed one grade up, as ``_decode`` takes 1 off g + h.
     """
     W._check(V)
-    ints: dict[tuple, int] = {}
-    v_ints = [(_mask(legs), h, exps, d) for (h, legs, exps), d in V._ints.items()]
-    for (g, legs, exps), c in W._ints.items():
-        mw = _mask(legs)
-        for mv, h, ev, d in v_ints:
-            if not mw & mv:
-                key = (g + h, _legs(mw | mv), tuple(map(add, exps, ev)))
-                ints[key] = ints.get(key, 0) + c * d * _merge_sign(mw, mv)
-    return PolyMVF._raw(W.nvars, W.grade + V.grade, {k: c for k, c in ints.items() if c},
-                        W.weights, W.den * V.den)
+    n = W.nvars
+    (width, units, low), sums = _layout(n, W._ints, V._ints), {}
+    gbit = 1 << (low + n)
+    _multiply(sums, [(m, g + 1, (g + 1) * gbit, 1, monos) for m, g, monos in _pack(W._ints, units)],
+              [(m, h, h * gbit, 1, monos) for m, h, monos in _pack(V._ints, units)], low, math.inf)
+    return PolyMVF._raw(n, W.grade + V.grade, _decode(sums, n, width), W.weights, W.den * V.den)
 
 
 def schouten(W: PolyMVF, V: PolyMVF, max_grade: int | None = None) -> PolyMVF:
@@ -499,9 +499,8 @@ def _schouten_sums(W: dict, V: dict, weights: tuple, max_grade, rows=False):
         return {}
     n = len(weights)
     limit = math.inf if max_grade is None else max_grade + 1
-    degree = [max(map(sum, map(itemgetter(2), X)), default=0) for X in (W, V)]
-    width = max(sum(degree), 1).bit_length()
-    units, low, top = [1 << (width * v) for v in range(n)], n * width, n * width + n
+    width, units, low = _layout(n, W, V)
+    top = low + n
     W = _pack(W, units)
     sums = _products(W, W if twice else _pack(V, units, top if rows else None),
                      n, width, limit, not rows)
@@ -515,6 +514,13 @@ def _schouten_sums(W: dict, V: dict, weights: tuple, max_grade, rows=False):
             grouped.setdefault(key & monomial, {})[key >> top] = c
     legs, field, shifts = functools.cache(_legs), (1 << width) - 1, range(0, low, width)
     return grouped, lambda key: (legs(key >> low), tuple((key >> s) & field for s in shifts))
+
+
+def _layout(n: int, *operands: dict) -> tuple:
+    """``(width, units, low)`` of words that hold each exponent of a product of the operands."""
+    degree = sum(max(map(sum, map(itemgetter(2), X)), default=0) for X in operands)
+    width = max(degree, 1).bit_length()
+    return width, [1 << (width * v) for v in range(n)], n * width
 
 
 def _pack(X: dict, units: list, tags_at: int | None = None) -> list:
@@ -539,19 +545,6 @@ def _products(W: list, V: list, n: int, width: int, limit, graded: bool) -> dict
     V = W if twice else [x for x in V if x[1] + least_W <= limit]
     sums: dict[int, int] = {}
 
-    def product(A, B):
-        """Add the product A B, leg sets of A before those of B."""
-        for mA, gA, xA, sA, a_monos in A:
-            for mB, gB, xB, sB, b_monos in B:
-                if mA & mB or gA + gB > limit:
-                    continue
-                s, off = sA * sB * _merge_sign(mA, mB), ((mA | mB) << low) + xA + xB
-                for wa, c in a_monos:
-                    base, sc = wa + off, s * c
-                    for wb, d in b_monos:
-                        key = base + wb
-                        sums[key] = sums.get(key, 0) + sc * d
-
     def d_x(X, v):
         """d/dx_v: the monomials with e_v > 0, lowered and times e_v."""
         shift = width * v
@@ -565,12 +558,27 @@ def _products(W: list, V: list, n: int, width: int, limit, graded: bool) -> dict
         # xi_v taken off the right of each leg set of W and off the left of
         # V's; the minus of the second product rides on d^L_{xi_v} V, and the
         # 2 of a self-bracket on d^R_{xi_v} W
-        product([(m ^ bit, g, g * gbit, (2 if twice else 1) * _merge_sign(m ^ bit, bit), monos)
-                 for m, g, monos in W if m & bit], d_x(V, v))
+        _multiply(sums, [(m ^ bit, g, g * gbit, (2 if twice else 1) * _merge_sign(m ^ bit, bit),
+                          monos) for m, g, monos in W if m & bit], d_x(V, v), low, limit)
         if not twice:
-            product(d_x(W, v), [(m ^ bit, g, g * gbit, -_merge_sign(bit, m ^ bit), monos)
-                                  for m, g, monos in V if m & bit])
+            _multiply(sums, d_x(W, v), [(m ^ bit, g, g * gbit, -_merge_sign(bit, m ^ bit), monos)
+                                        for m, g, monos in V if m & bit], low, limit)
     return sums
+
+
+def _multiply(sums: dict, A: list, B: list, low: int, limit) -> None:
+    """Add the product A B of ``[(mask, grade, grade bits, sign, [(word, c)])]`` into
+    ``sums``, leg sets of A first, skipping pairs with a shared leg or gA + gB > ``limit``."""
+    for mA, gA, xA, sA, a_monos in A:
+        for mB, gB, xB, sB, b_monos in B:
+            if mA & mB or gA + gB > limit:
+                continue
+            s, off = sA * sB * _merge_sign(mA, mB), ((mA | mB) << low) + xA + xB
+            for wa, c in a_monos:
+                base, sc = wa + off, s * c
+                for wb, d in b_monos:
+                    key = base + wb
+                    sums[key] = sums.get(key, 0) + sc * d
 
 
 def _decode(sums: dict, n: int, width: int) -> dict:
@@ -596,9 +604,7 @@ def _ad_series(X: PolyMVF, u: PolyMVF, max_grade: int) -> PolyMVF:
     if u.is_zero() or X.is_zero():
         return u
     n, steps = u.nvars, (max_grade - u.min_grade()) // (X.min_grade() - 1) + 1
-    deg_u, deg_X = (max(map(sum, map(itemgetter(2), ints))) for ints in (u._ints, X._ints))
-    width = max(deg_u + steps * deg_X, 1).bit_length()
-    units, low = [1 << (width * v) for v in range(n)], n * width
+    width, units, low = _layout(n, u._ints, *[X._ints] * steps)
     word_bits = (1 << low) - 1
     Xp, T, acc, N = _pack(X._ints, units), _pack(u._ints, units), {}, 0
     while T:

@@ -2,7 +2,9 @@
 
 Jacobi verification, the sharp (anchor) map, brackets, exact Casimir bases,
 and cohomology ranks of the homogeneous complexes attached to a linear
-structure.
+structure.  The anchor is a bracket, H_f = -[pi, f], and ``sharp`` wedges a
+1-form's coefficients onto the H_{x_i}.  Only ``poisson_bracket`` keeps ``Poly``
+arithmetic: the benchmark checks Casimirs with it, independently of the kernel.
 
 ``graded_basis`` and ``_bracket_rows`` are the one assembly of the operator
 ``[pi, .]`` on a graded monomial basis; Casimir bases, cohomology ranks and
@@ -17,9 +19,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .polyalg import (Poly, _add_term, _as_int, _as_sequence, _complex_ranks, _Rows,
-                      solve_linear_exact)
-from .multivector import PolyMVF, _check_bivector, _grade, _schouten_sums, _weights, schouten
+from .polyalg import Poly, _as_int, _as_sequence, _complex_ranks, _Rows, solve_linear_exact
+from .multivector import PolyMVF, _check_bivector, _grade, _schouten_sums, _weights, schouten, wedge
 
 __all__ = [
     "PoissonCheck",
@@ -51,38 +52,31 @@ def check_poisson(pi: PolyMVF) -> PoissonCheck:
 def sharp(pi: PolyMVF, alpha) -> PolyMVF:
     """The anchor pi#(alpha) = pi(alpha, .) for a polynomial 1-form alpha.
 
-    alpha may be an integer i (meaning dx_i) or a length-n sequence of Poly
-    coefficients, no string or mapping.  sharp(pi, grad f) is the Hamiltonian
-    vector field of f.
+    alpha is an integer i, meaning dx_i, whose image is H_{x_i}, or a length-n
+    sequence (no string or mapping) of coefficients a_i, each a ``Poly`` of n
+    variables or an exact scalar (an int, ``Fraction`` or rational string, read
+    by ``Poly.constant``), whose image is the sum of the a_i ^ H_{x_i}.
     """
     _check_bivector(pi)
     n = pi.nvars
     if not hasattr(alpha, "__len__"):
-        alpha = _as_int(alpha, f"dx_i in 1..{n}")
-        if not 1 <= alpha <= n:
-            raise ValueError(f"dx_i needs an integer i in 1..{n}, got {alpha!r}")
-        coeffs = [Poly.zero(n)] * (alpha - 1) + [Poly.constant(n, 1)]
-        coeffs += [Poly.zero(n)] * (n - alpha)
-    else:
-        coeffs = list(_as_sequence(alpha, "1-form alpha"))
-        if len(coeffs) != n:
-            raise ValueError(f"1-form needs {n} coefficients")
-    terms: dict[tuple, Poly] = {}
-    for (i, j), p in pi.terms.items():
-        # pi(dx_i, .) picks up +p d_j; pi(dx_j, .) picks up -p d_i
-        _add_term(terms, (j,), p * coeffs[i - 1])
-        _add_term(terms, (i,), -(p * coeffs[j - 1]))
-    return PolyMVF(n, 1, terms, pi.weights)
+        return hamiltonian_vf(pi, Poly.variable(n, _as_int(alpha, f"dx_i in 1..{n}", 1, n)))
+    coeffs = list(_as_sequence(alpha, "1-form alpha"))
+    if len(coeffs) != n:
+        raise ValueError(f"1-form needs {n} coefficients")
+    return sum((wedge(PolyMVF.from_function(a if isinstance(a, Poly) else Poly.constant(n, a),
+                                            pi.weights), sharp(pi, i))
+                for i, a in enumerate(coeffs, 1)), PolyMVF.zero(n, 1, pi.weights))
 
 
 def hamiltonian_vf(pi: PolyMVF, f: Poly) -> PolyMVF:
-    """H_f = pi#(df)."""
-    grad = [f.diff(i) for i in range(1, pi.nvars + 1)]
-    return sharp(pi, grad)
+    """H_f = pi#(df) = -[pi, f], for f a ``Poly`` of pi's variables."""
+    _check_bivector(pi)
+    return -schouten(pi, PolyMVF.from_function(f, pi.weights))
 
 
 def poisson_bracket(pi: PolyMVF, f: Poly, g: Poly) -> Poly:
-    """{f, g} = pi(df, dg)."""
+    """{f, g} = pi(df, dg) in ``Poly`` arithmetic, the benchmark's kernel-free Casimir oracle."""
     _check_bivector(pi)
     out = Poly.zero(pi.nvars)
     for (i, j), p in pi.terms.items():

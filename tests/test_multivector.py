@@ -17,8 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poissonforge import (GradedPiece, PolyMVF, dilate, grade_component, linear_poisson, preset,
-                          schouten, sharp, truncate_jet, wedge)
+from poissonforge import (GradedPiece, PolyMVF, dilate, grade_component, hamiltonian_vf,
+                          linear_poisson, preset, schouten, sharp, truncate_jet, wedge)
 from poissonforge import multivector
 from poissonforge.multivector import _legs, _mask, _merge_sign
 from poissonforge.poisson import _bracket_rows, graded_basis
@@ -637,6 +637,10 @@ def test_schouten_matches_reference(pair):
     _assert_canonical(got)
     for m in range(6):
         assert schouten(W, V, max_grade=m) == truncate_jet(expected, m)
+    # wedge is the kernel's multiply too: weighted and grade-0 operands included
+    product = wedge(W, V)
+    assert product == _reference_wedge(W, V) and product.grade == W.grade + V.grade
+    _assert_canonical(product)
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
@@ -805,12 +809,18 @@ def test_bracket_never_takes_the_poly_path(monkeypatch):
              for n in (2, 3, 4) for _ in range(10)]
     pi = linear_poisson(preset("so3"))
     basis = graded_basis(3, 2, 2, pi.weights)
+    # the anchor is a bracket and a wedge: a 1-form of Poly and scalar coefficients
+    f, form = rand_poly(rng, 3), [rand_poly(rng, 3), Fraction(-2, 3), "1/2"]
+    anchors = [hamiltonian_vf(pi, f), sharp(pi, 2), sharp(pi, form)]
 
     def refuse(*args):
         raise AssertionError("Poly arithmetic inside the Schouten kernel")
-    for name in ("__mul__", "__rmul__", "__add__", "__radd__", "diff"):
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__",
+                 "__neg__", "diff"):
         monkeypatch.setattr(Poly, name, refuse)
     for W, V in pairs:
         assert schouten(W, V).grade == max(W.grade + V.grade - 1, 0)
         schouten(W, V, max_grade=2)
+        assert wedge(W, V).grade == W.grade + V.grade
     assert _bracket_rows(pi, basis)[1]
+    assert [hamiltonian_vf(pi, f), sharp(pi, 2), sharp(pi, form)] == anchors

@@ -20,7 +20,7 @@ from poissonforge import (PolyMVF, ad_exp, casimir_basis, check_poisson,
 from poissonforge import poisson, polyalg
 from poissonforge.poisson import _bracket_rows, basis_size, graded_basis
 from poissonforge.liealg import LieAlgebraSpec
-from poissonforge.polyalg import Poly, exact_rank, parse_poly
+from poissonforge.polyalg import Poly, _add_term, exact_rank, parse_poly
 
 from conftest import decoded_rows, rand_mvf, rand_poly
 
@@ -57,6 +57,62 @@ def test_sharp_and_hamiltonian_vf(pi_so3):
                                (2,): parse_poly("-x1", 3)})
     # sharp of a covector with polynomial coefficients
     assert sharp(pi_so3, [f.diff(1), f.diff(2), f.diff(3)]) == H
+
+
+def _reference_sharp(pi: PolyMVF, coeffs) -> PolyMVF:
+    """pi#(sum a_i dx_i) in ``Poly`` arithmetic: pi(dx_i, .) picks up +p a_i d_j and
+    pi(dx_j, .) picks up -p a_j d_i, for each p d_i^d_j of pi."""
+    terms: dict[tuple, Poly] = {}
+    for (i, j), p in pi.terms.items():
+        _add_term(terms, (j,), p * coeffs[i - 1])
+        _add_term(terms, (i,), -(p * coeffs[j - 1]))
+    return PolyMVF(pi.nvars, 1, terms, pi.weights)
+
+
+@st.composite
+def bivector_and_form(draw, weights):
+    """(pi, coeffs, f): a bivector on R^3 under ``weights``, a 1-form's three
+    coefficients, each a ``Poly`` or an exact scalar, and a function f."""
+    coeff = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+    polys = st.dictionaries(st.tuples(*[st.integers(0, 2)] * 3), coeff, max_size=3).map(
+        lambda t: Poly(3, t))
+    legs = draw(st.lists(st.sampled_from([(1, 2), (1, 3), (2, 3)]), unique=True))
+    pi = PolyMVF(3, 2, {I: draw(polys) for I in legs}, weights)
+    scalars = st.integers(-3, 3) | coeff | coeff.map(str)
+    return pi, [draw(polys | scalars) for _ in range(3)], draw(polys)
+
+
+@pytest.mark.parametrize("weights", [(1, 1, 1), (0, 0, 1)])
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_sharp_matches_the_poly_formula(weights, data):
+    # sharp and hamiltonian_vf are brackets and wedges of the kernel; the Poly
+    # formula of the anchor, which they replaced, is the oracle
+    pi, coeffs, f = data.draw(bivector_and_form(weights))
+    polys = [a if isinstance(a, Poly) else Poly.constant(3, a) for a in coeffs]
+    got = sharp(pi, coeffs)
+    assert got == _reference_sharp(pi, polys) and got.weights == weights and got.grade == 1
+    for i in range(1, 4):
+        assert sharp(pi, i) == _reference_sharp(pi, [Poly.constant(3, int(i == j))
+                                                     for j in range(1, 4)])
+    assert hamiltonian_vf(pi, f) == _reference_sharp(pi, [f.diff(i) for i in range(1, 4)])
+
+
+@pytest.mark.parametrize("name, weights", [("so3", None), ("sl2", None), ("su3", None),
+                                           ("quadratic", (0, 0, 1))])
+def test_hamiltonian_field_brackets_to_the_poisson_bracket(name, weights):
+    # [H_f, g] = H_f(g) = {f, g}: the kernel's anchor against the Poly bracket
+    # that the benchmark's Casimir check uses as its oracle
+    if name == "quadratic":
+        pi = PolyMVF(3, 2, {(1, 2): parse_poly("x3^2 - x1*x3", 3),
+                            (1, 3): parse_poly("1/2*x2*x3", 3)}, weights)
+    else:
+        pi = linear_poisson(preset(name))
+    n, rng = pi.nvars, random.Random(23)
+    for _ in range(15):
+        f, g = (rand_poly(rng, n, max_deg=3, nterms=3) for _ in range(2))
+        bracket = schouten(hamiltonian_vf(pi, f), PolyMVF.from_function(g, pi.weights))
+        assert bracket.terms.get((), Poly.zero(n)) == poisson_bracket(pi, f, g)
 
 
 @pytest.mark.parametrize("alpha", [0, 4, -1, True])

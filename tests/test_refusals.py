@@ -27,6 +27,7 @@ from poissonforge.realize import (FlowBlowupError, SprayField, dh_variation, flo
                                   sphere_leaf_form, verify_realization)
 
 _PI = linear_poisson(preset("so3"))
+_ZERO_PI = PolyMVF.zero(3, 2)  # sharp must check each coefficient even where pi is zero
 _X1 = PolyMVF(3, 1, {(1,): Poly.variable(3, 2)})                     # x2 d1, a vector field
 _F = Poly.variable(3, 1)
 _NOT_POISSON = PolyMVF(3, 2, {(1, 2): Poly.variable(3, 3), (1, 3): Poly.variable(3, 1)})
@@ -130,6 +131,12 @@ _GAMMA = ad_exp(hamiltonian_vf(PolyMVF(2, 2, {(1, 2): Poly.constant(2, 1)}),
     (lambda: LieAlgebraSpec.from_json_obj({"dim": 3, "C": [[1, 2, 3]]}),
      "each entry of 'C' must be a JSON object, got [1, 2, 3]"),
     (lambda: PolyMVF(2, 1, {(1,): 3}), "coefficient of (1,) must be a Poly, got 3"),
+    (lambda: PolyMVF.from_function(3), "function must be a Poly, got 3"),
+    (lambda: hamiltonian_vf(_PI, 3), "function must be a Poly, got 3"),
+    (lambda: _PI.apply_to_functions([3, _F]), "function must be a Poly, got 3"),
+    (lambda: hamiltonian_vf(_PI, Poly.variable(2, 1)), "variable count mismatch"),
+    (lambda: sharp(_PI, [Poly.variable(2, 1), 0, 0]), "variable count mismatch"),
+    (lambda: sharp(_ZERO_PI, [Poly.variable(2, 1), 0, 0]), "variable count mismatch"),
 ], ids=["solve-rhs-count", "index-tuple-length", "check-nvars", "check-weights",
         "add-degrees", "json-repeated-indices", "apply-function-count", "dilate-zero",
         "check_poisson-vector", "sharp-vector", "poisson_bracket-vector", "sharp-form-length",
@@ -146,7 +153,9 @@ _GAMMA = ad_exp(hamiltonian_vf(PolyMVF(2, 2, {(1, 2): Poly.constant(2, 1)}),
         "solve-int-rhs", "rank-int-row", "solve-int-row", "poly-variable-index",
         "poly-nvars-mismatch", "coadjoint-nvars", "flow-blowup", "mc-grade-0-part",
         "field-nvars-huge", "spec-dim-huge", "json-terms-string", "json-terms-object",
-        "json-terms-entry", "json-C-object", "json-C-entry", "field-int-coefficient"])
+        "json-terms-entry", "json-C-object", "json-C-entry", "field-int-coefficient",
+        "function-int", "hamiltonian-int", "apply-int-function", "hamiltonian-nvars",
+        "sharp-coefficient-nvars", "zero-sharp-coefficient-nvars"])
 def test_bad_input_is_refused(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
@@ -205,8 +214,11 @@ _P = Poly(3, {(1, 0, 0): 2, (0, 1, 1): Fraction(-1, 3)})
     lambda: _P * 0.5, lambda: 0.5 * _P, lambda: _P + 0.5, lambda: 0.5 + _P,
     lambda: _P - 0.5, lambda: 0.5 - _P, lambda: _P * True, lambda: _P + True,
     lambda: _PI * 0.5, lambda: 0.5 * _PI, lambda: _PI * True, lambda: _PI + 0.5,
+    lambda: sharp(_PI, [2.5, 0, 0]), lambda: sharp(_ZERO_PI, [2.5, 0, 0]),
+    lambda: sharp(_ZERO_PI, [0, True, 0]),
 ], ids=["poly*float", "float*poly", "poly+float", "float+poly", "poly-float", "float-poly",
-        "poly*bool", "poly+bool", "field*float", "float*field", "field*bool", "field+float"])
+        "poly*bool", "poly+bool", "field*float", "float*field", "field*bool", "field+float",
+        "sharp-float-coefficient", "zero-sharp-float-coefficient", "zero-sharp-bool-coefficient"])
 def test_inexact_scalars_raise_type_error(call):
     # a float is not read as the rational it rounds to, nor a bool as 0 or 1
     with pytest.raises(TypeError):
