@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .polyalg import _as_int, _fraction_vector, _Rows, solve_linear_exact
-from .multivector import (GradedPiece, PolyMVF, _ad_series, _check_bivector, _grade,
-                          grade_component, schouten, truncate_jet)
-from .poisson import _bracket_rows, check_poisson, graded_basis
+from .multivector import (GradedPiece, PolyMVF, _ad_series, _bracket_rows, _check_bivector,
+                          _grade, grade_component, schouten, truncate_jet)
+from .poisson import check_poisson, graded_basis
 
 __all__ = [
     "FilteredJet",

@@ -42,18 +42,18 @@ odd factors, and the even d_{x_i} W commutes, so [W, W] = 2 sum_i
 
 One integer kernel, ``_products``, evaluates this sum of 2n products on the
 numerators for ``schouten`` (so for ``apply_to_functions``, ``poisson.sharp``
-and ``hamiltonian_vf``), ``poisson._bracket_rows`` and each step of
-``formal.ad_exp``'s Lie series, which stays packed from step to step, each
-operand grouped by leg set and grade.  A derivative operand keeps that form:
-d_{x_i} lowers exponent i and scales by it, and d_{xi_i} drops leg i from the
-leg sets that hold it, with the sign of moving xi_i to the right end (d^R) or
-to the left end (d^L).  Each product is one ``_multiply``, and so is ``wedge``:
-every product of fields packs each exponent vector into one int (Monagan &
-Pearce, CASC 2007), holds a leg set as an n-bit mask, leg i at bit i - 1, reads
-each sign off bit counts (``_merge_sign``) and sums in ``int``, with no
-``Fraction``.  Under a grade bound the kernel drops on entry each group whose
-grade plus the other operand's least grade exceeds the bound plus 1, and
-``_schouten_sums`` decodes a field or keeps ``_bracket_rows``' rows packed.
+and ``hamiltonian_vf``), for ``_bracket_rows``, the one builder of the matrix of
+[pi, .] on a monomial basis, and for each step of ``formal.ad_exp``'s Lie
+series, which stays packed from step to step, each operand grouped by leg set
+and grade.  A derivative operand keeps that form: d_{x_i} lowers exponent i and
+scales by it, and d_{xi_i} drops leg i from the leg sets that hold it, with the
+sign of moving xi_i to the right end (d^R) or to the left end (d^L).  Each
+product is one ``_multiply``, and so is ``wedge``: every product of fields packs
+each exponent vector into one int (Monagan & Pearce, CASC 2007), holds a leg set
+as an n-bit mask, leg i at bit i - 1, reads each sign off bit counts
+(``_merge_sign``) and sums in ``int``, with no ``Fraction``.  Under a grade
+bound the kernel drops on entry each group whose grade plus the other operand's
+least grade exceeds the bound plus 1.
 
 As in ``polyalg``, data is validated where it enters: the public
 ``PolyMVF(...)`` constructor and ``PolyMVF.from_json_obj`` check leg tuples,
@@ -479,67 +479,78 @@ def schouten(W: PolyMVF, V: PolyMVF, max_grade: int | None = None) -> PolyMVF:
 # as long as every exponent of a product fits its field, and a derivative d_i
 # reads e_i off field i and subtracts 1 << width*(i-1) (Monagan & Pearce,
 # CASC 2007).  ``_products`` keys its sums by one int: the output word, its
-# leg mask at bit low = n*width, and extra bits that add through: grades
-# g + h at bit top = low + n for fields, so ``key >> low`` is the key's group
-# in a next bracket's operand, or each basis monomial's column tag for
-# ``poisson._bracket_rows`` (and none for pi), above any field.
+# leg mask at bit low = n*width and the grades g + h at bit top = low + n,
+# which add through, so ``key >> low`` is the key's group in a next bracket's
+# operand.  ``_bracket_rows``, the matrix entry, tags columns above them.
 
-def _schouten_sums(W: dict, V: dict, weights: tuple, max_grade, rows=False):
+def _schouten_sums(W: dict, V: dict, weights: tuple, max_grade) -> dict:
     """The bracket of integer operands: packed, one ``_products`` step, decoded.
 
     It is ``{(grade, legs, exps): c}``, nonzero, over the product of the
-    operands' denominators.  With ``rows``, V's values are column tags of
-    monomials with coefficient 1, and it is ``({key: {tag: c}}, decode)``:
-    the rows of the bracket matrix keyed by packed int, and ``decode``
-    turning a key into its (legs, exps).  ``max_grade`` is the bound of
-    ``_products``.
+    operands' denominators.  ``max_grade`` is the bound of ``_products``.
     """
-    twice = W is V and not rows  # a self-bracket, as in the module docstring
-    if twice and (not W or len(next(iter(W))[1]) % 2):
+    if W is V and (not W or len(next(iter(W))[1]) % 2):  # [W, W], as in the module docstring
         return {}
     n = len(weights)
-    limit = math.inf if max_grade is None else max_grade + 1
     width, units, low = _layout(n, W, V)
-    top = low + n
-    W = _pack(W, units)
-    sums = _products(W, W if twice else _pack(V, units, top if rows else None),
-                     n, width, limit, not rows)
-    if not rows:
-        return _decode(sums, n, width)
-    # group by monomial, so each exponent vector and leg mask is decoded once
-    monomial = (1 << top) - 1
-    grouped: dict[int, dict] = {}
+    P = _pack(W, units)
+    return _decode(_products(P, P if W is V else _pack(V, units), n, width,
+                             math.inf if max_grade is None else max_grade + 1), n, width)
+
+
+def _bracket_rows(pi: PolyMVF, basis, max_grade: int | None = None):
+    """The matrix of [pi, .] on a monomial basis, as ``(den, rows, decode)``.
+
+    It is ``rows / den``, ``den`` pi's denominator: sparse rows ``{col: int}`` of
+    nonzero ``int``s keyed by packed monomials, which ``decode`` turns into (legs,
+    exps).  Column c is ``basis[c]``, trusted to be as ``graded_basis`` builds it.
+    With ``max_grade`` set, only rows of grade <= ``max_grade`` are formed, and only
+    then are columns packed at their grades (else at 0, saving a ``_grade`` each).
+    Each basis word carries its column at bit ``tags``, above grade bits holding
+    every g + h formed (<= ``limit``, or pi's largest grade), so columns never share
+    a sum; a row is keyed by a sum's bits below ``top``.
+    """
+    n, bounded, groups = pi.nvars, max_grade is not None, {}
+    width, units, low = _layout(n, pi._ints, basis)
+    limit, top = max_grade + 1 if bounded else math.inf, low + n
+    tags = top + (limit if bounded else max(pi._grades(), default=0)).bit_length()
+    for col, (legs, exps) in enumerate(basis):  # the words and their tags in one pass
+        groups.setdefault((legs, _grade(pi.weights, legs, exps) if bounded else 0), []).append(
+            (sum(map(mul, exps, units)) + (col << tags), 1))
+    sums = _products(_pack(pi._ints, units),
+                     [(_mask(legs), g, monos) for (legs, g), monos in groups.items()],
+                     n, width, limit)
+    monomial, rows = (1 << top) - 1, {}
+    # grouped by monomial, so each exponent vector and leg mask is decoded once
     for key, c in sums.items():
         if c:
-            grouped.setdefault(key & monomial, {})[key >> top] = c
+            rows.setdefault(key & monomial, {})[key >> tags] = c
     legs, field, shifts = functools.cache(_legs), (1 << width) - 1, range(0, low, width)
-    return grouped, lambda key: (legs(key >> low), tuple((key >> s) & field for s in shifts))
+    return pi.den, rows, lambda key: (legs(key >> low), tuple((key >> s) & field for s in shifts))
 
 
-def _layout(n: int, *operands: dict) -> tuple:
-    """``(width, units, low)`` of words that hold each exponent of a product of the operands."""
-    degree = sum(max(map(sum, map(itemgetter(2), X)), default=0) for X in operands)
+def _layout(n: int, *operands) -> tuple:
+    """``(width, units, low)`` of words holding each exponent of a product of operands."""
+    degree = sum(max(map(sum, map(itemgetter(-1), X)), default=0) for X in operands)
     width = max(degree, 1).bit_length()
     return width, [1 << (width * v) for v in range(n)], n * width
 
 
-def _pack(X: dict, units: list, tags_at: int | None = None) -> list:
-    """X as ``[(mask, grade, [(word, c)])]``, or with each value a tag at bit ``tags_at``."""
+def _pack(X: dict, units: list) -> list:
+    """X as ``[(mask, grade, [(word, c)])]``."""
     groups: dict[tuple, list] = {}
     for (g, legs, exps), c in X.items():
-        word = sum(map(mul, exps, units))
-        groups.setdefault((legs, g), []).append(
-            (word, c) if tags_at is None else (word + (c << tags_at), 1))
+        groups.setdefault((legs, g), []).append((sum(map(mul, exps, units)), c))
     return [(_mask(legs), g, monos) for (legs, g), monos in groups.items()]
 
 
-def _products(W: list, V: list, n: int, width: int, limit, graded: bool) -> dict:
+def _products(W: list, V: list, n: int, width: int, limit) -> dict:
     """The sums, zeros kept, of the 2n products of the module docstring on packed
     operands, V being W for a self-bracket.  A derivative keeps its monomial's
     grade.  A group whose grade plus the other operand's least grade exceeds
     ``limit`` is dropped on entry, and a pair with g + h > ``limit`` is skipped."""
     twice, low = W is V, n * width
-    field, gbit = (1 << width) - 1, 1 << (low + n) if graded else 0
+    field, gbit = (1 << width) - 1, 1 << (low + n)
     least_W, least_V = (min((g for _, g, _ in X), default=0) for X in (W, V))
     W = [x for x in W if x[1] + least_V <= limit]
     V = W if twice else [x for x in V if x[1] + least_W <= limit]
@@ -608,7 +619,7 @@ def _ad_series(X: PolyMVF, u: PolyMVF, max_grade: int) -> PolyMVF:
     word_bits = (1 << low) - 1
     Xp, T, acc, N = _pack(X._ints, units), _pack(u._ints, units), {}, 0
     while T:
-        sums, groups = _products(Xp, T, n, width, max_grade + 1, True), {}
+        sums, groups = _products(Xp, T, n, width, max_grade + 1), {}
         for key, c in sums.items():
             if c:
                 groups.setdefault(key >> low, []).append((key & word_bits, c))

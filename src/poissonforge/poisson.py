@@ -6,11 +6,9 @@ structure.  The anchor is a bracket, H_f = -[pi, f], and ``sharp`` wedges a
 1-form's coefficients onto the H_{x_i}.  Only ``poisson_bracket`` keeps ``Poly``
 arithmetic: the benchmark checks Casimirs with it, independently of the kernel.
 
-``graded_basis`` and ``_bracket_rows`` are the one assembly of the operator
-``[pi, .]`` on a graded monomial basis; Casimir bases, cohomology ranks and
-the homotopy solves of ``formal`` all build their matrices through them, in
-one form: integer rows keyed by the kernel's packed ints, beside a
-``decode`` for the keys a caller names.
+``graded_basis`` builds the graded monomial bases on which Casimir bases,
+cohomology ranks and the homotopy solves of ``formal`` take the matrix of
+``[pi, .]`` from the Schouten kernel's one entry, ``multivector._bracket_rows``.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .polyalg import Poly, _as_int, _as_sequence, _complex_ranks, _Rows, solve_linear_exact
-from .multivector import PolyMVF, _check_bivector, _grade, _schouten_sums, _weights, schouten, wedge
+from .multivector import PolyMVF, _bracket_rows, _check_bivector, _weights, schouten, wedge
 
 __all__ = [
     "PoissonCheck",
@@ -171,29 +169,6 @@ def _graded_bases(n: int, ks, l: int, weights: tuple, base_degree_cap: int) -> l
             if fiber_deg >= 0:
                 out.extend((legs, exps) for exps in tails[fiber_deg])
     return bases
-
-
-def _bracket_rows(pi: PolyMVF, basis, max_grade: int | None = None):
-    """The matrix of [pi, .] on a monomial basis, as ``(den, rows, decode)``.
-
-    The matrix is ``rows / den``: ``den`` is pi's denominator and ``rows``
-    holds sparse rows ``{col: int}`` of nonzero ``int``s, keyed by the
-    kernel's packed ints, which ``decode`` turns into (legs, exps) monomials.
-    Column c is the basis element ``basis[c] = (legs, exps)``.  The basis
-    is trusted to come from ``graded_basis``: distinct elements, increasing
-    legs in 1..n, exponent vectors of length n.
-    With ``max_grade`` set, only the rows of grade at most ``max_grade`` are
-    formed: the kernel skips every pair whose bracket lies above it.  Only
-    then are the basis grades computed, as nothing else reads them.
-
-    One call of the integer Schouten kernel of ``multivector`` brackets pi's
-    numerators with every basis monomial, tagged with its column, so the
-    images of different columns never share a sum.
-    """
-    weights = pi.weights
-    cols = {(0 if max_grade is None else _grade(weights, legs, exps), legs, exps): col
-            for col, (legs, exps) in enumerate(basis)}
-    return (pi.den, *_schouten_sums(pi._ints, cols, weights, max_grade, True))
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,7 @@ from its numerators, with no ``Fraction``.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import functools
 import itertools
 import math
@@ -109,6 +110,15 @@ def _as_real(value, name: str, positive: bool = False) -> float:
     if positive and real <= 0:
         raise ValueError(f"{name!r} must be > 0, got {real!r}")
     return real
+
+
+def _as_float(c, exps) -> float:
+    """``float(c)`` of a nonzero exact coefficient of x^exps, refused by a ``ValueError``
+    naming the monomial where ``float`` overflows (it raises, never returns inf) or is 0."""
+    with contextlib.suppress(OverflowError):
+        if real := float(c):
+            return real
+    raise ValueError(f"the coefficient of {_format_terms([(exps, 1, 1)])} is out of float range")
 
 
 def _as_sequence(value, name: str):
@@ -306,7 +316,7 @@ class Poly:
         points = np.asarray(points, dtype=float)
         out = np.zeros(points.shape[:-1])
         for e, c in self.terms.items():
-            term = np.full(points.shape[:-1], float(c))
+            term = np.full(points.shape[:-1], _as_float(c, e))
             for i, k in enumerate(e):
                 if k:
                     term = term * points[..., i] ** k
@@ -745,7 +755,7 @@ def _complex_ranks(rows_of, ncols: list) -> list:
     d_k maps C^k, of dimension ``ncols[k]``, to C^{k+1}, and the caller
     guarantees d_{k+1} d_k = 0.  ``rows_of(k, skip) -> (rows by key, decode)``
     gives the rows of d_k on the columns of the C^k basis without the
-    elements in ``skip``, numbered in order, as ``poisson._bracket_rows``
+    elements in ``skip``, numbered in order, as ``multivector._bracket_rows``
     gives them beside its denominator; ``decode`` names the C^{k+1} basis
     element of a key, and is called only on pivot rows' keys, none at the
     last k.

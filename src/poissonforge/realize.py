@@ -42,7 +42,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .multivector import PolyMVF, _check_bivector
-from .polyalg import _as_int, _as_real
+from .polyalg import _as_float, _as_int, _as_real
 
 __all__ = [
     "SprayField",
@@ -94,15 +94,15 @@ class SprayField:
         def add(e, slot, i, j, c):
             if e not in table:
                 table[e] = np.zeros((n + 1, n, n))
-            table[e][slot, i - 1, j - 1] += float(c)
-            table[e][slot, j - 1, i - 1] -= float(c)
+            table[e][slot, i - 1, j - 1] += c
+            table[e][slot, j - 1, i - 1] -= c
 
         for (i, j), poly in pi.terms.items():
-            for e, c in poly.terms.items():
-                add(e, 0, i, j, c)
+            for e, c in poly.terms.items():  # each float named by pi's monomial
+                add(e, 0, i, j, _as_float(c, e))
                 for k in range(n):
                     if e[k]:
-                        add(e[:k] + (e[k] - 1,) + e[k + 1:], k + 1, i, j, e[k] * c)
+                        add(e[:k] + (e[k] - 1,) + e[k + 1:], k + 1, i, j, _as_float(e[k] * c, e))
         exps = sorted(table)
         m = len(exps)
         self._coef = np.array([table[e] for e in exps]).reshape(m, n + 1, n, n)
@@ -237,28 +237,26 @@ def _flow_batch(spray: SprayField, xi: np.ndarray, t_final: float, steps: int):
         return Z[:n].T.copy(), xi[:, n:].copy(), J, A - A.transpose(0, 2, 1), blowup
 
 
-def _point(xi, n: int) -> np.ndarray:
-    """A point of shape (2n,), as a batch of one."""
+def _flow_point(V: SprayField, xi, t_final: float, steps: int) -> tuple:
+    """(x, y, J, Om) of ``_flow_batch`` from one point xi of shape (2n,), or ``FlowBlowupError``."""
     xi = np.asarray(xi, dtype=float)
-    if xi.shape != (2 * n,):
-        raise ValueError(f"xi must have shape ({2 * n},), got {xi.shape}")
-    return xi[None, :]
+    if xi.shape != (2 * V.n,):
+        raise ValueError(f"xi must have shape ({2 * V.n},), got {xi.shape}")
+    *out, blowup = _flow_batch(V, xi[None, :], t_final, steps)
+    if blowup is not None:
+        raise FlowBlowupError(blowup)
+    return tuple(a[0] for a in out)
 
 
 def flow_with_jacobian(V: SprayField, xi, t_final: float, steps: int):
     """RK4 flow of the spray from xi, with the variational equations."""
-    x, y, J, _, blowup = _flow_batch(V, _point(xi, V.n), t_final, steps)
-    if blowup is not None:
-        raise FlowBlowupError(blowup)
-    return np.concatenate([x[0], y[0]]), J[0]
+    x, y, J, _ = _flow_point(V, xi, t_final, steps)
+    return np.concatenate([x, y]), J
 
 
 def realization_form(pi: PolyMVF, xi, steps: int) -> np.ndarray:
     """omega_xi = int_0^1 (phi_t^* omega_can)_xi dt, as a 2n x 2n matrix."""
-    _, _, _, Om, blowup = _flow_batch(SprayField(pi), _point(xi, pi.nvars), 1.0, steps)
-    if blowup is not None:
-        raise FlowBlowupError(blowup)
-    return Om[0]
+    return _flow_point(SprayField(pi), xi, 1.0, steps)[3]
 
 
 @dataclass(frozen=True)

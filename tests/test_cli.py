@@ -664,6 +664,70 @@ def test_exact_verbs_keep_the_exit_code_contract(obj, argv):
         assert out.count("\n") == 1 and isinstance(json.loads(out), dict), out
 
 
+# The numeric verbs under the same contract.  ``realize`` reads the inputs
+# above, or the README field with up to three coefficients at the float
+# boundary: past the largest float, below the smallest, or with a derivative
+# past it (2 * 10^308 from 10^308 * x3^2).  Sizes stay small: at most 3
+# samples of at most 5 steps, so n <= 4 flows B <= 54 trajectories.  ``area``
+# costs about 0.1 s a call at a valid radius, so it has fewer examples.
+_EXTREME = st.tuples(st.sampled_from(["1" + "0" * 310, "-1" + "0" * 309, "1/1" + "0" * 330,
+                                      "1" + "0" * 308, "1/1" + "0" * 300, "3/1" + "0" * 310]),
+                     st.sampled_from(["x3^2", "x1", "1", "x2*x3"])).map("{0[0]}*{0[1]}".format)
+_EXTREME_FIELDS = st.tuples(st.just(_SO3_FIELD), st.lists(st.tuples(
+    st.tuples(st.just("terms"), _TERM, st.just("poly")), _EXTREME), min_size=1, max_size=3))
+_RADIUS = st.sampled_from(["1", "0.1", "1e-300", "1e300", "0", "-1", "nan", "inf", "3e5"])
+_REALIZE_ARGV = st.tuples(
+    st.just("--samples"), st.sampled_from(["3", "1", "2"]), st.just("--steps"),
+    st.sampled_from(["5", "1"]), st.just("--radius"),
+    st.sampled_from(["1", "0.1", "1e-300", "1e300", "1e150", "0"]), st.just("--seed"),
+    st.integers(0, 3).map(str)).map(list)
+
+
+def _assert_exit_code_contract(argv):
+    """Run the CLI on ``argv`` with JSON output, and check the contract above."""
+    with contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = cli.main([*argv, "--format", "json"])
+    out, err = out.getvalue(), err.getvalue()
+    if code == 2:
+        assert out == "" and err.count("\n") == 1, (out, err)
+        assert re.fullmatch(r"error: \S(.*\S)?\n", err) and not err.endswith(":\n"), err
+    else:
+        assert code in (0, 1) and err == "", (code, err)
+        assert out.count("\n") == 1 and isinstance(json.loads(out), dict), out
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(obj=_EXACT_INPUTS | _EXTREME_FIELDS.map(lambda e: _edited(*e)), argv=_REALIZE_ARGV)
+def test_realize_keeps_the_exit_code_contract(obj, argv):
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "input.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(obj, fh)
+        _assert_exit_code_contract(["realize", path, *argv])
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(argv=st.tuples(st.just("area"), st.just("--radius"), _RADIUS).map(list) | st.tuples(
+    st.just("su3"), st.just("--samples"), st.integers(-1, 50).map(str), st.just("--seed"),
+    st.integers(-1, 3).map(str)).map(list))
+def test_area_and_su3_keep_the_exit_code_contract(argv):
+    _assert_exit_code_contract(argv)
+
+
+@pytest.mark.parametrize("coefficient", ["1" + "0" * 310, "1/1" + "0" * 330])
+def test_realize_refuses_a_coefficient_no_float_holds(tmp_path, capsys, coefficient):
+    # 10^310 overflows a float and 10^-330 becomes 0.0, which would realize
+    # the zero structure instead of the one given
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps({"nvars": 3, "grade": 2, "terms": [
+        {"indices": [1, 2], "poly": f"{coefficient}*x3^2"}]}))
+    assert cli.main(["realize", str(path), "--samples", "2", "--steps", "5", "--radius", "1"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "error: the coefficient of x3^2 is out of float range\n")
+
+
 def test_su3(capsys):
     assert cli.main(["su3", "--samples", "50", "--format", "json"]) == 0
     obj = json.loads(capsys.readouterr().out)

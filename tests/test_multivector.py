@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from poissonforge import (GradedPiece, PolyMVF, dilate, grade_component, hamiltonian_vf,
                           linear_poisson, preset, schouten, sharp, truncate_jet, wedge)
 from poissonforge import multivector
-from poissonforge.multivector import _legs, _mask, _merge_sign
+from poissonforge.multivector import _grade, _legs, _mask, _merge_sign
 from poissonforge.poisson import _bracket_rows, graded_basis
 from poissonforge.polyalg import Poly, _add_term, parse_poly
 
@@ -771,6 +771,18 @@ def _criterion_4_jet(scale=1):
                    weights=(0, 0, 1)) * scale
 
 
+def _grades_1_to_4():
+    """A weighted pi with monomials of grades 1 to 4 (fiber degree plus base legs)."""
+    return PolyMVF(3, 2, {(1, 2): parse_poly("x3", 3), (1, 3): parse_poly("x1 + x3^3", 3),
+                          (2, 3): parse_poly("x2*x3", 3)}, weights=(0, 0, 1))
+
+
+def _inhomogeneous():
+    """so3 with constant and quadratic parts, as a Casimir solve brackets it."""
+    return linear_poisson(preset("so3")) + PolyMVF(
+        3, 2, {(1, 2): parse_poly("x1^2 - 2", 3), (2, 3): parse_poly("1/3*x2*x3", 3)})
+
+
 @pytest.mark.parametrize("build, base_degree_cap", [
     (lambda: linear_poisson(preset("so3")), 0),
     (lambda: linear_poisson(preset("sl2")), 0),
@@ -778,13 +790,22 @@ def _criterion_4_jet(scale=1):
     (_criterion_4_jet, 2),
     (lambda: _criterion_4_jet(Fraction(2, 3)) + PolyMVF(
         3, 2, {(2, 3): parse_poly("1/5*x2^2*x3^2", 3)}, weights=(0, 0, 1)), 2),
-], ids=["so3", "sl2", "su2", "criterion-4", "criterion-4-rational"])
+    (_grades_1_to_4, 1),
+    (_inhomogeneous, 0),
+], ids=["so3", "sl2", "su2", "criterion-4", "criterion-4-rational", "grades-1-to-4",
+        "inhomogeneous"])
 def test_bracket_rows_match_reference(build, base_degree_cap):
+    # the column tags sit above the grade bits, which hold every g + h formed:
+    # under a bound of 3 or 6, pairs of grades up to 4 sum to 4 or 7 (3 bits);
+    # unbounded, the columns are at grade 0 and the sums reach pi's largest
+    # grade, 2 for the inhomogeneous pi, whose Casimir basis spans degrees 0..3
     pi = build()
-    for k in range(4):
-        for l in range(4):
-            _assert_rows_match_reference(pi, graded_basis(pi.nvars, k, l, pi.weights,
-                                                          base_degree_cap))
+    bases = [graded_basis(pi.nvars, k, l, pi.weights, base_degree_cap)
+             for k in range(4) for l in range(5)]
+    bases.append([mono for d in range(4) for mono in graded_basis(pi.nvars, 0, d, pi.weights)])
+    for basis in bases:
+        for max_grade in (None, 3, 6):
+            _assert_rows_match_reference(pi, basis, max_grade)
 
 
 @pytest.mark.parametrize("k, l", [(1, 1), (2, 1), (1, 2), (3, 1)])
@@ -794,11 +815,13 @@ def test_bracket_rows_match_reference_su3(k, l):
     _assert_rows_match_reference(pi, graded_basis(pi.nvars, k, l, pi.weights))
 
 
-def _assert_rows_match_reference(pi, basis):
-    den, rows = decoded_rows(pi, basis)
+def _assert_rows_match_reference(pi, basis, max_grade=None):
+    den, rows = decoded_rows(pi, basis, max_grade)
     assert all(type(c) is int and c for row in rows.values() for c in row.values())
     assert {key: {c: Fraction(v, den) for c, v in row.items()}
-            for key, row in rows.items()} == _reference_rows(pi, basis)
+            for key, row in rows.items()} == {
+        key: row for key, row in _reference_rows(pi, basis).items()
+        if max_grade is None or _grade(pi.weights, *key) <= max_grade}
 
 
 def test_bracket_never_takes_the_poly_path(monkeypatch):
