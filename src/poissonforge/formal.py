@@ -272,17 +272,16 @@ def mc_equivalence(gamma: FilteredJet, gamma_p: FilteredJet, D: int,
     ad_exp reads, commute with pi_0.
 
     The Maurer-Cartan checks, [gamma, gamma] = 0 and [gamma', gamma'] = 0 mod
-    grade D, run as follows (``_gauge``).  gamma' is checked before the loop,
-    so pi_lin, its grade-1 piece, is Poisson and a solved round forms no
-    cocycle bracket.  Where gamma or gamma' has a grade-0 part, gamma is
-    checked first.  Else gamma is checked only when the answer is not an
-    equivalence: before "obstructed" is returned, and before a ValueError
-    or RuntimeError is raised, that of gamma' included, so gamma's error
-    comes first as it does with a grade-0 part.  An equivalence needs no
-    check of gamma: brackets of grades a, b >= 1 land in grade a + b - 1 >= 1,
-    so Ad(e^X) is an automorphism of the grade->=1 D-truncation, and
-    gamma = Ad(e^X) gamma' gives [gamma, gamma] = Ad(e^X) [gamma', gamma'] = 0
-    mod grade D.
+    grade D, follow one rule (``_gauge``).  gamma' is checked first, so
+    pi_lin, its grade-1 piece, is Poisson and a solved round forms no cocycle
+    bracket.  gamma is checked after the loop, on every answer but an
+    equivalence: before "obstructed" is returned, and before a ValueError or
+    RuntimeError is raised, that of gamma' included, so gamma's error comes
+    first.  An equivalence proves [gamma, gamma] = 0 unless gamma or gamma'
+    has a grade-0 part, and only then is gamma checked after it: brackets of
+    grades a, b >= 1 land in grade a + b - 1 >= 1, so Ad(e^X) is an
+    automorphism of the grade->=1 D-truncation, and gamma = Ad(e^X) gamma'
+    gives [gamma, gamma] = Ad(e^X) [gamma', gamma'] = 0 mod grade D.
     """
     base_degree_cap = _as_int(base_degree_cap, "base_degree_cap", 0)
     D = _as_int(D, "jet order D", 0)
@@ -293,18 +292,14 @@ def _gauge(gamma: FilteredJet, gamma_p: FilteredJet, D: int, base_degree_cap: in
            gamma_p_checked: bool = False) -> GaugeSolution:
     """``mc_equivalence`` on checked arguments, with its Maurer-Cartan checks;
     ``gamma_p_checked`` skips that of gamma', which the caller has made."""
-    deferred = 0 not in gamma.value._grades() | gamma_p.value._grades()
-    if not deferred:
-        _check_mc(gamma, "gamma")
     try:
         if not gamma_p_checked:
             _check_mc(gamma_p, "gamma'")
         sol = _gauge_loop(gamma, gamma_p, D, base_degree_cap)
     except (ValueError, RuntimeError):
-        if deferred:
-            _check_mc(gamma, "gamma")
+        _check_mc(gamma, "gamma")
         raise
-    if sol.status == "obstructed" and deferred:
+    if sol.status == "obstructed" or 0 in gamma.value._grades() | gamma_p.value._grades():
         _check_mc(gamma, "gamma")
     return sol
 
@@ -350,10 +345,12 @@ class ProlongResult:
 def prolong_step(pi_partial: FilteredJet, m: int, base_degree_cap: int = 8) -> ProlongResult:
     """One jet-extension step: correct pi so its Jacobiator vanishes in grade m.
 
-    Solves [pi, eta]_m = -1/2 [pi,pi]_m for a bivector correction eta and
-    returns it, or the obstruction cochain with an infeasibility certificate.
-    The correction may span several dilation grades when weighted variables
-    spread pi itself over several grades.
+    Solves [pi, eta]_m = -1/2 [pi,pi]_m, with [pi, eta] = 0 below m, for a
+    bivector correction eta, which may span several dilation grades when
+    weighted variables spread pi over several.  [pi, pi] vanishes below m and
+    bivectors bracket symmetrically, so [pi + eta, pi + eta] = [eta, eta] up to
+    grade m.  If that survives, the step is obstructed with no certificate:
+    only a failed solve certifies an obstruction cochain.
     """
     base_degree_cap = _as_int(base_degree_cap, "base_degree_cap", 0)
     m = _as_int(m, "grade m", 0)
@@ -385,9 +382,7 @@ def prolong_step(pi_partial: FilteredJet, m: int, base_degree_cap: int = 8) -> P
     sol, witness = _solve_bracket_equation(pi, rhs, basis, restrict_grade=m)
     if sol is None:
         return ProlongResult("obstructed", None, rhs_piece, witness)
-    corrected = pi + sol
-    jac2 = schouten(corrected, corrected, max_grade=m)
-    if not jac2.is_zero() and jac2.min_grade() <= m:
+    if not schouten(sol, sol, max_grade=m).is_zero():
         return ProlongResult("obstructed", None, rhs_piece, None)
     return ProlongResult("solved", sol, None, None)
 

@@ -41,8 +41,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .multivector import PolyMVF, _check_bivector
-from .polyalg import _as_float, _as_int, _as_real
+from .multivector import MAX_NVARS, PolyMVF, _check_bivector
+from .polyalg import _as_float, _as_int, _as_real, _format_terms
 
 __all__ = [
     "SprayField",
@@ -99,6 +99,12 @@ class SprayField:
 
         for (i, j), poly in pi.terms.items():
             for e, c in poly.terms.items():  # each float named by pi's monomial
+                # the workspace below keeps a row for each monomial on the parent
+                # chain of e, sum(e) + 1 rows, walked before any sample runs
+                if sum(e) > MAX_NVARS:
+                    raise ValueError(f"the monomial {_format_terms([(e, 1, 1)])} has degree "
+                                     f"{sum(e)}, above the spray workspace bound of "
+                                     f"{MAX_NVARS} (MAX_NVARS)")
                 add(e, 0, i, j, _as_float(c, e))
                 for k in range(n):
                     if e[k]:

@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 
 import pytest
@@ -726,6 +727,26 @@ def test_realize_refuses_a_coefficient_no_float_holds(tmp_path, capsys, coeffici
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == (
         "", "error: the coefficient of x3^2 is out of float range\n")
+
+
+def test_realize_refuses_a_monomial_past_the_workspace_bound(tmp_path, capsys):
+    # the spray workspace keeps a row for every monomial on each monomial's
+    # parent chain, so x3^99999999999 would walk 10^11 rows before any sample;
+    # degree MAX_NVARS is realized and MAX_NVARS + 1 refused.  The 10^11 input
+    # runs only once the bound has refused MAX_NVARS + 1.
+    path = tmp_path / "field.json"
+    for degree, code in [(MAX_NVARS, 0), (MAX_NVARS + 1, 2), (99999999999, 2)]:
+        path.write_text(json.dumps({"nvars": 3, "grade": 2, "terms": [
+            {"indices": [1, 2], "poly": f"x3^{degree}"}]}))
+        start = time.perf_counter()
+        assert cli.main(["realize", str(path), "--samples", "2", "--steps", "5",
+                         "--radius", "1"]) == code
+        seconds, captured = time.perf_counter() - start, capsys.readouterr()
+        if code == 2:
+            assert seconds < 1
+            assert (captured.out, captured.err) == ("", (
+                f"error: the monomial x3^{degree} has degree {degree}, above the spray "
+                f"workspace bound of {MAX_NVARS} (MAX_NVARS)\n"))
 
 
 def test_su3(capsys):

@@ -612,6 +612,23 @@ def test_gamma_keeps_its_precedence_over_gamma_p():
     gamma = ad_exp(PolyMVF(3, 1, {(1,): parse_poly("x2^2", 3)}), linear_poisson(preset("so3")), 3)
     with pytest.raises(ValueError, match=r"^gamma' is not Maurer-Cartan"):
         mc_equivalence(gamma, FilteredJet(bad, 3), 3)
+    # a grade-0 part: gamma is not Maurer-Cartan and gamma' is, and the loop's own
+    # refusal (a right-hand side that is no cocycle) gives way to gamma's error
+    gamma_p = PolyMVF(3, 2, {(1, 2): parse_poly("1 + x3", 3)})
+    gamma = gamma_p + PolyMVF(3, 2, {(1, 3): parse_poly("x1^2", 3)})
+    with pytest.raises(ValueError, match="not a cocycle"):
+        formal._gauge_loop(FilteredJet(gamma, 3), FilteredJet(gamma_p, 3), 3, 8)
+    with pytest.raises(ValueError, match=r"^gamma is not Maurer-Cartan mod grade 3: "
+                                         r"\[gamma,gamma\] has grade-1 defect$"):
+        mc_equivalence(FilteredJet(gamma, 3), FilteredJet(gamma_p, 3), 3)
+    # a grade-0 part and an equivalence: a verified gauge does not prove
+    # [gamma, gamma] = 0 there, so gamma is bracketed with itself, once
+    gamma_p = PolyMVF(2, 2, {(1, 2): parse_poly("1 - x1 + 2*x2", 2)})
+    gamma = ad_exp(PolyMVF(2, 1, {(1,): parse_poly("3*x2^2", 2)}), gamma_p, 3)
+    with _self_brackets() as calls:
+        sol = mc_equivalence(gamma, FilteredJet(gamma_p, 3), 3)
+    assert (sol.status, sol.rounds) == ("equivalent", 1)
+    assert calls.count(gamma.value) == 1 and calls.count(gamma_p) == 1
 
 
 def test_gauge_solution_json(pi_so3):
@@ -698,6 +715,30 @@ def test_prolong_obstruction_can_be_an_artifact_of_the_cap():
     assert res.eta == PolyMVF(3, 2, {(2, 3): parse_poly("x2^2*x3^2", 3)}, weights=(0, 0, 1))
     jac = schouten(pi + res.eta, pi + res.eta, max_grade=3)
     assert jac.is_zero()
+
+
+def test_prolong_obstruction_without_a_certificate():
+    # the linear solve succeeds at every cap, but the correction's own bracket
+    # survives in grade 3: obstructed, with no certificate.  Up to grade m,
+    # [pi + eta, pi + eta] = [eta, eta], which is all prolong_step brackets
+    pi = PolyMVF(4, 2, {(1, 2): parse_poly("x4", 4), (1, 3): parse_poly("x1*x2 + 2*x4", 4),
+                        (1, 4): parse_poly("-2*x1*x2", 4)}, weights=(0, 1, 1, 1))
+    solve, solved = formal._solve_bracket_equation, []
+
+    def spy(*args, **kwargs):
+        solved.append(solve(*args, **kwargs))
+        return solved[-1]
+
+    for cap in range(9):
+        with mock.patch.object(formal, "_solve_bracket_equation", spy):
+            res = prolong_step(FilteredJet(pi, 3), 3, base_degree_cap=cap)
+        assert (res.status, res.eta, res.certificate) == ("obstructed", None, None)
+        assert res.obstruction == grade_component(schouten(pi, pi), 3)
+        eta, witness = solved.pop()
+        assert witness is None and not solved
+        own = schouten(eta, eta, max_grade=3)
+        assert not own.is_zero()
+        assert own == truncate_jet(schouten(pi + eta, pi + eta), 3)
 
 
 def test_bounded_bracket_rows_are_the_filtered_rows():
