@@ -21,10 +21,6 @@ from .multivector import PolyMVF, schouten
 from .polyalg import PolyParseError, _as_int
 
 
-class InputError(Exception):
-    """Usage or input-file problem; maps to exit code 2."""
-
-
 def _parse_int(text: str) -> int:
     """A JSON integer, refused past ``int()``'s limit by its digit count alone."""
     digits, limit = len(text.lstrip("-")), getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -39,13 +35,13 @@ def parse_input(path: str):
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh, parse_int=_parse_int)
     except OSError as e:
-        raise InputError(f"cannot read {path}: {e.strerror}") from e
+        raise ValueError(f"cannot read {path}: {e.strerror}") from e
     except json.JSONDecodeError as e:
-        raise InputError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}") from e
+        raise ValueError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}") from e
     except ValueError as e:  # not UTF-8, or an integer longer than int() reads
-        raise InputError(f"{path}: unreadable JSON: {e}") from e
+        raise ValueError(f"{path}: unreadable JSON: {e}") from e
     if not isinstance(obj, dict):
-        raise InputError(f"{path}: the top level must be a JSON object")
+        raise ValueError(f"{path}: the top level must be a JSON object")
     try:
         if "terms" in obj or "grade" in obj:
             return PolyMVF.from_json_obj(obj)
@@ -53,18 +49,18 @@ def parse_input(path: str):
             # the Jacobi identity is a verdict for `check`, not an input precondition
             return liealg.LieAlgebraSpec.from_json_obj(obj)
     except (PolyParseError, ValueError, TypeError) as e:
-        raise InputError(f"{path}: {e}") from e
-    raise InputError(f"{path}: neither a multivector nor a Lie algebra spec")
+        raise ValueError(f"{path}: {e}") from e
+    raise ValueError(f"{path}: neither a multivector nor a Lie algebra spec")
 
 
 def _as_bivector(obj, path: str, weights=None) -> PolyMVF:
     if isinstance(obj, liealg.LieAlgebraSpec):
         obj = liealg.linear_poisson(obj)
     if obj.grade != 2:
-        raise InputError(f"{path}: expected a bivector, got degree {obj.grade}")
+        raise ValueError(f"{path}: expected a bivector, got degree {obj.grade}")
     if weights is not None:
         if len(weights) != obj.nvars:
-            raise InputError(f"--weights needs {obj.nvars} entries")
+            raise ValueError(f"--weights needs {obj.nvars} entries")
         obj = obj.with_weights(weights)
     return obj
 
@@ -111,7 +107,7 @@ def _parse_weights(text: str) -> list:
     try:
         return [int(w) for w in text.split(",")]
     except ValueError:
-        raise InputError(f"--weights needs comma-separated integers, got {text!r}") from None
+        raise ValueError(f"--weights needs comma-separated integers, got {text!r}") from None
 
 
 def cmd_prolong(args) -> tuple:
@@ -181,6 +177,7 @@ def cmd_area(args) -> tuple:
                      f"d/dr areas: ({d1:.6f}, {d2:.6f})"])
 
 
+@functools.cache  # built once per process, on the first call of ``main``
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="poisson-forge",
@@ -245,24 +242,18 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser of this process, built on the first call of ``main``."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if _THREAD_CAP_ERROR:
-            raise InputError(_THREAD_CAP_ERROR)
+            raise ValueError(_THREAD_CAP_ERROR)
         code, json_obj, text_lines = args.func(args)
         if args.format == "json":
             print(json.dumps(json_obj(), sort_keys=True))
         else:
             print("\n".join(text_lines()))
         return code
-    except (InputError, ValueError) as e:
+    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except MemoryError as e:  # a bare MemoryError has no message of its own

@@ -11,7 +11,8 @@ realization properties at seeded random samples.
 Only what moves is integrated.  The spray has ydot = 0, so y is carried
 along unchanged, and the lower rows of the Jacobian J stay [0 I]; only the
 top block J_top = [Jxx Jxy] evolves, and the RK4 state is the stacked
-Z = [x; J_top], batch last.  A stage writes into a workspace that each
+Z = [x; J_top], batch last; only the single-point entries rebuild y and
+the [0 I] rows.  A stage writes into a workspace that each
 batch allocates once: the monomial values V(x), the product [y; 1] (x) V, and
 its product with the stage table of `SprayField`, which gives xdot and
 G = [M | P^T] (M = d(xdot)/dx, P = pi(x)); then Jdot_top = G [J_top; 0 I].
@@ -165,15 +166,17 @@ def _flow_batch(spray: SprayField, xi: np.ndarray, t_final: float, steps: int):
     """Batched RK4 for the spray flow, its Jacobian and the realization form.
 
     `xi` is (B, 2n).  Integrates Z = [x; J_top] (the rows of J that move);
-    y stays as given and the lower rows of J are [0 I].  K accumulates the
-    RK4 quadrature of J_top, and the form is assembled once at the end as
+    y stays as given and the lower rows of J are [0 I], and neither is
+    returned.  K accumulates the RK4 quadrature of J_top, and the form is
+    assembled once at the end as
     Om = [[0, Kxx^T], [-Kxx, Kxy^T - Kxy]] = A - A^T with A = [[0, 0], -K],
     which is int_0^{t_final} J^T Omega_can J dt.
 
     `blowup_time` is the first check at which some column was non-finite,
     or None; the loop ends early only once every column is.
 
-    Returns (x, y, J, Om, blowup_time) with J the full (B, 2n, 2n) Jacobian.
+    Returns (x, J_top, Om, blowup_time): x (B, n) and J_top (B, n, 2n) are
+    views of the final state, and Om is (B, 2n, 2n).
     """
     steps = _as_int(steps, "steps", 1)
     t_final = _as_real(t_final, "t_final")
@@ -236,33 +239,33 @@ def _flow_batch(spray: SprayField, xi: np.ndarray, t_final: float, steps: int):
                     blowup = (s + 1) * h
                 if not finite.any():
                     break
-        J = np.tile(np.eye(2 * n), (B, 1, 1))
-        J[:, :n] = Z[n:].reshape(n, 2 * n, B).transpose(2, 0, 1)
-        A = np.zeros_like(J)
+        A = np.zeros((B, 2 * n, 2 * n))
         A[:, n:] = -K.reshape(n, 2 * n, B).transpose(2, 0, 1)
-        return Z[:n].T.copy(), xi[:, n:].copy(), J, A - A.transpose(0, 2, 1), blowup
+        return (Z[:n].T, Z[n:].reshape(n, 2 * n, B).transpose(2, 0, 1),
+                A - A.transpose(0, 2, 1), blowup)
 
 
 def _flow_point(V: SprayField, xi, t_final: float, steps: int) -> tuple:
-    """(x, y, J, Om) of ``_flow_batch`` from one point xi of shape (2n,), or ``FlowBlowupError``."""
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape != (2 * V.n,):
-        raise ValueError(f"xi must have shape ({2 * V.n},), got {xi.shape}")
-    *out, blowup = _flow_batch(V, xi[None, :], t_final, steps)
+    """(state, J, Om) from one point xi of shape (2n,), or ``FlowBlowupError``:
+    the one place that puts y back, in state = [x; y], and assembles the full
+    Jacobian J = [J_top; 0 I]."""
+    xi, n = np.asarray(xi, dtype=float), V.n
+    if xi.shape != (2 * n,):
+        raise ValueError(f"xi must have shape ({2 * n},), got {xi.shape}")
+    x, J_top, Om, blowup = _flow_batch(V, xi[None, :], t_final, steps)
     if blowup is not None:
         raise FlowBlowupError(blowup)
-    return tuple(a[0] for a in out)
+    return np.concatenate([x[0], xi[n:]]), np.vstack([J_top[0], np.eye(n, 2 * n, n)]), Om[0]
 
 
 def flow_with_jacobian(V: SprayField, xi, t_final: float, steps: int):
     """RK4 flow of the spray from xi, with the variational equations."""
-    x, y, J, _ = _flow_point(V, xi, t_final, steps)
-    return np.concatenate([x, y]), J
+    return _flow_point(V, xi, t_final, steps)[:2]
 
 
 def realization_form(pi: PolyMVF, xi, steps: int) -> np.ndarray:
     """omega_xi = int_0^1 (phi_t^* omega_can)_xi dt, as a 2n x 2n matrix."""
-    return _flow_point(SprayField(pi), xi, 1.0, steps)[3]
+    return _flow_point(SprayField(pi), xi, 1.0, steps)[2]
 
 
 @dataclass(frozen=True)
@@ -303,7 +306,7 @@ def verify_realization(pi: PolyMVF, n_samples: int, radius: float, seed: int,
     zero_sec = np.concatenate([base[:, :n], np.zeros((n_samples, n))], axis=1)
     batch = np.concatenate([base] + shifts + [zero_sec], axis=0)
 
-    x, y, J, Om, blowup = _flow_batch(SprayField(pi), batch, 1.0, steps)
+    *_, Om, blowup = _flow_batch(SprayField(pi), batch, 1.0, steps)
     finite = np.isfinite(Om).all(axis=(1, 2))
     groups = 2 + 4 * n  # base + shifts + zero-section
     ok = finite.reshape(groups, n_samples).all(axis=0)

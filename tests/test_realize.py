@@ -1,5 +1,6 @@
 """Numerical realization: sprays, flows, the integrated form, sphere areas."""
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -10,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm, expm_frechet
+from sympy import QQ
+from sympy.polys.rings import ring
 
 from poissonforge import (FlowBlowupError, PolyMVF, SprayField, dh_variation,
                           flow_with_jacobian, linear_poisson, preset,
@@ -47,6 +50,28 @@ def test_spray_matches_bivector_matrix(pi_so3):
         YV = (np.vstack([y.T, np.ones((1, 5))])[:, None, :] * V).reshape(-1, 5)
         np.testing.assert_allclose((spray._stage[:n] @ YV).T, np.einsum("bij,bi->bj", P, y),
                                    rtol=1e-14)
+
+
+@pytest.mark.parametrize("name", ["so3", "quad", "cubic"])
+def test_stage_derivative_rows_match_poly_partials(name, pi_so3):
+    # the G rows of _stage on [y; 1] (x) V against the exact partials of pi's
+    # coefficients, evaluated on their own: M[j, k] = sum_i y_i d(pi_ij)/dx_k,
+    # and the last n columns P^T[j, c] = pi_cj
+    pi = {"so3": pi_so3, "quad": _pi_quad(), "cubic": _pi_cubic()}[name]
+    spray, n = SprayField(pi), pi.nvars
+    rng = np.random.default_rng(36)
+    x, y = rng.normal(size=(5, n)), rng.normal(size=(5, n))
+    V = spray._monomials(x.T)
+    YV = (np.vstack([y.T, np.ones((1, 5))])[:, None, :] * V).reshape(-1, 5)
+    G = (spray._stage[n:] @ YV).reshape(n, 2 * n, 5).transpose(2, 0, 1)
+    M = np.zeros((5, n, n))
+    for (i, j), poly in pi.terms.items():
+        for k in range(n):
+            d = poly.diff(k + 1).eval_numeric(x)
+            M[:, j - 1, k] += y[:, i - 1] * d
+            M[:, i - 1, k] -= y[:, j - 1] * d
+    np.testing.assert_allclose(G[:, :, :n], M, rtol=1e-14)
+    np.testing.assert_allclose(G[:, :, n:], pi.bivector_matrix(x).transpose(0, 2, 1), rtol=1e-14)
 
 
 def test_flow_of_zero_structure_is_identity():
@@ -125,16 +150,23 @@ def test_flow_and_form_match_unreduced_oracle(name, pi_so3):
 
 
 def test_reduced_state_structure():
-    """y is carried unchanged, the lower rows of J are exactly [0 I] and the
-    integrated form is exactly skew, for every point of a batch."""
+    """The integrated form is exactly skew for every point of a batch, and
+    `flow_with_jacobian` carries y unchanged and puts exactly [0 I] below the
+    x and J_top that its one-point batch integrates."""
     rng = np.random.default_rng(42)
     xi = 0.4 * rng.normal(size=(64, 6))
-    x, y, J, Om, blowup = _flow_batch(SprayField(_pi_quad()), xi, 1.0, 50)
+    spray = SprayField(_pi_quad())
+    x, J_top, Om, blowup = _flow_batch(spray, xi, 1.0, 50)
     assert blowup is None
-    assert np.array_equal(y, xi[:, 3:])
-    assert np.array_equal(J[:, 3:, :3], np.zeros((64, 3, 3)))
-    assert np.array_equal(J[:, 3:, 3:], np.broadcast_to(np.eye(3), (64, 3, 3)))
+    assert x.shape == (64, 3) and J_top.shape == (64, 3, 6)
     assert np.array_equal(Om, -Om.transpose(0, 2, 1))
+    for point in xi:
+        state, J = flow_with_jacobian(spray, point, 1.0, 50)
+        x1, J1, _, _ = _flow_batch(spray, point[None], 1.0, 50)
+        assert np.array_equal(state, np.concatenate([x1[0], point[3:]]))
+        assert np.array_equal(J[:3], J1[0])
+        assert np.array_equal(J[3:, :3], np.zeros((3, 3)))
+        assert np.array_equal(J[3:, 3:], np.eye(3))
 
 
 def _reference_flow_batch(pi, xi, t_final, steps):
@@ -200,11 +232,11 @@ def test_stacked_integrator_matches_two_array_reference(name):
     pi = {"quad": _pi_quad, "cubic": _pi_cubic}.get(name, lambda: linear_poisson(preset(name)))()
     n = pi.nvars
     xi = 0.3 * np.random.default_rng(43).normal(size=(64, 2 * n))
-    x, y, J, Om, blowup = _flow_batch(SprayField(pi), xi, 1.0, 60)
+    x, J_top, Om, blowup = _flow_batch(SprayField(pi), xi, 1.0, 60)
     assert blowup is None
     x_ref, J_ref, Om_ref = _reference_flow_batch(pi, xi, 1.0, 60)
     np.testing.assert_allclose(x, x_ref, rtol=0, atol=1e-14)
-    np.testing.assert_allclose(J, J_ref, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(J_top, J_ref[:, :n], rtol=0, atol=1e-14)
     np.testing.assert_allclose(Om, Om_ref, rtol=0, atol=1e-14)
 
 
@@ -330,6 +362,126 @@ def test_lie_poisson_closed_form_satisfies_theorem_0(name):
         np.testing.assert_allclose(omega0, expected, rtol=0, atol=1e-14)
 
 
+def _theorem0_jet(pi, x0, K):
+    """The y-jet of omega to degree K - 1 at the rational point x0, exactly.
+
+    The spray is quadratic in y, so its flow is the Lie series
+    x(t) = sum_k t^k/k! V^k(x), V = sum_ij pi_ij(x) y_i d/dx_j, whose k-th
+    term has y-degree k, and y(t) = y.  With int_0^1 t^k/k! dt = 1/(k+1)!,
+    Kxx = sum_k d_x(V^k x / k!)/(k+1) and Kxy = sum_k d_y(V^k x / k!)/(k+1):
+    y-degree d of Kxx comes from k = d, of Kxy from k = d + 1, so the terms
+    k <= K give omega = [[0, Kxx^T], [-Kxx, Kxy^T - Kxy]] exactly to y-degree
+    K - 1.  Only sympy's sparse ring over QQ is used; pi is read through
+    `.terms`.  Returns omega and pi(x0), entries in the ring of y alone.
+    """
+    n = pi.nvars
+    R, *gens = ring([f"x{i}" for i in range(1, n + 1)] + [f"y{i}" for i in range(1, n + 1)], QQ)
+    xs, ys = gens[:n], gens[n:]
+    P = [[R.zero] * n for _ in range(n)]
+    for (i, j), poly in pi.terms.items():
+        P[i - 1][j - 1] = R.from_dict({e + (0,) * n: QQ(c.numerator, c.denominator)
+                                       for e, c in poly.terms.items()})
+        P[j - 1][i - 1] = -P[i - 1][j - 1]
+    xdot = [sum((P[i][j] * ys[i] for i in range(n)), R.zero) for j in range(n)]
+    series = [list(xs)]                                     # series[k][j] = V^k(x_j) / k!
+    for k in range(1, K + 1):
+        series.append([sum((xdot[v] * f.diff(xs[v]) for v in range(n)), R.zero) * QQ(1, k)
+                       for f in series[-1]])
+    at = list(zip(xs, x0))
+
+    def integral(j, var, ks):
+        return sum((series[k][j].diff(var) * QQ(1, k + 1) for k in ks), R.zero).evaluate(at)
+
+    Kxx = [[integral(j, x, range(K)) for x in xs] for j in range(n)]
+    Kxy = [[integral(j, y, range(1, K + 1)) for y in ys] for j in range(n)]
+    S = Kxx[0][0].ring
+    omega = [[S.zero] * (2 * n) for _ in range(2 * n)]
+    for a, b in itertools.product(range(n), repeat=2):
+        omega[a][n + b] = Kxx[b][a]
+        omega[n + a][b] = -Kxx[a][b]
+        omega[n + a][n + b] = Kxy[b][a] - Kxy[a][b]
+    return omega, [[S(p.evaluate(at)) if p else S.zero for p in row] for row in P]
+
+
+def _y_degrees(p, keep):
+    return p.ring.from_dict({e: c for e, c in p.terms() if keep(sum(e))})
+
+
+def _jet_inverse(omega, P0, K):
+    """omega^{-1} to y-degree K - 1, as the Neumann series about
+    omega_0 = [[0, I], [-I, P0]], whose inverse is W = [[P0, -I], [I, 0]]:
+    sum_m (-W E)^m W with E = omega - omega_0."""
+    N, S = len(omega), P0[0][0].ring
+    n = N // 2
+
+    def product(A, B):
+        return [[_y_degrees(sum((A[i][k] * B[k][j] for k in range(N)), S.zero), lambda d: d < K)
+                 for j in range(N)] for i in range(N)]
+
+    W = [[S.zero] * N for _ in range(N)]
+    for a in range(n):
+        W[a][:n], W[a][n + a], W[n + a][a] = P0[a], -S.one, S.one
+    E = [[_y_degrees(p, lambda d: d > 0) for p in row] for row in omega]
+    step = [[-p for p in row] for row in product(W, E)]
+    term = inverse = W
+    for _ in range(1, K):
+        term = product(step, term)
+        inverse = [[a + b for a, b in zip(r, s)] for r, s in zip(inverse, term)]
+    return inverse
+
+
+def _pi_not_poisson():
+    """x2 d2^d3 + x3 d3^d1 + x1 d1^d2: v = (x2, x3, x1) has v . curl v = -(x1 + x2 + x3)."""
+    return PolyMVF(3, 2, {(2, 3): parse_poly("x2", 3), (1, 3): parse_poly("-x3", 3),
+                          (1, 2): parse_poly("x1", 3)})
+
+
+_JET_POINTS = ((QQ(1, 3), QQ(-2, 5), QQ(3, 7)), (QQ(-1, 2), QQ(1, 5), QQ(2, 3)))
+_JET_FIELDS = {"so3": lambda: linear_poisson(preset("so3")), "quad": _pi_quad,
+               "not-poisson": _pi_not_poisson}
+
+
+@functools.cache
+def _exact_jet(name, x0, K):
+    return _theorem0_jet(_JET_FIELDS[name](), x0, K)
+
+
+@pytest.mark.parametrize("name, K", [("so3", 5), ("quad", 4), ("not-poisson", 4)])
+def test_theorem_0_on_the_exact_jet(name, K):
+    """(omega^{-1})_xx = pi(x) in every y-degree 1..K-1, in exact arithmetic.
+    The bivector that is not Poisson calibrates the check: it fails there."""
+    for x0 in _JET_POINTS:
+        omega, P0 = _exact_jet(name, x0, K)
+        inverse = _jet_inverse(omega, P0, K)
+        top = [row[:3] for row in inverse[:3]]
+        assert [[_y_degrees(p, lambda d: d == 0) for p in row] for row in top] == P0
+        assert (top == P0) is (name != "not-poisson"), x0
+
+
+@pytest.mark.parametrize("name, K, bound", [("so3", 5, 4e-8), ("quad", 4, 3e-5)])
+def test_realization_form_matches_the_exact_jet(name, K, bound):
+    """`realization_form` at 2000 steps against the jet, at |y| = 0.1, 0.05 and
+    0.025.  The jet leaves out y-degree K and up, so the difference shrinks as
+    |y|^K: the measured ratios per halving were 32.0 on so3 (K = 5; 1.1e-8 and
+    1.2e-8 at |y| = 0.1) and 15.6-16.3 on the quadratic (K = 4; 3.6e-6 and
+    9.2e-6 at |y| = 0.1).  The RK4 error, against 8000 steps, was at most
+    1.1e-14 at these points, three orders below the smallest difference."""
+    pi = _JET_FIELDS[name]()
+    directions = np.random.default_rng(1).normal(size=(2, 3))
+    for x0, u in zip(_JET_POINTS, directions / np.linalg.norm(directions, axis=1)[:, None]):
+        omega, _ = _exact_jet(name, x0, K)
+        x = np.array([float(c) for c in x0])
+        errs = []
+        for r in (0.1, 0.05, 0.025):
+            y = r * u
+            jet = np.array([[sum(float(c) * np.prod(y ** np.array(e)) for e, c in p.terms())
+                             for p in row] for row in omega])
+            errs.append(np.abs(realization_form(pi, np.concatenate([x, y]), 2000) - jet).max())
+        assert errs[0] <= bound
+        for coarse, fine in zip(errs, errs[1:]):
+            assert 2 ** (K - 0.25) < coarse / fine < 2 ** (K + 0.25), errs
+
+
 def test_rhs_runs_once_per_stage_through_the_module_global(monkeypatch):
     """The benchmark's tracer rebinds `realize._rhs` by name and keys its
     per-batch timings on the shape of the second argument."""
@@ -447,11 +599,10 @@ def _blowup_plane():
 def test_blowup_leaves_the_rest_of_the_batch_intact():
     spray = SprayField(_blowup_plane())
     survivor = np.array([0.3, 0.1, 0.2, 0.4])
-    x, _, J, Om, blowup = _flow_batch(spray, np.array([survivor, [2.0, 0.0, 0.0, -2.0]]),
-                                      1.0, 400)
+    x, J, Om, blowup = _flow_batch(spray, np.array([survivor, [2.0, 0.0, 0.0, -2.0]]), 1.0, 400)
     assert 0.25 <= blowup < 0.35
     assert not np.isfinite(Om[1]).all()
-    x1, _, J1, Om1, blowup1 = _flow_batch(spray, survivor[None], 1.0, 400)
+    x1, J1, Om1, blowup1 = _flow_batch(spray, survivor[None], 1.0, 400)
     assert blowup1 is None
     for got, solo in ((x[0], x1[0]), (J[0], J1[0]), (Om[0], Om1[0])):
         assert np.abs(got - solo).max() <= 1e-14
