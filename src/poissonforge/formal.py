@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .polyalg import _as_int, _fraction_vector, _Rows, solve_linear_exact
 from .multivector import (GradedPiece, PolyMVF, _ad_series, _bracket_rows, _check_bivector,
@@ -375,10 +376,10 @@ def prolong_step(pi_partial: FilteredJet, m: int, base_degree_cap: int = 8) -> P
     # the given data is pi's jet in the fiber-ideal filtration: corrections
     # may only carry strictly higher fiber degree (the grade of x^exps as a
     # function), so they leave it untouched
-    fiber_floor = 1 + max(_grade(pi.weights, (), exps) for _, _, exps in pi._ints)
+    fiber_floor = 1 + max(sum(map(mul, exps, pi.weights)) for _, _, exps in pi._ints)
     basis = [(legs, exps) for g in eta_grades
              for legs, exps in graded_basis(pi.nvars, 2, g, pi.weights, base_degree_cap)
-             if _grade(pi.weights, (), exps) >= fiber_floor]
+             if sum(map(mul, exps, pi.weights)) >= fiber_floor]
     sol, witness = _solve_bracket_equation(pi, rhs, basis, restrict_grade=m)
     if sol is None:
         return ProlongResult("obstructed", None, rhs_piece, witness)

@@ -145,8 +145,8 @@ def _merge_sign(A: int, B: int) -> int:
     """The sign that sorts the legs of A, then B (disjoint masks): the parity of the
     pairs with a leg of A above one of B (Dorst, Fontijne & Mann 2007, ch. 19)."""
     swaps = 0
-    while A := A >> 1:
-        swaps += (A & B).bit_count()
+    while A:  # the lowest leg of A passes the legs of B below it, then leaves A
+        swaps, A = swaps + (B & (A & -A) - 1).bit_count(), A & (A - 1)
     return -1 if swaps & 1 else 1
 
 
@@ -481,7 +481,9 @@ def schouten(W: PolyMVF, V: PolyMVF, max_grade: int | None = None) -> PolyMVF:
 # CASC 2007).  ``_products`` keys its sums by one int: the output word, its
 # leg mask at bit low = n*width and the grades g + h at bit top = low + n,
 # which add through, so ``key >> low`` is the key's group in a next bracket's
-# operand.  ``_bracket_rows``, the matrix entry, tags columns above them.
+# operand.  A monomial is ``(word, c, col)``.  ``col`` is None, but in ``_bracket_rows``,
+# the matrix entry, it is a basis column, and ``_multiply`` adds into rows ``[key][col]``
+# keyed without grade bits.
 
 def _schouten_sums(W: dict, V: dict, weights: tuple, max_grade) -> dict:
     """The bracket of integer operands: packed, one ``_products`` step, decoded.
@@ -506,27 +508,19 @@ def _bracket_rows(pi: PolyMVF, basis, max_grade: int | None = None):
     exps).  Column c is ``basis[c]``, trusted to be as ``graded_basis`` builds it.
     With ``max_grade`` set, only rows of grade <= ``max_grade`` are formed, and only
     then are columns packed at their grades (else at 0, saving a ``_grade`` each).
-    Each basis word carries its column at bit ``tags``, above grade bits holding
-    every g + h formed (<= ``limit``, or pi's largest grade), so columns never share
-    a sum; a row is keyed by a sum's bits below ``top``.
+    Each basis monomial carries its column, ``(word, 1, col)``, so ``_multiply``
+    adds each product into its row, and drops an entry or a row that cancels.
     """
     n, bounded, groups = pi.nvars, max_grade is not None, {}
     width, units, low = _layout(n, pi._ints, basis)
-    limit, top = max_grade + 1 if bounded else math.inf, low + n
-    tags = top + (limit if bounded else max(pi._grades(), default=0)).bit_length()
-    for col, (legs, exps) in enumerate(basis):  # the words and their tags in one pass
+    for col, (legs, exps) in enumerate(basis):
         groups.setdefault((legs, _grade(pi.weights, legs, exps) if bounded else 0), []).append(
-            (sum(map(mul, exps, units)) + (col << tags), 1))
-    sums = _products(_pack(pi._ints, units),
+            (sum(map(mul, exps, units)), 1, col))
+    rows = _products(_pack(pi._ints, units),
                      [(_mask(legs), g, monos) for (legs, g), monos in groups.items()],
-                     n, width, limit)
-    monomial, rows = (1 << top) - 1, {}
-    # grouped by monomial, so each exponent vector and leg mask is decoded once
-    for key, c in sums.items():
-        if c:
-            rows.setdefault(key & monomial, {})[key >> tags] = c
+                     n, width, max_grade + 1 if bounded else math.inf)
     legs, field, shifts = functools.cache(_legs), (1 << width) - 1, range(0, low, width)
-    return pi.den, rows, lambda key: (legs(key >> low), tuple((key >> s) & field for s in shifts))
+    return pi.den, rows, lambda key: (legs(key >> low), tuple([key >> s & field for s in shifts]))
 
 
 def _layout(n: int, *operands) -> tuple:
@@ -537,31 +531,32 @@ def _layout(n: int, *operands) -> tuple:
 
 
 def _pack(X: dict, units: list) -> list:
-    """X as ``[(mask, grade, [(word, c)])]``."""
+    """X as ``[(mask, grade, [(word, c, None)])]``."""
     groups: dict[tuple, list] = {}
     for (g, legs, exps), c in X.items():
-        groups.setdefault((legs, g), []).append((sum(map(mul, exps, units)), c))
+        groups.setdefault((legs, g), []).append((sum(map(mul, exps, units)), c, None))
     return [(_mask(legs), g, monos) for (legs, g), monos in groups.items()]
 
 
 def _products(W: list, V: list, n: int, width: int, limit) -> dict:
-    """The sums, zeros kept, of the 2n products of the module docstring on packed
-    operands, V being W for a self-bracket.  A derivative keeps its monomial's
-    grade.  A group whose grade plus the other operand's least grade exceeds
-    ``limit`` is dropped on entry, and a pair with g + h > ``limit`` is skipped."""
-    twice, low = W is V, n * width
-    field, gbit = (1 << width) - 1, 1 << (low + n)
-    least_W, least_V = (min((g for _, g, _ in X), default=0) for X in (W, V))
-    W = [x for x in W if x[1] + least_V <= limit]
-    V = W if twice else [x for x in V if x[1] + least_W <= limit]
-    sums: dict[int, int] = {}
+    """The sums, zeros kept, of the 2n products of the module docstring on packed operands
+    (V is W for a self-bracket), or, if V has columns, their rows less what cancels.  A
+    derivative keeps its monomial's grade.  A finite ``limit`` drops on entry a group whose
+    grade plus the other operand's least grade exceeds it, and skips pairs with g + h > it."""
+    twice, low, cols = W is V, n * width, bool(V) and V[0][2][0][2] is not None
+    field, gbit = (1 << width) - 1, 0 if cols else 1 << (low + n)
+    if limit < math.inf:
+        least_W, least_V = (min((g for _, g, _ in X), default=0) for X in (W, V))
+        W = [x for x in W if x[1] + least_V <= limit]
+        V = W if twice else [x for x in V if x[1] + least_W <= limit]
+    sums: dict = {}
 
     def d_x(X, v):
         """d/dx_v: the monomials with e_v > 0, lowered and times e_v."""
         shift = width * v
         unit, bits = 1 << shift, field << shift
         return [(m, g, g * gbit, 1, lowered) for m, g, monos in X
-                if (lowered := [(word - unit, c * (e >> shift)) for word, c in monos
+                if (lowered := [(word - unit, c * (e >> shift), col) for word, c, col in monos
                                 if (e := word & bits)])]
 
     for v in range(n):
@@ -578,18 +573,24 @@ def _products(W: list, V: list, n: int, width: int, limit) -> dict:
 
 
 def _multiply(sums: dict, A: list, B: list, low: int, limit) -> None:
-    """Add the product A B of ``[(mask, grade, grade bits, sign, [(word, c)])]`` into
-    ``sums``, leg sets of A first, skipping pairs with a shared leg or gA + gB > ``limit``."""
+    """Add A B, leg sets of A first, of ``[(mask, grade, grade bits, sign, monos)]`` into ``sums``
+    (into rows ``sums[key][col]`` where B has columns), skipping shared legs and gA + gB > limit."""
     for mA, gA, xA, sA, a_monos in A:
         for mB, gB, xB, sB, b_monos in B:
             if mA & mB or gA + gB > limit:
                 continue
             s, off = sA * sB * _merge_sign(mA, mB), ((mA | mB) << low) + xA + xB
-            for wa, c in a_monos:
+            for wa, c, _ in a_monos:
                 base, sc = wa + off, s * c
-                for wb, d in b_monos:
-                    key = base + wb
-                    sums[key] = sums.get(key, 0) + sc * d
+                for wb, d, col in b_monos:
+                    if col is None:
+                        sums[key] = sums.get(key := base + wb, 0) + sc * d
+                    elif (row := sums.get(key := base + wb)) is None:
+                        sums[key] = {col: sc * d}
+                    elif x := row.pop(col, 0) + sc * d:
+                        row[col] = x
+                    elif not row:
+                        del sums[key]
 
 
 def _decode(sums: dict, n: int, width: int) -> dict:
@@ -622,7 +623,7 @@ def _ad_series(X: PolyMVF, u: PolyMVF, max_grade: int) -> PolyMVF:
         sums, groups = _products(Xp, T, n, width, max_grade + 1), {}
         for key, c in sums.items():
             if c:
-                groups.setdefault(key >> low, []).append((key & word_bits, c))
+                groups.setdefault(key >> low, []).append((key & word_bits, c, None))
         if T := [(k & (1 << n) - 1, (k >> n) - 1, monos) for k, monos in groups.items()]:
             N += 1
             acc = {key: c * X.den * N for key, c in acc.items()}

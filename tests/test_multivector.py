@@ -21,7 +21,7 @@ from poissonforge import (GradedPiece, PolyMVF, dilate, grade_component, hamilto
                           linear_poisson, preset, schouten, sharp, truncate_jet, wedge)
 from poissonforge import multivector
 from poissonforge.multivector import _grade, _legs, _mask, _merge_sign
-from poissonforge.poisson import _bracket_rows, graded_basis
+from poissonforge.poisson import MAX_BASIS, _bracket_rows, basis_size, graded_basis
 from poissonforge.polyalg import Poly, _add_term, parse_poly
 
 from conftest import decoded_rows, rand_mvf, rand_poly, sgn
@@ -822,6 +822,43 @@ def _assert_rows_match_reference(pi, basis, max_grade=None):
             for key, row in rows.items()} == {
         key: row for key, row in _reference_rows(pi, basis).items()
         if max_grade is None or _grade(pi.weights, *key) <= max_grade}
+
+
+@st.composite
+def matrix_cases(draw, pairs):
+    """(pi, basis, max_grade): the first field of a ``field_pairs`` draw, up to
+    twelve elements of a ``graded_basis`` of k-vectors (k = 0..3) on its
+    weights, and a bound of None or 0..5."""
+    pi, _ = draw(pairs)
+    n = pi.nvars
+    k, l, cap = draw(st.integers(0, min(3, n))), draw(st.integers(0, 3)), draw(st.integers(0, 2))
+    while basis_size(n, k, l, pi.weights, cap) > MAX_BASIS:  # many base variables
+        cap, l = (cap - 1, l) if cap else (cap, l - 1)
+    basis = graded_basis(n, k, l, pi.weights, cap)
+    if basis:
+        basis = draw(st.lists(st.sampled_from(basis), unique=True, max_size=12))
+    return pi, basis, draw(st.none() | st.integers(0, 5))
+
+
+def _assert_drawn_rows_match_reference(pi, basis, max_grade):
+    # each row key decodes to its own (legs, exps): no two rows share one
+    _, rows, decode = _bracket_rows(pi, basis, max_grade)
+    assert len({decode(key) for key in rows}) == len(rows)
+    _assert_rows_match_reference(pi, basis, max_grade)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(matrix_cases(field_pairs(nvars=st.integers(1, 5))))
+def test_bracket_rows_match_reference_on_drawn_fields(case):
+    # weights in {0,1}^n and denominators up to 6: grades, columns and
+    # cancelling products in every mix the kernel meets
+    _assert_drawn_rows_match_reference(*case)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(matrix_cases(field_pairs(nvars=st.integers(5, 8), max_grade=4, sparse=True)))
+def test_bracket_rows_match_reference_up_to_8_legs(case):
+    _assert_drawn_rows_match_reference(*case)
 
 
 def test_bracket_never_takes_the_poly_path(monkeypatch):

@@ -436,9 +436,17 @@ def _pi_not_poisson():
                           (1, 2): parse_poly("x1", 3)})
 
 
+def _pi_casimir_cubic():
+    """{x_i, x_j} = eps_ijk d_k C with C = x1^4/4 + x1^2 x2^2/2 + x2 x3^3, quartic:
+    every such bracket on R^3 is Poisson, with C a Casimir, its coefficients here cubic."""
+    return PolyMVF(3, 2, {(1, 2): parse_poly("3*x2*x3^2", 3),
+                          (1, 3): parse_poly("-x1^2*x2 - x3^3", 3),
+                          (2, 3): parse_poly("x1^3 + x1*x2^2", 3)})
+
+
 _JET_POINTS = ((QQ(1, 3), QQ(-2, 5), QQ(3, 7)), (QQ(-1, 2), QQ(1, 5), QQ(2, 3)))
 _JET_FIELDS = {"so3": lambda: linear_poisson(preset("so3")), "quad": _pi_quad,
-               "not-poisson": _pi_not_poisson}
+               "casimir-cubic": _pi_casimir_cubic, "not-poisson": _pi_not_poisson}
 
 
 @functools.cache
@@ -446,7 +454,8 @@ def _exact_jet(name, x0, K):
     return _theorem0_jet(_JET_FIELDS[name](), x0, K)
 
 
-@pytest.mark.parametrize("name, K", [("so3", 5), ("quad", 4), ("not-poisson", 4)])
+@pytest.mark.parametrize("name, K", [("so3", 5), ("quad", 4), ("casimir-cubic", 4),
+                                     ("not-poisson", 4)])
 def test_theorem_0_on_the_exact_jet(name, K):
     """(omega^{-1})_xx = pi(x) in every y-degree 1..K-1, in exact arithmetic.
     The bivector that is not Poisson calibrates the check: it fails there."""
