@@ -2,7 +2,7 @@
 
 Everything here lives in a grade-D truncation of the algebra of polynomial
 multivector fields: the order function of the jet filtration, adjoint
-exponentials, the Dynkin form of the Campbell-Hausdorff product, homotopy
+exponentials, the Campbell-Hausdorff product as a Lie series, homotopy
 operators realized as exact linear solves against [pi_lin, .], the recursive
 gauge-equivalence iteration for Maurer-Cartan elements, step-wise jet
 prolongation, and the formal linearization pipeline built from the above.
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import mul
 
 from .polyalg import _as_int, _fraction_vector, _Rows, solve_linear_exact
@@ -78,47 +77,45 @@ def ad_exp(X, u, D: int) -> FilteredJet:
     D = _as_int(D, "jet order D", 0)
     u = _as_jet(u, D)
     X = _as_jet(X, D + 1 if 0 in u.value._grades() else D)
-    if X.value.grade not in (1,) and not X.value.is_zero():
-        raise ValueError("exponent must be a vector field")
+    _check_vector_field(X)
     if order_of(X) < 1:
         raise ValueError("ad_exp needs order >= 1 (grade >= 2) exponent")
     return FilteredJet._raw(_ad_series(X.value, u.value, D), D)
 
 
-def _dynkin_words(budget: int, ox: int, oy: int, k: int):
-    """Words ((l1,m1),...,(lk,mk)) with l_i+m_i >= 1, m_k >= 1 and
-    ox*(l1+...+lk) + oy*(m1+...+mk) <= budget."""
-    if k == 0:
-        yield ()
-        return
-    m_min = 1 if k == 1 else 0      # the innermost block needs an ad_Y
-    for l in range(budget // ox + 1):
-        for m in range(m_min, (budget - ox * l) // oy + 1):
-            if l + m == 0:
-                continue
-            for rest in _dynkin_words(budget - ox * l - oy * m, ox, oy, k - 1):
-                yield ((l, m),) + rest
+def _check_vector_field(V: FilteredJet) -> None:
+    """An exponent of ``ad_exp`` or an argument of ``bch``: a vector field, or zero."""
+    if V.value.grade != 1 and not V.value.is_zero():
+        raise ValueError("exponent must be a vector field")
+
+
+def _scaled(V: PolyMVF, num: int, den: int) -> PolyMVF:
+    """V * num / den, scaled in integers: no ``Fraction`` is made."""
+    return V._like({key: c * num for key, c in V._ints.items()}, V.den * den)
 
 
 def bch(X, Y, D: int) -> FilteredJet:
     """Campbell-Hausdorff product X*Y with ad_exp(X*Y) = ad_exp(X) ad_exp(Y).
 
-    Dynkin-type expansion
-        X*Y = X + Y + sum_{k>=1} (-1)^k/(k+1) *
-              sum 1/((sum l_i)+1) * prod 1/(l_i! m_i!) *
-              ad_X^{l1} ad_Y^{m1} ... ad_X^{lk} ad_Y^{mk} (X),
-    finite here because every ad raises the order past D eventually.
-
-    Words that vanish in the grade-D truncation are skipped before any
-    bracket is formed, so the sum is exact:
-    - orders add under the bracket, so a word has order at least
-      o(X)*(1 + sum l_i) + o(Y)*sum m_i and vanishes once that exceeds D-1;
-    - a word whose innermost block is ad_X^l X with l >= 1 (m_k = 0) is 0.
+    X*Y = Z(1) for the Lie series Z(t) = sum_m t^m Z_m that starts at Z_0 = B
+    and solves Z' = sum_n c_n ad_Z^n(A) (Varadarajan, Lie Groups, Lie Algebras,
+    and Their Representations, 1984, 2.15).  A is the argument of larger order
+    o_A (X on a tie) and B the other, of order o_B; c_n = B_n/n! for the
+    Bernoulli numbers of z/(e^z - 1) when A is X, and of z/(1 - e^-z), with
+    B_1 = +1/2, when A is Y.  With W_{n,m} = [t^m] ad_Z^n(A), so W_{0,m} =
+    delta_m0 A and W_{n,m} = sum_{j<=m} [Z_j, W_{n-1,m-j}], the series is
+    Z_{m+1} = sum_n c_n W_{n,m}/(m+1).  Orders add under the bracket, so Z_m
+    has order >= m o_A and W_{n,m} order >= o_A + n o_B: m stops at
+    (D-1)//o_A, n at N = (D-1-o_A)//o_B, and a bracket whose operands' orders
+    sum past D - 1, zero in the grade-D truncation, is not formed.  The c_n
+    are integers over one denominator, N! (N+1)!, so no ``Fraction`` is made.
     Zero arguments are returned as they are: X*0 = X and 0*Y = Y.
     """
     D = _as_int(D, "jet order D", 0)
     X = _as_jet(X, D)
     Y = _as_jet(Y, D)
+    _check_vector_field(X)
+    _check_vector_field(Y)
     ox, oy = order_of(X), order_of(Y)
     if min(ox, oy) < 1:
         raise ValueError("bch needs arguments of order >= 1")
@@ -126,26 +123,25 @@ def bch(X, Y, D: int) -> FilteredJet:
         return Y
     if Y.value.is_zero():
         return X
-    budget = D - 1 - ox      # order left for the ad operators around X
-    total = X.value + Y.value
-    # each block costs at least min(ox, oy) of the budget
-    for k in range(1, max(0, budget) // min(ox, oy) + 1):
-        coeff_k = Fraction((-1) ** k, k + 1)
-        for blocks in _dynkin_words(budget, ox, oy, k):
-            suml = sum(l for l, _ in blocks)
-            denom = (suml + 1) * math.prod(
-                math.factorial(l) * math.factorial(m) for l, m in blocks)
-            term = X.value
-            for l, m in reversed(blocks):
-                for _ in range(m):
-                    term = schouten(Y.value, term, max_grade=D)
-                for _ in range(l):
-                    term = schouten(X.value, term, max_grade=D)
-                if term.is_zero():
-                    break
-            else:
-                total = total + term * (coeff_k * Fraction(1, denom))
-    return FilteredJet._raw(total, D)  # X, Y and every bracket bounded by D
+    args = [(ox, X.value), (oy, Y.value)]
+    (o_a, A), (o_b, B) = args if ox >= oy else args[::-1]
+    steps, N = (D - 1) // o_a, (D - 1 - o_a) // o_b
+    q = math.factorial(N) * math.factorial(N + 1)
+    P = [q]  # P[n] = q c_n, from sum_{k<=n} c_k (n+1)!/(n+1-k)! = 0
+    for n in range(1, N + 1):
+        P.append(-sum(p * math.perm(n + 1, k) for k, p in enumerate(P)) // math.factorial(n + 1))
+    if N and ox < oy:
+        P[1] = -P[1]
+    zero = A._like({}, 1)
+    Z, W = [B], [[A] + [zero] * steps] + [[] for _ in range(N)]  # Z_j; W[n][k] is W_{n,k}
+    for m in range(steps):
+        for n in range(1, N + 1):
+            W[n].append(sum((schouten(z, w, max_grade=D)
+                             for z, w in zip(Z, reversed(W[n - 1][:m + 1]))
+                             if order_of(z) + order_of(w) < D), zero))
+        Z.append(sum((_scaled(W[n][m], P[n], q * (m + 1)) for n in range(1, N + 1) if P[n]),
+                     W[0][m]))  # c_0 W_{0,m}/(m+1) = W_{0,m}
+    return FilteredJet._raw(sum(Z, zero), D)  # every bracket bounded by D
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +259,9 @@ def mc_equivalence(gamma: FilteredJet, gamma_p: FilteredJet, D: int,
     Adding X_q instead drops the bracket terms of the product, such as
     [X_q, X]/2, which shifts the right-hand side of a later round (grade 4
     at D = 4) and with it the RREF gauge field solved there, so the
-    returned X (and the CLI output) would change.  With the pruned Dynkin
-    sum, bch(X_q, X) costs at most one bracket once o(X_q) >= 2.
+    returned X (and the CLI output) would change.  bch(X_q, X) runs its Lie
+    series in X_q, the argument of larger order: (D - 1)//o(X_q) steps, so
+    one step of at most (D - 1 - o(X_q))//o(X) brackets once 2 o(X_q) >= D.
 
     Each round inverts [pi_lin, .] alone, so a grade-0 part pi_0 of gamma'
     puts [X_q, pi_0] one grade below the order solved; when a round thus
@@ -371,7 +368,7 @@ def prolong_step(pi_partial: FilteredJet, m: int, base_degree_cap: int = 8) -> P
     if rhs_piece.value.is_zero():
         return ProlongResult("solved", PolyMVF.zero(pi.nvars, 2, pi.weights),
                              None, None)
-    rhs = rhs_piece.value * Fraction(-1, 2)
+    rhs = _scaled(rhs_piece.value, -1, 2)
     eta_grades = sorted({m + 1 - g for g in pi._grades() if m + 1 - g >= 1})
     # the given data is pi's jet in the fiber-ideal filtration: corrections
     # may only carry strictly higher fiber degree (the grade of x^exps as a

@@ -12,7 +12,9 @@ kernel forms once and doubles, for ``cohomology`` the su3
 table at grade 2 up to degree 3, whose last degree is certified on the
 columns off the pivot rows of the degree before, for ``linearize`` a
 nonlinear so3 jet that takes three gauge rounds, so that ``ad_exp``'s packed
-Lie series, ``bch`` and the solved rounds of ``homotopy_solve`` run, and a
+Lie series, ``bch`` and the solved rounds of ``homotopy_solve`` run, the so3
+structure times 1 + |x|^2 to order 16, whose later rounds compose by several
+steps of ``bch``'s Lie series, and a
 jet with the so3 linear part that is not Maurer-Cartan, its [gamma, gamma]
 nonzero in grade 2, which the gauge loop refuses only after its first
 round fails, when gamma is checked, and for
@@ -67,6 +69,11 @@ INPUTS = {
         {"indices": [1, 3],
          "poly": "-2*x1*x2^3 - x1^2*x2 - 2*x2^3 - 3/2*x2^2*x3 - 2*x1*x2 - x1*x3 - x2"},
         {"indices": [2, 3], "poly": "1/2*x2^4 + x1*x2^2 + x2^2 + x2*x3 + x1"}]},
+    # the so3 structure times 1 + |x|^2, a Casimir factor: Poisson, and cubic
+    "so3_cubic": {"nvars": 3, "grade": 2, "terms": [
+        {"indices": [1, 2], "poly": "x1^2*x3 + x2^2*x3 + x3^3 + x3"},
+        {"indices": [2, 3], "poly": "x1^3 + x1*x2^2 + x1*x3^2 + x1"},
+        {"indices": [1, 3], "poly": "-x1^2*x2 - x2^3 - x2*x3^2 - x2"}]},
     # the so3 linear part plus x1^2 d1^d2: [gamma, gamma] has a grade-2 piece
     "so3_defect": {"nvars": 3, "grade": 2, "terms": [
         {"indices": [1, 2], "poly": "x1^2 + x3"}, {"indices": [1, 3], "poly": "-x2"},
@@ -94,6 +101,7 @@ RUNS = {
                    (["cohomology", "so3.json", "--grade", "-1"], 2)],
     "linearize": [(["linearize", "so3.json", "--truncate", "4"], 0),
                   (["linearize", "so3_jet.json", "--truncate", "4"], 0),
+                  (["linearize", "so3_cubic.json", "--truncate", "16"], 0),
                   (["linearize", "so3_defect.json", "--truncate", "3"], 2),
                   (["linearize", "so3.json", "--base-degree-cap", "-1"], 2)],
     "prolong": [(["prolong", "jet.json", "--weights", "0,0,1"], 1), (["prolong", "so3.json"], 0),
@@ -110,8 +118,9 @@ SO3_JET_GAUGE = {"nvars": 3, "weights": [1, 1, 1], "grade": 1, "terms": [
 SO3_DEFECT_ERROR = ("error: gamma is not Maurer-Cartan mod grade 3: "
                     "[gamma,gamma] has grade-2 defect\n")
 # the most ``Fraction``s one ``linearize so3_jet.json`` run may make: its solves hand
-# their integers to the gauge field, and the field's JSON and text are read and
-# written from its numerators, so only ``bch``'s 3 coefficients are made
+# their integers to the gauge field, the field's JSON and text are read and
+# written from its numerators, and ``bch``'s series scales its fields by integers
+# over one denominator, so the run makes none
 SO3_JET_FRACTIONS = 10
 for _runs in RUNS.values():
     _runs += [(argv + ["--format", "json"], code) for argv, code in _runs if code != 2]

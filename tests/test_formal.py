@@ -27,6 +27,7 @@ from poissonforge.polyalg import parse_poly
 
 import exact_verbs
 from conftest import decoded_rows, rand_homogeneous_vf, rand_mvf
+from test_lie_series_oracle import _bch_cases
 
 
 def _strip_constant_part(u):
@@ -301,6 +302,22 @@ def test_bch_pruning_matches_unpruned_sum(D):
         assert bch(zero, Y, D).value == Y
 
 
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(_bch_cases())
+def test_bch_series_matches_the_dynkin_sum(case):
+    X, Y, D = case
+    assert bch(X, Y, D).value == _dynkin_reference(X, Y, D)
+    assert bch(Y, X, D).value == _dynkin_reference(Y, X, D)
+
+
+@settings(max_examples=20, derandomize=True, database=None, deadline=None)
+@given(_bch_cases((0, 0, 1)))
+def test_bch_series_matches_the_dynkin_sum_under_base_variables(case):
+    X, Y, D = case
+    assert bch(X, Y, D).value == _dynkin_reference(X, Y, D)
+    assert bch(Y, X, D).value == _dynkin_reference(Y, X, D)
+
+
 def test_gauge_fields_pinned():
     # sha256 of the gauge fields of criterion 2 (same draw), captured before
     # the grade-bounded bracket and the pruned Dynkin sum were introduced
@@ -434,6 +451,23 @@ def test_the_gauge_path_makes_no_solver_fractions(tmp_path, monkeypatch):
         assert cli.main(argv) == 0
     assert vec.call_count == 0 and made[0] <= exact_verbs.SO3_JET_FRACTIONS
     assert json.loads(out.getvalue())["X"] == exact_verbs.SO3_JET_GAUGE
+
+
+def test_deep_linearize_brackets_polynomially_in_bch():
+    # the so3 structure times 1 + |x|^2 at order 20 takes 4 rounds; Dynkin's form,
+    # summed word by word, formed 2133 brackets inside bch here
+    pi, counts = PolyMVF.from_json_obj(exact_verbs.INPUTS["so3_cubic"]), []
+
+    def counted_bch(X, Y, D):
+        with mock.patch.object(formal, "schouten", wraps=formal.schouten) as bracket:
+            Z = bch(X, Y, D)
+        counts.append(bracket.call_count)
+        return Z
+
+    with mock.patch.object(formal, "bch", counted_bch):
+        sol = formal_linearize(pi, 20)
+    assert (sol.status, sol.rounds, len(counts)) == ("equivalent", 4, 4)
+    assert sum(counts) <= 100
 
 
 def test_composed_gauge_is_reverified(pi_so3, monkeypatch):

@@ -213,6 +213,31 @@ def test_bch_is_the_composition_of_lie_series_under_base_variables(case):
     _assert_bch_composes(*case)
 
 
+def _vector_field(n: int, components: dict, weights=None):
+    """The vector field sum_i p_i d_i on R^n from ``{i: {exps: c}}``."""
+    return PolyMVF(n, 1, {(i,): Poly(n, p) for i, p in components.items()}, weights)
+
+
+# pairs of orders 2 and 1: the series of bch takes (D - 1)//2 steps, 2 at D = 6 and
+# 3 at D = 8, each with ad_Z up to the power D - 3, which at D = 8 reaches the next
+# nonzero Bernoulli coefficient past c_2, c_4 = -1/720
+_DEEP_BCH_PAIRS = {
+    "plane": (_vector_field(2, {1: {(0, 3): 1}, 2: {(3, 0): 1, (2, 2): 1}}),
+              _vector_field(2, {1: {(1, 1): 1}, 2: {(2, 0): 1, (0, 3): 1}})),
+    "base-variables": (
+        _vector_field(3, {1: {(0, 1, 2): 1}, 3: {(2, 0, 3): 1}}, (0, 0, 1)),
+        _vector_field(3, {2: {(1, 0, 1): 1}, 3: {(0, 0, 2): 1, (0, 1, 3): 1}}, (0, 0, 1))),
+}
+
+
+@pytest.mark.parametrize("D", [6, 8])
+@pytest.mark.parametrize("name", sorted(_DEEP_BCH_PAIRS))
+def test_bch_composes_over_several_series_steps(name, D):
+    X, Y = _DEEP_BCH_PAIRS[name]
+    _assert_bch_composes(X, Y, D)
+    _assert_bch_composes(Y, X, D)
+
+
 def test_linearizing_gauge_carries_pi_to_its_linear_part():
     # (1 + C) pi_so3 with the Casimir C = x1^2 + x2^2 + x3^2 is Poisson and,
     # so(3) being semisimple, formally linearizable: the gauge field X has

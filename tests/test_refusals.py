@@ -10,16 +10,17 @@ import json
 import math
 import re
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from poissonforge import (FilteredJet, GradedPiece, LieAlgebraSpec, Poly, PolyMVF, ad_exp, bch,
                           casimir_basis, check_poisson, cli, coadjoint_invariance_check,
-                          cohomology_dims, dilate, exact_rank, grade_component, hamiltonian_vf,
-                          homotopy_solve, linear_poisson, mc_equivalence, poisson_bracket,
-                          preset, prolong_step, schouten, sharp, solve_linear_exact,
-                          su3_invariants, truncate_jet, weyl_circle_sample)
+                          cohomology_dims, dilate, exact_rank, formal, grade_component,
+                          hamiltonian_vf, homotopy_solve, linear_poisson, mc_equivalence,
+                          poisson_bracket, preset, prolong_step, schouten, sharp,
+                          solve_linear_exact, su3_invariants, truncate_jet, weyl_circle_sample)
 from poissonforge.formal import _as_jet
 from poissonforge.multivector import MAX_NVARS
 from poissonforge.polyalg import parse_poly
@@ -159,6 +160,22 @@ _GAMMA = ad_exp(hamiltonian_vf(PolyMVF(2, 2, {(1, 2): Poly.constant(2, 1)}),
 def test_bad_input_is_refused(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
+
+
+_BI_1 = PolyMVF(3, 2, {(1, 2): parse_poly("x1^2", 3)})             # bivectors of order 1
+_BI_2 = PolyMVF(3, 2, {(1, 3): parse_poly("x2^2 + x3^3", 3)})
+_FN = PolyMVF.from_function(parse_poly("x1^2 + x2^3", 3))          # a function of order 1
+
+
+@pytest.mark.parametrize("X, Y, D", [(_BI_1, _BI_2, 2), (_FN, _FN, 5), (_X11, _BI_1, 4)],
+                         ids=["bivectors", "functions", "vector-field-and-bivector"])
+def test_bch_refuses_all_but_vector_fields(X, Y, D):
+    # bch returned P + Q for the bivectors and 2f for the function, as if they
+    # composed, and failed in a sum of the vector field and the bivector
+    with mock.patch.object(formal, "schouten", wraps=formal.schouten) as bracket, \
+            pytest.raises(ValueError, match="^exponent must be a vector field$"):
+        bch(X, Y, D)
+    assert bracket.call_count == 0
 
 
 @pytest.mark.parametrize("verb", ["check", "casimirs"])
