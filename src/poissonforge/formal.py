@@ -17,7 +17,7 @@ from operator import mul
 from .polyalg import _as_int, _fraction_vector, _Rows, solve_linear_exact
 from .multivector import (GradedPiece, PolyMVF, _ad_series, _bracket_rows, _check_bivector,
                           _grade, grade_component, schouten, truncate_jet)
-from .poisson import check_poisson, graded_basis
+from .poisson import _graded_bases, check_poisson, graded_basis
 
 __all__ = [
     "FilteredJet",
@@ -374,9 +374,8 @@ def prolong_step(pi_partial: FilteredJet, m: int, base_degree_cap: int = 8) -> P
     # may only carry strictly higher fiber degree (the grade of x^exps as a
     # function), so they leave it untouched
     fiber_floor = 1 + max(sum(map(mul, exps, pi.weights)) for _, _, exps in pi._ints)
-    basis = [(legs, exps) for g in eta_grades
-             for legs, exps in graded_basis(pi.nvars, 2, g, pi.weights, base_degree_cap)
-             if sum(map(mul, exps, pi.weights)) >= fiber_floor]
+    basis = [b for g in eta_grades for b in _graded_bases(
+        pi.nvars, (2,), g, pi.weights, base_degree_cap, fiber_floor)[0]]
     sol, witness = _solve_bracket_equation(pi, rhs, basis, restrict_grade=m)
     if sol is None:
         return ProlongResult("obstructed", None, rhs_piece, witness)

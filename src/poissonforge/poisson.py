@@ -102,7 +102,11 @@ def basis_size(n: int, k: int, l: int, weights, base_degree_cap: int = 0) -> int
     base and ``nf`` fiber variables, a basis element with ``j`` base legs has
     fiber degree ``l - j`` and free base exponents in ``0..base_degree_cap``.
     """
-    n, k, l, weights, base_degree_cap = _basis_args(n, k, l, weights, base_degree_cap)
+    return _basis_size(*_basis_args(n, k, l, weights, base_degree_cap))
+
+
+def _basis_size(n: int, k: int, l: int, weights: tuple, base_degree_cap: int) -> int:
+    """``basis_size`` of trusted arguments, as ``_basis_args`` reads them."""
     nb = sum(1 for w in weights if w == 0)
     nf = n - nb
     total = 0
@@ -134,26 +138,33 @@ def graded_basis(n: int, k: int, l: int, weights, base_degree_cap: int = 0) -> l
     return _graded_bases(n, (k,), l, weights, base_degree_cap)[0]
 
 
-def _graded_bases(n: int, ks, l: int, weights: tuple, base_degree_cap: int) -> list:
-    """``graded_basis`` of each k in ``ks``, from one build of the exponent tails;
-    the arguments are trusted, as ``_basis_args`` reads them."""
+def _graded_bases(n, ks, l, weights: tuple, base_degree_cap, fiber_floor=0) -> list:
+    """``graded_basis`` of each k in ``ks`` at fiber degree ``fiber_floor`` and up, from one
+    build of the exponent tails; the arguments are trusted, as ``_basis_args`` reads them."""
     for k in ks:
-        size = basis_size(n, k, l, weights, base_degree_cap)
+        size = _basis_size(n, k, l, weights, base_degree_cap)
         if size > MAX_BASIS:
             raise ValueError(f"the grade-{l} basis of {k}-vectors in {n} variables has {size} "
                              f"elements, above the bound of {MAX_BASIS} (MAX_BASIS)")
 
-    # tails[d]: the nonzero (i, e_i) of the exponents of x_i..x_n with fiber
-    # degree d, built from the last variable back, ascending in x_i and then
-    # in the tail.  A zero exponent reuses the tail as it is, so each
-    # exponent vector is written out once, at the end.  A leg set with j
-    # base legs reads the fiber degree l - j, so only degrees lo..hi are read.
-    nb = weights.count(0)
-    lo, hi = min(max(l - min(k, nb), 0) for k in ks), max(l - max(k - n + nb, 0) for k in ks)
-    tails = [[()]] + [[] for _ in range(hi)]
+    # tails[d]: the nonzero (i, e_i) of the exponents of x_i..x_n with fiber degree d, built
+    # from the last variable back, ascending in x_i and then in the tail.  A zero exponent
+    # reuses the tail as it is, so each exponent vector is written out once, at the end.  A
+    # leg set with j base legs reads the fiber degree l - j, so only degrees lo..hi are read.
+    # A step builds only the degrees a later step reads, 0..hi while a fiber variable is left,
+    # else lo..hi, and reads none above top, the highest that holds tails: building costs
+    # what the basis holds.  A step replaces a degree's list and never extends it, so the
+    # empty lists can be one list.
+    nb, first_fiber, top = weights.count(0), weights.index(1) if 1 in weights else n, 0
+    lo = max(fiber_floor, min(max(l - min(k, nb), 0) for k in ks))
+    hi = max(l - max(k - n + nb, 0) for k in ks)
+    tails = [[()]] + [[]] * hi
     for i, w in reversed(list(enumerate(weights))):
-        tails = [tails[d] + [((i, e),) + t for e in range(1, (d if w else base_degree_cap) + 1)
-                             for t in tails[d - w * e]] for d in range(hi + 1)]
+        start, end = 0 if i > first_fiber else lo, hi if w else top
+        tails[start:end + 1] = [tails[d] + [((i, e),) + t for e in (
+            range(d - top if d > top else 1, d + 1) if w else range(1, base_degree_cap + 1))
+            for t in tails[d - w * e]] for d in range(start, end + 1)]
+        top = end
     zero = [0] * n
     for d in range(lo, hi + 1):
         tail = tails[d]
@@ -166,7 +177,7 @@ def _graded_bases(n: int, ks, l: int, weights: tuple, base_degree_cap: int) -> l
     for k, out in zip(ks, bases):
         for legs in itertools.combinations(range(1, n + 1), k):
             fiber_deg = l - sum(1 for i in legs if weights[i - 1] == 0)
-            if fiber_deg >= 0:
+            if fiber_deg >= fiber_floor:
                 out.extend((legs, exps) for exps in tails[fiber_deg])
     return bases
 

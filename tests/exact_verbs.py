@@ -19,8 +19,10 @@ jet with the so3 linear part that is not Maurer-Cartan, its [gamma, gamma]
 nonzero in grade 2, which the gauge loop refuses only after its first
 round fails, when gamma is checked, and for
 ``prolong`` the obstructed README jet, which takes the witness path of the
-exact solver, and a jet whose correction solves but whose own bracket
-[eta, eta] survives in grade 3, obstructed without a certificate.
+exact solver, a jet whose correction solves but whose own bracket
+[eta, eta] survives in grade 3, obstructed without a certificate, and
+x3^K d1^d2 + x1*x3^K d1^d3 at K = 10^5, obstructed at grade 2K + 2, whose
+basis is built only at the fiber degrees its 162 columns hold.
 Every run but an input error comes once in text and once with ``--format
 json``, so both renderings of each report are built.  ``test_package`` runs
 each group in a fresh interpreter.  Run as a script, with ``src`` on
@@ -82,6 +84,9 @@ INPUTS = {
     "uncertified": {"nvars": 4, "weights": [0, 1, 1, 1], "grade": 2, "terms": [
         {"indices": [1, 2], "poly": "x4"}, {"indices": [1, 3], "poly": "x1*x2 + 2*x4"},
         {"indices": [1, 4], "poly": "-2*x1*x2"}]},
+    # obstructed at grade 200002; its correction basis has fiber degree 100001 and up
+    "tall_jet": {"nvars": 3, "weights": [0, 0, 1], "grade": 2, "terms": [
+        {"indices": [1, 2], "poly": "x3^100000"}, {"indices": [1, 3], "poly": "x1*x3^100000"}]},
     "huge_field": {"nvars": 10**30, "grade": 2, "terms": []},
     "string_terms": {"nvars": 3, "grade": 2, "terms": ""},
     "huge_table": {"dim": 10**30, "C": []},
@@ -106,6 +111,7 @@ RUNS = {
                   (["linearize", "so3.json", "--base-degree-cap", "-1"], 2)],
     "prolong": [(["prolong", "jet.json", "--weights", "0,0,1"], 1), (["prolong", "so3.json"], 0),
                 (["prolong", "uncertified.json", "--base-degree-cap", "2"], 1),
+                (["prolong", "tall_jet.json", "--weights", "0,0,1"], 1),
                 (["prolong", "jet.json", "--grade", "-1"], 2)],
 }
 # the gauge field of ``linearize so3_jet.json --truncate 4``

@@ -170,6 +170,34 @@ def test_prolong_solved(tmp_path, capsys):
     assert jac.is_zero() or jac.min_grade() > 3
 
 
+# x3^K d1^d2 + x1*x3^K d1^d3 under weights 0, 0, 1, and the same jet with its fiber
+# variable renamed x1 and x1, x2 renamed x2, x3, so that the fiber variable comes first
+_TALL_JETS = {"0,0,1": ("x3", {(1, 2): "x3^{K}", (1, 3): "x1*x3^{K}"}),
+              "1,0,0": ("x1", {(2, 3): "x1^{K}", (1, 2): "-x2*x1^{K}"})}
+
+
+@pytest.mark.parametrize("weights", sorted(_TALL_JETS))
+@pytest.mark.parametrize("K", [10**3, 10**5])
+def test_prolong_builds_only_the_basis_it_solves_on(tmp_path, capsys, K, weights):
+    # the step solves at grade 2K + 2 on 162 columns of fiber degree K + 1 and up,
+    # at cap 8; a basis built over every fiber degree up to the grade took 13 s
+    # at K = 10^4
+    fiber, terms = _TALL_JETS[weights]
+    path = tmp_path / "tall_jet.json"
+    path.write_text(json.dumps({"nvars": 3, "weights": [int(w) for w in weights.split(",")],
+                                "grade": 2, "terms": [{"indices": list(legs),
+                                                       "poly": poly.format(K=K)}
+                                                      for legs, poly in terms.items()]}))
+    start = time.perf_counter()
+    assert cli.main(["prolong", str(path), "--weights", weights, "--format", "json"]) == 1
+    seconds = time.perf_counter() - start
+    assert capsys.readouterr().out == (
+        '{"base_degree_cap": 8, "cochain": {"grade": 3, "nvars": 3, "terms": [{"indices": '
+        f'[1, 2, 3], "poly": "2*{fiber}^{2 * K}"}}], "weights": [{weights.replace(",", ", ")}]}}, '
+        f'"grade": {2 * K + 2}, "status": "obstructed"}}\n')
+    assert seconds < 2
+
+
 @pytest.fixture
 def field_runs(so3_file, broken_file, mvf_file, jet_file, tmp_path):
     """argv lists whose reports carry a field: ``check`` of a Poisson and a broken

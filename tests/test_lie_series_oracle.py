@@ -34,7 +34,7 @@ from sympy import QQ
 from sympy.polys.rings import ring
 
 from poissonforge import (FilteredJet, Poly, PolyMVF, ad_exp, bch, formal_linearize,
-                          linear_poisson, mc_equivalence, preset)
+                          linear_poisson, mc_equivalence, preset, schouten)
 
 
 @functools.cache
@@ -193,11 +193,11 @@ def test_bch_composition_order_is_calibrated():
 
 
 @st.composite
-def _bch_cases(draw, weights=None):
-    """D = 3-4, X and Y of grades 2-3 (order >= 1): n = 2-3 with all-ones weights,
-    else n = len(weights)."""
+def _bch_cases(draw, weights=None, grades=({2, 3}, {2, 3})):
+    """D = 3-4, X and Y of grades 2-3 (order >= 1), or of ``grades``: n = 2-3 with
+    all-ones weights, else n = len(weights)."""
     n = draw(st.integers(2, 3)) if weights is None else len(weights)
-    X, Y = (draw(_fields(n, 1, {2, 3}, weights).filter(lambda V: V.terms)) for _ in range(2))
+    X, Y = (draw(_fields(n, 1, g, weights).filter(lambda V: V.terms)) for g in grades)
     return X, Y, draw(st.integers(3, 4))
 
 
@@ -210,6 +210,15 @@ def test_bch_is_the_composition_of_lie_series(case):
 @settings(max_examples=20, derandomize=True, database=None, deadline=None)
 @given(_bch_cases((0, 0, 1)))
 def test_bch_is_the_composition_of_lie_series_under_base_variables(case):
+    _assert_bch_composes(*case)
+
+
+@settings(max_examples=20, derandomize=True, database=None, deadline=None)
+@given(_bch_cases((0, 0, 1), ({2}, {3})).filter(
+    lambda case: not schouten(case[0], case[1], max_grade=case[2]).is_zero()))
+def test_bch_composes_when_y_has_the_larger_order_under_base_variables(case):
+    # Y of order 2 against X of order 1, with a bracket that survives: the series
+    # starts at X and takes its first Bernoulli coefficient with the sign of Y's side
     _assert_bch_composes(*case)
 
 

@@ -502,6 +502,36 @@ def _recursive_basis(n, k, l, weights, base_degree_cap):
     return out
 
 
+def _brute_force_basis(n, k, l, weights, cap):
+    """Every (legs, exps) with each fiber exponent up to l and each base exponent up
+    to cap, kept when its grade is l, sorted by legs, then by exponents."""
+    out = []
+    for legs in itertools.combinations(range(1, n + 1), k):
+        base_legs = sum(1 for i in legs if weights[i - 1] == 0)
+        for exps in itertools.product(*(range((l if w else cap) + 1) for w in weights)):
+            if sum(e for e, w in zip(exps, weights) if w) + base_legs == l:
+                out.append((legs, exps))
+    return sorted(out)
+
+
+def test_graded_basis_matches_the_brute_force_enumeration():
+    # content and order, as columns in this order fix the RREF-canonical gauge
+    # fields; with a fiber floor, as prolong_step's corrections must carry at
+    # least its fiber degree, only the elements of fiber degree at or above it
+    for n in range(1, 5):
+        for weights in itertools.product((0, 1), repeat=n):
+            for l in range(6):
+                for cap in (0, 1, 3):
+                    ks = tuple(range(n + 1))
+                    expected = [_brute_force_basis(n, k, l, weights, cap) for k in ks]
+                    assert [graded_basis(n, k, l, weights, cap) for k in ks] == expected
+                    for floor in range(1, l + 2):
+                        assert poisson._graded_bases(n, ks, l, weights, cap, floor) == [
+                            [(legs, exps) for legs, exps in basis
+                             if sum(e for e, w in zip(exps, weights) if w) >= floor]
+                            for basis in expected], (n, l, weights, cap, floor)
+
+
 class TestBasisSize:
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
     @given(_BASIS_ARGS)
