@@ -148,12 +148,24 @@ def bch(X, Y, D: int) -> FilteredJet:
 # Homotopy operators: exact solves against d = [pi_lin, .]
 # ---------------------------------------------------------------------------
 
+class _Certificate:
+    """A result's ``certificate``: a function given for it is called on first read, then kept."""
+
+    def __get__(self, obj, owner=None):
+        if obj is not None and callable(obj._certificate):
+            vars(obj)["_certificate"] = obj._certificate()
+        return None if obj is None else obj._certificate
+
+    def __set__(self, obj, value):
+        vars(obj)["_certificate"] = value
+
+
 @dataclass(frozen=True)
 class HomotopyResult:
     status: str                 # "solved" | "obstructed"
     X: GradedPiece | None       # vector field with [pi_lin, X] = Z, when solved
     obstruction: GradedPiece | None
-    certificate: list | None    # infeasibility witness of the exact solve
+    certificate: list | None = _Certificate()   # the exact solve's witness, built when read
 
 
 def _solve_bracket_equation(pi: PolyMVF, rhs: PolyMVF, unknown_basis,
@@ -167,9 +179,9 @@ def _solve_bracket_equation(pi: PolyMVF, rhs: PolyMVF, unknown_basis,
     over ``rhs.den``.  The solve takes R x' = den z on the rows as built, and
     the RREF solution scales with the right-hand side, so x' / ``rhs.den``
     is the solution; the solve's witness w times ``den * rhs.den``, scaled
-    in integers, is the witness of the equation.  The system's rows are the
-    decoded (legs, exps) monomials in sorted order, and the solution is
-    read off the solve's integers as they were lifted.
+    in integers, is the witness of the equation, returned as a function that
+    builds it, and the solve's, when called.  The rows are the decoded (legs,
+    exps) monomials in sorted order; the solution is read off the solve's integers.
     """
     den, packed, decode = _bracket_rows(pi, unknown_basis, restrict_grade)
     rows = {decode(key): row for key, row in packed.items()}
@@ -178,8 +190,8 @@ def _solve_bracket_equation(pi: PolyMVF, rhs: PolyMVF, unknown_basis,
     A = _Rows(rows.get(key, {}) for key in keys)
     out = solve_linear_exact(A, [b.get(key, 0) for key in keys], ncols=len(unknown_basis))
     if not out.feasible:
-        (ints, w_den), scale = out._witness, den * rhs.den
-        return None, _fraction_vector({j: v * scale for j, v in ints.items()}, w_den, len(keys))
+        return None, lambda scale=den * rhs.den: _fraction_vector(
+            {j: v * scale for j, v in out._witness[0].items()}, out._witness[1], len(keys))
     grade = len(unknown_basis[0][0]) if unknown_basis else 0
     ints, sol_den = out._particular
     sol = {}
@@ -226,7 +238,7 @@ class GaugeSolution:
     rounds: int = 0
     degree: int | None = None
     cochain: GradedPiece | None = None
-    certificate: list | None = None
+    certificate: list | None = _Certificate()   # as HomotopyResult's, built when first read
     base_degree_cap: int | None = None
 
     def to_json_obj(self) -> dict:
@@ -317,7 +329,7 @@ def _gauge_loop(gamma: FilteredJet, gamma_p: FilteredJet, D: int,
         res = homotopy_solve(pi_lin, Z, base_degree_cap)
         if res.status == "obstructed":
             return GaugeSolution("obstructed", degree=q, cochain=Z,
-                                 certificate=res.certificate,
+                                 certificate=res._certificate,
                                  base_degree_cap=base_degree_cap)
         # Ad(e^X_q) cancels Z at leading order: [X_q, pi_lin] = -[pi_lin, X_q] = -Z
         X = bch(FilteredJet._raw(res.X.value, D), X, D)  # X_q: grade q of a D-jet's piece
@@ -337,7 +349,7 @@ class ProlongResult:
     status: str                 # "solved" | "obstructed"
     eta: PolyMVF | None         # bivector correction, when solved
     obstruction: GradedPiece | None
-    certificate: list | None
+    certificate: list | None = _Certificate()   # as HomotopyResult's, built when first read
 
 
 def prolong_step(pi_partial: FilteredJet, m: int, base_degree_cap: int = 8) -> ProlongResult:

@@ -18,14 +18,14 @@ the kernel basis is lifted by rational reconstruction into one integer form:
 each vector sparse ints over one denominator.  One exact integer check,
 ``M v = 0`` for each of those vectors, certifies the lift; until it passes,
 the next prime is taken.  A solve reduces ``M = [A | b]``, so the same
-certificate covers feasibility, infeasibility and the witness; ``b``
-goes into new rows, never into a row it is given.  All of it runs in
-Python ints, so no entry is too large for it, and a ``SolveOutcome``
-holds its vectors in that one form: they become ``Fraction``s only where
-they are read.  The ranks of a complex, whose matrices
-compose to zero, are taken each on a complement of the image of the one
-before, and certified by its exactness where that suffices
-(``_complex_ranks``), and by ``_rref`` where it does not.
+certificate covers feasibility and infeasibility; the witness of the latter
+is solved only when first read, which no CLI verb does.  ``b`` goes into new
+rows, never into a row it is given.  All of it runs in Python ints, so no
+entry is too large for it, and a ``SolveOutcome`` holds its vectors in that
+one form: they become ``Fraction``s only where they are read.  The ranks of
+a complex, whose matrices compose to zero, are taken each on a complement
+of the image of the one before, and certified by its exactness where that
+suffices (``_complex_ranks``), and by ``_rref`` where it does not.
 
 Data is validated where it enters and trusted inside.  The public
 ``Poly(nvars, terms)``, the ``zero``/``constant``/``variable``/``monomial``
@@ -424,8 +424,8 @@ class SolveOutcome:
     infeasible, ``witness`` is a row combination w with ``w A = 0`` and
     ``w . b = 1``: the RREF particular solution of
     ``[A^T; b^T] w = (0, ..., 0, 1)``, which by the Fredholm alternative is
-    solvable exactly when ``A x = b`` is not.  It is computed only for
-    infeasible systems.
+    solvable exactly when ``A x = b`` is not.  ``solve_linear_exact`` solves
+    it only when it is first read (``==`` and ``repr`` read it).
 
     An outcome holds each vector as the certified RREF does, an ``(ints,
     den)`` of length ``n``: nonzero integers at keys in ``0..n-1`` over one
@@ -438,8 +438,22 @@ class SolveOutcome:
     def __init__(self, n: int, particular: tuple | None = None, kernel_basis=(),
                  witness: tuple | None = None):
         self.status = "feasible" if witness is None else "infeasible"
-        self._n, self._particular, self._witness = n, particular, witness
-        self._kernel_basis = kernel_basis
+        self._n, self._particular, self._kernel_basis = n, particular, kernel_basis
+        if witness is not None:
+            self._witness = witness
+
+    @functools.cached_property
+    def _witness(self) -> tuple:
+        """An infeasible outcome's witness, solved when first read (``solve_linear_exact``)."""
+        (rows, ncols), m = self._system, self._n
+        transpose = [{} for _ in range(ncols + 1)]
+        for i, row in enumerate(rows):
+            for j, v in row.items():
+                transpose[j][i] = v
+        transpose[ncols][m] = -1
+        _, kernel = _rref(transpose, m + 1)
+        ints, den = kernel[m]
+        return {j: v for j, v in ints.items() if j < m}, den
 
     @functools.cached_property
     def particular(self) -> list | None:
@@ -451,7 +465,7 @@ class SolveOutcome:
 
     @functools.cached_property
     def witness(self) -> list | None:
-        return None if self._witness is None else _fraction_vector(*self._witness, self._n)
+        return None if self.feasible else _fraction_vector(*self._witness, self._n)
 
     @property
     def feasible(self) -> bool:
@@ -816,11 +830,11 @@ def solve_linear_exact(A, b, ncols: int | None = None) -> SolveOutcome:
     with ``b`` as column ``ncols`` (new rows ``{**row, ncols: c}`` for each
     nonzero ``c`` of ``b``): the system is infeasible exactly when
     that column is a pivot, and otherwise the particular solution is minus
-    its kernel vector.  Infeasibility is a status, never an exception; only
-    then is the witness of ``SolveOutcome`` computed, from the RREF of
-    ``[[A^T, 0], [b^T, -1]]``: the kernel vector ``(w, 1)`` of its last
-    column has ``w A = 0`` and ``w . b = 1``.  The outcome is built from
-    these vectors as ``_rref`` lifted them, integers over one denominator each.
+    its kernel vector.  Infeasibility is a status, never an exception; the
+    outcome then keeps the rows of ``M`` and solves its witness when first
+    read, from the RREF of ``[[A^T, 0], [b^T, -1]]``: the kernel vector
+    ``(w, 1)`` of its last column has ``w A = 0`` and ``w . b = 1``.  Each
+    vector is kept as ``_rref`` lifted it, integers over one denominator.
     """
     rows, ncols = _to_sparse_rows(A, ncols)
     b = [v if type(v) is int else _matrix_entry(v) for v in _as_sequence(b, "b")]
@@ -829,15 +843,9 @@ def solve_linear_exact(A, b, ncols: int | None = None) -> SolveOutcome:
     rows = [{**row, ncols: c} if c else row for row, c in zip(rows, b)]
     piv, kernel = _rref(rows, ncols + 1)
     if piv and piv[-1] == ncols:
-        m = len(rows)
-        transpose = [{} for _ in range(ncols + 1)]
-        for i, row in enumerate(rows):
-            for j, v in row.items():
-                transpose[j][i] = v
-        transpose[ncols][m] = -1
-        _, kernel = _rref(transpose, m + 1)
-        ints, den = kernel[m]
-        return SolveOutcome(m, witness=({j: v for j, v in ints.items() if j < m}, den))
+        out = SolveOutcome(len(rows))
+        out.status, out._system = "infeasible", (rows, ncols)
+        return out
     ints, den = kernel.pop(ncols)
     particular = {j: -v for j, v in ints.items() if j < ncols}
     return SolveOutcome(ncols, (particular, den), list(kernel.values()))

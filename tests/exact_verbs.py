@@ -18,8 +18,9 @@ steps of ``bch``'s Lie series, and a
 jet with the so3 linear part that is not Maurer-Cartan, its [gamma, gamma]
 nonzero in grade 2, which the gauge loop refuses only after its first
 round fails, when gamma is checked, and for
-``prolong`` the obstructed README jet, which takes the witness path of the
-exact solver, a jet whose correction solves but whose own bracket
+``prolong`` the obstructed README jet, whose failed solve is one elimination
+of its system: the witness is solved only when first read, and no verb reads
+it, a jet whose correction solves but whose own bracket
 [eta, eta] survives in grade 3, obstructed without a certificate, and
 x3^K d1^d2 + x1*x3^K d1^d3 at K = 10^5, obstructed at grade 2K + 2, whose
 basis is built only at the fiber degrees its 162 columns hold.
@@ -44,7 +45,10 @@ rounds and its gauge field ``SO3_JET_GAUGE``, whose text rendering is the
 ``repr`` of the field read back from that JSON, the defective jet's
 error line ``SO3_DEFECT_ERROR``, that each of the so3 jet's
 two ``linearize`` runs makes at most ``SO3_JET_FRACTIONS`` ``Fraction``s
-(``fractions_made``), and that NumPy was never imported:
+(``fractions_made``) and each obstructed ``prolong`` run none, that the
+README jet's certificate, read through ``prolong_step``, takes the
+transposed solve and has w A = 0 and w . b = 1 in integers on the rows that
+``multivector._bracket_rows`` builds, and that NumPy was never imported:
 
     PYTHONPATH=src python tests/exact_verbs.py
 """
@@ -188,6 +192,40 @@ def check_dense_solve() -> None:
     assert exact_rank(A + [["1/10", "4/3", "3/7"]], 3) == 2  # the sum of the two rows
 
 
+def check_prolong_certificate() -> None:
+    """The README jet's ``prolong_step`` certificate w, read through the library,
+    against the integer rows R of ``_bracket_rows`` on the solved basis (the
+    matrix times ``den``) and the right-hand side's integers z over ``rhs.den``:
+    with L the lcm of w's denominators and W = L w, W R = 0 and W z = L rhs.den."""
+    import math
+    from poissonforge import formal
+    from poissonforge.multivector import PolyMVF, _bracket_rows
+
+    solve, calls = formal._solve_bracket_equation, []
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return solve(*args, **kwargs)
+
+    formal._solve_bracket_equation = spy
+    try:
+        res = formal.prolong_step(PolyMVF.from_json_obj(INPUTS["jet"]), 4)
+    finally:
+        formal._solve_bracket_equation = solve
+    (pi, rhs, basis), kwargs = calls.pop()
+    assert res.status == "obstructed" and not calls, res
+    _, packed, decode = _bracket_rows(pi, basis, kwargs["restrict_grade"])
+    rows = {decode(key): row for key, row in packed.items()}
+    z = {(legs, exps): c for (_, legs, exps), c in rhs._ints.items()}
+    keys, w = sorted(rows.keys() | z.keys()), res.certificate
+    L = math.lcm(*(v.denominator for v in w))
+    W = [v.numerator * (L // v.denominator) for v in w]
+    assert len(W) == len(keys) and any(W), w
+    for col in range(len(basis)):
+        assert sum(Wi * rows.get(key, {}).get(col, 0) for Wi, key in zip(W, keys)) == 0, col
+    assert sum(Wi * z.get(key, 0) for Wi, key in zip(W, keys)) == L * rhs.den
+
+
 def main() -> None:
     from poissonforge import cli
     from poissonforge.multivector import PolyMVF
@@ -235,14 +273,18 @@ def main() -> None:
     made = {tuple(run): n for (run, _), n in zip(runs, made)}
     for key in (argv, argv + ("--format", "json")):
         assert made[key] <= SO3_JET_FRACTIONS, (key, made[key])
+    for run, expected in RUNS["prolong"]:
+        assert expected != 1 or made[tuple(run)] == 0, (run, made[tuple(run)])
     betti = [row["betti"] for row in json.loads(out.getvalue())["rows"]]
     assert (code, betti) == (0, [1, 4, 5, 2]), (code, betti)
     check_real_reader()
     check_dense_solve()
+    check_prolong_certificate()
     assert "numpy" not in sys.modules
     print("exact verbs: exit codes, JSON reports, so3 Casimirs, jet witness, so3 jet gauge "
-          "and its Fraction count, refused non-MC jet, su3 and Heisenberg Betti numbers, real reader, dense "
-          "rational solve and NumPy-free start-up as expected")
+          "and its Fraction count, Fraction-free obstructed prolong runs, refused non-MC "
+          "jet, su3 and Heisenberg Betti numbers, real reader, dense rational solve, the "
+          "jet's prolong certificate and NumPy-free start-up as expected")
 
 
 if __name__ == "__main__":

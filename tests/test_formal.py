@@ -732,6 +732,68 @@ def test_prolong_obstruction_certificate():
         assert mod_p.call_count == rref.call_count > 0
 
 
+# the criterion-4 jet of the gauge benchmark at seed 1, a*x3 d1^d2 + b*x1*x3 d1^d3
+_BENCH_JET = {"nvars": 3, "grade": 2, "terms": [{"indices": [1, 2], "poly": "2*x3"},
+                                                 {"indices": [1, 3], "poly": "x1*x3"}]}
+_PLANE = PolyMVF(2, 2, {(1, 2): parse_poly("x1^2", 2)})
+
+
+@pytest.mark.parametrize("obj, argv", [
+    (exact_verbs.INPUTS["jet"], ["prolong", "in.json", "--weights", "0,0,1"]),
+    (_BENCH_JET, ["prolong", "in.json", "--weights", "0,0,1", "--base-degree-cap", "8"]),
+    (_PLANE.to_json_obj(), ["linearize", "in.json", "--truncate", "4"]),
+], ids=["readme-jet", "bench-jet-cap8", "plane"])
+def test_an_obstructed_verb_runs_no_transposed_solve(tmp_path, monkeypatch, obj, argv):
+    # no verb prints the witness, so each solve of an obstructed run is one
+    # elimination, of its [A | b] with the unknowns' columns and b's
+    (tmp_path / "in.json").write_text(json.dumps(obj))
+    monkeypatch.chdir(tmp_path)
+    for fmt in ([], ["--format", "json"]):
+        with mock.patch.object(formal, "solve_linear_exact",
+                               wraps=formal.solve_linear_exact) as solve, \
+                mock.patch.object(polyalg, "_rref", wraps=polyalg._rref) as rref, \
+                contextlib.redirect_stdout(io.StringIO()) as out:
+            assert cli.main(argv + fmt) == 1
+        assert "obstructed" in out.getvalue() and solve.call_count > 0
+        assert ([call.args[1] for call in rref.call_args_list]
+                == [call.kwargs["ncols"] + 1 for call in solve.call_args_list])
+
+
+def _readme_jet(coefficient=1):
+    return PolyMVF(3, 2, {(1, 2): parse_poly(f"{coefficient}*x3", 3),
+                          (1, 3): parse_poly("x1*x3", 3)}, weights=(0, 0, 1))
+
+
+def test_a_certificate_is_solved_once_when_first_read():
+    # each obstructed result holds its certificate deferred: the first read runs
+    # the transposed elimination, the next reads run none, and ``status`` none
+    cases = [
+        lambda: prolong_step(FilteredJet(_readme_jet(), 4), 4, base_degree_cap=8),
+        lambda: homotopy_solve(PolyMVF.zero(2, 2), grade_component(_PLANE, 2)),
+        lambda: mc_equivalence(FilteredJet(_PLANE, 4), FilteredJet(PolyMVF.zero(2, 2), 4), 4),
+        lambda: formal_linearize(_PLANE, 4),
+    ]
+    for call in cases:
+        with _spied_solve() as (solve, rref, _):
+            res = call()
+            assert res.status == "obstructed"
+            before = rref.call_count
+            assert before == solve.call_count == 1
+            w = res.certificate
+            assert rref.call_count == before + 1
+            assert res.certificate is w and res.status == "obstructed"
+            assert rref.call_count == before + 1
+        _assert_certificate(solve.call_args, w)
+
+
+def test_the_cap_8_certificates_are_pinned():
+    # captured while the witness was still solved with the system: w = -e_0 on
+    # the README jet's 82 rows, -1/2 e_0 with the benchmark's coefficient 2
+    for coefficient, head in ((1, Fraction(-1)), (2, Fraction(-1, 2))):
+        res = prolong_step(FilteredJet(_readme_jet(coefficient), 4), 4, base_degree_cap=8)
+        assert res.certificate == [head] + [Fraction(0)] * 81
+
+
 def test_prolong_obstruction_can_be_an_artifact_of_the_cap():
     # base variables x1, x2: the bases stop at base_degree_cap, and the one
     # correction x2^2 x3^2 d2^d3 has base degree 2, so caps 0 and 1 certify an

@@ -380,6 +380,23 @@ class TestExactSolver:
         assert repr(out) == ("SolveOutcome(status='infeasible', particular=None, "
                              "kernel_basis=[], witness=[Fraction(-2, 1), Fraction(1, 1)])")
 
+    def test_the_witness_is_solved_when_first_read(self):
+        # an infeasible solve is one elimination, of [A | b]; the transposed
+        # one runs on the first read of the witness, once, and ``status`` and
+        # ``feasible`` never run it
+        with mock.patch.object(polyalg, "_rref", wraps=polyalg._rref) as rref:
+            out = solve_linear_exact([[1, 2], [2, 4]], [1, 3])
+            assert (out.status, out.feasible, rref.call_count) == ("infeasible", False, 1)
+            assert out.witness == [Fraction(-2), Fraction(1)] and rref.call_count == 2
+            assert out.witness is out.witness and out._witness == ({0: -2, 1: 1}, 1)
+            assert (out.status, out.feasible, rref.call_count) == ("infeasible", False, 2)
+            # ``==`` and ``repr`` read the witness, as of an outcome given it
+            for read in (lambda o: o == SolveOutcome(2, witness=({0: -2, 1: 1}, 1)), repr):
+                fresh = solve_linear_exact([[1, 2], [2, 4]], [1, 3])
+                before = rref.call_count
+                assert read(fresh) and rref.call_count == before + 1
+            assert repr(fresh) == repr(out) and rref.call_count == before + 1
+
     def test_infeasibility_witness(self):
         A = [[1, 2], [2, 4]]
         b = [1, 3]
