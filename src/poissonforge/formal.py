@@ -180,8 +180,8 @@ def _solve_bracket_equation(pi: PolyMVF, rhs: PolyMVF, unknown_basis,
     the RREF solution scales with the right-hand side, so x' / ``rhs.den``
     is the solution; the solve's witness w times ``den * rhs.den``, scaled
     in integers, is the witness of the equation, returned as a function that
-    builds it, and the solve's, when called.  The rows are the decoded (legs,
-    exps) monomials in sorted order; the solution is read off the solve's integers.
+    solves and scales it when called.  The rows are the decoded (legs, exps)
+    monomials in sorted order; the solution is read off the solve's integers.
     """
     den, packed, decode = _bracket_rows(pi, unknown_basis, restrict_grade)
     rows = {decode(key): row for key, row in packed.items()}
