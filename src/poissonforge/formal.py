@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from operator import mul
 
-from .polyalg import _as_int, _fraction_vector, _Rows, solve_linear_exact
+from .polyalg import _as_int, _fraction_vector, _OnFirstRead, _Rows, solve_linear_exact
 from .multivector import (GradedPiece, PolyMVF, _ad_series, _bracket_rows, _check_bivector,
                           _grade, grade_component, schouten, truncate_jet)
 from .poisson import _graded_bases, check_poisson, graded_basis
@@ -148,24 +148,12 @@ def bch(X, Y, D: int) -> FilteredJet:
 # Homotopy operators: exact solves against d = [pi_lin, .]
 # ---------------------------------------------------------------------------
 
-class _Certificate:
-    """A result's ``certificate``: a function given for it is called on first read, then kept."""
-
-    def __get__(self, obj, owner=None):
-        if obj is not None and callable(obj._certificate):
-            vars(obj)["_certificate"] = obj._certificate()
-        return None if obj is None else obj._certificate
-
-    def __set__(self, obj, value):
-        vars(obj)["_certificate"] = value
-
-
 @dataclass(frozen=True)
 class HomotopyResult:
     status: str                 # "solved" | "obstructed"
     X: GradedPiece | None       # vector field with [pi_lin, X] = Z, when solved
     obstruction: GradedPiece | None
-    certificate: list | None = _Certificate()   # the exact solve's witness, built when read
+    certificate: list | None = _OnFirstRead()   # the failed solve's witness, solved when read
 
 
 def _solve_bracket_equation(pi: PolyMVF, rhs: PolyMVF, unknown_basis,
@@ -238,7 +226,7 @@ class GaugeSolution:
     rounds: int = 0
     degree: int | None = None
     cochain: GradedPiece | None = None
-    certificate: list | None = _Certificate()   # as HomotopyResult's, built when first read
+    certificate: list | None = _OnFirstRead()   # as HomotopyResult's, solved when read
     base_degree_cap: int | None = None
 
     def to_json_obj(self) -> dict:
@@ -349,7 +337,7 @@ class ProlongResult:
     status: str                 # "solved" | "obstructed"
     eta: PolyMVF | None         # bivector correction, when solved
     obstruction: GradedPiece | None
-    certificate: list | None = _Certificate()   # as HomotopyResult's, built when first read
+    certificate: list | None = _OnFirstRead()   # as HomotopyResult's, solved when read
 
 
 def prolong_step(pi_partial: FilteredJet, m: int, base_degree_cap: int = 8) -> ProlongResult:

@@ -19,7 +19,7 @@ each vector sparse ints over one denominator.  One exact integer check,
 ``M v = 0`` for each of those vectors, certifies the lift; until it passes,
 the next prime is taken.  A solve reduces ``M = [A | b]``, so the same
 certificate covers feasibility and infeasibility; the witness of the latter
-is solved only when first read, which no CLI verb does.  ``b`` goes into new
+is the transposed solve, run only when first read.  ``b`` goes into new
 rows, never into a row it is given.  All of it runs in Python ints, so no
 entry is too large for it, and a ``SolveOutcome`` holds its vectors in that
 one form: they become ``Fraction``s only where they are read.  The ranks of
@@ -416,6 +416,22 @@ def parse_poly(text: str, nvars: int) -> Poly:
 # Exact linear solving
 # ---------------------------------------------------------------------------
 
+class _OnFirstRead:
+    """A field that holds its value, or a function called on the first read and
+    replaced by its result; read on the class it is None, a dataclass default."""
+
+    def __set_name__(self, owner, name):
+        self._key = "_" + name  # field ``name`` keeps its unread value in ``_name``
+
+    def __get__(self, obj, owner=None):
+        if obj is not None and callable(vars(obj)[self._key]):
+            vars(obj)[self._key] = vars(obj)[self._key]()
+        return None if obj is None else vars(obj)[self._key]
+
+    def __set__(self, obj, value):
+        vars(obj)[self._key] = value
+
+
 class SolveOutcome:
     """Result of an exact linear solve ``A x = b``.
 
@@ -424,8 +440,9 @@ class SolveOutcome:
     infeasible, ``witness`` is a row combination w with ``w A = 0`` and
     ``w . b = 1``: the RREF particular solution of
     ``[A^T; b^T] w = (0, ..., 0, 1)``, which by the Fredholm alternative is
-    solvable exactly when ``A x = b`` is not.  ``solve_linear_exact`` solves
-    it only when it is first read (``==`` and ``repr`` read it).
+    solvable exactly when ``A x = b`` is not.  ``_witness`` is an
+    ``_OnFirstRead`` field, given ready or as a function that returns it, as
+    ``solve_linear_exact`` does; ``==`` and ``repr`` read it, ``status`` not.
 
     An outcome holds each vector as the certified RREF does, an ``(ints,
     den)`` of length ``n``: nonzero integers at keys in ``0..n-1`` over one
@@ -435,25 +452,12 @@ class SolveOutcome:
     and ``_witness`` (``formal._solve_bracket_equation``), makes none.
     """
 
-    def __init__(self, n: int, particular: tuple | None = None, kernel_basis=(),
-                 witness: tuple | None = None):
+    _witness = _OnFirstRead()
+
+    def __init__(self, n: int, particular: tuple | None = None, kernel_basis=(), witness=None):
         self.status = "feasible" if witness is None else "infeasible"
         self._n, self._particular, self._kernel_basis = n, particular, kernel_basis
-        if witness is not None:
-            self._witness = witness
-
-    @functools.cached_property
-    def _witness(self) -> tuple:
-        """An infeasible outcome's witness, solved when first read (``solve_linear_exact``)."""
-        (rows, ncols), m = self._system, self._n
-        transpose = [{} for _ in range(ncols + 1)]
-        for i, row in enumerate(rows):
-            for j, v in row.items():
-                transpose[j][i] = v
-        transpose[ncols][m] = -1
-        _, kernel = _rref(transpose, m + 1)
-        ints, den = kernel[m]
-        return {j: v for j, v in ints.items() if j < m}, den
+        self._witness = witness
 
     @functools.cached_property
     def particular(self) -> list | None:
@@ -830,11 +834,9 @@ def solve_linear_exact(A, b, ncols: int | None = None) -> SolveOutcome:
     with ``b`` as column ``ncols`` (new rows ``{**row, ncols: c}`` for each
     nonzero ``c`` of ``b``): the system is infeasible exactly when
     that column is a pivot, and otherwise the particular solution is minus
-    its kernel vector.  Infeasibility is a status, never an exception; the
-    outcome then keeps the rows of ``M`` and solves its witness when first
-    read, from the RREF of ``[[A^T, 0], [b^T, -1]]``: the kernel vector
-    ``(w, 1)`` of its last column has ``w A = 0`` and ``w . b = 1``.  Each
-    vector is kept as ``_rref`` lifted it, integers over one denominator.
+    its kernel vector.  Infeasibility is a status, never an exception, and
+    the witness is then deferred to ``_witness_of`` on the rows of ``M``.
+    Each vector is kept as ``_rref`` lifted it, integers over one denominator.
     """
     rows, ncols = _to_sparse_rows(A, ncols)
     b = [v if type(v) is int else _matrix_entry(v) for v in _as_sequence(b, "b")]
@@ -843,12 +845,19 @@ def solve_linear_exact(A, b, ncols: int | None = None) -> SolveOutcome:
     rows = [{**row, ncols: c} if c else row for row, c in zip(rows, b)]
     piv, kernel = _rref(rows, ncols + 1)
     if piv and piv[-1] == ncols:
-        out = SolveOutcome(len(rows))
-        out.status, out._system = "infeasible", (rows, ncols)
-        return out
+        return SolveOutcome(len(rows), witness=functools.partial(_witness_of, rows, ncols))
     ints, den = kernel.pop(ncols)
     particular = {j: -v for j, v in ints.items() if j < ncols}
     return SolveOutcome(ncols, (particular, den), list(kernel.values()))
+
+
+def _witness_of(rows: list, ncols: int) -> tuple:
+    """The witness of infeasible ``M = [A | b]``, the RREF solution of ``M^T w = e_last``."""
+    transpose = [{} for _ in range(ncols + 1)]
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            transpose[j][i] = v
+    return solve_linear_exact(transpose, [0] * ncols + [1], ncols=len(rows))._particular
 
 
 def exact_rank(A, ncols: int | None = None) -> int:

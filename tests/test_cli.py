@@ -110,6 +110,15 @@ class TestCheck:
         assert capsys.readouterr().out == first
 
 
+@pytest.mark.parametrize("verb", ["check", "linearize", "casimirs"])
+def test_a_vector_field_is_refused_where_a_bivector_is_read(verb, tmp_path, capsys):
+    path = tmp_path / "vf.json"
+    path.write_text(json.dumps({"nvars": 3, "grade": 1,
+                                "terms": [{"indices": [1], "poly": "x2"}]}))
+    assert cli.main([verb, str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {path}: expected a bivector, got degree 1\n")
+
+
 def test_casimirs(so3_file, capsys):
     assert cli.main(["casimirs", so3_file, "--max-degree", "2",
                      "--format", "json"]) == 0

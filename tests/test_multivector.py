@@ -42,6 +42,21 @@ def test_zero_equality_across_grades():
     assert hash(PolyMVF.zero(3, 1)) == hash(PolyMVF.zero(3, 3))
 
 
+def test_equality_with_another_type_or_another_space():
+    u = PolyMVF(2, 1, {(1,): parse_poly("x2", 2)})
+    assert u.__eq__(object()) is NotImplemented and u != "x2" and u != Poly.variable(2, 2)
+    assert u != PolyMVF(3, 1, {(1,): parse_poly("x2", 3)})
+    assert u != u.with_weights((0, 1)) and u == u.with_weights((1, 1))
+    # zero fields are equal across grades, but not across variables or weights
+    assert PolyMVF.zero(2, 1) != PolyMVF.zero(3, 1)
+    assert PolyMVF.zero(2, 1) != PolyMVF.zero(2, 1, (0, 1))
+
+
+def test_graded_piece_repr():
+    piece = grade_component(PolyMVF(2, 1, {(1,): parse_poly("x1 + x2^2", 2)}), 2)
+    assert repr(piece) == "GradedPiece(l=2, <PolyMVF deg=1 (x2^2) d1>)"
+
+
 def test_wedge_graded_commutativity():
     rng = random.Random(11)
     for _ in range(60):

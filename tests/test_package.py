@@ -39,13 +39,19 @@ def test_package_serves_every_realize_name():
         poissonforge.no_such_name
 
 
-def test_traced_names_resolve():
-    # bench/tracing.py rebinds these by name; a renamed or deleted function
-    # would otherwise break only the traced benchmark pass
+def _bench_tracing():
+    """``bench/tracing.py``, loaded by path: the benchmark is no package."""
     path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "tracing.py")
     spec = importlib.util.spec_from_file_location("_bench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_traced_names_resolve():
+    # bench/tracing.py rebinds these by name; a renamed or deleted function
+    # would otherwise break only the traced benchmark pass
+    tracing = _bench_tracing()
     for layer, attr in tracing.SPANNED:
         home = importlib.import_module(f"poissonforge.{layer}")
         owner, _, name = attr.rpartition(".")
@@ -56,6 +62,35 @@ def test_traced_names_resolve():
                            for m in ("formal", "multivector"))
     for name in ("truncate_jet", "grade_component"):
         assert vars(formal)[name] is vars(multivector)[name]
+
+
+def test_deferred_answers_read_the_same_under_the_tracer():
+    # a deferred witness is solved through polyalg.solve_linear_exact, which
+    # the tracer spans and whose ``ncols`` it reads by keyword; the traced
+    # smoke run never reads a certificate, so this reads one of an obstructed
+    # prolong_step (the README jet at cap 8) and the witness of a solve
+    formal, polyalg, multivector = (importlib.import_module(f"poissonforge.{m}")
+                                    for m in ("formal", "polyalg", "multivector"))
+    jet = multivector.PolyMVF(3, 2, {(1, 2): polyalg.parse_poly("x3", 3),
+                                     (1, 3): polyalg.parse_poly("x1*x3", 3)}, weights=(0, 0, 1))
+
+    def reads():
+        res = formal.prolong_step(formal.FilteredJet(jet, 4), 4, base_degree_cap=8)
+        # sparse rows and a keyword ``ncols``, as every solve the package makes
+        out = polyalg.solve_linear_exact([{0: 1, 1: 2}, {0: 2, 1: 4}], [1, 3], ncols=2)
+        return res.status, res.certificate, out.status, out.witness
+
+    want = reads()
+    tracer = _bench_tracing().Tracer()
+    tracer.install()
+    try:
+        got = reads()
+    finally:
+        tracer.uninstall()
+    assert got == want and want[::2] == ("obstructed", "infeasible")
+    # two solves, and the transposed solve of each witness when it is read
+    assert tracer.summary()["calls"]["polyalg.solve_linear_exact"] == 4
+    assert tracer.counts["polyalg.solve_linear_exact.infeasible"] == 2
 
 
 def _run_python(code: str, *args, cwd=None) -> subprocess.CompletedProcess:

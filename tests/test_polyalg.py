@@ -3,6 +3,7 @@
 import contextlib
 import itertools
 import math
+import pickle
 import random
 from fractions import Fraction
 from unittest import mock
@@ -58,6 +59,10 @@ class TestPolyArithmetic:
         p = parse_poly("x1^2 - x2", 2)
         assert p * 2 == parse_poly("2*x1^2 - 2*x2", 2)
         assert p * Fraction(1, 2) == parse_poly("1/2*x1^2 - 1/2*x2", 2)
+
+    def test_degree_of_zero_is_minus_one(self):
+        assert Poly.zero(3).degree() == -1
+        assert (Poly.constant(3, 5).degree(), parse_poly("x1^2*x3 - x2", 3).degree()) == (0, 3)
 
     def test_eval(self):
         p = parse_poly("1/2*x1^2*x3 - x2", 3)
@@ -155,6 +160,12 @@ class TestParsing:
                      for _ in range(4)}
             p = Poly(n, {k: v for k, v in terms.items() if v})
             assert parse_poly(format_poly(p), n) == p
+
+    @pytest.mark.parametrize("text, nvars", [("1/2*x1^2*x3 - x2 + 3", 3), ("0", 2), ("-7", 1)])
+    def test_repr_round_trips_through_parse_poly(self, text, nvars):
+        p = parse_poly(text, nvars)
+        assert repr(p) == f"Poly({nvars}, {text!r})"
+        assert eval(repr(p), {"Poly": lambda n, t: parse_poly(t, n)}) == p
 
     def test_grammar(self):
         assert parse_poly("1/2*x1^2*x3 - x2", 3) == Poly(
@@ -396,6 +407,20 @@ class TestExactSolver:
                 before = rref.call_count
                 assert read(fresh) and rref.call_count == before + 1
             assert repr(fresh) == repr(out) and rref.call_count == before + 1
+
+    def test_an_unread_infeasible_outcome_pickles(self):
+        # the deferred witness is a function of the eliminated rows, so an
+        # outcome sent to another process before the witness is read still
+        # solves it there
+        out = solve_linear_exact([[1, Fraction(1, 2)], [2, 1]], [1, 3])
+        copy = pickle.loads(pickle.dumps(out))
+        assert copy.witness == out.witness == [Fraction(-2), Fraction(1)]
+        assert copy == out and pickle.loads(pickle.dumps(out)) == out
+
+    def test_an_outcome_is_not_equal_to_another_type(self):
+        out = solve_linear_exact([[1]], [1])
+        assert out.__eq__(object()) is NotImplemented and out != object()
+        assert not out == (out.status, out.particular, out.kernel_basis, out.witness)
 
     def test_infeasibility_witness(self):
         A = [[1, 2], [2, 4]]
