@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from operator import mul
 
 from .polyalg import _as_int, _fraction_vector, _OnFirstRead, _Rows, solve_linear_exact
@@ -167,8 +168,9 @@ def _solve_bracket_equation(pi: PolyMVF, rhs: PolyMVF, unknown_basis,
     over ``rhs.den``.  The solve takes R x' = den z on the rows as built, and
     the RREF solution scales with the right-hand side, so x' / ``rhs.den``
     is the solution; the solve's witness w times ``den * rhs.den``, scaled
-    in integers, is the witness of the equation, returned as a function that
-    solves and scales it when called.  The rows are the decoded (legs, exps)
+    in integers, is the witness of the equation, returned as a ``partial`` of
+    ``_scaled_witness`` that solves and scales it when called, and pickles
+    unread.  The rows are the decoded (legs, exps)
     monomials in sorted order; the solution is read off the solve's integers.
     """
     den, packed, decode = _bracket_rows(pi, unknown_basis, restrict_grade)
@@ -178,8 +180,7 @@ def _solve_bracket_equation(pi: PolyMVF, rhs: PolyMVF, unknown_basis,
     A = _Rows(rows.get(key, {}) for key in keys)
     out = solve_linear_exact(A, [b.get(key, 0) for key in keys], ncols=len(unknown_basis))
     if not out.feasible:
-        return None, lambda scale=den * rhs.den: _fraction_vector(
-            {j: v * scale for j, v in out._witness[0].items()}, out._witness[1], len(keys))
+        return None, partial(_scaled_witness, out, den * rhs.den)
     grade = len(unknown_basis[0][0]) if unknown_basis else 0
     ints, sol_den = out._particular
     sol = {}
@@ -187,6 +188,12 @@ def _solve_bracket_equation(pi: PolyMVF, rhs: PolyMVF, unknown_basis,
         legs, exps = unknown_basis[j]
         sol[_grade(pi.weights, legs, exps), legs, exps] = ints[j]
     return PolyMVF._raw(pi.nvars, grade, sol, pi.weights, sol_den * rhs.den), None
+
+
+def _scaled_witness(out, scale: int) -> list:
+    """The witness of infeasible solve ``out`` times ``scale``, as a list of Fractions."""
+    ints, den = out._witness
+    return _fraction_vector({j: v * scale for j, v in ints.items()}, den, out._n)
 
 
 def homotopy_solve(pi_lin: PolyMVF, Z: GradedPiece, base_degree_cap: int = 8) -> HomotopyResult:

@@ -227,7 +227,8 @@ def cohomology_dims(pi_lin: PolyMVF, l: int, kmax: int) -> CohomologyTable:
     [pi, [pi, X]] = [[pi, pi], X] / 2).  Each d_k is built on the k-vectors
     off those whose rows of d_{k-1} yielded pivots, and the ranks are
     certified by the complex's exactness where it can be
-    (``polyalg._complex_ranks``).
+    (``polyalg._complex_ranks``).  C^k = 0 for k > n, so only degrees up to
+    min(kmax, n) are built, and the rows above them read 0.
     """
     l, kmax = _as_int(l, "grade l", 0), _as_int(kmax, "max degree kmax", 0)
     _check_bivector(pi_lin)
@@ -239,10 +240,12 @@ def cohomology_dims(pi_lin: PolyMVF, l: int, kmax: int) -> CohomologyTable:
         # base-variable degree is unbounded in principle
         raise ValueError("cohomology_dims requires all-ones weights")
     degrees = list(range(kmax + 1))
-    bases = _graded_bases(pi_lin.nvars, degrees, l, pi_lin.weights, 0)
+    built = degrees[:pi_lin.nvars + 1]
+    bases = _graded_bases(pi_lin.nvars, built, l, pi_lin.weights, 0)
     dims = [len(basis) for basis in bases]
     ranks = _complex_ranks(lambda k, skip: _bracket_rows(
         pi_lin, [b for b in bases[k] if b not in skip])[1:], dims)
-    dim_cochains, rank_d = dict(zip(degrees, dims)), dict(zip(degrees, ranks))
+    dim_cochains = dict.fromkeys(degrees, 0) | dict(zip(built, dims))
+    rank_d = dict.fromkeys(degrees, 0) | dict(zip(built, ranks))
     betti = {k: dim_cochains[k] - rank_d[k] - rank_d.get(k - 1, 0) for k in degrees}
     return CohomologyTable(l, degrees, dim_cochains, rank_d, betti)

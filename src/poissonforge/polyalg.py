@@ -143,8 +143,9 @@ def _as_fraction(value) -> Fraction:
 def _add_term(terms: dict, key, value):
     """``terms[key] += value``, dropping ``key`` when the sum is zero.
 
-    Serves any value type whose zero is falsy: ``Fraction`` coefficients of a
-    ``Poly`` and ``Poly`` coefficients of a multivector field.
+    Serves any value type whose zero is falsy; the package passes ``Fraction``
+    coefficients of a ``Poly`` or of a multivector field's monomials, and
+    ``int`` numerators of a multivector field.
     """
     s = terms.get(key)
     s = value if s is None else s + value
@@ -286,8 +287,6 @@ class Poly:
         return bool(self.terms)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            other = Poly.constant(self.nvars, other)
         return isinstance(other, Poly) and self.nvars == other.nvars and self.terms == other.terms
 
     def __hash__(self):

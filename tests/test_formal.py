@@ -1,11 +1,13 @@
 """Formal calculus: jets, exp-adjoint series, BCH, gauge recursion, prolongation."""
 
 import contextlib
+import functools
 import hashlib
 import io
 import itertools
 import json
 import math
+import pickle
 import random
 from fractions import Fraction
 from unittest import mock
@@ -784,6 +786,31 @@ def test_a_certificate_is_solved_once_when_first_read():
             assert res.certificate is w and res.status == "obstructed"
             assert rref.call_count == before + 1
         _assert_certificate(solve.call_args, w)
+
+
+def test_an_obstructed_result_pickles_with_its_certificate_unread():
+    # the deferred certificate is a partial of module-level functions, so an
+    # obstructed result pickles before it is read, and pickling solves nothing:
+    # the spy stands in for ``polyalg._witness_of`` under its own name
+    witness_of, calls = polyalg._witness_of, []
+
+    @functools.wraps(witness_of)
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return witness_of(*args, **kwargs)
+
+    with mock.patch.object(polyalg, "_witness_of", spy):
+        results = [homotopy_solve(PolyMVF.zero(2, 2), grade_component(_PLANE, 2)),
+                   prolong_step(FilteredJet(_readme_jet(), 4), 4, base_degree_cap=8),
+                   formal_linearize(_PLANE, 4)]
+        assert [type(res).__name__ for res in results] == [
+            "HomotopyResult", "ProlongResult", "GaugeSolution"]
+        copies = pickle.loads(pickle.dumps(results))
+        assert calls == [] and all(res.status == "obstructed" for res in copies)
+        for res, copy in zip(results, copies):
+            assert copy.certificate == res.certificate and res.certificate
+    assert len(calls) == 2 * len(results)
+    assert len(results[1].certificate) == 82
 
 
 def test_the_cap_8_certificates_are_pinned():

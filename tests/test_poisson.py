@@ -321,6 +321,21 @@ class TestCohomology:
                         image[s] = image.get(s, 0) + v * w
                 assert not any(image.values())
 
+    def test_degrees_above_n_are_zero_rows_and_not_built(self, pi_so3, monkeypatch):
+        # C^k = 0 for k > n: the table past n is the table at n plus zero rows,
+        # and only the n + 1 degrees 0..n are built and reduced
+        n = pi_so3.nvars
+        for l in range(3):
+            rows = cohomology_dims(pi_so3, l, n).to_json_obj()["rows"]
+            assert cohomology_dims(pi_so3, l, n + 4).to_json_obj()["rows"] == rows + [
+                {"k": k, "dim": 0, "rank": 0, "betti": 0} for k in range(n + 1, n + 5)]
+        calls, bracket_rows = [], poisson._bracket_rows
+        monkeypatch.setattr(poisson, "_bracket_rows",
+                            lambda *args: calls.append(args) or bracket_rows(*args))
+        table = cohomology_dims(pi_so3, 0, 10**5)
+        assert len(calls) == n + 1 and table.degrees == list(range(10**5 + 1))
+        assert table.betti == {k: int(k in (0, n)) for k in table.degrees}
+
     def test_rejects_weighted_vars(self, pi_so3):
         with pytest.raises(ValueError):
             cohomology_dims(pi_so3.with_weights((0, 1, 1)), 2, 3)

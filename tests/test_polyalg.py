@@ -147,7 +147,7 @@ class TestTrustedPath:
         assert Poly(np.int64(2), {(np.int64(1), 0): 1}) == Poly.variable(2, 1)
         assert Poly.variable(np.int32(2), np.int32(2)) == Poly.variable(2, 2)
         one = Poly.constant(2, 1)
-        assert one == 1 and one != True and not one == False  # noqa: E712
+        assert one != 1 and one != True and not one == False  # noqa: E712
 
 
 class TestParsing:
@@ -287,6 +287,42 @@ class TestParsingProperties:
             return
         assert p.nvars == n
         assert parse_poly(format_poly(p), n) == p
+
+
+_SMALL = st.sampled_from([0, 1, -1, 2, 3, Fraction(1, 2), Fraction(-3, 2)])
+
+
+@st.composite
+def polys_and_scalars(draw):
+    """A ``Poly`` of 0-3 variables (zero, a constant or up to three terms) or a
+    scalar (an int, a ``Fraction`` or a bool), from few values, so ties are common."""
+    n = draw(st.integers(0, 3))
+    return draw(st.one_of(
+        st.builds(Poly.zero, st.just(n)),
+        st.builds(Poly.constant, st.just(n), _SMALL),
+        st.builds(lambda terms: Poly(n, terms),
+                  st.dictionaries(st.tuples(*[st.integers(0, 1)] * n), _SMALL, max_size=3)),
+        _SMALL, st.integers(-2, 3).map(Fraction), st.booleans()))
+
+
+class TestPolyEquality:
+    # a Poly equals only a Poly of the same variable count and terms, never a
+    # scalar, so ``==`` is an equivalence whose classes hash alike
+
+    @_HYPOTHESIS
+    @given(st.lists(polys_and_scalars(), min_size=3, max_size=3))
+    def test_equal_values_hash_alike_and_sets_ignore_order(self, values):
+        for a, b in itertools.product(values, repeat=2):
+            assert a != b or hash(a) == hash(b)
+        for a, b, c in itertools.permutations(values):
+            assert not (a == b and b == c) or a == c
+        assert len({len(set(order)) for order in itertools.permutations(values)}) == 1
+
+    def test_a_poly_is_not_a_scalar(self):
+        assert Poly.constant(2, 3) != 3 and Poly.constant(2, 3) != Fraction(3)
+        assert {3: "scalar"}.get(Poly.constant(2, 3)) is None
+        for order in itertools.permutations([0, Poly.zero(2), Poly.zero(3)]):
+            assert len(set(order)) == 3
 
 
 def _exact_entry(v):
